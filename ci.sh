@@ -28,6 +28,9 @@ PPM_KERNEL=wide cargo test -q
 echo "==> workspace test suite (all crates)"
 cargo test --workspace -q
 
+echo "==> benchmark self-tests (perfbench is a package of its own)"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> observability smoke: mine --trace --metrics-out on a generated dataset"
 # Hermetic: everything lands in a temp dir that is removed on exit. The
 # emitted JSON-lines schema itself is validated by the repo's own parser in

@@ -59,7 +59,9 @@ pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         })
         .collect::<Result<_, _>>()?;
 
-    let mut appender = ColumnarAppender::open(input)?;
+    // The appender resumes the reader's checksum midstate: the store is
+    // hashed once per append, by the open above.
+    let mut appender = ColumnarAppender::open_resident(input, &reader)?;
     for _ in 0..repeat {
         for feats in &instants {
             appender.append_instant(feats)?;

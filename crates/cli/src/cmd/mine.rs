@@ -11,7 +11,7 @@ use ppm_core::streaming::{mine_apriori_streaming, mine_hitset_streaming};
 use ppm_core::vertical::incremental::IncrementalVerticalIndex;
 use ppm_core::vertical::mine_vertical;
 use ppm_core::{mine, Algorithm, MineConfig, MiningResult, MiningStats, Pattern};
-use ppm_timeseries::columnar::ColumnarReader;
+use ppm_timeseries::columnar::{ColumnarReader, Reload};
 use ppm_timeseries::storage::stream::FileSource;
 use ppm_timeseries::{
     EncodedSeriesView, Fault, FaultInjectingSource, FaultPlan, FeatureCatalog, FeatureSeries,
@@ -457,22 +457,22 @@ fn follow_columnar(
     let mut updates = 0usize;
     while updates < max_updates {
         std::thread::sleep(std::time::Duration::from_millis(poll_ms));
-        let Ok(fresh) = ColumnarReader::open(input) else {
+        // Compare-then-resume: an unchanged file is byte-compared, a grown
+        // one hashes only its new rows (see `ColumnarReader::reload`).
+        reader = match reader.reload(input) {
             // A failed re-open mid-publish is transient; the next poll sees
             // the atomically renamed file.
-            continue;
+            Err(_) | Ok(Reload::Unchanged) => continue,
+            Ok(Reload::Extended(fresh)) => fresh,
+            Ok(Reload::Rewritten(fresh)) => {
+                writeln!(
+                    out,
+                    "store was rewritten, not extended; rebuilding the index"
+                )?;
+                index = IncrementalVerticalIndex::new(period, window);
+                fresh
+            }
         };
-        if fresh.fingerprint() == reader.fingerprint() {
-            continue;
-        }
-        if !fresh.extends(&reader) {
-            writeln!(
-                out,
-                "store was rewritten, not extended; rebuilding the index"
-            )?;
-            index = IncrementalVerticalIndex::new(period, window);
-        }
-        reader = fresh;
         let before = index.appended_segments();
         let m = reader.len() / period;
         while index.appended_segments() < m {

@@ -1198,31 +1198,39 @@ impl Server {
             }
             instants.push(feats);
         }
-        let mut app = ColumnarAppender::open(&store.path)
+        // The resident load was checksum-verified; if the file is still
+        // byte-for-byte that load, the appender resumes its midstate and
+        // hashes nothing of the existing store. Otherwise the file is
+        // fully validated (a corrupt one fails here) and the publish
+        // below refuses a base that is not the resident load.
+        let mut app = ColumnarAppender::open_resident(&store.path, &resident)
             .map_err(|e| OpError::internal(format!("append open failed: {e}")))?;
         for feats in &instants {
             app.append_instant(feats)
                 .map_err(|e| OpError::internal(format!("append failed: {e}")))?;
         }
-        // Publishes the file *and* hands back the extended reader built
-        // from the resident words — bit-identical to a re-open without
-        // re-reading or re-hashing the whole store. Rejected (nothing
-        // published) if the file diverged from the resident load.
-        let (total, extended) = app
-            .finish_extending(&resident)
+        // Publishes the file and keeps the appended rows, so the resident
+        // load can be grown to match without re-reading or re-hashing the
+        // whole store. Rejected (nothing published) if the file diverged
+        // from the resident load.
+        let growth = app
+            .finish_growth(&resident)
             .map_err(|e| OpError::internal(format!("append publish failed: {e}")))?;
+        let total = growth.instants();
         let old_fp = resident.fingerprint();
-        let new_fp = extended.fingerprint();
-        // Take the index table *before* publishing the swapped reader and
+        let new_fp = growth.fingerprint();
+        // Take the index table *before* publishing the grown reader and
         // hold it through the cache judgment below. A concurrent
         // incremental mine that slipped in between would catch the
         // indexes up to the fresh reader and rederive — clearing the
         // dirty state — so the judgment would see a clean index and keep
         // entries whose counts actually changed. With the guard held
-        // across swap + catch-up + rekey, `with_index` blocks until the
+        // across growth + catch-up + rekey, `with_index` blocks until the
         // cache is consistent with the new fingerprint.
         let mut indexes = store.indexes();
-        store.swap_reader(extended);
+        store
+            .grow_reader(resident, &growth)
+            .map_err(|e| OpError::internal(format!("append apply failed: {e}")))?;
         self.metrics.appends.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .appended_instants

@@ -3,25 +3,29 @@
 //!
 //! Each store is one [`ColumnarReader`] behind a swap lock; queries clone
 //! the current `Arc` and borrow its [`EncodedSeriesView`] concurrently
-//! with zero copying (a reader is immutable once published — the lock
-//! exists only so a *grown* file can be swapped in without restarting).
+//! with zero copying. A reader a query holds is never changed: the lock
+//! exists only so a *grown* file can be swapped in without restarting,
+//! or — when no query holds the current reader — grown in place by an
+//! append ([`Store::grow_reader`]).
 //! Stores are addressed by their file stem — `trades.ppmc` serves as
 //! `"trades"` — and each carries the content fingerprint the result
 //! cache keys on.
 //!
 //! ## Health gating and legitimate growth
 //!
-//! Each store also carries a health bit. [`StoreRegistry::reverify`]
-//! re-opens every backing file, re-running the full trailer-checksum
-//! validation, and compares the content against the resident load. Three
-//! verdicts:
+//! Each store also carries a health bit. [`StoreRegistry::reverify_all`]
+//! re-reads every backing file and judges it against the resident load
+//! with [`ColumnarReader::reload`]: compare first, resume the checksum
+//! for growth, and fall back to the full trailer-checksum validation for
+//! anything else. Three verdicts:
 //!
-//! - **unchanged** — same fingerprint: healthy, nothing to do;
-//! - **grown** — the fresh load is a strict byte-prefix extension of the
-//!   resident one ([`ColumnarReader::extends`]): an appender published
-//!   new instants. This is *not* corruption; the grown reader is swapped
-//!   in (queries started on the old `Arc` finish on it) and the store
-//!   stays healthy;
+//! - **unchanged** — byte-identical to the resident load (or, after a
+//!   full validation, the same fingerprint): healthy, nothing to do;
+//! - **grown** — the file is the resident load plus appended whole
+//!   instants, its checksum resumed from the resident midstate over the
+//!   new rows: an appender published new instants. This is *not*
+//!   corruption; the grown reader is swapped in (queries started on the
+//!   old `Arc` finish on it) and the store stays healthy;
 //! - **diverged** — vanished, corrupt, or rewritten with different
 //!   content: **quarantined**. Queries against it get a typed error while
 //!   every healthy store keeps serving; restoring the original content
@@ -48,7 +52,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use ppm_core::vertical::incremental::IncrementalVerticalIndex;
-use ppm_timeseries::columnar::ColumnarReader;
+use ppm_timeseries::columnar::{ColumnarReader, Growth, Reload};
 
 /// Most live incremental indexes kept per store. Small on purpose: each
 /// index is O(alphabet × instants) bits of resident memory, and a
@@ -176,6 +180,36 @@ impl Store {
         )
     }
 
+    /// Brings the resident load up to an append the caller published.
+    /// `base` is the caller's snapshot of the load the append was built
+    /// on. A reader a query holds is never changed under it: while any
+    /// query holds the current reader, a grown copy is swapped in (built
+    /// outside the lock); when none does, the reader grows in place — the
+    /// append then costs its own rows, not a copy of the store.
+    pub(crate) fn grow_reader(
+        &self,
+        base: Arc<ColumnarReader>,
+        growth: &Growth,
+    ) -> ppm_timeseries::Result<()> {
+        // The store's slot and `base` itself: anything more is a query.
+        if Arc::strong_count(&base) <= 2 {
+            let mut slot = self.reader.write().expect("reader lock poisoned");
+            if Arc::ptr_eq(&slot, &base) {
+                drop(base);
+                return match Arc::get_mut(&mut slot) {
+                    Some(resident) => growth.apply_to(resident),
+                    // A query took a snapshot since the count was read.
+                    None => {
+                        *slot = Arc::new(growth.extend(&slot)?);
+                        Ok(())
+                    }
+                };
+            }
+        }
+        self.swap_reader(growth.extend(&base)?);
+        Ok(())
+    }
+
     /// Serializes append publishes to this store's backing file.
     pub(crate) fn append_guard(&self) -> MutexGuard<'_, ()> {
         self.append_lock.lock().expect("append lock poisoned")
@@ -231,19 +265,21 @@ impl Store {
         self.quarantined.load(Ordering::SeqCst)
     }
 
-    /// Re-validates the backing file: a full checksummed re-open. A
-    /// matching fingerprint is healthy; a fresh load that byte-extends
-    /// the resident one is **growth** — the grown reader is swapped in
-    /// and the store stays healthy; anything else (vanished, corrupt,
-    /// rewritten) is quarantined. Quarantine gates *serving*, not
-    /// memory — the resident reader keeps answering nothing until the
-    /// file heals.
+    /// Re-validates the backing file against the resident load (see
+    /// [`ColumnarReader::reload`]): a byte-identical file is healthy
+    /// without re-hashing; a file that is the resident load plus appended
+    /// rows is **growth** — its checksum is resumed over the new rows
+    /// only, the grown reader is swapped in, and the store stays healthy;
+    /// anything else takes the full checksummed re-open, and a vanished,
+    /// corrupt or rewritten file is quarantined. Quarantine gates
+    /// *serving*, not memory — the resident reader keeps answering
+    /// nothing until the file heals.
     pub fn reverify(&self) -> Result<(), String> {
         let resident = self.reader();
-        let verdict = match ColumnarReader::open(&self.path) {
+        let verdict = match resident.reload(&self.path) {
             Err(e) => Err(format!("re-open failed: {e}")),
-            Ok(fresh) if fresh.fingerprint() == resident.fingerprint() => Ok(()),
-            Ok(fresh) if fresh.extends(&resident) => {
+            Ok(Reload::Unchanged) => Ok(()),
+            Ok(Reload::Extended(fresh)) => {
                 let added = fresh.len() - resident.len();
                 ppm_observe::mark("serve.store.grown", || {
                     format!(
@@ -258,7 +294,7 @@ impl Store {
                 self.swap_reader(fresh);
                 Ok(())
             }
-            Ok(fresh) => Err(format!(
+            Ok(Reload::Rewritten(fresh)) => Err(format!(
                 "content diverged on disk: resident {:016x}, file {:016x} \
                  (not an extension)",
                 resident.fingerprint(),
@@ -439,6 +475,78 @@ mod tests {
         write_columnar(&path, &sb.finish(), &cat).unwrap();
         assert_eq!(reg.reverify_all(), 1, "divergent rewrite quarantines");
         assert!(store.is_quarantined());
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Growth is judged by comparing the resident prefix and resuming
+    /// the checksum over the new rows: a flip on either side of the old
+    /// end-of-words must still quarantine, with the full open's error.
+    #[test]
+    fn grown_file_with_a_flipped_word_quarantines() {
+        let path = sample_store("grown-flip");
+        let reg = StoreRegistry::open(&[&path]).unwrap();
+        let store = reg.iter().next().unwrap();
+        let resident = store.reader();
+        let old_len = std::fs::read(&path).unwrap().len();
+
+        let mut app = ColumnarAppender::open(&path).unwrap();
+        let alpha = resident.catalog().get("alpha").unwrap();
+        for _ in 0..4 {
+            app.append_instant(&[alpha]).unwrap();
+        }
+        app.finish().unwrap();
+        let grown = std::fs::read(&path).unwrap();
+        // Old prefix: the last resident word. New tail: the first
+        // appended word (it starts where the old trailer was).
+        for (at, side) in [(old_len - 16 - 8, "old prefix"), (old_len - 16, "new tail")] {
+            let mut bad = grown.clone();
+            bad[at] ^= 0x01;
+            std::fs::write(&path, &bad).unwrap();
+            let why = store.reverify().unwrap_err();
+            assert!(why.contains("checksum mismatch"), "{side}: {why}");
+            assert!(store.is_quarantined(), "{side}");
+            assert_eq!(store.reader().len(), 12, "{side}: nothing swapped in");
+        }
+        std::fs::write(&path, &grown).unwrap();
+        assert_eq!(reg.reverify_all(), 0, "the intact growth heals");
+        assert_eq!(store.reader().len(), 16);
+        std::fs::remove_file(path).ok();
+    }
+
+    /// An append grows the resident load in place when no query holds it,
+    /// and swaps in a grown copy when one does — the held snapshot stays
+    /// exactly as it was. Either way the store equals a fresh open.
+    #[test]
+    fn grow_reader_copies_only_when_a_snapshot_is_held() {
+        let path = sample_store("grow");
+        let reg = StoreRegistry::open(&[&path]).unwrap();
+        let store = reg.iter().next().unwrap();
+        let alpha = store.reader().catalog().get("alpha").unwrap();
+        let append = |base: &Arc<ColumnarReader>| {
+            let mut app = ColumnarAppender::open_resident(&path, base).unwrap();
+            app.append_instant(&[alpha]).unwrap();
+            app.append_instant(&[]).unwrap();
+            app.finish_growth(base).unwrap()
+        };
+
+        let base = store.reader();
+        let before = Arc::as_ptr(&base);
+        let growth = append(&base);
+        store.grow_reader(base, &growth).unwrap();
+        assert_eq!(Arc::as_ptr(&store.reader()), before, "grown in place");
+
+        let held = store.reader();
+        let growth = append(&held);
+        store.grow_reader(held.clone(), &growth).unwrap();
+        assert_eq!(held.len(), 14, "the held snapshot is unchanged");
+        assert!(!Arc::ptr_eq(&held, &store.reader()), "a grown copy");
+
+        let reopened = ColumnarReader::open(&path).unwrap();
+        let grown = store.reader();
+        assert_eq!(grown.len(), 16);
+        assert_eq!(grown.fingerprint(), reopened.fingerprint());
+        assert_eq!(grown.view(), reopened.view());
+        assert_eq!(reg.reverify_all(), 0, "the file is byte-for-byte the load");
         std::fs::remove_file(path).ok();
     }
 

@@ -12,7 +12,7 @@ use ppm_observe::Json;
 use ppm_serve::protocol::{read_frame, write_frame, VERSION};
 use ppm_serve::server::{Bind, BoundAddr, ServeConfig, Server};
 use ppm_serve::StoreRegistry;
-use ppm_timeseries::columnar::{write_columnar, ColumnarReader};
+use ppm_timeseries::columnar::{write_columnar, ColumnarAppender, ColumnarReader};
 use ppm_timeseries::{FeatureCatalog, SeriesBuilder};
 
 /// The CLI testsuite's sample series: period 3, alpha always at offset 0,
@@ -437,6 +437,156 @@ fn appends_racing_incremental_mines_never_serve_stale_counts() {
     request(addr, &shutdown_req());
     handle.join().unwrap();
     std::fs::remove_file(store).ok();
+}
+
+fn append_req(store: &str, rows: &[&[&str]]) -> Json {
+    let rows = rows
+        .iter()
+        .map(|inst| Json::Arr(inst.iter().map(|n| Json::Str((*n).into())).collect()))
+        .collect();
+    obj(vec![
+        ("v", Json::from_u64(VERSION)),
+        ("op", Json::Str("append".into())),
+        ("store", Json::Str(store.into())),
+        ("rows", Json::Arr(rows)),
+    ])
+}
+
+/// The daemon's `info` view of its one store: (instants, fingerprint).
+fn resident_info(addr: std::net::SocketAddr) -> (u64, String) {
+    let resp = request(
+        addr,
+        &obj(vec![
+            ("v", Json::from_u64(VERSION)),
+            ("op", Json::Str("info".into())),
+        ]),
+    );
+    let store = &resp.get("stores").and_then(Json::as_arr).unwrap()[0];
+    (
+        store.get("instants").and_then(Json::as_u64).unwrap(),
+        store
+            .get("fingerprint")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_owned(),
+    )
+}
+
+/// Each daemon append after the first is built on the resident load the
+/// previous one grew, resuming its checksum midstate. A wrong midstate
+/// would publish a file whose trailer fails a fresh open; a wrong
+/// resident view would show in the answers or the recheck.
+#[test]
+fn chained_daemon_appends_keep_the_resident_load_equal_to_the_file() {
+    let path = sample_store("chain");
+    let name = path.file_stem().unwrap().to_str().unwrap().to_owned();
+    let (addr, handle, _stop) = start(&path, |_| {});
+    let rows: [&[&str]; 4] = [&["alpha"], &["beta"], &[], &["alpha", "beta"]];
+    for k in 0..25 {
+        let resp = request(addr, &append_req(&name, &rows[..1 + k % 4]));
+        assert_eq!(
+            resp.get("type").and_then(Json::as_str),
+            Some("result"),
+            "append {k}: {resp:?}"
+        );
+    }
+    let reopened = ColumnarReader::open(&path).expect("published trailer verifies");
+    assert_eq!(
+        resident_info(addr),
+        (
+            reopened.len() as u64,
+            format!("{:016x}", reopened.fingerprint())
+        )
+    );
+    assert_eq!(reopened.len(), 90 + 25 / 4 * 10 + 1);
+    // The resident view: uncached mines over it equal cold mines of the
+    // file, and a recheck finds the file byte-identical to it.
+    for (period, engine) in [(3, "vertical"), (4, "hitset"), (5, "apriori")] {
+        let mut req = mine_req(&name, period, 0.3, engine);
+        if let Json::Obj(fields) = &mut req {
+            fields.push(("no_cache".to_owned(), Json::Bool(true)));
+        }
+        let resp = request(addr, &req);
+        assert_eq!(
+            response_rows(&resp),
+            direct_rows(&path, period as usize, 0.3, engine),
+            "period {period}"
+        );
+    }
+    let resp = request(
+        addr,
+        &obj(vec![
+            ("v", Json::from_u64(VERSION)),
+            ("op", Json::Str("health".into())),
+            ("recheck", Json::Bool(true)),
+        ]),
+    );
+    assert_eq!(resp.get("degraded"), Some(&Json::Bool(false)), "{resp:?}");
+    assert_eq!(
+        resident_info(addr).1,
+        format!("{:016x}", reopened.fingerprint())
+    );
+    request(addr, &shutdown_req());
+    handle.join().unwrap();
+    std::fs::remove_file(path).ok();
+}
+
+/// A daemon append whose file is no longer the resident load is refused
+/// and publishes nothing: an external append that landed after the
+/// daemon loaded the store, and a bitmap word flipped on disk (which must
+/// neither be healed nor re-stamped under a fresh checksum).
+#[test]
+fn daemon_append_refuses_a_file_that_is_not_its_resident_load() {
+    let alpha = |path: &PathBuf| {
+        ColumnarReader::open(path)
+            .unwrap()
+            .catalog()
+            .get("alpha")
+            .unwrap()
+    };
+    let external = sample_store("external");
+    let corrupt = sample_store("flipped");
+    // Offset of the first bitmap word: header (28 bytes) plus the two
+    // catalog entries.
+    let word0 = 28 + (4 + "alpha".len()) + (4 + "beta".len());
+
+    for (path, damage) in [(&external, "external append"), (&corrupt, "flipped word")] {
+        let name = path.file_stem().unwrap().to_str().unwrap().to_owned();
+        let (addr, handle, _stop) = start(path, |_| {});
+        if damage == "external append" {
+            let a = alpha(path);
+            let mut app = ColumnarAppender::open(path).unwrap();
+            app.append_instant(&[a]).unwrap();
+            app.finish().unwrap();
+        } else {
+            let mut bytes = std::fs::read(path).unwrap();
+            bytes[word0] ^= 0x01;
+            std::fs::write(path, &bytes).unwrap();
+        }
+        let on_disk = std::fs::read(path).unwrap();
+        let resp = request(addr, &append_req(&name, &[&["beta"]]));
+        assert_eq!(
+            resp.get("type").and_then(Json::as_str),
+            Some("error"),
+            "{damage}: {resp:?}"
+        );
+        let msg = resp.get("message").and_then(Json::as_str).unwrap();
+        let want = if damage == "external append" {
+            "append publish failed"
+        } else {
+            "checksum mismatch"
+        };
+        assert!(msg.contains(want), "{damage}: {msg}");
+        assert_eq!(
+            std::fs::read(path).unwrap(),
+            on_disk,
+            "{damage}: file left as it was"
+        );
+        assert_eq!(resident_info(addr).0, 90, "{damage}: resident unchanged");
+        request(addr, &shutdown_req());
+        handle.join().unwrap();
+        std::fs::remove_file(path).ok();
+    }
 }
 
 #[test]

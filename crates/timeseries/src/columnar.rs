@@ -25,14 +25,17 @@
 //! ```
 //!
 //! The trailer placement is what makes [`ColumnarAppender`] cheap to
-//! *assemble*: the FNV state — a streaming hash — resumes from where the
-//! prefix left off, so hashing `k` appended rows costs `O(k)`. Publication
-//! is crash-safe rather than in-place: [`ColumnarAppender::finish`] writes
-//! the complete new store to a same-directory temp file, fsyncs it, renames
-//! it over the original, and fsyncs the parent directory — so a crash at
-//! any byte leaves either the prior store or the fully-appended store on
-//! disk, never a torn hybrid (the same publish discipline as the sweep
-//! checkpoint).
+//! *assemble*: every [`ColumnarReader`] keeps the FNV state — a streaming
+//! hash — over the bytes before its trailer, so an appender built on a
+//! verified load hashes only the `k` appended rows (`O(k)`), and
+//! [`ColumnarReader::reload`] checks a grown file by comparing the old
+//! prefix byte for byte and resuming the hash over the new rows alone.
+//! Publication is still a whole-file rewrite, crash-safe rather than
+//! in-place: [`ColumnarAppender::finish`] writes the complete new store to
+//! a same-directory temp file, fsyncs it, renames it over the original,
+//! and fsyncs the parent directory — so a crash at any byte leaves either
+//! the prior store or the fully-appended store on disk, never a torn
+//! hybrid (the same publish discipline as the sweep checkpoint).
 //!
 //! Corruption is rejected with a named byte offset (`Error::Corrupt`), the
 //! same policy as the checkpoint and stream-storage formats: a damaged
@@ -40,7 +43,7 @@
 //! mis-mine.
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::catalog::{FeatureCatalog, FeatureId};
@@ -55,6 +58,8 @@ const VERSION: u32 = 1;
 const FIXED_HEADER: usize = 4 + 4 + 8 + 8 + 4;
 /// Trailer bytes: `n_instants` + checksum.
 const TRAILER: usize = 8 + 8;
+/// Words per block when a load is streamed against a file.
+const BLOCK_WORDS: usize = 1 << 16;
 
 /// Serializes `series` (and its catalog) into `.ppmc` bytes.
 pub fn encode_columnar(series: &FeatureSeries, catalog: &FeatureCatalog) -> Vec<u8> {
@@ -108,6 +113,23 @@ fn corrupt(detail: String) -> Error {
     Error::Corrupt { detail }
 }
 
+/// Decodes a words section: little-endian `u64`s, 8 bytes each.
+fn le_words(bytes: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    bytes
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+}
+
+/// Whether `bytes` encode exactly `words`. Each 512-word block ORs its
+/// differences without branching, so the compare vectorizes.
+fn words_equal(bytes: &[u8], words: &[u64]) -> bool {
+    bytes.len() == words.len() * 8
+        && bytes
+            .chunks(4096)
+            .zip(words.chunks(512))
+            .all(|(b, w)| le_words(b).zip(w).fold(0, |diff, (x, &y)| diff | (x ^ y)) == 0)
+}
+
 /// A fully validated columnar load: the bitmap words in one allocation,
 /// borrowed out as [`EncodedSeriesView`]s.
 #[derive(Debug, Clone)]
@@ -117,8 +139,28 @@ pub struct ColumnarReader {
     n_instants: usize,
     words: Vec<u64>,
     catalog: FeatureCatalog,
+    /// The file's header and catalog bytes, verbatim (the bytes before
+    /// the words section).
+    header: Vec<u8>,
+    /// FNV state over every byte before the trailer: what an append or a
+    /// grown-file check resumes from instead of re-hashing the store.
+    midstate: Fnv64,
     file_bytes: usize,
     checksum: u64,
+}
+
+/// What a re-read of a store's file shows against a resident load (see
+/// [`ColumnarReader::reload`]).
+#[derive(Debug)]
+pub enum Reload {
+    /// The file holds the resident load's content (byte for byte, or a
+    /// fully validated file with the same fingerprint).
+    Unchanged,
+    /// The file is the resident load plus appended whole instants; the
+    /// grown load.
+    Extended(ColumnarReader),
+    /// A valid store that is not the resident load or an extension of it.
+    Rewritten(ColumnarReader),
 }
 
 impl ColumnarReader {
@@ -127,10 +169,7 @@ impl ColumnarReader {
     /// into one word vector. Reports the mapped size through the
     /// `columnar.mmap_bytes` gauge.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let mut r = File::open(path)?;
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        let reader = Self::from_bytes(&bytes)?;
+        let reader = Self::from_bytes(&std::fs::read(path)?)?;
         ppm_observe::gauge("columnar.mmap_bytes", reader.file_bytes as u64);
         Ok(reader)
     }
@@ -138,6 +177,16 @@ impl ColumnarReader {
     /// Validates and loads `.ppmc` bytes. Every rejection names the byte
     /// offset of the failed check.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        let mut reader = Self::validate(bytes)?;
+        // The one conversion pass: byte section → a single word vector.
+        reader.words = le_words(&bytes[reader.header.len()..bytes.len() - TRAILER]).collect();
+        Ok(reader)
+    }
+
+    /// Every check of [`Self::from_bytes`] without decoding the words
+    /// section: the returned load's `words` is left empty. For the
+    /// appender, which copies the verified rows from the file itself.
+    fn validate(bytes: &[u8]) -> Result<Self> {
         let len = bytes.len();
         if len < FIXED_HEADER + TRAILER {
             return Err(corrupt(format!(
@@ -147,8 +196,11 @@ impl ColumnarReader {
         }
         let (body, tail) = bytes.split_at(len - 8);
         let stored_sum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-        let mut h = Fnv64::new();
-        h.update(body);
+        // One pass, split at the trailer so the midstate comes for free.
+        let mut midstate = Fnv64::new();
+        midstate.update(&body[..len - TRAILER]);
+        let mut h = midstate.clone();
+        h.update(&body[len - TRAILER..]);
         if h.finish() != stored_sum {
             return Err(corrupt(format!("checksum mismatch at offset {}", len - 8)));
         }
@@ -214,18 +266,14 @@ impl ColumnarReader {
                  ({n_instants} instants × {words_per_instant} words)"
             )));
         }
-        // The one conversion pass: byte section → a single word vector.
-        let words: Vec<u64> = body[off..words_end]
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect();
-
         Ok(ColumnarReader {
             width,
             words_per_instant,
             n_instants,
-            words,
+            words: Vec::new(),
             catalog,
+            header: body[..off].to_vec(),
+            midstate,
             file_bytes: len,
             checksum: stored_sum,
         })
@@ -289,6 +337,114 @@ impl ColumnarReader {
             && self.words[..prefix.words.len()] == prefix.words[..]
     }
 
+    /// Re-reads the store at `path` and judges it against this load —
+    /// compare, then resume, then fall back:
+    ///
+    /// - a file byte-for-byte equal to this load (header, catalog, words,
+    ///   trailer) is [`Reload::Unchanged`] without hashing anything;
+    /// - a file that starts with this load's header and words is checked
+    ///   by resuming the checksum from this load's midstate over only the
+    ///   new rows and the trailer: [`Reload::Extended`];
+    /// - anything else gets the full validating [`Self::open`], so a
+    ///   corrupt file fails with the same error, and a valid one is
+    ///   classified by fingerprint and [`Self::extends`].
+    ///
+    /// The compare streams the file in blocks: only the bytes past this
+    /// load are buffered. Byte equality with a load that was
+    /// checksum-verified when it was taken is at least as strong as a
+    /// re-hash: a re-hash could only miss a change that collides in 64
+    /// bits, the compare misses none.
+    pub fn reload(&self, path: impl AsRef<Path>) -> Result<Reload> {
+        let path = path.as_ref();
+        if let Some(rest) = self.read_past_load(&mut File::open(path)?)? {
+            if rest == self.trailer() {
+                return Ok(Reload::Unchanged);
+            }
+            if let Some(grown) = self.resume(&rest) {
+                return Ok(Reload::Extended(grown));
+            }
+        }
+        let fresh = Self::open(path)?;
+        Ok(if fresh.checksum == self.checksum {
+            Reload::Unchanged
+        } else if fresh.extends(self) {
+            Reload::Extended(fresh)
+        } else {
+            Reload::Rewritten(fresh)
+        })
+    }
+
+    /// This load's trailer bytes: instant count, then checksum.
+    fn trailer(&self) -> [u8; TRAILER] {
+        let mut t = [0u8; TRAILER];
+        t[..8].copy_from_slice(&(self.n_instants as u64).to_le_bytes());
+        t[8..].copy_from_slice(&self.checksum.to_le_bytes());
+        t
+    }
+
+    /// Streams `file` from its start against this load's header and
+    /// words, one block at a time. `Some(rest)` — every byte after the
+    /// words — when the file starts with them verbatim and leaves room for
+    /// a trailer; `None` when it does not (including a file that shrinks
+    /// while it is read).
+    fn read_past_load(&self, file: &mut File) -> std::io::Result<Option<Vec<u8>>> {
+        let len = file.metadata()?.len() as usize;
+        let loaded = self.header.len() + self.words.len() * 8;
+        if len < loaded + TRAILER {
+            return Ok(None);
+        }
+        let mut block = vec![0u8; self.header.len().max(BLOCK_WORDS * 8)];
+        let mut fill = |buf: &mut [u8]| match file.read_exact(buf) {
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Ok(false),
+            r => r.map(|()| true),
+        };
+        let header = &mut block[..self.header.len()];
+        if !fill(header)? || header[..] != self.header[..] {
+            return Ok(None);
+        }
+        for words in self.words.chunks(BLOCK_WORDS) {
+            let bytes = &mut block[..words.len() * 8];
+            if !fill(bytes)? || !words_equal(bytes, words) {
+                return Ok(None);
+            }
+        }
+        let mut rest = vec![0u8; len - loaded];
+        Ok(fill(&mut rest)?.then_some(rest))
+    }
+
+    /// This load plus the whole instants in `rest` (new rows, then a
+    /// trailer), verified by resuming the checksum over `rest` alone;
+    /// `None` if `rest` is anything else (the caller's full validation
+    /// names the failure).
+    fn resume(&self, rest: &[u8]) -> Option<ColumnarReader> {
+        let row_bytes = self.words_per_instant * 8;
+        let (new, trailer) = rest.split_at(rest.len().checked_sub(TRAILER)?);
+        if row_bytes == 0 || new.is_empty() || !new.len().is_multiple_of(row_bytes) {
+            return None;
+        }
+        let n_instants = self.n_instants + new.len() / row_bytes;
+        let (count, sum) = trailer.split_at(8);
+        if count != (n_instants as u64).to_le_bytes() {
+            return None;
+        }
+        let mut midstate = self.midstate.clone();
+        midstate.update(new);
+        let mut h = midstate.clone();
+        h.update(count);
+        let checksum = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
+        if h.finish() != checksum {
+            return None;
+        }
+        let growth = Growth {
+            base_fingerprint: self.checksum,
+            words: le_words(new).collect(),
+            n_instants,
+            checksum,
+            midstate,
+        };
+        growth.extend(self).ok()
+    }
+
     /// Materializes the bitmaps back into a CSR [`FeatureSeries`] — for
     /// consumers that still need raw feature slices (quarantine, export,
     /// the tree-walk engines on non-view paths).
@@ -305,20 +461,28 @@ impl ColumnarReader {
 /// Incremental segment arrival: appends encoded rows to an existing
 /// `.ppmc` file with crash-safe publication.
 ///
-/// Opening validates the whole file (so a corrupt store is rejected before
-/// any write) and keeps the prefix bytes plus the streaming FNV state over
-/// them; each appended instant then costs one row of hashing, and
-/// [`Self::finish`] assembles the complete new store in a same-directory
-/// temp file, fsyncs, atomically renames it over the original, and fsyncs
-/// the parent directory. A crash (or `kill -9`) at any point leaves either
-/// the prior store or the finished store on disk — both openable — never a
-/// half-written hybrid.
+/// An appender is a verified load plus pending rows. It resumes the
+/// load's FNV midstate, so each appended instant costs one row of
+/// hashing: the hash cost of an append is O(new rows). [`Self::open`]
+/// validates the file once; [`Self::open_resident`] hashes nothing when
+/// the file is byte-for-byte a load the caller already holds. Either way
+/// the appender keeps the opened file, not a copy of it, and the publish
+/// copies the verified rows from it. The publish is still a whole-file
+/// rewrite: [`Self::finish`] writes the complete new store to a
+/// same-directory temp file, fsyncs, atomically renames it over the
+/// original, and fsyncs the parent directory. A crash (or `kill -9`) at
+/// any point leaves either the prior store or the finished store on disk
+/// — both openable — never a half-written hybrid.
 #[derive(Debug)]
 pub struct ColumnarAppender {
     path: PathBuf,
-    /// The validated existing file minus its trailer.
-    prefix: Vec<u8>,
-    /// FNV state over the prefix plus any pending rows.
+    /// The opened store. Its bytes before the trailer were verified at
+    /// open; the publish copies them from this handle, which a rename
+    /// over `path` does not disturb.
+    file: File,
+    /// Length of the verified bytes before the trailer.
+    prefix_len: u64,
+    /// FNV state over the verified bytes plus any pending rows.
     hash: Fnv64,
     width: usize,
     words_per_instant: usize,
@@ -338,31 +502,53 @@ fn staging_path(path: &Path) -> PathBuf {
 }
 
 impl ColumnarAppender {
-    /// Opens `path` for appending, validating the existing contents first.
+    /// Opens `path` for appending, validating the existing contents first
+    /// (one checksum pass).
     ///
     /// A stale staging file (`<path>.tmp`) left behind by a crashed append
     /// is removed here: the rename never happened, so the original store is
     /// authoritative and the orphan holds nothing worth keeping.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let mut r = File::open(&path)?;
-        let mut bytes = Vec::new();
-        r.read_to_end(&mut bytes)?;
-        let existing = ColumnarReader::from_bytes(&bytes)?;
-        std::fs::remove_file(staging_path(&path)).ok();
-        bytes.truncate(bytes.len() - TRAILER);
-        let mut hash = Fnv64::new();
-        hash.update(&bytes);
-        Ok(ColumnarAppender {
-            path,
-            prefix: bytes,
-            hash,
-            width: existing.width,
-            words_per_instant: existing.words_per_instant,
-            n_instants: existing.n_instants,
+        let path = path.as_ref();
+        let mut file = File::open(path)?;
+        let mut bytes = Vec::with_capacity(file.metadata()?.len() as usize);
+        file.read_to_end(&mut bytes)?;
+        let base = ColumnarReader::validate(&bytes)?;
+        Ok(Self::on(path, file, &base))
+    }
+
+    /// Opens `path` for appending on top of `resident`, a verified load of
+    /// it. If the file is byte-for-byte `resident`'s load (a streamed
+    /// compare, see [`ColumnarReader::reload`]), the appender resumes
+    /// `resident`'s checksum midstate and hashes nothing of the existing
+    /// store. Any mismatch falls back to [`Self::open`]'s full validation
+    /// — a corrupt file is rejected with the same error, and a valid but
+    /// different one opens (so [`Self::finish_extending`] with `resident`
+    /// then refuses it before writing).
+    pub fn open_resident(path: impl AsRef<Path>, resident: &ColumnarReader) -> Result<Self> {
+        let path = path.as_ref();
+        let mut file = File::open(path)?;
+        match resident.read_past_load(&mut file)? {
+            Some(rest) if rest == resident.trailer() => Ok(Self::on(path, file, resident)),
+            _ => Self::open(path),
+        }
+    }
+
+    /// An appender on `file`, verified to hold `base` (whose `words` may
+    /// be left undecoded).
+    fn on(path: &Path, file: File, base: &ColumnarReader) -> Self {
+        std::fs::remove_file(staging_path(path)).ok();
+        ColumnarAppender {
+            path: path.to_path_buf(),
+            file,
+            prefix_len: (base.file_bytes - TRAILER) as u64,
+            hash: base.midstate.clone(),
+            width: base.width,
+            words_per_instant: base.words_per_instant,
+            n_instants: base.n_instants,
             pending: Vec::new(),
-            opened_fingerprint: existing.checksum,
-        })
+            opened_fingerprint: base.checksum,
+        }
     }
 
     /// The fingerprint of the store as it was opened, before any append.
@@ -424,11 +610,12 @@ impl ColumnarAppender {
     /// Publishes the appended store crash-safely; returns the new total
     /// instant count.
     ///
-    /// The complete new file — prefix, pending rows, refreshed trailer —
-    /// is written to `<path>.tmp` and fsynced *before* the atomic rename
-    /// over `path`, then the parent directory is fsynced so the rename
-    /// itself survives a power cut. If the rename fails the staging file
-    /// is removed and the original store is untouched.
+    /// The complete new file — the verified prefix copied from the opened
+    /// file, pending rows, refreshed trailer — is written to `<path>.tmp`
+    /// and fsynced *before* the atomic rename over `path`, then the parent
+    /// directory is fsynced so the rename itself survives a power cut. If
+    /// the opened file was cut short in place, or the rename fails, the
+    /// staging file is removed and the original store is untouched.
     pub fn finish(mut self) -> Result<usize> {
         let count_bytes = (self.n_instants as u64).to_le_bytes();
         self.hash.update(&count_bytes);
@@ -436,13 +623,19 @@ impl ColumnarAppender {
 
         let tmp = staging_path(&self.path);
         {
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            w.write_all(&self.prefix)?;
+            let mut w = File::create(&tmp)?;
+            self.file.seek(SeekFrom::Start(0))?;
+            let copied = std::io::copy(&mut (&self.file).take(self.prefix_len), &mut w)?;
+            if copied != self.prefix_len {
+                std::fs::remove_file(&tmp).ok();
+                return Err(corrupt(format!(
+                    "store shrank while appending: truncated at offset {copied}"
+                )));
+            }
             w.write_all(&self.pending)?;
             w.write_all(&count_bytes)?;
             w.write_all(&checksum.to_le_bytes())?;
-            w.flush()?;
-            w.get_ref().sync_all()?;
+            w.sync_all()?;
         }
         if let Err(e) = std::fs::rename(&tmp, &self.path) {
             std::fs::remove_file(&tmp).ok();
@@ -456,18 +649,16 @@ impl ColumnarAppender {
         Ok(self.n_instants)
     }
 
-    /// [`Self::finish`], plus an in-memory extension of an already-loaded
-    /// reader: publishes the appended store crash-safely and returns a
-    /// new [`ColumnarReader`] equal to re-opening the published file —
-    /// built by extending `resident`'s word vector with the pending rows
-    /// instead of re-reading (and re-checksumming) the whole store.
+    /// [`Self::finish`], keeping what the caller needs to bring a loaded
+    /// reader up to the published file: the appended rows and the new
+    /// trailer state, as a [`Growth`].
     ///
     /// `resident` must be a load of the store this appender opened
-    /// (matching fingerprint); otherwise the extension would splice rows
+    /// (matching fingerprint); otherwise the growth would splice rows
     /// onto the wrong base, so the call fails with [`Error::Corrupt`]
     /// before writing anything and the caller should fall back to a full
     /// re-open.
-    pub fn finish_extending(self, resident: &ColumnarReader) -> Result<(usize, ColumnarReader)> {
+    pub fn finish_growth(self, resident: &ColumnarReader) -> Result<Growth> {
         if resident.fingerprint() != self.opened_fingerprint {
             return Err(corrupt(format!(
                 "resident reader fingerprint {:016x} is not the appender's base {:016x}",
@@ -475,24 +666,90 @@ impl ColumnarAppender {
                 self.opened_fingerprint
             )));
         }
-        let mut words = resident.words.clone();
-        words.reserve(self.pending.len() / 8);
-        words.extend(
-            self.pending
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
-        );
-        let extended = ColumnarReader {
-            width: self.width,
-            words_per_instant: self.words_per_instant,
+        let growth = Growth {
+            base_fingerprint: self.opened_fingerprint,
+            words: le_words(&self.pending).collect(),
             n_instants: self.n_instants,
-            words,
-            catalog: resident.catalog.clone(),
-            file_bytes: self.prefix.len() + self.pending.len() + TRAILER,
             checksum: self.preview_fingerprint(),
+            midstate: self.hash.clone(),
         };
-        let n = self.finish()?;
-        Ok((n, extended))
+        self.finish()?;
+        Ok(growth)
+    }
+
+    /// [`Self::finish_growth`] applied to a copy of `resident`: publishes
+    /// the appended store crash-safely and returns a new
+    /// [`ColumnarReader`] equal to re-opening the published file — built
+    /// by extending `resident`'s word vector with the pending rows instead
+    /// of re-reading (and re-checksumming) the whole store.
+    pub fn finish_extending(self, resident: &ColumnarReader) -> Result<(usize, ColumnarReader)> {
+        let growth = self.finish_growth(resident)?;
+        Ok((growth.instants(), growth.extend(resident)?))
+    }
+}
+
+/// Whole instants appended to a verified load, with the trailer state
+/// they give the store: what brings a [`ColumnarReader`] of the base up
+/// to the grown file without re-reading it.
+#[derive(Debug)]
+pub struct Growth {
+    base_fingerprint: u64,
+    words: Vec<u64>,
+    n_instants: usize,
+    checksum: u64,
+    /// FNV state over the grown store's bytes before its trailer.
+    midstate: Fnv64,
+}
+
+impl Growth {
+    /// The instant count of the grown store.
+    pub fn instants(&self) -> usize {
+        self.n_instants
+    }
+
+    /// The grown store's fingerprint.
+    pub fn fingerprint(&self) -> u64 {
+        self.checksum
+    }
+
+    fn check_base(&self, base: &ColumnarReader) -> Result<()> {
+        if base.checksum == self.base_fingerprint {
+            Ok(())
+        } else {
+            Err(corrupt(format!(
+                "reader fingerprint {:016x} is not the growth's base {:016x}",
+                base.checksum, self.base_fingerprint
+            )))
+        }
+    }
+
+    /// Grows `base`, a load of the store the rows were appended to, in
+    /// place. Fails with [`Error::Corrupt`], leaving `base` untouched, if
+    /// it is a load of anything else.
+    pub fn apply_to(&self, base: &mut ColumnarReader) -> Result<()> {
+        self.check_base(base)?;
+        base.words.extend_from_slice(&self.words);
+        base.file_bytes += self.words.len() * 8;
+        base.n_instants = self.n_instants;
+        base.checksum = self.checksum;
+        base.midstate = self.midstate.clone();
+        Ok(())
+    }
+
+    /// A grown copy of `base`; `base` itself is left as it is.
+    pub fn extend(&self, base: &ColumnarReader) -> Result<ColumnarReader> {
+        self.check_base(base)?;
+        let mut words = Vec::with_capacity(base.words.len() + self.words.len());
+        words.extend_from_slice(&base.words);
+        let mut grown = ColumnarReader {
+            words,
+            catalog: base.catalog.clone(),
+            header: base.header.clone(),
+            midstate: base.midstate.clone(),
+            ..*base
+        };
+        self.apply_to(&mut grown)?;
+        Ok(grown)
     }
 }
 
@@ -589,6 +846,175 @@ mod tests {
         assert_eq!(ColumnarReader::open(&path).unwrap().len(), s.len());
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&other_path).ok();
+    }
+
+    /// Appends `rows` single-feature instants through a fresh appender.
+    fn grow(path: &Path, rows: u32) {
+        let mut app = ColumnarAppender::open(path).unwrap();
+        for r in 0..rows {
+            app.append_instant(&[fid(r % 3)]).unwrap();
+        }
+        app.finish().unwrap();
+    }
+
+    fn reload_err(resident: &ColumnarReader, path: &Path) -> String {
+        match resident.reload(path) {
+            Err(e) => e.to_string(),
+            Ok(r) => panic!("reload accepted a damaged store: {r:?}"),
+        }
+    }
+
+    #[test]
+    fn reload_judges_unchanged_grown_and_rewritten_files() {
+        let (s, cat) = sample();
+        let path = temp("reload");
+        write_columnar(&path, &s, &cat).unwrap();
+        let resident = ColumnarReader::open(&path).unwrap();
+        assert!(matches!(resident.reload(&path).unwrap(), Reload::Unchanged));
+
+        // Growth resumes the checksum: the grown load equals a fresh open,
+        // midstate included (a second growth resumes from it).
+        grow(&path, 3);
+        let rest = resident
+            .read_past_load(&mut File::open(&path).unwrap())
+            .unwrap()
+            .expect("old prefix intact");
+        assert!(
+            resident.resume(&rest).is_some(),
+            "growth takes the resume path"
+        );
+        let Reload::Extended(grown) = resident.reload(&path).unwrap() else {
+            panic!("growth must reload as an extension");
+        };
+        let reopened = ColumnarReader::open(&path).unwrap();
+        assert_eq!(grown.fingerprint(), reopened.fingerprint());
+        assert_eq!(grown.file_bytes(), reopened.file_bytes());
+        assert_eq!(grown.view(), reopened.view());
+        grow(&path, 2);
+        let Reload::Extended(again) = grown.reload(&path).unwrap() else {
+            panic!("second growth must reload as an extension");
+        };
+        assert_eq!(
+            again.fingerprint(),
+            ColumnarReader::open(&path).unwrap().fingerprint()
+        );
+        assert_eq!(again.len(), 9);
+
+        // A different valid store is a rewrite, not an extension.
+        let mut other = SeriesBuilder::new();
+        other.push_instant([fid(2)]);
+        write_columnar(&path, &other.finish(), &cat).unwrap();
+        assert!(matches!(
+            resident.reload(&path).unwrap(),
+            Reload::Rewritten(r) if r.len() == 1
+        ));
+        std::fs::remove_file(&path).ok();
+        assert!(matches!(resident.reload(&path), Err(Error::Io(_))));
+    }
+
+    #[test]
+    fn reload_rejects_a_flip_in_the_old_prefix_or_the_new_tail() {
+        let (s, cat) = sample();
+        let path = temp("reload-flip");
+        write_columnar(&path, &s, &cat).unwrap();
+        let resident = ColumnarReader::open(&path).unwrap();
+        let words_at = resident.header.len();
+        grow(&path, 4);
+        let grown = std::fs::read(&path).unwrap();
+        let tail_at = resident.file_bytes() - TRAILER;
+        for (at, what) in [
+            (words_at, "old prefix"),
+            (tail_at, "new tail"),
+            (grown.len() - 12, "trailer count"),
+        ] {
+            let mut bad = grown.clone();
+            bad[at] ^= 0x01;
+            std::fs::write(&path, &bad).unwrap();
+            let err = reload_err(&resident, &path);
+            let want = ColumnarReader::from_bytes(&bad).unwrap_err().to_string();
+            assert_eq!(err, want, "{what}: the full open's error, verbatim");
+        }
+        // A flip in an otherwise unchanged file.
+        let mut bad = encode_columnar(&s, &cat);
+        bad[words_at] ^= 0x01;
+        std::fs::write(&path, &bad).unwrap();
+        assert!(reload_err(&resident, &path).contains("checksum mismatch"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn open_resident_resumes_the_midstate_and_falls_back_on_mismatch() {
+        let (s, cat) = sample();
+        let path = temp("open-resident");
+        write_columnar(&path, &s, &cat).unwrap();
+        let mut resident = ColumnarReader::open(&path).unwrap();
+        // Chained appends, each built on the previous extended reader,
+        // publish exactly the bytes a from-scratch encode would.
+        let mut whole = SeriesBuilder::new();
+        for t in 0..s.len() {
+            whole.push_instant(s.instant(t).iter().copied());
+        }
+        for round in 0..5u32 {
+            assert_eq!(
+                resident
+                    .read_past_load(&mut File::open(&path).unwrap())
+                    .unwrap(),
+                Some(resident.trailer().to_vec()),
+                "round {round}: the extended reader is byte-for-byte the file"
+            );
+            let mut app = ColumnarAppender::open_resident(&path, &resident).unwrap();
+            app.append_instant(&[fid(round % 3)]).unwrap();
+            whole.push_instant([fid(round % 3)]);
+            resident = app.finish_extending(&resident).unwrap().1;
+        }
+        let whole = whole.finish();
+        assert_eq!(std::fs::read(&path).unwrap(), encode_columnar(&whole, &cat));
+        let reopened = ColumnarReader::open(&path).unwrap();
+        assert_eq!(resident.fingerprint(), reopened.fingerprint());
+        assert_eq!(resident.view(), reopened.view());
+
+        // A file that is not the resident load: corrupt is rejected with
+        // the full open's error; valid-but-different opens, and
+        // finish_extending refuses to splice onto the stale resident.
+        let good = std::fs::read(&path).unwrap();
+        let mut bad = good.clone();
+        bad[resident.header.len()] ^= 0x01;
+        std::fs::write(&path, &bad).unwrap();
+        let err = ColumnarAppender::open_resident(&path, &resident).unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        std::fs::write(&path, &good).unwrap();
+        grow(&path, 1);
+        let grown = std::fs::read(&path).unwrap();
+        let mut app = ColumnarAppender::open_resident(&path, &resident).unwrap();
+        app.append_instant(&[fid(0)]).unwrap();
+        assert!(app.finish_extending(&resident).is_err());
+        assert_eq!(std::fs::read(&path).unwrap(), grown, "nothing published");
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn growth_applies_in_place_only_to_its_base() {
+        let (s, cat) = sample();
+        let path = temp("growth");
+        write_columnar(&path, &s, &cat).unwrap();
+        let mut resident = ColumnarReader::open(&path).unwrap();
+        let stale = resident.clone();
+        let mut app = ColumnarAppender::open_resident(&path, &resident).unwrap();
+        app.append_instant(&[fid(2)]).unwrap();
+        let growth = app.finish_growth(&resident).unwrap();
+        growth.apply_to(&mut resident).unwrap();
+        let reopened = ColumnarReader::open(&path).unwrap();
+        assert_eq!(resident.fingerprint(), reopened.fingerprint());
+        assert_eq!(resident.file_bytes(), reopened.file_bytes());
+        assert_eq!(resident.view(), reopened.view());
+
+        // Applying it again, or to another store, would splice rows onto
+        // the wrong base: refused, and the reader is left as it was.
+        let err = growth.apply_to(&mut resident).unwrap_err();
+        assert!(err.to_string().contains("not the growth's base"), "{err}");
+        assert_eq!(resident.len(), 5);
+        assert_eq!(growth.extend(&stale).unwrap().view(), reopened.view());
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
