@@ -10,23 +10,14 @@ cargo fmt --all --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> tier-1: release build"
+echo "==> tier-1: release build (default-members: every workspace crate, ppm included)"
 cargo build --release
 
-echo "==> release build, all crates (the ppm binary lives in ppm-cli)"
-cargo build --release --workspace
-
-echo "==> tier-1: test suite (scalar kernel forced)"
-# The counting kernel is pluggable (PPM_KERNEL is the Auto-resolution
-# override): run the whole tier-1 suite once per kernel so both the
-# scalar reference and the wide lanes stay green everywhere.
-PPM_KERNEL=scalar cargo test -q
-
-echo "==> tier-1: test suite (wide kernel forced)"
-PPM_KERNEL=wide cargo test -q
-
-echo "==> workspace test suite (all crates)"
-cargo test --workspace -q
+echo "==> tier-1: test suite (every workspace crate)"
+# Scalar-vs-wide kernel identity is covered by explicit tests in this run
+# (the audit's scalar arm, vertical/shard/incremental unit tests), so the
+# suite runs once.
+cargo test -q
 
 echo "==> benchmark self-tests (perfbench is a package of its own)"
 cargo test --offline --manifest-path perfbench/Cargo.toml
@@ -53,9 +44,9 @@ grep -q '"mining_stats"' "$smoke_dir/metrics.json"
 echo "==> verification smoke: audit, verify, quarantine, checkpoint integrity"
 # Honest runs audit clean on every engine; the cross-check diffs all seven
 # (including the forced-scalar and force-sharded vertical arms).
-for alg in hitset apriori parallel vertical; do
+for engine in hitset apriori vertical incremental; do
   ./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
-    --min-conf 0.6 --engine "$alg" --audit full \
+    --min-conf 0.6 --engine "$engine" --audit full \
     | grep -q "audit: clean"
 done
 # An exported result file re-verifies against its series.

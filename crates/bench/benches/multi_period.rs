@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use ppm_core::multi::{mine_periods_looping, mine_periods_shared, PeriodRange};
-use ppm_core::{Algorithm, MineConfig};
+use ppm_core::{Engine, MineConfig};
 use ppm_datagen::SyntheticSpec;
 
 fn bench_multi_period(c: &mut Criterion) {
@@ -20,7 +20,7 @@ fn bench_multi_period(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("looping", width), &width, |b, _| {
             b.iter(|| {
                 black_box(
-                    mine_periods_looping(&data.series, range, &config, Algorithm::HitSet)
+                    mine_periods_looping(&data.series, range, &config, Engine::HitSet)
                         .unwrap(),
                 )
             })

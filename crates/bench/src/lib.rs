@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use ppm_core::hitset::derive::CountStrategy;
 use ppm_core::multi::{mine_periods_looping, mine_periods_shared, PeriodRange};
-use ppm_core::{apriori, hit_set_bound, hitset, maximal, Algorithm, MineConfig};
+use ppm_core::{apriori, hit_set_bound, hitset, maximal, Engine, MineConfig};
 use ppm_datagen::SyntheticSpec;
 use ppm_timeseries::FeatureSeries;
 
@@ -240,7 +240,7 @@ pub fn run_multiperiod(length: usize, widths: &[usize]) -> Vec<MultiPeriodRow> {
         .map(|&w| {
             let range = PeriodRange::new(24 - w / 2, 24 + w.div_ceil(2)).unwrap();
             let (looped, looping_secs) = timed(|| {
-                mine_periods_looping(&data.series, range, &config, Algorithm::HitSet).unwrap()
+                mine_periods_looping(&data.series, range, &config, Engine::HitSet).unwrap()
             });
             let (shared, shared_secs) =
                 timed(|| mine_periods_shared(&data.series, range, &config).unwrap());

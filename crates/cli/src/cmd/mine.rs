@@ -6,11 +6,9 @@ use ppm_core::audit::{self, AuditMode};
 use ppm_core::closed::mine_closed;
 use ppm_core::constraints::{mine_constrained, Constraints};
 use ppm_core::maximal::mine_maximal;
-use ppm_core::parallel::{mine_parallel, mine_parallel_vertical};
 use ppm_core::streaming::{mine_apriori_streaming, mine_hitset_streaming};
 use ppm_core::vertical::incremental::IncrementalVerticalIndex;
-use ppm_core::vertical::mine_vertical;
-use ppm_core::{mine, Algorithm, MineConfig, MiningResult, MiningStats, Pattern};
+use ppm_core::{run as run_engine, Engine, MineConfig, MiningResult, MiningStats, Pattern, Rows};
 use ppm_timeseries::columnar::{ColumnarReader, Reload};
 use ppm_timeseries::storage::stream::FileSource;
 use ppm_timeseries::{
@@ -48,7 +46,7 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
     let period: usize = args.required_parsed("period")?;
     let min_conf: f64 = args.required_parsed("min-conf")?;
     let limit: usize = args.parsed_or("limit", 20)?;
-    let algorithm = super::resolve_engine(args)?;
+    let engine = super::parse_engine(args)?;
 
     let config = super::apply_guards(args, MineConfig::new(min_conf)?)?;
 
@@ -135,10 +133,10 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
                 )));
             }
         }
-        if (args.switch("engine") || args.switch("algorithm")) && algorithm != "vertical" {
+        if args.switch("engine") && !matches!(engine, Engine::Vertical | Engine::Incremental) {
             return Err(CliError::Usage(format!(
                 "--follow/--compare-incremental always re-mine through the \
-                 incremental vertical index; --engine {algorithm:?} cannot follow"
+                 incremental vertical index; --engine {engine} cannot follow"
             )));
         }
         if args.switch("compare-incremental") {
@@ -154,9 +152,11 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
                 "--stream requires a .ppmstream input (see `ppm convert`)".into(),
             ));
         }
-        if !matches!(algorithm, "apriori" | "hitset") {
+        if !matches!(engine, Engine::HitSet | Engine::Apriori) {
             return Err(CliError::Usage(format!(
-                "--stream supports --engine apriori|hitset, not {algorithm:?}"
+                "--stream supports --engine {}|{}, not {engine}",
+                Engine::HitSet,
+                Engine::Apriori
             )));
         }
         let file = FileSource::open(input)?;
@@ -185,8 +185,8 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
             }
             None => source,
         };
-        let run_one = |src: &mut dyn SeriesSource| match algorithm {
-            "apriori" => mine_apriori_streaming(src, period, &config),
+        let run_one = |src: &mut dyn SeriesSource| match engine {
+            Engine::Apriori => mine_apriori_streaming(src, period, &config),
             _ => mine_hitset_streaming(src, period, &config),
         };
         let mut qreport = None;
@@ -219,7 +219,7 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
     }
 
     // Columnar fast path: a `.ppmc` file's bytes *are* the bitmap rows, so
-    // the view-backed engines mine straight off the load with no series
+    // every engine mines straight off the load with no series
     // materialized. Modes that need raw instants (quarantine, maximal,
     // closed, constraints) fall through to the materializing path below.
     let needs_instants = quarantine
@@ -228,47 +228,28 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
         || args.switch("closed")
         || args.switch("offsets")
         || args.switch("max-letters");
+    let threads: usize = args.parsed_or("threads", 1)?;
     if super::format_of(input) == super::Format::Columnar && !needs_instants {
-        let threads: usize = args.parsed_or("threads", 1)?;
-        let viewable = matches!(algorithm, "hitset" | "apriori" | "vertical");
-        if viewable {
-            let reader = ColumnarReader::open(input)?;
-            let view = reader.view();
-            let result = match algorithm {
-                "apriori" => ppm_core::apriori::mine_view(view, period, &config),
-                // Threads shard the derivation's segment axis *within* this
-                // one period — no series is ever materialized.
-                "vertical" if threads > 1 => {
-                    ppm_core::vertical::mine_vertical_view_sharded(view, period, &config, threads)
-                }
-                "vertical" => ppm_core::vertical::mine_vertical_view(view, period, &config),
-                _ => ppm_core::hitset::mine_view(view, period, &config),
-            };
-            let mut result = report_if_aborted(result, out)?;
-            if let Some(idx) = perturb {
-                if idx >= result.frequent.len() {
-                    return Err(CliError::Usage(format!(
-                        "--perturb-count {idx}: result has only {} patterns",
-                        result.frequent.len()
-                    )));
-                }
-                result.frequent[idx].count += 1;
-                writeln!(out, "perturbed pattern #{idx}: count bumped by 1")?;
-            }
-            if args.switch("tsv") {
-                write!(
-                    out,
-                    "{}",
-                    ppm_core::export::patterns_tsv(&result, reader.catalog())
-                )?;
-                return Ok(Some(result.stats));
-            }
-            print_result(&result, reader.catalog(), period, min_conf, limit, out)?;
-            if let Some(mode) = audit_mode {
-                run_audit_view(view, &result, reader.catalog(), period, &config, mode, out)?;
-            }
+        let reader = ColumnarReader::open(input)?;
+        let view = reader.view();
+        let result = run_engine(engine, Rows::View(view), period, &config, threads);
+        let mut result = report_if_aborted(result, out)?;
+        if let Some(idx) = perturb {
+            perturb_count(&mut result, idx, out)?;
+        }
+        if args.switch("tsv") {
+            write!(
+                out,
+                "{}",
+                ppm_core::export::patterns_tsv(&result, reader.catalog())
+            )?;
             return Ok(Some(result.stats));
         }
+        print_result(&result, reader.catalog(), period, min_conf, limit, out)?;
+        if let Some(mode) = audit_mode {
+            run_audit_view(view, &result, reader.catalog(), period, &config, mode, out)?;
+        }
+        return Ok(Some(result.stats));
     }
 
     let (series, catalog) = super::load_series(input)?;
@@ -346,39 +327,12 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
         }
         mine_constrained(&series, period, &config, &c)?
     } else {
-        let result = match algorithm {
-            "apriori" => mine(&series, period, &config, Algorithm::Apriori),
-            "hitset" => mine(&series, period, &config, Algorithm::HitSet),
-            "parallel" => {
-                let threads: usize = args.parsed_or("threads", 4)?;
-                mine_parallel(&series, period, &config, threads)
-            }
-            "vertical" => {
-                let threads: usize = args.parsed_or("threads", 1)?;
-                if threads > 1 {
-                    mine_parallel_vertical(&series, period, &config, threads)
-                } else {
-                    mine_vertical(&series, period, &config)
-                }
-            }
-            other => {
-                return Err(CliError::Usage(format!(
-                    "unknown --engine {other:?} (apriori|hitset|parallel|vertical)"
-                )))
-            }
-        };
+        let result = run_engine(engine, Rows::Series(&series), period, &config, threads);
         report_if_aborted(result, out)?
     };
 
     if let Some(idx) = perturb {
-        if idx >= result.frequent.len() {
-            return Err(CliError::Usage(format!(
-                "--perturb-count {idx}: result has only {} patterns",
-                result.frequent.len()
-            )));
-        }
-        result.frequent[idx].count += 1;
-        writeln!(out, "perturbed pattern #{idx}: count bumped by 1")?;
+        perturb_count(&mut result, idx, out)?;
     }
 
     if args.switch("tsv") {
@@ -390,6 +344,24 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
         run_audit(&series, &result, &catalog, period, &config, mode, out)?;
     }
     finish_mined(result.stats, skipped)
+}
+
+/// `--perturb-count IDX`: bumps one reported count after mining, so the
+/// audit has a wrong answer to catch.
+fn perturb_count(
+    result: &mut MiningResult,
+    idx: usize,
+    out: &mut dyn Write,
+) -> Result<(), CliError> {
+    if idx >= result.frequent.len() {
+        return Err(CliError::Usage(format!(
+            "--perturb-count {idx}: result has only {} patterns",
+            result.frequent.len()
+        )));
+    }
+    result.frequent[idx].count += 1;
+    writeln!(out, "perturbed pattern #{idx}: count bumped by 1")?;
+    Ok(())
 }
 
 /// `mine --follow`: tails a growing `.ppmc` through the incremental
@@ -620,7 +592,10 @@ fn compare_incremental(
         let doc = Json::Obj(vec![
             ("type".to_owned(), Json::Str("bench".to_owned())),
             ("name".to_owned(), Json::Str(name.to_owned())),
-            ("engine".to_owned(), Json::Str("incremental".to_owned())),
+            (
+                "engine".to_owned(),
+                Json::Str(Engine::Incremental.name().to_owned()),
+            ),
             ("period".to_owned(), Json::from_usize(period)),
             ("min_conf".to_owned(), Json::Num(min_conf)),
             ("segments".to_owned(), Json::from_usize(m)),
@@ -895,6 +870,7 @@ fn print_result(
 #[cfg(test)]
 mod tests {
     use crate::cmd::testutil::{run_cli, sample_series_file};
+    use ppm_core::Engine;
 
     #[test]
     fn mines_the_sample() {
@@ -911,7 +887,7 @@ mod tests {
     }
 
     #[test]
-    fn all_algorithms_agree_in_output_counts() {
+    fn all_engines_agree_in_output_counts() {
         let path = sample_series_file("ppms");
         let base = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6",
@@ -919,9 +895,9 @@ mod tests {
         ))
         .unwrap();
         let first_line = base.lines().next().unwrap().to_owned();
-        for algo in ["apriori", "parallel", "vertical"] {
+        for engine in Engine::ALL {
             let text = run_cli(&format!(
-                "mine --input {} --period 3 --min-conf 0.6 --engine {algo}",
+                "mine --input {} --period 3 --min-conf 0.6 --engine {engine}",
                 path.display()
             ))
             .unwrap();
@@ -929,7 +905,7 @@ mod tests {
             assert_eq!(
                 n(text.lines().next().unwrap()),
                 n(&first_line),
-                "{algo} disagrees"
+                "{engine} disagrees"
             );
         }
         std::fs::remove_file(path).ok();
@@ -1002,7 +978,7 @@ mod tests {
         assert!(text.contains("alpha"), "{text}");
         // Apriori streams too, with more scans.
         let text = run_cli(&format!(
-            "mine --input {} --period 3 --min-conf 0.6 --stream --algorithm apriori",
+            "mine --input {} --period 3 --min-conf 0.6 --stream --engine apriori",
             path.display()
         ))
         .unwrap();
@@ -1023,9 +999,9 @@ mod tests {
     }
 
     #[test]
-    fn bad_algorithm_is_usage_error() {
+    fn unknown_or_valueless_engine_is_usage_error() {
         let path = sample_series_file("ppms");
-        for flag in ["--algorithm magic", "--engine magic"] {
+        for flag in ["--engine magic", "--engine parallel", "--engine"] {
             let err = run_cli(&format!(
                 "mine --input {} --period 3 --min-conf 0.6 {flag}",
                 path.display()
@@ -1033,18 +1009,6 @@ mod tests {
             .unwrap_err();
             assert_eq!(err.exit_code(), 2, "{flag}");
         }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn engine_and_algorithm_together_is_usage_error() {
-        let path = sample_series_file("ppms");
-        let err = run_cli(&format!(
-            "mine --input {} --period 3 --min-conf 0.6 --engine vertical --algorithm hitset",
-            path.display()
-        ))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2);
         std::fs::remove_file(path).ok();
     }
 
@@ -1069,39 +1033,6 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(base, threaded, "threaded vertical must agree too");
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn kernel_flag_changes_no_output() {
-        let path = sample_series_file("ppms");
-        let base = run_cli(&format!(
-            "mine --input {} --period 3 --min-conf 0.6 --engine vertical",
-            path.display()
-        ))
-        .unwrap();
-        for kernel in ["auto", "scalar", "wide"] {
-            let text = run_cli(&format!(
-                "mine --input {} --period 3 --min-conf 0.6 --engine vertical --kernel {kernel}",
-                path.display()
-            ))
-            .unwrap();
-            assert_eq!(base, text, "--kernel {kernel} changed the patterns");
-        }
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn bad_or_valueless_kernel_is_usage_error() {
-        let path = sample_series_file("ppms");
-        for extra in ["--kernel avx512", "--kernel"] {
-            let err = run_cli(&format!(
-                "mine --input {} --period 3 --min-conf 0.6 --engine vertical {extra}",
-                path.display()
-            ))
-            .unwrap_err();
-            assert_eq!(err.exit_code(), 2, "{extra}");
-        }
         std::fs::remove_file(path).ok();
     }
 
@@ -1307,16 +1238,16 @@ mod tests {
     }
 
     #[test]
-    fn audit_full_is_clean_for_all_algorithms() {
+    fn audit_full_is_clean_for_all_engines() {
         let path = sample_series_file("ppms");
-        for algo in ["hitset", "apriori", "parallel", "vertical"] {
+        for engine in Engine::ALL {
             let text = run_cli(&format!(
-                "mine --input {} --period 3 --min-conf 0.6 --engine {algo} --audit full",
+                "mine --input {} --period 3 --min-conf 0.6 --engine {engine} --audit full",
                 path.display()
             ))
             .unwrap();
-            assert!(text.contains("audit: clean"), "{algo}: {text}");
-            assert!(text.contains("cross-check: 7 engines"), "{algo}: {text}");
+            assert!(text.contains("audit: clean"), "{engine}: {text}");
+            assert!(text.contains("cross-check: 7 engines"), "{engine}: {text}");
         }
         std::fs::remove_file(path).ok();
     }
@@ -1450,10 +1381,10 @@ mod tests {
     }
 
     #[test]
-    fn columnar_input_mines_identically_on_every_view_engine() {
+    fn columnar_input_mines_identically_on_every_engine() {
         let ppms = sample_series_file("ppms");
         let ppmc = sample_series_file("ppmc");
-        for engine in ["hitset", "apriori", "vertical"] {
+        for engine in Engine::ALL {
             let from_binary = run_cli(&format!(
                 "mine --input {} --period 3 --min-conf 0.6 --engine {engine}",
                 ppms.display()
@@ -1623,8 +1554,8 @@ mod tests {
             app.finish().unwrap();
         });
         let text = run_cli(&format!(
-            "mine --input {} --period 3 --min-conf 0.6 --follow --window 10 \
-             --follow-poll-ms 10 --follow-max-updates 1",
+            "mine --input {} --period 3 --min-conf 0.6 --follow --engine incremental \
+             --window 10 --follow-poll-ms 10 --follow-max-updates 1",
             path.display()
         ))
         .unwrap();

@@ -16,7 +16,7 @@ pub mod verify;
 
 use std::path::Path;
 
-use ppm_core::MineConfig;
+use ppm_core::{Engine, MineConfig};
 use ppm_timeseries::columnar::{self, ColumnarReader};
 use ppm_timeseries::storage::{self, stream};
 use ppm_timeseries::{FeatureCatalog, FeatureSeries};
@@ -38,44 +38,21 @@ pub fn apply_guards(args: &Parsed, mut config: MineConfig) -> Result<MineConfig,
         let nodes: usize = args.required_parsed("max-tree-nodes")?;
         config = config.with_max_tree_nodes(nodes);
     }
-    if args.switch("kernel") {
-        config = config.with_kernel(resolve_kernel(args)?);
-    }
     Ok(config)
 }
 
-/// Resolves `--kernel` into a counting-kernel choice. Absent flag means
-/// [`Kernel::Auto`] (wide unless the `PPM_KERNEL` env var says scalar);
-/// the kernel never changes which patterns are found, only how fast.
-pub fn resolve_kernel(args: &Parsed) -> Result<ppm_core::Kernel, CliError> {
-    match args.get("kernel") {
-        None => {
-            if args.switch("kernel") {
-                return Err(CliError::Usage(
-                    "--kernel needs a value (auto, scalar, or wide)".into(),
-                ));
-            }
-            Ok(ppm_core::Kernel::Auto)
-        }
-        Some(name) => ppm_core::Kernel::parse(name).ok_or_else(|| {
-            CliError::Usage(format!(
-                "unknown kernel `{name}` (expected auto, scalar, or wide)"
-            ))
+/// Parses `--engine` (default: the hit-set engine). An unknown or missing
+/// name is a usage error that lists every engine.
+pub fn parse_engine(args: &Parsed) -> Result<Engine, CliError> {
+    match args.get("engine") {
+        None if args.switch("engine") => Err(CliError::Usage(format!(
+            "--engine needs a value ({})",
+            Engine::names()
+        ))),
+        None => Ok(Engine::default()),
+        Some(name) => Engine::parse(name).ok_or_else(|| {
+            CliError::Usage(format!("unknown --engine {name:?} ({})", Engine::names()))
         }),
-    }
-}
-
-/// Resolves the counting engine from `--engine` (preferred) or its older
-/// spelling `--algorithm`; both given at once is ambiguous and rejected.
-/// Defaults to the hit-set engine. Which values are legal depends on the
-/// command, so validation happens at the call site.
-pub fn resolve_engine(args: &Parsed) -> Result<&str, CliError> {
-    match (args.get("engine"), args.get("algorithm")) {
-        (Some(_), Some(_)) => Err(CliError::Usage(
-            "--engine and --algorithm are the same flag; pass only one".into(),
-        )),
-        (Some(e), None) | (None, Some(e)) => Ok(e),
-        (None, None) => Ok("hitset"),
     }
 }
 
@@ -233,6 +210,49 @@ pub(crate) mod testutil {
             assert!(catalog.get("alpha").is_some(), "{ext}");
             std::fs::remove_file(path).ok();
         }
+    }
+
+    /// `mine`, `sweep` and the daemon's `mine` op reject an unknown engine
+    /// with one and the same list of engines.
+    #[test]
+    fn every_engine_error_names_the_same_list() {
+        use ppm_serve::{Bind, BoundAddr, ServeConfig, Server, StoreRegistry};
+
+        let ppms = sample_series_file("ppms");
+        let ppmc = sample_series_file("ppmc");
+        let registry = StoreRegistry::open(&[&ppmc]).unwrap();
+        let server =
+            Server::bind(registry, ServeConfig::new(Bind::Tcp("127.0.0.1:0".into()))).unwrap();
+        let BoundAddr::Tcp(addr) = *server.local_addr() else {
+            unreachable!("bound tcp")
+        };
+        let stop = server.stop_handle();
+        let daemon = std::thread::spawn(move || server.run().unwrap());
+        let store = ppmc.file_stem().unwrap().to_str().unwrap();
+
+        let errors = [
+            format!("mine --input {} --period 3 --min-conf 0.6", ppms.display()),
+            format!(
+                "sweep --input {} --from 2 --to 4 --min-conf 0.6",
+                ppms.display()
+            ),
+            format!(
+                "query --port {} --store {store} --period 3 --min-conf 0.6 --retries 0",
+                addr.port()
+            ),
+        ]
+        .map(|line| run_cli(&format!("{line} --engine parallel")).unwrap_err());
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        daemon.join().unwrap();
+        for err in &errors {
+            assert_eq!(err.exit_code(), 2, "{err}");
+            assert!(
+                err.to_string().contains(&format!("({})", Engine::names())),
+                "{err}"
+            );
+        }
+        std::fs::remove_file(ppms).ok();
+        std::fs::remove_file(ppmc).ok();
     }
 
     #[test]

@@ -57,12 +57,8 @@ pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         args.parsed_or("cache-max-entries", config.cache_limits.max_entries)?;
     config.cache_limits.max_bytes =
         args.parsed_or("cache-max-bytes", config.cache_limits.max_bytes)?;
-    // Counting-kernel knobs: `--kernel` picks the daemon-wide default
-    // AND+popcount path (requests may override per query), `--mine-threads`
-    // shards one vertical derivation's segment axis across helpers.
-    if args.switch("kernel") {
-        config.kernel = super::resolve_kernel(args)?;
-    }
+    // `--mine-threads` shards one vertical derivation's segment axis
+    // across helpers.
     config.mine_threads = args.parsed_or("mine-threads", config.mine_threads)?;
     if config.mine_threads == 0 {
         return Err(CliError::Usage("--mine-threads must be at least 1".into()));
@@ -179,16 +175,14 @@ mod tests {
     }
 
     #[test]
-    fn bad_kernel_and_mine_threads_are_usage_errors() {
+    fn zero_mine_threads_is_a_usage_error() {
         let path = sample_series_file("ppmc");
-        for extra in ["--kernel avx512", "--mine-threads 0"] {
-            let err = run_cli(&format!(
-                "serve --stores {} --port 0 {extra}",
-                path.display()
-            ))
-            .unwrap_err();
-            assert_eq!(err.exit_code(), 2, "{extra}");
-        }
+        let err = run_cli(&format!(
+            "serve --stores {} --port 0 --mine-threads 0",
+            path.display()
+        ))
+        .unwrap_err();
+        assert_eq!(err.exit_code(), 2);
         std::fs::remove_file(path).ok();
     }
 }

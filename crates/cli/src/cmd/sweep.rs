@@ -18,10 +18,10 @@ use std::time::Instant;
 
 use ppm_core::multi::{
     mine_periods_looping_view, mine_periods_scheduled, mine_periods_shared_view, MultiPeriodResult,
-    PeriodRange, SweepEngine,
+    PeriodRange,
 };
-use ppm_core::vertical::{mine_vertical, mine_vertical_view};
-use ppm_core::{hitset, Algorithm, MineConfig, StatsRollup};
+use ppm_core::vertical::mine_vertical_view;
+use ppm_core::{hitset, Engine, MineConfig, Rows, StatsRollup};
 use ppm_observe::Json;
 use ppm_timeseries::columnar::ColumnarReader;
 use ppm_timeseries::{storage, EncodedSeries, EncodedSeriesView, FeatureCatalog, FeatureSeries};
@@ -141,26 +141,21 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<SweepOutcome, CliErro
     let to: usize = args.required_parsed("to")?;
     let min_conf: f64 = args.required_parsed("min-conf")?;
 
-    let engine = super::resolve_engine(args)?;
-    if !matches!(engine, "hitset" | "apriori" | "vertical") {
-        return Err(CliError::Usage(format!(
-            "sweep supports --engine hitset|apriori|vertical, not {engine:?}"
-        )));
-    }
-    if engine != "hitset" && (args.switch("looping") || args.switch("checkpoint")) {
+    let engine = super::parse_engine(args)?;
+    if engine != Engine::HitSet && (args.switch("looping") || args.switch("checkpoint")) {
         return Err(CliError::Usage(format!(
             "--looping and --checkpoint are hit-set sweep modes; \
              they do not combine with --engine {engine}"
         )));
     }
-    if args.switch("compare-tree") && engine != "vertical" {
+    if args.switch("compare-tree") && engine != Engine::Vertical {
         return Err(CliError::Usage(
             "--compare-tree only applies to --engine vertical (it races the \
              vertical derivation against the tree walk)"
                 .into(),
         ));
     }
-    if args.switch("compare-kernel") && engine != "vertical" {
+    if args.switch("compare-kernel") && engine != Engine::Vertical {
         return Err(CliError::Usage(
             "--compare-kernel only applies to --engine vertical (it races \
              the scalar kernel against the wide, segment-sharded one)"
@@ -233,17 +228,17 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<SweepOutcome, CliErro
         run_scheduled(
             args, input, view, range, &config, engine, workers, from, to, min_conf, out,
         )?
-    } else if engine == "vertical" {
+    } else if matches!(engine, Engine::Vertical | Engine::Incremental) {
         run_vertical(args, view, range, &config, from, to, min_conf, out)?
     } else {
-        let (result, how) = if engine == "apriori" {
+        let (result, how) = if engine == Engine::Apriori {
             (
-                mine_periods_looping_view(view, range, &config, Algorithm::Apriori)?,
+                mine_periods_looping_view(view, range, &config, engine)?,
                 "looping Apriori, Alg 3.3/3.1",
             )
         } else if args.switch("looping") {
             (
-                mine_periods_looping_view(view, range, &config, Algorithm::HitSet)?,
+                mine_periods_looping_view(view, range, &config, engine)?,
                 "looping, Alg 3.3",
             )
         } else {
@@ -299,20 +294,15 @@ fn run_scheduled(
     view: EncodedSeriesView<'_>,
     range: PeriodRange,
     config: &MineConfig,
-    engine: &str,
+    engine: Engine,
     workers: usize,
     from: usize,
     to: usize,
     min_conf: f64,
     out: &mut dyn Write,
 ) -> Result<SweepOutcome, CliError> {
-    let sweep_engine = match engine {
-        "apriori" => SweepEngine::Apriori,
-        "vertical" => SweepEngine::Vertical,
-        _ => SweepEngine::HitSet,
-    };
     let start = Instant::now();
-    let result = mine_periods_scheduled(view, range, config, sweep_engine, workers)?;
+    let result = mine_periods_scheduled(view, range, config, engine, workers)?;
     let scheduler_us = start.elapsed().as_micros() as u64;
 
     // Guard trips fail only the periods that hit them; the completed
@@ -404,7 +394,7 @@ fn sequential_baseline(
     input: &str,
     range: PeriodRange,
     config: &MineConfig,
-    engine: &str,
+    engine: Engine,
 ) -> Result<MultiPeriodResult, CliError> {
     let mut results = Vec::new();
     let mut total_scans = 0;
@@ -413,11 +403,7 @@ fn sequential_baseline(
         if period > series.len() {
             continue;
         }
-        let r = match engine {
-            "apriori" => ppm_core::mine(&series, period, config, Algorithm::Apriori)?,
-            "vertical" => mine_vertical(&series, period, config)?,
-            _ => ppm_core::mine(&series, period, config, Algorithm::HitSet)?,
-        };
+        let r = ppm_core::run(engine, Rows::Series(&series), period, config, 1)?;
         total_scans += r.stats.series_scans;
         results.push(r);
     }
@@ -647,7 +633,7 @@ fn write_bench_report(
         ("name".to_owned(), Json::Str(name.to_owned())),
         (
             "engine".to_owned(),
-            Json::Str(super::resolve_engine(args)?.to_owned()),
+            Json::Str(super::parse_engine(args)?.name().to_owned()),
         ),
         (
             "from".to_owned(),
@@ -879,6 +865,7 @@ fn run_checkpointed(
 mod tests {
     use crate::checkpoint::{PeriodRow, SweepCheckpoint};
     use crate::cmd::testutil::{run_cli, sample_series_file, temp_path};
+    use ppm_core::Engine;
 
     #[test]
     fn shared_sweep_reports_two_scans() {
@@ -1224,7 +1211,6 @@ mod tests {
             format!("--engine vertical --checkpoint {}", ckpt.display()),
             "--compare-tree".to_owned(),
             "--engine parallel".to_owned(),
-            "--engine vertical --algorithm hitset".to_owned(),
         ] {
             let err = run_cli(&format!(
                 "sweep --input {} --from 2 --to 6 --min-conf 0.6 {extra}",
@@ -1240,7 +1226,13 @@ mod tests {
     fn columnar_sweep_matches_binary_sweep_on_every_engine() {
         let ppms = sample_series_file("ppms");
         let ppmc = sample_series_file("ppmc");
-        for extra in ["", "--engine vertical", "--engine apriori", "--looping"] {
+        for extra in [
+            "",
+            "--engine apriori",
+            "--engine vertical",
+            "--engine incremental",
+            "--looping",
+        ] {
             let from_binary = run_cli(&format!(
                 "sweep --input {} --from 2 --to 6 --min-conf 0.6 {extra}",
                 ppms.display()
@@ -1260,7 +1252,7 @@ mod tests {
     #[test]
     fn workers_sweep_matches_the_sequential_table() {
         let path = sample_series_file("ppms");
-        for engine in ["hitset", "apriori", "vertical"] {
+        for engine in Engine::ALL {
             let sequential = run_cli(&format!(
                 "sweep --input {} --from 2 --to 6 --min-conf 0.6 --engine {engine} --looping",
                 path.display()

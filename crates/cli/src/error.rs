@@ -153,7 +153,7 @@ mod tests {
         let config = ppm_core::MineConfig::new(0.5)
             .unwrap()
             .with_deadline(Duration::from_secs(0));
-        let err = ppm_core::mine(&series, 2, &config, ppm_core::Algorithm::HitSet).unwrap_err();
+        let err = ppm_core::hitset::mine(&series, 2, &config).unwrap_err();
         assert!(err.partial_stats().is_some());
         assert_eq!(CliError::Mining(err).exit_code(), 3);
     }

@@ -58,15 +58,17 @@ pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
 }
 
-/// The top-level usage text.
-pub fn usage() -> &'static str {
-    "ppm — partial periodic pattern mining (Han, Dong & Yin, ICDE 1999)
+/// The top-level usage text. Engine lists come from
+/// [`ppm_core::Engine::ALL`], so help and usage errors always agree.
+pub fn usage() -> String {
+    format!(
+        "ppm — partial periodic pattern mining (Han, Dong & Yin, ICDE 1999)
 
 USAGE:
   ppm generate --length N --period P --max-pat-length L --f1 K --out FILE [--seed S]
   ppm info     --input FILE [--period P [--min-conf C]]
   ppm mine     --input FILE --period P --min-conf C
-               [--engine apriori|hitset|parallel|vertical] [--threads N] [--stream]
+               [--engine {engines}] [--threads N] [--stream]
                [--max-letters M] [--offsets 1,2,3] [--limit N] [--tsv]
                [--maximal | --closed]
                [--audit [full|sample|N]] [--quarantine] [--strict]
@@ -80,7 +82,7 @@ USAGE:
   ppm verify   --input FILE --patterns FILE.tsv --period P --min-conf C
                [--sample [N]]
   ppm sweep    --input FILE --from P1 --to P2 --min-conf C [--looping]
-               [--engine hitset|apriori|vertical] [--compare-tree]
+               [--engine {engines}] [--compare-tree]
                [--workers N] [--compare-ingest FILE.txt]
                [--checkpoint FILE] [--deadline-ms MS] [--max-tree-nodes N]
                [--trace] [--metrics-out FILE] [--bench-report NAME]
@@ -100,7 +102,7 @@ USAGE:
                [--op mine|rules|verify|append|info|health|stats|shutdown]
                [--store NAME --period P --min-conf C]
                [--rows \"a b;c;-\" [--repeat N]]
-               [--engine hitset|apriori|vertical|incremental]
+               [--engine {engines}]
                [--limit N] [--no-cache]
                [--quarantine [--inject-garbage T]] [--show-cached]
                [--deadline-ms MS] [--max-tree-nodes N] [--min-rule-conf R]
@@ -169,11 +171,13 @@ records each completed period and resumes after a crash or abort without
 re-mining; convert --salvage recovers the valid record prefix of a
 truncated .ppmstream.
 
-Engines: --engine picks the counting strategy (--algorithm is the same
-flag). hitset is the paper's two-scan max-subpattern method; apriori is
-the level-wise Alg 3.1; parallel shards the hit-set scans across threads;
-vertical replaces the tree with per-letter segment bitmaps — counting a
-candidate is a k-way AND + popcount — and honours --threads too. Every
+Engines: --engine picks the counting strategy ({engines}; default
+hitset). hitset is the paper's two-scan max-subpattern method; apriori is
+the level-wise Alg 3.1; vertical replaces the tree with per-letter
+segment bitmaps — counting a candidate is a k-way AND + popcount — and
+with --threads N shards that derive across N threads; incremental is the
+vertical engine maintained as segments append (a cold vertical mine on a
+fixed input; live per store under ppm serve and mine --follow). Every
 sweep engine shares ONE encode/load (a .ppmc input opens directly as the
 bitmap rows); --compare-tree additionally races each period against the
 tree walk and fails on any disagreement. sweep --workers N mines the
@@ -201,5 +205,7 @@ FILE streams structured events as JSON lines and appends a final summary
 mine --progress prints a segments/ETA heartbeat to stderr;
 sweep --bench-report NAME writes BENCH_NAME.json with per-phase wall
 clock, peak tree nodes, and scan counts; info --period P reports the
-Property 3.2 hit-set buffer bound for that period."
+Property 3.2 hit-set buffer bound for that period.",
+        engines = ppm_core::Engine::names()
+    )
 }

@@ -14,6 +14,7 @@ mod candidate;
 mod single_period;
 
 pub use candidate::{for_each_combination, join_candidates};
+pub(crate) use single_period::mine_rows;
 pub use single_period::{mine, mine_view};
 
 pub(crate) use candidate::binomial;

@@ -33,7 +33,11 @@ pub fn mine_view(
 }
 
 /// Algorithm 3.1 over either row substrate.
-fn mine_rows(rows: Rows<'_>, period: usize, config: &MineConfig) -> Result<MiningResult> {
+pub(crate) fn mine_rows(
+    rows: Rows<'_>,
+    period: usize,
+    config: &MineConfig,
+) -> Result<MiningResult> {
     let _mine_span = ppm_observe::span("apriori.mine");
     let scan1 = {
         let _span = ppm_observe::span("apriori.scan1");

@@ -18,16 +18,17 @@ use ppm_timeseries::{
 use crate::letters::LetterSet;
 use crate::pattern::Pattern;
 use crate::result::MiningResult;
+use crate::rows::Rows;
 use crate::scan::MineConfig;
-use crate::vertical::Kernel;
+use crate::vertical::{Kernel, ThreadedExecutor};
 
 use super::{render, AuditReport, Violation};
 
 /// Re-mines `period` of `view` on the forced-scalar and forced-sharded
 /// vertical paths, so the oracle covers every counting substrate: the
-/// scalar reference kernel, the wide kernel ([`Kernel::Auto`] resolves
-/// wide in the plain vertical arm), and a sharded derive whose shard
-/// floor is lowered to 1 word so even small audit inputs genuinely split.
+/// scalar reference kernel, the wide kernel (the plain vertical arm), and
+/// a sharded derive whose shard floor is lowered to 1 word so even small
+/// audit inputs genuinely split.
 fn vertical_kernel_arms(
     view: EncodedSeriesView<'_>,
     period: usize,
@@ -35,12 +36,12 @@ fn vertical_kernel_arms(
 ) -> crate::error::Result<(MiningResult, MiningResult)> {
     let scalar =
         crate::vertical::mine_vertical_view(view, period, &config.with_kernel(Kernel::Scalar))?;
-    let executor = crate::vertical::ThreadedExecutor::with_min_shard_words(2, 1);
-    let sharded = crate::vertical::mine_vertical_view_executor(
-        view,
+    let executor = ThreadedExecutor::with_min_shard_words(2, 1);
+    let sharded = crate::vertical::mine_vertical_rows(
+        Rows::View(view),
         period,
         &config.with_kernel(Kernel::Wide),
-        &executor,
+        Some(&executor),
     )?;
     Ok((scalar, sharded))
 }
@@ -220,69 +221,38 @@ pub fn cross_check(
         crate::streaming::mine_hitset_streaming(&mut src, period, config)?
     };
     let encoded = EncodedSeries::encode(series);
-    let vertical = crate::vertical::mine_vertical_encoded(series, &encoded, period, config)?;
+    let vertical = crate::vertical::mine_vertical_view(encoded.view(), period, config)?;
     let (vertical_scalar, vertical_sharded) = vertical_kernel_arms(encoded.view(), period, config)?;
     let incremental = incremental_arm(encoded.view(), period, config)?;
-
-    let mut report = AuditReport::new();
-    diff_pair(
-        "hitset",
+    Ok(diff_against_baseline(
         &baseline,
-        "apriori",
-        &apriori,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "streaming-hitset",
-        &streamed,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "vertical",
-        &vertical,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "vertical-scalar",
-        &vertical_scalar,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "vertical-sharded",
-        &vertical_sharded,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "incremental-vertical",
-        &incremental,
-        catalog,
-        &mut report,
-    );
-    let check = CrossCheck {
-        algorithms: vec![
-            "hitset",
-            "apriori",
-            "streaming-hitset",
-            "vertical",
-            "vertical-scalar",
-            "vertical-sharded",
-            "incremental-vertical",
+        &[
+            ("apriori", apriori),
+            ("streaming-hitset", streamed),
+            ("vertical", vertical),
+            ("vertical-scalar", vertical_scalar),
+            ("vertical-sharded", vertical_sharded),
+            ("incremental-vertical", incremental),
         ],
+        catalog,
+    ))
+}
+
+/// Diffs every named arm against the hit-set `baseline` and reports the
+/// verdict.
+fn diff_against_baseline(
+    baseline: &MiningResult,
+    arms: &[(&'static str, MiningResult)],
+    catalog: &FeatureCatalog,
+) -> CrossCheck {
+    let mut report = AuditReport::new();
+    let mut algorithms = vec!["hitset"];
+    for (name, result) in arms {
+        diff_pair("hitset", baseline, name, result, catalog, &mut report);
+        algorithms.push(name);
+    }
+    let check = CrossCheck {
+        algorithms,
         compared: baseline.len(),
         report,
     };
@@ -297,7 +267,7 @@ pub fn cross_check(
             format!("{} mismatches", check.report.violations.len())
         }
     });
-    Ok(check)
+    check
 }
 
 /// [`cross_check`] over a borrowed bitmap view (a columnar file load or an
@@ -322,72 +292,17 @@ pub fn cross_check_view(
     let vertical = crate::vertical::mine_vertical_view(view, period, config)?;
     let (vertical_scalar, vertical_sharded) = vertical_kernel_arms(view, period, config)?;
     let incremental = incremental_arm(view, period, config)?;
-
-    let mut report = AuditReport::new();
-    diff_pair(
-        "hitset",
+    Ok(diff_against_baseline(
         &baseline,
-        "apriori",
-        &apriori,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "vertical",
-        &vertical,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "vertical-scalar",
-        &vertical_scalar,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "vertical-sharded",
-        &vertical_sharded,
-        catalog,
-        &mut report,
-    );
-    diff_pair(
-        "hitset",
-        &baseline,
-        "incremental-vertical",
-        &incremental,
-        catalog,
-        &mut report,
-    );
-    let check = CrossCheck {
-        algorithms: vec![
-            "hitset",
-            "apriori",
-            "vertical",
-            "vertical-scalar",
-            "vertical-sharded",
-            "incremental-vertical",
+        &[
+            ("apriori", apriori),
+            ("vertical", vertical),
+            ("vertical-scalar", vertical_scalar),
+            ("vertical-sharded", vertical_sharded),
+            ("incremental-vertical", incremental),
         ],
-        compared: baseline.len(),
-        report,
-    };
-    ppm_observe::mark("audit.diff.verdict", || {
-        if check.agreed() {
-            format!(
-                "{} engines agree on {} patterns",
-                check.algorithms.len(),
-                check.compared
-            )
-        } else {
-            format!("{} mismatches", check.report.violations.len())
-        }
-    });
-    Ok(check)
+        catalog,
+    ))
 }
 
 #[cfg(test)]

@@ -67,9 +67,9 @@ pub fn derive_frequent(
     match strategy {
         CountStrategy::Vertical => {
             // Transpose once, then every level is one cache-blocked batch
-            // of AND + popcount on the selected kernel.
+            // of AND + popcount on the wide kernel.
             let index = VerticalIndex::from_tree(tree);
-            let kernel = Kernel::Auto.resolve();
+            let kernel = Kernel::Wide;
             let mut and_ops = 0u64;
             derive_frequent_batched(
                 |sets| index.count_level(sets, kernel, &mut and_ops),

@@ -46,7 +46,7 @@ pub fn mine_with_strategy(
 }
 
 /// Algorithm 3.2 over either row substrate.
-fn mine_rows(
+pub(crate) fn mine_rows(
     rows: Rows<'_>,
     period: usize,
     config: &MineConfig,

@@ -232,23 +232,6 @@ impl MaxSubpatternTree {
         acc
     }
 
-    /// Merges another tree's hit multiset into this one. Both trees must be
-    /// rooted at the same `C_max`. Used by the parallel miner to combine
-    /// per-thread trees after a partitioned second scan.
-    ///
-    /// # Panics
-    /// Panics if the root patterns differ.
-    pub fn merge_from(&mut self, other: &MaxSubpatternTree) {
-        assert_eq!(
-            self.c_max(),
-            other.c_max(),
-            "cannot merge trees with different C_max"
-        );
-        for (pattern, count) in other.counted_nodes() {
-            self.insert_with_count(pattern, count);
-        }
-    }
-
     /// Renders the tree as an indented outline (one node per line, counts
     /// included), for diagnostics and the didactic examples. Patterns are
     /// shown as letter-index sets.
@@ -481,31 +464,6 @@ mod tests {
         assert_eq!(t.depth(), 1);
         t.insert(&set(5, &[3, 4])); // 3 missing
         assert_eq!(t.depth(), 3);
-    }
-
-    #[test]
-    fn merge_combines_multisets() {
-        let mut a = MaxSubpatternTree::new(LetterSet::full(4));
-        let mut b = MaxSubpatternTree::new(LetterSet::full(4));
-        a.insert(&set(4, &[0, 1]));
-        a.insert(&set(4, &[0, 1, 2]));
-        b.insert(&set(4, &[0, 1]));
-        b.insert(&set(4, &[2, 3]));
-        a.merge_from(&b);
-        assert_eq!(a.count_at(&set(4, &[0, 1])), Some(2));
-        assert_eq!(a.count_at(&set(4, &[0, 1, 2])), Some(1));
-        assert_eq!(a.count_at(&set(4, &[2, 3])), Some(1));
-        assert_eq!(a.total_hits(), 4);
-        // Counting sees the union.
-        assert_eq!(a.count_superpatterns_walk(&set(4, &[0, 1])), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "different C_max")]
-    fn merge_rejects_mismatched_roots() {
-        let mut a = MaxSubpatternTree::new(LetterSet::full(4));
-        let b = MaxSubpatternTree::new(set(4, &[0, 1]));
-        a.merge_from(&b);
     }
 
     #[test]

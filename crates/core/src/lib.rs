@@ -14,6 +14,10 @@
 //! * [`multi::mine_periods_shared`] — **Algorithm 3.4**: shared mining of a
 //!   period range in 2 scans total.
 //!
+//! [`Engine`] names the single-period engines (the two above plus the
+//! vertical bitmap engine and its incremental form) and [`run`] mines one
+//! period of a series or bitmap view ([`Rows`]) with any of them.
+//!
 //! Plus the extensions the paper sketches in §4 and §6: maximal-pattern
 //! mining with MaxMiner-style lookahead ([`maximal`]), periodic association
 //! rules ([`rules`]), perturbation-tolerant mining ([`perturb`]),
@@ -51,6 +55,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod engine;
 mod error;
 mod guard;
 mod letters;
@@ -69,7 +74,6 @@ pub mod hitset;
 pub mod maximal;
 pub mod multi;
 pub mod multilevel;
-pub mod parallel;
 pub mod perfect;
 pub mod perturb;
 pub mod rules;
@@ -77,35 +81,12 @@ pub mod stats;
 pub mod streaming;
 pub mod vertical;
 
+pub use engine::{run, Engine};
 pub use error::{Error, Result};
 pub use letters::{Alphabet, LetterIter, LetterSet};
 pub use pattern::{Pattern, PatternDisplay, Symbol};
 pub use result::{FrequentPattern, MiningResult};
+pub use rows::Rows;
 pub use scan::{scan_frequent_letters, scan_frequent_letters_view, MineConfig, Scan1};
 pub use stats::{hit_set_bound, MiningStats, StatsRollup};
 pub use vertical::{Kernel, KernelRace};
-
-/// Which single-period mining algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Algorithm {
-    /// Algorithm 3.1: level-wise Apriori, one scan per level.
-    Apriori,
-    /// Algorithm 3.2: max-subpattern hit set, two scans total.
-    #[default]
-    HitSet,
-}
-
-/// Mines a single period with the chosen algorithm. Both algorithms return
-/// identical pattern sets and counts; they differ in scan count and memory
-/// profile (see `MiningResult::stats`).
-pub fn mine(
-    series: &ppm_timeseries::FeatureSeries,
-    period: usize,
-    config: &MineConfig,
-    algorithm: Algorithm,
-) -> Result<MiningResult> {
-    match algorithm {
-        Algorithm::Apriori => apriori::mine(series, period, config),
-        Algorithm::HitSet => hitset::mine(series, period, config),
-    }
-}

@@ -2,13 +2,14 @@
 
 use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
 
+use crate::engine::{run, Engine};
 use crate::error::Result;
 use crate::multi::{MultiPeriodResult, PeriodRange};
+use crate::rows::Rows;
 use crate::scan::MineConfig;
-use crate::{mine, Algorithm};
 
 /// Mines every period in `range` by running the chosen single-period
-/// algorithm once per period (paper Algorithm 3.3).
+/// engine once per period (paper Algorithm 3.3).
 ///
 /// With the hit-set algorithm this costs `2·k` scans for `k` periods;
 /// [`super::mine_periods_shared`] brings that down to 2. Periods longer
@@ -18,19 +19,9 @@ pub fn mine_periods_looping(
     series: &FeatureSeries,
     range: PeriodRange,
     config: &MineConfig,
-    algorithm: Algorithm,
+    engine: Engine,
 ) -> Result<MultiPeriodResult> {
-    let mut results = Vec::with_capacity(range.len());
-    let mut total_scans = 0;
-    for period in range.iter() {
-        if period > series.len() {
-            continue;
-        }
-        let r = mine(series, period, config, algorithm)?;
-        total_scans += r.stats.series_scans;
-        results.push(r);
-    }
-    Ok(MultiPeriodResult::complete(results, total_scans))
+    loop_periods(Rows::Series(series), range, config, engine)
 }
 
 /// [`mine_periods_looping`] over a borrowed bitmap view: each period is
@@ -40,18 +31,24 @@ pub fn mine_periods_looping_view(
     view: EncodedSeriesView<'_>,
     range: PeriodRange,
     config: &MineConfig,
-    algorithm: Algorithm,
+    engine: Engine,
+) -> Result<MultiPeriodResult> {
+    loop_periods(Rows::View(view), range, config, engine)
+}
+
+fn loop_periods(
+    rows: Rows<'_>,
+    range: PeriodRange,
+    config: &MineConfig,
+    engine: Engine,
 ) -> Result<MultiPeriodResult> {
     let mut results = Vec::with_capacity(range.len());
     let mut total_scans = 0;
     for period in range.iter() {
-        if period > view.len() {
+        if period > rows.len() {
             continue;
         }
-        let r = match algorithm {
-            Algorithm::Apriori => crate::apriori::mine_view(view, period, config)?,
-            Algorithm::HitSet => crate::hitset::mine_view(view, period, config)?,
-        };
+        let r = run(engine, rows, period, config, 1)?;
         total_scans += r.stats.series_scans;
         results.push(r);
     }
@@ -88,7 +85,7 @@ mod tests {
         let s = two_period_series(120);
         let range = PeriodRange::new(2, 6).unwrap();
         let config = MineConfig::new(0.9).unwrap();
-        let out = mine_periods_looping(&s, range, &config, Algorithm::HitSet).unwrap();
+        let out = mine_periods_looping(&s, range, &config, Engine::HitSet).unwrap();
         assert_eq!(out.results.len(), 5);
         // Period 3 must contain the (0, f0) letter, period 4 the (0, f1).
         let p3 = out.for_period(3).unwrap();
@@ -109,7 +106,7 @@ mod tests {
         let s = two_period_series(60);
         let range = PeriodRange::new(2, 5).unwrap();
         let config = MineConfig::new(0.5).unwrap();
-        let out = mine_periods_looping(&s, range, &config, Algorithm::HitSet).unwrap();
+        let out = mine_periods_looping(&s, range, &config, Engine::HitSet).unwrap();
         assert_eq!(out.total_scans, 2 * 4);
     }
 
@@ -120,7 +117,7 @@ mod tests {
         let encoded = EncodedSeries::encode(&s);
         let range = PeriodRange::new(2, 6).unwrap();
         let config = MineConfig::new(0.9).unwrap();
-        for alg in [Algorithm::HitSet, Algorithm::Apriori] {
+        for alg in Engine::ALL {
             let plain = mine_periods_looping(&s, range, &config, alg).unwrap();
             let viewed = mine_periods_looping_view(encoded.view(), range, &config, alg).unwrap();
             assert_eq!(plain.total_scans, viewed.total_scans, "{alg:?}");
@@ -136,7 +133,7 @@ mod tests {
         let s = two_period_series(10);
         let range = PeriodRange::new(8, 15).unwrap();
         let config = MineConfig::new(0.5).unwrap();
-        let out = mine_periods_looping(&s, range, &config, Algorithm::HitSet).unwrap();
+        let out = mine_periods_looping(&s, range, &config, Engine::HitSet).unwrap();
         assert_eq!(out.results.len(), 3); // periods 8, 9, 10
     }
 
@@ -157,7 +154,7 @@ mod tests {
             &s,
             PeriodRange::new(2, 10).unwrap(),
             &MineConfig::new(0.95).unwrap(),
-            Algorithm::HitSet,
+            Engine::HitSet,
         )
         .unwrap();
         assert_eq!(out.densest_period(), Some(7));

@@ -18,8 +18,11 @@ mod looping;
 mod scheduler;
 mod shared;
 
+/// The sweep scheduler's engine choice: the crate's one [`Engine`](crate::Engine)
+/// under the name the scheduler API used before engines were unified.
+pub use crate::Engine as SweepEngine;
 pub use looping::{mine_periods_looping, mine_periods_looping_view};
-pub use scheduler::{mine_periods_scheduled, SweepEngine};
+pub use scheduler::mine_periods_scheduled;
 pub use shared::{mine_periods_shared, mine_periods_shared_view};
 
 use crate::error::{Error, Result};

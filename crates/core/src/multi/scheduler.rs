@@ -21,6 +21,7 @@
 //! [`Histogram`], merged after the join — recording never synchronizes
 //! the pool).
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -30,37 +31,28 @@ use std::time::Instant;
 use ppm_observe::Histogram;
 use ppm_timeseries::EncodedSeriesView;
 
+use crate::engine::Engine;
 use crate::error::{Error, Result};
 use crate::multi::{MultiPeriodResult, PeriodFailure, PeriodRange};
-use crate::parallel::worker_panic;
 use crate::result::MiningResult;
+use crate::rows::Rows;
 use crate::scan::MineConfig;
 use crate::vertical::shard::{plan_shards, ShardedCounter, MIN_SHARD_WORDS};
 use crate::vertical::ShardExecutor;
 
-/// Which engine each sweep task runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepEngine {
-    /// Algorithm 3.2 per period (two scans each).
-    HitSet,
-    /// Algorithm 3.1 per period (one scan per level).
-    Apriori,
-    /// The vertical bitmap engine per period (two scans each).
-    Vertical,
-}
-
-/// Mines one period from the shared view with the chosen engine.
-fn mine_one(
-    view: EncodedSeriesView<'_>,
-    period: usize,
-    config: &MineConfig,
-    engine: SweepEngine,
-) -> Result<MiningResult> {
-    match engine {
-        SweepEngine::HitSet => crate::hitset::mine_view(view, period, config),
-        SweepEngine::Apriori => crate::apriori::mine_view(view, period, config),
-        SweepEngine::Vertical => crate::vertical::mine_vertical_view(view, period, config),
-    }
+/// Converts a worker panic payload into the typed [`Error::WorkerPanic`],
+/// so a crashing worker cannot take down the caller. Panic payloads are
+/// `&str` or `String` in practice (that is what `panic!` produces); any
+/// other payload gets a placeholder.
+fn worker_panic(payload: Box<dyn Any + Send>) -> Error {
+    let detail = if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    };
+    Error::WorkerPanic { detail }
 }
 
 /// Emits the merged per-period task-latency distribution: a `sweep.tasks`
@@ -216,19 +208,21 @@ pub fn mine_periods_scheduled(
     view: EncodedSeriesView<'_>,
     range: PeriodRange,
     config: &MineConfig,
-    engine: SweepEngine,
+    engine: Engine,
     workers: usize,
 ) -> Result<MultiPeriodResult> {
     let periods: Vec<usize> = range.iter().filter(|&p| p <= view.len()).collect();
     if periods.is_empty() {
         return Ok(MultiPeriodResult::complete(Vec::new(), 0));
     }
-    // The vertical engine can split one period into shard subtasks, so
+    // The vertical engines can split one period into shard subtasks, so
     // extra workers are useful even past the period count; the other
     // engines have nothing for them to do.
-    let workers = match engine {
-        SweepEngine::Vertical => workers.max(1),
-        _ => workers.max(1).min(periods.len()),
+    let sharded = matches!(engine, Engine::Vertical | Engine::Incremental);
+    let workers = if sharded {
+        workers.max(1)
+    } else {
+        workers.max(1).min(periods.len())
     };
     let _span = ppm_observe::span("sweep.schedule");
     ppm_observe::gauge("sweep.workers", workers as u64);
@@ -242,7 +236,7 @@ pub fn mine_periods_scheduled(
         let mut task_us = Histogram::with_default_precision();
         for &p in &periods {
             let task_start = Instant::now();
-            let outcome = mine_one(view, p, config, engine);
+            let outcome = crate::run(engine, Rows::View(view), p, config, 1);
             task_us.record(task_start.elapsed().as_micros() as u64);
             match outcome {
                 Ok(r) => results.push(r),
@@ -300,12 +294,10 @@ pub fn mine_periods_scheduled(
                     let mut task_us = Histogram::with_default_precision();
                     while !abort_ref.load(Ordering::Relaxed) {
                         let Some((task, was_stolen)) = deques_ref.pop(w) else {
-                            // Empty bag. Under the vertical engine a period
+                            // Empty bag. Under the vertical engines a period
                             // still in flight may yet inject shard work, so
                             // stay alive until every period is accounted for.
-                            if engine == SweepEngine::Vertical
-                                && remaining_ref.load(Ordering::Acquire) > 0
-                            {
+                            if sharded && remaining_ref.load(Ordering::Acquire) > 0 {
                                 std::thread::yield_now();
                                 continue;
                             }
@@ -331,20 +323,21 @@ pub fn mine_periods_scheduled(
                             stolen_ref.fetch_add(1, Ordering::Relaxed);
                         }
                         let start = Instant::now();
-                        let outcome = match engine {
-                            SweepEngine::Vertical => {
-                                let executor = InjectorExecutor {
-                                    deques: deques_ref,
-                                    workers,
-                                };
-                                crate::vertical::mine_vertical_view_executor(
-                                    view,
-                                    periods_ref[task],
-                                    config,
-                                    &executor,
-                                )
-                            }
-                            _ => mine_one(view, periods_ref[task], config, engine),
+                        let rows = Rows::View(view);
+                        let period = periods_ref[task];
+                        let outcome = if sharded {
+                            let executor = InjectorExecutor {
+                                deques: deques_ref,
+                                workers,
+                            };
+                            crate::vertical::mine_vertical_rows(
+                                rows,
+                                period,
+                                config,
+                                Some(&executor),
+                            )
+                        } else {
+                            crate::run(engine, rows, period, config, 1)
                         };
                         let elapsed_us = start.elapsed().as_micros() as u64;
                         busy_us += elapsed_us;
@@ -428,7 +421,6 @@ mod tests {
     use ppm_timeseries::{EncodedSeries, FeatureId, SeriesBuilder};
 
     use crate::multi::mine_periods_looping_view;
-    use crate::Algorithm;
 
     fn fid(i: u32) -> FeatureId {
         FeatureId::from_raw(i)
@@ -533,12 +525,7 @@ mod tests {
             LetterSet::from_indices(4, [2, 3]),
         ];
         let plan = vec![0..3, 3..5, 5..8];
-        let counter = ShardedCounter::new(
-            index.clone(),
-            &cands,
-            plan,
-            crate::vertical::Kernel::Wide.resolve(),
-        );
+        let counter = ShardedCounter::new(index.clone(), &cands, plan, Kernel::Wide);
         let d = Deques::seed(0, 2);
         for _ in 0..5 {
             // More clones than shards: the excess must no-op.
@@ -575,8 +562,7 @@ mod tests {
         let config = MineConfig::new(0.2).unwrap();
         let sequential = crate::vertical::mine_vertical_view(encoded.view(), 2, &config).unwrap();
         let swept =
-            mine_periods_scheduled(encoded.view(), range, &config, SweepEngine::Vertical, 4)
-                .unwrap();
+            mine_periods_scheduled(encoded.view(), range, &config, Engine::Vertical, 4).unwrap();
         assert_eq!(swept.results.len(), 1);
         assert_eq!(swept.results[0].frequent, sequential.frequent);
         assert_eq!(swept.results[0].stats, sequential.stats);
@@ -590,27 +576,11 @@ mod tests {
         let encoded = EncodedSeries::encode(&s);
         let range = PeriodRange::new(2, 9).unwrap();
         let config = MineConfig::new(0.6).unwrap();
-        for (engine, alg) in [
-            (SweepEngine::HitSet, Some(Algorithm::HitSet)),
-            (SweepEngine::Apriori, Some(Algorithm::Apriori)),
-            (SweepEngine::Vertical, None),
-        ] {
+        for engine in Engine::ALL {
             let scheduled =
                 mine_periods_scheduled(encoded.view(), range, &config, engine, 4).unwrap();
-            let sequential = match alg {
-                Some(a) => mine_periods_looping_view(encoded.view(), range, &config, a).unwrap(),
-                None => {
-                    let mut results = Vec::new();
-                    let mut total_scans = 0;
-                    for p in range.iter() {
-                        let r = crate::vertical::mine_vertical_view(encoded.view(), p, &config)
-                            .unwrap();
-                        total_scans += r.stats.series_scans;
-                        results.push(r);
-                    }
-                    MultiPeriodResult::complete(results, total_scans)
-                }
-            };
+            let sequential =
+                mine_periods_looping_view(encoded.view(), range, &config, engine).unwrap();
             assert_eq!(scheduled.total_scans, sequential.total_scans, "{engine:?}");
             assert_eq!(scheduled.results.len(), sequential.results.len());
             for (a, b) in scheduled.results.iter().zip(&sequential.results) {
@@ -628,11 +598,9 @@ mod tests {
         let range = PeriodRange::new(2, 6).unwrap();
         let config = MineConfig::new(0.7).unwrap();
         let pooled =
-            mine_periods_scheduled(encoded.view(), range, &config, SweepEngine::Vertical, 4)
-                .unwrap();
+            mine_periods_scheduled(encoded.view(), range, &config, Engine::Vertical, 4).unwrap();
         let inline =
-            mine_periods_scheduled(encoded.view(), range, &config, SweepEngine::Vertical, 1)
-                .unwrap();
+            mine_periods_scheduled(encoded.view(), range, &config, Engine::Vertical, 1).unwrap();
         assert_eq!(pooled.results.len(), inline.results.len());
         for (a, b) in pooled.results.iter().zip(&inline.results) {
             assert_eq!(a.frequent, b.frequent, "period {}", a.period);
@@ -648,7 +616,7 @@ mod tests {
             encoded.view(),
             range,
             &MineConfig::default(),
-            SweepEngine::HitSet,
+            Engine::HitSet,
             4,
         )
         .unwrap();
@@ -665,14 +633,9 @@ mod tests {
             .unwrap()
             .with_deadline(std::time::Duration::ZERO);
         for workers in [1, 4] {
-            let out = mine_periods_scheduled(
-                encoded.view(),
-                range,
-                &config,
-                SweepEngine::Vertical,
-                workers,
-            )
-            .unwrap();
+            let out =
+                mine_periods_scheduled(encoded.view(), range, &config, Engine::Vertical, workers)
+                    .unwrap();
             // An already-expired deadline trips every period, but the sweep
             // itself completes with a full per-period accounting.
             assert!(out.results.is_empty(), "workers={workers}");
@@ -719,8 +682,8 @@ mod tests {
             .map(|&(p, _)| p)
             .collect();
         let guarded = MineConfig::new(0.3).unwrap().with_max_tree_nodes(budget);
-        let out = mine_periods_scheduled(encoded.view(), range, &guarded, SweepEngine::HitSet, 4)
-            .unwrap();
+        let out =
+            mine_periods_scheduled(encoded.view(), range, &guarded, Engine::HitSet, 4).unwrap();
         let failed: Vec<usize> = out.failures.iter().map(|f| f.period).collect();
         assert_eq!(failed, expect_fail);
         assert_eq!(out.results.len() + out.failures.len(), range.len());
@@ -737,5 +700,15 @@ mod tests {
             let plain = crate::hitset::mine_view(encoded.view(), r.period, &config).unwrap();
             assert_eq!(r.frequent, plain.frequent, "period {}", r.period);
         }
+    }
+
+    #[test]
+    fn worker_panic_payloads_become_typed_errors() {
+        let e = worker_panic(Box::new("scan-2 worker blew up"));
+        assert!(matches!(&e, Error::WorkerPanic { detail } if detail.contains("blew up")));
+        let e = worker_panic(Box::new(String::from("heap message")));
+        assert!(matches!(&e, Error::WorkerPanic { detail } if detail == "heap message"));
+        let e = worker_panic(Box::new(42usize));
+        assert!(matches!(&e, Error::WorkerPanic { detail } if detail.contains("non-string")));
     }
 }

@@ -230,7 +230,7 @@ mod tests {
     use ppm_timeseries::{FeatureId, SeriesBuilder};
 
     use crate::multi::mine_periods_looping;
-    use crate::Algorithm;
+    use crate::Engine;
 
     fn fid(i: u32) -> FeatureId {
         FeatureId::from_raw(i)
@@ -263,7 +263,7 @@ mod tests {
         let range = PeriodRange::new(2, 8).unwrap();
         let config = MineConfig::new(0.7).unwrap();
         let shared = mine_periods_shared(&s, range, &config).unwrap();
-        let looping = mine_periods_looping(&s, range, &config, Algorithm::HitSet).unwrap();
+        let looping = mine_periods_looping(&s, range, &config, Engine::HitSet).unwrap();
         assert_eq!(shared.results.len(), looping.results.len());
         for (a, b) in shared.results.iter().zip(&looping.results) {
             assert_eq!(a.period, b.period);
@@ -282,7 +282,7 @@ mod tests {
         for r in &shared.results {
             assert_eq!(r.stats.series_scans, 2);
         }
-        let looping = mine_periods_looping(&s, range, &config, Algorithm::HitSet).unwrap();
+        let looping = mine_periods_looping(&s, range, &config, Engine::HitSet).unwrap();
         assert_eq!(looping.total_scans, 2 * shared.results.len());
     }
 

@@ -17,10 +17,11 @@
 
 use ppm_timeseries::{FeatureId, FeatureSeries, SeriesBuilder, Taxonomy};
 
+use crate::engine::{run, Engine};
 use crate::error::Result;
 use crate::result::MiningResult;
+use crate::rows::Rows;
 use crate::scan::MineConfig;
-use crate::{mine, Algorithm};
 
 /// The mining result at one taxonomy depth.
 #[derive(Debug, Clone)]
@@ -54,7 +55,7 @@ pub fn mine_multilevel(
     period: usize,
     max_depth: usize,
     config: &MineConfig,
-    algorithm: Algorithm,
+    engine: Engine,
 ) -> Result<Vec<LevelResult>> {
     let mut out: Vec<LevelResult> = Vec::new();
     let mut prev_alphabet: Option<crate::letters::Alphabet> = None;
@@ -75,7 +76,7 @@ pub fn mine_multilevel(
             }));
         }
         let generalized = builder.finish();
-        let result = mine(&generalized, period, config, algorithm)?;
+        let result = run(engine, Rows::Series(&generalized), period, config, 1)?;
         let empty = result.is_empty();
         prev_alphabet = Some(result.alphabet.clone());
         out.push(LevelResult { depth, result });
@@ -123,7 +124,7 @@ mod tests {
     fn depth_zero_mines_roots() {
         let (mut cat, tax, series) = setup();
         let config = MineConfig::new(0.9).unwrap();
-        let levels = mine_multilevel(&series, &tax, 2, 0, &config, Algorithm::HitSet).unwrap();
+        let levels = mine_multilevel(&series, &tax, 2, 0, &config, Engine::HitSet).unwrap();
         assert_eq!(levels.len(), 1);
         // At the root level, offset 0 is "beverage" in every segment.
         let pat = Pattern::parse("beverage *", &mut cat).unwrap();
@@ -134,7 +135,7 @@ mod tests {
     fn drill_down_refines_until_confidence_breaks() {
         let (mut cat, tax, series) = setup();
         let config = MineConfig::new(0.9).unwrap();
-        let levels = mine_multilevel(&series, &tax, 2, 2, &config, Algorithm::HitSet).unwrap();
+        let levels = mine_multilevel(&series, &tax, 2, 2, &config, Engine::HitSet).unwrap();
         // Depth 1: "coffee *" still periodic (every segment); tea at
         // offset 1 only reaches 0.5 and drops out.
         let coffee = Pattern::parse("coffee *", &mut cat).unwrap();
@@ -154,7 +155,7 @@ mod tests {
         // at depth 2 the tea occurrences must have been filtered away
         // entirely: its letter cannot reappear.
         let config = MineConfig::new(0.9).unwrap();
-        let levels = mine_multilevel(&series, &tax, 2, 2, &config, Algorithm::HitSet).unwrap();
+        let levels = mine_multilevel(&series, &tax, 2, 2, &config, Engine::HitSet).unwrap();
         let tea = cat.intern("tea");
         assert!(levels[2].result.alphabet.index_of(1, tea).is_none());
     }
@@ -163,7 +164,7 @@ mod tests {
     fn lower_threshold_lets_fine_levels_survive() {
         let (mut cat, tax, series) = setup();
         let config = MineConfig::new(0.4).unwrap();
-        let levels = mine_multilevel(&series, &tax, 2, 2, &config, Algorithm::HitSet).unwrap();
+        let levels = mine_multilevel(&series, &tax, 2, 2, &config, Engine::HitSet).unwrap();
         assert_eq!(levels.len(), 3);
         // espresso appears in half the segments at offset 0: conf 0.5 ≥ 0.4.
         let espresso = Pattern::parse("espresso *", &mut cat).unwrap();

@@ -13,10 +13,11 @@
 
 use ppm_timeseries::{window, FeatureSeries};
 
+use crate::engine::{run, Engine};
 use crate::error::Result;
 use crate::result::MiningResult;
+use crate::rows::Rows;
 use crate::scan::MineConfig;
-use crate::{mine, Algorithm};
 
 /// Mines `series` at `period` after enlarging every slot by `half_width`
 /// neighbours on each side (paper §6's first perturbation remedy).
@@ -28,13 +29,13 @@ pub fn mine_with_slot_enlargement(
     period: usize,
     half_width: usize,
     config: &MineConfig,
-    algorithm: Algorithm,
+    engine: Engine,
 ) -> Result<MiningResult> {
     if half_width == 0 {
-        return mine(series, period, config, algorithm);
+        return run(engine, Rows::Series(series), period, config, 1);
     }
     let enlarged = window::enlarge_slots(series, half_width);
-    mine(&enlarged, period, config, algorithm)
+    run(engine, Rows::Series(&enlarged), period, config, 1)
 }
 
 #[cfg(test)]
@@ -73,7 +74,7 @@ mod tests {
     fn exact_mining_misses_the_jittered_event() {
         let s = jittered(30);
         let config = MineConfig::new(0.9).unwrap();
-        let exact = mine(&s, 8, &config, Algorithm::HitSet).unwrap();
+        let exact = run(Engine::HitSet, Rows::Series(&s), 8, &config, 1).unwrap();
         // Each of offsets 2, 3, 4 sees the event only 1/3 of the time.
         assert!(exact.is_empty());
     }
@@ -82,7 +83,7 @@ mod tests {
     fn enlargement_recovers_the_event() {
         let s = jittered(30);
         let config = MineConfig::new(0.9).unwrap();
-        let tolerant = mine_with_slot_enlargement(&s, 8, 1, &config, Algorithm::HitSet).unwrap();
+        let tolerant = mine_with_slot_enlargement(&s, 8, 1, &config, Engine::HitSet).unwrap();
         // Offset 3 ± 1 always contains the event.
         let mut cat = ppm_timeseries::FeatureCatalog::new();
         cat.intern("f0");
@@ -94,8 +95,8 @@ mod tests {
     fn zero_width_equals_exact() {
         let s = jittered(12);
         let config = MineConfig::new(0.3).unwrap();
-        let a = mine(&s, 8, &config, Algorithm::HitSet).unwrap();
-        let b = mine_with_slot_enlargement(&s, 8, 0, &config, Algorithm::HitSet).unwrap();
+        let a = run(Engine::HitSet, Rows::Series(&s), 8, &config, 1).unwrap();
+        let b = mine_with_slot_enlargement(&s, 8, 0, &config, Engine::HitSet).unwrap();
         assert_eq!(a.frequent, b.frequent);
     }
 
@@ -103,8 +104,8 @@ mod tests {
     fn confidence_is_monotone_in_width() {
         let s = jittered(30);
         let config = MineConfig::new(0.1).unwrap();
-        let exact = mine(&s, 8, &config, Algorithm::HitSet).unwrap();
-        let wide = mine_with_slot_enlargement(&s, 8, 1, &config, Algorithm::HitSet).unwrap();
+        let exact = run(Engine::HitSet, Rows::Series(&s), 8, &config, 1).unwrap();
+        let wide = mine_with_slot_enlargement(&s, 8, 1, &config, Engine::HitSet).unwrap();
         // Every pattern frequent under exact matching stays frequent (with
         // count no smaller) under enlargement.
         for (pattern, count, _) in exact.patterns() {
@@ -117,8 +118,8 @@ mod tests {
     fn works_with_apriori_too() {
         let s = jittered(15);
         let config = MineConfig::new(0.9).unwrap();
-        let h = mine_with_slot_enlargement(&s, 8, 1, &config, Algorithm::HitSet).unwrap();
-        let a = mine_with_slot_enlargement(&s, 8, 1, &config, Algorithm::Apriori).unwrap();
+        let h = mine_with_slot_enlargement(&s, 8, 1, &config, Engine::HitSet).unwrap();
+        let a = mine_with_slot_enlargement(&s, 8, 1, &config, Engine::Apriori).unwrap();
         assert_eq!(h.frequent, a.frequent);
     }
 }

@@ -16,7 +16,7 @@ use crate::scan::CountTable;
 
 /// The two row substrates the miners consume.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum Rows<'a> {
+pub enum Rows<'a> {
     /// Raw CSR feature slices.
     Series(&'a FeatureSeries),
     /// Packed per-instant bitmaps, borrowed from an [`EncodedSeries`]

@@ -19,8 +19,8 @@ use crate::vertical::Kernel;
 /// Mining configuration: the confidence threshold (validated to lie in
 /// `(0, 1]`) plus optional resource guards — a wall-clock deadline and a
 /// max-subpattern-tree node budget — that abort a runaway mine with a typed
-/// error carrying partial statistics — and the counting-kernel selection
-/// for the vertical engine.
+/// error carrying partial statistics — and the vertical engine's counting
+/// kernel.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MineConfig {
     min_confidence: f64,
@@ -31,7 +31,7 @@ pub struct MineConfig {
 
 impl MineConfig {
     /// Creates a config; `min_confidence` must be in `(0, 1]`. No resource
-    /// guards are set and the counting kernel is [`Kernel::Auto`].
+    /// guards are set and the counting kernel is [`Kernel::Wide`].
     pub fn new(min_confidence: f64) -> Result<Self> {
         if !(min_confidence > 0.0 && min_confidence <= 1.0) {
             return Err(Error::InvalidConfidence {
@@ -42,7 +42,7 @@ impl MineConfig {
             min_confidence,
             max_duration: None,
             max_tree_nodes: None,
-            kernel: Kernel::Auto,
+            kernel: Kernel::Wide,
         })
     }
 
@@ -64,11 +64,10 @@ impl MineConfig {
         self
     }
 
-    /// Selects the vertical engine's counting kernel. [`Kernel::Auto`]
-    /// (the default) resolves through the `PPM_KERNEL` environment
-    /// variable; an explicit choice here always wins. The kernel changes
-    /// only *how* counts are computed, never the counts — every kernel
-    /// yields bit-identical frequent sets.
+    /// Selects the vertical engine's counting kernel ([`Kernel::Wide`] by
+    /// default; [`Kernel::Scalar`] is the reference the audit compares it
+    /// against). The kernel changes only *how* counts are computed, never
+    /// the counts — both yield bit-identical frequent sets.
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
         self
@@ -117,7 +116,7 @@ impl Default for MineConfig {
             min_confidence: 0.5,
             max_duration: None,
             max_tree_nodes: None,
-            kernel: Kernel::Auto,
+            kernel: Kernel::Wide,
         }
     }
 }
@@ -133,9 +132,7 @@ const DENSE_TABLE_LIMIT: usize = 1 << 22;
 /// `(offset, feature)` key space is small and `offset · width + feature`
 /// indexes a flat `Vec<u64>` — no hashing on the hot path of the first
 /// scan. Degenerate inputs (huge periods or raw feature ids) spill to a
-/// `HashMap`. The representation is a pure function of `(period, width)`,
-/// so tables built by parallel workers over the same series always agree
-/// and can be merged with [`CountTable::absorb`].
+/// `HashMap`. The representation is a pure function of `(period, width)`.
 pub(crate) enum CountTable {
     /// Flat table: `counts[offset * width + feature.index()]`.
     Dense { counts: Vec<u64>, width: usize },
@@ -184,30 +181,6 @@ impl CountTable {
                 counts[offset as usize * *width + feature.index()]
             }
             CountTable::Sparse(map) => map.get(&(offset, feature)).copied().unwrap_or(0),
-        }
-    }
-
-    /// Merges `other` (a partial table over the same key space) into self.
-    pub(crate) fn absorb(&mut self, other: CountTable) {
-        match (self, other) {
-            (
-                CountTable::Dense { counts, width },
-                CountTable::Dense {
-                    counts: o,
-                    width: ow,
-                },
-            ) => {
-                debug_assert_eq!(*width, ow, "partial tables disagree on width");
-                for (a, b) in counts.iter_mut().zip(o) {
-                    *a += b;
-                }
-            }
-            (CountTable::Sparse(map), CountTable::Sparse(o)) => {
-                for (k, v) in o {
-                    *map.entry(k).or_insert(0) += v;
-                }
-            }
-            _ => unreachable!("partial tables over one series share a representation"),
         }
     }
 
@@ -454,23 +427,6 @@ mod tests {
             let mut frequent = table.frequent_pairs(2);
             frequent.sort();
             assert_eq!(frequent, vec![(0, fid(4))]);
-        }
-    }
-
-    #[test]
-    fn count_table_absorb_merges_partials() {
-        for make in [
-            (|| CountTable::with_width(2, 3)) as fn() -> CountTable,
-            || CountTable::Sparse(HashMap::new()),
-        ] {
-            let mut a = make();
-            a.add(0, fid(1));
-            let mut b = make();
-            b.add(0, fid(1));
-            b.add(1, fid(2));
-            a.absorb(b);
-            assert_eq!(a.get(0, fid(1)), 2);
-            assert_eq!(a.get(1, fid(2)), 1);
         }
     }
 

@@ -48,7 +48,7 @@ use crate::result::{FrequentPattern, MiningResult};
 use crate::scan::MineConfig;
 use crate::stats::MiningStats;
 
-use super::kernel::{count_dispatch_cached, PrefixCache, ResolvedKernel, BLOCK_WORDS};
+use super::kernel::{count_dispatch_cached, Kernel, PrefixCache, BLOCK_WORDS};
 
 /// Counts incremented by one level's worth of candidate classification,
 /// reported as gauges after each re-derive.
@@ -444,7 +444,7 @@ impl IncrementalVerticalIndex {
             })
             .collect();
 
-        let resolved = config.kernel().resolve();
+        let resolved = config.kernel();
         let mut and_ops = 0u64;
         let mut tally = DeriveTally::default();
         self.derive_gen += 1;
@@ -561,7 +561,7 @@ impl IncrementalVerticalIndex {
         &mut self,
         candidates: &[u32],
         width: usize,
-        kernel: ResolvedKernel,
+        kernel: Kernel,
         gen: u64,
         and_ops: &mut u64,
         tally: &mut DeriveTally,
@@ -1035,7 +1035,6 @@ mod tests {
 
     #[test]
     fn kernels_agree_on_the_incremental_path() {
-        use crate::vertical::Kernel;
         let period = 4;
         let segments = 90;
         let (width, words) = lcg_words(segments * period, 6, 777);

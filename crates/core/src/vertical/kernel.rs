@@ -3,8 +3,7 @@
 //! A candidate's frequency against a [`VerticalIndex`](super::VerticalIndex)
 //! is a k-way AND over `⌈m/64⌉` words followed by a (possibly weighted)
 //! popcount. BENCH_PR4 showed those word operations dominating the whole
-//! derive phase, so this module provides two interchangeable kernels plus
-//! the machinery to pick one:
+//! derive phase, so this module provides two interchangeable kernels:
 //!
 //! * **scalar** — one word at a time with an early exit as soon as the
 //!   accumulator goes to zero; the reference implementation every other
@@ -21,14 +20,13 @@
 //!
 //! Both kernels count over an arbitrary word *range*, which is what makes
 //! the segment axis shardable (see [`super::shard`]): disjoint ranges sum
-//! exactly, the same geometry argument as `or_merge`.
+//! exactly.
 //!
 //! The per-candidate letter walk that used to `collect()` into a heap
 //! `Vec` per candidate now lands in a fixed inline buffer
 //! ([`RowBases`]) — no allocation on the counting hot path.
 
 use std::ops::Range;
-use std::sync::OnceLock;
 
 use crate::letters::LetterSet;
 
@@ -48,94 +46,28 @@ pub(crate) const BLOCK_WORDS: usize = 128;
 /// heap once rather than per candidate.
 const INLINE_ARITY: usize = 32;
 
-/// Which counting kernel to run.
-///
-/// `Auto` resolves to the wide kernel unless the `PPM_KERNEL`
-/// environment variable forces a path (`scalar` or `wide`) — that is how
-/// ci.sh runs the whole tier-1 suite once per kernel. An explicit
-/// `Scalar`/`Wide` (from `--kernel` or [`MineConfig::with_kernel`])
-/// always wins over the environment.
+/// Which counting kernel to run. Both yield bit-identical counts. Every
+/// mine runs the wide kernel unless its [`MineConfig::with_kernel`] asks
+/// for the scalar one — which only the audit cross-check, the bit-identity
+/// tests and `sweep --compare-kernel` do, as the reference the wide kernel
+/// is checked against.
 ///
 /// [`MineConfig::with_kernel`]: crate::MineConfig::with_kernel
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Kernel {
-    /// Resolve from `PPM_KERNEL`, defaulting to the wide kernel.
-    #[default]
-    Auto,
-    /// Force the one-word-at-a-time reference kernel.
+    /// The word-at-a-time reference loop.
     Scalar,
-    /// Force the unrolled auto-vectorizing kernel.
+    /// The unrolled [`LANES`]-word lane loop.
+    #[default]
     Wide,
 }
 
 impl Kernel {
-    /// Parses a kernel name as spelled on the CLI (`auto|scalar|wide`).
-    pub fn parse(name: &str) -> Option<Kernel> {
-        match name {
-            "auto" => Some(Kernel::Auto),
-            "scalar" => Some(Kernel::Scalar),
-            "wide" => Some(Kernel::Wide),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling of this selection.
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Auto => "auto",
-            Kernel::Scalar => "scalar",
-            Kernel::Wide => "wide",
-        }
-    }
-
-    /// Resolves the selection to a concrete kernel: explicit choices pass
-    /// through, `Auto` consults `PPM_KERNEL` once per process and
-    /// otherwise picks [`ResolvedKernel::Wide`]. Unrecognized
-    /// `PPM_KERNEL` values are ignored (the variable is a CI forcing
-    /// knob, not an API).
-    pub fn resolve(self) -> ResolvedKernel {
-        match self {
-            Kernel::Scalar => ResolvedKernel::Scalar,
-            Kernel::Wide => ResolvedKernel::Wide,
-            Kernel::Auto => {
-                *env_kernel().get_or_init(|| match std::env::var("PPM_KERNEL").ok().as_deref() {
-                    Some("scalar") => ResolvedKernel::Scalar,
-                    _ => ResolvedKernel::Wide,
-                })
-            }
-        }
-    }
-}
-
-/// The process-wide `PPM_KERNEL` resolution, read once.
-fn env_kernel() -> &'static OnceLock<ResolvedKernel> {
-    static CELL: OnceLock<ResolvedKernel> = OnceLock::new();
-    &CELL
-}
-
-/// A concrete kernel after [`Kernel::resolve`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResolvedKernel {
-    /// The word-at-a-time reference loop.
-    Scalar,
-    /// The unrolled [`LANES`]-word lane loop.
-    Wide,
-}
-
-impl ResolvedKernel {
     /// The value of the `vertical.kernel` gauge: 0 scalar, 1 wide.
     pub fn gauge_code(self) -> u64 {
         match self {
-            ResolvedKernel::Scalar => 0,
-            ResolvedKernel::Wide => 1,
-        }
-    }
-
-    /// The kernel's name as echoed in reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ResolvedKernel::Scalar => "scalar",
-            ResolvedKernel::Wide => "wide",
+            Kernel::Scalar => 0,
+            Kernel::Wide => 1,
         }
     }
 }
@@ -380,10 +312,10 @@ pub(crate) fn count_wide(
     total
 }
 
-/// Dispatches one candidate count over `range` to the resolved kernel.
+/// Dispatches one candidate count over `range` to the chosen kernel.
 #[inline]
 pub(crate) fn count_dispatch(
-    kernel: ResolvedKernel,
+    kernel: Kernel,
     words: &[u64],
     weights: Option<&[u64]>,
     bases: &[usize],
@@ -391,8 +323,8 @@ pub(crate) fn count_dispatch(
     and_ops: &mut u64,
 ) -> u64 {
     match kernel {
-        ResolvedKernel::Scalar => count_scalar(words, weights, bases, range, and_ops),
-        ResolvedKernel::Wide => count_wide(words, weights, bases, range, and_ops),
+        Kernel::Scalar => count_scalar(words, weights, bases, range, and_ops),
+        Kernel::Wide => count_wide(words, weights, bases, range, and_ops),
     }
 }
 
@@ -548,7 +480,7 @@ pub(crate) fn count_wide_prefixed(
 /// cache — it stays the plain per-candidate reference.
 #[inline]
 pub(crate) fn count_dispatch_cached(
-    kernel: ResolvedKernel,
+    kernel: Kernel,
     words: &[u64],
     weights: Option<&[u64]>,
     bases: &[usize],
@@ -557,8 +489,8 @@ pub(crate) fn count_dispatch_cached(
     cache: &mut PrefixCache,
 ) -> u64 {
     match kernel {
-        ResolvedKernel::Scalar => count_scalar(words, weights, bases, range, and_ops),
-        ResolvedKernel::Wide => count_wide_prefixed(words, weights, bases, range, and_ops, cache),
+        Kernel::Scalar => count_scalar(words, weights, bases, range, and_ops),
+        Kernel::Wide => count_wide_prefixed(words, weights, bases, range, and_ops, cache),
     }
 }
 
@@ -580,19 +512,10 @@ mod tests {
     }
 
     #[test]
-    fn kernel_parse_round_trips() {
-        for k in [Kernel::Auto, Kernel::Scalar, Kernel::Wide] {
-            assert_eq!(Kernel::parse(k.name()), Some(k));
-        }
-        assert_eq!(Kernel::parse("avx512"), None);
-    }
-
-    #[test]
-    fn explicit_kernels_resolve_to_themselves() {
-        assert_eq!(Kernel::Scalar.resolve(), ResolvedKernel::Scalar);
-        assert_eq!(Kernel::Wide.resolve(), ResolvedKernel::Wide);
-        assert_eq!(ResolvedKernel::Scalar.gauge_code(), 0);
-        assert_eq!(ResolvedKernel::Wide.gauge_code(), 1);
+    fn wide_is_the_default_and_gauge_codes_are_stable() {
+        assert_eq!(Kernel::default(), Kernel::Wide);
+        assert_eq!(Kernel::Scalar.gauge_code(), 0);
+        assert_eq!(Kernel::Wide.gauge_code(), 1);
     }
 
     #[test]

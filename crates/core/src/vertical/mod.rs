@@ -10,11 +10,11 @@
 //! miners' (Property 3.1 is independent of how counting is done); only the
 //! counting substrate changes.
 //!
-//! The AND+popcount itself runs on one of two [`kernel`]s — the scalar
-//! reference loop or a [`LANES`](kernel::LANES)-word unrolled wide kernel
-//! the autovectorizer turns into SIMD — selected per mine via
-//! [`MineConfig::with_kernel`](crate::MineConfig::with_kernel) or the
-//! `PPM_KERNEL` environment variable. Candidates are counted a whole
+//! The AND+popcount itself runs on a [`LANES`](kernel::LANES)-word
+//! unrolled wide kernel the autovectorizer turns into SIMD; the scalar
+//! reference loop it must match bit for bit stays selectable through
+//! [`MineConfig::with_kernel`](crate::MineConfig::with_kernel) for the
+//! audit and the bit-identity tests (see [`kernel`]). Candidates are counted a whole
 //! derivation level at a time against cache-sized blocks of the bitmaps
 //! ([`VerticalIndex::count_level`]), and on large stores the word axis
 //! shards into subtasks other threads can steal ([`shard`]).
@@ -38,7 +38,7 @@ use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-use ppm_timeseries::{EncodedSeries, EncodedSeriesView, FeatureSeries};
+use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
 
 use crate::error::Result;
 use crate::guard::{ResourceGuard, DEADLINE_CHECK_INTERVAL};
@@ -50,8 +50,8 @@ use crate::rows::Rows;
 use crate::scan::{scan_frequent_letters_rows, MineConfig, Scan1};
 use crate::stats::MiningStats;
 
+pub use kernel::Kernel;
 use kernel::{count_dispatch, count_dispatch_cached, PrefixCache, RowBases, BLOCK_WORDS};
-pub use kernel::{Kernel, ResolvedKernel};
 pub use shard::{count_sharded, ShardExecutor, ShardedCounter, ThreadedExecutor};
 
 /// Per-letter column bitmaps over a set of counting columns.
@@ -117,8 +117,8 @@ impl VerticalIndex {
     }
 
     /// Projects segments `segments.start..segments.end` of `rows` onto
-    /// `alphabet` and sets the matching column bits — the chunked building
-    /// block the parallel miner partitions across workers.
+    /// `alphabet` and sets the matching column bits — one deadline-checked
+    /// chunk of [`Self::from_segments`].
     pub(crate) fn fill_segments(
         &mut self,
         rows: Rows<'_>,
@@ -180,17 +180,6 @@ impl VerticalIndex {
         index
     }
 
-    /// ORs a partial index (same geometry, disjoint column ranges) into
-    /// self — how the parallel miner merges per-worker bitmaps.
-    pub(crate) fn or_merge(&mut self, other: &VerticalIndex) {
-        debug_assert_eq!(self.n_letters, other.n_letters);
-        debug_assert_eq!(self.n_columns, other.n_columns);
-        debug_assert!(self.weights.is_none() && other.weights.is_none());
-        for (a, &b) in self.words.iter_mut().zip(other.words.iter()) {
-            *a |= b;
-        }
-    }
-
     /// The number of columns whose pattern is a superpattern of `p`,
     /// weighted by column weight — i.e. `p`'s frequency count.
     pub fn count(&self, p: &LetterSet) -> u64 {
@@ -200,9 +189,9 @@ impl VerticalIndex {
 
     /// [`Self::count`], accumulating the number of word-level AND/popcount
     /// operations into `and_ops` (surfaced as the `vertical.and_ops`
-    /// gauge). Runs whatever [`Kernel::Auto`] resolves to.
+    /// gauge). Runs the wide kernel.
     pub fn count_with(&self, p: &LetterSet, and_ops: &mut u64) -> u64 {
-        self.count_with_kernel(p, Kernel::Auto, and_ops)
+        self.count_with_kernel(p, Kernel::Wide, and_ops)
     }
 
     /// [`Self::count_with`] on an explicitly chosen kernel — the entry
@@ -216,7 +205,7 @@ impl VerticalIndex {
             return self.empty_pattern_weight(0..self.words_per_row);
         }
         count_dispatch(
-            kernel.resolve(),
+            kernel,
             &self.words,
             self.weights.as_deref(),
             slice,
@@ -227,8 +216,7 @@ impl VerticalIndex {
 
     /// `p`'s count restricted to index words `words` (64 columns per
     /// word) — the shardable form: counts over disjoint word ranges sum
-    /// exactly to [`Self::count`], the same geometry that makes
-    /// `or_merge` of partial indexes exact.
+    /// exactly to [`Self::count`].
     ///
     /// # Panics
     /// Panics if `words` exceeds the row width (`⌈n_columns/64⌉`).
@@ -241,7 +229,7 @@ impl VerticalIndex {
         }
         let mut and_ops = 0u64;
         count_dispatch(
-            Kernel::Auto.resolve(),
+            Kernel::Wide,
             &self.words,
             self.weights.as_deref(),
             slice,
@@ -257,7 +245,7 @@ impl VerticalIndex {
     pub(crate) fn count_level(
         &self,
         candidates: &[LetterSet],
-        kernel: ResolvedKernel,
+        kernel: Kernel,
         and_ops: &mut u64,
     ) -> Vec<u64> {
         let bases: Vec<RowBases> = candidates
@@ -345,7 +333,7 @@ pub fn mine_vertical(
     period: usize,
     config: &MineConfig,
 ) -> Result<MiningResult> {
-    mine_vertical_impl(Rows::Series(series), period, config, None)
+    mine_vertical_rows(Rows::Series(series), period, config, None)
 }
 
 /// [`mine_vertical`] over a borrowed bitmap view — the zero-materialization
@@ -356,59 +344,14 @@ pub fn mine_vertical_view(
     period: usize,
     config: &MineConfig,
 ) -> Result<MiningResult> {
-    mine_vertical_impl(Rows::View(view), period, config, None)
+    mine_vertical_rows(Rows::View(view), period, config, None)
 }
 
-/// [`mine_vertical_view`] with the derivation sharded over `threads`
-/// threads: if the index is wide enough (see [`shard`]) each level's
-/// counting splits into word-range subtasks a scoped pool runs
-/// concurrently, so one huge single-period mine saturates the machine
-/// instead of one core. Results are bit-identical to the sequential path;
-/// on small indexes this falls back to it.
-pub fn mine_vertical_view_sharded(
-    view: EncodedSeriesView<'_>,
-    period: usize,
-    config: &MineConfig,
-    threads: usize,
-) -> Result<MiningResult> {
-    let executor = ThreadedExecutor::new(threads);
-    mine_vertical_impl(Rows::View(view), period, config, Some(&executor))
-}
-
-/// [`mine_vertical_view`] deriving through an arbitrary [`ShardExecutor`] —
-/// how the sweep scheduler plugs its injector-backed executor in so a
-/// single period's shard subtasks land in the shared work-stealing bag.
-pub(crate) fn mine_vertical_view_executor(
-    view: EncodedSeriesView<'_>,
-    period: usize,
-    config: &MineConfig,
-    executor: &dyn ShardExecutor,
-) -> Result<MiningResult> {
-    mine_vertical_impl(Rows::View(view), period, config, Some(executor))
-}
-
-/// [`mine_vertical`] reusing a pre-built [`EncodedSeries`] cache, so
-/// callers mining several periods (or re-mining for an audit) skip the
-/// per-period merge walk over raw feature slices.
-///
-/// # Panics
-/// Panics if `encoded` does not cover exactly the instants of `series`
-/// (an internal contract: build it with [`EncodedSeries::encode`]).
-pub fn mine_vertical_encoded(
-    series: &FeatureSeries,
-    encoded: &EncodedSeries,
-    period: usize,
-    config: &MineConfig,
-) -> Result<MiningResult> {
-    assert_eq!(
-        encoded.len(),
-        series.len(),
-        "encoded cache must cover the series"
-    );
-    mine_vertical_impl(Rows::View(encoded.view()), period, config, None)
-}
-
-fn mine_vertical_impl(
+/// Both vertical scans and the derive over either row substrate. With an
+/// `executor`, each derivation level's counting splits into word-range
+/// subtasks the executor runs (if the index is wide enough, see
+/// [`shard`]); results are bit-identical either way.
+pub(crate) fn mine_vertical_rows(
     rows: Rows<'_>,
     period: usize,
     config: &MineConfig,
@@ -480,24 +423,22 @@ fn seed_singletons(scan1: &Scan1) -> Vec<FrequentPattern> {
 
 /// The vertical derivation phase: seeds the 1-letter patterns from scan-1
 /// counts, then runs the level-wise loop against `index`, counting each
-/// level in one cache-blocked batch on the selected kernel. Shared by the
-/// sequential and parallel vertical miners.
+/// level in one cache-blocked batch on the selected kernel.
 pub(crate) fn derive_vertical(
     index: &VerticalIndex,
     scan1: &Scan1,
     stats: &mut MiningStats,
     kernel: Kernel,
 ) -> Vec<FrequentPattern> {
-    let resolved = kernel.resolve();
     let mut frequent = seed_singletons(scan1);
     let mut and_ops = 0u64;
     derive_frequent_batched(
-        |sets| index.count_level(sets, resolved, &mut and_ops),
+        |sets| index.count_level(sets, kernel, &mut and_ops),
         scan1,
         &mut frequent,
         stats,
     );
-    ppm_observe::gauge("vertical.kernel", resolved.gauge_code());
+    ppm_observe::gauge("vertical.kernel", kernel.gauge_code());
     ppm_observe::gauge("vertical.and_ops", and_ops);
     ppm_observe::gauge(
         "vertical.prefix_builds",
@@ -531,7 +472,6 @@ pub(crate) fn derive_vertical_sharded(
     if plan.len() < 2 {
         return derive_vertical(index, scan1, stats, kernel);
     }
-    let resolved = kernel.resolve();
     let mut frequent = seed_singletons(scan1);
     let mut and_ops = 0u64;
     let mut tasks = 0u64;
@@ -539,7 +479,7 @@ pub(crate) fn derive_vertical_sharded(
     let mut latencies: Vec<u64> = Vec::new();
     derive_frequent_batched(
         |sets| {
-            let counter = ShardedCounter::new(index.clone(), sets, plan.clone(), resolved);
+            let counter = ShardedCounter::new(index.clone(), sets, plan.clone(), kernel);
             executor.execute(&counter);
             debug_assert!(counter.is_done());
             and_ops += counter.and_ops();
@@ -552,7 +492,7 @@ pub(crate) fn derive_vertical_sharded(
         &mut frequent,
         stats,
     );
-    ppm_observe::gauge("vertical.kernel", resolved.gauge_code());
+    ppm_observe::gauge("vertical.kernel", kernel.gauge_code());
     ppm_observe::gauge("vertical.and_ops", and_ops);
     ppm_observe::gauge(
         "vertical.prefix_builds",
@@ -663,7 +603,7 @@ pub fn kernel_race(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_timeseries::{FeatureCatalog, FeatureId, SeriesBuilder};
+    use ppm_timeseries::{EncodedSeries, FeatureCatalog, FeatureId, SeriesBuilder};
 
     use crate::error::Error;
     use crate::pattern::Pattern;
@@ -872,7 +812,14 @@ mod tests {
         let encoded = EncodedSeries::encode(&series);
         let config = MineConfig::new(0.3).unwrap();
         let plain = mine_vertical_view(encoded.view(), 4, &config).unwrap();
-        let sharded = mine_vertical_view_sharded(encoded.view(), 4, &config, 4).unwrap();
+        let sharded = crate::run(
+            crate::Engine::Vertical,
+            Rows::View(encoded.view()),
+            4,
+            &config,
+            4,
+        )
+        .unwrap();
         assert_eq!(plain.frequent, sharded.frequent);
         assert_eq!(plain.stats, sharded.stats);
     }
@@ -886,17 +833,6 @@ mod tests {
         assert!(race.patterns > 0);
         assert!(race.scalar_us >= 1 && race.wide_us >= 1);
         assert!(race.speedup > 0.0);
-    }
-
-    #[test]
-    fn encoded_cache_changes_nothing() {
-        let series = busy_series(500, 4);
-        let encoded = EncodedSeries::encode(&series);
-        let config = MineConfig::new(0.3).unwrap();
-        let plain = mine_vertical(&series, 5, &config).unwrap();
-        let cached = mine_vertical_encoded(&series, &encoded, 5, &config).unwrap();
-        assert_eq!(plain.frequent, cached.frequent);
-        assert_eq!(plain.stats, cached.stats);
     }
 
     #[test]
@@ -960,28 +896,6 @@ mod tests {
         }
         // The empty pattern matches every segment.
         assert_eq!(index.count(&LetterSet::new(n)), scan1.segment_count as u64);
-    }
-
-    #[test]
-    fn or_merge_equals_single_pass_fill() {
-        let series = busy_series(480, 4);
-        let config = MineConfig::new(0.25).unwrap();
-        let scan1 = scan_frequent_letters(&series, 6, &config).unwrap();
-        let m = scan1.segment_count;
-        let whole = VerticalIndex::from_segments(
-            Rows::Series(&series),
-            &scan1,
-            &MiningStats::default(),
-            &ResourceGuard::unlimited(),
-        )
-        .unwrap();
-        let mut merged = VerticalIndex::with_columns(scan1.alphabet.len(), m);
-        for range in [0..m / 3, m / 3..m / 2, m / 2..m] {
-            let mut part = VerticalIndex::with_columns(scan1.alphabet.len(), m);
-            part.fill_segments(Rows::Series(&series), &scan1.alphabet, range);
-            merged.or_merge(&part);
-        }
-        assert_eq!(merged.words, whole.words);
     }
 
     #[test]

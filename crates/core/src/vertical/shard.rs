@@ -6,16 +6,13 @@
 //! candidates plus a partition of the index's word axis into disjoint
 //! ranges, and any thread can claim-and-run a shard. Per-candidate totals
 //! accumulate in atomics; because the word ranges are disjoint, the
-//! partial counts sum **exactly** — the same geometry argument that makes
-//! `or_merge` of the parallel encoder's partial indexes exact, now reused
-//! for counting.
+//! partial counts sum **exactly**.
 //!
 //! Who runs the shards is abstracted behind [`ShardExecutor`]:
 //!
 //! * [`ThreadedExecutor`] — a scoped thread pool per level, used by
-//!   [`mine_parallel_vertical`](crate::parallel::mine_parallel_vertical),
-//!   [`mine_vertical_view_sharded`](super::mine_vertical_view_sharded)
-//!   (the `ppm serve` path), and the kernel race harness.
+//!   [`run`](crate::run) with `threads > 1` (`mine`/`ppm serve` with
+//!   `--threads`/`--mine-threads`) and the kernel race harness.
 //! * The sweep scheduler's injector (in `crate::multi::scheduler`) — shard
 //!   tasks are pushed onto the shared injector deque where idle workers
 //!   steal them, so a single wide period fans out across the same pool
@@ -33,7 +30,7 @@ use std::time::Instant;
 
 use crate::letters::LetterSet;
 
-use super::kernel::{count_dispatch_cached, Kernel, PrefixCache, ResolvedKernel, RowBases};
+use super::kernel::{count_dispatch_cached, Kernel, PrefixCache, RowBases};
 use super::VerticalIndex;
 
 /// Fewest index words (64-column blocks) a shard may cover: 64 words =
@@ -78,7 +75,7 @@ pub(crate) fn plan_shards(
 /// disjoint word range and the per-candidate sums are integer additions.
 pub struct ShardedCounter {
     index: Arc<VerticalIndex>,
-    kernel: ResolvedKernel,
+    kernel: Kernel,
     /// Row offsets resolved once per level (one per candidate, in the
     /// candidate order the totals are reported in), shared by every shard.
     bases: Vec<RowBases>,
@@ -103,7 +100,7 @@ impl ShardedCounter {
         index: Arc<VerticalIndex>,
         candidates: &[LetterSet],
         shards: Vec<Range<usize>>,
-        kernel: ResolvedKernel,
+        kernel: Kernel,
     ) -> Arc<ShardedCounter> {
         let bases = candidates
             .iter()
@@ -234,7 +231,7 @@ pub fn count_sharded(
     executor: &dyn ShardExecutor,
 ) -> Vec<u64> {
     let plan = executor.plan(index.words_per_row(), index.n_columns(), index.n_letters());
-    let counter = ShardedCounter::new(index.clone(), candidates, plan, kernel.resolve());
+    let counter = ShardedCounter::new(index.clone(), candidates, plan, kernel);
     executor.execute(&counter);
     debug_assert!(counter.is_done());
     counter.totals()
@@ -314,7 +311,6 @@ impl ShardExecutor for ThreadedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vertical::kernel::Kernel;
 
     /// A synthetic unweighted index with pseudo-random columns.
     fn synth_index(n_letters: usize, n_columns: usize, seed: u64) -> VerticalIndex {
@@ -373,7 +369,7 @@ mod tests {
         // 1000 columns = 16 words; shard mid-block (16 / 3 ⇒ 6,6,4).
         let plan = plan_shards(16, 1000, 9, 3, 1);
         assert!(plan.len() > 1, "{plan:?}");
-        for kernel in [ResolvedKernel::Scalar, ResolvedKernel::Wide] {
+        for kernel in [Kernel::Scalar, Kernel::Wide] {
             let counter = ShardedCounter::new(index.clone(), &cands, plan.clone(), kernel);
             let ex = ThreadedExecutor::with_min_shard_words(3, 1);
             ex.execute(&counter);
@@ -391,11 +387,10 @@ mod tests {
         let index = Arc::new(synth_index(5, 300, 7));
         let cands = vec![LetterSet::from_indices(5, [0, 1])];
         let plan = plan_shards(5, 300, 5, 4, 1);
-        let counter = ShardedCounter::new(index.clone(), &cands, plan, ResolvedKernel::Wide);
+        let counter = ShardedCounter::new(index.clone(), &cands, plan, Kernel::Wide);
         ThreadedExecutor::new(1).execute(&counter);
         assert!(counter.is_done());
         assert_eq!(counter.remote_runs(), 0);
         assert_eq!(counter.totals()[0], index.count(&cands[0]));
-        let _ = Kernel::Auto.resolve();
     }
 }

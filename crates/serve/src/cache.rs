@@ -14,11 +14,11 @@
 //! because rows are stored in the canonical report order (pattern length
 //! desc, count desc) which filtering preserves.
 //!
-//! Derivation is restricted to the `hitset`, `vertical`, and
-//! `incremental` engines, whose scan count is a constant 2 regardless of
-//! confidence — so the echoed `scans` field also matches a direct mine.
-//! Apriori's scan count varies with the confidence, so Apriori entries
-//! only ever answer exact-key hits.
+//! Derivation is restricted to the engines whose scan count is a
+//! constant 2 regardless of confidence ([`Engine::has_constant_scans`]),
+//! so the echoed `scans` field also matches a direct mine. Apriori's scan
+//! count varies with the confidence, so Apriori entries only ever answer
+//! exact-key hits.
 //!
 //! ## Surviving appends
 //!
@@ -56,7 +56,7 @@ use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use ppm_core::MineConfig;
+use ppm_core::{Engine, MineConfig};
 use ppm_observe::Json;
 
 const MAGIC: &str = "ppm-serve-cache v1";
@@ -81,8 +81,8 @@ pub struct CacheKey {
     pub period: usize,
     /// `min_conf.to_bits()`.
     pub conf_bits: u64,
-    /// Engine name (`hitset` / `apriori` / `vertical`).
-    pub engine: String,
+    /// The engine that mined the entry.
+    pub engine: Engine,
 }
 
 impl CacheKey {
@@ -376,16 +376,18 @@ impl ResultCache {
                 .and_then(Json::as_u64)
                 .ok_or("missing period")? as usize,
             conf_bits: hex("conf_bits")?,
-            engine: json
-                .get("engine")
-                .and_then(Json::as_str)
-                .ok_or("missing engine")?
-                .to_owned(),
+            engine: {
+                let name = json
+                    .get("engine")
+                    .and_then(Json::as_str)
+                    .ok_or("missing engine")?;
+                Engine::parse(name).ok_or_else(|| format!("unknown engine {name:?}"))?
+            },
         })
     }
 
     /// Looks up `key`. Exact hits return the entry verbatim; for the
-    /// constant-scan engines (`hitset` / `vertical`) a cached entry at a
+    /// constant-scan engines a cached entry at a
     /// *lower* confidence answers by anti-monotone filtering (see module
     /// docs). Counters update accordingly.
     pub fn lookup(&mut self, key: &CacheKey) -> (Option<CachedResult>, CacheOutcome) {
@@ -394,7 +396,7 @@ impl ResultCache {
             self.hits += 1;
             return (Some(e.value.clone()), CacheOutcome::Hit);
         }
-        if matches!(key.engine.as_str(), "hitset" | "vertical" | "incremental") {
+        if key.engine.has_constant_scans() {
             let conf = key.conf();
             // The best donor: the *highest* cached confidence not above the
             // query's, so the filter discards as little as possible.
@@ -580,7 +582,7 @@ impl ResultCache {
                 "conf_bits".to_owned(),
                 Json::Str(format!("{:016x}", key.conf_bits)),
             ),
-            ("engine".to_owned(), Json::Str(key.engine.clone())),
+            ("engine".to_owned(), Json::Str(key.engine.name().to_owned())),
             ("segments".to_owned(), Json::from_usize(value.segment_count)),
             ("scans".to_owned(), Json::from_usize(value.scans)),
             (
@@ -625,7 +627,7 @@ mod tests {
             fingerprint: 0xabcd,
             period: 3,
             conf_bits: conf.to_bits(),
-            engine: "hitset".to_owned(),
+            engine: Engine::HitSet,
         }
     }
 
@@ -690,7 +692,7 @@ mod tests {
     fn apriori_entries_only_answer_exact_keys() {
         let mut c = ResultCache::in_memory();
         let mut k = key(0.4);
-        k.engine = "apriori".to_owned();
+        k.engine = Engine::Apriori;
         c.insert(k.clone(), sample_value());
         assert_eq!(c.lookup(&k).1, CacheOutcome::Hit);
         let mut higher = k.clone();
@@ -702,7 +704,7 @@ mod tests {
     fn incremental_entries_donate_anti_monotone_answers() {
         let mut c = ResultCache::in_memory();
         let mut k = key(0.4);
-        k.engine = "incremental".to_owned();
+        k.engine = Engine::Incremental;
         c.insert(k.clone(), sample_value());
         let mut higher = k.clone();
         higher.conf_bits = 0.9f64.to_bits();
@@ -784,6 +786,69 @@ mod tests {
         assert_eq!(c.stats().rejected, 1);
         assert_eq!(c.stats().entries, 1);
         assert_eq!(c.lookup(&key(0.5)).1, CacheOutcome::Hit);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn unknown_engine_lines_are_rejected_by_line_number() {
+        let path = temp("engine");
+        {
+            let mut c = ResultCache::open(&path);
+            c.insert(key(0.5), sample_value());
+            let mut other = key(0.7);
+            other.period = 4;
+            c.insert(other, sample_value());
+        }
+        // Rename the first entry's engine and re-seal its checksum, so
+        // only the engine name is wrong.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        let json = lines[1].splitn(3, ' ').nth(2).unwrap();
+        let json = json.replace("\"engine\":\"hitset\"", "\"engine\":\"parallel\"");
+        lines[1] = format!("entry {:016x} {json}", fnv64(json.as_bytes()));
+        std::fs::write(&path, lines.join("\n")).unwrap();
+
+        let collector = std::sync::Arc::new(ppm_observe::Collector::new());
+        let c = {
+            let _guard = ppm_observe::install(collector.clone());
+            ResultCache::open(&path)
+        };
+        assert_eq!(c.stats().rejected, 1);
+        assert_eq!(c.stats().entries, 1);
+        let named = collector.events().iter().any(|e| {
+            matches!(e, ppm_observe::Event::Mark { name: "serve.cache.rejected", detail, .. }
+                if detail.starts_with("cache line 2:") && detail.contains("\"parallel\""))
+        });
+        assert!(named, "{:?}", collector.events());
+        std::fs::remove_file(path).ok();
+    }
+
+    /// A cache file written before engines were a type (engine names as
+    /// free strings) loads without rejections and keeps answering.
+    #[test]
+    fn cache_file_with_string_engines_still_answers() {
+        let path = temp("v1");
+        std::fs::write(&path, include_str!("../testdata/engine-names-v1.ppmcache")).unwrap();
+        let mut c = ResultCache::open(&path);
+        assert_eq!(c.stats().rejected, 0);
+        assert_eq!(c.stats().entries, Engine::ALL.len());
+        let at = |engine, conf: f64| CacheKey {
+            fingerprint: 0x0016_9eea_5326_9749,
+            period: 6,
+            conf_bits: conf.to_bits(),
+            engine,
+        };
+        for engine in Engine::ALL {
+            let (got, outcome) = c.lookup(&at(engine, 0.8));
+            assert_eq!(outcome, CacheOutcome::Hit, "{engine}");
+            assert_eq!(got.unwrap().rows.len(), 7, "{engine}");
+            let expect = if engine.has_constant_scans() {
+                CacheOutcome::Derived
+            } else {
+                CacheOutcome::Miss
+            };
+            assert_eq!(c.lookup(&at(engine, 0.9)).1, expect, "{engine}");
+        }
         std::fs::remove_file(path).ok();
     }
 

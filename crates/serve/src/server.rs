@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ppm_core::{Algorithm, Kernel, MineConfig, MiningResult, Pattern};
+use ppm_core::{Engine, MineConfig, MiningResult, Pattern, Rows};
 use ppm_observe::{FlightKind, FlightRecorder, Json, NameId};
 use ppm_timeseries::columnar::ColumnarAppender;
 use ppm_timeseries::{
@@ -133,10 +133,6 @@ pub struct ServeConfig {
     pub verify_interval_ms: u64,
     /// Result-cache growth bounds (entries and approximate bytes).
     pub cache_limits: CacheLimits,
-    /// AND+popcount kernel for vertical-engine queries. Affects only how
-    /// counts are computed, never the counts; requests may override it
-    /// with a `kernel` field.
-    pub kernel: Kernel,
     /// Threads used *inside* one vertical mine (segment-axis sharding).
     /// 1 keeps derivation single-threaded; higher values split wide
     /// stores' bitmap words across helpers. Distinct from `workers`,
@@ -167,7 +163,6 @@ impl ServeConfig {
             max_requests_per_conn: 256,
             verify_interval_ms: 30_000,
             cache_limits: CacheLimits::default(),
-            kernel: Kernel::Auto,
             mine_threads: 1,
         }
     }
@@ -955,7 +950,7 @@ impl Server {
             fingerprint: reader.fingerprint(),
             period: q.period,
             conf_bits: q.min_conf.to_bits(),
-            engine: q.engine.clone(),
+            engine: q.engine,
         };
         if !q.no_cache {
             let lookup_started = Instant::now();
@@ -982,24 +977,18 @@ impl Server {
         }
 
         let _span = ppm_observe::span("serve.mine");
-        let mined = match q.engine.as_str() {
-            "apriori" => ppm_core::apriori::mine_view(reader.view(), q.period, &q.config),
+        let mined = match q.engine {
             // The live index: created from the store on first use, kept
             // current by the `append` op, so re-mining after growth only
             // re-counts patterns the new segments could have moved.
-            "incremental" => store.with_index(q.period, |idx| idx.rederive_dirty(&q.config)),
-            "vertical" if self.config.mine_threads > 1 => {
-                ppm_core::vertical::mine_vertical_view_sharded(
-                    reader.view(),
-                    q.period,
-                    &q.config,
-                    self.config.mine_threads,
-                )
-            }
-            "vertical" => {
-                ppm_core::vertical::mine_vertical_view(reader.view(), q.period, &q.config)
-            }
-            _ => ppm_core::hitset::mine_view(reader.view(), q.period, &q.config),
+            Engine::Incremental => store.with_index(q.period, |idx| idx.rederive_dirty(&q.config)),
+            engine => ppm_core::run(
+                engine,
+                Rows::View(reader.view()),
+                q.period,
+                &q.config,
+                self.config.mine_threads,
+            ),
         };
         let result = mined.map_err(OpError::from_mining)?;
         let cached = to_cached(&result, reader.catalog());
@@ -1049,16 +1038,10 @@ impl Server {
         let (_, report) = qsrc.into_parts();
         let cleaned = builder.finish();
 
-        let mined = match q.engine.as_str() {
-            "apriori" => ppm_core::mine(&cleaned, q.period, &q.config, Algorithm::Apriori),
-            // The cleaned series is not the store, so there is no live
-            // index to consult: incremental degrades to the cold vertical
-            // mine it is bit-identical to.
-            "vertical" | "incremental" => {
-                ppm_core::vertical::mine_vertical(&cleaned, q.period, &q.config)
-            }
-            _ => ppm_core::mine(&cleaned, q.period, &q.config, Algorithm::HitSet),
-        };
+        // The cleaned series is not the store, so there is no live index
+        // to consult: incremental runs the cold vertical mine it is
+        // bit-identical to.
+        let mined = ppm_core::run(q.engine, Rows::Series(&cleaned), q.period, &q.config, 1);
         let result = mined.map_err(OpError::from_mining)?;
         let cached = to_cached(&result, reader.catalog());
         Ok(mine_response(q, &cached, "bypass", Some(report.len())))
@@ -1257,7 +1240,7 @@ impl Server {
                             segment_count: new_m,
                         };
                     }
-                    if !matches!(key.engine.as_str(), "hitset" | "vertical" | "incremental") {
+                    if !key.engine.has_constant_scans() {
                         return Rekey::Drop;
                     }
                     let Some(idx) = indexes.get(key.period) else {
@@ -1468,7 +1451,7 @@ struct MineQuery {
     store: String,
     period: usize,
     min_conf: f64,
-    engine: String,
+    engine: Engine,
     limit: usize,
     config: MineConfig,
     quarantine: bool,
@@ -1484,19 +1467,15 @@ impl MineQuery {
             return Err(OpError::usage("period must be at least 1".into()));
         }
         let min_conf = req_f64(req, "min_conf").map_err(OpError::usage)?;
-        let engine = req
-            .get("engine")
-            .and_then(Json::as_str)
-            .unwrap_or("hitset")
-            .to_owned();
-        if !matches!(
-            engine.as_str(),
-            "hitset" | "apriori" | "vertical" | "incremental"
-        ) {
-            return Err(OpError::usage(format!(
-                "engine {engine:?} is not servable (hitset|apriori|vertical|incremental)"
-            )));
-        }
+        let engine = match req.get("engine").and_then(Json::as_str) {
+            None => Engine::default(),
+            Some(name) => Engine::parse(name).ok_or_else(|| {
+                OpError::usage(format!(
+                    "engine {name:?} is not servable ({})",
+                    Engine::names()
+                ))
+            })?,
+        };
         let limit = req.get("limit").and_then(Json::as_u64).unwrap_or(20) as usize;
         let mut config =
             MineConfig::new(min_conf).map_err(|e| OpError::usage(format!("bad min_conf: {e}")))?;
@@ -1515,13 +1494,6 @@ impl MineQuery {
         if let Some(n) = max_tree_nodes {
             config = config.with_max_tree_nodes(n);
         }
-        let kernel = match req.get("kernel").and_then(Json::as_str) {
-            Some(name) => Kernel::parse(name).ok_or_else(|| {
-                OpError::usage(format!("kernel {name:?} is not one of auto|scalar|wide"))
-            })?,
-            None => server.kernel,
-        };
-        config = config.with_kernel(kernel);
         Ok(MineQuery {
             store,
             period,
@@ -1665,7 +1637,7 @@ fn mine_response(
         ("store".to_owned(), Json::Str(q.store.clone())),
         ("period".to_owned(), Json::from_usize(q.period)),
         ("min_conf".to_owned(), Json::Num(q.min_conf)),
-        ("engine".to_owned(), Json::Str(q.engine.clone())),
+        ("engine".to_owned(), Json::Str(q.engine.name().to_owned())),
         ("patterns".to_owned(), Json::from_usize(c.rows.len())),
         ("segments".to_owned(), Json::from_usize(c.segment_count)),
         ("scans".to_owned(), Json::from_usize(c.scans)),

@@ -150,11 +150,14 @@ fn slow_front(upstream: std::net::SocketAddr, delay: Duration) -> std::net::Sock
 fn direct_rows(store: &PathBuf, period: usize, conf: f64, engine: &str) -> Vec<(String, u64)> {
     let reader = ColumnarReader::open(store).unwrap();
     let config = ppm_core::MineConfig::new(conf).unwrap();
-    let result = match engine {
-        "apriori" => ppm_core::apriori::mine_view(reader.view(), period, &config),
-        "vertical" => ppm_core::vertical::mine_vertical_view(reader.view(), period, &config),
-        _ => ppm_core::hitset::mine_view(reader.view(), period, &config),
-    }
+    let engine = ppm_core::Engine::parse(engine).expect("a known engine");
+    let result = ppm_core::run(
+        engine,
+        ppm_core::Rows::View(reader.view()),
+        period,
+        &config,
+        1,
+    )
     .unwrap();
     let mut rows: Vec<_> = result.frequent.iter().collect();
     rows.sort_by(|a, b| {

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use partial_periodic::{mine, rules, Algorithm, FeatureCatalog, MineConfig, SeriesBuilder};
+use partial_periodic::{rules, run, Engine, FeatureCatalog, MineConfig, Rows, SeriesBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A "day" of three slots: morning, noon, evening. Jim drinks coffee
@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let config = MineConfig::new(0.8)?;
     println!("=== Frequent partial periodic patterns (period 3, min_conf 0.8) ===");
-    let result = mine(&series, 3, &config, Algorithm::HitSet)?;
+    let result = run(Engine::HitSet, Rows::Series(&series), 3, &config, 1)?;
     for (pattern, count, conf) in result.patterns() {
         println!(
             "  {:<28} count={count:<3} conf={conf:.2}",
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The Apriori baseline finds exactly the same patterns, with more scans.
-    let apriori = mine(&series, 3, &config, Algorithm::Apriori)?;
+    let apriori = run(Engine::Apriori, Rows::Series(&series), 3, &config, 1)?;
     assert_eq!(apriori.frequent, result.frequent);
     println!(
         "  Apriori found the same {} patterns in {} scans",

@@ -1,15 +1,14 @@
 //! Retail transactions, end to end: raw timestamped event log → ETL onto an
 //! hourly grid → constraint-based mining ("only patterns involving coffee",
 //! "only the morning hours") → periodic rules. Also demonstrates the
-//! parallel two-scan miner on the full weekly period.
+//! threaded vertical miner on the full weekly period.
 //!
 //! Run with: `cargo run --example retail_events`
 
 use partial_periodic::constraints::{mine_constrained, Constraints};
 use partial_periodic::datagen::workloads::retail::{self, store_script};
-use partial_periodic::parallel::mine_parallel;
 use partial_periodic::timeseries::calendar::WeeklyGrid;
-use partial_periodic::{hitset, FeatureCatalog, MineConfig};
+use partial_periodic::{hitset, run, Engine, FeatureCatalog, MineConfig, Rows};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One year of store events.
@@ -77,15 +76,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hitset::mine(&series, week, &config)?.alphabet.len()
     );
 
-    // Parallel mining of the full weekly period: identical output, two
-    // partitioned scans.
+    // The vertical engine on 4 threads over the full weekly period:
+    // identical output, its derive sharded across the threads.
     let sequential = hitset::mine(&series, week, &config)?;
-    let parallel = mine_parallel(&series, week, &config, 4)?;
-    assert_eq!(sequential.frequent, parallel.frequent);
+    let threaded = run(Engine::Vertical, Rows::Series(&series), week, &config, 4)?;
+    assert_eq!(sequential.frequent, threaded.frequent);
     println!(
-        "\nParallel (4 threads) == sequential: {} patterns, {} scans each",
-        parallel.len(),
-        parallel.stats.series_scans
+        "\nVertical (4 threads) == hit set: {} patterns, {} scans each",
+        threaded.len(),
+        threaded.stats.series_scans
     );
     Ok(())
 }

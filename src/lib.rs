@@ -54,13 +54,9 @@ pub use ppm_serve as serve;
 pub use ppm_timeseries as timeseries;
 
 pub use ppm_core::{
-    apriori, audit, closed, constraints, evolution, hitset, maximal, multi, multilevel, parallel,
-    perfect, perturb, rules, stats, streaming, vertical, Algorithm, FrequentPattern, MineConfig,
-    MiningResult, Pattern, Symbol,
+    apriori, audit, closed, constraints, evolution, hitset, maximal, multi, multilevel, perfect,
+    perturb, rules, run, stats, streaming, vertical, Engine, FrequentPattern, MineConfig,
+    MiningResult, Pattern, Rows, Symbol,
 };
 pub use ppm_datagen::SyntheticSpec;
 pub use ppm_timeseries::{FeatureCatalog, FeatureId, FeatureSeries, SeriesBuilder};
-
-/// Mines a single period with the chosen algorithm (re-export of
-/// [`ppm_core::mine`]).
-pub use ppm_core::mine;

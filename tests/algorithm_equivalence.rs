@@ -15,7 +15,7 @@ use partial_periodic::core::LetterSet;
 use partial_periodic::multi::{mine_periods_looping, mine_periods_shared, PeriodRange};
 use partial_periodic::{apriori, hitset, FeatureCatalog, MineConfig, SeriesBuilder};
 #[cfg(feature = "property-tests")]
-use partial_periodic::{Algorithm, FeatureId};
+use partial_periodic::{Engine, FeatureId};
 
 #[cfg(feature = "property-tests")]
 fn build_series(instants: &[Vec<u8>]) -> partial_periodic::FeatureSeries {
@@ -145,7 +145,7 @@ proptest! {
         let config = MineConfig::new(0.5).unwrap();
         let shared = mine_periods_shared(&series, range, &config).unwrap();
         let looped =
-            mine_periods_looping(&series, range, &config, Algorithm::HitSet).unwrap();
+            mine_periods_looping(&series, range, &config, Engine::HitSet).unwrap();
         prop_assert_eq!(shared.results.len(), looped.results.len());
         for (s, l) in shared.results.iter().zip(&looped.results) {
             prop_assert_eq!(s.period, l.period);

@@ -6,18 +6,20 @@
 //! pattern, or forged threshold is flagged). Both directions are exercised
 //! here on seeded pseudo-random series.
 
+use std::sync::Arc;
+
 use partial_periodic::audit::{audit, cross_check, verify_claims, AuditMode, Violation};
 use partial_periodic::core::export::{parse_patterns_tsv, patterns_tsv};
-use partial_periodic::parallel::{mine_parallel, mine_parallel_vertical};
+use partial_periodic::observe::{self, Collector};
 use partial_periodic::streaming::mine_hitset_streaming;
 use partial_periodic::timeseries::{
     EncodedSeries, Fault, FaultInjectingSource, FaultPlan, MemorySource, QuarantineMode,
     QuarantiningSource, SeriesSource,
 };
-use partial_periodic::vertical::{mine_vertical, mine_vertical_encoded};
+use partial_periodic::vertical::mine_vertical;
 use partial_periodic::{
-    apriori, hitset, FeatureCatalog, FeatureId, FeatureSeries, MineConfig, MiningResult,
-    SeriesBuilder,
+    apriori, hitset, run, Engine, FeatureCatalog, FeatureId, FeatureSeries, MineConfig,
+    MiningResult, Rows, SeriesBuilder,
 };
 
 /// A seeded pseudo-random series with planted periodic structure (period
@@ -70,29 +72,15 @@ fn honest_runs_audit_clean_for_every_engine() {
         for p in [4usize, 6] {
             let (series, catalog) = random_series(seed, 600, p);
             let config = MineConfig::new(0.5).unwrap();
-            assert_clean(
-                &hitset::mine(&series, p, &config).unwrap(),
-                &series,
-                &catalog,
-            );
-            assert_clean(
-                &apriori::mine(&series, p, &config).unwrap(),
-                &series,
-                &catalog,
-            );
-            assert_clean(
-                &mine_parallel(&series, p, &config, 3).unwrap(),
-                &series,
-                &catalog,
-            );
+            for engine in Engine::ALL {
+                for threads in [1, 3] {
+                    let result = run(engine, Rows::Series(&series), p, &config, threads);
+                    assert_clean(&result.unwrap(), &series, &catalog);
+                }
+            }
             let mut src = MemorySource::new(&series);
             assert_clean(
                 &mine_hitset_streaming(&mut src, p, &config).unwrap(),
-                &series,
-                &catalog,
-            );
-            assert_clean(
-                &mine_vertical(&series, p, &config).unwrap(),
                 &series,
                 &catalog,
             );
@@ -186,36 +174,47 @@ fn engines_cross_check_clean_on_random_series() {
     }
 }
 
-/// The vertical engine's differential suite: on every workload shape the
-/// bitmap counts must be **bit-for-bit identical** to the tree walk and to
-/// Apriori — same patterns, same counts, same thresholds.
+/// The engines' differential suite, one table: every [`Engine`] on both
+/// row substrates (a series and its bitmap view) at one and three
+/// threads must be **bit-for-bit identical** to Apriori (Algorithm 3.1) —
+/// the same patterns in the same order, the same counts and thresholds.
+/// The last workload is wide enough (15 000 segments × 6 letters) that
+/// the three-thread vertical derive really splits into shards.
 #[test]
-fn vertical_engine_is_bit_identical_across_workloads() {
-    let config = MineConfig::new(0.4).unwrap();
-    for seed in [3u64, 19, 31] {
-        for (instants, p) in [(240usize, 4usize), (540, 6), (90, 9)] {
-            let (series, _catalog) = random_series(seed, instants, p);
-            let baseline = hitset::mine(&series, p, &config).unwrap();
-            let apriori = apriori::mine(&series, p, &config).unwrap();
-            let vertical = mine_vertical(&series, p, &config).unwrap();
-            let encoded = EncodedSeries::encode(&series);
-            let cached = mine_vertical_encoded(&series, &encoded, p, &config).unwrap();
-            let threaded = mine_parallel_vertical(&series, p, &config, 3).unwrap();
-            for (name, result) in [
-                ("vertical", &vertical),
-                ("vertical+cache", &cached),
-                ("vertical+threads", &threaded),
+fn every_engine_is_bit_identical_across_rows_and_threads() {
+    let mut workloads: Vec<(u64, usize, usize, f64)> = [3u64, 19, 31]
+        .into_iter()
+        .flat_map(|seed| [(seed, 240, 4, 0.4), (seed, 540, 6, 0.4), (seed, 90, 9, 0.4)])
+        .collect();
+    workloads.push((5, 60_000, 4, 0.3));
+    for (seed, instants, p, conf) in workloads {
+        let (series, _catalog) = random_series(seed, instants, p);
+        let encoded = EncodedSeries::encode(&series);
+        let config = MineConfig::new(conf).unwrap();
+        let apriori = apriori::mine(&series, p, &config).unwrap();
+        let wide = instants == 60_000;
+        for engine in Engine::ALL {
+            for (substrate, rows) in [
+                ("series", Rows::Series(&series)),
+                ("view", Rows::View(encoded.view())),
             ] {
-                assert_eq!(
-                    result.frequent, baseline.frequent,
-                    "seed {seed} p {p}: {name} vs hitset"
-                );
-                assert_eq!(
-                    result.frequent, apriori.frequent,
-                    "seed {seed} p {p}: {name} vs apriori"
-                );
-                assert_eq!(result.min_count, baseline.min_count);
-                assert_eq!(result.segment_count, baseline.segment_count);
+                for threads in [1, 3] {
+                    let at =
+                        format!("seed {seed} p {p}: {engine} on {substrate}, {threads} threads");
+                    let collector = Arc::new(Collector::new());
+                    let result = {
+                        let _guard = observe::install(collector.clone());
+                        run(engine, rows, p, &config, threads).unwrap()
+                    };
+                    assert_eq!(result.frequent, apriori.frequent, "{at}");
+                    assert_eq!(result.min_count, apriori.min_count, "{at}");
+                    assert_eq!(result.segment_count, apriori.segment_count, "{at}");
+                    let shards = collector.gauge_maxima().get("vertical.shards").copied();
+                    let sharded = wide
+                        && threads > 1
+                        && matches!(engine, Engine::Vertical | Engine::Incremental);
+                    assert_eq!(shards.is_some_and(|n| n >= 2), sharded, "{at}: {shards:?}");
+                }
             }
         }
     }
@@ -372,21 +371,6 @@ fn exported_claims_verify_and_tampering_is_caught() {
     );
 }
 
-/// One view-backed mine, dispatched by engine name.
-fn mine_on_view(
-    view: partial_periodic::timeseries::EncodedSeriesView<'_>,
-    period: usize,
-    engine: &str,
-    config: &MineConfig,
-) -> MiningResult {
-    match engine {
-        "apriori" => apriori::mine_view(view, period, config),
-        "vertical" => partial_periodic::vertical::mine_vertical_view(view, period, config),
-        _ => hitset::mine_view(view, period, config),
-    }
-    .unwrap()
-}
-
 /// The daemon's central sharing assumption, checked at the library level:
 /// one encoded series, many simultaneous borrowed views, each mined with a
 /// different (period, engine) pair — every concurrent result must be
@@ -396,24 +380,24 @@ fn shared_view_concurrent_readers_are_bit_identical_to_sequential() {
     let (series, _catalog) = random_series(77, 3_000, 6);
     let encoded = EncodedSeries::encode(&series);
     let config = MineConfig::new(0.35).unwrap();
-    let jobs: Vec<(usize, &str)> = (2..=7)
-        .flat_map(|p| [(p, "hitset"), (p, "apriori"), (p, "vertical")])
+    let jobs: Vec<(usize, Engine)> = (2..=7)
+        .flat_map(|p| Engine::ALL.map(|engine| (p, engine)))
         .collect();
+    let mine_on_view = |view, p, engine| run(engine, Rows::View(view), p, &config, 1).unwrap();
 
     let sequential: Vec<MiningResult> = jobs
         .iter()
-        .map(|&(p, engine)| mine_on_view(encoded.view(), p, engine, &config))
+        .map(|&(p, engine)| mine_on_view(encoded.view(), p, engine))
         .collect();
 
-    // 18 reader threads share the one load with zero copying; nothing
+    // 24 reader threads share the one load with zero copying; nothing
     // synchronizes them but the borrow checker.
     let concurrent: Vec<MiningResult> = std::thread::scope(|scope| {
         let handles: Vec<_> = jobs
             .iter()
             .map(|&(p, engine)| {
                 let view = encoded.view();
-                let config = &config;
-                scope.spawn(move || mine_on_view(view, p, engine, config))
+                scope.spawn(move || mine_on_view(view, p, engine))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()

@@ -12,7 +12,7 @@ use partial_periodic::multi::PeriodRange;
 use partial_periodic::multilevel::mine_multilevel;
 use partial_periodic::timeseries::Taxonomy;
 use partial_periodic::{
-    hitset, perturb, rules, Algorithm, FeatureCatalog, FeatureId, MineConfig, SeriesBuilder,
+    hitset, perturb, rules, Engine, FeatureCatalog, FeatureId, MineConfig, SeriesBuilder,
 };
 
 #[cfg(feature = "property-tests")]
@@ -113,7 +113,7 @@ fn perturbation_recovery() {
     let exact = hitset::mine(&series, 6, &config).unwrap();
     assert!(exact.is_empty());
     let tolerant =
-        perturb::mine_with_slot_enlargement(&series, 6, 1, &config, Algorithm::HitSet).unwrap();
+        perturb::mine_with_slot_enlargement(&series, 6, 1, &config, Engine::HitSet).unwrap();
     assert!(!tolerant.is_empty());
     assert!(tolerant
         .alphabet
@@ -156,7 +156,7 @@ fn multilevel_drill_down_consistency() {
     let series = b.finish();
 
     let config = MineConfig::new(0.7).unwrap();
-    let levels = mine_multilevel(&series, &tax, 2, 2, &config, Algorithm::HitSet).unwrap();
+    let levels = mine_multilevel(&series, &tax, 2, 2, &config, Engine::HitSet).unwrap();
     assert_eq!(levels.len(), 3);
 
     // Depth 0: drink@0 and food@1 both perfect.

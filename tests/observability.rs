@@ -7,7 +7,7 @@
 use std::sync::{Arc, Mutex};
 
 use partial_periodic::observe::{self, Collector, Event, Json, JsonLinesSink, NoopSink};
-use partial_periodic::{apriori, hitset, parallel, FeatureId, FeatureSeries, MineConfig};
+use partial_periodic::{apriori, hitset, FeatureId, FeatureSeries, MineConfig};
 use partial_periodic::{MiningResult, SeriesBuilder};
 
 fn fid(i: u32) -> FeatureId {
@@ -114,51 +114,6 @@ fn apriori_levels_match_stats() {
     assert_eq!(
         collector.counter_total("apriori.candidates"),
         result.stats.candidates_generated
-    );
-}
-
-/// Worker spans in the parallel miner are parented under the coordinator's
-/// scan spans even though they run on other threads, and the segment
-/// counter still totals exactly `m` (not once per scan).
-#[test]
-fn parallel_worker_spans_nest_under_the_coordinator() {
-    let series = fixed_series();
-    let config = MineConfig::new(0.5).unwrap();
-    let collector = Arc::new(Collector::new());
-    let result = {
-        let _guard = observe::install(collector.clone());
-        parallel::mine_parallel(&series, 6, &config, 3).unwrap()
-    };
-    let events = collector.events();
-    let span_id = |name: &str| {
-        events
-            .iter()
-            .find_map(|e| match e {
-                Event::SpanStart { id, name: n, .. } if *n == name => Some(*id),
-                _ => None,
-            })
-            .unwrap_or_else(|| panic!("no {name} span"))
-    };
-    let scan2 = span_id("parallel.scan2");
-    let workers: Vec<Option<u64>> = events
-        .iter()
-        .filter_map(|e| match e {
-            Event::SpanStart {
-                parent,
-                name: "parallel.worker.scan2",
-                ..
-            } => Some(*parent),
-            _ => None,
-        })
-        .collect();
-    assert_eq!(workers.len(), 3);
-    assert!(
-        workers.iter().all(|p| *p == Some(scan2)),
-        "workers must be parented under parallel.scan2: {workers:?}"
-    );
-    assert_eq!(
-        collector.counter_total("hitset.segments"),
-        result.segment_count as u64
     );
 }
 

@@ -1,6 +1,6 @@
 //! Integration tests across the newer modules: event-log ETL, constrained
-//! mining, windowed evolution mining, and the parallel miner — composed
-//! into full pipelines.
+//! mining, windowed evolution mining, and threaded (sharded vertical)
+//! mining — composed into full pipelines.
 
 #[cfg(feature = "property-tests")]
 use proptest::prelude::*;
@@ -8,10 +8,9 @@ use proptest::prelude::*;
 #[cfg(feature = "property-tests")]
 use partial_periodic::constraints::{mine_constrained, Constraints};
 use partial_periodic::evolution::{mine_windows, Drift, WindowSpec};
-use partial_periodic::parallel::mine_parallel;
 use partial_periodic::timeseries::events::EventLog;
 use partial_periodic::{
-    hitset, FeatureCatalog, FeatureId, MineConfig, SeriesBuilder, SyntheticSpec,
+    hitset, run, Engine, FeatureCatalog, FeatureId, MineConfig, Rows, SeriesBuilder, SyntheticSpec,
 };
 
 fn fid(i: u32) -> FeatureId {
@@ -139,7 +138,8 @@ proptest! {
         prop_assert_eq!(constrained.len(), expect);
     }
 
-    /// Parallel mining is identical to sequential for any thread count.
+    /// Threaded vertical mining is identical to sequential hit-set mining
+    /// for any thread count.
     #[test]
     fn parallel_equals_sequential_any_threads(
         instants in prop::collection::vec(prop::collection::vec(0u8..5, 0..4), 30..100),
@@ -154,7 +154,7 @@ proptest! {
         let series = b.finish();
         let config = MineConfig::new(0.4).unwrap();
         let seq = hitset::mine(&series, period, &config).unwrap();
-        let par = mine_parallel(&series, period, &config, threads).unwrap();
+        let par = run(Engine::Vertical, Rows::Series(&series), period, &config, threads).unwrap();
         prop_assert_eq!(seq.frequent, par.frequent);
     }
 }
@@ -197,8 +197,8 @@ fn evolution_on_synthetic_data() {
     assert_eq!(track.first_seen(), Some(n / 2));
 }
 
-/// The whole stack composes: events → series → constrained parallel-mined
-/// weekly patterns with rules.
+/// The whole stack composes: events → series → threaded weekly mine →
+/// periodic rules.
 #[test]
 fn full_pipeline_composes() {
     use partial_periodic::datagen::workloads::retail::{generate_events, store_script};
@@ -210,7 +210,7 @@ fn full_pipeline_composes() {
     let week = 7 * 24;
     let config = MineConfig::new(0.7).unwrap();
 
-    let par = mine_parallel(&series, week, &config, 4).unwrap();
+    let par = run(Engine::Vertical, Rows::Series(&series), week, &config, 4).unwrap();
     let seq = hitset::mine(&series, week, &config).unwrap();
     assert_eq!(par.frequent, seq.frequent);
     assert!(!par.is_empty());
