@@ -16,6 +16,7 @@
 use std::io::Write;
 use std::time::Instant;
 
+use ppm_core::hitset::derive::CountStrategy;
 use ppm_core::multi::{
     mine_periods_looping_view, mine_periods_scheduled, mine_periods_shared_view, MultiPeriodResult,
     PeriodRange,
@@ -507,7 +508,10 @@ fn run_vertical(
     for period in range.iter().filter(|&p| p <= view.len()) {
         let result = mine_vertical_view(view, period, config)?;
         if compare {
-            let tree = hitset::mine_view(view, period, config)?;
+            // The race arm is the paper's per-candidate tree walk: the
+            // bench report's `treewalk_us` times that walk, not the
+            // default level walk.
+            let tree = hitset::mine_with_strategy(view, period, config, CountStrategy::TreeWalk)?;
             if result.frequent != tree.frequent {
                 return Err(CliError::Audit(format!(
                     "vertical and tree-walk derivations disagree at period {period} \

@@ -94,7 +94,9 @@ pub fn run(
     threads: usize,
 ) -> Result<MiningResult> {
     match engine {
-        Engine::HitSet => crate::hitset::mine_rows(rows, period, config, Default::default()),
+        Engine::HitSet => {
+            crate::hitset::mine_with_strategy(rows, period, config, Default::default())
+        }
         Engine::Apriori => crate::apriori::mine_rows(rows, period, config),
         Engine::Vertical | Engine::Incremental if threads > 1 => {
             let executor = ThreadedExecutor::new(threads);

@@ -7,10 +7,16 @@
 //! of its superpattern hits in the tree — the node's own count plus those
 //! of its *reachable ancestors* in the paper's formulation.
 //!
-//! Three counting strategies are exposed for the ablation study (DESIGN.md
+//! Four counting strategies are exposed for the ablation study (DESIGN.md
 //! experiment E7):
 //!
-//! * [`CountStrategy::TreeWalk`] — the paper's pruned trie traversal;
+//! * [`CountStrategy::LevelWalk`] (the default) — one depth-first walk of
+//!   the tree per Apriori level, every candidate of the level counted at
+//!   once: each starts at the root's subtree total and subtracts the
+//!   subtrees that miss one of its letters (see
+//!   [`MaxSubpatternTree::count_level`]);
+//! * [`CountStrategy::TreeWalk`] — the paper's pruned trie traversal, one
+//!   walk per candidate;
 //! * [`CountStrategy::LinearScan`] — a flat pass over the distinct hits
 //!   with one bitset subset test each;
 //! * [`CountStrategy::Vertical`] — a columnar transpose of the distinct
@@ -28,9 +34,12 @@ use crate::vertical::{Kernel, VerticalIndex};
 /// How candidate counts are extracted from the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountStrategy {
-    /// Pruned traversal of the trie (paper §4). Skips whole subtrees that
-    /// drop a letter of the candidate.
+    /// One walk of the trie per Apriori level, counting the whole level
+    /// with per-node subtree totals.
     #[default]
+    LevelWalk,
+    /// Pruned traversal of the trie (paper §4), once per candidate. Skips
+    /// whole subtrees that drop a letter of the candidate.
     TreeWalk,
     /// Flat scan over the nodes with count > 0.
     LinearScan,
@@ -46,6 +55,7 @@ impl CountStrategy {
     /// and amortizes it over every candidate (see [`derive_frequent`]).
     pub fn count(self, tree: &MaxSubpatternTree, p: &LetterSet) -> u64 {
         match self {
+            CountStrategy::LevelWalk => tree.count_level(std::slice::from_ref(p), &mut 0)[0],
             CountStrategy::TreeWalk => tree.count_superpatterns_walk(p),
             CountStrategy::LinearScan => tree.count_superpatterns_linear(p),
             CountStrategy::Vertical => VerticalIndex::from_tree(tree).count(p),
@@ -65,6 +75,16 @@ pub fn derive_frequent(
     stats: &mut MiningStats,
 ) {
     match strategy {
+        CountStrategy::LevelWalk => {
+            let mut count_ops = 0u64;
+            derive_frequent_batched(
+                |sets| tree.count_level(sets, &mut count_ops),
+                scan1,
+                frequent,
+                stats,
+            );
+            ppm_observe::gauge("hitset.count_ops", count_ops);
+        }
         CountStrategy::Vertical => {
             // Transpose once, then every level is one cache-blocked batch
             // of AND + popcount on the wide kernel.
@@ -184,6 +204,7 @@ mod tests {
             tree.insert(&set(4, &[0, 1, 2]));
         }
         for strategy in [
+            CountStrategy::LevelWalk,
             CountStrategy::TreeWalk,
             CountStrategy::LinearScan,
             CountStrategy::Vertical,
@@ -251,9 +272,17 @@ mod tests {
         let a = run(CountStrategy::TreeWalk);
         let b = run(CountStrategy::LinearScan);
         let c = run(CountStrategy::Vertical);
+        let d = run(CountStrategy::LevelWalk);
         assert_eq!(a, b);
         assert_eq!(a, c);
+        assert_eq!(a, d);
         assert!(!a.is_empty());
+        // Single-pattern counting agrees too.
+        for f in &a {
+            for strategy in [CountStrategy::LevelWalk, CountStrategy::Vertical] {
+                assert_eq!(strategy.count(&tree, &f.letters), f.count, "{strategy:?}");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::stats::MiningStats;
 
 /// Mines all frequent partial periodic patterns of `period` in `series`
 /// with the max-subpattern hit-set method (paper Algorithm 3.2), using the
-/// default tree-walk counting strategy.
+/// default level-walk counting strategy.
 ///
 /// Exactly **two** scans of the series are performed, independent of the
 /// period and of the length of the longest frequent pattern.
@@ -31,27 +31,19 @@ pub fn mine_view(
     period: usize,
     config: &MineConfig,
 ) -> Result<MiningResult> {
-    mine_rows(Rows::View(view), period, config, CountStrategy::default())
+    mine_with_strategy(view, period, config, CountStrategy::default())
 }
 
-/// [`mine`] with an explicit counting strategy (used by the ablation
-/// benches to compare the paper's tree traversal with a flat scan).
-pub fn mine_with_strategy(
-    series: &FeatureSeries,
+/// Algorithm 3.2 over either row substrate (a `&FeatureSeries` or an
+/// [`EncodedSeriesView`]) with an explicit counting strategy; the
+/// ablations and the `sweep --compare-tree` race pin one here.
+pub fn mine_with_strategy<'a>(
+    rows: impl Into<Rows<'a>>,
     period: usize,
     config: &MineConfig,
     strategy: CountStrategy,
 ) -> Result<MiningResult> {
-    mine_rows(Rows::Series(series), period, config, strategy)
-}
-
-/// Algorithm 3.2 over either row substrate.
-pub(crate) fn mine_rows(
-    rows: Rows<'_>,
-    period: usize,
-    config: &MineConfig,
-    strategy: CountStrategy,
-) -> Result<MiningResult> {
+    let rows = rows.into();
     let _mine_span = ppm_observe::span("hitset.mine");
     let guard = ResourceGuard::new(config);
 
@@ -325,6 +317,37 @@ mod tests {
     }
 
     #[test]
+    fn budget_abort_reports_the_partial_trees_totals() {
+        let s = busy_series(400);
+        let config = MineConfig::new(0.2).unwrap();
+        let scan1 = scan_frequent_letters_rows(Rows::Series(&s), 8, &config).unwrap();
+        for budget in [2, 5, 20] {
+            // Replay scan 2 up to the insert that trips the budget.
+            let mut tree = MaxSubpatternTree::new(scan1.alphabet.full_set());
+            let mut hit = scan1.alphabet.empty_set();
+            let mut inserted = 0u64;
+            for j in 0..scan1.segment_count {
+                hit.clear();
+                for offset in 0..8 {
+                    Rows::Series(&s).project(&scan1.alphabet, offset, j * 8 + offset, &mut hit);
+                }
+                if hit.len() >= 2 {
+                    tree.insert(&hit);
+                    inserted += 1;
+                    if tree.node_count() > budget {
+                        break;
+                    }
+                }
+            }
+            assert_eq!(tree.total_hits(), inserted);
+            let err = mine(&s, 8, &config.with_max_tree_nodes(budget)).unwrap_err();
+            let stats = err.partial_stats().unwrap();
+            assert_eq!(stats.hit_insertions, inserted, "budget {budget}");
+            assert_eq!(stats.tree_nodes, tree.node_count(), "budget {budget}");
+        }
+    }
+
+    #[test]
     fn zero_deadline_aborts_with_typed_error() {
         use crate::error::Error;
         let s = busy_series(400);
@@ -359,6 +382,24 @@ mod tests {
         let result = mine(&s, 2, &MineConfig::new(0.9).unwrap()).unwrap();
         assert!(result.is_empty());
         assert_eq!(result.stats.series_scans, 2);
+    }
+
+    #[test]
+    fn level_walk_matches_tree_walk_on_dense_table1_data() {
+        // A dense Table-1 store (|F1| = 24, long planted patterns) mined
+        // at the low threshold where derivation dominates.
+        let g = ppm_datagen::SyntheticSpec::table1(6_000, 30, 12, 24).generate();
+        let config = MineConfig::new(0.35).unwrap();
+        let level = mine_with_strategy(&g.series, 30, &config, CountStrategy::LevelWalk).unwrap();
+        let walk = mine_with_strategy(&g.series, 30, &config, CountStrategy::TreeWalk).unwrap();
+        assert!(level.len() > 1_000, "{} patterns", level.len());
+        // Same patterns, counts and order, and the same statistics.
+        assert_eq!(level.frequent, walk.frequent);
+        assert_eq!(level.stats, walk.stats);
+        assert_eq!(
+            mine(&g.series, 30, &config).unwrap().frequent,
+            level.frequent
+        );
     }
 
     #[test]

@@ -26,6 +26,18 @@ pub enum Rows<'a> {
     View(EncodedSeriesView<'a>),
 }
 
+impl<'a> From<&'a FeatureSeries> for Rows<'a> {
+    fn from(series: &'a FeatureSeries) -> Self {
+        Rows::Series(series)
+    }
+}
+
+impl<'a> From<EncodedSeriesView<'a>> for Rows<'a> {
+    fn from(view: EncodedSeriesView<'a>) -> Self {
+        Rows::View(view)
+    }
+}
+
 impl Rows<'_> {
     /// Number of instants.
     pub(crate) fn len(&self) -> usize {

@@ -44,7 +44,9 @@ pub const VERSION: u64 = 1;
 /// Hard ceiling on a frame's JSON payload, in bytes.
 pub const MAX_FRAME: usize = 1 << 20;
 
-/// Writes one frame.
+/// Writes one frame: header and payload go out in a single `write_all`,
+/// so a TCP stream never holds a lone 4-byte header back waiting for the
+/// peer's delayed ACK (Nagle).
 pub fn write_frame(w: &mut impl Write, message: &Json) -> io::Result<()> {
     let payload = message.render();
     let bytes = payload.as_bytes();
@@ -57,8 +59,10 @@ pub fn write_frame(w: &mut impl Write, message: &Json) -> io::Result<()> {
             ),
         ));
     }
-    w.write_all(&(bytes.len() as u32).to_le_bytes())?;
-    w.write_all(bytes)?;
+    let mut frame = Vec::with_capacity(4 + bytes.len());
+    frame.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+    frame.extend_from_slice(bytes);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -164,6 +168,32 @@ mod tests {
         assert_eq!(back.get("x").unwrap().as_u64(), Some(7));
         // A second read sees the clean EOF.
         assert!(read_frame(&mut r).unwrap().is_none());
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Records the size of every `write` call it receives.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: Vec<usize>,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes.push(buf.len());
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let msg = result_response("info", vec![("x".to_owned(), Json::from_u64(7))]);
+        let mut w = CountingWriter::default();
+        write_frame(&mut w, &msg).unwrap();
+        assert_eq!(w.writes, [w.bytes.len()], "header and body in one write");
+        let back = read_frame(&mut io::Cursor::new(w.bytes)).unwrap().unwrap();
+        assert_eq!(back.get("x").unwrap().as_u64(), Some(7));
     }
 
     #[test]

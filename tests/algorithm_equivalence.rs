@@ -7,7 +7,6 @@
 #[cfg(feature = "property-tests")]
 use proptest::prelude::*;
 
-#[cfg(feature = "property-tests")]
 use partial_periodic::core::hitset::derive::CountStrategy;
 #[cfg(feature = "property-tests")]
 use partial_periodic::core::LetterSet;
@@ -68,7 +67,12 @@ proptest! {
         let linear =
             hitset::mine_with_strategy(&series, period, &config, CountStrategy::LinearScan)
                 .unwrap();
-        prop_assert_eq!(walk.frequent, linear.frequent);
+        let level =
+            hitset::mine_with_strategy(&series, period, &config, CountStrategy::LevelWalk)
+                .unwrap();
+        prop_assert_eq!(&walk.frequent, &linear.frequent);
+        prop_assert_eq!(&walk.frequent, &level.frequent);
+        prop_assert_eq!(walk.stats, level.stats);
     }
 
     #[test]
@@ -184,4 +188,14 @@ fn algorithms_agree_on_the_paper_example() {
     let hs = hitset::mine(&series, 3, &config).unwrap();
     assert_eq!(ap.frequent, hs.frequent);
     assert_eq!(hs.len(), 5); // a**, *c*, **b, a*b, ac*
+    for strategy in [
+        CountStrategy::LevelWalk,
+        CountStrategy::TreeWalk,
+        CountStrategy::LinearScan,
+        CountStrategy::Vertical,
+    ] {
+        let r = hitset::mine_with_strategy(&series, 3, &config, strategy).unwrap();
+        assert_eq!(r.frequent, hs.frequent, "{strategy:?}");
+        assert_eq!(r.stats, hs.stats, "{strategy:?}");
+    }
 }

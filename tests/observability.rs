@@ -83,6 +83,15 @@ fn hitset_spans_and_counters_are_deterministic() {
         collector.gauge_maxima().get("tree.distinct_hits"),
         Some(&(result.stats.distinct_hits as u64))
     );
+    // The default level-walk derive reports its subtree subtractions: some
+    // candidate misses a hit here, and none subtracts more than once per
+    // tree node.
+    let count_ops = *collector
+        .gauge_maxima()
+        .get("hitset.count_ops")
+        .expect("level walk emits hitset.count_ops");
+    assert!(count_ops > 0);
+    assert!(count_ops <= result.stats.candidates_generated * result.stats.tree_nodes as u64);
 
     // Sequence numbers are strictly increasing; a rerun repeats the exact
     // event names in the exact order.
