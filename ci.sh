@@ -84,6 +84,28 @@ if ./target/release/ppm sweep --input "$smoke_dir/smoke.ppms" --from 24 --to 26 
   echo "corrupted checkpoint was accepted" >&2; exit 1
 fi
 grep -qi "checksum" "$smoke_dir/ckpt.log"
+# Out of core: every engine mines a .ppmstream copy of the smoke dataset,
+# re-scanning the file per pass, to the same pattern lines as the
+# in-memory mine. Apriori honours the deadline guard like the two-scan
+# engines: exit 3 with partial progress.
+./target/release/ppm convert --input "$smoke_dir/smoke.ppms" --to stream \
+  --out "$smoke_dir/smoke.ppmstream" >/dev/null
+for engine in hitset apriori vertical incremental; do
+  ./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
+    --min-conf 0.6 --engine "$engine" --limit 100000 \
+    | grep '^  ' >"$smoke_dir/memory.lines"
+  ./target/release/ppm mine --input "$smoke_dir/smoke.ppmstream" --period 25 \
+    --min-conf 0.6 --engine "$engine" --limit 100000 --stream \
+    | grep '^  ' >"$smoke_dir/stream.lines"
+  test -s "$smoke_dir/memory.lines"
+  diff "$smoke_dir/memory.lines" "$smoke_dir/stream.lines"
+done
+deadline_status=0
+./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
+  --min-conf 0.6 --engine apriori --deadline-ms 0 \
+  >"$smoke_dir/deadline.log" || deadline_status=$?
+test "$deadline_status" -eq 3
+grep -q "mining aborted" "$smoke_dir/deadline.log"
 
 echo "==> perf smoke: vertical derivation vs the tree walk (BENCH_PR4.json)"
 # Capture the committed baseline before this run overwrites it: the PR5

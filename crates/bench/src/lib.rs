@@ -383,11 +383,12 @@ pub struct DiskRow {
     pub file_bytes: u64,
 }
 
-/// The §5 disk argument, made concrete: stream both algorithms from a
-/// `.ppmstream` file, so Apriori's extra levels become extra passes over
-/// the file. Results are asserted equal to the in-memory miners.
+/// The §5 disk argument, made concrete: [`ppm_core::run`] both algorithms
+/// over a `.ppmstream` [`FileSource`](ppm_timeseries::storage::stream::FileSource),
+/// so Apriori's extra levels become extra passes over the file. Results
+/// are asserted equal to the in-memory miners.
 pub fn run_disk(length: usize, max_pat_lengths: &[usize]) -> Vec<DiskRow> {
-    use ppm_core::streaming::{mine_apriori_streaming, mine_hitset_streaming};
+    use ppm_core::run;
     use ppm_timeseries::storage::stream::{FileSource, StreamWriter};
     use ppm_timeseries::SeriesSource as _;
 
@@ -406,12 +407,12 @@ pub fn run_disk(length: usize, max_pat_lengths: &[usize]) -> Vec<DiskRow> {
 
         let mut src = FileSource::open(&path).expect("open stream file");
         let (ap, apriori_secs) =
-            timed(|| mine_apriori_streaming(&mut src, 50, &config).unwrap());
+            timed(|| run(Engine::Apriori, &mut src, 50, &config, 1).unwrap());
         let apriori_scans = src.scans_performed();
 
         let mut src = FileSource::open(&path).expect("open stream file");
         let (hs, hitset_secs) =
-            timed(|| mine_hitset_streaming(&mut src, 50, &config).unwrap());
+            timed(|| run(Engine::HitSet, &mut src, 50, &config, 1).unwrap());
         let hitset_scans = src.scans_performed();
 
         assert_eq!(ap.frequent, hs.frequent, "disk algorithms disagree at MPL {mpl}");

@@ -6,7 +6,6 @@ use ppm_core::audit::{self, AuditMode};
 use ppm_core::closed::mine_closed;
 use ppm_core::constraints::{mine_constrained, Constraints};
 use ppm_core::maximal::mine_maximal;
-use ppm_core::streaming::{mine_apriori_streaming, mine_hitset_streaming};
 use ppm_core::vertical::incremental::IncrementalVerticalIndex;
 use ppm_core::{run as run_engine, Engine, MineConfig, MiningResult, MiningStats, Pattern, Rows};
 use ppm_timeseries::columnar::{ColumnarReader, Reload};
@@ -145,19 +144,15 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
         return follow_columnar(args, input, period, min_conf, &config, out);
     }
 
+    let threads: usize = args.parsed_or("threads", 1)?;
+
     // Out-of-core mode: stream a .ppmstream file; never materialize it.
+    // Every engine runs over the re-scanned source.
     if args.switch("stream") {
         if super::format_of(input) != super::Format::Stream {
             return Err(CliError::Usage(
                 "--stream requires a .ppmstream input (see `ppm convert`)".into(),
             ));
-        }
-        if !matches!(engine, Engine::HitSet | Engine::Apriori) {
-            return Err(CliError::Usage(format!(
-                "--stream supports --engine {}|{}, not {engine}",
-                Engine::HitSet,
-                Engine::Apriori
-            )));
         }
         let file = FileSource::open(input)?;
         let catalog = file.catalog().clone();
@@ -185,18 +180,14 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
             }
             None => source,
         };
-        let run_one = |src: &mut dyn SeriesSource| match engine {
-            Engine::Apriori => mine_apriori_streaming(src, period, &config),
-            _ => mine_hitset_streaming(src, period, &config),
-        };
         let mut qreport = None;
         let result = if quarantine || strict {
             let mut q = QuarantiningSource::new(source, quarantine_mode(strict));
-            let r = run_one(&mut q);
+            let r = run_engine(engine, &mut q, period, &config, threads);
             qreport = Some(q.into_parts().1);
             r
         } else {
-            run_one(source)
+            run_engine(engine, source, period, &config, threads)
         };
         let result = report_if_aborted(result, out)?;
         writeln!(
@@ -228,7 +219,6 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
         || args.switch("closed")
         || args.switch("offsets")
         || args.switch("max-letters");
-    let threads: usize = args.parsed_or("threads", 1)?;
     if super::format_of(input) == super::Format::Columnar && !needs_instants {
         let reader = ColumnarReader::open(input)?;
         let view = reader.view();
@@ -968,22 +958,43 @@ mod tests {
 
     #[test]
     fn stream_mode_mines_out_of_core() {
-        let path = sample_series_file("ppmstream");
-        let text = run_cli(&format!(
-            "mine --input {} --period 3 --min-conf 0.6 --stream",
-            path.display()
-        ))
-        .unwrap();
-        assert!(text.contains("streamed 2 file scans"), "{text}");
-        assert!(text.contains("alpha"), "{text}");
-        // Apriori streams too, with more scans.
-        let text = run_cli(&format!(
-            "mine --input {} --period 3 --min-conf 0.6 --stream --engine apriori",
-            path.display()
-        ))
-        .unwrap();
-        assert!(text.contains("file scans"), "{text}");
-        std::fs::remove_file(path).ok();
+        let stream = sample_series_file("ppmstream");
+        let plain = sample_series_file("ppms");
+        let pattern_lines = |text: &str| -> Vec<String> {
+            text.lines()
+                .filter(|l| l.starts_with("  "))
+                .map(str::to_owned)
+                .collect()
+        };
+        for engine in Engine::ALL {
+            let mine = |path: &std::path::Path, extra: &str| {
+                run_cli(&format!(
+                    "mine --input {} --period 3 --min-conf 0.6 --engine {engine}{extra}",
+                    path.display()
+                ))
+                .unwrap()
+            };
+            let streamed = mine(&stream, " --stream");
+            let in_memory = mine(&plain, "");
+            assert!(streamed.contains("alpha"), "{engine}: {streamed}");
+            assert_eq!(
+                pattern_lines(&streamed),
+                pattern_lines(&in_memory),
+                "{engine}"
+            );
+            // Apriori's scan count grows with the pattern length; the
+            // others read the file exactly twice.
+            if engine.has_constant_scans() {
+                assert!(
+                    streamed.contains("streamed 2 file scans"),
+                    "{engine}: {streamed}"
+                );
+            } else {
+                assert!(streamed.contains("file scans"), "{engine}: {streamed}");
+            }
+        }
+        std::fs::remove_file(stream).ok();
+        std::fs::remove_file(plain).ok();
     }
 
     #[test]
@@ -1069,22 +1080,34 @@ mod tests {
 
     #[test]
     fn zero_deadline_reports_partial_progress() {
-        let path = sample_series_file("ppms");
-        let argv: Vec<String> = format!(
-            "mine --input {} --period 3 --min-conf 0.6 --deadline-ms 0",
-            path.display()
-        )
-        .split_whitespace()
-        .map(str::to_owned)
-        .collect();
-        let mut out = Vec::new();
-        let err = crate::run(&argv, &mut out).unwrap_err();
-        // Guard trips have their own exit code: partial result, not failure.
-        assert_eq!(err.exit_code(), 3);
-        let text = String::from_utf8(out).unwrap();
-        assert!(text.contains("mining aborted"), "{text}");
-        assert!(text.contains("partial progress"), "{text}");
-        std::fs::remove_file(path).ok();
+        // Every engine stops after scan 1, in memory and out of core.
+        let plain = sample_series_file("ppms");
+        let stream = sample_series_file("ppmstream");
+        for engine in Engine::ALL {
+            for (path, extra) in [(&plain, ""), (&stream, " --stream")] {
+                let argv: Vec<String> = format!(
+                    "mine --input {} --period 3 --min-conf 0.6 --deadline-ms 0 \
+                     --engine {engine}{extra}",
+                    path.display()
+                )
+                .split_whitespace()
+                .map(str::to_owned)
+                .collect();
+                let mut out = Vec::new();
+                let err = crate::run(&argv, &mut out).unwrap_err();
+                // Guard trips have their own exit code: partial result, not
+                // failure.
+                assert_eq!(err.exit_code(), 3, "{engine}{extra}");
+                let text = String::from_utf8(out).unwrap();
+                assert!(text.contains("mining aborted"), "{text}");
+                assert!(
+                    text.contains("partial progress: 1 series scans"),
+                    "{engine}{extra}: {text}"
+                );
+            }
+        }
+        std::fs::remove_file(plain).ok();
+        std::fs::remove_file(stream).ok();
     }
 
     #[test]

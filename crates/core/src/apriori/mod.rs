@@ -14,7 +14,5 @@ mod candidate;
 mod single_period;
 
 pub use candidate::{for_each_combination, join_candidates};
-pub(crate) use single_period::mine_rows;
+pub(crate) use single_period::mine_input;
 pub use single_period::{mine, mine_view};
-
-pub(crate) use candidate::binomial;

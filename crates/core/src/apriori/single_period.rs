@@ -1,13 +1,17 @@
 //! Algorithm 3.1: single-period Apriori mining.
 
+use std::collections::HashMap;
+use std::ops::ControlFlow;
+
 use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
 
 use crate::apriori::candidate::{binomial, for_each_combination, join_candidates};
 use crate::error::Result;
+use crate::guard::ResourceGuard;
 use crate::letters::LetterSet;
 use crate::result::{FrequentPattern, MiningResult};
-use crate::rows::Rows;
-use crate::scan::{scan_frequent_letters_rows, MineConfig, Scan1};
+use crate::rows::{Input, Passes};
+use crate::scan::{MineConfig, Scan1};
 use crate::stats::MiningStats;
 
 /// Mines all frequent partial periodic patterns of `period` in `series`
@@ -18,7 +22,7 @@ use crate::stats::MiningStats;
 /// yields no candidates (so the total is at most `period` scans, typically
 /// `max_pattern_length + 1`).
 pub fn mine(series: &FeatureSeries, period: usize, config: &MineConfig) -> Result<MiningResult> {
-    mine_rows(Rows::Series(series), period, config)
+    mine_input(series.into(), period, config)
 }
 
 /// [`mine`] over a borrowed bitmap view (an
@@ -29,34 +33,31 @@ pub fn mine_view(
     period: usize,
     config: &MineConfig,
 ) -> Result<MiningResult> {
-    mine_rows(Rows::View(view), period, config)
+    mine_input(view.into(), period, config)
 }
 
-/// Algorithm 3.1 over either row substrate.
-pub(crate) fn mine_rows(
-    rows: Rows<'_>,
+/// Algorithm 3.1 over any [`Input`]. The deadline is checked after scan 1
+/// and polled during every level's pass; an abort carries the levels,
+/// candidates and scans completed so far.
+pub(crate) fn mine_input(
+    input: Input<'_>,
     period: usize,
     config: &MineConfig,
 ) -> Result<MiningResult> {
     let _mine_span = ppm_observe::span("apriori.mine");
+    let mut passes = Passes::new(input, ResourceGuard::new(config), "apriori.segments");
     let scan1 = {
         let _span = ppm_observe::span("apriori.scan1");
-        scan_frequent_letters_rows(rows, period, config)?
+        passes.scan1(period, config)?
     };
     let mut stats = MiningStats {
-        series_scans: 1,
         max_level: 1,
         ..Default::default()
     };
+    passes.settle(passes.deadline(), &mut stats)?;
 
-    let mut frequent: Vec<FrequentPattern> = Vec::new();
+    let mut frequent = scan1.seed_singletons();
     let n_letters = scan1.alphabet.len();
-    for (idx, &count) in scan1.letter_counts.iter().enumerate() {
-        frequent.push(FrequentPattern {
-            letters: LetterSet::from_indices(n_letters, [idx]),
-            count,
-        });
-    }
 
     // Level-wise expansion: `level` holds the frequent k-letter patterns as
     // sorted index vectors (already lexicographically ordered because the
@@ -76,8 +77,7 @@ pub(crate) fn mine_rows(
         // so the paper's per-level candidate shrinkage is visible.
         let _level_span = ppm_observe::span("apriori.level");
         ppm_observe::counter("apriori.candidates", candidates.len() as u64);
-        let counts = count_candidates(rows, &scan1, &candidates, &mut stats);
-        stats.series_scans += 1;
+        let counts = count_candidates(&mut passes, &scan1, &candidates, &mut stats)?;
 
         let mut next_level = Vec::new();
         for (cand, count) in candidates.into_iter().zip(counts) {
@@ -93,20 +93,11 @@ pub(crate) fn mine_rows(
         level = next_level;
     }
 
-    let mut result = MiningResult {
-        period,
-        segment_count: scan1.segment_count,
-        min_confidence: config.min_confidence(),
-        min_count: scan1.min_count,
-        alphabet: scan1.alphabet,
-        frequent,
-        stats,
-    };
-    result.sort();
-    Ok(result)
+    Ok(scan1.into_result(config, frequent, stats))
 }
 
-/// Counts each candidate's matching segments with one scan over the series.
+/// Counts each candidate's matching segments with one pass over the input,
+/// recording the pass (or the guard abort that cut it short) in `stats`.
 ///
 /// Per segment the counter picks the cheaper of two classic strategies:
 /// enumerate the segment's own `k`-letter subsets and probe a candidate
@@ -115,16 +106,12 @@ pub(crate) fn mine_rows(
 /// there are few candidates). This mirrors the role of the hash-tree in
 /// association-rule Apriori.
 fn count_candidates(
-    rows: Rows<'_>,
+    passes: &mut Passes<'_>,
     scan1: &Scan1,
     candidates: &[Vec<u32>],
     stats: &mut MiningStats,
-) -> Vec<u64> {
-    use std::collections::HashMap;
-
+) -> Result<Vec<u64>> {
     let k = candidates[0].len();
-    let period = scan1.alphabet.period();
-    let m = scan1.segment_count;
     let mut counts = vec![0u64; candidates.len()];
 
     let by_pattern: HashMap<&[u32], usize> = candidates
@@ -137,23 +124,13 @@ fn count_candidates(
         .map(|c| LetterSet::from_indices(scan1.alphabet.len(), c.iter().map(|&l| l as usize)))
         .collect();
 
-    let mut projection = scan1.alphabet.empty_set();
     let mut proj_letters: Vec<u32> = Vec::with_capacity(scan1.alphabet.len());
-    for j in 0..m {
-        // Project the segment onto the frequent-letter alphabet: this pass
-        // over the raw instants *is* the per-level series scan.
-        projection.clear();
-        for offset in 0..period {
-            rows.project(
-                &scan1.alphabet,
-                offset,
-                j * period + offset,
-                &mut projection,
-            );
-        }
+    let subset_tests = &mut stats.subset_tests;
+    // The segment projections this pass yields *are* the per-level scan.
+    let flow = passes.segments(scan1, |_, projection| {
         let present = projection.len();
         if present < k {
-            continue;
+            return ControlFlow::Continue(());
         }
 
         // Strategy choice: C(present, k) subset enumerations vs
@@ -163,21 +140,23 @@ fn count_candidates(
             proj_letters.clear();
             proj_letters.extend(projection.iter().map(|l| l as u32));
             for_each_combination(&proj_letters, k, |combo| {
-                stats.subset_tests += 1;
+                *subset_tests += 1;
                 if let Some(&i) = by_pattern.get(combo) {
                     counts[i] += 1;
                 }
             });
         } else {
             for (i, cset) in candidate_sets.iter().enumerate() {
-                stats.subset_tests += 1;
-                if cset.is_subset(&projection) {
+                *subset_tests += 1;
+                if cset.is_subset(projection) {
                     counts[i] += 1;
                 }
             }
         }
-    }
-    counts
+        ControlFlow::Continue(())
+    })?;
+    passes.settle(flow, stats)?;
+    Ok(counts)
 }
 
 #[cfg(test)]

@@ -1,9 +1,9 @@
 //! Cross-algorithm differential harness.
 //!
 //! The paper proves Algorithms 3.1 (Apriori) and 3.2 (max-subpattern hit
-//! set) compute the *same* frequent set with the *same* counts; the
-//! streaming engines are refactorings of the same algorithms over a
-//! [`ppm_timeseries::SeriesSource`], and the vertical engine
+//! set) compute the *same* frequent set with the *same* counts; the same
+//! hit-set code re-scanning a [`ppm_timeseries::SeriesSource`] must agree
+//! with its in-memory run, and the vertical engine
 //! ([`crate::vertical`]) recounts the same definition columnarly. Running
 //! all of them on the same input and diffing the outputs is therefore a
 //! free correctness oracle: any disagreement is a bug in at least one
@@ -18,9 +18,9 @@ use ppm_timeseries::{
 use crate::letters::LetterSet;
 use crate::pattern::Pattern;
 use crate::result::MiningResult;
-use crate::rows::Rows;
 use crate::scan::MineConfig;
 use crate::vertical::{Kernel, ThreadedExecutor};
+use crate::Engine;
 
 use super::{render, AuditReport, Violation};
 
@@ -37,8 +37,8 @@ fn vertical_kernel_arms(
     let scalar =
         crate::vertical::mine_vertical_view(view, period, &config.with_kernel(Kernel::Scalar))?;
     let executor = ThreadedExecutor::with_min_shard_words(2, 1);
-    let sharded = crate::vertical::mine_vertical_rows(
-        Rows::View(view),
+    let sharded = crate::vertical::mine_vertical_input(
+        view.into(),
         period,
         &config.with_kernel(Kernel::Wide),
         Some(&executor),
@@ -194,7 +194,8 @@ fn diff_pair(
     }
 }
 
-/// Mines `series` with the hit-set, Apriori, streaming hit-set, and
+/// Mines `series` with the hit-set, Apriori, streaming hit-set (the
+/// hit-set engine over a [`MemorySource`], re-scanned per pass), and
 /// vertical engines — the latter also on its forced-scalar kernel, on a
 /// force-sharded derive, and on the segment-at-a-time incremental index —
 /// and diffs the results pairwise against the hit-set baseline.
@@ -216,10 +217,13 @@ pub fn cross_check(
     let _span = ppm_observe::span("audit.diff");
     let baseline = crate::hitset::mine(series, period, config)?;
     let apriori = crate::apriori::mine(series, period, config)?;
-    let streamed = {
-        let mut src = MemorySource::new(series);
-        crate::streaming::mine_hitset_streaming(&mut src, period, config)?
-    };
+    let streamed = crate::run(
+        Engine::HitSet,
+        &mut MemorySource::new(series),
+        period,
+        config,
+        1,
+    )?;
     let encoded = EncodedSeries::encode(series);
     let vertical = crate::vertical::mine_vertical_view(encoded.view(), period, config)?;
     let (vertical_scalar, vertical_sharded) = vertical_kernel_arms(encoded.view(), period, config)?;
@@ -276,10 +280,10 @@ fn diff_against_baseline(
 /// incremental vertical arms) and diffs pairwise against the hit-set
 /// baseline.
 ///
-/// The streaming engine is absent — it consumes a
+/// The streaming arm is absent — it re-scans a
 /// [`ppm_timeseries::SeriesSource`], which a borrowed view does not
-/// provide — so this oracle covers the engines that accept packed
-/// rows directly, without ever materializing a [`FeatureSeries`].
+/// provide — so this oracle covers the engines over packed rows
+/// directly, without ever materializing a [`FeatureSeries`].
 pub fn cross_check_view(
     view: EncodedSeriesView<'_>,
     period: usize,

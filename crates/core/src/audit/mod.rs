@@ -19,9 +19,9 @@
 //!   sharing no code with the letter-projection/tree path the miners use.
 //!   Full recount, or a deterministic sample for large results.
 //! * **Cross-algorithm diff** ([`cross_check`]) — mines the same input
-//!   with the hit-set, Apriori, and streaming engines and diffs the
-//!   outputs; the algorithms are proved equivalent in the paper, so any
-//!   disagreement is a bug in one of them.
+//!   with the hit-set (in memory and streamed), Apriori and vertical
+//!   engines and diffs the outputs; the algorithms are proved equivalent,
+//!   so any disagreement is a bug in one of them.
 //!
 //! Every violation carries enough rendered context (pattern text, counts,
 //! segment indices) to reproduce it by hand. Audit outcomes emit

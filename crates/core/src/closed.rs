@@ -127,10 +127,6 @@ pub fn mine_closed(
         ..Default::default()
     };
     let tree = build_tree(series, &scan1, &mut stats);
-    stats.series_scans += 1;
-    stats.tree_nodes = tree.node_count();
-    stats.distinct_hits = tree.distinct_hits();
-    stats.hit_insertions = tree.total_hits();
 
     let n = scan1.alphabet.len();
     let count_of = |set: &LetterSet| -> u64 {

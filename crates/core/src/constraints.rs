@@ -149,22 +149,18 @@ pub fn mine_constrained(
         match scan1.alphabet.index_of(o, f) {
             Some(idx) => required.insert(idx),
             None => {
-                return Ok(empty_result(period, config, scan1, stats));
+                return Ok(scan1.into_result(config, Vec::new(), stats));
             }
         }
     }
     if let Some(cap) = constraints.max_letters {
         if required.len() > cap {
-            return Ok(empty_result(period, config, scan1, stats));
+            return Ok(scan1.into_result(config, Vec::new(), stats));
         }
     }
 
     // Scan 2 over the reduced alphabet.
     let tree = build_tree(series, &scan1, &mut stats);
-    stats.series_scans += 1;
-    stats.tree_nodes = tree.node_count();
-    stats.distinct_hits = tree.distinct_hits();
-    stats.hit_insertions = tree.total_hits();
 
     // Derivation over the free letters, re-rooted at `required`.
     let cap = constraints.max_letters.unwrap_or(usize::MAX);
@@ -182,7 +178,7 @@ pub fn mine_constrained(
     if !required.is_empty() {
         let core_count = count_any(&tree, &scan1, &required);
         if core_count < scan1.min_count {
-            return Ok(empty_result(period, config, scan1, stats));
+            return Ok(scan1.into_result(config, Vec::new(), stats));
         }
         frequent.push(FrequentPattern {
             letters: required.clone(),
@@ -201,22 +197,14 @@ pub fn mine_constrained(
             stats.subset_tests += 1;
             let count = count_with_required(&[l]);
             if count >= scan1.min_count {
+                // With no required letters `count_any` answers singletons
+                // from the exact scan-1 counts.
                 let mut set = required.clone();
                 set.insert(l as usize);
-                if required.is_empty() {
-                    // Unconstrained singletons use exact scan-1 counts
-                    // (count_any already handles this, but keep the letter
-                    // count from scan 1 explicitly for clarity).
-                    frequent.push(FrequentPattern {
-                        letters: set,
-                        count: scan1.letter_counts[l as usize],
-                    });
-                } else {
-                    frequent.push(FrequentPattern {
-                        letters: set,
-                        count,
-                    });
-                }
+                frequent.push(FrequentPattern {
+                    letters: set,
+                    count,
+                });
                 level.push(vec![l]);
             }
         }
@@ -249,17 +237,7 @@ pub fn mine_constrained(
         level = next;
     }
 
-    let mut result = MiningResult {
-        period,
-        segment_count: scan1.segment_count,
-        min_confidence: config.min_confidence(),
-        min_count: scan1.min_count,
-        alphabet: scan1.alphabet,
-        frequent,
-        stats,
-    };
-    result.sort();
-    Ok(result)
+    Ok(scan1.into_result(config, frequent, stats))
 }
 
 /// Counts a pattern of any size against scan-1 data and the tree.
@@ -268,23 +246,6 @@ fn count_any(tree: &MaxSubpatternTree, scan1: &Scan1, set: &LetterSet) -> u64 {
         0 => scan1.segment_count as u64,
         1 => scan1.letter_counts[set.first().expect("non-empty")],
         _ => tree.count_superpatterns_walk(set),
-    }
-}
-
-fn empty_result(
-    period: usize,
-    config: &MineConfig,
-    scan1: Scan1,
-    stats: MiningStats,
-) -> MiningResult {
-    MiningResult {
-        period,
-        segment_count: scan1.segment_count,
-        min_confidence: config.min_confidence(),
-        min_count: scan1.min_count,
-        alphabet: scan1.alphabet,
-        frequent: Vec::new(),
-        stats,
     }
 }
 

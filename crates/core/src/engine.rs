@@ -14,7 +14,7 @@ use std::fmt;
 
 use crate::error::Result;
 use crate::result::MiningResult;
-use crate::rows::Rows;
+use crate::rows::Input;
 use crate::scan::MineConfig;
 use crate::vertical::ThreadedExecutor;
 
@@ -81,29 +81,35 @@ impl fmt::Display for Engine {
     }
 }
 
-/// Mines `period` of `rows` with `engine`. With `threads > 1` the vertical
-/// derive (and so the incremental engine's, which over fixed rows is the
-/// cold vertical mine) shards its word axis across a scoped pool when the
-/// index is wide enough to pay for it; the hit-set and Apriori engines
-/// run single-threaded. Every combination returns the same result.
-pub fn run(
+/// Mines `period` of `input` with `engine`. The input is fixed rows (a
+/// `&FeatureSeries`, an [`EncodedSeriesView`](ppm_timeseries::EncodedSeriesView)
+/// or [`Rows`](crate::Rows)) or a [`SeriesSource`](ppm_timeseries::SeriesSource)
+/// re-scanned on every pass; the result is the same either way, and only
+/// the data movement differs — `series_scans` counts the passes. With
+/// `threads > 1` the vertical derive (and so the incremental engine's,
+/// which over a fixed input is the cold vertical mine) shards its word
+/// axis across a scoped pool when the index is wide enough to pay for
+/// it; the hit-set and Apriori engines run single-threaded. Every
+/// combination returns the same result.
+pub fn run<'a>(
     engine: Engine,
-    rows: Rows<'_>,
+    input: impl Into<Input<'a>>,
     period: usize,
     config: &MineConfig,
     threads: usize,
 ) -> Result<MiningResult> {
+    let input = input.into();
     match engine {
         Engine::HitSet => {
-            crate::hitset::mine_with_strategy(rows, period, config, Default::default())
+            crate::hitset::mine_with_strategy(input, period, config, Default::default())
         }
-        Engine::Apriori => crate::apriori::mine_rows(rows, period, config),
+        Engine::Apriori => crate::apriori::mine_input(input, period, config),
         Engine::Vertical | Engine::Incremental if threads > 1 => {
             let executor = ThreadedExecutor::new(threads);
-            crate::vertical::mine_vertical_rows(rows, period, config, Some(&executor))
+            crate::vertical::mine_vertical_input(input, period, config, Some(&executor))
         }
         Engine::Vertical | Engine::Incremental => {
-            crate::vertical::mine_vertical_rows(rows, period, config, None)
+            crate::vertical::mine_vertical_input(input, period, config, None)
         }
     }
 }

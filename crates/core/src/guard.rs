@@ -9,10 +9,10 @@
 //! [`MiningStats`](crate::MiningStats), so operators see how far the run
 //! got before it was cut off.
 //!
-//! Deadline checks call [`Instant::elapsed`]; miners amortise them to once
-//! per [`DEADLINE_CHECK_INTERVAL`] segments so the guard costs nothing on
-//! the fast path. Tree checks are a length comparison and run after every
-//! insert.
+//! Deadline checks call [`Instant::elapsed`]; the segment passes of
+//! `crate::rows` amortise them to once per [`DEADLINE_CHECK_INTERVAL`]
+//! segments so the guard costs nothing on the fast path. Tree checks are
+//! a length comparison and run after every insert.
 
 use std::time::{Duration, Instant};
 
@@ -24,6 +24,15 @@ use crate::stats::MiningStats;
 /// guard's syscall overhead while keeping the overrun past the deadline to
 /// at most one batch of segments.
 pub(crate) const DEADLINE_CHECK_INTERVAL: usize = 1024;
+
+/// Which guard stopped a pass.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Abort {
+    /// The wall-clock deadline passed.
+    Deadline,
+    /// An insert grew the max-subpattern tree past its node budget.
+    TreeBudget,
+}
 
 /// Snapshot of a run's resource limits plus its start time.
 #[derive(Debug, Clone, Copy)]
@@ -44,7 +53,8 @@ impl ResourceGuard {
     }
 
     /// A guard with no limits: never trips. Used by the unguarded internal
-    /// tree builders shared with miners that predate the guards.
+    /// passes (the tree builds of the extension miners, scan 1 alone, the
+    /// resumable miner).
     pub(crate) fn unlimited() -> Self {
         ResourceGuard {
             started: Instant::now(),
@@ -66,12 +76,12 @@ impl ResourceGuard {
         self.max_tree_nodes.is_some_and(|budget| nodes > budget)
     }
 
-    /// Errors out if the deadline has passed, snapshotting `stats`.
-    pub(crate) fn check_deadline(&self, stats: &MiningStats) -> Result<(), Error> {
-        if self.deadline_exceeded() {
-            Err(self.deadline_error(stats))
-        } else {
-            Ok(())
+    /// The typed error for `abort`, snapshotting `stats` (a tree-budget
+    /// abort reads the partial tree's size from `stats.tree_nodes`).
+    pub(crate) fn error(&self, abort: Abort, stats: &MiningStats) -> Error {
+        match abort {
+            Abort::Deadline => self.deadline_error(stats),
+            Abort::TreeBudget => self.tree_error(stats.tree_nodes, stats),
         }
     }
 
@@ -117,7 +127,6 @@ mod tests {
         let g = ResourceGuard::unlimited();
         assert!(!g.deadline_exceeded());
         assert!(!g.tree_over_budget(usize::MAX));
-        assert!(g.check_deadline(&MiningStats::default()).is_ok());
     }
 
     #[test]
@@ -125,7 +134,7 @@ mod tests {
         let config = MineConfig::default().with_deadline(Duration::ZERO);
         let g = ResourceGuard::new(&config);
         assert!(g.deadline_exceeded());
-        let err = g.check_deadline(&MiningStats::default()).unwrap_err();
+        let err = g.error(Abort::Deadline, &MiningStats::default());
         assert!(matches!(err, Error::DeadlineExceeded { .. }));
     }
 

@@ -1,15 +1,16 @@
 //! Algorithm 3.2: single-period mining via the max-subpattern hit set.
 
+use std::ops::ControlFlow;
+
 use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
 
 use crate::error::Result;
-use crate::guard::{ResourceGuard, DEADLINE_CHECK_INTERVAL};
+use crate::guard::{Abort, ResourceGuard};
 use crate::hitset::derive::{derive_frequent, CountStrategy};
 use crate::hitset::tree::MaxSubpatternTree;
-use crate::letters::LetterSet;
-use crate::result::{FrequentPattern, MiningResult};
-use crate::rows::Rows;
-use crate::scan::{scan_frequent_letters_rows, MineConfig, Scan1};
+use crate::result::MiningResult;
+use crate::rows::{Input, Passes};
+use crate::scan::{MineConfig, Scan1};
 use crate::stats::MiningStats;
 
 /// Mines all frequent partial periodic patterns of `period` in `series`
@@ -34,132 +35,99 @@ pub fn mine_view(
     mine_with_strategy(view, period, config, CountStrategy::default())
 }
 
-/// Algorithm 3.2 over either row substrate (a `&FeatureSeries` or an
-/// [`EncodedSeriesView`]) with an explicit counting strategy; the
-/// ablations and the `sweep --compare-tree` race pin one here.
+/// Algorithm 3.2 over any [`Input`] (a `&FeatureSeries`, an
+/// [`EncodedSeriesView`], or a re-scanned
+/// [`SeriesSource`](ppm_timeseries::SeriesSource)) with an explicit
+/// counting strategy; the ablations and the `sweep --compare-tree` race
+/// pin one here.
 pub fn mine_with_strategy<'a>(
-    rows: impl Into<Rows<'a>>,
+    input: impl Into<Input<'a>>,
     period: usize,
     config: &MineConfig,
     strategy: CountStrategy,
 ) -> Result<MiningResult> {
-    let rows = rows.into();
     let _mine_span = ppm_observe::span("hitset.mine");
-    let guard = ResourceGuard::new(config);
+    let mut passes = Passes::new(input.into(), ResourceGuard::new(config), "hitset.segments");
 
     // Scan 1: frequent 1-patterns and C_max.
     let scan1 = {
         let _span = ppm_observe::span("hitset.scan1");
-        scan_frequent_letters_rows(rows, period, config)?
+        passes.scan1(period, config)?
     };
     ppm_observe::gauge("hitset.segments_total", scan1.segment_count as u64);
     ppm_observe::gauge("hitset.f1_letters", scan1.alphabet.len() as u64);
     let mut stats = MiningStats {
-        series_scans: 1,
         max_level: 1,
         ..Default::default()
     };
-    guard.check_deadline(&stats)?;
+    passes.settle(passes.deadline(), &mut stats)?;
 
     // Scan 2: register each segment's maximal hit subpattern.
     let tree = {
         let _span = ppm_observe::span("hitset.scan2");
-        build_tree_guarded_rows(rows, &scan1, &mut stats, &guard)?
+        grow_tree(&mut passes, &scan1, &mut stats)?
     };
-    stats.series_scans += 1;
-    stats.tree_nodes = tree.node_count();
-    stats.distinct_hits = tree.distinct_hits();
-    stats.hit_insertions = tree.total_hits();
     ppm_observe::gauge("tree.nodes", stats.tree_nodes as u64);
     ppm_observe::gauge("tree.distinct_hits", stats.distinct_hits as u64);
 
     // Derivation: 1-letter counts from scan 1, the rest from the tree.
     let _derive_span = ppm_observe::span("hitset.derive");
-    let n_letters = scan1.alphabet.len();
-    let mut frequent: Vec<FrequentPattern> = scan1
-        .letter_counts
-        .iter()
-        .enumerate()
-        .map(|(idx, &count)| FrequentPattern {
-            letters: LetterSet::from_indices(n_letters, [idx]),
-            count,
-        })
-        .collect();
-    derive_frequent(&tree, &scan1, strategy, &mut frequent, &mut stats);
-    drop(_derive_span);
-
-    let mut result = MiningResult {
-        period,
-        segment_count: scan1.segment_count,
-        min_confidence: config.min_confidence(),
-        min_count: scan1.min_count,
-        alphabet: scan1.alphabet,
-        frequent,
-        stats,
-    };
-    result.sort();
-    Ok(result)
+    Ok(finish(&tree, scan1, config, strategy, stats))
 }
 
-/// The second scan: projects every whole segment onto the frequent-letter
-/// alphabet and inserts hits with at least two letters into the tree
-/// (1-letter hits carry no information beyond scan 1; empty hits none).
+/// Algorithm 3.2's last step: the tree's size statistics, the 1-letter
+/// patterns from scan 1, every longer one derived from the tree.
+pub(crate) fn finish(
+    tree: &MaxSubpatternTree,
+    scan1: Scan1,
+    config: &MineConfig,
+    strategy: CountStrategy,
+    mut stats: MiningStats,
+) -> MiningResult {
+    absorb_tree_stats(&mut stats, tree);
+    let mut frequent = scan1.seed_singletons();
+    derive_frequent(tree, &scan1, strategy, &mut frequent, &mut stats);
+    scan1.into_result(config, frequent, stats)
+}
+
+/// The second scan with no guards: projects every whole segment onto the
+/// frequent-letter alphabet and inserts hits with at least two letters
+/// into the tree (1-letter hits carry no information beyond scan 1; empty
+/// hits none). Adds the scan and the tree's size to `stats`.
 pub(crate) fn build_tree(
     series: &FeatureSeries,
     scan1: &Scan1,
     stats: &mut MiningStats,
 ) -> MaxSubpatternTree {
-    build_tree_guarded_rows(
-        Rows::Series(series),
-        scan1,
-        stats,
-        &ResourceGuard::unlimited(),
-    )
-    .expect("an unlimited guard cannot abort the build")
+    let scans_before = stats.series_scans;
+    let mut passes = Passes::new(series.into(), ResourceGuard::unlimited(), "hitset.segments");
+    let tree = grow_tree(&mut passes, scan1, stats).expect("an unlimited guard cannot abort");
+    stats.series_scans += scans_before;
+    tree
 }
 
-/// [`build_tree`] with resource guards, over either row substrate: the
-/// tree budget is checked after every insert, the deadline once per
-/// [`DEADLINE_CHECK_INTERVAL`] segments. On a violation the partial tree's
-/// statistics are folded into `stats` and the typed guard error is
-/// returned.
-pub(crate) fn build_tree_guarded_rows(
-    rows: Rows<'_>,
+/// Scan 2 under the pass's guards: the tree budget is checked after every
+/// insert, the deadline by the pass. The tree's statistics and the passes
+/// completed land in `stats` either way; on a violation the typed guard
+/// error carries them.
+fn grow_tree(
+    passes: &mut Passes<'_>,
     scan1: &Scan1,
     stats: &mut MiningStats,
-    guard: &ResourceGuard,
 ) -> Result<MaxSubpatternTree> {
-    let period = scan1.alphabet.period();
-    let m = scan1.segment_count;
+    let guard = passes.guard();
     let mut tree = MaxSubpatternTree::new(scan1.alphabet.full_set());
-    let mut hit = scan1.alphabet.empty_set();
-    // Counter increments batch at the deadline-check cadence so the
-    // observability cost stays off the per-segment fast path.
-    let mut pending_segments: u64 = 0;
-    for j in 0..m {
-        hit.clear();
-        for offset in 0..period {
-            rows.project(&scan1.alphabet, offset, j * period + offset, &mut hit);
-        }
+    let flow = passes.segments(scan1, |_, hit| {
         if hit.len() >= 2 {
-            tree.insert(&hit);
+            tree.insert(hit);
             if guard.tree_over_budget(tree.node_count()) {
-                absorb_tree_stats(stats, &tree);
-                ppm_observe::counter("hitset.segments", pending_segments + 1);
-                return Err(guard.tree_error(tree.node_count(), stats));
+                return ControlFlow::Break(Abort::TreeBudget);
             }
         }
-        pending_segments += 1;
-        if j % DEADLINE_CHECK_INTERVAL == 0 {
-            ppm_observe::counter("hitset.segments", pending_segments);
-            pending_segments = 0;
-            if guard.deadline_exceeded() {
-                absorb_tree_stats(stats, &tree);
-                return Err(guard.deadline_error(stats));
-            }
-        }
-    }
-    ppm_observe::counter("hitset.segments", pending_segments);
+        ControlFlow::Continue(())
+    })?;
+    absorb_tree_stats(stats, &tree);
+    passes.settle(flow, stats)?;
     Ok(tree)
 }
 
@@ -175,6 +143,7 @@ mod tests {
     use super::*;
     use ppm_timeseries::{FeatureCatalog, FeatureId, SeriesBuilder};
 
+    use crate::letters::LetterSet;
     use crate::pattern::Pattern;
     use crate::stats::hit_set_bound;
 
@@ -320,17 +289,21 @@ mod tests {
     fn budget_abort_reports_the_partial_trees_totals() {
         let s = busy_series(400);
         let config = MineConfig::new(0.2).unwrap();
-        let scan1 = scan_frequent_letters_rows(Rows::Series(&s), 8, &config).unwrap();
+        let scan1 = crate::scan::scan_frequent_letters(&s, 8, &config).unwrap();
+        let alphabet = &scan1.alphabet;
         for budget in [2, 5, 20] {
             // Replay scan 2 up to the insert that trips the budget.
-            let mut tree = MaxSubpatternTree::new(scan1.alphabet.full_set());
-            let mut hit = scan1.alphabet.empty_set();
+            let mut tree = MaxSubpatternTree::new(alphabet.full_set());
             let mut inserted = 0u64;
-            for j in 0..scan1.segment_count {
-                hit.clear();
-                for offset in 0..8 {
-                    Rows::Series(&s).project(&scan1.alphabet, offset, j * 8 + offset, &mut hit);
-                }
+            for seg in s.segments(8).unwrap() {
+                let hit = LetterSet::from_indices(
+                    alphabet.len(),
+                    (0..8).flat_map(|o| {
+                        seg.at(o)
+                            .iter()
+                            .filter_map(move |&f| alphabet.index_of(o, f))
+                    }),
+                );
                 if hit.len() >= 2 {
                     tree.insert(&hit);
                     inserted += 1;
@@ -344,6 +317,29 @@ mod tests {
             let stats = err.partial_stats().unwrap();
             assert_eq!(stats.hit_insertions, inserted, "budget {budget}");
             assert_eq!(stats.tree_nodes, tree.node_count(), "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn scan2_deadline_abort_counts_completed_passes_on_each_input() {
+        use crate::error::Error;
+        use ppm_timeseries::MemorySource;
+        // The deadline passes between the scans. Fixed rows stop scan 2
+        // at its first poll, so only scan 1 completed; a source's muted
+        // scan 2 still ran to the end.
+        let s = busy_series(400);
+        let config = MineConfig::new(0.2).unwrap();
+        let guard = ResourceGuard::new(&config.with_deadline(std::time::Duration::ZERO));
+        let mut source = MemorySource::new(&s);
+        for (input, completed) in [(Input::from(&s), 1), (Input::from(&mut source), 2)] {
+            let mut passes = Passes::new(input, guard, "hitset.segments");
+            let scan1 = passes.scan1(8, &config).unwrap();
+            let mut stats = MiningStats::default();
+            let err = grow_tree(&mut passes, &scan1, &mut stats).unwrap_err();
+            assert!(matches!(err, Error::DeadlineExceeded { .. }), "got {err:?}");
+            let partial = err.partial_stats().unwrap();
+            assert_eq!(partial.series_scans, completed);
+            assert_eq!(partial.hit_insertions, 1, "one segment before the poll");
         }
     }
 

@@ -16,7 +16,12 @@
 //!
 //! [`Engine`] names the single-period engines (the two above plus the
 //! vertical bitmap engine and its incremental form) and [`run`] mines one
-//! period of a series or bitmap view ([`Rows`]) with any of them.
+//! period with any of them, from any [`Input`]: a series or bitmap view
+//! held in memory ([`Rows`]), or a [`SeriesSource`] such as a
+//! disk-resident `.ppmstream` file, re-scanned on every pass (paper §5;
+//! [`streaming`] adds the resumable hit-set miner).
+//!
+//! [`SeriesSource`]: ppm_timeseries::SeriesSource
 //!
 //! Plus the extensions the paper sketches in §4 and §6: maximal-pattern
 //! mining with MaxMiner-style lookahead ([`maximal`]), periodic association
@@ -86,7 +91,7 @@ pub use error::{Error, Result};
 pub use letters::{Alphabet, LetterIter, LetterSet};
 pub use pattern::{Pattern, PatternDisplay, Symbol};
 pub use result::{FrequentPattern, MiningResult};
-pub use rows::Rows;
+pub use rows::{Input, Rows};
 pub use scan::{scan_frequent_letters, scan_frequent_letters_view, MineConfig, Scan1};
 pub use stats::{hit_set_bound, MiningStats, StatsRollup};
 pub use vertical::{Kernel, KernelRace};

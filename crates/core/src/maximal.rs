@@ -52,10 +52,6 @@ pub fn mine_maximal(
         ..Default::default()
     };
     let tree = build_tree(series, &scan1, &mut stats);
-    stats.series_scans += 1;
-    stats.tree_nodes = tree.node_count();
-    stats.distinct_hits = tree.distinct_hits();
-    stats.hit_insertions = tree.total_hits();
 
     let maximal = max_miner(&tree, &scan1, &mut stats);
 

@@ -35,7 +35,6 @@ use crate::engine::Engine;
 use crate::error::{Error, Result};
 use crate::multi::{MultiPeriodResult, PeriodFailure, PeriodRange};
 use crate::result::MiningResult;
-use crate::rows::Rows;
 use crate::scan::MineConfig;
 use crate::vertical::shard::{plan_shards, ShardedCounter, MIN_SHARD_WORDS};
 use crate::vertical::ShardExecutor;
@@ -236,7 +235,7 @@ pub fn mine_periods_scheduled(
         let mut task_us = Histogram::with_default_precision();
         for &p in &periods {
             let task_start = Instant::now();
-            let outcome = crate::run(engine, Rows::View(view), p, config, 1);
+            let outcome = crate::run(engine, view, p, config, 1);
             task_us.record(task_start.elapsed().as_micros() as u64);
             match outcome {
                 Ok(r) => results.push(r),
@@ -323,21 +322,20 @@ pub fn mine_periods_scheduled(
                             stolen_ref.fetch_add(1, Ordering::Relaxed);
                         }
                         let start = Instant::now();
-                        let rows = Rows::View(view);
                         let period = periods_ref[task];
                         let outcome = if sharded {
                             let executor = InjectorExecutor {
                                 deques: deques_ref,
                                 workers,
                             };
-                            crate::vertical::mine_vertical_rows(
-                                rows,
+                            crate::vertical::mine_vertical_input(
+                                view.into(),
                                 period,
                                 config,
                                 Some(&executor),
                             )
                         } else {
-                            crate::run(engine, rows, period, config, 1)
+                            crate::run(engine, view, period, config, 1)
                         };
                         let elapsed_us = start.elapsed().as_micros() as u64;
                         busy_us += elapsed_us;

@@ -3,11 +3,11 @@
 use ppm_timeseries::{EncodedSeries, EncodedSeriesView, FeatureSeries};
 
 use crate::error::Result;
-use crate::hitset::derive::{derive_frequent, CountStrategy};
-use crate::hitset::MaxSubpatternTree;
+use crate::hitset::derive::CountStrategy;
+use crate::hitset::{finish, MaxSubpatternTree};
 use crate::letters::LetterSet;
 use crate::multi::{MultiPeriodResult, PeriodRange};
-use crate::result::{FrequentPattern, MiningResult};
+use crate::result::MiningResult;
 use crate::scan::{scan1_from_counts, CountTable, MineConfig, Scan1};
 use crate::stats::MiningStats;
 
@@ -182,46 +182,18 @@ fn scan2_and_derive(
 
     // ---- Derivation per period (in-memory; no further scans).
     let _derive_span = ppm_observe::span("shared.derive");
-    let mut results = Vec::with_capacity(periods.len());
-    for ((period, scan1), tree) in periods.iter().copied().zip(scans).zip(trees) {
-        let mut stats = MiningStats {
-            series_scans: 2,
-            max_level: 1,
-            tree_nodes: tree.node_count(),
-            distinct_hits: tree.distinct_hits(),
-            hit_insertions: tree.total_hits(),
-            ..Default::default()
-        };
-        let n_letters = scan1.alphabet.len();
-        let mut frequent: Vec<FrequentPattern> = scan1
-            .letter_counts
-            .iter()
-            .enumerate()
-            .map(|(idx, &count)| FrequentPattern {
-                letters: LetterSet::from_indices(n_letters, [idx]),
-                count,
-            })
-            .collect();
-        derive_frequent(
-            &tree,
-            &scan1,
-            CountStrategy::default(),
-            &mut frequent,
-            &mut stats,
-        );
-        let mut result = MiningResult {
-            period,
-            segment_count: scan1.segment_count,
-            min_confidence: config.min_confidence(),
-            min_count: scan1.min_count,
-            alphabet: scan1.alphabet,
-            frequent,
-            stats,
-        };
-        result.sort();
-        results.push(result);
-    }
-    results
+    scans
+        .into_iter()
+        .zip(trees)
+        .map(|(scan1, tree)| {
+            let stats = MiningStats {
+                series_scans: 2,
+                max_level: 1,
+                ..Default::default()
+            };
+            finish(&tree, scan1, config, CountStrategy::default(), stats)
+        })
+        .collect()
 }
 
 #[cfg(test)]

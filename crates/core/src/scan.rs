@@ -12,8 +12,11 @@ use std::time::Duration;
 use ppm_timeseries::{EncodedSeriesView, FeatureId, FeatureSeries};
 
 use crate::error::{Error, Result};
-use crate::letters::Alphabet;
-use crate::rows::Rows;
+use crate::guard::ResourceGuard;
+use crate::letters::{Alphabet, LetterSet};
+use crate::result::{FrequentPattern, MiningResult};
+use crate::rows::{Input, Passes};
+use crate::stats::MiningStats;
 use crate::vertical::Kernel;
 
 /// Mining configuration: the confidence threshold (validated to lie in
@@ -215,6 +218,44 @@ pub struct Scan1 {
     pub min_count: u64,
 }
 
+impl Scan1 {
+    /// The frequent 1-patterns, straight from the scan-1 counts — the
+    /// seed every engine's derivation extends.
+    pub(crate) fn seed_singletons(&self) -> Vec<FrequentPattern> {
+        let n_letters = self.alphabet.len();
+        self.letter_counts
+            .iter()
+            .enumerate()
+            .map(|(idx, &count)| FrequentPattern {
+                letters: LetterSet::from_indices(n_letters, [idx]),
+                count,
+            })
+            .collect()
+    }
+
+    /// Assembles the canonically sorted result of a single-period mine:
+    /// `frequent` (seeded by [`Self::seed_singletons`]) over this scan's
+    /// alphabet, with the run's `stats`.
+    pub(crate) fn into_result(
+        self,
+        config: &MineConfig,
+        frequent: Vec<FrequentPattern>,
+        stats: MiningStats,
+    ) -> MiningResult {
+        let mut result = MiningResult {
+            period: self.alphabet.period(),
+            segment_count: self.segment_count,
+            min_confidence: config.min_confidence(),
+            min_count: self.min_count,
+            alphabet: self.alphabet,
+            frequent,
+            stats,
+        };
+        result.sort();
+        result
+    }
+}
+
 /// Performs scan 1 for a single period: one pass over the first `m·p`
 /// instants, counting each `(offset, feature)` occurrence, then filtering
 /// by the threshold.
@@ -223,7 +264,7 @@ pub fn scan_frequent_letters(
     period: usize,
     config: &MineConfig,
 ) -> Result<Scan1> {
-    scan_frequent_letters_rows(Rows::Series(series), period, config)
+    scan1_of(series.into(), period, config)
 }
 
 /// [`scan_frequent_letters`] over a borrowed bitmap view (an
@@ -234,35 +275,16 @@ pub fn scan_frequent_letters_view(
     period: usize,
     config: &MineConfig,
 ) -> Result<Scan1> {
-    scan_frequent_letters_rows(Rows::View(view), period, config)
+    scan1_of(view.into(), period, config)
 }
 
-/// Scan 1 over either row substrate.
-pub(crate) fn scan_frequent_letters_rows(
-    rows: Rows<'_>,
-    period: usize,
-    config: &MineConfig,
-) -> Result<Scan1> {
-    if period == 0 || period > rows.len() {
-        return Err(Error::InvalidPeriod {
-            period,
-            series_len: rows.len(),
-        });
-    }
-    let m = rows.len() / period;
-    let min_count = config.min_count(m);
-
-    let mut counts = CountTable::with_width(period, rows.count_width());
-    for t in 0..m * period {
-        let offset = (t % period) as u32;
-        rows.add_counts(t, offset, &mut counts);
-    }
-
-    Ok(scan1_from_counts(&counts, period, m, min_count))
+/// Scan 1 alone, outside a guarded mine.
+fn scan1_of(input: Input<'_>, period: usize, config: &MineConfig) -> Result<Scan1> {
+    Passes::new(input, ResourceGuard::unlimited(), "scan.segments").scan1(period, config)
 }
 
 /// Builds a [`Scan1`] from a finished counting table (shared by the
-/// single-period, parallel, and multi-period scan-1 implementations).
+/// single-period and multi-period scan-1 implementations).
 pub(crate) fn scan1_from_counts(
     counts: &CountTable,
     period: usize,

@@ -45,7 +45,7 @@ use ppm_timeseries::{EncodedSeriesView, FeatureId};
 use crate::error::{Error, Result};
 use crate::letters::{Alphabet, LetterSet};
 use crate::result::{FrequentPattern, MiningResult};
-use crate::scan::MineConfig;
+use crate::scan::{MineConfig, Scan1};
 use crate::stats::MiningStats;
 
 use super::kernel::{count_dispatch_cached, Kernel, PrefixCache, BLOCK_WORDS};
@@ -425,6 +425,12 @@ impl IncrementalVerticalIndex {
             letter_counts.push(self.row_counts[row]);
             rowmap.push(row as u32);
         }
+        let scan1 = Scan1 {
+            alphabet,
+            letter_counts,
+            segment_count: m,
+            min_count,
+        };
 
         // Mirrors `derive_frequent_batched` exactly — candidate order,
         // stats accounting, threshold test — so the result (including
@@ -435,15 +441,7 @@ impl IncrementalVerticalIndex {
             max_level: 1,
             ..Default::default()
         };
-        let mut frequent: Vec<FrequentPattern> = letter_counts
-            .iter()
-            .enumerate()
-            .map(|(idx, &count)| FrequentPattern {
-                letters: LetterSet::from_indices(n_letters, [idx]),
-                count,
-            })
-            .collect();
-
+        let mut frequent = scan1.seed_singletons();
         let resolved = config.kernel();
         let mut and_ops = 0u64;
         let mut tally = DeriveTally::default();
@@ -515,17 +513,7 @@ impl IncrementalVerticalIndex {
             started.elapsed().as_micros() as u64,
         );
 
-        let mut result = MiningResult {
-            period: self.period,
-            segment_count: m,
-            min_confidence: config.min_confidence(),
-            min_count,
-            alphabet,
-            frequent,
-            stats,
-        };
-        result.sort();
-        Ok(result)
+        Ok(scan1.into_result(config, frequent, stats))
     }
 
     /// The Apriori join of one frequent level (flat, chunked by `k`),

@@ -34,20 +34,20 @@ pub mod incremental;
 pub mod kernel;
 pub mod shard;
 
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 use std::time::Instant;
 
 use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
 
 use crate::error::Result;
-use crate::guard::{ResourceGuard, DEADLINE_CHECK_INTERVAL};
+use crate::guard::ResourceGuard;
 use crate::hitset::derive::derive_frequent_batched;
 use crate::hitset::tree::MaxSubpatternTree;
-use crate::letters::{Alphabet, LetterSet};
+use crate::letters::LetterSet;
 use crate::result::{FrequentPattern, MiningResult};
-use crate::rows::Rows;
-use crate::scan::{scan_frequent_letters_rows, MineConfig, Scan1};
+use crate::rows::{Input, Passes};
+use crate::scan::{MineConfig, Scan1};
 use crate::stats::MiningStats;
 
 pub use kernel::Kernel;
@@ -116,49 +116,22 @@ impl VerticalIndex {
         self.words[letter * self.words_per_row + col / 64] |= 1u64 << (col % 64);
     }
 
-    /// Projects segments `segments.start..segments.end` of `rows` onto
-    /// `alphabet` and sets the matching column bits — one deadline-checked
-    /// chunk of [`Self::from_segments`].
-    pub(crate) fn fill_segments(
-        &mut self,
-        rows: Rows<'_>,
-        alphabet: &Alphabet,
-        segments: Range<usize>,
-    ) {
-        let period = alphabet.period();
-        let mut hit = alphabet.empty_set();
-        for j in segments {
-            hit.clear();
-            for offset in 0..period {
-                rows.project(alphabet, offset, j * period + offset, &mut hit);
-            }
-            for letter in hit.iter() {
-                self.set(letter, j);
-            }
-        }
-    }
-
-    /// Scan 2 of the vertical engine: one pass over the whole segments,
-    /// building every letter's segment bitmap. The deadline guard fires
-    /// once per [`DEADLINE_CHECK_INTERVAL`] segments, like the tree build.
+    /// Scan 2 of the vertical engine: one segment pass building every
+    /// letter's segment bitmap. The pass polls the deadline; an abort
+    /// carries `stats` as partial progress.
     pub(crate) fn from_segments(
-        rows: Rows<'_>,
+        passes: &mut Passes<'_>,
         scan1: &Scan1,
-        stats: &MiningStats,
-        guard: &ResourceGuard,
+        stats: &mut MiningStats,
     ) -> Result<Self> {
-        let m = scan1.segment_count;
-        let mut index = Self::with_columns(scan1.alphabet.len(), m);
-        let mut start = 0usize;
-        while start < m {
-            let end = (start + DEADLINE_CHECK_INTERVAL).min(m);
-            index.fill_segments(rows, &scan1.alphabet, start..end);
-            ppm_observe::counter("vertical.segments", (end - start) as u64);
-            if guard.deadline_exceeded() {
-                return Err(guard.deadline_error(stats));
+        let mut index = Self::with_columns(scan1.alphabet.len(), scan1.segment_count);
+        let flow = passes.segments(scan1, |j, hit| {
+            for letter in hit.iter() {
+                index.set(letter, j);
             }
-            start = end;
-        }
+            ControlFlow::Continue(())
+        })?;
+        passes.settle(flow, stats)?;
         Ok(index)
     }
 
@@ -333,7 +306,7 @@ pub fn mine_vertical(
     period: usize,
     config: &MineConfig,
 ) -> Result<MiningResult> {
-    mine_vertical_rows(Rows::Series(series), period, config, None)
+    mine_vertical_input(series.into(), period, config, None)
 }
 
 /// [`mine_vertical`] over a borrowed bitmap view — the zero-materialization
@@ -344,42 +317,40 @@ pub fn mine_vertical_view(
     period: usize,
     config: &MineConfig,
 ) -> Result<MiningResult> {
-    mine_vertical_rows(Rows::View(view), period, config, None)
+    mine_vertical_input(view.into(), period, config, None)
 }
 
-/// Both vertical scans and the derive over either row substrate. With an
+/// Both vertical scans and the derive over any [`Input`]. With an
 /// `executor`, each derivation level's counting splits into word-range
 /// subtasks the executor runs (if the index is wide enough, see
 /// [`shard`]); results are bit-identical either way.
-pub(crate) fn mine_vertical_rows(
-    rows: Rows<'_>,
+pub(crate) fn mine_vertical_input(
+    input: Input<'_>,
     period: usize,
     config: &MineConfig,
     executor: Option<&dyn ShardExecutor>,
 ) -> Result<MiningResult> {
     let _mine_span = ppm_observe::span("vertical.mine");
-    let guard = ResourceGuard::new(config);
+    let mut passes = Passes::new(input, ResourceGuard::new(config), "vertical.segments");
 
     // Scan 1: frequent 1-patterns and C_max (shared with the other engines).
     let scan1 = {
         let _span = ppm_observe::span("vertical.scan1");
-        scan_frequent_letters_rows(rows, period, config)?
+        passes.scan1(period, config)?
     };
     ppm_observe::gauge("vertical.segments_total", scan1.segment_count as u64);
     ppm_observe::gauge("vertical.f1_letters", scan1.alphabet.len() as u64);
     let mut stats = MiningStats {
-        series_scans: 1,
         max_level: 1,
         ..Default::default()
     };
-    guard.check_deadline(&stats)?;
+    passes.settle(passes.deadline(), &mut stats)?;
 
     // Scan 2: per-letter segment bitmaps instead of a tree.
     let index = {
         let _span = ppm_observe::span("vertical.scan2");
-        VerticalIndex::from_segments(rows, &scan1, &stats, &guard)?
+        VerticalIndex::from_segments(&mut passes, &scan1, &mut stats)?
     };
-    stats.series_scans += 1;
     ppm_observe::gauge("vertical.bitmap_bytes", index.bitmap_bytes() as u64);
 
     // Derivation: 1-letter counts from scan 1, the rest by AND + popcount.
@@ -393,32 +364,7 @@ pub(crate) fn mine_vertical_rows(
             None => derive_vertical(&index, &scan1, &mut stats, config.kernel()),
         }
     };
-
-    let mut result = MiningResult {
-        period,
-        segment_count: scan1.segment_count,
-        min_confidence: config.min_confidence(),
-        min_count: scan1.min_count,
-        alphabet: scan1.alphabet,
-        frequent,
-        stats,
-    };
-    result.sort();
-    Ok(result)
-}
-
-/// The frequent 1-patterns, straight from scan-1 counts.
-fn seed_singletons(scan1: &Scan1) -> Vec<FrequentPattern> {
-    let n_letters = scan1.alphabet.len();
-    scan1
-        .letter_counts
-        .iter()
-        .enumerate()
-        .map(|(idx, &count)| FrequentPattern {
-            letters: LetterSet::from_indices(n_letters, [idx]),
-            count,
-        })
-        .collect()
+    Ok(scan1.into_result(config, frequent, stats))
 }
 
 /// The vertical derivation phase: seeds the 1-letter patterns from scan-1
@@ -430,7 +376,7 @@ pub(crate) fn derive_vertical(
     stats: &mut MiningStats,
     kernel: Kernel,
 ) -> Vec<FrequentPattern> {
-    let mut frequent = seed_singletons(scan1);
+    let mut frequent = scan1.seed_singletons();
     let mut and_ops = 0u64;
     derive_frequent_batched(
         |sets| index.count_level(sets, kernel, &mut and_ops),
@@ -438,17 +384,21 @@ pub(crate) fn derive_vertical(
         &mut frequent,
         stats,
     );
+    report_derive(kernel, and_ops);
+    frequent
+}
+
+/// The derive gauges both vertical derives report: kernel, AND operations
+/// and prefix-cache engagement.
+fn report_derive(kernel: Kernel, and_ops: u64) {
+    use std::sync::atomic::Ordering::Relaxed;
     ppm_observe::gauge("vertical.kernel", kernel.gauge_code());
     ppm_observe::gauge("vertical.and_ops", and_ops);
     ppm_observe::gauge(
         "vertical.prefix_builds",
-        kernel::PREFIX_BUILDS.load(std::sync::atomic::Ordering::Relaxed),
+        kernel::PREFIX_BUILDS.load(Relaxed),
     );
-    ppm_observe::gauge(
-        "vertical.prefix_hits",
-        kernel::PREFIX_HITS.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    frequent
+    ppm_observe::gauge("vertical.prefix_hits", kernel::PREFIX_HITS.load(Relaxed));
 }
 
 /// [`derive_vertical`] with each level's counting sharded across the word
@@ -472,7 +422,7 @@ pub(crate) fn derive_vertical_sharded(
     if plan.len() < 2 {
         return derive_vertical(index, scan1, stats, kernel);
     }
-    let mut frequent = seed_singletons(scan1);
+    let mut frequent = scan1.seed_singletons();
     let mut and_ops = 0u64;
     let mut tasks = 0u64;
     let mut remote = 0u64;
@@ -492,16 +442,7 @@ pub(crate) fn derive_vertical_sharded(
         &mut frequent,
         stats,
     );
-    ppm_observe::gauge("vertical.kernel", kernel.gauge_code());
-    ppm_observe::gauge("vertical.and_ops", and_ops);
-    ppm_observe::gauge(
-        "vertical.prefix_builds",
-        kernel::PREFIX_BUILDS.load(std::sync::atomic::Ordering::Relaxed),
-    );
-    ppm_observe::gauge(
-        "vertical.prefix_hits",
-        kernel::PREFIX_HITS.load(std::sync::atomic::Ordering::Relaxed),
-    );
+    report_derive(kernel, and_ops);
     ppm_observe::gauge("vertical.shards", plan.len() as u64);
     ppm_observe::counter("vertical.shard_tasks", tasks);
     ppm_observe::counter("vertical.shard_tasks_remote", remote);
@@ -552,11 +493,9 @@ pub fn kernel_race(
     config: &MineConfig,
     threads: usize,
 ) -> Result<KernelRace> {
-    let rows = Rows::View(view);
-    let scan1 = scan_frequent_letters_rows(rows, period, config)?;
-    let stats0 = MiningStats::default();
-    let guard = ResourceGuard::new(config);
-    let index = VerticalIndex::from_segments(rows, &scan1, &stats0, &guard)?;
+    let mut passes = Passes::new(view.into(), ResourceGuard::new(config), "vertical.segments");
+    let scan1 = passes.scan1(period, config)?;
+    let index = VerticalIndex::from_segments(&mut passes, &scan1, &mut MiningStats::default())?;
 
     let mut scalar_us = u64::MAX;
     let mut stats_scalar = MiningStats::default();
@@ -648,6 +587,12 @@ mod tests {
             b.push_instant(inst);
         }
         b.finish()
+    }
+
+    /// Scan 2 of the vertical engine over `series`, unguarded.
+    fn segment_index(series: &FeatureSeries, scan1: &Scan1) -> VerticalIndex {
+        let mut passes = Passes::new(series.into(), ResourceGuard::unlimited(), "test.segments");
+        VerticalIndex::from_segments(&mut passes, scan1, &mut MiningStats::default()).unwrap()
     }
 
     #[test]
@@ -749,13 +694,7 @@ mod tests {
         let series = busy_series(2048, 5);
         let config = MineConfig::new(0.2).unwrap();
         let scan1 = scan_frequent_letters(&series, 4, &config).unwrap();
-        let index = VerticalIndex::from_segments(
-            Rows::Series(&series),
-            &scan1,
-            &MiningStats::default(),
-            &ResourceGuard::unlimited(),
-        )
-        .unwrap();
+        let index = segment_index(&series, &scan1);
         let wpr = index.words_per_row();
         assert!(wpr >= 8, "need a multi-word index, got {wpr}");
         let n = scan1.alphabet.len();
@@ -780,13 +719,7 @@ mod tests {
         let series = busy_series(4096, 6);
         let config = MineConfig::new(0.2).unwrap();
         let scan1 = scan_frequent_letters(&series, 4, &config).unwrap();
-        let index = VerticalIndex::from_segments(
-            Rows::Series(&series),
-            &scan1,
-            &MiningStats::default(),
-            &ResourceGuard::unlimited(),
-        )
-        .unwrap();
+        let index = segment_index(&series, &scan1);
         let mut stats_base = MiningStats::default();
         let base = derive_vertical(&index, &scan1, &mut stats_base, Kernel::Scalar);
         let shared = Arc::new(index);
@@ -812,14 +745,7 @@ mod tests {
         let encoded = EncodedSeries::encode(&series);
         let config = MineConfig::new(0.3).unwrap();
         let plain = mine_vertical_view(encoded.view(), 4, &config).unwrap();
-        let sharded = crate::run(
-            crate::Engine::Vertical,
-            Rows::View(encoded.view()),
-            4,
-            &config,
-            4,
-        )
-        .unwrap();
+        let sharded = crate::run(crate::Engine::Vertical, encoded.view(), 4, &config, 4).unwrap();
         assert_eq!(plain.frequent, sharded.frequent);
         assert_eq!(plain.stats, sharded.stats);
     }
@@ -882,13 +808,7 @@ mod tests {
         let series = busy_series(480, 4);
         let config = MineConfig::new(0.25).unwrap();
         let scan1 = scan_frequent_letters(&series, 6, &config).unwrap();
-        let index = VerticalIndex::from_segments(
-            Rows::Series(&series),
-            &scan1,
-            &MiningStats::default(),
-            &ResourceGuard::unlimited(),
-        )
-        .unwrap();
+        let index = segment_index(&series, &scan1);
         let n = scan1.alphabet.len();
         for (i, &count) in scan1.letter_counts.iter().enumerate() {
             let p = LetterSet::from_indices(n, [i]);

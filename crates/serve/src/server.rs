@@ -38,7 +38,7 @@ use ppm_observe::{FlightKind, FlightRecorder, Json, NameId};
 use ppm_timeseries::columnar::ColumnarAppender;
 use ppm_timeseries::{
     Fault, FaultInjectingSource, FaultPlan, FeatureCatalog, MemorySource, QuarantineMode,
-    QuarantiningSource, SeriesBuilder, SeriesSource,
+    QuarantiningSource, SeriesSource,
 };
 
 use crate::accept;
@@ -1031,18 +1031,14 @@ impl Server {
                 &mut plain
             }
         };
-        let mut qsrc = QuarantiningSource::new(source, QuarantineMode::Quarantine);
-        let mut builder = SeriesBuilder::new();
-        qsrc.scan(&mut |_, feats| builder.push_instant(feats.iter().copied()))
-            .map_err(|e| OpError::internal(format!("quarantine scan failed: {e}")))?;
-        let (_, report) = qsrc.into_parts();
-        let cleaned = builder.finish();
-
-        // The cleaned series is not the store, so there is no live index
-        // to consult: incremental runs the cold vertical mine it is
+        // Mine straight through the quarantine, re-validating on every
+        // pass. The cleaned stream is not the store, so there is no live
+        // index to consult: incremental runs the cold vertical mine it is
         // bit-identical to.
-        let mined = ppm_core::run(q.engine, Rows::Series(&cleaned), q.period, &q.config, 1);
+        let mut qsrc = QuarantiningSource::new(source, QuarantineMode::Quarantine);
+        let mined = ppm_core::run(q.engine, &mut qsrc, q.period, &q.config, 1);
         let result = mined.map_err(OpError::from_mining)?;
+        let (_, report) = qsrc.into_parts();
         let cached = to_cached(&result, reader.catalog());
         Ok(mine_response(q, &cached, "bypass", Some(report.len())))
     }

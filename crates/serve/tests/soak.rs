@@ -181,15 +181,22 @@ fn guard_trips_and_panics_are_contained_per_query() {
     let name = store.file_stem().unwrap().to_str().unwrap().to_owned();
     let (addr, handle, _stop) = start(&store, |c| c.workers = 2);
 
-    // A zero deadline trips the guard: typed code 3 with partial stats.
-    let mut req = mine_req(&name, 3, 0.6, "hitset");
-    if let Json::Obj(fields) = &mut req {
-        fields.push(("deadline_ms".into(), Json::from_u64(0)));
+    // A zero deadline trips the guard of every cold engine: typed code 3
+    // with partial stats.
+    for engine in ["hitset", "apriori", "vertical"] {
+        let mut req = mine_req(&name, 3, 0.6, engine);
+        if let Json::Obj(fields) = &mut req {
+            fields.push(("deadline_ms".into(), Json::from_u64(0)));
+        }
+        let resp = request(addr, &req);
+        assert_eq!(
+            resp.get("type").unwrap().as_str(),
+            Some("error"),
+            "{engine}"
+        );
+        assert_eq!(resp.get("code").unwrap().as_u64(), Some(3), "{engine}");
+        assert!(resp.get("partial_stats").is_some(), "{engine}: {resp:?}");
     }
-    let resp = request(addr, &req);
-    assert_eq!(resp.get("type").unwrap().as_str(), Some("error"));
-    assert_eq!(resp.get("code").unwrap().as_u64(), Some(3));
-    assert!(resp.get("partial_stats").is_some(), "{resp:?}");
 
     // An injected panic is contained to an error response...
     let resp = request(

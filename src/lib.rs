@@ -55,7 +55,7 @@ pub use ppm_timeseries as timeseries;
 
 pub use ppm_core::{
     apriori, audit, closed, constraints, evolution, hitset, maximal, multi, multilevel, perfect,
-    perturb, rules, run, stats, streaming, vertical, Engine, FrequentPattern, MineConfig,
+    perturb, rules, run, stats, streaming, vertical, Engine, FrequentPattern, Input, MineConfig,
     MiningResult, Pattern, Rows, Symbol,
 };
 pub use ppm_datagen::SyntheticSpec;

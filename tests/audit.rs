@@ -11,7 +11,6 @@ use std::sync::Arc;
 use partial_periodic::audit::{audit, cross_check, verify_claims, AuditMode, Violation};
 use partial_periodic::core::export::{parse_patterns_tsv, patterns_tsv};
 use partial_periodic::observe::{self, Collector};
-use partial_periodic::streaming::mine_hitset_streaming;
 use partial_periodic::timeseries::{
     EncodedSeries, Fault, FaultInjectingSource, FaultPlan, MemorySource, QuarantineMode,
     QuarantiningSource, SeriesSource,
@@ -80,7 +79,7 @@ fn honest_runs_audit_clean_for_every_engine() {
             }
             let mut src = MemorySource::new(&series);
             assert_clean(
-                &mine_hitset_streaming(&mut src, p, &config).unwrap(),
+                &run(Engine::HitSet, &mut src, p, &config, 1).unwrap(),
                 &series,
                 &catalog,
             );
@@ -292,7 +291,7 @@ fn quarantined_mining_yields_sound_lower_bounds() {
         .fail_scan(1, Fault::Garbage { instant: 0 });
     let faulty = FaultInjectingSource::new(MemorySource::new(&series), plan);
     let mut q = QuarantiningSource::new(faulty, QuarantineMode::Quarantine);
-    let mined = mine_hitset_streaming(&mut q, 6, &config).unwrap();
+    let mined = run(Engine::HitSet, &mut q, 6, &config, 1).unwrap();
     let (_, report) = q.into_parts();
     assert_eq!(report.len(), 1);
     assert_eq!(report.entries().next().unwrap().instant, 0);
@@ -330,7 +329,7 @@ fn reject_mode_fails_the_mine_with_a_typed_error() {
     let plan = FaultPlan::new().fail_scan(0, Fault::Garbage { instant: 3 });
     let faulty = FaultInjectingSource::new(MemorySource::new(&series), plan);
     let mut q = QuarantiningSource::new(faulty, QuarantineMode::Reject);
-    let err = mine_hitset_streaming(&mut q, 6, &MineConfig::new(0.5).unwrap()).unwrap_err();
+    let err = run(Engine::HitSet, &mut q, 6, &MineConfig::new(0.5).unwrap(), 1).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("instant 3"), "{msg}");
 }

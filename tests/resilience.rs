@@ -1,19 +1,19 @@
 //! End-to-end resilience: fault injection, retries, and recovery.
 //!
-//! The headline scenario: a streaming hit-set mine (Alg 3.2, two physical
+//! The headline scenario: the hit-set engine (Alg 3.2, two physical
 //! passes) over a disk source whose second scan fails transiently must,
 //! when wrapped in a retrier, produce a `MiningResult` bit-identical to
 //! the fault-free run — same patterns, same counts, same statistics.
 
 use partial_periodic::core::Error;
-use partial_periodic::streaming::mine_hitset_streaming;
 use partial_periodic::timeseries::retry::with_retries;
 use partial_periodic::timeseries::storage::stream::{FileSource, StreamWriter};
 use partial_periodic::timeseries::{
     Fault, FaultInjectingSource, FaultPlan, MemorySource, SeriesSource,
 };
 use partial_periodic::{
-    hitset, FeatureCatalog, FeatureId, FeatureSeries, MineConfig, MiningResult, SeriesBuilder,
+    hitset, run, Engine, FeatureCatalog, FeatureId, FeatureSeries, MineConfig, MiningResult,
+    SeriesBuilder,
 };
 
 fn fid(i: u32) -> FeatureId {
@@ -80,7 +80,7 @@ fn transient_scan2_failure_recovers_bit_identically() {
 
     // Fault-free baseline over the same file.
     let mut clean = FileSource::open(&path).unwrap();
-    let expect = mine_hitset_streaming(&mut clean, 6, &config).unwrap();
+    let expect = run(Engine::HitSet, &mut clean, 6, &config, 1).unwrap();
     assert!(!expect.is_empty(), "baseline must find patterns");
     assert_eq!(expect.stats.series_scans, 2);
 
@@ -89,7 +89,7 @@ fn transient_scan2_failure_recovers_bit_identically() {
     let plan = FaultPlan::new().fail_scan(1, Fault::ShortRead { instants: 250 });
     let faulty = FaultInjectingSource::new(FileSource::open(&path).unwrap(), plan);
     let mut src = with_retries(faulty, 3);
-    let got = mine_hitset_streaming(&mut src, 6, &config).unwrap();
+    let got = run(Engine::HitSet, &mut src, 6, &config, 1).unwrap();
 
     assert_bit_identical(&expect, &got);
     assert_eq!(src.retries(), 1);
@@ -115,7 +115,7 @@ fn faults_on_both_scans_recover_and_match_memory_mining() {
         .fail_scan(2, Fault::ShortRead { instants: 100 });
     let faulty = FaultInjectingSource::new(MemorySource::new(&series), plan);
     let mut src = with_retries(faulty, 3);
-    let got = mine_hitset_streaming(&mut src, 6, &config).unwrap();
+    let got = run(Engine::HitSet, &mut src, 6, &config, 1).unwrap();
 
     assert_bit_identical(&expect, &got);
     assert_eq!(src.inner().attempts(), 4, "two logical scans, two retries");
@@ -135,7 +135,8 @@ fn retry_exhaustion_reports_attempt_counts() {
     let faulty = FaultInjectingSource::new(MemorySource::new(&series), plan);
     let mut src = with_retries(faulty, 3);
 
-    let err = mine_hitset_streaming(&mut src, 6, &MineConfig::new(0.5).unwrap()).unwrap_err();
+    let config = MineConfig::new(0.5).unwrap();
+    let err = run(Engine::HitSet, &mut src, 6, &config, 1).unwrap_err();
     assert!(
         matches!(err, Error::Series(ref e) if e.is_transient()),
         "{err}"
@@ -156,7 +157,8 @@ fn truncation_fails_fast_through_the_retrier() {
     let faulty = FaultInjectingSource::new(MemorySource::new(&series), plan);
     let mut src = with_retries(faulty, 5);
 
-    let err = mine_hitset_streaming(&mut src, 6, &MineConfig::new(0.5).unwrap()).unwrap_err();
+    let config = MineConfig::new(0.5).unwrap();
+    let err = run(Engine::HitSet, &mut src, 6, &config, 1).unwrap_err();
     assert!(
         matches!(
             err,
@@ -182,7 +184,7 @@ fn invalid_periods_are_rejected_before_scanning() {
         );
 
         let mut src = MemorySource::new(&series);
-        let err = mine_hitset_streaming(&mut src, period, &config).unwrap_err();
+        let err = run(Engine::HitSet, &mut src, period, &config, 1).unwrap_err();
         assert!(matches!(err, Error::InvalidPeriod { .. }), "{err}");
         assert_eq!(src.scans_performed(), 0, "validation precedes I/O");
     }
@@ -223,7 +225,7 @@ fn fault_retry_recovery_emits_ordered_events() {
     let collector = Arc::new(Collector::new());
     let got = {
         let _guard = observe::install(collector.clone());
-        mine_hitset_streaming(&mut src, 6, &config).unwrap()
+        run(Engine::HitSet, &mut src, 6, &config, 1).unwrap()
     };
 
     let events = collector.events();
@@ -263,7 +265,7 @@ fn silent_bit_flips_change_results_without_an_error() {
         .fail_scan(0, Fault::BitFlip { instant: 0 })
         .fail_scan(1, Fault::BitFlip { instant: 0 });
     let mut src = FaultInjectingSource::new(MemorySource::new(&series), plan);
-    let got = mine_hitset_streaming(&mut src, 6, &config).unwrap();
+    let got = run(Engine::HitSet, &mut src, 6, &config, 1).unwrap();
 
     assert_eq!(src.faults_injected(), 2);
     // The run "succeeds" — that is exactly the problem.

@@ -8,13 +8,10 @@ use proptest::prelude::*;
 #[cfg(feature = "property-tests")]
 use partial_periodic::closed::closed_of;
 use partial_periodic::closed::mine_closed;
-#[cfg(feature = "property-tests")]
-use partial_periodic::streaming::mine_apriori_streaming;
-use partial_periodic::streaming::mine_hitset_streaming;
 use partial_periodic::timeseries::storage::stream::{FileSource, StreamWriter};
 #[cfg(feature = "property-tests")]
 use partial_periodic::timeseries::SeriesSource;
-use partial_periodic::{hitset, MineConfig, SyntheticSpec};
+use partial_periodic::{hitset, run, Engine, MineConfig, SyntheticSpec};
 #[cfg(feature = "property-tests")]
 use partial_periodic::{FeatureCatalog, FeatureId, SeriesBuilder};
 
@@ -78,12 +75,12 @@ proptest! {
             .unwrap();
 
         let mut src = FileSource::open(&path).unwrap();
-        let got = mine_hitset_streaming(&mut src, period, &config).unwrap();
+        let got = run(Engine::HitSet, &mut src, period, &config, 1).unwrap();
         prop_assert_eq!(&got.frequent, &expect.frequent);
         prop_assert_eq!(src.scans_performed(), 2);
 
         let mut src = FileSource::open(&path).unwrap();
-        let ap = mine_apriori_streaming(&mut src, period, &config).unwrap();
+        let ap = run(Engine::Apriori, &mut src, period, &config, 1).unwrap();
         prop_assert_eq!(&ap.frequent, &expect.frequent);
         prop_assert_eq!(src.scans_performed(), ap.stats.series_scans);
         std::fs::remove_file(path).ok();
@@ -159,7 +156,7 @@ fn disk_mining_at_scale() {
         .and_then(|w| w.write_series(&data.series))
         .unwrap();
     let mut src = FileSource::open(&path).unwrap();
-    let disk = mine_hitset_streaming(&mut src, 25, &config).unwrap();
+    let disk = run(Engine::HitSet, &mut src, 25, &config, 1).unwrap();
     let mem = hitset::mine(&data.series, 25, &config).unwrap();
     assert_eq!(disk.frequent, mem.frequent);
     assert_eq!(disk.stats.series_scans, 2);
