@@ -10,7 +10,7 @@ cargo fmt --all --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> tier-1: release build (default-members: every workspace crate, ppm included)"
+echo "==> tier-1: release build (default-members: every workspace crate, ppm, experiments and races included)"
 cargo build --release
 
 echo "==> tier-1: test suite (every workspace crate)"
@@ -107,231 +107,11 @@ deadline_status=0
 test "$deadline_status" -eq 3
 grep -q "mining aborted" "$smoke_dir/deadline.log"
 
-echo "==> perf smoke: vertical derivation vs the tree walk (BENCH_PR4.json)"
-# Capture the committed baseline before this run overwrites it: the PR5
-# step gates the fresh vertical derive time against it (>20% = regression).
-committed_vertical_us=""
-if [ -f BENCH_PR4.json ]; then
-  committed_vertical_us="$(grep -o '"vertical_us":[0-9]*' BENCH_PR4.json | cut -d: -f2)"
-fi
-# A dense E7-style workload (long patterns, big F1) where derivation
-# dominates: the sweep mines every period vertically, races each against
-# the tree walk (--compare-tree fails on any disagreement), and the bench
-# report records the head-to-head. The committed BENCH_PR4.json is this
-# step's artifact; regenerate it by re-running ci.sh.
-./target/release/ppm generate --length 60000 --period 30 --max-pat-length 12 \
-  --f1 24 --seed 11 --out "$smoke_dir/dense.ppms"
-# Same wobble policy as the other perf gates: wall-clock on a shared
-# runner swings run to run, so the derive gets three attempts and the
-# gates below use the best (lowest) vertical derive time.
-vertical_us="" treewalk_us=""
-for attempt in 1 2 3; do
-  (cd "$smoke_dir" && "$OLDPWD/target/release/ppm" sweep --input dense.ppms \
-    --from 28 --to 32 --min-conf 0.35 --engine vertical --compare-tree \
-    --bench-report PR4 >sweep.log)
-  grep -q "tree cross-checked" "$smoke_dir/sweep.log"
-  attempt_vertical="$(grep -o '"vertical_us":[0-9]*' "$smoke_dir/BENCH_PR4.json" | cut -d: -f2)"
-  attempt_treewalk="$(grep -o '"treewalk_us":[0-9]*' "$smoke_dir/BENCH_PR4.json" | cut -d: -f2)"
-  echo "    attempt $attempt: vertical ${attempt_vertical}us vs tree walk ${attempt_treewalk}us"
-  if [ -z "$vertical_us" ] || [ "$attempt_vertical" -lt "$vertical_us" ]; then
-    vertical_us="$attempt_vertical" treewalk_us="$attempt_treewalk"
-    cp "$smoke_dir/BENCH_PR4.json" "$smoke_dir/BENCH_PR4.best.json"
-  fi
-  # Good enough already? The regression gate below allows +50% over the
-  # committed baseline, so stop early once the best attempt clears it.
-  if [ "$treewalk_us" -gt "$vertical_us" ] \
-    && { [ -z "$committed_vertical_us" ] \
-         || [ "$vertical_us" -le $((committed_vertical_us * 3 / 2)) ]; }; then
-    break
-  fi
-done
-if [ "$treewalk_us" -le "$vertical_us" ]; then
-  echo "vertical derivation did not beat the tree walk" >&2; exit 1
-fi
-# (The fresh BENCH_PR4.json is published at the very end of the script,
-# after every gate has passed — a failed run must not ratchet the baseline.)
-
-echo "==> perf smoke: columnar store + work-stealing sweep (BENCH_PR5.json)"
-# The same dense workload, round-tripped through text so the columnar
-# catalog matches what a fresh text parse would intern. One sweep run on
-# the .ppmc input produces both head-to-heads: --compare-ingest races
-# text parse+encode against the columnar open (must win by >= 4.5x: the
-# ratio measures 4.9-6.3x depending on how fast the machine parses text
-# that day, and an idle box compresses it to ~4.95x, so 5x was a floor
-# even the committed binary couldn't reliably clear), and --workers +
-# --bench-report races the work-stealing scheduler off one shared load
-# against the sequential per-period pipeline (must win by >= 2x). The
-# committed BENCH_PR5.json is this step's artifact.
-./target/release/ppm convert --input "$smoke_dir/dense.ppms" \
-  --out "$smoke_dir/dense.txt"
-./target/release/ppm convert --input "$smoke_dir/dense.txt" \
-  --out "$smoke_dir/dense.ppmc"
-# Wall-clock ratios on a shared runner wobble, so the two floors get
-# three attempts (same policy as the kernel race below).
-pr5_ok=""
-for attempt in 1 2 3; do
-  (cd "$smoke_dir" && "$OLDPWD/target/release/ppm" sweep --input dense.ppmc \
-    --from 30 --to 39 --min-conf 0.6 --engine vertical --workers 8 \
-    --compare-ingest dense.txt --bench-report PR5 >sweep5.log)
-  grep -q "work-stealing scheduler" "$smoke_dir/sweep5.log"
-  text_us="$(grep -o '"text_us":[0-9]*' "$smoke_dir/BENCH_PR5.json" | cut -d: -f2)"
-  columnar_us="$(grep -o '"columnar_us":[0-9]*' "$smoke_dir/BENCH_PR5.json" | cut -d: -f2)"
-  scheduler_us="$(grep -o '"scheduler_us":[0-9]*' "$smoke_dir/BENCH_PR5.json" | cut -d: -f2)"
-  sequential_us="$(grep -o '"sequential_us":[0-9]*' "$smoke_dir/BENCH_PR5.json" | cut -d: -f2)"
-  echo "    attempt $attempt: ingest text ${text_us}us vs columnar ${columnar_us}us;" \
-    "sweep sequential ${sequential_us}us vs scheduler ${scheduler_us}us"
-  if [ $((text_us * 2)) -ge $((columnar_us * 9)) ] \
-    && [ "$sequential_us" -ge $((scheduler_us * 2)) ]; then
-    pr5_ok=1; break
-  fi
-done
-if [ -z "$pr5_ok" ]; then
-  echo "columnar open (>= 4.5x text) or work-stealing sweep (>= 2x sequential) missed its floor" >&2
-  exit 1
-fi
-# Derive-regression gate: the best fresh vertical derive time (measured
-# by the PR4 step above on this machine) must stay within 50% of the
-# committed baseline. The wide band is deliberate: the box this runs on
-# drifts ~30% absolute hour to hour (co-tenant load), while the real
-# regressions this gate exists to catch (a lost cache, a disabled fast
-# path) cost 2x and up — the same-run ratio floors above are the tight
-# gates, because drift cancels inside one run. Skipped on a first run
-# with no committed BENCH_PR4.json.
-if [ -n "$committed_vertical_us" ]; then
-  echo "    derive gate: best fresh ${vertical_us}us vs committed ${committed_vertical_us}us (+50% allowed)"
-  if [ "$vertical_us" -gt $((committed_vertical_us * 3 / 2)) ]; then
-    echo "vertical derive regressed >50% vs the committed BENCH_PR4.json" >&2; exit 1
-  fi
-fi
-
-echo "==> perf smoke: scalar vs wide+sharded kernel (BENCH_PR9.json)"
-# Capture the committed baseline before this run overwrites it; the fresh
-# wide+sharded derive time is gated against it below (>20% = regression).
-committed_wide_us=""
-if [ -f BENCH_PR9.json ]; then
-  committed_wide_us="$(grep -o '"wide_us":[0-9]*' BENCH_PR9.json | cut -d: -f2)"
-fi
-# The PR4 derive workload stretched 27x along the segment axis (1.6M
-# instants -> ~830 bitmap words per row) so the shard planner engages.
-# The sweep races every period's derivation, forced-scalar vs
-# wide+sharded, off one shared scan (--compare-kernel fails the run on
-# any disagreement between the two frequent sets). Each race keeps the
-# min of two derives per arm, and the gate takes the best of up to four
-# attempts: wall-clock ratios on a shared runner compress under
-# co-tenant load (the scalar arm alone swings ~25% run-to-run with
-# per-process code layout). The wide+prefix-cache path clears 2x with
-# real margin (typically 2.6-3.8x), so 2x stays the hard floor.
-./target/release/ppm generate --length 1600000 --period 30 --max-pat-length 12 \
-  --f1 24 --seed 11 --out "$smoke_dir/dense-wide.ppms"
-kernel_ok="" best_num=0 best_den=1 best_wide=""
-for attempt in 1 2 3 4; do
-  (cd "$smoke_dir" && "$OLDPWD/target/release/ppm" sweep --input dense-wide.ppms \
-    --from 28 --to 32 --min-conf 0.35 --engine vertical --compare-kernel \
-    --threads 2 --bench-report PR9 >sweep9.log)
-  grep -q "kernel compare: scalar" "$smoke_dir/sweep9.log"
-  scalar_us="$(grep -o '"scalar_us":[0-9]*' "$smoke_dir/BENCH_PR9.json" | cut -d: -f2)"
-  wide_us="$(grep -o '"wide_us":[0-9]*' "$smoke_dir/BENCH_PR9.json" | cut -d: -f2)"
-  max_shards="$(grep -o '"max_shards":[0-9]*' "$smoke_dir/BENCH_PR9.json" | cut -d: -f2)"
-  echo "    attempt $attempt: scalar ${scalar_us}us vs wide+sharded ${wide_us}us (${max_shards} shards)"
-  if [ "$scalar_us" -ge "$((wide_us * 2))" ]; then kernel_ok=1; fi
-  if [ "$((scalar_us * best_den))" -gt "$((best_num * wide_us))" ]; then
-    best_num="$scalar_us" best_den="$wide_us"
-    cp "$smoke_dir/BENCH_PR9.json" "$smoke_dir/BENCH_PR9.best.json"
-  fi
-  if [ -z "$best_wide" ] || [ "$wide_us" -lt "$best_wide" ]; then best_wide="$wide_us"; fi
-  if [ "$max_shards" -lt 2 ]; then
-    echo "shard planner did not split the wide workload" >&2; exit 1
-  fi
-  if [ -n "$kernel_ok" ]; then break; fi
-done
-echo "    best attempt: scalar ${best_num}us vs wide+sharded ${best_den}us"
-if [ -z "$kernel_ok" ]; then
-  echo "wide+sharded derivation is not >= 2x the scalar kernel" >&2; exit 1
-fi
-# Same wide band as the derive gate above: absolute wall clock drifts
-# ~30% with machine mood; the >= 2x race floor is the tight gate.
-if [ -n "$committed_wide_us" ]; then
-  echo "    kernel gate: best fresh ${best_wide}us vs committed ${committed_wide_us}us (+50% allowed)"
-  if [ "$best_wide" -gt $((committed_wide_us * 3 / 2)) ]; then
-    echo "wide+sharded derive regressed >50% vs the committed BENCH_PR9.json" >&2; exit 1
-  fi
-fi
-
-echo "==> perf smoke: one period sharded across the sweep pool"
-# A single-period sweep over the wide store with 8 workers: the only way
-# the report's sweep.shard_tasks_remote gauge can move is idle workers
-# stealing shard slices of the one period's derivation — the mine
-# demonstrably used more than one worker.
-./target/release/ppm convert --input "$smoke_dir/dense-wide.ppms" \
-  --out "$smoke_dir/dense-wide.txt"
-./target/release/ppm convert --input "$smoke_dir/dense-wide.txt" \
-  --out "$smoke_dir/dense-wide.ppmc"
-# Whether another worker wins a shard subtask is a scheduler race (the
-# plan only splits this store into a couple of shards, and the owning
-# worker can drain them before a peer wakes), so the property gets a few
-# tries.
-remote_shards=""
-for attempt in 1 2 3; do
-  (cd "$smoke_dir" && "$OLDPWD/target/release/ppm" sweep --input dense-wide.ppmc \
-    --from 30 --to 30 --min-conf 0.6 --engine vertical --workers 8 \
-    --bench-report PR9W >sweep9w.log)
-  remote_shards="$(grep -o '"sweep.shard_tasks_remote":[0-9]*' "$smoke_dir/BENCH_PR9W.json" | cut -d: -f2)"
-  echo "    attempt $attempt: single-period shard steals by other workers: ${remote_shards:-0}"
-  if [ -n "$remote_shards" ] && [ "$remote_shards" -gt 0 ]; then break; fi
-done
-if [ -z "$remote_shards" ] || [ "$remote_shards" -eq 0 ]; then
-  echo "single-period sweep never fanned shard tasks out to other workers" >&2; exit 1
-fi
-
-echo "==> perf smoke: incremental re-mine on append vs cold (BENCH_PR10.json)"
-# Capture the committed baseline before this run overwrites it.
-committed_inc_us=""
-if [ -f BENCH_PR10.json ]; then
-  committed_inc_us="$(grep -o '"median_us":[0-9]*' BENCH_PR10.json | cut -d: -f2)"
-fi
-# The PR9 wide workload in columnar form (1.6M instants, period 30) at
-# the generator's planted confidence: the head-to-head replays the last
-# 100 segments as appends — index warmed over the prefix, one dirty
-# re-mine per append — against one cold full derive of the final state.
-# The mode itself asserts the final incremental state matches the cold
-# mine exactly, so this is a correctness gate too. The floor clears with
-# real margin here (typically 60-100x; the steady-state re-mine carries
-# or delta-counts every candidate off one dirty word and the memoized
-# join). Same wobble policy as the kernel race: three attempts, best-of.
-pr10_floor="" best_inc=""
-for attempt in 1 2 3; do
-  (cd "$smoke_dir" && "$OLDPWD/target/release/ppm" mine --input dense-wide.ppmc \
-    --period 30 --min-conf 0.6 --compare-incremental 100 \
-    --bench-report PR10 >mine10.log)
-  grep -q "bit-identical" "$smoke_dir/mine10.log"
-  cold_us="$(grep -o '"cold_us":[0-9]*' "$smoke_dir/BENCH_PR10.json" | cut -d: -f2)"
-  inc_us="$(grep -o '"median_us":[0-9]*' "$smoke_dir/BENCH_PR10.json" | cut -d: -f2)"
-  echo "    attempt $attempt: cold ${cold_us}us vs incremental median ${inc_us}us"
-  if [ "$cold_us" -ge $((inc_us * 25)) ]; then pr10_floor=1; fi
-  if [ -z "$best_inc" ] || [ "$inc_us" -lt "$best_inc" ]; then
-    best_inc="$inc_us"
-    cp "$smoke_dir/BENCH_PR10.json" "$smoke_dir/BENCH_PR10.best.json"
-  fi
-  # The regression gate below allows +50% over the committed median, and
-  # each attempt is a fresh process (the median swings ~20% with code
-  # layout), so keep trying until the best attempt clears both bars.
-  if [ -n "$pr10_floor" ] \
-    && { [ -z "$committed_inc_us" ] \
-         || [ "$best_inc" -le $((committed_inc_us * 3 / 2)) ]; }; then
-    break
-  fi
-done
-if [ -z "$pr10_floor" ]; then
-  echo "incremental re-mine after an append is not >= 25x the cold mine" >&2; exit 1
-fi
-# Same wide band as the other absolute gates: the >= 25x floor above is
-# the tight, drift-immune check.
-if [ -n "$committed_inc_us" ]; then
-  echo "    append gate: best fresh ${best_inc}us vs committed ${committed_inc_us}us (+50% allowed)"
-  if [ "$best_inc" -gt $((committed_inc_us * 3 / 2)) ]; then
-    echo "incremental re-mine regressed >50% vs the committed BENCH_PR10.json" >&2; exit 1
-  fi
-fi
+echo "==> experiments smoke: the paper's evaluation at --quick sizes"
+# Every experiment panics when two algorithms disagree, so this doubles as
+# a correctness check; the full-size tables regenerate EXPERIMENTS.md.
+./target/release/experiments --quick >"$smoke_dir/experiments.log"
+grep -q "E9 — extensions" "$smoke_dir/experiments.log"  # the last experiment ran
 
 echo "==> continuous ingestion smoke: ppm append, mine --follow, serve append op"
 # A dedicated store copy so appends never perturb the other steps' files.
@@ -603,12 +383,12 @@ kill -TERM "$chaos_pid" "$replica_b"
 wait "$chaos_pid" "$replica_b" 2>/dev/null || true
 grep -q "daemon stopped cleanly" "$smoke_dir/serveB.log"
 
-# Publish the fresh benchmark artifacts only now, after every gate has
-# passed — a run that fails any later gate must not ratchet a baseline
-# an earlier step already cleared.
-cp "$smoke_dir/BENCH_PR4.best.json" BENCH_PR4.json
-cp "$smoke_dir/BENCH_PR5.json" BENCH_PR5.json
-cp "$smoke_dir/BENCH_PR9.best.json" BENCH_PR9.json
-cp "$smoke_dir/BENCH_PR10.best.json" BENCH_PR10.json
+echo "==> performance races (crates/bench): same-run floors, committed bands, identity"
+# One process races each fast path against its reference on generated
+# stores; every race asserts identical results before it trusts a time.
+# Floors, bands and attempt counts live in crates/bench/src/races.rs and
+# the committed points in crates/bench/races-baseline.json; nothing here
+# rewrites a tracked file.
+./target/release/races
 
 echo "CI green."

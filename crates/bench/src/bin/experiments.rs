@@ -26,53 +26,30 @@ fn main() {
         .unwrap_or("all")
         .to_owned();
 
-    let run = |name: &str| which == "all" || which == name;
+    let experiments = [
+        ("table1", table1 as fn(bool)),
+        ("figure1", |_| figure1()),
+        ("figure2", figure2),
+        ("scans", scans),
+        ("space", space),
+        ("multiperiod", multiperiod),
+        ("maximal", maximal_exp),
+        ("derive", derive_ablation),
+        ("disk", disk),
+        ("extensions", extensions),
+    ];
     let mut ran = false;
-
-    if run("table1") {
-        table1(quick);
-        ran = true;
-    }
-    if run("figure1") {
-        figure1();
-        ran = true;
-    }
-    if run("figure2") {
-        figure2(quick);
-        ran = true;
-    }
-    if run("scans") {
-        scans(quick);
-        ran = true;
-    }
-    if run("space") {
-        space(quick);
-        ran = true;
-    }
-    if run("multiperiod") {
-        multiperiod(quick);
-        ran = true;
-    }
-    if run("maximal") {
-        maximal_exp(quick);
-        ran = true;
-    }
-    if run("derive") {
-        derive_ablation(quick);
-        ran = true;
-    }
-    if run("disk") {
-        disk(quick);
-        ran = true;
-    }
-    if run("extensions") {
-        extensions(quick);
-        ran = true;
+    for (name, experiment) in experiments {
+        if which == "all" || which == name {
+            experiment(quick);
+            ran = true;
+        }
     }
     if !ran {
+        let names: Vec<&str> = experiments.iter().map(|(name, _)| *name).collect();
         eprintln!(
-            "unknown experiment {which:?}; expected one of all, table1, figure1, \
-             figure2, scans, space, multiperiod, maximal, derive, disk, extensions"
+            "unknown experiment {which:?}; expected all or one of {}",
+            names.join(", ")
         );
         std::process::exit(2);
     }
@@ -115,8 +92,13 @@ fn table1(quick: bool) {
     for r in rows {
         println!(
             "{:>8} {:>6} {:>15} {:>6} | {:>12} {:>17} {:>10.2}",
-            r.length, r.period, r.max_pat_length, r.f1_count, r.recovered_f1,
-            r.recovered_max_len, r.mean_features
+            r.length,
+            r.period,
+            r.max_pat_length,
+            r.f1_count,
+            r.recovered_f1,
+            r.recovered_max_len,
+            r.mean_features
         );
         assert_eq!(r.recovered_f1, r.f1_count);
         assert_eq!(r.recovered_max_len, r.max_pat_length);
@@ -171,13 +153,23 @@ fn figure1() {
 /// grows; p = 50, |F1| = 12; LENGTH ∈ {100k, 500k}.
 fn figure2(quick: bool) {
     banner("FIGURE 2 — run time vs MAX-PAT-LENGTH (p=50, |F1|=12, min_conf=0.6)");
-    let lengths: &[usize] = if quick { &[20_000, 100_000] } else { &[100_000, 500_000] };
+    let lengths: &[usize] = if quick {
+        &[20_000, 100_000]
+    } else {
+        &[100_000, 500_000]
+    };
     let mpls = [2usize, 4, 6, 8, 10];
     for &length in lengths {
         println!("\nLENGTH = {length}");
         println!(
             "{:>15} {:>12} {:>12} {:>9} {:>8} {:>8} {:>9}",
-            "MAX-PAT-LENGTH", "Apriori(s)", "HitSet(s)", "speedup", "A-scans", "H-scans", "patterns"
+            "MAX-PAT-LENGTH",
+            "Apriori(s)",
+            "HitSet(s)",
+            "speedup",
+            "A-scans",
+            "H-scans",
+            "patterns"
         );
         for r in run_figure2(length, &mpls) {
             assert_eq!(r.recovered_max_len, r.max_pat_length);
@@ -203,9 +195,15 @@ fn figure2(quick: bool) {
 fn scans(quick: bool) {
     banner("E4 — series scans per algorithm (analysis of Algorithms 3.1/3.2)");
     let length = if quick { 20_000 } else { 100_000 };
-    println!("{:>15} {:>14} {:>13}", "MAX-PAT-LENGTH", "Apriori scans", "HitSet scans");
+    println!(
+        "{:>15} {:>14} {:>13}",
+        "MAX-PAT-LENGTH", "Apriori scans", "HitSet scans"
+    );
     for r in run_scans(length, &[2, 4, 6, 8, 10]) {
-        println!("{:>15} {:>14} {:>13}", r.max_pat_length, r.apriori, r.hitset);
+        println!(
+            "{:>15} {:>14} {:>13}",
+            r.max_pat_length, r.apriori, r.hitset
+        );
         assert_eq!(r.hitset, 2);
         assert_eq!(r.apriori, r.max_pat_length);
     }
@@ -254,14 +252,26 @@ fn maximal_exp(quick: bool) {
     let length = if quick { 20_000 } else { 100_000 };
     println!(
         "{:>15} {:>9} {:>12} {:>10} {:>9} {:>8} {:>8} {:>12}",
-        "MAX-PAT-LENGTH", "full(s)", "maxminer(s)", "closed(s)", "frequent", "closed",
-        "maximal", "tree probes"
+        "MAX-PAT-LENGTH",
+        "full(s)",
+        "maxminer(s)",
+        "closed(s)",
+        "frequent",
+        "closed",
+        "maximal",
+        "tree probes"
     );
     for r in run_maximal(length, &[2, 4, 6, 8, 10]) {
         println!(
             "{:>15} {:>9.3} {:>12.3} {:>10.3} {:>9} {:>8} {:>8} {:>12}",
-            r.max_pat_length, r.full_secs, r.maxminer_secs, r.closed_secs, r.frequent,
-            r.closed, r.maximal, r.maxminer_probes
+            r.max_pat_length,
+            r.full_secs,
+            r.maxminer_secs,
+            r.closed_secs,
+            r.frequent,
+            r.closed,
+            r.maximal,
+            r.maxminer_probes
         );
     }
     println!("Look-ahead keeps probe counts near-linear while the frequent set grows 2^L;");
@@ -271,8 +281,11 @@ fn maximal_exp(quick: bool) {
 /// E7 — derivation counting ablation: tree walk vs linear scan.
 fn derive_ablation(quick: bool) {
     banner("E7 — ablation: tree-walk vs linear-scan candidate counting");
-    let lengths: &[usize] =
-        if quick { &[10_000, 50_000] } else { &[50_000, 100_000, 250_000, 500_000] };
+    let lengths: &[usize] = if quick {
+        &[10_000, 50_000]
+    } else {
+        &[50_000, 100_000, 250_000, 500_000]
+    };
     println!(
         "{:>9} {:>10} {:>11} {:>14}",
         "LENGTH", "walk(s)", "linear(s)", "distinct hits"
@@ -291,7 +304,12 @@ fn disk(quick: bool) {
     let length = if quick { 50_000 } else { 200_000 };
     println!(
         "{:>15} {:>12} {:>12} {:>9} {:>12} {:>12} {:>10}",
-        "MAX-PAT-LENGTH", "Apriori(s)", "HitSet(s)", "speedup", "A file scans", "H file scans",
+        "MAX-PAT-LENGTH",
+        "Apriori(s)",
+        "HitSet(s)",
+        "speedup",
+        "A file scans",
+        "H file scans",
         "file MB"
     );
     for r in run_disk(length, &[2, 4, 6, 8, 10]) {

@@ -3,13 +3,17 @@
 //!
 //! Each `run_*` function executes one experiment and returns structured
 //! rows; the `experiments` binary renders them in the paper's table/series
-//! shapes, and the Criterion benches reuse the same workloads for
-//! statistically sound timing. Wall-clock numbers here are single-shot
-//! measurements (the paper reports single runs on a Pentium 166; we care
-//! about curve *shape*, not absolute seconds).
+//! shapes. Wall-clock numbers here are single-shot measurements (the paper
+//! reports single runs on a Pentium 166; we care about curve *shape*, not
+//! absolute seconds).
+//!
+//! The [`races`] module holds the repository's same-run performance races,
+//! which the `races` binary runs with their floors and bands.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
+
+pub mod races;
 
 use std::time::Instant;
 
@@ -17,7 +21,6 @@ use ppm_core::hitset::derive::CountStrategy;
 use ppm_core::multi::{mine_periods_looping, mine_periods_shared, PeriodRange};
 use ppm_core::{apriori, hit_set_bound, hitset, maximal, Engine, MineConfig};
 use ppm_datagen::SyntheticSpec;
-use ppm_timeseries::FeatureSeries;
 
 /// Times a closure, returning (result, seconds).
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
@@ -194,8 +197,7 @@ pub fn run_space(length: usize, period: usize, f1_counts: &[usize]) -> Vec<Space
             let data = spec.generate();
             let config = MineConfig::new(spec.recommended_min_conf()).unwrap();
             let result = hitset::mine(&data.series, period, &config).unwrap();
-            let bound =
-                hit_set_bound(result.segment_count as u64, result.alphabet.len() as u32);
+            let bound = hit_set_bound(result.segment_count as u64, result.alphabet.len() as u32);
             assert!(
                 result.stats.distinct_hits as u64 <= bound,
                 "Property 3.2 violated: {} > {bound}",
@@ -289,8 +291,7 @@ pub fn run_maximal(length: usize, max_pat_lengths: &[usize]) -> Vec<MaximalRow> 
             let spec = SyntheticSpec::figure2(length, mpl);
             let data = spec.generate();
             let config = MineConfig::new(spec.recommended_min_conf()).unwrap();
-            let (full, full_secs) =
-                timed(|| hitset::mine(&data.series, 50, &config).unwrap());
+            let (full, full_secs) = timed(|| hitset::mine(&data.series, 50, &config).unwrap());
             let (max, maxminer_secs) =
                 timed(|| maximal::mine_maximal(&data.series, 50, &config).unwrap());
             let (closed, closed_secs) =
@@ -359,11 +360,6 @@ pub fn run_derivation_ablation(lengths: &[usize]) -> Vec<DeriveRow> {
         .collect()
 }
 
-/// Convenience: generate the standard Figure 2 series once (for benches).
-pub fn figure2_series(length: usize, max_pat_length: usize) -> FeatureSeries {
-    SyntheticSpec::figure2(length, max_pat_length).generate().series
-}
-
 // ------------------------------------------------------------- Disk (E10)
 
 /// Disk-resident mining: Apriori vs hit-set when every scan is real I/O.
@@ -406,18 +402,22 @@ pub fn run_disk(length: usize, max_pat_lengths: &[usize]) -> Vec<DiskRow> {
         let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
 
         let mut src = FileSource::open(&path).expect("open stream file");
-        let (ap, apriori_secs) =
-            timed(|| run(Engine::Apriori, &mut src, 50, &config, 1).unwrap());
+        let (ap, apriori_secs) = timed(|| run(Engine::Apriori, &mut src, 50, &config, 1).unwrap());
         let apriori_scans = src.scans_performed();
 
         let mut src = FileSource::open(&path).expect("open stream file");
-        let (hs, hitset_secs) =
-            timed(|| run(Engine::HitSet, &mut src, 50, &config, 1).unwrap());
+        let (hs, hitset_secs) = timed(|| run(Engine::HitSet, &mut src, 50, &config, 1).unwrap());
         let hitset_scans = src.scans_performed();
 
-        assert_eq!(ap.frequent, hs.frequent, "disk algorithms disagree at MPL {mpl}");
+        assert_eq!(
+            ap.frequent, hs.frequent,
+            "disk algorithms disagree at MPL {mpl}"
+        );
         let mem = hitset::mine(&data.series, 50, &config).unwrap();
-        assert_eq!(hs.frequent, mem.frequent, "disk vs memory disagree at MPL {mpl}");
+        assert_eq!(
+            hs.frequent, mem.frequent,
+            "disk vs memory disagree at MPL {mpl}"
+        );
 
         std::fs::remove_file(&path).ok();
         rows.push(DiskRow {

@@ -3,11 +3,21 @@
 //! Grammar: the first non-flag token is the command; everything else is
 //! `--key value` pairs or boolean `--switch`es. A flag is boolean when it
 //! is followed by another flag or by nothing. Flags may appear in any
-//! order; repeated flags keep the last value.
+//! order; repeated flags keep the last value. Each command declares the
+//! flags it reads, and [`Parsed::reject_unknown`] turns any other flag into
+//! a usage error before the command runs.
 
 use std::collections::HashMap;
 
 use crate::error::CliError;
+
+/// Whether one of the `known` groups (each a whitespace-separated list of
+/// flag names) declares flag `name`.
+pub(crate) fn declares(known: &[&str], name: &str) -> bool {
+    known
+        .iter()
+        .any(|g| g.split_whitespace().any(|k| k == name))
+}
 
 /// Parsed command line: one command plus its flags.
 #[derive(Debug, Clone, Default)]
@@ -49,6 +59,27 @@ impl Parsed {
             )));
         }
         Ok(parsed)
+    }
+
+    /// Rejects every flag that [`declares`] does not find in `known`: a
+    /// usage error naming each such flag, so a misspelled or removed flag
+    /// is never ignored.
+    pub(crate) fn reject_unknown(&self, known: &[&str]) -> Result<(), CliError> {
+        let mut unknown: Vec<String> = self
+            .flags
+            .keys()
+            .filter(|name| !declares(known, name))
+            .map(|name| format!("--{name}"))
+            .collect();
+        if unknown.is_empty() {
+            return Ok(());
+        }
+        unknown.sort();
+        Err(CliError::Usage(format!(
+            "unknown flag {} for `ppm {}` (see `ppm help`)",
+            unknown.join(", "),
+            self.command
+        )))
     }
 
     /// Whether a boolean switch is present.
@@ -182,6 +213,16 @@ mod tests {
     fn repeated_flags_keep_last() {
         let p = Parsed::parse(&argv("mine --period 3 --period 5")).unwrap();
         assert_eq!(p.required_parsed::<usize>("period").unwrap(), 5);
+    }
+
+    #[test]
+    fn undeclared_flags_are_named_in_the_error() {
+        let p = Parsed::parse(&argv("mine --period 3 --egine apriori --zz")).unwrap();
+        assert!(p.reject_unknown(&["period engine"]).is_err());
+        let err = p.reject_unknown(&["period", "engine"]).unwrap_err();
+        assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains("--egine, --zz"), "{err}");
+        assert!(p.reject_unknown(&["period egine zz"]).is_ok());
     }
 
     #[test]

@@ -20,6 +20,9 @@ use ppm_timeseries::FeatureId;
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags `ppm append` accepts; any other is a usage error.
+pub(crate) const FLAGS: &[&str] = &["input rows repeat"];
+
 /// Runs `ppm append`.
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.required("input")?;

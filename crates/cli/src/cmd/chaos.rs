@@ -15,6 +15,9 @@ use ppm_serve::chaos::{ChaosConfig, ChaosProxy};
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags `ppm chaos` accepts; any other is a usage error.
+pub(crate) const FLAGS: &[&str] = &["upstream port seed fault-percent delay-ms"];
+
 /// Runs the proxy until SIGTERM/SIGINT.
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let upstream = args.required("upstream")?;

@@ -11,6 +11,9 @@ use ppm_timeseries::storage::salvage_series;
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags `ppm convert` accepts; any other is a usage error.
+pub(crate) const FLAGS: &[&str] = &["input out salvage to"];
+
 /// Runs the command.
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.required("input")?;

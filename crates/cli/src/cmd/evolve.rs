@@ -8,6 +8,9 @@ use ppm_core::MineConfig;
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags `ppm evolve` accepts; any other is a usage error.
+pub(crate) const FLAGS: &[&str] = &["input period min-conf window stride limit"];
+
 /// Runs the command.
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.required("input")?;

@@ -7,6 +7,9 @@ use ppm_datagen::SyntheticSpec;
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags `ppm generate` accepts; any other is a usage error.
+pub(crate) const FLAGS: &[&str] = &["length period max-pat-length f1 out seed"];
+
 /// Runs the command.
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let length: usize = args.required_parsed("length")?;

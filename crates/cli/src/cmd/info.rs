@@ -12,6 +12,9 @@ use ppm_core::{hit_set_bound, scan_frequent_letters, MineConfig};
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags `ppm info` accepts; any other is a usage error.
+pub(crate) const FLAGS: &[&str] = &["input period min-conf"];
+
 /// Runs the command.
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.required("input")?;

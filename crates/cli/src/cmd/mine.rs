@@ -19,6 +19,15 @@ use ppm_timeseries::{
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags `ppm mine` accepts; any other is a usage error.
+pub(crate) const FLAGS: &[&str] = &[
+    "input period min-conf engine threads stream retries max-letters offsets limit tsv \
+     maximal closed audit quarantine strict inject-garbage perturb-count follow window \
+     follow-poll-ms follow-max-updates",
+    super::GUARD_FLAGS,
+    crate::obs::FLAGS,
+];
+
 /// Runs the command. Observability (`--trace`, `--metrics-out`,
 /// `--progress`) wraps the whole mine; the metrics summary embeds the
 /// run's [`ppm_core::MiningStats`] — including the *partial* stats a
@@ -88,7 +97,6 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
             "tsv",
             "offsets",
             "max-letters",
-            "compare-incremental",
         ] {
             if args.switch(incompatible) {
                 return Err(CliError::Usage(format!(
@@ -99,17 +107,12 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
         }
     }
 
-    // Continuous-ingestion modes ride the incremental vertical index and
-    // therefore require the columnar store whose file the index tails.
-    if args.switch("follow") || args.switch("compare-incremental") {
-        if args.switch("follow") && args.switch("compare-incremental") {
-            return Err(CliError::Usage(
-                "--follow and --compare-incremental are separate modes; pass one".into(),
-            ));
-        }
+    // Follow mode rides the incremental vertical index and therefore
+    // requires the columnar store whose file the index tails.
+    if args.switch("follow") {
         if super::format_of(input) != super::Format::Columnar {
             return Err(CliError::Usage(
-                "--follow/--compare-incremental need a columnar .ppmc input \
+                "--follow needs a columnar .ppmc input \
                  (write one with convert --to columnar)"
                     .into(),
             ));
@@ -128,18 +131,15 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
         ] {
             if args.switch(incompatible) {
                 return Err(CliError::Usage(format!(
-                    "--follow/--compare-incremental do not combine with --{incompatible}"
+                    "--follow does not combine with --{incompatible}"
                 )));
             }
         }
         if args.switch("engine") && !matches!(engine, Engine::Vertical | Engine::Incremental) {
             return Err(CliError::Usage(format!(
-                "--follow/--compare-incremental always re-mine through the \
-                 incremental vertical index; --engine {engine} cannot follow"
+                "--follow always re-mines through the incremental vertical \
+                 index; --engine {engine} cannot follow"
             )));
-        }
-        if args.switch("compare-incremental") {
-            return compare_incremental(args, input, period, min_conf, &config, out);
         }
         return follow_columnar(args, input, period, min_conf, &config, out);
     }
@@ -471,151 +471,6 @@ fn follow_columnar(
         out.flush()?;
     }
     Ok(stats)
-}
-
-/// `mine --compare-incremental N`: the append-path head-to-head. Times one
-/// cold full derive over the final state, then replays the last N segments
-/// as appends — index warmed over the prefix, one timed [`rederive_dirty`]
-/// per append — and reports the median/p90 re-mine latency against the
-/// cold baseline. The final incremental state must match the cold mine
-/// exactly (alphabet-order-independent pattern+count equality) or the run
-/// fails with the audit exit code. `--bench-report NAME` writes
-/// `BENCH_NAME.json` for CI gating.
-///
-/// [`rederive_dirty`]: IncrementalVerticalIndex::rederive_dirty
-fn compare_incremental(
-    args: &Parsed,
-    input: &str,
-    period: usize,
-    min_conf: f64,
-    config: &MineConfig,
-    out: &mut dyn Write,
-) -> Result<Option<MiningStats>, CliError> {
-    use ppm_observe::Json;
-
-    let appends: usize = args.required_parsed("compare-incremental")?;
-    if appends == 0 {
-        return Err(CliError::Usage(
-            "--compare-incremental needs at least 1 appended segment".into(),
-        ));
-    }
-    let bench_name = if args.switch("bench-report") {
-        let name = args.required("bench-report")?;
-        if name.is_empty() || name.contains('/') || name.contains('\\') || name.contains("..") {
-            return Err(CliError::Usage(format!(
-                "--bench-report name {name:?} must be a bare file-name fragment"
-            )));
-        }
-        Some(name)
-    } else {
-        None
-    };
-    let reader = ColumnarReader::open(input)?;
-    let view = reader.view();
-    let m = view.len() / period;
-    if m <= appends {
-        return Err(CliError::Usage(format!(
-            "--compare-incremental {appends} needs more than {appends} whole \
-             segments; {input} holds {m} at period {period}"
-        )));
-    }
-
-    // Cold baseline: one full derive over the final state.
-    let start = std::time::Instant::now();
-    let cold = report_if_aborted(
-        ppm_core::vertical::mine_vertical_view(view, period, config),
-        out,
-    )?;
-    let cold_us = (start.elapsed().as_micros() as u64).max(1);
-
-    // Incremental: warm the index over the first m-N segments (that derive
-    // seeds the carried baseline and is not timed), then append the last N
-    // one at a time, timing each dirty re-mine.
-    let mut index = IncrementalVerticalIndex::new(period, None);
-    for seg in 0..m - appends {
-        index.append_from_view(view, seg);
-    }
-    report_if_aborted(index.rederive_dirty(config), out)?;
-    let mut times_us: Vec<u64> = Vec::with_capacity(appends);
-    let mut last = None;
-    for seg in m - appends..m {
-        index.append_from_view(view, seg);
-        let start = std::time::Instant::now();
-        let result = report_if_aborted(index.rederive_dirty(config), out)?;
-        times_us.push((start.elapsed().as_micros() as u64).max(1));
-        last = Some(result);
-    }
-    let last = last.expect("appends >= 1");
-    times_us.sort_unstable();
-    let median_us = times_us[appends / 2];
-    let p90_us = times_us[(appends * 9) / 10];
-    let speedup = cold_us as f64 / median_us as f64;
-    let identical = same_patterns(&last, &cold);
-
-    writeln!(
-        out,
-        "compare-incremental: {appends} appended segments over {m} (period {period}, \
-         {} patterns)",
-        last.len()
-    )?;
-    writeln!(out, "  cold full mine:      {cold_us} µs")?;
-    writeln!(
-        out,
-        "  incremental re-mine: median {median_us} µs, p90 {p90_us} µs"
-    )?;
-    writeln!(out, "  speedup:             {speedup:.1}x")?;
-    writeln!(
-        out,
-        "  final state vs cold: {}",
-        if identical {
-            "bit-identical"
-        } else {
-            "MISMATCH"
-        }
-    )?;
-    if !identical {
-        return Err(CliError::Audit(
-            "incremental result diverged from the cold mine".into(),
-        ));
-    }
-    if let Some(name) = bench_name {
-        let doc = Json::Obj(vec![
-            ("type".to_owned(), Json::Str("bench".to_owned())),
-            ("name".to_owned(), Json::Str(name.to_owned())),
-            (
-                "engine".to_owned(),
-                Json::Str(Engine::Incremental.name().to_owned()),
-            ),
-            ("period".to_owned(), Json::from_usize(period)),
-            ("min_conf".to_owned(), Json::Num(min_conf)),
-            ("segments".to_owned(), Json::from_usize(m)),
-            (
-                "incremental_compare".to_owned(),
-                Json::Obj(vec![
-                    ("cold_us".to_owned(), Json::from_u64(cold_us)),
-                    ("median_us".to_owned(), Json::from_u64(median_us)),
-                    ("p90_us".to_owned(), Json::from_u64(p90_us)),
-                    ("appends".to_owned(), Json::from_usize(appends)),
-                    ("speedup".to_owned(), Json::Num(speedup)),
-                ]),
-            ),
-        ]);
-        let path = format!("BENCH_{name}.json");
-        std::fs::write(&path, format!("{}\n", doc.render()))?;
-        writeln!(out, "bench report written to {path}")?;
-    }
-    Ok(Some(last.stats))
-}
-
-/// Alphabet-order-independent result equality: same segment denominator,
-/// same pattern count, and every pattern of `a` present in `b` with the
-/// same exact frequency (looked up through the symbolic form, so differing
-/// alphabet orderings cannot mask or fake a match).
-fn same_patterns(a: &MiningResult, b: &MiningResult) -> bool {
-    a.segment_count == b.segment_count
-        && a.frequent.len() == b.frequent.len()
-        && a.patterns()
-            .all(|(pattern, count, _)| b.count_of(&pattern) == Some(count))
 }
 
 /// The tail of every mined path: a run that quarantined instants reports
@@ -1474,43 +1329,12 @@ mod tests {
     }
 
     #[test]
-    fn compare_incremental_reports_identity_and_writes_the_bench() {
-        let path = sample_series_file("ppmc");
-        let name = format!("test-inc-{}", std::process::id());
-        let text = run_cli(&format!(
-            "mine --input {} --period 3 --min-conf 0.6 --compare-incremental 5 \
-             --bench-report {name}",
-            path.display()
-        ))
-        .unwrap();
-        assert!(text.contains("5 appended segments over 30"), "{text}");
-        assert!(text.contains("bit-identical"), "{text}");
-        assert!(text.contains("speedup"), "{text}");
-        let report = format!("BENCH_{name}.json");
-        let raw = std::fs::read_to_string(&report).unwrap();
-        let doc = ppm_observe::Json::parse(&raw).unwrap();
-        let compare = doc.get("incremental_compare").unwrap();
-        assert_eq!(compare.get("appends").unwrap().as_u64(), Some(5));
-        assert!(compare.get("cold_us").unwrap().as_u64().unwrap() >= 1);
-        assert!(compare.get("median_us").unwrap().as_u64().unwrap() >= 1);
-        assert!(compare.get("speedup").is_some(), "{raw}");
-        std::fs::remove_file(report).ok();
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn follow_and_compare_incremental_flag_combinations_are_usage_errors() {
+    fn follow_flag_combinations_are_usage_errors() {
         let ppms = sample_series_file("ppms");
         let ppmc = sample_series_file("ppmc");
         for (file, extra) in [
-            (&ppms, "--compare-incremental 5"),  // needs .ppmc
-            (&ppms, "--follow"),                 // needs .ppmc
-            (&ppmc, "--compare-incremental 0"),  // at least 1 append
-            (&ppmc, "--compare-incremental 30"), // needs a warm prefix
-            (&ppmc, "--compare-incremental 5 --follow"),
-            (&ppmc, "--compare-incremental 5 --tsv"),
-            (&ppmc, "--compare-incremental 5 --audit full"),
-            (&ppmc, "--compare-incremental 5 --bench-report a/b"),
+            (&ppms, "--follow"), // needs .ppmc
+            (&ppmc, "--follow --tsv"),
             (&ppmc, "--follow --engine apriori"),
             (&ppmc, "--follow --window 0"),
             (&ppmc, "--follow --window 5 --audit full"),
@@ -1524,6 +1348,59 @@ mod tests {
         }
         std::fs::remove_file(ppms).ok();
         std::fs::remove_file(ppmc).ok();
+    }
+
+    /// The incremental-vs-cold race runs in the `races` binary, so
+    /// `--compare-incremental` and `--bench-report` are rejected and no
+    /// bench file is written. The identity the race checks still holds: an
+    /// incremental index warmed over 25 of the 30 segments and fed the last
+    /// 5 one by one ends equal to a cold mine of the whole store.
+    #[test]
+    fn compare_incremental_reports_identity_and_writes_the_bench() {
+        use crate::cmd::testutil::assert_rejects_flag;
+        use ppm_core::vertical::incremental::IncrementalVerticalIndex;
+        use ppm_core::MineConfig;
+        use ppm_timeseries::columnar::ColumnarReader;
+
+        let path = sample_series_file("ppmc");
+        let name = format!("test-inc-{}", std::process::id());
+        for (extra, flag) in [
+            (
+                "--compare-incremental 5".to_owned(),
+                "--compare-incremental",
+            ),
+            (format!("--bench-report {name}"), "--bench-report"),
+        ] {
+            assert_rejects_flag(
+                &format!(
+                    "mine --input {} --period 3 --min-conf 0.6 {extra}",
+                    path.display()
+                ),
+                flag,
+            );
+        }
+        assert!(!std::path::Path::new(&format!("BENCH_{name}.json")).exists());
+
+        let reader = ColumnarReader::open(path.to_str().unwrap()).unwrap();
+        let view = reader.view();
+        let config = MineConfig::new(0.6).unwrap();
+        let cold = ppm_core::vertical::mine_vertical_view(view, 3, &config).unwrap();
+        let mut index = IncrementalVerticalIndex::new(3, None);
+        for segment in 0..25 {
+            index.append_from_view(view, segment);
+        }
+        let mut last = index.rederive_dirty(&config).unwrap();
+        for segment in 25..30 {
+            index.append_from_view(view, segment);
+            last = index.rederive_dirty(&config).unwrap();
+        }
+        assert_eq!(last.segment_count, 30);
+        assert!(!cold.frequent.is_empty());
+        assert_eq!(last.frequent.len(), cold.frequent.len());
+        for (pattern, count, _) in last.patterns() {
+            assert_eq!(cold.count_of(&pattern), Some(count), "{pattern:?}");
+        }
+        std::fs::remove_file(path).ok();
     }
 
     #[test]

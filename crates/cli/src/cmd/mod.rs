@@ -24,6 +24,10 @@ use ppm_timeseries::{FeatureCatalog, FeatureSeries};
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The shared resource-guard flags read by [`apply_guards`] (and passed
+/// through by `serve` and `query`).
+pub(crate) const GUARD_FLAGS: &str = "deadline-ms max-tree-nodes";
+
 /// Applies the shared resource-guard flags — `--deadline-ms` and
 /// `--max-tree-nodes` — to a mining config. Guarded miners abort with a
 /// typed error carrying partial statistics when either limit is hit.
@@ -199,6 +203,28 @@ pub(crate) mod testutil {
         let mut out = Vec::new();
         crate::run(&argv, &mut out)?;
         Ok(String::from_utf8(out).expect("utf8 output"))
+    }
+
+    /// Asserts that `line` is a usage error (exit 2) naming `flag`, raised
+    /// before the command prints anything.
+    pub fn assert_rejects_flag(line: &str, flag: &str) {
+        let argv: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
+        let mut out = Vec::new();
+        let err = crate::run(&argv, &mut out).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{line}: {err}");
+        assert!(err.to_string().contains(flag), "{line}: {err}");
+        assert!(out.is_empty(), "{line}");
+    }
+
+    /// The per-period table of a `sweep` report: its header line and the
+    /// indented rows under it.
+    pub fn sweep_table(report: &str) -> String {
+        report
+            .lines()
+            .skip_while(|l| !l.contains("patterns"))
+            .take_while(|l| l.starts_with(' '))
+            .collect::<Vec<_>>()
+            .join("\n")
     }
 
     #[test]

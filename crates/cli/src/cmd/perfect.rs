@@ -9,6 +9,9 @@ use ppm_core::Pattern;
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags `ppm perfect` accepts; any other is a usage error.
+pub(crate) const FLAGS: &[&str] = &["input from to"];
+
 /// Runs the command.
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.required("input")?;

@@ -24,6 +24,14 @@ use ppm_serve::{ClientError, Endpoint, ErrorCode, FailoverClient, RetryPolicy};
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags `ppm query` accepts; any other is a usage error.
+pub(crate) const FLAGS: &[&str] = &[
+    "op store period min-conf engine limit no-cache quarantine inject-garbage min-rule-conf \
+     rows repeat recheck show-cached endpoints socket host port retries backoff-ms \
+     backoff-max-ms io-timeout-ms hedge-ms seed",
+    super::GUARD_FLAGS,
+];
+
 /// Runs one query against the daemon(s).
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let op = args.get("op").unwrap_or("mine");

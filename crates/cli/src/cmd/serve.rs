@@ -14,6 +14,16 @@ use ppm_serve::StoreRegistry;
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags `ppm serve` accepts; any other is a usage error.
+pub(crate) const FLAGS: &[&str] = &[
+    "stores socket host port workers queue cache cache-max-entries cache-max-bytes drain-ms \
+     retry-after-ms test-faults idle-timeout-ms frame-deadline-ms max-requests-per-conn \
+     verify-interval-ms mine-threads metrics-out access-log slow-ms flight-dump \
+     flight-events",
+    super::GUARD_FLAGS,
+    crate::obs::FLAGS,
+];
+
 /// Runs the daemon until a termination signal (or a `shutdown` query).
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let stores: Vec<String> = args

@@ -15,6 +15,9 @@ use ppm_core::export::parse_patterns_tsv;
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The flags `ppm verify` accepts; any other is a usage error.
+pub(crate) const FLAGS: &[&str] = &["input patterns period min-conf sample", crate::obs::FLAGS];
+
 /// Runs the command. Observability flags (`--trace`, `--metrics-out`)
 /// wrap the verification like they wrap a mine.
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {

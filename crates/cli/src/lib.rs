@@ -33,29 +33,42 @@ use std::io::Write;
 /// to `out`.
 pub fn run(argv: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let parsed = args::Parsed::parse(argv)?;
-    match parsed.command.as_str() {
-        "generate" => cmd::generate::run(&parsed, out),
-        "info" => cmd::info::run(&parsed, out),
-        "mine" => cmd::mine::run(&parsed, out),
-        "sweep" => cmd::sweep::run(&parsed, out),
-        "perfect" => cmd::perfect::run(&parsed, out),
-        "convert" => cmd::convert::run(&parsed, out),
-        "rules" => cmd::rules::run(&parsed, out),
-        "evolve" => cmd::evolve::run(&parsed, out),
-        "verify" => cmd::verify::run(&parsed, out),
-        "serve" => cmd::serve::run(&parsed, out),
-        "query" => cmd::query::run(&parsed, out),
-        "chaos" => cmd::chaos::run(&parsed, out),
-        "append" => cmd::append::run(&parsed, out),
-        "help" | "--help" | "-h" => {
-            writeln!(out, "{}", usage())?;
-            Ok(())
-        }
-        other => Err(CliError::Usage(format!(
-            "unknown command {other:?}\n{}",
-            usage()
-        ))),
+    if matches!(parsed.command.as_str(), "help" | "--help" | "-h") {
+        writeln!(out, "{}", usage())?;
+        return Ok(());
     }
+    let Some((command, flags)) = command(&parsed.command) else {
+        return Err(CliError::Usage(format!(
+            "unknown command {:?}\n{}",
+            parsed.command,
+            usage()
+        )));
+    };
+    parsed.reject_unknown(flags)?;
+    command(&parsed, out)
+}
+
+/// A command's entry point.
+type Command = fn(&args::Parsed, &mut dyn Write) -> Result<(), CliError>;
+
+/// The entry point of command `name` and the flags it declares.
+fn command(name: &str) -> Option<(Command, &'static [&'static str])> {
+    Some(match name {
+        "generate" => (cmd::generate::run, cmd::generate::FLAGS),
+        "info" => (cmd::info::run, cmd::info::FLAGS),
+        "mine" => (cmd::mine::run, cmd::mine::FLAGS),
+        "sweep" => (cmd::sweep::run, cmd::sweep::FLAGS),
+        "perfect" => (cmd::perfect::run, cmd::perfect::FLAGS),
+        "convert" => (cmd::convert::run, cmd::convert::FLAGS),
+        "rules" => (cmd::rules::run, cmd::rules::FLAGS),
+        "evolve" => (cmd::evolve::run, cmd::evolve::FLAGS),
+        "verify" => (cmd::verify::run, cmd::verify::FLAGS),
+        "serve" => (cmd::serve::run, cmd::serve::FLAGS),
+        "query" => (cmd::query::run, cmd::query::FLAGS),
+        "chaos" => (cmd::chaos::run, cmd::chaos::FLAGS),
+        "append" => (cmd::append::run, cmd::append::FLAGS),
+        _ => return None,
+    })
 }
 
 /// The top-level usage text. Engine lists come from
@@ -77,15 +90,13 @@ USAGE:
                [--progress [--progress-interval-ms MS]]
                [--follow [--window N] [--follow-poll-ms MS]
                 [--follow-max-updates N]]
-               [--compare-incremental N [--bench-report NAME]]
   ppm append   --input FILE.ppmc --rows \"a b;c;-\" [--repeat N]
   ppm verify   --input FILE --patterns FILE.tsv --period P --min-conf C
                [--sample [N]]
   ppm sweep    --input FILE --from P1 --to P2 --min-conf C [--looping]
-               [--engine {engines}] [--compare-tree]
-               [--workers N] [--compare-ingest FILE.txt]
+               [--engine {engines}] [--workers N]
                [--checkpoint FILE] [--deadline-ms MS] [--max-tree-nodes N]
-               [--trace] [--metrics-out FILE] [--bench-report NAME]
+               [--trace] [--metrics-out FILE]
   ppm perfect  --input FILE --from P1 --to P2
   ppm rules    --input FILE --period P --min-conf C [--min-rule-conf R] [--tsv]
   ppm evolve   --input FILE --period P --min-conf C --window W [--stride S]
@@ -179,14 +190,10 @@ with --threads N shards that derive across N threads; incremental is the
 vertical engine maintained as segments append (a cold vertical mine on a
 fixed input; live per store under ppm serve and mine --follow). Every
 sweep engine shares ONE encode/load (a .ppmc input opens directly as the
-bitmap rows); --compare-tree additionally races each period against the
-tree walk and fails on any disagreement. sweep --workers N mines the
-range with a work-stealing scheduler (per-worker deques plus a shared
-injector, idle workers steal periods from peers) off that one shared
-load; with --bench-report the sequential per-period baseline also runs
-and the head-to-head lands in sweep_compare. sweep --compare-ingest
-FILE.txt (columnar input only) races text parse+encode against the
-columnar open and records ingest_compare.
+bitmap rows). sweep --workers N mines the range with a work-stealing
+scheduler (per-worker deques plus a shared injector, idle workers steal
+periods from peers) off that one shared load. Performance races live
+outside ppm, in the ppm-bench crate's `races` binary.
 
 Verification: mine --audit checks the result against the paper's
 invariants (anti-monotone counts, downward closure, confidence bounds,
@@ -203,9 +210,88 @@ Observability: --trace prints a live span tree to stderr; --metrics-out
 FILE streams structured events as JSON lines and appends a final summary
 (per-phase timings, counters, retry/guard counts, mining stats);
 mine --progress prints a segments/ETA heartbeat to stderr;
-sweep --bench-report NAME writes BENCH_NAME.json with per-phase wall
-clock, peak tree nodes, and scan counts; info --period P reports the
-Property 3.2 hit-set buffer bound for that period.",
+info --period P reports the Property 3.2 hit-set buffer bound for that
+period. Every command rejects a flag it does not declare (exit 2).",
         engines = ppm_core::Engine::names()
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every flag the usage text shows under a command is one that command
+    /// declares, so help never advertises a flag the parser rejects.
+    #[test]
+    fn usage_shows_only_declared_flags() {
+        let text = usage();
+        let mut current = None;
+        let mut checked = 0;
+        let block = text.lines().skip_while(|l| *l != "USAGE:");
+        for line in block.take_while(|l| !l.is_empty()) {
+            if let Some(rest) = line.trim_start().strip_prefix("ppm ") {
+                let name = rest.split_whitespace().next().unwrap();
+                current = command(name).map(|(_, flags)| (name, flags));
+            }
+            let Some((name, flags)) = current else {
+                continue;
+            };
+            for word in line.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')) {
+                if let Some(flag) = word.strip_prefix("--") {
+                    let declared = args::declares(flags, flag);
+                    assert!(declared, "usage shows --{flag} under `ppm {name}`");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 100, "only {checked} flags checked");
+    }
+
+    /// A misspelled flag, and every flag of the benchmarking modes that
+    /// moved to the `races` binary, is a usage error naming the flag,
+    /// raised before the command reads its input.
+    #[test]
+    fn undeclared_flags_exit_2_before_any_work() {
+        for (line, flag) in [
+            ("mine --period 10 --min-conf 0.5 --egine apriori", "--egine"),
+            (
+                "mine --period 10 --min-conf 0.5 --compare-incremental 5",
+                "--compare-incremental",
+            ),
+            (
+                "mine --period 10 --min-conf 0.5 --bench-report x",
+                "--bench-report",
+            ),
+            (
+                "sweep --from 2 --to 4 --min-conf 0.5 --compare-tree",
+                "--compare-tree",
+            ),
+            (
+                "sweep --from 2 --to 4 --min-conf 0.5 --compare-kernel",
+                "--compare-kernel",
+            ),
+            (
+                "sweep --from 2 --to 4 --min-conf 0.5 --compare-ingest a.txt",
+                "--compare-ingest",
+            ),
+            (
+                "sweep --from 2 --to 4 --min-conf 0.5 --bench-report x",
+                "--bench-report",
+            ),
+            (
+                "sweep --from 2 --to 4 --min-conf 0.5 --threads 2",
+                "--threads",
+            ),
+        ] {
+            let argv: Vec<String> = format!("{line} --input missing-input.ppms")
+                .split_whitespace()
+                .map(str::to_owned)
+                .collect();
+            let mut out = Vec::new();
+            let err = run(&argv, &mut out).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{line}: {err}");
+            assert!(err.to_string().contains(flag), "{line}: {err}");
+            assert!(out.is_empty(), "{line}");
+        }
+    }
 }

@@ -23,6 +23,9 @@ use ppm_observe::{
 use crate::args::Parsed;
 use crate::error::CliError;
 
+/// The observability flags [`ObsSetup`] reads.
+pub(crate) const FLAGS: &str = "trace metrics-out progress progress-interval-ms";
+
 /// The observability configuration of one CLI invocation.
 pub struct ObsSetup {
     collector: Option<Arc<Collector>>,
@@ -37,13 +40,6 @@ impl ObsSetup {
     /// `--progress-interval-ms MS` from the command line. A value-less
     /// `--metrics-out` is a usage error.
     pub fn from_args(args: &Parsed) -> Result<ObsSetup, CliError> {
-        Self::from_args_with(args, false)
-    }
-
-    /// [`Self::from_args`], optionally forcing the in-memory collector on
-    /// even without `--metrics-out` (used by `sweep --bench-report`, which
-    /// needs the aggregated phases for its report file).
-    pub fn from_args_with(args: &Parsed, force_collector: bool) -> Result<ObsSetup, CliError> {
         let trace = args.switch("trace");
         let progress = parse_progress(args)?;
         let (json, metrics_path) = if args.switch("metrics-out") {
@@ -56,13 +52,9 @@ impl ObsSetup {
         } else {
             (None, None)
         };
-        // The collector backs the metrics summary and the bench report; it
-        // is pointless (and costs memory) otherwise.
-        let collector = if json.is_some() || force_collector {
-            Some(Arc::new(Collector::new()))
-        } else {
-            None
-        };
+        // The collector backs the metrics summary; it is pointless (and
+        // costs memory) otherwise.
+        let collector = json.as_ref().map(|_| Arc::new(Collector::new()));
         Ok(ObsSetup {
             collector,
             json,
@@ -89,11 +81,6 @@ impl ObsSetup {
     /// Whether any observability output was requested.
     pub fn enabled(&self) -> bool {
         self.trace || self.collector.is_some() || self.progress.is_some()
-    }
-
-    /// The in-memory collector, when one is active.
-    pub fn collector(&self) -> Option<&Arc<Collector>> {
-        self.collector.as_ref()
     }
 
     /// Installs the configured sinks on the current thread; returns `None`

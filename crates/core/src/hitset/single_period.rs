@@ -38,8 +38,8 @@ pub fn mine_view(
 /// Algorithm 3.2 over any [`Input`] (a `&FeatureSeries`, an
 /// [`EncodedSeriesView`], or a re-scanned
 /// [`SeriesSource`](ppm_timeseries::SeriesSource)) with an explicit
-/// counting strategy; the ablations and the `sweep --compare-tree` race
-/// pin one here.
+/// counting strategy; the ablations and the `races` binary's
+/// vertical-vs-tree-walk race pin one here.
 pub fn mine_with_strategy<'a>(
     input: impl Into<Input<'a>>,
     period: usize,

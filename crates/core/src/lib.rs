@@ -94,4 +94,4 @@ pub use result::{FrequentPattern, MiningResult};
 pub use rows::{Input, Rows};
 pub use scan::{scan_frequent_letters, scan_frequent_letters_view, MineConfig, Scan1};
 pub use stats::{hit_set_bound, MiningStats, StatsRollup};
-pub use vertical::{Kernel, KernelRace};
+pub use vertical::Kernel;

@@ -2,8 +2,8 @@
 //!
 //! A candidate's frequency against a [`VerticalIndex`](super::VerticalIndex)
 //! is a k-way AND over `⌈m/64⌉` words followed by a (possibly weighted)
-//! popcount. BENCH_PR4 showed those word operations dominating the whole
-//! derive phase, so this module provides two interchangeable kernels:
+//! popcount. Those word operations dominate the whole derive phase on
+//! dense workloads, so this module provides two interchangeable kernels:
 //!
 //! * **scalar** — one word at a time with an early exit as soon as the
 //!   accumulator goes to zero; the reference implementation every other
@@ -14,8 +14,8 @@
 //!   block, which LLVM auto-vectorizes to SSE2/AVX2 on x86-64 (and to
 //!   NEON on aarch64). An explicit `std::arch` intrinsics path is
 //!   deliberately absent: this crate is `#![forbid(unsafe_code)]`, and
-//!   the portable lanes are the always-correct form the issue names as
-//!   the fallback — `benches/kernel_scalar_vs_wide.rs` measures what the
+//!   the portable lanes are the always-correct fallback — the `races`
+//!   binary's kernel race (`crates/bench`) measures what the
 //!   autovectorizer makes of them.
 //!
 //! Both kernels count over an arbitrary word *range*, which is what makes
@@ -49,8 +49,8 @@ const INLINE_ARITY: usize = 32;
 /// Which counting kernel to run. Both yield bit-identical counts. Every
 /// mine runs the wide kernel unless its [`MineConfig::with_kernel`] asks
 /// for the scalar one — which only the audit cross-check, the bit-identity
-/// tests and `sweep --compare-kernel` do, as the reference the wide kernel
-/// is checked against.
+/// tests and the `races` binary's kernel race do, as the reference the
+/// wide kernel is checked against.
 ///
 /// [`MineConfig::with_kernel`]: crate::MineConfig::with_kernel
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

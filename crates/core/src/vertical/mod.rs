@@ -36,7 +36,6 @@ pub mod shard;
 
 use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
-use std::time::Instant;
 
 use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
 
@@ -84,8 +83,8 @@ impl VerticalIndex {
     }
 
     /// Builds an index directly from explicit column letter-sets and
-    /// optional per-column weights — the constructor benchmarks and
-    /// property tests use to fabricate arbitrary geometries (universe
+    /// optional per-column weights — the constructor property and shard
+    /// tests use to fabricate arbitrary geometries (universe
     /// widths straddling word boundaries, weighted columns, …).
     ///
     /// # Panics
@@ -168,7 +167,7 @@ impl VerticalIndex {
     }
 
     /// [`Self::count_with`] on an explicitly chosen kernel — the entry
-    /// point the bit-identity tests and the microbenchmark drive.
+    /// point the bit-identity tests drive.
     pub fn count_with_kernel(&self, p: &LetterSet, kernel: Kernel, and_ops: &mut u64) -> u64 {
         debug_assert_eq!(p.universe(), self.n_letters);
         let bases = RowBases::from_pattern(p, self.words_per_row);
@@ -456,89 +455,6 @@ pub(crate) fn derive_vertical_sharded(
     frequent
 }
 
-/// The outcome of [`kernel_race`]: one period derived twice off the same
-/// scan-2 index — forced-scalar unsharded versus wide + sharded — with
-/// wall times and an identity verdict.
-#[derive(Debug, Clone)]
-pub struct KernelRace {
-    /// Microseconds for the scalar, unsharded derivation.
-    pub scalar_us: u64,
-    /// Microseconds for the wide, sharded derivation.
-    pub wide_us: u64,
-    /// `scalar_us / wide_us`.
-    pub speedup: f64,
-    /// Shards in the wide run's plan (1 ⇒ geometry below the threshold,
-    /// so the wide run was unsharded too).
-    pub shards: usize,
-    /// Threads offered to the sharded run.
-    pub threads: usize,
-    /// Whether the two derivations produced identical frequent sets.
-    /// Anything but `true` is a kernel bug; callers should fail loudly.
-    pub identical: bool,
-    /// Patterns in the frequent set (including 1-patterns).
-    pub patterns: usize,
-}
-
-/// Times the scalar kernel against the wide + sharded path on one period
-/// of `view`, reusing a single scan-1 + scan-2 so only the derivation is
-/// measured — the honest comparison `sweep --compare-kernel` reports and
-/// BENCH_PR9's gate consumes. Each arm derives twice and keeps the
-/// *minimum* wall time (the classic defense against scheduler noise on a
-/// busy box; the work is deterministic, so the faster run is the truer
-/// one). Both arms must produce identical frequent sets
-/// ([`KernelRace::identical`]).
-pub fn kernel_race(
-    view: EncodedSeriesView<'_>,
-    period: usize,
-    config: &MineConfig,
-    threads: usize,
-) -> Result<KernelRace> {
-    let mut passes = Passes::new(view.into(), ResourceGuard::new(config), "vertical.segments");
-    let scan1 = passes.scan1(period, config)?;
-    let index = VerticalIndex::from_segments(&mut passes, &scan1, &mut MiningStats::default())?;
-
-    let mut scalar_us = u64::MAX;
-    let mut stats_scalar = MiningStats::default();
-    let mut scalar = Vec::new();
-    for _ in 0..2 {
-        let start = Instant::now();
-        let mut stats = MiningStats::default();
-        let run = derive_vertical(&index, &scan1, &mut stats, Kernel::Scalar);
-        scalar_us = scalar_us.min(start.elapsed().as_micros().max(1) as u64);
-        (scalar, stats_scalar) = (run, stats);
-    }
-
-    let shared = Arc::new(index);
-    let executor = ThreadedExecutor::new(threads);
-    let shards = executor
-        .plan(
-            shared.words_per_row(),
-            shared.n_columns(),
-            shared.n_letters(),
-        )
-        .len();
-    let mut wide_us = u64::MAX;
-    let mut stats_wide = MiningStats::default();
-    let mut wide = Vec::new();
-    for _ in 0..2 {
-        let start = Instant::now();
-        let mut stats = MiningStats::default();
-        let run = derive_vertical_sharded(&shared, &scan1, &mut stats, Kernel::Wide, &executor);
-        wide_us = wide_us.min(start.elapsed().as_micros().max(1) as u64);
-        (wide, stats_wide) = (run, stats);
-    }
-
-    Ok(KernelRace {
-        scalar_us,
-        wide_us,
-        speedup: scalar_us as f64 / wide_us as f64,
-        shards,
-        threads,
-        identical: scalar == wide && stats_scalar == stats_wide,
-        patterns: scalar.len(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -748,17 +664,6 @@ mod tests {
         let sharded = crate::run(crate::Engine::Vertical, encoded.view(), 4, &config, 4).unwrap();
         assert_eq!(plain.frequent, sharded.frequent);
         assert_eq!(plain.stats, sharded.stats);
-    }
-
-    #[test]
-    fn kernel_race_agrees_and_reports() {
-        let series = busy_series(2000, 5);
-        let encoded = EncodedSeries::encode(&series);
-        let race = kernel_race(encoded.view(), 5, &MineConfig::new(0.2).unwrap(), 2).unwrap();
-        assert!(race.identical);
-        assert!(race.patterns > 0);
-        assert!(race.scalar_us >= 1 && race.wide_us >= 1);
-        assert!(race.speedup > 0.0);
     }
 
     #[test]

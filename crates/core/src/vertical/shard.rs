@@ -332,7 +332,7 @@ mod tests {
 
     #[test]
     fn plan_degenerates_below_the_threshold() {
-        // 34 words × 24 letters over 2142 columns (the BENCH_PR4 shape):
+        // 34 words × 24 letters over 2142 columns (the dense race shape):
         // under the work threshold, single range.
         let plan = plan_shards(34, 2142, 24, 8, MIN_SHARD_WORDS);
         assert_eq!(plan, vec![0..34]);
