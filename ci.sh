@@ -117,6 +117,29 @@ echo "==> continuous ingestion smoke: ppm append, mine --follow, serve append op
 # A dedicated store copy so appends never perturb the other steps' files.
 ./target/release/ppm convert --input "$smoke_dir/smoke.ppms" \
   --out "$smoke_dir/follow.ppmc"
+# A converted store is .ppmc version 2. A version-1 store (the committed
+# fixture, written before the word-hash checksum) still mines exactly like
+# its version-2 twin, and an append grows it in place as version 1.
+./target/release/ppm info --input "$smoke_dir/follow.ppmc" >"$smoke_dir/info-v2.log"
+grep -q "^format: *\.ppmc version 2$" "$smoke_dir/info-v2.log"
+cp crates/timeseries/testdata/synthetic-p12-v1.ppmc "$smoke_dir/v1.ppmc"
+./target/release/ppm convert --input "$smoke_dir/v1.ppmc" \
+  --out "$smoke_dir/v1-twin.ppmc" >/dev/null
+for store in v1 v1-twin; do
+  ./target/release/ppm mine --input "$smoke_dir/$store.ppmc" --period 12 \
+    --min-conf 0.6 --limit 100000 | grep '^  ' >"$smoke_dir/$store.lines"
+done
+test -s "$smoke_dir/v1.lines"
+diff "$smoke_dir/v1.lines" "$smoke_dir/v1-twin.lines"
+./target/release/ppm append --input "$smoke_dir/v1.ppmc" --rows "pat0;-;pat1" \
+  --repeat 4 >"$smoke_dir/append-v1.log"
+grep -q "appended 12 instants" "$smoke_dir/append-v1.log"
+./target/release/ppm info --input "$smoke_dir/v1.ppmc" >"$smoke_dir/info-v1.log"
+grep -q "^format: *\.ppmc version 1$" "$smoke_dir/info-v1.log"
+grep -q "^instants: *612$" "$smoke_dir/info-v1.log"
+./target/release/ppm mine --input "$smoke_dir/v1.ppmc" --period 12 \
+  --min-conf 0.6 >"$smoke_dir/mine-v1.log"
+grep -q "frequent patterns (period 12, 51 segments" "$smoke_dir/mine-v1.log"
 # A follow loop tails the store in the background; one whole appended
 # segment must surface as an audited incremental update.
 ./target/release/ppm mine --input "$smoke_dir/follow.ppmc" --period 25 \

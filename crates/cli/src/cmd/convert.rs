@@ -211,4 +211,57 @@ mod tests {
             std::fs::remove_file(p).ok();
         }
     }
+
+    /// A version-1 store (written before the word-hash checksum) mines
+    /// exactly like its version-2 re-conversion, and `ppm append` keeps it
+    /// version 1.
+    #[test]
+    fn v1_columnar_store_mines_like_its_v2_twin_and_appends_in_place() {
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../timeseries/testdata/synthetic-p12-v1.ppmc"
+        );
+        let v1 = temp_path("conv-v1", "ppmc");
+        let v2 = temp_path("conv-v2", "ppmc");
+        std::fs::copy(fixture, &v1).unwrap();
+        run_cli(&format!(
+            "convert --input {} --out {}",
+            v1.display(),
+            v2.display()
+        ))
+        .unwrap();
+        let version = |path: &std::path::Path| {
+            ppm_timeseries::columnar::ColumnarReader::open(path)
+                .unwrap()
+                .version()
+        };
+        assert_eq!((version(&v1), version(&v2)), (1, 2));
+        let mine = |path: &std::path::Path, engine: &str| {
+            let out = run_cli(&format!(
+                "mine --input {} --period 12 --min-conf 0.6 --engine {engine} --limit 100000",
+                path.display()
+            ))
+            .unwrap();
+            out.lines()
+                .filter(|l| l.starts_with("  "))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        for engine in ["hitset", "apriori", "vertical", "incremental"] {
+            let lines = mine(&v1, engine);
+            assert!(lines.lines().count() > 20, "{engine}: {lines}");
+            assert_eq!(lines, mine(&v2, engine), "{engine}");
+        }
+        let text = run_cli(&format!(
+            "append --input {} --rows pat0;-;pat1 --repeat 4",
+            v1.display()
+        ))
+        .unwrap();
+        assert!(text.contains("appended 12 instants"), "{text}");
+        assert_eq!(version(&v1), 1);
+        let reader = ppm_timeseries::columnar::ColumnarReader::open(&v1).unwrap();
+        assert_eq!(reader.len(), 612);
+        std::fs::remove_file(v1).ok();
+        std::fs::remove_file(v2).ok();
+    }
 }

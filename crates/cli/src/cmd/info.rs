@@ -1,4 +1,5 @@
-//! `ppm info` — series summary statistics.
+//! `ppm info` — series summary statistics, and the format version of a
+//! columnar (`.ppmc`) input.
 //!
 //! With `--period P` (and optionally `--min-conf C`, default 0.5) it also
 //! runs scan 1 for that period and reports the Property 3.2 hit-set
@@ -8,6 +9,7 @@
 use std::io::Write;
 
 use ppm_core::{hit_set_bound, scan_frequent_letters, MineConfig};
+use ppm_timeseries::columnar::ColumnarReader;
 
 use crate::args::Parsed;
 use crate::error::CliError;
@@ -18,9 +20,19 @@ pub(crate) const FLAGS: &[&str] = &["input period min-conf"];
 /// Runs the command.
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.required("input")?;
-    let (series, catalog) = super::load_series(input)?;
+    let (series, catalog, version) = if super::format_of(input) == super::Format::Columnar {
+        let reader = ColumnarReader::open(input)?;
+        let catalog = reader.catalog().clone();
+        (reader.to_series(), catalog, Some(reader.version()))
+    } else {
+        let (series, catalog) = super::load_series(input)?;
+        (series, catalog, None)
+    };
     let stats = series.stats();
     writeln!(out, "file:                 {input}")?;
+    if let Some(version) = version {
+        writeln!(out, "format:               .ppmc version {version}")?;
+    }
     writeln!(out, "instants:             {}", stats.instants)?;
     writeln!(out, "feature occurrences:  {}", stats.total_features)?;
     writeln!(out, "catalog size:         {}", catalog.len())?;
@@ -124,6 +136,32 @@ mod tests {
         assert!(text.contains("|F1| letters:       1"), "{text}");
         assert!(text.contains("hit-set bound:      1"), "{text}");
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn columnar_input_reports_its_format_version() {
+        let ppms = sample_series_file("ppms");
+        let text = run_cli(&format!("info --input {}", ppms.display())).unwrap();
+        assert!(!text.contains("format:"), "{text}");
+        let ppmc = sample_series_file("ppmc");
+        let text = run_cli(&format!("info --input {}", ppmc.display())).unwrap();
+        assert!(
+            text.contains("format:               .ppmc version 2\n"),
+            "{text}"
+        );
+        assert!(text.contains("instants:             90"), "{text}");
+        let v1 = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../timeseries/testdata/synthetic-p12-v1.ppmc"
+        );
+        let text = run_cli(&format!("info --input {v1}")).unwrap();
+        assert!(
+            text.contains("format:               .ppmc version 1\n"),
+            "{text}"
+        );
+        assert!(text.contains("instants:             600"), "{text}");
+        std::fs::remove_file(ppms).ok();
+        std::fs::remove_file(ppmc).ok();
     }
 
     #[test]

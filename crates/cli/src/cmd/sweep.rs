@@ -776,7 +776,13 @@ mod tests {
         assert!(sweep_table(&from_text).lines().count() > 5, "{from_text}");
         let summary = metrics_summary(&metrics);
         let gauges = summary.get("gauges").unwrap();
-        assert!(gauges.get("columnar.mmap_bytes").is_some(), "{summary:?}");
+        let file_bytes = std::fs::metadata(&ppmc).unwrap().len();
+        assert_eq!(
+            gauges.get("columnar.file_bytes").and_then(Json::as_u64),
+            Some(file_bytes),
+            "{summary:?}"
+        );
+        assert!(gauges.get("columnar.mmap_bytes").is_none(), "{summary:?}");
         std::fs::remove_file(txt).ok();
         std::fs::remove_file(ppmc).ok();
         std::fs::remove_file(metrics).ok();

@@ -161,20 +161,49 @@ impl Alphabet {
         }
     }
 
-    /// [`Self::project_instant`] against a pre-encoded instant: membership
-    /// is one bit test per letter at the offset (bit `f` of `instant_words`
-    /// set iff feature id `f` occurs at the instant), skipping the merge
-    /// walk over the raw feature slice. `instant_words` shorter than the
-    /// feature universe reads as absent features.
-    pub fn project_encoded(&self, offset: usize, instant_words: &[u64], set: &mut LetterSet) {
-        for li in self.letters_at(offset) {
-            let f = self.letters[li].1.index();
-            if instant_words
-                .get(f / 64)
-                .is_some_and(|w| w & (1u64 << (f % 64)) != 0)
-            {
-                set.insert(li);
-            }
+    /// Each letter's probe into a whole segment of packed rows with
+    /// `words_per_instant` words per instant (see [`SegmentMasks`]).
+    pub(crate) fn segment_masks(&self, words_per_instant: usize) -> SegmentMasks {
+        let probes = self
+            .letters
+            .iter()
+            .map(|&(o, f)| {
+                let (word, bit) = (f.index() / 64, f.index() % 64);
+                if word < words_per_instant {
+                    (o as usize * words_per_instant + word, 1u64 << bit)
+                } else {
+                    // Past the rows' words: the letter is never present.
+                    (0, 0)
+                }
+            })
+            .collect();
+        SegmentMasks { probes }
+    }
+}
+
+/// Scan 2's projection of packed rows: for every letter, in letter order,
+/// the index of its word within a whole segment's row-major words and the
+/// mask of its feature's bit there. Projecting a segment is then one
+/// masked load per letter, with no per-instant walk and no branch.
+#[derive(Debug, Clone)]
+pub(crate) struct SegmentMasks {
+    probes: Vec<(usize, u64)>,
+}
+
+impl SegmentMasks {
+    /// Overwrites `hit` with the letters present in `segment`, a whole
+    /// segment's words (`period × words_per_instant` of them). `hit` must
+    /// be sized for the alphabet the masks came from.
+    pub(crate) fn project(&self, segment: &[u64], hit: &mut LetterSet) {
+        debug_assert_eq!(hit.universe(), self.probes.len());
+        for (probes, out) in self.probes.chunks(64).zip(hit.words_mut()) {
+            *out = probes
+                .iter()
+                .enumerate()
+                .fold(0, |bits, (i, &(word, mask))| {
+                    let present = segment.get(word).map_or(0, |w| w & mask);
+                    bits | u64::from(present != 0) << i
+                });
         }
     }
 }
@@ -618,19 +647,25 @@ mod tests {
     }
 
     #[test]
-    fn project_encoded_matches_project_instant() {
-        let a = Alphabet::new(2, [(0, fid(1)), (0, fid(3)), (1, fid(1))]);
-        // Instant features {0, 1, 2} as a bitmap.
-        let instant = [0b0111u64];
+    fn segment_masks_match_project_instant() {
+        let a = Alphabet::new(2, [(0, fid(1)), (0, fid(3)), (1, fid(1)), (1, fid(70))]);
+        // Offset 0 holds features {0, 1, 2}, offset 1 feature 1, as
+        // one-word rows: feature 70 lies past them and never matches.
+        let segment = [0b0111u64, 0b0010];
         let mut enc = a.empty_set();
-        a.project_encoded(0, &instant, &mut enc);
+        a.segment_masks(1).project(&segment, &mut enc);
         let mut raw = a.empty_set();
         a.project_instant(0, &[fid(0), fid(1), fid(2)], &mut raw);
+        a.project_instant(1, &[fid(1)], &mut raw);
         assert_eq!(enc, raw);
-        assert!(enc.contains(0) && !enc.contains(1) && !enc.contains(2));
-        // A short (or empty) word slice reads as no features present.
-        a.project_encoded(1, &[], &mut enc);
-        assert!(!enc.contains(2));
+        assert_eq!(enc.iter().collect::<Vec<_>>(), vec![0, 2]);
+        // Two-word rows reach feature 70; the projection overwrites.
+        let segment = [0b0111u64, 0, 0b0010, 1 << 6];
+        a.segment_masks(2).project(&segment, &mut enc);
+        assert_eq!(enc.iter().collect::<Vec<_>>(), vec![0, 2, 3]);
+        // An empty segment reads as no features present.
+        a.segment_masks(0).project(&[], &mut enc);
+        assert!(enc.is_empty());
     }
 
     #[test]

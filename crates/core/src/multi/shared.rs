@@ -1,13 +1,16 @@
 //! Algorithm 3.4: shared mining of multiple periods in two scans.
 
+use std::ops::Range;
+
 use ppm_timeseries::{EncodedSeries, EncodedSeriesView, FeatureSeries};
 
 use crate::error::Result;
 use crate::hitset::derive::CountStrategy;
 use crate::hitset::{finish, MaxSubpatternTree};
-use crate::letters::LetterSet;
+use crate::letters::{LetterSet, SegmentMasks};
 use crate::multi::{MultiPeriodResult, PeriodRange};
 use crate::result::MiningResult;
+use crate::rows::RowCounts;
 use crate::scan::{scan1_from_counts, CountTable, MineConfig, Scan1};
 use crate::stats::MiningStats;
 
@@ -78,7 +81,7 @@ pub fn mine_periods_shared(
     drop(counts);
     drop(scan1_span);
 
-    let results = scan2_and_derive(encoded.view(), &periods, &usable, scans, config);
+    let results = scan2_and_derive(encoded.view(), &periods, scans, config);
     Ok(MultiPeriodResult::complete(results, 2))
 }
 
@@ -100,84 +103,75 @@ pub fn mine_periods_shared_view(
     let n = view.len();
 
     // ---- Scan 1: per-period (offset, feature) counts, one physical pass
-    // over the packed rows.
+    // over the packed rows, each period counting through its byte lanes.
     let scan1_span = ppm_observe::span("shared.scan1");
-    let mut counts: Vec<CountTable> = periods
-        .iter()
-        .map(|&p| CountTable::with_width(p, view.width()))
-        .collect();
-    let usable: Vec<usize> = periods.iter().map(|&p| (n / p) * p).collect();
-    let mut features = Vec::new();
-    for t in 0..n {
-        features.clear();
-        features.extend(view.features_at(t));
-        if features.is_empty() {
-            continue;
-        }
-        for (pi, &p) in periods.iter().enumerate() {
-            if t >= usable[pi] {
-                continue;
-            }
-            let offset = (t % p) as u32;
-            for &f in &features {
-                counts[pi].add(offset, f);
-            }
-        }
-    }
+    let wpi = view.words_per_instant();
+    let mut counts: Vec<RowCounts> = periods.iter().map(|&p| RowCounts::new(p, wpi)).collect();
+    segment_pass(n, &periods, |pi, segment| {
+        counts[pi].add_segments(&view.words()[segment.start * wpi..segment.end * wpi]);
+    });
     ppm_observe::gauge("shared.encoded_bytes", view.bytes() as u64);
     let scans: Vec<Scan1> = periods
         .iter()
-        .zip(&counts)
-        .map(|(&p, table)| {
+        .zip(counts)
+        .map(|(&p, counts)| {
             let m = n / p;
-            scan1_from_counts(table, p, m, config.min_count(m))
+            scan1_from_counts(&counts.finish(), p, m, config.min_count(m))
         })
         .collect();
-    drop(counts);
     drop(scan1_span);
 
-    let results = scan2_and_derive(view, &periods, &usable, scans, config);
+    let results = scan2_and_derive(view, &periods, scans, config);
     Ok(MultiPeriodResult::complete(results, 2))
+}
+
+/// One pass over `n` instants in order: as each whole segment of
+/// `periods[pi]` completes, `visit(pi, segment)` gets its instant range.
+/// A partial tail segment is never visited.
+fn segment_pass(n: usize, periods: &[usize], mut visit: impl FnMut(usize, Range<usize>)) {
+    let mut ends = periods.to_vec();
+    for read in 1..=n {
+        for (pi, &p) in periods.iter().enumerate() {
+            if read == ends[pi] {
+                ends[pi] += p;
+                visit(pi, read - p..read);
+            }
+        }
+    }
 }
 
 /// Scan 2 plus derivation, shared by the series-backed and view-backed
 /// entry points: one physical pass over the packed rows feeding every
-/// period's max-subpattern tree, then the in-memory derivation per period.
+/// period's max-subpattern tree — each period projects a segment through
+/// its alphabet's masks as the segment's last instant is read — then the
+/// in-memory derivation per period.
 fn scan2_and_derive(
     view: EncodedSeriesView<'_>,
     periods: &[usize],
-    usable: &[usize],
     scans: Vec<Scan1>,
     config: &MineConfig,
 ) -> Vec<MiningResult> {
-    let n = view.len();
+    let wpi = view.words_per_instant();
+    let words = view.words();
     let scan2_span = ppm_observe::span("shared.scan2");
     let mut trees: Vec<MaxSubpatternTree> = scans
         .iter()
         .map(|s| MaxSubpatternTree::new(s.alphabet.full_set()))
         .collect();
+    let masks: Vec<SegmentMasks> = scans
+        .iter()
+        .map(|s| s.alphabet.segment_masks(wpi))
+        .collect();
     let mut hits: Vec<LetterSet> = scans.iter().map(|s| s.alphabet.empty_set()).collect();
-    for t in 0..n {
-        let inst_words = view.instant_words(t);
-        let has_features = inst_words.iter().any(|&w| w != 0);
-        for (pi, &p) in periods.iter().enumerate() {
-            if t >= usable[pi] {
-                continue;
-            }
-            let offset = t % p;
-            if has_features {
-                scans[pi]
-                    .alphabet
-                    .project_encoded(offset, inst_words, &mut hits[pi]);
-            }
-            if offset == p - 1 {
-                if hits[pi].len() >= 2 {
-                    trees[pi].insert(&hits[pi]);
-                }
-                hits[pi].clear();
-            }
+    segment_pass(view.len(), periods, |pi, segment| {
+        masks[pi].project(
+            &words[segment.start * wpi..segment.end * wpi],
+            &mut hits[pi],
+        );
+        if hits[pi].len() >= 2 {
+            trees[pi].insert(&hits[pi]);
         }
-    }
+    });
     drop(scan2_span);
 
     // ---- Derivation per period (in-memory; no further scans).

@@ -13,6 +13,11 @@
 //! over any of them, so each miner has one implementation for every
 //! input.
 //!
+//! Over packed rows both passes run word-wise: scan 1 counts through
+//! [`RowCounts`]' byte lanes, scan 2 projects each segment through the
+//! alphabet's [`SegmentMasks`]. The per-instant loops over a
+//! [`FeatureSeries`] are the reference both are tested against.
+//!
 //! `Passes` also owns what every pass shares: the resource guard's
 //! deadline poll (once per [`DEADLINE_CHECK_INTERVAL`] segments) and the
 //! count of completed passes each miner reports as `series_scans`. On
@@ -28,7 +33,7 @@ use ppm_timeseries::{EncodedSeriesView, FeatureId, FeatureSeries, SeriesSource};
 
 use crate::error::{Error, Result};
 use crate::guard::{Abort, ResourceGuard, DEADLINE_CHECK_INTERVAL};
-use crate::letters::{Alphabet, LetterSet};
+use crate::letters::{Alphabet, LetterSet, SegmentMasks};
 use crate::scan::{scan1_from_counts, CountTable, MineConfig, Scan1};
 use crate::stats::MiningStats;
 
@@ -44,7 +49,7 @@ pub enum Rows<'a> {
     View(EncodedSeriesView<'a>),
 }
 
-impl Rows<'_> {
+impl<'a> Rows<'a> {
     /// Number of instants.
     pub(crate) fn len(&self) -> usize {
         match self {
@@ -53,50 +58,72 @@ impl Rows<'_> {
         }
     }
 
-    /// The dense scan-1 key-space width: max feature id + 1.
-    pub(crate) fn count_width(&self) -> usize {
-        match self {
-            Rows::Series(s) => CountTable::width_of(s),
-            Rows::View(v) => v.width(),
-        }
-    }
-
-    /// Counts every feature of instant `t` into `counts` at `offset`
-    /// (the scan-1 inner loop).
-    #[inline]
-    pub(crate) fn add_counts(&self, t: usize, offset: u32, counts: &mut CountTable) {
+    /// Scan 1's counts of every `(offset, feature)` over the first
+    /// `usable` instants (whole segments of `period`).
+    fn count(&self, period: usize, usable: usize) -> CountTable {
         match self {
             Rows::Series(s) => {
-                for &f in s.instant(t) {
-                    counts.add(offset, f);
+                let mut counts = CountTable::with_width(period, CountTable::width_of(s));
+                for t in 0..usable {
+                    for &f in s.instant(t) {
+                        counts.add((t % period) as u32, f);
+                    }
                 }
+                counts
             }
             Rows::View(v) => {
-                for f in v.features_at(t) {
-                    counts.add(offset, f);
-                }
+                let mut counts = RowCounts::new(period, v.words_per_instant());
+                counts.add_segments(&v.words()[..usable * v.words_per_instant()]);
+                counts.finish()
             }
         }
     }
 
-    /// Projects whole segment `j` onto `alphabet`, setting the bits of the
-    /// frequent letters present in `hit` (the scan-2 inner loop). The
-    /// substrate is matched once per segment, not once per instant.
+    /// Scan 2's projection of whole segments onto `alphabet`.
+    fn projector<'s>(&self, alphabet: &'s Alphabet) -> Projector<'s>
+    where
+        'a: 's,
+    {
+        match *self {
+            Rows::Series(s) => Projector::Series(s, alphabet),
+            Rows::View(v) => Projector::View {
+                words: v.words(),
+                segment_words: alphabet.period() * v.words_per_instant(),
+                masks: alphabet.segment_masks(v.words_per_instant()),
+            },
+        }
+    }
+}
+
+/// How [`Passes::segments`] projects a whole segment of fixed rows.
+enum Projector<'a> {
+    /// Merge-walks each instant's feature slice against the alphabet.
+    Series(&'a FeatureSeries, &'a Alphabet),
+    /// One masked load per letter from the segment's packed words.
+    View {
+        words: &'a [u64],
+        segment_words: usize,
+        masks: SegmentMasks,
+    },
+}
+
+impl Projector<'_> {
+    /// Overwrites `hit` with the letters present in segment `j`.
     #[inline]
-    fn project_segment(&self, alphabet: &Alphabet, j: usize, hit: &mut LetterSet) {
-        let period = alphabet.period();
-        let base = j * period;
+    fn project(&self, j: usize, hit: &mut LetterSet) {
         match self {
-            Rows::Series(s) => {
+            Projector::Series(s, alphabet) => {
+                let period = alphabet.period();
+                hit.clear();
                 for offset in 0..period {
-                    alphabet.project_instant(offset, s.instant(base + offset), hit);
+                    alphabet.project_instant(offset, s.instant(j * period + offset), hit);
                 }
             }
-            Rows::View(v) => {
-                for offset in 0..period {
-                    alphabet.project_encoded(offset, v.instant_words(base + offset), hit);
-                }
-            }
+            Projector::View {
+                words,
+                segment_words,
+                masks,
+            } => masks.project(&words[j * segment_words..][..*segment_words], hit),
         }
     }
 }
@@ -219,10 +246,7 @@ impl<'a> Passes<'a> {
         let usable = m * period;
         let counts = match &mut self.input {
             Input::Rows(rows) => {
-                let mut counts = CountTable::with_width(period, rows.count_width());
-                for t in 0..usable {
-                    rows.add_counts(t, (t % period) as u32, &mut counts);
-                }
+                let counts = rows.count(period, usable);
                 self.scans += 1;
                 counts
             }
@@ -275,10 +299,10 @@ impl<'a> Passes<'a> {
         };
         let flow = match &mut self.input {
             Input::Rows(rows) => {
+                let projector = rows.projector(alphabet);
                 let mut flow = ControlFlow::Continue(());
                 for j in 0..m {
-                    hit.clear();
-                    rows.project_segment(alphabet, j, &mut hit);
+                    projector.project(j, &mut hit);
                     flow = end_segment(j, &hit);
                     if flow.is_break() {
                         break;
@@ -310,6 +334,153 @@ impl<'a> Passes<'a> {
     }
 }
 
+/// Eight 8-bit counters in one word: byte `b` of `SPREAD[x]` is bit `b`
+/// of `x`, so adding `SPREAD[x]` counts all eight bits of byte `x` at
+/// once, with no branch per bit.
+const SPREAD: [u64; 256] = {
+    let mut table = [0u64; 256];
+    let mut x = 0;
+    while x < 256 {
+        let mut b = 0;
+        while b < 8 {
+            table[x] |= ((x as u64 >> b) & 1) << (8 * b);
+            b += 1;
+        }
+        x += 1;
+    }
+    table
+};
+
+/// Adds every byte of `words[i]` into its eight lanes `lanes[8i..8i + 8]`.
+#[inline]
+fn add_bytes(lanes: &mut [u64], words: &[u64]) {
+    for (lanes, &w) in lanes.chunks_exact_mut(8).zip(words) {
+        for (byte, lane) in lanes.iter_mut().enumerate() {
+            *lane += SPREAD[usize::from((w >> (8 * byte)) as u8)];
+        }
+    }
+}
+
+/// Lanes are flushed before any can pass `u8::MAX`: each segment adds at
+/// most 1 to each lane.
+const LANE_FLUSH_SEGMENTS: usize = u8::MAX as usize;
+
+/// Scan 1 over packed rows, fed whole segments in series order (never a
+/// partial tail segment, which must not count).
+///
+/// Each `(offset, row word, byte)` owns one `u64` of eight byte lanes,
+/// one per bit, so a segment's words line up with its lanes one to one:
+/// a segment is one linear pass adding [`SPREAD`] of every byte, with no
+/// branch per bit and no per-instant `t % period`. The lanes are flushed
+/// into the exact count table every [`LANE_FLUSH_SEGMENTS`] segments. Bit
+/// `f` of a row counts as feature `f`, bits past the view's width
+/// included, exactly as the per-instant loop over the materialized series
+/// counts them.
+///
+/// Key spaces past the dense table's limit fall back to one
+/// [`CountTable::add`] per set bit.
+pub(crate) struct RowCounts {
+    period: usize,
+    words_per_instant: usize,
+    kind: RowCountKind,
+}
+
+enum RowCountKind {
+    Lanes {
+        /// `lanes[(offset · words_per_instant + word) · 8 + byte]`.
+        lanes: Vec<u64>,
+        /// Flushed totals, `counts[offset · 64 · words_per_instant + bit]`.
+        counts: Vec<u64>,
+        /// Segments added since the last flush.
+        segments: usize,
+    },
+    Bits(CountTable),
+}
+
+impl RowCounts {
+    /// Counts for `period` over rows of `words_per_instant` words.
+    pub(crate) fn new(period: usize, words_per_instant: usize) -> Self {
+        let kind = match CountTable::with_width(period, 64 * words_per_instant) {
+            CountTable::Dense { counts, .. } => RowCountKind::Lanes {
+                lanes: vec![0; counts.len() / 8],
+                counts,
+                segments: 0,
+            },
+            sparse => RowCountKind::Bits(sparse),
+        };
+        RowCounts {
+            period,
+            words_per_instant,
+            kind,
+        }
+    }
+
+    /// Counts whole segments' rows, row-major.
+    pub(crate) fn add_segments(&mut self, words: &[u64]) {
+        let wpi = self.words_per_instant;
+        if wpi == 0 {
+            return; // no bits, nothing to count
+        }
+        for segment in words.chunks_exact(self.period * wpi) {
+            match &mut self.kind {
+                RowCountKind::Lanes {
+                    lanes,
+                    counts,
+                    segments,
+                } => {
+                    add_bytes(lanes, segment);
+                    *segments += 1;
+                    if *segments == LANE_FLUSH_SEGMENTS {
+                        flush(lanes, counts);
+                        *segments = 0;
+                    }
+                }
+                RowCountKind::Bits(table) => {
+                    for (offset, row) in segment.chunks_exact(wpi).enumerate() {
+                        for (i, &w) in row.iter().enumerate() {
+                            let mut w = w;
+                            while w != 0 {
+                                let f = FeatureId::from_raw((i * 64) as u32 + w.trailing_zeros());
+                                table.add(offset as u32, f);
+                                w &= w - 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The finished count table.
+    pub(crate) fn finish(self) -> CountTable {
+        match self.kind {
+            RowCountKind::Lanes {
+                mut lanes,
+                mut counts,
+                ..
+            } => {
+                flush(&mut lanes, &mut counts);
+                CountTable::Dense {
+                    width: 64 * self.words_per_instant,
+                    counts,
+                }
+            }
+            RowCountKind::Bits(table) => table,
+        }
+    }
+}
+
+/// Adds every lane into its total and zeroes it: lane `j`'s eight byte
+/// counters go to `counts[8j..8j + 8]`.
+fn flush(lanes: &mut [u64], counts: &mut [u64]) {
+    for (lane, totals) in lanes.iter_mut().zip(counts.chunks_exact_mut(8)) {
+        for (bit, total) in totals.iter_mut().enumerate() {
+            *total += (*lane >> (8 * bit)) & 0xff;
+        }
+        *lane = 0;
+    }
+}
+
 /// One physical scan of `source`, visiting the first `usable` instants
 /// (the whole segments; a partial tail segment never counts).
 fn scan_source(
@@ -329,9 +500,9 @@ fn scan_source(
 mod tests {
     use super::*;
 
-    use ppm_timeseries::{EncodedSeries, MemorySource, SeriesBuilder};
+    use ppm_timeseries::{EncodedSeries, EncodedSeriesView, MemorySource, SeriesBuilder};
 
-    use crate::scan::scan_frequent_letters;
+    use crate::scan::{scan_frequent_letters, scan_frequent_letters_view};
 
     fn fid(i: u32) -> FeatureId {
         FeatureId::from_raw(i)
@@ -392,6 +563,152 @@ mod tests {
         assert_eq!(expect.len(), 50);
         assert_eq!(hits(Input::from(encoded.view()), &scan1), expect);
         assert_eq!(hits(Input::from(&mut source), &scan1), expect);
+    }
+
+    /// A series whose feature universe is exactly `width` (feature
+    /// `width − 1` occurs at instant 0), with `n` instants of xorshift
+    /// noise; `all_ones` sets every feature at every instant instead.
+    fn rows_of(width: u32, n: usize, seed: u64, all_ones: bool) -> FeatureSeries {
+        let mut b = SeriesBuilder::new();
+        let mut x = seed | 1;
+        for t in 0..n {
+            let inst: Vec<FeatureId> = (0..width)
+                .filter(|&f| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    all_ones || (t == 0 && f == width - 1) || x % 5 < 2
+                })
+                .map(fid)
+                .collect();
+            b.push_instant(inst);
+        }
+        b.finish()
+    }
+
+    /// Every non-zero `(offset, feature)` count, in key order.
+    fn table(counts: &CountTable) -> Vec<((usize, FeatureId), u64)> {
+        let mut pairs = counts.frequent_pairs(1);
+        pairs.sort();
+        pairs
+            .into_iter()
+            .map(|(o, f)| ((o, f), counts.get(o as u32, f)))
+            .collect()
+    }
+
+    /// The byte-lane scan 1 and the mask projection against the
+    /// per-instant loops over the same instants as a series: across word
+    /// boundaries, across the lane flush at 255 segments, with saturated
+    /// lanes, and with a partial tail segment that must not count.
+    #[test]
+    fn lane_counts_and_mask_projection_match_the_series_loops() {
+        let period = 3;
+        for width in [1u32, 63, 64, 65, 128, 129] {
+            for m in [254usize, 255, 256, 511] {
+                for all_ones in [false, true] {
+                    let n = m * period + 2;
+                    let series = rows_of(width, n, u64::from(width) * 1000 + m as u64, all_ones);
+                    let encoded = EncodedSeries::encode(&series);
+                    let view = encoded.view();
+                    assert_eq!(view.width(), width as usize);
+                    let usable = m * period;
+                    let lanes = Rows::View(view).count(period, usable);
+                    let oracle = Rows::Series(&series).count(period, usable);
+                    let got = table(&lanes);
+                    assert_eq!(
+                        got,
+                        table(&oracle),
+                        "width {width}, {m} segments, all ones {all_ones}"
+                    );
+                    if all_ones {
+                        // Every lane saturated and flushed: each count is m.
+                        assert_eq!(got.len(), period * width as usize);
+                        assert!(got.iter().all(|&(_, c)| c == m as u64));
+                    }
+
+                    let config = MineConfig::new(0.3).unwrap();
+                    let scan1 = scan_frequent_letters(&series, period, &config).unwrap();
+                    assert!(!scan1.alphabet.is_empty());
+                    let via_view = Passes::new(
+                        Input::from(view),
+                        ResourceGuard::unlimited(),
+                        "test.segments",
+                    )
+                    .scan1(period, &config)
+                    .unwrap();
+                    assert_eq!(via_view.alphabet, scan1.alphabet);
+                    assert_eq!(via_view.letter_counts, scan1.letter_counts);
+                    let expect = hits(Input::from(&series), &scan1);
+                    assert_eq!(expect.len(), m);
+                    assert_eq!(hits(Input::from(view), &scan1), expect, "width {width}");
+                }
+            }
+        }
+    }
+
+    /// Bits at or past the width in a row's last word count as the
+    /// features they name, exactly as over the series the view
+    /// materializes to.
+    #[test]
+    fn bits_past_the_width_count_as_over_the_materialized_series() {
+        let (width, period, m) = (65usize, 4, 300);
+        let n = m * period + 1;
+        let mut words = vec![0u64; n * 2];
+        for t in 0..n {
+            words[2 * t] = (t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            words[2 * t + 1] = if t % 3 == 0 { 1 << 63 | 1 } else { 1 << 1 };
+        }
+        let view = EncodedSeriesView::new(width, n, &words);
+        let mut b = SeriesBuilder::new();
+        for t in 0..n {
+            b.push_instant(view.features_at(t));
+        }
+        let series = b.finish();
+        assert_eq!(CountTable::width_of(&series), 128);
+        let usable = m * period;
+        let lanes = Rows::View(view).count(period, usable);
+        let oracle = Rows::Series(&series).count(period, usable);
+        assert_eq!(table(&lanes), table(&oracle));
+        let config = MineConfig::new(0.3).unwrap();
+        let scan1 = scan_frequent_letters(&series, period, &config).unwrap();
+        assert!(scan1.alphabet.iter().any(|(_, _, f)| f.index() >= width));
+        let via_view = scan_frequent_letters_view(view, period, &config).unwrap();
+        assert_eq!(via_view.alphabet, scan1.alphabet);
+        assert_eq!(via_view.letter_counts, scan1.letter_counts);
+        assert_eq!(
+            hits(Input::from(view), &scan1),
+            hits(Input::from(&series), &scan1)
+        );
+    }
+
+    /// A key space past the dense table's limit counts bit by bit, with
+    /// the same result.
+    #[test]
+    fn sparse_key_spaces_count_bit_by_bit() {
+        let period = 66_000; // 66 000 × 64 lanes > the dense limit
+        let series = rows_of(3, period * 2 + 7, 11, false);
+        let encoded = EncodedSeries::encode(&series);
+        let lanes = Rows::View(encoded.view()).count(period, period * 2);
+        assert!(matches!(lanes, CountTable::Sparse(_)));
+        let oracle = Rows::Series(&series).count(period, period * 2);
+        assert_eq!(table(&lanes), table(&oracle));
+    }
+
+    /// The word-wise passes are still the paper's two scans.
+    #[test]
+    fn view_mines_report_two_scans() {
+        let series = rows_of(65, 3 * 300 + 2, 5, false);
+        let encoded = EncodedSeries::encode(&series);
+        let config = MineConfig::new(0.3).unwrap();
+        let vertical = crate::vertical::mine_vertical_view(encoded.view(), 3, &config).unwrap();
+        let hitset = crate::hitset::mine_view(encoded.view(), 3, &config).unwrap();
+        assert_eq!(vertical.stats.series_scans, 2);
+        assert_eq!(hitset.stats.series_scans, 2);
+        assert_eq!(vertical.frequent, hitset.frequent);
+        assert_eq!(
+            hitset.frequent,
+            crate::hitset::mine(&series, 3, &config).unwrap().frequent
+        );
     }
 
     #[test]

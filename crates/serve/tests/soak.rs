@@ -557,8 +557,8 @@ fn daemon_append_refuses_a_file_that_is_not_its_resident_load() {
     let external = sample_store("external");
     let corrupt = sample_store("flipped");
     // Offset of the first bitmap word: header (28 bytes) plus the two
-    // catalog entries.
-    let word0 = 28 + (4 + "alpha".len()) + (4 + "beta".len());
+    // catalog entries, zero-padded to a whole word.
+    let word0 = (28 + (4 + "alpha".len()) + (4 + "beta".len())).next_multiple_of(8);
 
     for (path, damage) in [(&external, "external append"), (&corrupt, "flipped word")] {
         let name = path.file_stem().unwrap().to_str().unwrap().to_owned();

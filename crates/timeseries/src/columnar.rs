@@ -4,31 +4,40 @@
 //! Every text or block-binary mine re-parses its input, rebuilds the CSR
 //! series, and re-packs the per-instant bitmaps before any counting starts.
 //! The columnar store skips all of that: the file body is the encoded
-//! cache's row-major `u64` words verbatim, so opening a `.ppmc` is one read
-//! plus one pass converting the byte section into a single word vector —
-//! zero per-row allocation — and the result is borrowed straight out as an
-//! [`EncodedSeriesView`] that the vertical engine, the shared multi-period
-//! scan, and the audit oracle consume directly.
+//! cache's row-major `u64` words verbatim, so opening a `.ppmc` is one
+//! streamed pass — the file goes through one block buffer, and each block
+//! is hashed and decoded into a single word vector, with no whole-file
+//! byte copy and zero per-row allocation — and the result is borrowed
+//! straight out as an [`EncodedSeriesView`] that the vertical engine, the
+//! shared multi-period scan, and the audit oracle consume directly.
 //!
-//! Layout (all integers little-endian):
+//! Layout, version 2 (all integers little-endian):
 //!
 //! ```text
 //! offset 0   magic            [u8; 4] = b"PPMC"
-//! offset 4   version          u32     = 1
+//! offset 4   version          u32     = 2
 //! offset 8   width            u64     feature-id universe (max id + 1)
 //! offset 16  words_per_instant u64    must equal ⌈width/64⌉
 //! offset 24  n_names          u32     catalog size
-//! …          names            n_names × (u32 len, bytes)
+//! offset 28  names            n_names × (u32 len, bytes)
+//! …          padding          zero bytes up to a multiple of 8
 //! …          words            n_instants × words_per_instant × u64, row-major
 //! EOF−16     n_instants       u64     trailer, so appends are O(new rows)
-//! EOF−8      checksum         u64     FNV-1a over bytes [0, EOF−8)
+//! EOF−8      checksum         u64     word hash over the u64s of [0, EOF−8)
 //! ```
 //!
+//! The padding makes everything before the checksum a whole number of
+//! `u64` words, and the checksum is a four-lane word hash over them (see
+//! `WordHash`): any single changed word changes it, and it runs at memory
+//! speed where a byte-serial hash cannot. Version 1 — no padding, FNV-1a
+//! over the bytes `[0, EOF−8)` — is still read, and an append keeps a
+//! store's version.
+//!
 //! The trailer placement is what makes [`ColumnarAppender`] cheap to
-//! *assemble*: every [`ColumnarReader`] keeps the FNV state — a streaming
-//! hash — over the bytes before its trailer, so an appender built on a
-//! verified load hashes only the `k` appended rows (`O(k)`), and
-//! [`ColumnarReader::reload`] checks a grown file by comparing the old
+//! *assemble*: every [`ColumnarReader`] keeps the checksum state — a
+//! streaming hash — over the bytes before its trailer, so an appender
+//! built on a verified load hashes only the `k` appended rows (`O(k)`),
+//! and [`ColumnarReader::reload`] checks a grown file by comparing the old
 //! prefix byte for byte and resuming the hash over the new rows alone.
 //! Publication is still a whole-file rewrite, crash-safe rather than
 //! in-place: [`ColumnarAppender::finish`] writes the complete new store to
@@ -40,10 +49,11 @@
 //! Corruption is rejected with a named byte offset (`Error::Corrupt`), the
 //! same policy as the checkpoint and stream-storage formats: a damaged
 //! header, a flipped bitmap word, or a truncated trailer must never
-//! mis-mine.
+//! mis-mine. The header and the trailer's instant count are checked
+//! before the words are read, the checksum after.
 
 use std::fs::File;
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Cursor, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use crate::catalog::{FeatureCatalog, FeatureId};
@@ -53,13 +63,134 @@ use crate::series::{FeatureSeries, SeriesBuilder};
 use crate::storage::binary::Fnv64;
 
 const MAGIC: &[u8; 4] = b"PPMC";
-const VERSION: u32 = 1;
+/// The version [`columnar_bytes`] writes: padded header, word-hash trailer.
+const VERSION: u32 = 2;
+/// The first version: unpadded header, FNV-1a trailer.
+const VERSION_V1: u32 = 1;
 /// Fixed header bytes before the catalog names.
 const FIXED_HEADER: usize = 4 + 4 + 8 + 8 + 4;
 /// Trailer bytes: `n_instants` + checksum.
 const TRAILER: usize = 8 + 8;
-/// Words per block when a load is streamed against a file.
+/// Words per block when a file is streamed (open, validate, compare).
 const BLOCK_WORDS: usize = 1 << 16;
+
+/// The version-2 trailer checksum: a resumable hash over little-endian
+/// `u64` words, word `i` stepping lane `i mod 4`.
+///
+/// A step `lane ← rotl((lane ⊕ w) · K, 29)` is a bijection of the word for
+/// a fixed lane and of the lane for a fixed word, and [`Self::finish`]
+/// folds the lanes in with the same step, so changing any one word always
+/// changes the hash. The lanes are independent multiply chains, so the
+/// hash keeps up with the read where byte-serial FNV-1a does not.
+#[derive(Debug, Clone)]
+struct WordHash {
+    lanes: [u64; HASH_LANES],
+    /// Words hashed so far; the next word steps lane `words mod 4`.
+    words: u64,
+}
+
+const HASH_LANES: usize = 4;
+/// An odd multiplier (2⁶⁴/φ), so multiplying by it is a bijection.
+const HASH_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+impl WordHash {
+    fn new() -> Self {
+        WordHash {
+            lanes: [
+                0x243f_6a88_85a3_08d3,
+                0x1319_8a2e_0370_7344,
+                0xa409_3822_299f_31d0,
+                0x082e_fa98_ec4e_6c89,
+            ],
+            words: 0,
+        }
+    }
+
+    #[inline]
+    fn step(lane: u64, word: u64) -> u64 {
+        (lane ^ word).wrapping_mul(HASH_K).rotate_left(29)
+    }
+
+    fn push(&mut self, word: u64) {
+        let lane = &mut self.lanes[(self.words % HASH_LANES as u64) as usize];
+        *lane = Self::step(*lane, word);
+        self.words += 1;
+    }
+
+    /// Hashes `bytes`, a whole number of little-endian words.
+    fn update(&mut self, bytes: &[u8]) {
+        assert!(
+            bytes.len().is_multiple_of(8),
+            "word hash fed a partial word"
+        );
+        // Single words until the next one is lane 0's, then four at once.
+        let lead =
+            ((HASH_LANES as u64 - self.words % HASH_LANES as u64) % HASH_LANES as u64) as usize;
+        let (head, body) = bytes.split_at((lead * 8).min(bytes.len()));
+        le_words(head).for_each(|w| self.push(w));
+        let mut quads = body.chunks_exact(8 * HASH_LANES);
+        let mut lanes = self.lanes;
+        for quad in &mut quads {
+            for (lane, w) in lanes.iter_mut().zip(le_words(quad)) {
+                *lane = Self::step(*lane, w);
+            }
+        }
+        self.lanes = lanes;
+        self.words += (body.len() / (8 * HASH_LANES) * HASH_LANES) as u64;
+        le_words(quads.remainder()).for_each(|w| self.push(w));
+    }
+
+    fn finish(&self) -> u64 {
+        let h = self
+            .lanes
+            .iter()
+            .fold(self.words.wrapping_mul(HASH_K), |h, &lane| {
+                Self::step(h, lane)
+            });
+        h ^ (h >> 32)
+    }
+}
+
+/// A store's running trailer checksum, in its format version's hash.
+#[derive(Debug, Clone)]
+enum Digest {
+    /// Version 1: FNV-1a over bytes.
+    Fnv(Fnv64),
+    /// Version 2: the word hash.
+    Words(WordHash),
+}
+
+impl Digest {
+    fn for_version(version: u32) -> Self {
+        if version == VERSION_V1 {
+            Digest::Fnv(Fnv64::new())
+        } else {
+            Digest::Words(WordHash::new())
+        }
+    }
+
+    fn update(&mut self, bytes: &[u8]) {
+        match self {
+            Digest::Fnv(h) => h.update(bytes),
+            Digest::Words(h) => h.update(bytes),
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        match self {
+            Digest::Fnv(h) => h.finish(),
+            Digest::Words(h) => h.finish(),
+        }
+    }
+
+    /// The checksum of a store whose bytes before the trailer hash to
+    /// `self` and whose trailer counts `n_instants`.
+    fn sealed(&self, n_instants: usize) -> u64 {
+        let mut h = self.clone();
+        h.update(&(n_instants as u64).to_le_bytes());
+        h.finish()
+    }
+}
 
 /// Serializes `series` (and its catalog) into `.ppmc` bytes.
 pub fn encode_columnar(series: &FeatureSeries, catalog: &FeatureCatalog) -> Vec<u8> {
@@ -67,14 +198,12 @@ pub fn encode_columnar(series: &FeatureSeries, catalog: &FeatureCatalog) -> Vec<
     columnar_bytes(encoded.view(), catalog)
 }
 
-/// Serializes an already-encoded view (and a catalog) into `.ppmc` bytes.
+/// Serializes an already-encoded view (and a catalog) into version-2
+/// `.ppmc` bytes.
 pub fn columnar_bytes(view: EncodedSeriesView<'_>, catalog: &FeatureCatalog) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(
-        FIXED_HEADER
-            + catalog.iter().map(|(_, n)| n.len() + 4).sum::<usize>()
-            + view.bytes()
-            + TRAILER,
-    );
+    let names: usize = catalog.iter().map(|(_, n)| n.len() + 4).sum();
+    let header_len = (FIXED_HEADER + names).next_multiple_of(8);
+    let mut buf = Vec::with_capacity(header_len + view.bytes() + TRAILER);
     buf.extend_from_slice(MAGIC);
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&(view.width() as u64).to_le_bytes());
@@ -84,15 +213,17 @@ pub fn columnar_bytes(view: EncodedSeriesView<'_>, catalog: &FeatureCatalog) -> 
         buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
         buf.extend_from_slice(name.as_bytes());
     }
+    buf.resize(header_len, 0);
     for t in 0..view.len() {
         for &w in view.instant_words(t) {
             buf.extend_from_slice(&w.to_le_bytes());
         }
     }
-    buf.extend_from_slice(&(view.len() as u64).to_le_bytes());
-    let mut h = Fnv64::new();
+    let mut h = Digest::for_version(VERSION);
     h.update(&buf);
-    buf.extend_from_slice(&h.finish().to_le_bytes());
+    let checksum = h.sealed(view.len());
+    buf.extend_from_slice(&(view.len() as u64).to_le_bytes());
+    buf.extend_from_slice(&checksum.to_le_bytes());
     buf
 }
 
@@ -130,21 +261,36 @@ fn words_equal(bytes: &[u8], words: &[u64]) -> bool {
             .all(|(b, w)| le_words(b).zip(w).fold(0, |diff, (x, &y)| diff | (x ^ y)) == 0)
 }
 
+/// Fills `buf` from `src`, whose next byte is file offset `at`. A file
+/// that ends early was cut short while it was read.
+fn read_at(src: &mut impl Read, buf: &mut [u8], at: usize) -> Result<()> {
+    src.read_exact(buf).map_err(|e| {
+        if e.kind() == std::io::ErrorKind::UnexpectedEof {
+            corrupt(format!(
+                "file shrank while reading: truncated at offset {at}"
+            ))
+        } else {
+            e.into()
+        }
+    })
+}
+
 /// A fully validated columnar load: the bitmap words in one allocation,
 /// borrowed out as [`EncodedSeriesView`]s.
 #[derive(Debug, Clone)]
 pub struct ColumnarReader {
+    version: u32,
     width: usize,
     words_per_instant: usize,
     n_instants: usize,
     words: Vec<u64>,
     catalog: FeatureCatalog,
-    /// The file's header and catalog bytes, verbatim (the bytes before
-    /// the words section).
+    /// The file's header, catalog and padding bytes, verbatim (the bytes
+    /// before the words section).
     header: Vec<u8>,
-    /// FNV state over every byte before the trailer: what an append or a
-    /// grown-file check resumes from instead of re-hashing the store.
-    midstate: Fnv64,
+    /// Checksum state over every byte before the trailer: what an append
+    /// or a grown-file check resumes from instead of re-hashing the store.
+    midstate: Digest,
     file_bytes: usize,
     checksum: u64,
 }
@@ -164,93 +310,114 @@ pub enum Reload {
 }
 
 impl ColumnarReader {
-    /// Opens `path` with one read: the whole file is pulled into memory,
-    /// checksum-verified, and its words section converted in a single pass
-    /// into one word vector. Reports the mapped size through the
-    /// `columnar.mmap_bytes` gauge.
+    /// Opens `path` in one streamed pass (see the module docs) and returns
+    /// only once the checksum matched. Reports the file size through the
+    /// `columnar.file_bytes` gauge.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let reader = Self::from_bytes(&std::fs::read(path)?)?;
-        ppm_observe::gauge("columnar.mmap_bytes", reader.file_bytes as u64);
+        let reader = Self::load_file(&File::open(path)?, true)?;
+        ppm_observe::gauge("columnar.file_bytes", reader.file_bytes as u64);
         Ok(reader)
     }
 
-    /// Validates and loads `.ppmc` bytes. Every rejection names the byte
-    /// offset of the failed check.
+    /// Validates and loads `.ppmc` bytes through the same pass as
+    /// [`Self::open`]. Every rejection names the byte offset of the failed
+    /// check.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut reader = Self::validate(bytes)?;
-        // The one conversion pass: byte section → a single word vector.
-        reader.words = le_words(&bytes[reader.header.len()..bytes.len() - TRAILER]).collect();
-        Ok(reader)
+        Self::load(&mut Cursor::new(bytes), bytes.len(), true)
     }
 
-    /// Every check of [`Self::from_bytes`] without decoding the words
-    /// section: the returned load's `words` is left empty. For the
-    /// appender, which copies the verified rows from the file itself.
-    fn validate(bytes: &[u8]) -> Result<Self> {
-        let len = bytes.len();
+    /// [`Self::load`] over an opened file.
+    fn load_file(file: &File, decode: bool) -> Result<Self> {
+        let len = file.metadata()?.len() as usize;
+        Self::load(&mut BufReader::new(file), len, decode)
+    }
+
+    /// The one verifier every load goes through: reads `len` bytes of
+    /// `.ppmc` from `src`. The trailer's instant count and the header are
+    /// checked first, so the words section's size is known before any of
+    /// it is read; then the words stream through one block buffer, each
+    /// block hashed and (with `decode`) decoded into the word vector; the
+    /// load is returned only if the checksum matches. Without `decode` the
+    /// words are verified but not kept — for the appender, which copies
+    /// the verified rows from the file itself.
+    fn load<R: Read + Seek>(src: &mut R, len: usize, decode: bool) -> Result<Self> {
         if len < FIXED_HEADER + TRAILER {
             return Err(corrupt(format!(
                 "file too short at offset {len}: need at least {} header+trailer bytes",
                 FIXED_HEADER + TRAILER
             )));
         }
-        let (body, tail) = bytes.split_at(len - 8);
-        let stored_sum = u64::from_le_bytes(tail.try_into().expect("8 bytes"));
-        // One pass, split at the trailer so the midstate comes for free.
-        let mut midstate = Fnv64::new();
-        midstate.update(&body[..len - TRAILER]);
-        let mut h = midstate.clone();
-        h.update(&body[len - TRAILER..]);
-        if h.finish() != stored_sum {
-            return Err(corrupt(format!("checksum mismatch at offset {}", len - 8)));
-        }
+        let words_end = len - TRAILER;
+        let mut trailer = [0u8; TRAILER];
+        src.seek(SeekFrom::Start(words_end as u64))?;
+        read_at(src, &mut trailer, words_end)?;
+        let (count, sum) = trailer.split_at(8);
+        let n_instants = u64::from_le_bytes(count.try_into().expect("8 bytes")) as usize;
+        let stored_sum = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
+        src.seek(SeekFrom::Start(0))?;
 
-        let magic: [u8; 4] = body[0..4].try_into().expect("4 bytes");
+        let mut header = vec![0u8; FIXED_HEADER];
+        read_at(src, &mut header, 0)?;
+        let magic: [u8; 4] = header[0..4].try_into().expect("4 bytes");
         if &magic != MAGIC {
             return Err(corrupt(format!("bad magic {magic:?} at offset 0")));
         }
-        let version = u32::from_le_bytes(body[4..8].try_into().expect("4 bytes"));
-        if version != VERSION {
+        let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
+        if version != VERSION && version != VERSION_V1 {
             return Err(corrupt(format!(
                 "unsupported version {version} at offset 4"
             )));
         }
-        let width = u64::from_le_bytes(body[8..16].try_into().expect("8 bytes")) as usize;
+        let width = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")) as usize;
         let words_per_instant =
-            u64::from_le_bytes(body[16..24].try_into().expect("8 bytes")) as usize;
+            u64::from_le_bytes(header[16..24].try_into().expect("8 bytes")) as usize;
         if words_per_instant != width.div_ceil(64) {
             return Err(corrupt(format!(
                 "words-per-instant {words_per_instant} does not match width {width} at offset 16"
             )));
         }
-        let n_names = u32::from_le_bytes(body[24..28].try_into().expect("4 bytes")) as usize;
+        let n_names = u32::from_le_bytes(header[24..28].try_into().expect("4 bytes")) as usize;
 
-        let words_end = len - TRAILER;
-        let mut off = FIXED_HEADER;
         let mut catalog = FeatureCatalog::new();
         for i in 0..n_names {
+            let off = header.len();
             if off + 4 > words_end {
                 return Err(corrupt(format!(
                     "truncated catalog entry {i} at offset {off}"
                 )));
             }
-            let name_len =
-                u32::from_le_bytes(body[off..off + 4].try_into().expect("4 bytes")) as usize;
-            off += 4;
+            header.resize(off + 4, 0);
+            read_at(src, &mut header[off..], off)?;
+            let name_len = u32::from_le_bytes(header[off..].try_into().expect("4 bytes")) as usize;
+            let off = off + 4;
             if off + name_len > words_end {
                 return Err(corrupt(format!(
                     "truncated name in entry {i} at offset {off}"
                 )));
             }
-            let name = std::str::from_utf8(&body[off..off + name_len])
+            header.resize(off + name_len, 0);
+            read_at(src, &mut header[off..], off)?;
+            let name = std::str::from_utf8(&header[off..])
                 .map_err(|_| corrupt(format!("non-utf8 name in entry {i} at offset {off}")))?;
             catalog.intern(name);
-            off += name_len;
+        }
+        if version == VERSION {
+            let off = header.len();
+            let end = off.next_multiple_of(8);
+            if end > words_end {
+                return Err(corrupt(format!("truncated header padding at offset {off}")));
+            }
+            header.resize(end, 0);
+            read_at(src, &mut header[off..], off)?;
+            if let Some(k) = header[off..].iter().position(|&b| b != 0) {
+                return Err(corrupt(format!(
+                    "non-zero header padding at offset {}",
+                    off + k
+                )));
+            }
         }
 
-        let n_instants =
-            u64::from_le_bytes(body[words_end..words_end + 8].try_into().expect("8 bytes"))
-                as usize;
+        let off = header.len();
         let need = n_instants
             .checked_mul(words_per_instant)
             .and_then(|w| w.checked_mul(8))
@@ -266,13 +433,33 @@ impl ColumnarReader {
                  ({n_instants} instants × {words_per_instant} words)"
             )));
         }
+
+        // The one pass over the words: read a block, hash it, decode it.
+        let mut midstate = Digest::for_version(version);
+        midstate.update(&header);
+        let mut words = Vec::with_capacity(if decode { have / 8 } else { 0 });
+        let mut block = vec![0u8; have.min(BLOCK_WORDS * 8)];
+        let mut at = off;
+        while at < words_end {
+            let bytes = &mut block[..(words_end - at).min(BLOCK_WORDS * 8)];
+            read_at(src, bytes, at)?;
+            midstate.update(bytes);
+            if decode {
+                words.extend(le_words(bytes));
+            }
+            at += bytes.len();
+        }
+        if midstate.sealed(n_instants) != stored_sum {
+            return Err(corrupt(format!("checksum mismatch at offset {}", len - 8)));
+        }
         Ok(ColumnarReader {
+            version,
             width,
             words_per_instant,
             n_instants,
-            words: Vec::new(),
+            words,
             catalog,
-            header: body[..off].to_vec(),
+            header,
             midstate,
             file_bytes: len,
             checksum: stored_sum,
@@ -309,8 +496,14 @@ impl ColumnarReader {
         self.file_bytes
     }
 
+    /// The store's format version: 2 for every store this crate writes,
+    /// 1 for an older store (appends keep it 1).
+    pub fn version(&self) -> u32 {
+        self.version
+    }
+
     /// The store's content fingerprint: the verified trailer checksum
-    /// (FNV-1a over every byte before it). Two stores with the same
+    /// (its version's hash over every byte before it). Two stores with the same
     /// fingerprint hold byte-identical headers, catalogs, and bitmap rows,
     /// so the fingerprint is a sound cache key for results derived from
     /// this store; any append or rewrite changes it.
@@ -429,10 +622,8 @@ impl ColumnarReader {
         }
         let mut midstate = self.midstate.clone();
         midstate.update(new);
-        let mut h = midstate.clone();
-        h.update(count);
         let checksum = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
-        if h.finish() != checksum {
+        if midstate.sealed(n_instants) != checksum {
             return None;
         }
         let growth = Growth {
@@ -462,7 +653,7 @@ impl ColumnarReader {
 /// `.ppmc` file with crash-safe publication.
 ///
 /// An appender is a verified load plus pending rows. It resumes the
-/// load's FNV midstate, so each appended instant costs one row of
+/// load's checksum midstate, so each appended instant costs one row of
 /// hashing: the hash cost of an append is O(new rows). [`Self::open`]
 /// validates the file once; [`Self::open_resident`] hashes nothing when
 /// the file is byte-for-byte a load the caller already holds. Either way
@@ -482,8 +673,9 @@ pub struct ColumnarAppender {
     file: File,
     /// Length of the verified bytes before the trailer.
     prefix_len: u64,
-    /// FNV state over the verified bytes plus any pending rows.
-    hash: Fnv64,
+    /// Checksum state over the verified bytes plus any pending rows, in
+    /// the store's own version: an append never changes the version.
+    hash: Digest,
     width: usize,
     words_per_instant: usize,
     n_instants: usize,
@@ -510,10 +702,8 @@ impl ColumnarAppender {
     /// authoritative and the orphan holds nothing worth keeping.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
-        let mut file = File::open(path)?;
-        let mut bytes = Vec::with_capacity(file.metadata()?.len() as usize);
-        file.read_to_end(&mut bytes)?;
-        let base = ColumnarReader::validate(&bytes)?;
+        let file = File::open(path)?;
+        let base = ColumnarReader::load_file(&file, false)?;
         Ok(Self::on(path, file, &base))
     }
 
@@ -562,9 +752,7 @@ impl ColumnarAppender {
     /// state (see [`Self::finish_extending`]) and lets caches be re-keyed
     /// before the publish lands.
     pub fn preview_fingerprint(&self) -> u64 {
-        let mut h = self.hash.clone();
-        h.update(&(self.n_instants as u64).to_le_bytes());
-        h.finish()
+        self.hash.sealed(self.n_instants)
     }
 
     /// The instant count after all appends so far.
@@ -618,8 +806,7 @@ impl ColumnarAppender {
     /// staging file is removed and the original store is untouched.
     pub fn finish(mut self) -> Result<usize> {
         let count_bytes = (self.n_instants as u64).to_le_bytes();
-        self.hash.update(&count_bytes);
-        let checksum = self.hash.finish();
+        let checksum = self.hash.sealed(self.n_instants);
 
         let tmp = staging_path(&self.path);
         {
@@ -697,8 +884,8 @@ pub struct Growth {
     words: Vec<u64>,
     n_instants: usize,
     checksum: u64,
-    /// FNV state over the grown store's bytes before its trailer.
-    midstate: Fnv64,
+    /// Checksum state over the grown store's bytes before its trailer.
+    midstate: Digest,
 }
 
 impl Growth {
@@ -1221,16 +1408,172 @@ mod tests {
     fn every_single_byte_flip_is_rejected_with_an_offset() {
         let (s, cat) = sample();
         let bytes = encode_columnar(&s, &cat);
+        let words_at = ColumnarReader::from_bytes(&bytes).unwrap().header.len();
+        let count_at = bytes.len() - TRAILER;
         for idx in 0..bytes.len() {
-            let mut bad = bytes.clone();
+            for flip in [0x01u8, 0x80, 0xff] {
+                let mut bad = bytes.clone();
+                bad[idx] ^= flip;
+                let err = ColumnarReader::from_bytes(&bad)
+                    .err()
+                    .unwrap_or_else(|| panic!("flip {flip:#x} at {idx} accepted"))
+                    .to_string();
+                assert!(
+                    err.contains("offset"),
+                    "flip at {idx}: error names no offset: {err}"
+                );
+                // v2 words and the stored checksum are covered by the
+                // checksum alone; the header and the count are structural
+                // first, so either check may name them.
+                if (words_at..count_at).contains(&idx) || idx >= count_at + 8 {
+                    assert!(err.contains("checksum mismatch"), "flip at {idx}: {err}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn word_hash_catches_every_single_word_change_and_resumes_anywhere() {
+        let mut x = 0x1234_5678_9abc_def0u64;
+        let mut next = || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let bytes: Vec<u8> = (0..37).flat_map(|_| next().to_le_bytes()).collect();
+        let hash = |b: &[u8]| {
+            let mut h = WordHash::new();
+            h.update(b);
+            h.finish()
+        };
+        let whole = hash(&bytes);
+        // Resumable: any split into word-aligned pieces hashes the same.
+        for cut in (0..=bytes.len()).step_by(8) {
+            for cut2 in (cut..=bytes.len()).step_by(24) {
+                let mut h = WordHash::new();
+                h.update(&bytes[..cut]);
+                h.update(&bytes[cut..cut2]);
+                h.update(&bytes[cut2..]);
+                assert_eq!(h.finish(), whole, "split at {cut}/{cut2}");
+            }
+        }
+        // Any one word replaced, by any value, changes the hash.
+        for w in 0..37 {
+            for _ in 0..16 {
+                let mut bad = bytes.clone();
+                let old = u64::from_le_bytes(bad[w * 8..w * 8 + 8].try_into().unwrap());
+                let new = next();
+                if new == old {
+                    continue;
+                }
+                bad[w * 8..w * 8 + 8].copy_from_slice(&new.to_le_bytes());
+                assert_ne!(hash(&bad), whole, "word {w}");
+            }
+        }
+        // Length is hashed: a trailing zero word is not a no-op.
+        let mut longer = bytes.clone();
+        longer.extend_from_slice(&[0; 8]);
+        assert_ne!(hash(&longer), whole);
+    }
+
+    // ---- Version 1: a store written before the word hash. ----
+
+    /// A 600-instant, 108-feature store written by the version-1 writer
+    /// (`ppm generate --length 600 --period 12 --max-pat-length 4 --f1 8
+    /// --seed 7`, then `ppm convert --to columnar`).
+    const V1_FIXTURE: &[u8] = include_bytes!("../testdata/synthetic-p12-v1.ppmc");
+
+    #[test]
+    fn v1_store_opens_and_equals_its_v2_reconversion() {
+        let v1 = ColumnarReader::from_bytes(V1_FIXTURE).unwrap();
+        assert_eq!(v1.version(), 1);
+        assert_eq!(v1.len(), 600);
+        assert_eq!(v1.width(), 108);
+        assert_ne!(v1.header.len() % 8, 0, "this v1 header is not word-aligned");
+        let path = temp("v1-open");
+        std::fs::write(&path, V1_FIXTURE).unwrap();
+        let opened = ColumnarReader::open(&path).unwrap();
+        assert_eq!(opened.version(), 1);
+        assert_eq!(opened.fingerprint(), v1.fingerprint());
+        assert_eq!(opened.view(), v1.view());
+        std::fs::remove_file(&path).ok();
+
+        let v2_bytes = columnar_bytes(v1.view(), v1.catalog());
+        let v2 = ColumnarReader::from_bytes(&v2_bytes).unwrap();
+        assert_eq!(v2.version(), 2);
+        assert_eq!(v2.view(), v1.view());
+        assert_eq!(v2.to_series(), v1.to_series());
+        assert!(v2.catalog().iter().eq(v1.catalog().iter()));
+        assert_ne!(v2.fingerprint(), v1.fingerprint(), "a different hash");
+    }
+
+    #[test]
+    fn v1_appends_stay_v1_and_reload_as_extensions() {
+        let path = temp("v1-append");
+        std::fs::write(&path, V1_FIXTURE).unwrap();
+        let resident = ColumnarReader::open(&path).unwrap();
+        grow(&path, 24);
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[4..8], &1u32.to_le_bytes(), "the append kept v1");
+        assert_eq!(
+            &bytes[..V1_FIXTURE.len() - TRAILER],
+            &V1_FIXTURE[..V1_FIXTURE.len() - TRAILER]
+        );
+
+        // The grown v1 store reloads by resuming the FNV midstate.
+        let rest = resident
+            .read_past_load(&mut File::open(&path).unwrap())
+            .unwrap()
+            .expect("old prefix intact");
+        assert!(
+            resident.resume(&rest).is_some(),
+            "growth takes the resume path"
+        );
+        let Reload::Extended(grown) = resident.reload(&path).unwrap() else {
+            panic!("a grown v1 store must reload as an extension");
+        };
+        let reopened = ColumnarReader::open(&path).unwrap();
+        assert_eq!(grown.version(), 1);
+        assert_eq!(reopened.version(), 1);
+        assert_eq!(grown.len(), 624);
+        assert_eq!(grown.fingerprint(), reopened.fingerprint());
+        assert_eq!(grown.view(), reopened.view());
+
+        // A resident append chain resumes the v1 midstate too.
+        let mut app = ColumnarAppender::open_resident(&path, &grown).unwrap();
+        app.append_instant(&[fid(3), fid(100)]).unwrap();
+        let preview = app.preview_fingerprint();
+        let (n, extended) = app.finish_extending(&grown).unwrap();
+        assert_eq!(n, 625);
+        let reopened = ColumnarReader::open(&path).unwrap();
+        assert_eq!(reopened.version(), 1);
+        assert_eq!(reopened.fingerprint(), preview);
+        assert_eq!(extended.fingerprint(), preview);
+        assert_eq!(extended.view(), reopened.view());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn v1_flips_are_rejected() {
+        let words_at = ColumnarReader::from_bytes(V1_FIXTURE).unwrap().header.len();
+        let mut bad = V1_FIXTURE.to_vec();
+        bad[words_at + 8 * 300] ^= 0x04;
+        let err = ColumnarReader::from_bytes(&bad).unwrap_err().to_string();
+        assert!(err.contains("checksum mismatch"), "{err}");
+        // Every header and trailer byte, and a stride through the words.
+        let n = V1_FIXTURE.len();
+        let picks = (0..words_at)
+            .chain((words_at..n - TRAILER).step_by(61))
+            .chain(n - TRAILER..n);
+        for idx in picks {
+            let mut bad = V1_FIXTURE.to_vec();
             bad[idx] ^= 0xff;
             let err = ColumnarReader::from_bytes(&bad)
                 .err()
-                .unwrap_or_else(|| panic!("flip at {idx} accepted"));
-            assert!(
-                err.to_string().contains("offset"),
-                "flip at {idx}: error names no offset: {err}"
-            );
+                .unwrap_or_else(|| panic!("v1 flip at {idx} accepted"))
+                .to_string();
+            assert!(err.contains("offset"), "v1 flip at {idx}: {err}");
         }
     }
 
@@ -1257,7 +1600,7 @@ mod tests {
         // structural check fires instead of the checksum gate.
         let restamp = |mut bytes: Vec<u8>| {
             let body = bytes.len() - 8;
-            let mut h = Fnv64::new();
+            let mut h = Digest::for_version(VERSION);
             h.update(&bytes[..body]);
             let sum = h.finish().to_le_bytes();
             bytes[body..].copy_from_slice(&sum);
@@ -1292,16 +1635,30 @@ mod tests {
         // Truncated trailer: cut into the final 16 bytes.
         let err = ColumnarReader::from_bytes(&base[..base.len() - 9]).unwrap_err();
         assert!(err.to_string().contains("offset"), "{err}");
+
+        // v2 padding: 28 fixed bytes + "alpha", "beta", "gamma" with their
+        // lengths is 54 bytes, so two zero bytes pad the words to 56.
+        assert_eq!(ColumnarReader::from_bytes(&base).unwrap().header.len(), 56);
+        assert_eq!(&base[54..56], &[0, 0]);
+        for at in [54, 55] {
+            let mut bad_pad = base.clone();
+            bad_pad[at] = 0x20;
+            let err = ColumnarReader::from_bytes(&restamp(bad_pad)).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                format!("corrupt series file: non-zero header padding at offset {at}")
+            );
+        }
     }
 
     #[test]
     fn flipped_bitmap_word_is_caught_by_the_checksum() {
         let (s, cat) = sample();
         let bytes = encode_columnar(&s, &cat);
-        // First word of the words section: right after the fixed header
-        // and the three catalog names.
+        // First word of the words section: right after the fixed header,
+        // the three catalog names and the padding.
         let names_len: usize = ["alpha", "beta", "gamma"].iter().map(|n| 4 + n.len()).sum();
-        let word0 = FIXED_HEADER + names_len;
+        let word0 = (FIXED_HEADER + names_len).next_multiple_of(8);
         let mut bad = bytes.clone();
         bad[word0] ^= 0x01;
         let err = ColumnarReader::from_bytes(&bad).unwrap_err();

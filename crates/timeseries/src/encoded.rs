@@ -196,6 +196,12 @@ impl<'a> EncodedSeriesView<'a> {
         self.words_per_instant
     }
 
+    /// Every instant's row, row-major: instant `t` is the
+    /// `words_per_instant()` words from `t * words_per_instant()`.
+    pub fn words(&self) -> &'a [u64] {
+        self.words
+    }
+
     /// Instant `t`'s feature bitmap (bit `f` set iff feature `f` occurs).
     ///
     /// # Panics

@@ -27,7 +27,8 @@ use crate::series::FeatureSeries;
 const MAGIC: &[u8; 4] = b"PPMS";
 const VERSION: u32 = 1;
 
-/// Streaming FNV-1a, 64-bit — shared with the columnar store's trailer.
+/// Streaming FNV-1a, 64-bit: the checksum of `.ppms`, `.ppmstream` and
+/// version-1 `.ppmc` files.
 #[derive(Debug, Clone)]
 pub(crate) struct Fnv64(u64);
 

@@ -32,26 +32,11 @@ use crate::catalog::{FeatureCatalog, FeatureId};
 use crate::error::{Error, Result};
 use crate::series::FeatureSeries;
 use crate::source::SeriesSource;
+use crate::storage::binary::Fnv64;
 
 const MAGIC: &[u8; 5] = b"PPMS2";
 const VERSION: u32 = 1;
 const TRAILER_SENTINEL: u16 = u16::MAX;
-
-#[derive(Debug, Clone)]
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Self {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-}
 
 /// Incremental writer for the streaming format.
 pub struct StreamWriter {
@@ -117,7 +102,7 @@ impl StreamWriter {
         self.out.write_all(&TRAILER_SENTINEL.to_le_bytes())?;
         self.out.write_all(&[0xFFu8][..1])?; // marker byte inside trailer
         self.out.write_all(&self.instants.to_le_bytes())?;
-        self.out.write_all(&self.hash.0.to_le_bytes())?;
+        self.out.write_all(&self.hash.finish().to_le_bytes())?;
         self.out.flush()?;
         Ok(())
     }
@@ -400,7 +385,7 @@ impl RecordReader {
         read_exact_or(&mut self.input, &mut sum, "trailer checksum")?;
         Ok((
             u64::from_le_bytes(n),
-            u64::from_le_bytes(sum) == self.hash.0,
+            u64::from_le_bytes(sum) == self.hash.finish(),
             self.catalog,
         ))
     }
