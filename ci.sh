@@ -10,6 +10,9 @@ cargo fmt --all --check
 echo "==> cargo clippy (all targets, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (rustdoc warnings, broken intra-doc links included, are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> tier-1: release build (default-members: every workspace crate, ppm, experiments and races included)"
 cargo build --release
 

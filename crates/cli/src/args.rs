@@ -4,7 +4,7 @@
 //! `--key value` pairs or boolean `--switch`es. A flag is boolean when it
 //! is followed by another flag or by nothing. Flags may appear in any
 //! order; repeated flags keep the last value. Each command declares the
-//! flags it reads, and [`Parsed::reject_unknown`] turns any other flag into
+//! flags it reads, and `Parsed::reject_unknown` turns any other flag into
 //! a usage error before the command runs.
 
 use std::collections::HashMap;

@@ -30,6 +30,8 @@
 use std::fmt::Write as _;
 use std::io::Write as _;
 
+use ppm_timeseries::fnv64;
+
 use crate::error::CliError;
 
 /// First line of every checkpoint file this version writes.
@@ -38,17 +40,6 @@ const MAGIC_V2: &str = "ppm-sweep-checkpoint v2";
 /// The previous format: identical except period rows carry no checksum.
 /// Still accepted on load so an upgrade never invalidates progress.
 const MAGIC_V1: &str = "ppm-sweep-checkpoint v1";
-
-/// FNV-1a over `bytes` — the same dependency-free checksum the stream
-/// storage format uses, applied here per row.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
 
 /// Summary of one fully mined period — everything the sweep report prints.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -3,7 +3,7 @@
 //!
 //! Property 3.1 ("Apriori on periodicity"): every subpattern of a frequent
 //! pattern of period `p` is itself frequent at period `p`. Algorithm 3.1
-//! exploits it level-wise, exactly like association-rule Apriori [AS94]:
+//! exploits it level-wise, exactly like association-rule Apriori \[AS94\]:
 //! frequent `k`-letter patterns filter the `(k+1)`-letter candidates, and
 //! each level is counted with one full scan over the series. The paper's
 //! §3.1.2 observation — that partial-periodicity candidate sets shrink

@@ -7,13 +7,13 @@
 //! signal at all. The paper supplies cheap, machine-checkable ground truth,
 //! and this module turns it into an independent result checker:
 //!
-//! * **Invariant auditing** ([`invariants`]) — structural laws any correct
+//! * **Invariant auditing** (`invariants`) — structural laws any correct
 //!   [`MiningResult`] obeys: anti-monotone counts (the §3.1 Apriori
 //!   property: `count(sub) ≥ count(super)` whenever `sub ⊆ super`),
 //!   downward closure of the frequent set, `min_count ≤ count ≤ m` (i.e.
 //!   confidence ∈ `[min_conf, 1]`), every letter inside `C_max`, no
 //!   duplicates, and the Property 3.2 hit-set bookkeeping bounds.
-//! * **Differential oracle** ([`oracle`]) — a deliberately naive recount
+//! * **Differential oracle** (`oracle`) — a deliberately naive recount
 //!   engine: each reported pattern is decoded to its symbolic form and
 //!   recounted by direct segment matching ([`Pattern::matches_segment`]),
 //!   sharing no code with the letter-projection/tree path the miners use.

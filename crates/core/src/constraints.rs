@@ -1,7 +1,7 @@
 //! Query- and constraint-based mining of partial periodicity.
 //!
 //! §6 of the paper lists "query- and constraint-based mining of partial
-//! periodicity [NLHP98]" among the natural follow-ons: users rarely want
+//! periodicity \[NLHP98\]" among the natural follow-ons: users rarely want
 //! *all* frequent patterns — they want "patterns involving the newspaper",
 //! "patterns in the morning slots", or "patterns of at most 4 letters".
 //!

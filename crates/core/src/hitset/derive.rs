@@ -7,7 +7,7 @@
 //! of its superpattern hits in the tree — the node's own count plus those
 //! of its *reachable ancestors* in the paper's formulation.
 //!
-//! Four counting strategies are exposed for the ablation study (DESIGN.md
+//! Three counting strategies are exposed for the ablation study (DESIGN.md
 //! experiment E7):
 //!
 //! * [`CountStrategy::LevelWalk`] (the default) — one depth-first walk of
@@ -18,10 +18,11 @@
 //! * [`CountStrategy::TreeWalk`] — the paper's pruned trie traversal, one
 //!   walk per candidate;
 //! * [`CountStrategy::LinearScan`] — a flat pass over the distinct hits
-//!   with one bitset subset test each;
-//! * [`CountStrategy::Vertical`] — a columnar transpose of the distinct
-//!   hits (one weighted segment bitmap per letter, see
-//!   [`crate::vertical`]) counted by word-wide AND + popcount.
+//!   with one bitset subset test each.
+//!
+//! The columnar alternative — per-letter segment bitmaps counted by
+//! word-wide AND + popcount — is the vertical engine ([`crate::vertical`]),
+//! which builds its bitmaps in scan 2 instead of a tree.
 
 use crate::apriori::join_candidates;
 use crate::hitset::tree::MaxSubpatternTree;
@@ -29,7 +30,6 @@ use crate::letters::LetterSet;
 use crate::result::FrequentPattern;
 use crate::scan::Scan1;
 use crate::stats::MiningStats;
-use crate::vertical::{Kernel, VerticalIndex};
 
 /// How candidate counts are extracted from the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -43,22 +43,15 @@ pub enum CountStrategy {
     TreeWalk,
     /// Flat scan over the nodes with count > 0.
     LinearScan,
-    /// Columnar counting over a weighted transpose of the distinct hits.
-    Vertical,
 }
 
 impl CountStrategy {
     /// Counts the superpattern hits of `p` under this strategy.
-    ///
-    /// The `Vertical` arm rebuilds the transpose on every call, so it costs
-    /// O(tree) — fine for spot checks, but derivation builds the index once
-    /// and amortizes it over every candidate (see [`derive_frequent`]).
     pub fn count(self, tree: &MaxSubpatternTree, p: &LetterSet) -> u64 {
         match self {
             CountStrategy::LevelWalk => tree.count_level(std::slice::from_ref(p), &mut 0)[0],
             CountStrategy::TreeWalk => tree.count_superpatterns_walk(p),
             CountStrategy::LinearScan => tree.count_superpatterns_linear(p),
-            CountStrategy::Vertical => VerticalIndex::from_tree(tree).count(p),
         }
     }
 }
@@ -84,22 +77,6 @@ pub fn derive_frequent(
                 stats,
             );
             ppm_observe::gauge("hitset.count_ops", count_ops);
-        }
-        CountStrategy::Vertical => {
-            // Transpose once, then every level is one cache-blocked batch
-            // of AND + popcount on the wide kernel.
-            let index = VerticalIndex::from_tree(tree);
-            let kernel = Kernel::Wide;
-            let mut and_ops = 0u64;
-            derive_frequent_batched(
-                |sets| index.count_level(sets, kernel, &mut and_ops),
-                scan1,
-                frequent,
-                stats,
-            );
-            ppm_observe::gauge("vertical.bitmap_bytes", index.bitmap_bytes() as u64);
-            ppm_observe::gauge("vertical.kernel", kernel.gauge_code());
-            ppm_observe::gauge("vertical.and_ops", and_ops);
         }
         _ => derive_frequent_with(|p| strategy.count(tree, p), scan1, frequent, stats),
     }
@@ -207,7 +184,6 @@ mod tests {
             CountStrategy::LevelWalk,
             CountStrategy::TreeWalk,
             CountStrategy::LinearScan,
-            CountStrategy::Vertical,
         ] {
             let mut frequent = Vec::new();
             let mut stats = MiningStats::default();
@@ -271,17 +247,13 @@ mod tests {
         };
         let a = run(CountStrategy::TreeWalk);
         let b = run(CountStrategy::LinearScan);
-        let c = run(CountStrategy::Vertical);
-        let d = run(CountStrategy::LevelWalk);
+        let c = run(CountStrategy::LevelWalk);
         assert_eq!(a, b);
         assert_eq!(a, c);
-        assert_eq!(a, d);
         assert!(!a.is_empty());
         // Single-pattern counting agrees too.
         for f in &a {
-            for strategy in [CountStrategy::LevelWalk, CountStrategy::Vertical] {
-                assert_eq!(strategy.count(&tree, &f.letters), f.count, "{strategy:?}");
-            }
+            assert_eq!(CountStrategy::LevelWalk.count(&tree, &f.letters), f.count);
         }
     }
 

@@ -10,7 +10,7 @@
 //!
 //! * [`tree`] — the max-subpattern tree (Algorithm 4.1): a set-trie over
 //!   missing-letter lists, with 0-count interior nodes.
-//! * [`derive`] — Algorithm 4.2: level-wise derivation of all frequent
+//! * [`derive`](mod@derive) — Algorithm 4.2: level-wise derivation of all frequent
 //!   patterns, counting candidates against the tree.
 //! * [`mine`] — Algorithm 3.2 end to end.
 

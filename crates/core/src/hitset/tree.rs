@@ -153,14 +153,6 @@ impl MaxSubpatternTree {
         Some(self.nodes[cur as usize].count)
     }
 
-    /// Iterates `(pattern, count)` over nodes with count > 0 — the hit set.
-    pub fn counted_nodes(&self) -> impl Iterator<Item = (&LetterSet, u64)> {
-        self.nodes
-            .iter()
-            .filter(|n| n.count > 0)
-            .map(|n| (&n.pattern, n.count))
-    }
-
     /// The frequency count of a candidate pattern `p`: the sum of the
     /// counts of all stored hits that are superpatterns of `p`
     /// (linear-scan strategy — one bitset subset test per distinct hit).

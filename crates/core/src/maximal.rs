@@ -1,7 +1,7 @@
 //! Maximal frequent pattern mining.
 //!
 //! §4 of the paper closes by observing that users often want only the
-//! *maximal* frequent patterns, that Bayardo's MaxMiner [B98] is a good fit
+//! *maximal* frequent patterns, that Bayardo's MaxMiner \[B98\] is a good fit
 //! — except that MaxMiner re-scans the database per level — and that "the
 //! mixture of the max-subpattern hit set method and the MaxMiner can get
 //! rid of this problem". This module implements exactly that hybrid:

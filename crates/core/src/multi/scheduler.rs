@@ -517,7 +517,7 @@ mod tests {
         let columns: Vec<LetterSet> = (0..500)
             .map(|i| LetterSet::from_indices(4, (0..4).filter(|l| (i + l) % 3 != 0)))
             .collect();
-        let index = Arc::new(VerticalIndex::from_columns(4, &columns, None));
+        let index = Arc::new(VerticalIndex::from_columns(4, &columns));
         let cands = vec![
             LetterSet::from_indices(4, [0, 1]),
             LetterSet::from_indices(4, [2, 3]),

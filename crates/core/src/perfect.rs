@@ -1,7 +1,7 @@
 //! Perfect periodicity with cycle elimination.
 //!
 //! The paper contrasts itself with Özden et al.'s cyclic association rules
-//! [ÖRS98], which are "partial periodic patterns with *perfect* periodicity
+//! \[ÖRS98\], which are "partial periodic patterns with *perfect* periodicity
 //! … each pattern reoccurs in every cycle, with 100% confidence", and notes
 //! the key trick that perfection enables: **cycle elimination** — "as soon
 //! as it is known that [a pattern] does not hold at a particular instant

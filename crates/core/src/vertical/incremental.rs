@@ -635,7 +635,6 @@ impl IncrementalVerticalIndex {
                         counts[i] += count_dispatch_cached(
                             kernel,
                             &self.rows,
-                            None,
                             &bases[d],
                             block..hi,
                             and_ops,
@@ -664,7 +663,6 @@ impl IncrementalVerticalIndex {
                     counts[i] += count_dispatch_cached(
                         kernel,
                         &self.rows,
-                        None,
                         &bases[f],
                         block..hi,
                         and_ops,

@@ -1,14 +1,15 @@
 //! The AND+popcount counting kernels.
 //!
 //! A candidate's frequency against a [`VerticalIndex`](super::VerticalIndex)
-//! is a k-way AND over `⌈m/64⌉` words followed by a (possibly weighted)
-//! popcount. Those word operations dominate the whole derive phase on
-//! dense workloads, so this module provides two interchangeable kernels:
+//! is a k-way AND over `⌈m/64⌉` words followed by a plain popcount —
+//! every column counts 1. Those word operations dominate the whole derive
+//! phase on dense workloads, so this module provides two interchangeable
+//! kernels:
 //!
 //! * **scalar** — one word at a time with an early exit as soon as the
 //!   accumulator goes to zero; the reference implementation every other
 //!   path must match bit for bit.
-//! * **wide** — straight-line unrolled lanes of [`LANES`] words per
+//! * **wide** — straight-line unrolled lanes of `LANES` (8) words per
 //!   iteration over pre-resolved row offsets. The loop body is pure
 //!   `u64` AND / popcount with no data-dependent branches inside a
 //!   block, which LLVM auto-vectorizes to SSE2/AVX2 on x86-64 (and to
@@ -24,7 +25,7 @@
 //!
 //! The per-candidate letter walk that used to `collect()` into a heap
 //! `Vec` per candidate now lands in a fixed inline buffer
-//! ([`RowBases`]) — no allocation on the counting hot path.
+//! (`RowBases`) — no allocation on the counting hot path.
 
 use std::ops::Range;
 
@@ -57,7 +58,7 @@ const INLINE_ARITY: usize = 32;
 pub enum Kernel {
     /// The word-at-a-time reference loop.
     Scalar,
-    /// The unrolled [`LANES`]-word lane loop.
+    /// The unrolled 8-word (`LANES`) lane loop.
     #[default]
     Wide,
 }
@@ -118,32 +119,12 @@ impl RowBases {
     }
 }
 
-/// Popcount of `acc` restricted to word `w`, weighted when `weights` is
-/// present (bit `b` of word `w` contributes `weights[w*64+b]`).
-#[inline]
-fn tally(acc: u64, w: usize, weights: Option<&[u64]>) -> u64 {
-    match weights {
-        None => u64::from(acc.count_ones()),
-        Some(ws) => {
-            let mut total = 0u64;
-            let mut bits = acc;
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                total += ws[w * 64 + b];
-                bits &= bits - 1;
-            }
-            total
-        }
-    }
-}
-
 /// The scalar reference kernel over words `range`: one word at a time,
 /// breaking out of the AND chain as soon as the accumulator is zero.
 /// `bases` must be non-empty (the empty pattern is the caller's
 /// special case).
 pub(crate) fn count_scalar(
     words: &[u64],
-    weights: Option<&[u64]>,
     bases: &[usize],
     range: Range<usize>,
     and_ops: &mut u64,
@@ -161,7 +142,7 @@ pub(crate) fn count_scalar(
             acc &= words[base + w];
             *and_ops += 1;
         }
-        total += tally(acc, w, weights);
+        total += u64::from(acc.count_ones());
     }
     total
 }
@@ -226,20 +207,17 @@ impl HarleySeal {
 
 /// The wide kernel over words `range`: [`LANES`]-word unrolled blocks of
 /// branch-free AND lanes (auto-vectorized), a whole-block skip once the
-/// OR of all lanes reaches zero, and a deferred [`HarleySeal`] tally on
-/// the unweighted path; the sub-block tail falls back to
-/// [`count_scalar`]. Counts are exactly [`count_scalar`]'s — only the
-/// operation order differs.
+/// OR of all lanes reaches zero, and a deferred [`HarleySeal`] tally;
+/// the sub-block tail falls back to [`count_scalar`]. Counts are exactly
+/// [`count_scalar`]'s — only the operation order differs.
 pub(crate) fn count_wide(
     words: &[u64],
-    weights: Option<&[u64]>,
     bases: &[usize],
     range: Range<usize>,
     and_ops: &mut u64,
 ) -> u64 {
     debug_assert!(!bases.is_empty());
     let (&first, rest) = bases.split_first().expect("non-empty candidate");
-    let mut total = 0u64;
     let mut hs = HarleySeal::default();
     let mut w = range.start;
     while w + LANES <= range.end {
@@ -291,23 +269,16 @@ pub(crate) fn count_wide(
             }
             *and_ops += LANES as u64;
         }
-        // An all-zero block contributes nothing in either mode — skip the
-        // popcount entirely (common once the AND chain runs dry).
+        // An all-zero block contributes nothing — skip the popcount
+        // entirely (common once the AND chain runs dry).
         if any != 0 {
-            match weights {
-                None => hs.feed(&acc),
-                Some(_) => {
-                    for (i, &lane) in acc.iter().enumerate() {
-                        total += tally(lane, w + i, weights);
-                    }
-                }
-            }
+            hs.feed(&acc);
         }
         w += LANES;
     }
-    total += hs.finish();
+    let mut total = hs.finish();
     if w < range.end {
-        total += count_scalar(words, weights, bases, w..range.end, and_ops);
+        total += count_scalar(words, bases, w..range.end, and_ops);
     }
     total
 }
@@ -317,14 +288,13 @@ pub(crate) fn count_wide(
 pub(crate) fn count_dispatch(
     kernel: Kernel,
     words: &[u64],
-    weights: Option<&[u64]>,
     bases: &[usize],
     range: Range<usize>,
     and_ops: &mut u64,
 ) -> u64 {
     match kernel {
-        Kernel::Scalar => count_scalar(words, weights, bases, range, and_ops),
-        Kernel::Wide => count_wide(words, weights, bases, range, and_ops),
+        Kernel::Scalar => count_scalar(words, bases, range, and_ops),
+        Kernel::Wide => count_wide(words, bases, range, and_ops),
     }
 }
 
@@ -394,7 +364,6 @@ impl PrefixCache {
 /// nothing), so it also measures what the memo saves.
 pub(crate) fn count_wide_prefixed(
     words: &[u64],
-    weights: Option<&[u64]>,
     bases: &[usize],
     range: Range<usize>,
     and_ops: &mut u64,
@@ -406,7 +375,7 @@ pub(crate) fn count_wide_prefixed(
     if prefix.len() < 2 {
         // Arity 1–2: the "prefix" is at most one row, so the memo saves
         // nothing over the fused first-AND pass.
-        return count_wide(words, weights, bases, range, and_ops);
+        return count_wide(words, bases, range, and_ops);
     }
     let n = range.len();
     debug_assert!(n <= BLOCK_WORDS, "blocked callers never exceed BLOCK_WORDS");
@@ -440,7 +409,6 @@ pub(crate) fn count_wide_prefixed(
     let row = &words[last + range.start..last + range.end];
     let pre = &cache.store[(depth - 1) * BLOCK_WORDS..(depth - 1) * BLOCK_WORDS + n];
     *and_ops += n as u64;
-    let mut total = 0u64;
     let mut hs = HarleySeal::default();
     let mut i = 0usize;
     while i + LANES <= n {
@@ -455,20 +423,13 @@ pub(crate) fn count_wide_prefixed(
             any |= lane;
         }
         if any != 0 {
-            match weights {
-                None => hs.feed(&acc),
-                Some(_) => {
-                    for (j, &lane) in acc.iter().enumerate() {
-                        total += tally(lane, range.start + i + j, weights);
-                    }
-                }
-            }
+            hs.feed(&acc);
         }
         i += LANES;
     }
-    total += hs.finish();
+    let mut total = hs.finish();
     while i < n {
-        total += tally(pre[i] & row[i], range.start + i, weights);
+        total += u64::from((pre[i] & row[i]).count_ones());
         i += 1;
     }
     total
@@ -482,15 +443,14 @@ pub(crate) fn count_wide_prefixed(
 pub(crate) fn count_dispatch_cached(
     kernel: Kernel,
     words: &[u64],
-    weights: Option<&[u64]>,
     bases: &[usize],
     range: Range<usize>,
     and_ops: &mut u64,
     cache: &mut PrefixCache,
 ) -> u64 {
     match kernel {
-        Kernel::Scalar => count_scalar(words, weights, bases, range, and_ops),
-        Kernel::Wide => count_wide_prefixed(words, weights, bases, range, and_ops, cache),
+        Kernel::Scalar => count_scalar(words, bases, range, and_ops),
+        Kernel::Wide => count_wide_prefixed(words, bases, range, and_ops, cache),
     }
 }
 
@@ -545,22 +505,8 @@ mod tests {
         for range in [0..37, 0..8, 3..13, 8..16, 5..37, 17..23, 36..37, 12..12] {
             let mut ops_a = 0u64;
             let mut ops_b = 0u64;
-            let a = count_scalar(&store, None, &bases, range.clone(), &mut ops_a);
-            let b = count_wide(&store, None, &bases, range.clone(), &mut ops_b);
-            assert_eq!(a, b, "range {range:?}");
-        }
-    }
-
-    #[test]
-    fn weighted_wide_matches_weighted_scalar() {
-        let wpr = 19;
-        let store = words(4 * wpr, 0x77);
-        let ws: Vec<u64> = (0..wpr * 64).map(|i| (i % 7 + 1) as u64).collect();
-        let bases = [0, wpr, 3 * wpr];
-        for range in [0..19, 0..16, 2..11, 16..19] {
-            let mut ops = 0u64;
-            let a = count_scalar(&store, Some(&ws), &bases, range.clone(), &mut ops);
-            let b = count_wide(&store, Some(&ws), &bases, range.clone(), &mut ops);
+            let a = count_scalar(&store, &bases, range.clone(), &mut ops_a);
+            let b = count_wide(&store, &bases, range.clone(), &mut ops_b);
             assert_eq!(a, b, "range {range:?}");
         }
     }
@@ -585,24 +531,14 @@ mod tests {
             vec![r(0), r(2), r(3)],
             vec![r(1), r(2), r(3), r(4), r(5)],
         ];
-        let ws: Vec<u64> = (0..wpr * 64).map(|i| (i % 5 + 1) as u64).collect();
-        for weights in [None, Some(ws.as_slice())] {
-            let mut cache = PrefixCache::default();
-            for block in [0..8, 8..16, 16..24, 24..32, 32..37] {
-                for bases in &cands {
-                    let mut ops_a = 0u64;
-                    let mut ops_b = 0u64;
-                    let a = count_scalar(&store, weights, bases, block.clone(), &mut ops_a);
-                    let b = count_wide_prefixed(
-                        &store,
-                        weights,
-                        bases,
-                        block.clone(),
-                        &mut ops_b,
-                        &mut cache,
-                    );
-                    assert_eq!(a, b, "bases {bases:?} block {block:?}");
-                }
+        let mut cache = PrefixCache::default();
+        for block in [0..8, 8..16, 16..24, 24..32, 32..37] {
+            for bases in &cands {
+                let mut ops_a = 0u64;
+                let mut ops_b = 0u64;
+                let a = count_scalar(&store, bases, block.clone(), &mut ops_a);
+                let b = count_wide_prefixed(&store, bases, block.clone(), &mut ops_b, &mut cache);
+                assert_eq!(a, b, "bases {bases:?} block {block:?}");
             }
         }
     }
@@ -617,7 +553,6 @@ mod tests {
         let mut ops = 0u64;
         count_wide_prefixed(
             &store,
-            None,
             &[0, wpr, 2 * wpr, 3 * wpr],
             0..wpr,
             &mut ops,
@@ -627,7 +562,6 @@ mod tests {
         ops = 0;
         count_wide_prefixed(
             &store,
-            None,
             &[0, wpr, 2 * wpr, 4 * wpr],
             0..wpr,
             &mut ops,
@@ -648,8 +582,8 @@ mod tests {
         }
         let bases = [0, wpr];
         let mut ops = 0u64;
-        assert_eq!(count_scalar(&store, None, &bases, 0..wpr, &mut ops), 0);
-        assert_eq!(count_wide(&store, None, &bases, 0..wpr, &mut ops), 0);
+        assert_eq!(count_scalar(&store, &bases, 0..wpr, &mut ops), 0);
+        assert_eq!(count_wide(&store, &bases, 0..wpr, &mut ops), 0);
     }
 
     #[test]
@@ -658,10 +592,10 @@ mod tests {
         let store = words(2 * wpr, 9);
         let bases = [0, wpr];
         let mut ops = 0u64;
-        let whole = count_wide(&store, None, &bases, 0..wpr, &mut ops);
+        let whole = count_wide(&store, &bases, 0..wpr, &mut ops);
         let parts: u64 = [0..5, 5..8, 8..40, 40..41]
             .into_iter()
-            .map(|r| count_wide(&store, None, &bases, r, &mut ops))
+            .map(|r| count_wide(&store, &bases, r, &mut ops))
             .sum();
         assert_eq!(whole, parts);
     }

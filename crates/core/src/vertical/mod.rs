@@ -10,25 +10,20 @@
 //! miners' (Property 3.1 is independent of how counting is done); only the
 //! counting substrate changes.
 //!
-//! The AND+popcount itself runs on a [`LANES`](kernel::LANES)-word
-//! unrolled wide kernel the autovectorizer turns into SIMD; the scalar
-//! reference loop it must match bit for bit stays selectable through
-//! [`MineConfig::with_kernel`](crate::MineConfig::with_kernel) for the
-//! audit and the bit-identity tests (see [`kernel`]). Candidates are counted a whole
-//! derivation level at a time against cache-sized blocks of the bitmaps
-//! ([`VerticalIndex::count_level`]), and on large stores the word axis
-//! shards into subtasks other threads can steal ([`shard`]).
+//! Every column is one segment and counts 1, so each kernel is a plain
+//! AND followed by a popcount. The AND+popcount itself runs on an
+//! 8-word unrolled wide kernel the autovectorizer turns into SIMD; the
+//! scalar reference loop it must match bit for bit stays selectable
+//! through [`MineConfig::with_kernel`](crate::MineConfig::with_kernel)
+//! for the audit and the bit-identity tests (see [`kernel`]). Candidates
+//! are counted a whole derivation level at a time against cache-sized
+//! blocks of the bitmaps, and on large stores the word axis shards into
+//! subtasks other threads can steal ([`shard`]).
 //!
 //! Memory: `n_L` bitmaps of `m` bits — `n_L · m / 8` bytes, reported via
 //! the `vertical.bitmap_bytes` gauge. For the alphabet sizes the paper
 //! works with this is a few words per segment, far below the series
 //! itself.
-//!
-//! The same structure doubles as a *weighted* transpose of the
-//! max-subpattern tree ([`VerticalIndex::from_tree`]): columns become the
-//! tree's distinct hits and each column carries the hit's count, which is
-//! what [`CountStrategy::Vertical`](crate::hitset::derive::CountStrategy)
-//! plugs into the tree-based miner's derivation.
 
 pub mod incremental;
 pub mod kernel;
@@ -42,7 +37,6 @@ use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
 use crate::error::Result;
 use crate::guard::ResourceGuard;
 use crate::hitset::derive::derive_frequent_batched;
-use crate::hitset::tree::MaxSubpatternTree;
 use crate::letters::LetterSet;
 use crate::result::{FrequentPattern, MiningResult};
 use crate::rows::{Input, Passes};
@@ -53,11 +47,8 @@ pub use kernel::Kernel;
 use kernel::{count_dispatch, count_dispatch_cached, PrefixCache, RowBases, BLOCK_WORDS};
 pub use shard::{count_sharded, ShardExecutor, ShardedCounter, ThreadedExecutor};
 
-/// Per-letter column bitmaps over a set of counting columns.
-///
-/// Built either over *segments* (unweighted: each column is one whole
-/// period segment) or over the *distinct hits of a max-subpattern tree*
-/// (weighted: each column carries the hit's stored count).
+/// Per-letter column bitmaps: bit `j` of a letter's row is set iff
+/// column `j` (one whole period segment) contains the letter.
 #[derive(Debug, Clone)]
 pub struct VerticalIndex {
     n_letters: usize,
@@ -65,8 +56,6 @@ pub struct VerticalIndex {
     words_per_row: usize,
     /// Row-major: `words[letter * words_per_row + w]`.
     words: Vec<u64>,
-    /// Column weights for tree transposes; `None` ⇒ every column counts 1.
-    weights: Option<Vec<u64>>,
 }
 
 impl VerticalIndex {
@@ -78,23 +67,16 @@ impl VerticalIndex {
             n_columns,
             words_per_row,
             words: vec![0u64; n_letters * words_per_row],
-            weights: None,
         }
     }
 
-    /// Builds an index directly from explicit column letter-sets and
-    /// optional per-column weights — the constructor property and shard
-    /// tests use to fabricate arbitrary geometries (universe
-    /// widths straddling word boundaries, weighted columns, …).
+    /// Builds an index directly from explicit column letter-sets — the
+    /// constructor the kernel and shard tests use to fabricate arbitrary
+    /// geometries (column counts straddling word boundaries, …).
     ///
     /// # Panics
-    /// Panics if a column's universe differs from `n_letters` or if
-    /// `weights` is present with a different length than `columns`.
-    pub fn from_columns(
-        n_letters: usize,
-        columns: &[LetterSet],
-        weights: Option<Vec<u64>>,
-    ) -> Self {
+    /// Panics if a column's universe differs from `n_letters`.
+    pub fn from_columns(n_letters: usize, columns: &[LetterSet]) -> Self {
         let mut index = Self::with_columns(n_letters, columns.len());
         for (col, set) in columns.iter().enumerate() {
             assert_eq!(set.universe(), n_letters, "column universe mismatch");
@@ -102,10 +84,6 @@ impl VerticalIndex {
                 index.set(letter, col);
             }
         }
-        if let Some(ws) = &weights {
-            assert_eq!(ws.len(), columns.len(), "one weight per column");
-        }
-        index.weights = weights;
         index
     }
 
@@ -134,40 +112,15 @@ impl VerticalIndex {
         Ok(index)
     }
 
-    /// The weighted transpose of `tree`'s distinct hits: one column per
-    /// counted node, carrying the node's count. Counting a candidate
-    /// against this index equals summing the counts of its superpattern
-    /// hits — the same total the trie traversal computes.
-    pub fn from_tree(tree: &MaxSubpatternTree) -> Self {
-        let nodes: Vec<(&LetterSet, u64)> = tree.counted_nodes().collect();
-        let mut index = Self::with_columns(tree.c_max().universe(), nodes.len());
-        let mut weights = Vec::with_capacity(nodes.len());
-        for (col, (pattern, count)) in nodes.iter().enumerate() {
-            for letter in pattern.iter() {
-                index.set(letter, col);
-            }
-            weights.push(*count);
-        }
-        index.weights = Some(weights);
-        index
-    }
-
-    /// The number of columns whose pattern is a superpattern of `p`,
-    /// weighted by column weight — i.e. `p`'s frequency count.
+    /// The number of columns whose pattern is a superpattern of `p` —
+    /// i.e. `p`'s frequency count — on the wide kernel.
     pub fn count(&self, p: &LetterSet) -> u64 {
-        let mut and_ops = 0u64;
-        self.count_with(p, &mut and_ops)
+        self.count_with_kernel(p, Kernel::Wide, &mut 0)
     }
 
-    /// [`Self::count`], accumulating the number of word-level AND/popcount
-    /// operations into `and_ops` (surfaced as the `vertical.and_ops`
-    /// gauge). Runs the wide kernel.
-    pub fn count_with(&self, p: &LetterSet, and_ops: &mut u64) -> u64 {
-        self.count_with_kernel(p, Kernel::Wide, and_ops)
-    }
-
-    /// [`Self::count_with`] on an explicitly chosen kernel — the entry
-    /// point the bit-identity tests drive.
+    /// [`Self::count`] on an explicitly chosen kernel, accumulating the
+    /// word-level AND operations into `and_ops` — the entry point the
+    /// bit-identity tests drive.
     pub fn count_with_kernel(&self, p: &LetterSet, kernel: Kernel, and_ops: &mut u64) -> u64 {
         debug_assert_eq!(p.universe(), self.n_letters);
         let bases = RowBases::from_pattern(p, self.words_per_row);
@@ -176,38 +129,7 @@ impl VerticalIndex {
             // The empty pattern is a subpattern of every column.
             return self.empty_pattern_weight(0..self.words_per_row);
         }
-        count_dispatch(
-            kernel,
-            &self.words,
-            self.weights.as_deref(),
-            slice,
-            0..self.words_per_row,
-            and_ops,
-        )
-    }
-
-    /// `p`'s count restricted to index words `words` (64 columns per
-    /// word) — the shardable form: counts over disjoint word ranges sum
-    /// exactly to [`Self::count`].
-    ///
-    /// # Panics
-    /// Panics if `words` exceeds the row width (`⌈n_columns/64⌉`).
-    pub fn count_range(&self, p: &LetterSet, words: Range<usize>) -> u64 {
-        assert!(words.end <= self.words_per_row, "word range out of bounds");
-        let bases = RowBases::from_pattern(p, self.words_per_row);
-        let slice = bases.as_slice();
-        if slice.is_empty() {
-            return self.empty_pattern_weight(words);
-        }
-        let mut and_ops = 0u64;
-        count_dispatch(
-            Kernel::Wide,
-            &self.words,
-            self.weights.as_deref(),
-            slice,
-            words,
-            &mut and_ops,
-        )
+        count_dispatch(kernel, &self.words, slice, 0..self.words_per_row, and_ops)
     }
 
     /// Counts a whole derivation level's candidates in one cache-blocked
@@ -237,15 +159,7 @@ impl VerticalIndex {
                 *total += if slice.is_empty() {
                     self.empty_pattern_weight(lo..hi)
                 } else {
-                    count_dispatch_cached(
-                        kernel,
-                        &self.words,
-                        self.weights.as_deref(),
-                        slice,
-                        lo..hi,
-                        and_ops,
-                        &mut cache,
-                    )
+                    count_dispatch_cached(kernel, &self.words, slice, lo..hi, and_ops, &mut cache)
                 };
             }
             lo = hi;
@@ -254,21 +168,18 @@ impl VerticalIndex {
     }
 
     /// The empty pattern's count restricted to a word range: the number
-    /// (or weight sum) of columns covered by those words — every column
-    /// is a superpattern of the empty pattern.
+    /// of columns covered by those words — every column is a superpattern
+    /// of the empty pattern.
     pub(crate) fn empty_pattern_weight(&self, words: Range<usize>) -> u64 {
         let lo = (words.start * 64).min(self.n_columns);
         let hi = (words.end * 64).min(self.n_columns);
-        match &self.weights {
-            Some(ws) => ws[lo..hi].iter().sum(),
-            None => (hi - lo) as u64,
-        }
+        (hi - lo) as u64
     }
 
-    /// The raw row-major bitmap words and optional column weights — what
-    /// the kernels and shard runners operate on directly.
-    pub(crate) fn raw_words(&self) -> (&[u64], Option<&[u64]>) {
-        (&self.words, self.weights.as_deref())
+    /// The raw row-major bitmap words — what the kernels and shard
+    /// runners operate on directly.
+    pub(crate) fn raw_words(&self) -> &[u64] {
+        &self.words
     }
 
     /// Number of letter rows.
@@ -276,7 +187,7 @@ impl VerticalIndex {
         self.n_letters
     }
 
-    /// Number of counting columns (segments, or distinct tree hits).
+    /// Number of counting columns (segments).
     pub fn n_columns(&self) -> usize {
         self.n_columns
     }
@@ -286,10 +197,9 @@ impl VerticalIndex {
         self.words_per_row
     }
 
-    /// Index size in bytes: bitmap words plus any column weights.
+    /// Index size in bytes: the bitmap words.
     pub fn bitmap_bytes(&self) -> usize {
-        let weight_bytes = self.weights.as_ref().map_or(0, |w| w.len() * 8);
-        self.words.len() * 8 + weight_bytes
+        self.words.len() * 8
     }
 }
 
@@ -570,8 +480,8 @@ mod tests {
 
     #[test]
     fn explicit_kernels_count_identically_across_widths() {
-        // Universe widths straddling the word boundary, with and without
-        // weights, empty pattern included.
+        // Column counts straddling the word boundary, empty pattern
+        // included.
         for n_cols in [63, 64, 65, 1000] {
             let mut x = 0x5eedu64;
             let columns: Vec<LetterSet> = (0..n_cols)
@@ -586,47 +496,135 @@ mod tests {
                     s
                 })
                 .collect();
-            let weights: Vec<u64> = (0..n_cols).map(|i| (i % 5 + 1) as u64).collect();
-            for ws in [None, Some(weights)] {
-                let index = VerticalIndex::from_columns(7, &columns, ws);
-                let patterns = [
-                    LetterSet::new(7),
-                    LetterSet::from_indices(7, [2]),
-                    LetterSet::from_indices(7, [0, 4]),
-                    LetterSet::from_indices(7, [1, 3, 5, 6]),
-                ];
-                for p in &patterns {
-                    let mut ops = 0u64;
-                    let a = index.count_with_kernel(p, Kernel::Scalar, &mut ops);
-                    let b = index.count_with_kernel(p, Kernel::Wide, &mut ops);
-                    assert_eq!(a, b, "n_cols={n_cols} p={p:?}");
-                }
+            let index = VerticalIndex::from_columns(7, &columns);
+            let patterns = [
+                LetterSet::new(7),
+                LetterSet::from_indices(7, [2]),
+                LetterSet::from_indices(7, [0, 4]),
+                LetterSet::from_indices(7, [1, 3, 5, 6]),
+            ];
+            for p in &patterns {
+                let mut ops = 0u64;
+                let a = index.count_with_kernel(p, Kernel::Scalar, &mut ops);
+                let b = index.count_with_kernel(p, Kernel::Wide, &mut ops);
+                assert_eq!(a, b, "n_cols={n_cols} p={p:?}");
             }
         }
     }
 
+    /// splitmix64: a deterministic draw stream for the randomized checks.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// Up to `max_len` draws from `0..23`, kept if below `n_letters`.
+        fn letters(&mut self, n_letters: usize, max_len: usize) -> LetterSet {
+            let len = self.below(max_len + 1);
+            let picks: Vec<usize> = (0..len).map(|_| self.below(23)).collect();
+            LetterSet::from_indices(n_letters, picks.into_iter().filter(|&i| i < n_letters))
+        }
+    }
+
     #[test]
-    fn count_range_partials_sum_to_whole() {
-        let series = busy_series(2048, 5);
-        let config = MineConfig::new(0.2).unwrap();
-        let scan1 = scan_frequent_letters(&series, 4, &config).unwrap();
-        let index = segment_index(&series, &scan1);
-        let wpr = index.words_per_row();
-        assert!(wpr >= 8, "need a multi-word index, got {wpr}");
-        let n = scan1.alphabet.len();
-        for p in [
-            LetterSet::from_indices(n, [0, 1]),
-            LetterSet::new(n),
-            LetterSet::from_indices(n, [0]),
-        ] {
-            let whole = index.count(&p);
-            // Split mid-word-block: uneven thirds.
-            let cuts = [0, wpr / 3, wpr / 3 + 1, wpr / 2, wpr];
-            let parts: u64 = cuts
-                .windows(2)
-                .map(|w| index.count_range(&p, w[0]..w[1]))
-                .sum();
-            assert_eq!(parts, whole, "{p:?}");
+    fn kernels_and_shards_count_bit_identically() {
+        // Column counts straddling the u64 word boundary are where lane
+        // and tail handling can silently diverge; 63/64/65 hit exactly the
+        // word-edge cases, 130+ exercises multi-word rows and 577+ whole
+        // LANES-word blocks ahead of the tail.
+        let mut rng = SplitMix(0x5eed_c0de);
+        for case in 0..96 {
+            let n_letters = 1 + rng.below(23);
+            let n_columns = [63, 64, 65, 130, 577][rng.below(5)] + rng.below(70);
+            let palette: Vec<LetterSet> = (0..1 + rng.below(139))
+                .map(|_| rng.letters(n_letters, 5))
+                .collect();
+            let cols: Vec<LetterSet> = (0..n_columns)
+                .map(|c| palette[c % palette.len()].clone())
+                .collect();
+            let index = VerticalIndex::from_columns(n_letters, &cols);
+            // The empty pattern is a legal candidate (subpattern of every
+            // column) and skips the AND loop entirely — always probe it.
+            let empty = LetterSet::new(n_letters);
+            // Every other case thins a column's own letters, so the
+            // pattern (and its siblings) count more than zero.
+            let pattern = if case % 2 == 0 {
+                rng.letters(n_letters, 5)
+            } else {
+                let col = &palette[rng.below(palette.len())];
+                LetterSet::from_indices(n_letters, col.iter().filter(|_| rng.below(4) != 0))
+            };
+            let split = 1 + rng.below(7);
+
+            for p in [&empty, &pattern] {
+                // Ground truth straight from the column sets.
+                let naive = cols.iter().filter(|col| p.is_subset(col)).count() as u64;
+                let bases = RowBases::from_pattern(p, index.words_per_row());
+                for kernel in [Kernel::Scalar, Kernel::Wide] {
+                    let mut ops = 0u64;
+                    let whole = index.count_with_kernel(p, kernel, &mut ops);
+                    assert_eq!(whole, naive, "case {case} {kernel:?} {p:?}");
+
+                    // Word-range partials must sum exactly no matter where
+                    // the cuts land — including mid-word-block splits.
+                    let words = index.words_per_row();
+                    let cut = (words / split.min(words)).max(1);
+                    let mut summed = 0u64;
+                    let mut at = 0;
+                    while at < words {
+                        let hi = (at + cut).min(words);
+                        summed += if bases.as_slice().is_empty() {
+                            index.empty_pattern_weight(at..hi)
+                        } else {
+                            count_dispatch(
+                                kernel,
+                                index.raw_words(),
+                                bases.as_slice(),
+                                at..hi,
+                                &mut ops,
+                            )
+                        };
+                        at = hi;
+                    }
+                    assert_eq!(summed, naive, "case {case} {kernel:?} split {split}");
+                }
+            }
+
+            // The sharded path (forced to split even tiny geometries) must
+            // agree candidate-for-candidate on both kernels. Pad the level
+            // with lex-ordered siblings of the pattern — the shape the
+            // Apriori join emits — so the wide kernel's prefix-AND reuse is
+            // exercised against the per-candidate scalar reference.
+            let shared = Arc::new(index);
+            let mut cands = vec![empty.clone(), pattern.clone()];
+            let ls: Vec<usize> = pattern.iter().collect();
+            if ls.len() >= 2 {
+                for extra in (0..n_letters).filter(|&i| !pattern.contains(i)).take(4) {
+                    cands.push(LetterSet::from_indices(
+                        n_letters,
+                        ls[..ls.len() - 1].iter().copied().chain([extra]),
+                    ));
+                }
+            }
+            let expect: Vec<u64> = cands
+                .iter()
+                .map(|p| cols.iter().filter(|col| p.is_subset(col)).count() as u64)
+                .collect();
+            let executor = ThreadedExecutor::with_min_shard_words(split.max(2), 1);
+            for kernel in [Kernel::Scalar, Kernel::Wide] {
+                let totals = count_sharded(&shared, &cands, kernel, &executor);
+                assert_eq!(totals, expect, "case {case} {kernel:?}");
+            }
         }
     }
 
@@ -676,35 +674,6 @@ mod tests {
             let viewed = mine_vertical_view(encoded.view(), p, &config).unwrap();
             assert_eq!(plain.frequent, viewed.frequent, "period {p}");
             assert_eq!(plain.stats, viewed.stats, "period {p}");
-        }
-    }
-
-    #[test]
-    fn tree_transpose_counts_like_the_walk() {
-        let series = busy_series(640, 4);
-        let config = MineConfig::new(0.2).unwrap();
-        let scan1 = scan_frequent_letters(&series, 8, &config).unwrap();
-        let mut stats = MiningStats::default();
-        let tree = crate::hitset::build_tree(&series, &scan1, &mut stats);
-        let index = VerticalIndex::from_tree(&tree);
-        assert_eq!(index.n_columns(), tree.distinct_hits());
-        // Every 2-letter candidate must count identically in all three
-        // substrates (weighted transpose, trie walk, flat scan) — on both
-        // kernels.
-        let n = scan1.alphabet.len();
-        for i in 0..n {
-            for j in i + 1..n {
-                let p = LetterSet::from_indices(n, [i, j]);
-                let walk = tree.count_superpatterns_walk(&p);
-                let mut ops = 0u64;
-                assert_eq!(index.count(&p), walk, "candidate {{{i},{j}}}");
-                assert_eq!(
-                    index.count_with_kernel(&p, Kernel::Scalar, &mut ops),
-                    walk,
-                    "scalar {{{i},{j}}}"
-                );
-                assert_eq!(tree.count_superpatterns_linear(&p), walk);
-            }
         }
     }
 

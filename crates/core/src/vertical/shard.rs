@@ -19,8 +19,8 @@
 //!   that mines the other periods.
 //!
 //! Sharding only engages when the geometry pays for the per-level
-//! coordination: at least [`MIN_SHARD_WORDS`] words per shard and
-//! `segments × letters ≥` [`SHARD_MIN_WORK`]. Below that, the plan
+//! coordination: at least `MIN_SHARD_WORDS` (64) words per shard and
+//! `segments × letters ≥ SHARD_MIN_WORK` (2¹⁶). Below that, the plan
 //! degenerates to a single range and the caller derives unsharded.
 
 use std::ops::Range;
@@ -159,7 +159,7 @@ impl ShardedCounter {
     fn run_shard(&self, s: usize) {
         let start = Instant::now();
         let range = self.shards[s].clone();
-        let (words, weights) = self.index.raw_words();
+        let words = self.index.raw_words();
         let mut and_ops = 0u64;
         // Cache-blocked like the unsharded level loop: all candidates
         // answer against one block before the next is touched, and
@@ -176,7 +176,6 @@ impl ShardedCounter {
                     count_dispatch_cached(
                         self.kernel,
                         words,
-                        weights,
                         slice,
                         lo..hi,
                         &mut and_ops,
@@ -312,7 +311,7 @@ impl ShardExecutor for ThreadedExecutor {
 mod tests {
     use super::*;
 
-    /// A synthetic unweighted index with pseudo-random columns.
+    /// A synthetic index with pseudo-random columns.
     fn synth_index(n_letters: usize, n_columns: usize, seed: u64) -> VerticalIndex {
         let mut x = seed;
         let columns: Vec<LetterSet> = (0..n_columns)
@@ -327,7 +326,7 @@ mod tests {
                 set
             })
             .collect();
-        VerticalIndex::from_columns(n_letters, &columns, None)
+        VerticalIndex::from_columns(n_letters, &columns)
     }
 
     #[test]

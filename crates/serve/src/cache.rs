@@ -58,18 +58,9 @@ use std::path::{Path, PathBuf};
 
 use ppm_core::{Engine, MineConfig};
 use ppm_observe::Json;
+use ppm_timeseries::fnv64;
 
 const MAGIC: &str = "ppm-serve-cache v1";
-
-/// FNV-1a over `bytes` (the same streaming hash the storage formats use).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A cache key. Confidence is keyed by its exact bit pattern — two
 /// requests hit the same entry only when they asked for the same `f64`.

@@ -2,11 +2,12 @@
 //! the process lifetime and shared read-only across every worker.
 //!
 //! Each store is one [`ColumnarReader`] behind a swap lock; queries clone
-//! the current `Arc` and borrow its [`EncodedSeriesView`] concurrently
+//! the current `Arc` and borrow its
+//! [`EncodedSeriesView`](ppm_timeseries::EncodedSeriesView) concurrently
 //! with zero copying. A reader a query holds is never changed: the lock
 //! exists only so a *grown* file can be swapped in without restarting,
 //! or — when no query holds the current reader — grown in place by an
-//! append ([`Store::grow_reader`]).
+//! append (`Store::grow_reader`).
 //! Stores are addressed by their file stem — `trades.ppmc` serves as
 //! `"trades"` — and each carries the content fingerprint the result
 //! cache keys on.

@@ -87,4 +87,5 @@ pub use retry::{RetryPolicy, RetryingSource};
 pub use segment::{Segment, SegmentIter, Segments};
 pub use series::{FeatureSeries, InstantIter, SeriesBuilder, SeriesStats};
 pub use source::{MemorySource, SeriesSource};
+pub use storage::binary::fnv64;
 pub use taxonomy::Taxonomy;

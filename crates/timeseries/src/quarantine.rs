@@ -122,7 +122,7 @@ pub struct QuarantinedInstant {
     /// Why it failed validation.
     pub reason: QuarantineReason,
     /// The first feature ids as delivered, little-endian `u32`s (at most
-    /// [`BYTES_CAP`] ids), so the offending payload survives in the report
+    /// 16 ids), so the offending payload survives in the report
     /// even after the source is gone.
     pub bytes: Vec<u8>,
 }

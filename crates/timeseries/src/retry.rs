@@ -1,7 +1,7 @@
 //! Automatic retry for transient scan failures.
 //!
 //! [`RetryingSource`] wraps any [`SeriesSource`] and turns transient I/O
-//! failures (see [`Error::is_transient`]) into silent re-scans, with capped
+//! failures (see [`Error::is_transient`](crate::Error::is_transient)) into silent re-scans, with capped
 //! exponential backoff between attempts. Consumers see only complete,
 //! in-order scans — or the final error once the [`RetryPolicy`] is
 //! exhausted or a fatal error (corruption, truncation) appears.

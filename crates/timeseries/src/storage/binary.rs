@@ -52,6 +52,15 @@ impl Fnv64 {
     }
 }
 
+/// FNV-1a, 64-bit, over `bytes` in one call — the storage checksum for
+/// callers that hash small self-contained records (cache and checkpoint
+/// lines).
+pub fn fnv64(bytes: &[u8]) -> u64 {
+    let mut h = Fnv64::new();
+    h.update(bytes);
+    h.finish()
+}
+
 /// Serializes a series (and its catalog) into a byte buffer.
 pub fn encode_series(series: &FeatureSeries, catalog: &FeatureCatalog) -> Vec<u8> {
     let (offsets, features) = series.raw_parts();

@@ -1,16 +1,21 @@
 //! On-disk persistence for feature series and catalogs.
 //!
-//! Two formats:
+//! Three formats:
 //!
 //! * [`binary`] — a compact, versioned, checksummed binary format (magic
 //!   `PPMS`), suitable for the large synthetic series of the paper's
 //!   performance study (§5: 100k–500k instants).
+//! * [`stream`] — the record-oriented `.ppmstream` format (magic `PPMS2`):
+//!   one self-delimiting record per instant and a checksummed trailer, so
+//!   a [`FileSource`] scans it with one forward read instead of loading
+//!   it, and [`salvage_series`] recovers the valid prefix of a truncated
+//!   file.
 //! * [`text`] — a line-oriented human-editable format (one instant per line,
 //!   features separated by spaces), convenient for examples and fixtures.
 //!
-//! Both formats round-trip a [`crate::FeatureSeries`] exactly; the binary
-//! format additionally embeds the [`crate::FeatureCatalog`] so a file is
-//! self-describing.
+//! All three round-trip a [`crate::FeatureSeries`] exactly; the binary and
+//! stream formats additionally embed the [`crate::FeatureCatalog`] so a
+//! file is self-describing.
 
 pub mod binary;
 pub mod stream;

@@ -192,7 +192,6 @@ fn algorithms_agree_on_the_paper_example() {
         CountStrategy::LevelWalk,
         CountStrategy::TreeWalk,
         CountStrategy::LinearScan,
-        CountStrategy::Vertical,
     ] {
         let r = hitset::mine_with_strategy(&series, 3, &config, strategy).unwrap();
         assert_eq!(r.frequent, hs.frequent, "{strategy:?}");

@@ -258,140 +258,6 @@ proptest! {
         prop_assert!(check.agreed(), "engines disagree: {:?}", check.report.violations);
     }
 
-    // ------------------------------------------------- counting kernels
-
-    // Universe widths straddling the u64 word boundary are where lane
-    // and tail handling can silently diverge; 63/64/65 hit exactly the
-    // word-edge cases, 200 exercises multi-word rows.
-    #[test]
-    fn kernels_and_shards_count_bit_identically(
-        n_letters in 1usize..24,
-        width_pick in 0usize..4,
-        columns_extra in 0usize..70,
-        column_bits in prop::collection::vec(
-            prop::collection::btree_set(0usize..23, 0..6), 1..140),
-        weighted in any::<bool>(),
-        pattern_bits in prop::collection::btree_set(0usize..23, 0..6),
-        split in 1usize..8,
-    ) {
-        use std::sync::Arc;
-        use partial_periodic::core::vertical::{
-            count_sharded, Kernel, ThreadedExecutor, VerticalIndex,
-        };
-
-        let n_columns = [63, 64, 65, 130][width_pick] + columns_extra;
-        let cols: Vec<LetterSet> = (0..n_columns)
-            .map(|c| {
-                let bits = &column_bits[c % column_bits.len()];
-                LetterSet::from_indices(
-                    n_letters,
-                    bits.iter().copied().filter(|&i| i < n_letters),
-                )
-            })
-            .collect();
-        let weights = weighted.then(|| {
-            (0..n_columns).map(|c| 1 + (c as u64 * 7) % 13).collect::<Vec<u64>>()
-        });
-        let index = VerticalIndex::from_columns(n_letters, &cols, weights.clone());
-        // The empty pattern is a legal candidate (subpattern of every
-        // column) and skips the AND loop entirely — always probe it.
-        let empty = LetterSet::new(n_letters);
-        let pattern = LetterSet::from_indices(
-            n_letters,
-            pattern_bits.iter().copied().filter(|&i| i < n_letters),
-        );
-
-        for p in [&empty, &pattern] {
-            // Ground truth straight from the column sets.
-            let naive: u64 = cols
-                .iter()
-                .enumerate()
-                .filter(|(_, col)| p.is_subset(col))
-                .map(|(c, _)| weights.as_ref().map_or(1, |w| w[c]))
-                .sum();
-
-            let mut ops = 0u64;
-            let scalar = index.count_with_kernel(p, Kernel::Scalar, &mut ops);
-            let wide = index.count_with_kernel(p, Kernel::Wide, &mut ops);
-            prop_assert_eq!(scalar, naive);
-            prop_assert_eq!(wide, naive);
-
-            // Word-range partials must sum exactly no matter where the
-            // cuts land — including mid-word-block splits.
-            let words = index.words_per_row();
-            let cut = (words / split.min(words).max(1)).max(1);
-            let mut summed = 0u64;
-            let mut at = 0;
-            while at < words {
-                let hi = (at + cut).min(words);
-                summed += index.count_range(p, at..hi);
-                at = hi;
-            }
-            prop_assert_eq!(summed, naive);
-        }
-
-        // The sharded path (forced to split even tiny geometries) must
-        // agree candidate-for-candidate on both kernels. Pad the level
-        // with lex-ordered siblings of the pattern — the shape the
-        // Apriori join emits — so the wide kernel's prefix-AND reuse is
-        // exercised against the per-candidate scalar reference.
-        let shared = Arc::new(index);
-        let mut cands = vec![empty.clone(), pattern.clone()];
-        let ls: Vec<usize> = (0..n_letters).filter(|&i| pattern.contains(i)).collect();
-        if ls.len() >= 2 {
-            for extra in (0..n_letters).filter(|&i| !pattern.contains(i)).take(4) {
-                cands.push(LetterSet::from_indices(
-                    n_letters,
-                    ls[..ls.len() - 1].iter().copied().chain([extra]),
-                ));
-            }
-        }
-        let executor = ThreadedExecutor::with_min_shard_words(split.max(2), 1);
-        for kernel in [Kernel::Scalar, Kernel::Wide] {
-            let totals = count_sharded(&shared, &cands, kernel, &executor);
-            let mut ops = 0u64;
-            let expect: Vec<u64> = cands
-                .iter()
-                .map(|p| shared.count_with_kernel(p, Kernel::Scalar, &mut ops))
-                .collect();
-            prop_assert_eq!(&totals, &expect, "{:?}", kernel);
-        }
-    }
-
-    // The weighted transpose (tree hits as columns, hit multiplicities as
-    // weights) is the hit-set derive path; every kernel must agree with
-    // the tree walk on it.
-    #[test]
-    fn tree_transpose_counts_identically_on_every_kernel(
-        universe in 2usize..10,
-        hits in prop::collection::vec(prop::collection::btree_set(0usize..9, 2..6), 1..40),
-        candidate in prop::collection::btree_set(0usize..9, 0..5),
-    ) {
-        use partial_periodic::core::vertical::{Kernel, VerticalIndex};
-
-        let hits: Vec<BTreeSet<usize>> = hits
-            .into_iter()
-            .map(|h| h.into_iter().filter(|&i| i < universe).collect::<BTreeSet<_>>())
-            .filter(|h: &BTreeSet<usize>| h.len() >= 2)
-            .collect();
-        prop_assume!(!hits.is_empty());
-        let candidate: BTreeSet<usize> =
-            candidate.into_iter().filter(|&i| i < universe).collect();
-
-        let mut tree = MaxSubpatternTree::new(LetterSet::full(universe));
-        for h in &hits {
-            tree.insert(&LetterSet::from_indices(universe, h.iter().copied()));
-        }
-        let index = VerticalIndex::from_tree(&tree);
-        let cand = LetterSet::from_indices(universe, candidate.iter().copied());
-        let naive = hits.iter().filter(|h| candidate.is_subset(h)).count() as u64;
-
-        let mut ops = 0u64;
-        prop_assert_eq!(index.count_with_kernel(&cand, Kernel::Scalar, &mut ops), naive);
-        prop_assert_eq!(index.count_with_kernel(&cand, Kernel::Wide, &mut ops), naive);
-        prop_assert_eq!(index.count_with(&cand, &mut ops), naive);
-    }
-
     #[test]
     fn auditor_flags_any_tampered_count(
         instants in prop::collection::vec(prop::collection::vec(0u32..4, 0..3), 24..100),
