@@ -17,11 +17,12 @@ use ppm_core::hitset::derive::CountStrategy;
 use ppm_core::multi::{mine_periods_scheduled, PeriodRange};
 use ppm_core::vertical::incremental::IncrementalVerticalIndex;
 use ppm_core::{hitset, Engine, Kernel, MineConfig, MiningResult, Rows};
+use ppm_datagen::noise::add_spurious;
 use ppm_datagen::SyntheticSpec;
 use ppm_observe::{aggregate_phases, Collector, Json};
 use ppm_timeseries::columnar::{write_columnar, ColumnarReader};
 use ppm_timeseries::storage::{parse_series, render_series};
-use ppm_timeseries::{EncodedSeries, EncodedSeriesView, FeatureCatalog, FeatureSeries};
+use ppm_timeseries::{EncodedSeries, EncodedSeriesView, FeatureCatalog, FeatureId, FeatureSeries};
 
 /// How a measured value must compare with its bound.
 #[derive(Debug, Clone, Copy)]
@@ -171,6 +172,16 @@ fn spec(length: usize) -> SyntheticSpec {
     let mut spec = SyntheticSpec::table1(length, 30, 12, 24);
     spec.seed = 11;
     spec
+}
+
+/// `series` with one spurious feature added at every instant with
+/// probability 0.7. At min-conf 0.55 or 0.6 each of its `period` letters
+/// is frequent, so nearly every segment projects to its own distinct hit:
+/// the vertical index is as wide as one column per segment, the worst
+/// case for counting over distinct hits.
+fn noisy(series: &FeatureSeries) -> FeatureSeries {
+    let spurious = series.max_feature_id().map_or(0, |f| f.raw() + 1);
+    add_spurious(series, &[FeatureId::from_raw(spurious)], 0.7, 11)
 }
 
 /// One race workload: a generated series, its text, and the columnar
@@ -388,21 +399,43 @@ fn ingest_and_scheduler(
 }
 
 /// The scalar kernel, unsharded, against the wide kernel sharded over
-/// `threads`: per period each arm mines twice and keeps its faster
-/// `vertical.derive`; scalar over wide summed, floor 2. Some period must
-/// plan at least 2 shards (`vertical.shards`). The absolute time is the
-/// wide arm's.
+/// `threads` on the `noisy` store: per period each arm mines twice and
+/// keeps its faster `vertical.derive`; scalar over wide summed, floor 2.
+/// Some period must plan at least 2 shards (`vertical.shards`). The
+/// absolute time is the wide arm's. The `clean` store, whose segments
+/// repeat a few thousand distinct hits, is an identity arm only: both
+/// kernels must mine it to the same result.
 fn scalar_vs_wide(
-    view: EncodedSeriesView<'_>,
+    noisy: EncodedSeriesView<'_>,
+    clean: EncodedSeriesView<'_>,
     range: PeriodRange,
     config: &MineConfig,
     threads: usize,
 ) -> Result<Attempt, RaceError> {
+    let (mut scalar, mut wide) = (Vec::new(), Vec::new());
+    for period in range.iter().filter(|&p| p <= clean.len()) {
+        let scalar_config = config.with_kernel(Kernel::Scalar);
+        scalar.push(ppm_core::run(
+            Engine::Vertical,
+            clean,
+            period,
+            &scalar_config,
+            1,
+        )?);
+        wide.push(ppm_core::run(
+            Engine::Vertical,
+            clean,
+            period,
+            config,
+            threads,
+        )?);
+    }
+    same_results("scalar and wide+sharded (clean)", &scalar, &wide, true)?;
     let arm = |config: &MineConfig, threads: usize, period: usize| {
         let mut runs = Vec::new();
         for _ in 0..2 {
             let (result, c) =
-                observed(|| ppm_core::run(Engine::Vertical, view, period, config, threads));
+                observed(|| ppm_core::run(Engine::Vertical, noisy, period, config, threads));
             let shards = gauge(&c, "vertical.shards", 1);
             runs.push((result?, span_us(&c, "vertical.derive"), shards));
         }
@@ -410,7 +443,7 @@ fn scalar_vs_wide(
     };
     let (mut scalar, mut wide) = (Vec::new(), Vec::new());
     let (mut scalar_us, mut wide_us, mut shards) = (0, 0, 0);
-    for period in range.iter().filter(|&p| p <= view.len()) {
+    for period in range.iter().filter(|&p| p <= noisy.len()) {
         let (result, us, _) = arm(&config.with_kernel(Kernel::Scalar), 1, period)?;
         scalar.push(result);
         scalar_us += us;
@@ -422,7 +455,7 @@ fn scalar_vs_wide(
     same_results("scalar and wide+sharded", &scalar, &wide, true)?;
     if shards < 2 {
         return Err(RaceError::Invariant(
-            "the shard planner never split the wide workload".into(),
+            "the shard planner never split the noisy workload".into(),
         ));
     }
     Ok(Attempt {
@@ -512,8 +545,9 @@ fn incremental_vs_cold(
 }
 
 /// Runs every race against `baseline` on workloads it writes under `dir`
-/// (60 000 dense and 1.6M wide instants), with the attempt counts 3, 3,
-/// 4, 3, 3, printing each attempt and verdict. Each series is dropped once
+/// (60 000 dense and 1.6M wide instants, plus the wide series made
+/// `noisy`), with the attempt counts 3, 3, 4, 3, 3, printing each
+/// attempt and verdict. Each series is dropped once
 /// its races are done, so later races run in a smaller heap. Returns
 /// whether all of them passed.
 pub fn run_all(dir: &Path, baseline: &Baseline) -> Result<bool, RaceError> {
@@ -553,23 +587,28 @@ pub fn run_all(dir: &Path, baseline: &Baseline) -> Result<bool, RaceError> {
     );
     drop(dense);
     let wide = Workload::generate(dir, "wide", 1_600_000)?;
+    let noise = EncodedSeries::encode(&noisy(&wide.series));
     let encoded = EncodedSeries::encode(&wide.series);
     drop(wide.series);
     race(
-        "scalar vs wide+sharded kernel (wide, periods 28..=32)",
+        "scalar vs wide+sharded kernel (noisy wide, periods 28..=32; clean wide identity)",
         4,
         Some(baseline.wide_derive_us),
-        &mut || scalar_vs_wide(encoded.view(), PeriodRange::new(28, 32)?, &conf(0.35)?, 2),
+        &mut || {
+            let range = PeriodRange::new(28, 32)?;
+            scalar_vs_wide(noise.view(), encoded.view(), range, &conf(0.55)?, 2)
+        },
     );
     drop(encoded);
-    let reader = ColumnarReader::open(&wide.ppmc)?;
-    let plain = ppm_core::run(Engine::Vertical, reader.view(), 30, &conf(0.6)?, 1)?;
+    let plain = ppm_core::run(Engine::Vertical, noise.view(), 30, &conf(0.6)?, 1)?;
     race(
-        "one period sharded across the sweep pool (wide, period 30)",
+        "one period sharded across the sweep pool (noisy wide, period 30)",
         3,
         None,
-        &mut || remote_shards(reader.view(), 30, &conf(0.6)?, 8, &plain),
+        &mut || remote_shards(noise.view(), 30, &conf(0.6)?, 8, &plain),
     );
+    drop(noise);
+    let reader = ColumnarReader::open(&wide.ppmc)?;
     race(
         "incremental re-mine vs cold (wide, period 30, 100 appends)",
         3,
@@ -668,7 +707,7 @@ mod tests {
                 b.wide_derive_us,
                 b.incremental_median_us
             ),
-            (38_632, 88_734, 469)
+            (38_632, 234_647, 469)
         );
         assert!(Baseline::parse("{\"vertical_derive_us\": 1}").is_err());
     }
@@ -712,9 +751,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ppm-races-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let small = Workload::generate(&dir, "dense", 6_000).unwrap();
-        let (dense, wide) = (
+        let wide_series = spec(12_000).generate().series;
+        let (dense, wide, noise) = (
             EncodedSeries::encode(&small.series),
-            EncodedSeries::encode(&spec(12_000).generate().series),
+            EncodedSeries::encode(&wide_series),
+            EncodedSeries::encode(&noisy(&wide_series)),
         );
         let (c35, c6) = (
             MineConfig::new(0.35).unwrap(),
@@ -733,11 +774,11 @@ mod tests {
         let a = ingest_and_scheduler(&small.txt, &foreign, range, &c6, 2);
         assert!(matches!(a, Err(RaceError::Identity(_))), "{a:?}");
         // Too narrow to shard: the kernel race refuses to time it.
-        let a = scalar_vs_wide(wide.view(), range, &c35, 2);
+        let a = scalar_vs_wide(noise.view(), wide.view(), range, &c6, 2);
         assert!(matches!(a, Err(RaceError::Invariant(_))), "{a:?}");
-        let plain = ppm_core::run(Engine::Vertical, wide.view(), 30, &c6, 1).unwrap();
+        let plain = ppm_core::run(Engine::Vertical, noise.view(), 30, &c6, 1).unwrap();
         assert_eq!(
-            remote_shards(wide.view(), 30, &c6, 2, &plain)
+            remote_shards(noise.view(), 30, &c6, 2, &plain)
                 .unwrap()
                 .checks
                 .len(),

@@ -185,7 +185,8 @@ truncated .ppmstream.
 Engines: --engine picks the counting strategy ({engines}; default
 hitset). hitset is the paper's two-scan max-subpattern method; apriori is
 the level-wise Alg 3.1; vertical replaces the tree with per-letter
-segment bitmaps — counting a candidate is a k-way AND + popcount — and
+bitmaps over the distinct segment hits — counting a candidate is a k-way
+AND + weighted popcount — and
 with --threads N shards that derive across N threads; incremental is the
 vertical engine maintained as segments append (a cold vertical mine on a
 fixed input; live per store under ppm serve and mine --follow). Every

@@ -26,7 +26,8 @@ pub enum Engine {
     HitSet,
     /// Algorithm 3.1: level-wise Apriori, one scan per level.
     Apriori,
-    /// Per-letter segment bitmaps, AND + popcount per candidate; two scans.
+    /// Per-letter bitmaps over the distinct segment hits, one weight per
+    /// word; AND + weighted popcount per candidate; two scans.
     Vertical,
     /// The vertical engine maintained incrementally as segments append.
     /// Over a fixed input it is the cold vertical mine; a daemon keeps a
@@ -117,6 +118,42 @@ pub fn run<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ppm_timeseries::{FeatureId, FeatureSeries, MemorySource, SeriesBuilder, SeriesSource};
+
+    use crate::error::Error;
+    use crate::guard::ResourceGuard;
+    use crate::rows::Passes;
+
+    fn fid(i: u32) -> FeatureId {
+        FeatureId::from_raw(i)
+    }
+
+    /// A series whose segment hits vary, so the tree actually grows.
+    fn busy(n: usize) -> FeatureSeries {
+        let mut b = SeriesBuilder::new();
+        let mut x: u64 = 7;
+        for _ in 0..n {
+            let mut inst = Vec::new();
+            for f in 0..4u32 {
+                x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                if (x >> 33).is_multiple_of(2) {
+                    inst.push(fid(f));
+                }
+            }
+            b.push_instant(inst);
+        }
+        b.finish()
+    }
+
+    /// Mines `s` with `engine` over a fresh [`MemorySource`].
+    fn streamed(
+        engine: Engine,
+        s: &FeatureSeries,
+        period: usize,
+        config: &MineConfig,
+    ) -> Result<MiningResult> {
+        run(engine, &mut MemorySource::new(s), period, config, 1)
+    }
 
     #[test]
     fn names_round_trip_and_unknown_names_fail() {
@@ -136,5 +173,112 @@ mod tests {
             .filter(|e| !e.has_constant_scans())
             .collect();
         assert_eq!(varying, [Engine::Apriori]);
+    }
+
+    #[test]
+    fn streaming_hitset_equals_in_memory() {
+        let s = busy(400);
+        let config = MineConfig::new(0.2).unwrap();
+        let expect = crate::hitset::mine(&s, 8, &config).unwrap();
+        let mut src = MemorySource::new(&s);
+        let got = run(Engine::HitSet, &mut src, 8, &config, 1).unwrap();
+        assert_eq!(got.frequent, expect.frequent);
+        assert_eq!(got.stats, expect.stats);
+        assert_eq!(src.scans_performed(), 2);
+    }
+
+    #[test]
+    fn streaming_apriori_equals_in_memory() {
+        let s = busy(400);
+        let config = MineConfig::new(0.2).unwrap();
+        let expect = crate::apriori::mine(&s, 8, &config).unwrap();
+        let mut src = MemorySource::new(&s);
+        let got = run(Engine::Apriori, &mut src, 8, &config, 1).unwrap();
+        assert_eq!(got.frequent, expect.frequent);
+        assert_eq!(got.stats, expect.stats);
+        assert_eq!(src.scans_performed(), expect.stats.series_scans);
+    }
+
+    #[test]
+    fn scan1_matches_in_memory() {
+        let s = busy(300);
+        let config = MineConfig::new(0.4).unwrap();
+        let expect = crate::scan::scan_frequent_letters(&s, 5, &config).unwrap();
+        let mut src = MemorySource::new(&s);
+        let source: &mut dyn SeriesSource = &mut src;
+        let mut passes = Passes::new(source.into(), ResourceGuard::unlimited(), "test.segments");
+        let scan1 = passes.scan1(5, &config).unwrap();
+        assert_eq!(scan1.alphabet, expect.alphabet);
+        assert_eq!(scan1.letter_counts, expect.letter_counts);
+        assert_eq!(scan1.segment_count, expect.segment_count);
+        assert_eq!(src.scans_performed(), 1);
+    }
+
+    #[test]
+    fn streaming_incremental_equals_in_memory() {
+        // Over a source, as over fixed rows, the incremental engine is
+        // the cold vertical mine: two passes.
+        let s = busy(400);
+        let config = MineConfig::new(0.2).unwrap();
+        let expect = crate::vertical::mine_vertical(&s, 8, &config).unwrap();
+        for engine in [Engine::Vertical, Engine::Incremental] {
+            let mut src = MemorySource::new(&s);
+            let got = run(engine, &mut src, 8, &config, 1).unwrap();
+            assert_eq!(got.frequent, expect.frequent, "{engine}");
+            assert_eq!(got.stats, expect.stats, "{engine}");
+            assert_eq!(src.scans_performed(), 2, "{engine}");
+        }
+    }
+
+    #[test]
+    fn rejects_bad_period() {
+        let s = busy(10);
+        let config = MineConfig::default();
+        for engine in Engine::ALL {
+            let mut src = MemorySource::new(&s);
+            assert!(run(engine, &mut src, 0, &config, 1).is_err());
+            assert!(run(engine, &mut src, 11, &config, 1).is_err());
+            assert_eq!(src.scans_performed(), 0, "{engine}");
+        }
+    }
+
+    #[test]
+    fn streaming_tree_budget_aborts_with_partial_stats() {
+        let s = busy(400);
+        let config = MineConfig::new(0.2).unwrap().with_max_tree_nodes(2);
+        let in_memory = crate::hitset::mine(&s, 8, &config).unwrap_err();
+        let err = streamed(Engine::HitSet, &s, 8, &config).unwrap_err();
+        match err {
+            Error::TreeBudgetExceeded {
+                nodes,
+                budget,
+                stats,
+            } => {
+                assert_eq!(budget, 2);
+                assert!(nodes > 2);
+                assert!(stats.hit_insertions >= 1);
+                // The muted scan 2 ran to the end, so it completed; in
+                // memory the pass stopped at the abort.
+                assert_eq!(stats.series_scans, 2);
+                let mut expect = in_memory.partial_stats().unwrap().clone();
+                assert_eq!(expect.series_scans, 1);
+                expect.series_scans = 2;
+                assert_eq!(*stats, expect, "same partial tree on both inputs");
+            }
+            other => panic!("expected TreeBudgetExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn streaming_zero_deadline_aborts() {
+        let s = busy(400);
+        let config = MineConfig::new(0.2)
+            .unwrap()
+            .with_deadline(std::time::Duration::ZERO);
+        for engine in Engine::ALL {
+            let err = streamed(engine, &s, 8, &config).unwrap_err();
+            assert!(matches!(err, Error::DeadlineExceeded { .. }), "got {err:?}");
+            assert_eq!(err.partial_stats().unwrap().series_scans, 1, "{engine}");
+        }
     }
 }

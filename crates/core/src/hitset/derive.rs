@@ -20,9 +20,9 @@
 //! * [`CountStrategy::LinearScan`] — a flat pass over the distinct hits
 //!   with one bitset subset test each.
 //!
-//! The columnar alternative — per-letter segment bitmaps counted by
-//! word-wide AND + popcount — is the vertical engine ([`crate::vertical`]),
-//! which builds its bitmaps in scan 2 instead of a tree.
+//! The columnar alternative — per-letter bitmaps over the distinct hits,
+//! counted by word-wide AND + weighted popcount — is the vertical engine
+//! ([`crate::vertical`]), which lays them out in scan 2 instead of a tree.
 
 use crate::apriori::join_candidates;
 use crate::hitset::tree::MaxSubpatternTree;

@@ -264,7 +264,7 @@ impl LetterSet {
 
     /// The set's backing words (an inline set reads as a 1-word slice).
     #[inline]
-    fn words(&self) -> &[u64] {
+    pub(crate) fn words(&self) -> &[u64] {
         match &self.words {
             Words::Inline(w) => std::slice::from_ref(w),
             Words::Heap(b) => b,

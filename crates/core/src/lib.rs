@@ -18,8 +18,7 @@
 //! vertical bitmap engine and its incremental form) and [`run`] mines one
 //! period with any of them, from any [`Input`]: a series or bitmap view
 //! held in memory ([`Rows`]), or a [`SeriesSource`] such as a
-//! disk-resident `.ppmstream` file, re-scanned on every pass (paper §5;
-//! [`streaming`] adds the resumable hit-set miner).
+//! disk-resident `.ppmstream` file, re-scanned on every pass (paper §5).
 //!
 //! [`SeriesSource`]: ppm_timeseries::SeriesSource
 //!
@@ -83,7 +82,6 @@ pub mod perfect;
 pub mod perturb;
 pub mod rules;
 pub mod stats;
-pub mod streaming;
 pub mod vertical;
 
 pub use engine::{run, Engine};

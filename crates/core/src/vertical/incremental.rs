@@ -48,7 +48,7 @@ use crate::result::{FrequentPattern, MiningResult};
 use crate::scan::{MineConfig, Scan1};
 use crate::stats::MiningStats;
 
-use super::kernel::{count_dispatch_cached, Kernel, PrefixCache, BLOCK_WORDS};
+use super::kernel::{count_dispatch_cached, Kernel, PrefixCache, Unit, BLOCK_WORDS};
 
 /// Counts incremented by one level's worth of candidate classification,
 /// reported as gauges after each re-derive.
@@ -227,13 +227,6 @@ impl IncrementalVerticalIndex {
     /// move as long as `min_count` itself did not).
     pub fn max_dirty_letter_count(&self) -> Option<u64> {
         self.dirty_rows.iter().map(|&r| self.row_counts[r]).max()
-    }
-
-    /// Whether `(offset, feature)` changed since the last derive.
-    pub fn letter_dirty(&self, offset: usize, feature: FeatureId) -> bool {
-        self.letter_ids
-            .get(&(offset as u32, feature.raw()))
-            .is_some_and(|r| self.dirty_rows.contains(r))
     }
 
     /// The ring slot of global segment `j`.
@@ -635,6 +628,7 @@ impl IncrementalVerticalIndex {
                         counts[i] += count_dispatch_cached(
                             kernel,
                             &self.rows,
+                            Unit,
                             &bases[d],
                             block..hi,
                             and_ops,
@@ -663,6 +657,7 @@ impl IncrementalVerticalIndex {
                     counts[i] += count_dispatch_cached(
                         kernel,
                         &self.rows,
+                        Unit,
                         &bases[f],
                         block..hi,
                         and_ops,

@@ -1,10 +1,14 @@
 //! The AND+popcount counting kernels.
 //!
-//! A candidate's frequency against a [`VerticalIndex`](super::VerticalIndex)
-//! is a k-way AND over `⌈m/64⌉` words followed by a plain popcount —
-//! every column counts 1. Those word operations dominate the whole derive
-//! phase on dense workloads, so this module provides two interchangeable
-//! kernels:
+//! A candidate's frequency is a k-way AND over a word range of its letter
+//! rows followed by a popcount of each word, times that word's weight.
+//! The cold [`VerticalIndex`](super::VerticalIndex) lays out each
+//! distinct hit once and weights every word by the multiplicity its
+//! columns share; the incremental index keeps one column per segment and
+//! counts every word once. The kernels take the weights as runs of words
+//! that share one, tally each run unweighted and multiply once. Those
+//! word operations dominate the whole derive phase on dense workloads,
+//! so this module provides two interchangeable kernels:
 //!
 //! * **scalar** — one word at a time with an early exit as soon as the
 //!   accumulator goes to zero; the reference implementation every other
@@ -20,8 +24,8 @@
 //!   autovectorizer makes of them.
 //!
 //! Both kernels count over an arbitrary word *range*, which is what makes
-//! the segment axis shardable (see [`super::shard`]): disjoint ranges sum
-//! exactly.
+//! the word axis shardable (see [`super::shard`]): disjoint ranges sum
+//! exactly, because every weight is a property of its word.
 //!
 //! The per-candidate letter walk that used to `collect()` into a heap
 //! `Vec` per candidate now lands in a fixed inline buffer
@@ -119,12 +123,53 @@ impl RowBases {
     }
 }
 
+/// The multiplicity each word's set bits count with, handed out in runs
+/// of words that share one weight. A weight belongs to its word, never
+/// to the range that counts it, so word-range partials still sum
+/// exactly; the kernels tally each run unweighted and multiply once.
+pub(crate) trait Weights: Copy {
+    /// The weight of word `w`, and the end of the run of words from `w`
+    /// that carry it, capped at `end`.
+    fn run(self, w: usize, end: usize) -> (u64, usize);
+}
+
+/// Every column counts once: the incremental index's one column per
+/// segment. The whole range is one run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Unit;
+
+impl Weights for Unit {
+    #[inline]
+    fn run(self, _: usize, end: usize) -> (u64, usize) {
+        (1, end)
+    }
+}
+
+/// One word of the cold index's weight layout: the multiplicity of its
+/// columns, the end of its equal-weight run, and how many columns it
+/// holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct WordWeight {
+    pub(crate) weight: u64,
+    pub(crate) run_end: u32,
+    pub(crate) fill: u32,
+}
+
+impl Weights for &[WordWeight] {
+    #[inline]
+    fn run(self, w: usize, end: usize) -> (u64, usize) {
+        let word = self[w];
+        (word.weight, (word.run_end as usize).min(end))
+    }
+}
+
 /// The scalar reference kernel over words `range`: one word at a time,
-/// breaking out of the AND chain as soon as the accumulator is zero.
-/// `bases` must be non-empty (the empty pattern is the caller's
-/// special case).
-pub(crate) fn count_scalar(
+/// breaking out of the AND chain as soon as the accumulator is zero; each
+/// weight run's popcount is multiplied by its weight. `bases` must be
+/// non-empty (the empty pattern is the caller's special case).
+pub(crate) fn count_scalar<W: Weights>(
     words: &[u64],
+    weights: W,
     bases: &[usize],
     range: Range<usize>,
     and_ops: &mut u64,
@@ -132,17 +177,24 @@ pub(crate) fn count_scalar(
     debug_assert!(!bases.is_empty());
     let (&first, rest) = bases.split_first().expect("non-empty candidate");
     let mut total = 0u64;
-    for w in range {
-        let mut acc = words[first + w];
-        *and_ops += 1;
-        for &base in rest {
-            if acc == 0 {
-                break;
-            }
-            acc &= words[base + w];
+    let mut w = range.start;
+    while w < range.end {
+        let (weight, end) = weights.run(w, range.end);
+        let mut bits = 0u64;
+        for w in w..end {
+            let mut acc = words[first + w];
             *and_ops += 1;
+            for &base in rest {
+                if acc == 0 {
+                    break;
+                }
+                acc &= words[base + w];
+                *and_ops += 1;
+            }
+            bits += u64::from(acc.count_ones());
         }
-        total += u64::from(acc.count_ones());
+        total += weight * bits;
+        w = end;
     }
     total
 }
@@ -205,17 +257,31 @@ impl HarleySeal {
     }
 }
 
-/// The wide kernel over words `range`: [`LANES`]-word unrolled blocks of
-/// branch-free AND lanes (auto-vectorized), a whole-block skip once the
-/// OR of all lanes reaches zero, and a deferred [`HarleySeal`] tally;
-/// the sub-block tail falls back to [`count_scalar`]. Counts are exactly
-/// [`count_scalar`]'s — only the operation order differs.
-pub(crate) fn count_wide(
+/// The wide kernel over words `range`: each weight run is counted by
+/// [`count_wide_run`] and multiplied by its weight once. Counts are
+/// exactly [`count_scalar`]'s — only the operation order differs.
+pub(crate) fn count_wide<W: Weights>(
     words: &[u64],
+    weights: W,
     bases: &[usize],
     range: Range<usize>,
     and_ops: &mut u64,
 ) -> u64 {
+    let mut total = 0u64;
+    let mut w = range.start;
+    while w < range.end {
+        let (weight, end) = weights.run(w, range.end);
+        total += weight * count_wide_run(words, bases, w..end, and_ops);
+        w = end;
+    }
+    total
+}
+
+/// The unweighted wide count over words `range`: [`LANES`]-word unrolled
+/// blocks of branch-free AND lanes (auto-vectorized), a whole-block skip
+/// once the OR of all lanes reaches zero, and a deferred [`HarleySeal`]
+/// tally; the sub-block tail falls back to [`count_scalar`].
+fn count_wide_run(words: &[u64], bases: &[usize], range: Range<usize>, and_ops: &mut u64) -> u64 {
     debug_assert!(!bases.is_empty());
     let (&first, rest) = bases.split_first().expect("non-empty candidate");
     let mut hs = HarleySeal::default();
@@ -278,23 +344,24 @@ pub(crate) fn count_wide(
     }
     let mut total = hs.finish();
     if w < range.end {
-        total += count_scalar(words, bases, w..range.end, and_ops);
+        total += count_scalar(words, Unit, bases, w..range.end, and_ops);
     }
     total
 }
 
 /// Dispatches one candidate count over `range` to the chosen kernel.
 #[inline]
-pub(crate) fn count_dispatch(
+pub(crate) fn count_dispatch<W: Weights>(
     kernel: Kernel,
     words: &[u64],
+    weights: W,
     bases: &[usize],
     range: Range<usize>,
     and_ops: &mut u64,
 ) -> u64 {
     match kernel {
-        Kernel::Scalar => count_scalar(words, bases, range, and_ops),
-        Kernel::Wide => count_wide(words, bases, range, and_ops),
+        Kernel::Scalar => count_scalar(words, weights, bases, range, and_ops),
+        Kernel::Wide => count_wide(words, weights, bases, range, and_ops),
     }
 }
 
@@ -362,8 +429,9 @@ impl PrefixCache {
 /// reassociation; the bit-identity proptests pin this path against both
 /// plain kernels. `and_ops` meters rows actually ANDed (cache hits cost
 /// nothing), so it also measures what the memo saves.
-pub(crate) fn count_wide_prefixed(
+pub(crate) fn count_wide_prefixed<W: Weights>(
     words: &[u64],
+    weights: W,
     bases: &[usize],
     range: Range<usize>,
     and_ops: &mut u64,
@@ -375,7 +443,7 @@ pub(crate) fn count_wide_prefixed(
     if prefix.len() < 2 {
         // Arity 1–2: the "prefix" is at most one row, so the memo saves
         // nothing over the fused first-AND pass.
-        return count_wide(words, bases, range, and_ops);
+        return count_wide(words, weights, bases, range, and_ops);
     }
     let n = range.len();
     debug_assert!(n <= BLOCK_WORDS, "blocked callers never exceed BLOCK_WORDS");
@@ -409,28 +477,34 @@ pub(crate) fn count_wide_prefixed(
     let row = &words[last + range.start..last + range.end];
     let pre = &cache.store[(depth - 1) * BLOCK_WORDS..(depth - 1) * BLOCK_WORDS + n];
     *and_ops += n as u64;
-    let mut hs = HarleySeal::default();
+    let mut total = 0u64;
     let mut i = 0usize;
-    while i + LANES <= n {
-        let a: &[u64; LANES] = pre[i..i + LANES].try_into().expect("lane block");
-        let b: &[u64; LANES] = row[i..i + LANES].try_into().expect("lane block");
-        let mut acc = [0u64; LANES];
-        for j in 0..LANES {
-            acc[j] = a[j] & b[j];
-        }
-        let mut any = 0u64;
-        for &lane in &acc {
-            any |= lane;
-        }
-        if any != 0 {
-            hs.feed(&acc);
-        }
-        i += LANES;
-    }
-    let mut total = hs.finish();
     while i < n {
-        total += u64::from((pre[i] & row[i]).count_ones());
-        i += 1;
+        let (weight, end) = weights.run(range.start + i, range.end);
+        let end = end - range.start;
+        let mut hs = HarleySeal::default();
+        while i + LANES <= end {
+            let a: &[u64; LANES] = pre[i..i + LANES].try_into().expect("lane block");
+            let b: &[u64; LANES] = row[i..i + LANES].try_into().expect("lane block");
+            let mut acc = [0u64; LANES];
+            for j in 0..LANES {
+                acc[j] = a[j] & b[j];
+            }
+            let mut any = 0u64;
+            for &lane in &acc {
+                any |= lane;
+            }
+            if any != 0 {
+                hs.feed(&acc);
+            }
+            i += LANES;
+        }
+        let mut bits = hs.finish();
+        while i < end {
+            bits += u64::from((pre[i] & row[i]).count_ones());
+            i += 1;
+        }
+        total += weight * bits;
     }
     total
 }
@@ -440,17 +514,18 @@ pub(crate) fn count_wide_prefixed(
 /// prefix ANDs across sibling candidates. The scalar kernel ignores the
 /// cache — it stays the plain per-candidate reference.
 #[inline]
-pub(crate) fn count_dispatch_cached(
+pub(crate) fn count_dispatch_cached<W: Weights>(
     kernel: Kernel,
     words: &[u64],
+    weights: W,
     bases: &[usize],
     range: Range<usize>,
     and_ops: &mut u64,
     cache: &mut PrefixCache,
 ) -> u64 {
     match kernel {
-        Kernel::Scalar => count_scalar(words, bases, range, and_ops),
-        Kernel::Wide => count_wide_prefixed(words, bases, range, and_ops, cache),
+        Kernel::Scalar => count_scalar(words, weights, bases, range, and_ops),
+        Kernel::Wide => count_wide_prefixed(words, weights, bases, range, and_ops, cache),
     }
 }
 
@@ -505,8 +580,8 @@ mod tests {
         for range in [0..37, 0..8, 3..13, 8..16, 5..37, 17..23, 36..37, 12..12] {
             let mut ops_a = 0u64;
             let mut ops_b = 0u64;
-            let a = count_scalar(&store, &bases, range.clone(), &mut ops_a);
-            let b = count_wide(&store, &bases, range.clone(), &mut ops_b);
+            let a = count_scalar(&store, Unit, &bases, range.clone(), &mut ops_a);
+            let b = count_wide(&store, Unit, &bases, range.clone(), &mut ops_b);
             assert_eq!(a, b, "range {range:?}");
         }
     }
@@ -536,8 +611,9 @@ mod tests {
             for bases in &cands {
                 let mut ops_a = 0u64;
                 let mut ops_b = 0u64;
-                let a = count_scalar(&store, bases, block.clone(), &mut ops_a);
-                let b = count_wide_prefixed(&store, bases, block.clone(), &mut ops_b, &mut cache);
+                let a = count_scalar(&store, Unit, bases, block.clone(), &mut ops_a);
+                let b =
+                    count_wide_prefixed(&store, Unit, bases, block.clone(), &mut ops_b, &mut cache);
                 assert_eq!(a, b, "bases {bases:?} block {block:?}");
             }
         }
@@ -553,6 +629,7 @@ mod tests {
         let mut ops = 0u64;
         count_wide_prefixed(
             &store,
+            Unit,
             &[0, wpr, 2 * wpr, 3 * wpr],
             0..wpr,
             &mut ops,
@@ -562,6 +639,7 @@ mod tests {
         ops = 0;
         count_wide_prefixed(
             &store,
+            Unit,
             &[0, wpr, 2 * wpr, 4 * wpr],
             0..wpr,
             &mut ops,
@@ -582,8 +660,8 @@ mod tests {
         }
         let bases = [0, wpr];
         let mut ops = 0u64;
-        assert_eq!(count_scalar(&store, &bases, 0..wpr, &mut ops), 0);
-        assert_eq!(count_wide(&store, &bases, 0..wpr, &mut ops), 0);
+        assert_eq!(count_scalar(&store, Unit, &bases, 0..wpr, &mut ops), 0);
+        assert_eq!(count_wide(&store, Unit, &bases, 0..wpr, &mut ops), 0);
     }
 
     #[test]
@@ -592,10 +670,10 @@ mod tests {
         let store = words(2 * wpr, 9);
         let bases = [0, wpr];
         let mut ops = 0u64;
-        let whole = count_wide(&store, &bases, 0..wpr, &mut ops);
+        let whole = count_wide(&store, Unit, &bases, 0..wpr, &mut ops);
         let parts: u64 = [0..5, 5..8, 8..40, 40..41]
             .into_iter()
-            .map(|r| count_wide(&store, &bases, r, &mut ops))
+            .map(|r| count_wide(&store, Unit, &bases, r, &mut ops))
             .sum();
         assert_eq!(whole, parts);
     }

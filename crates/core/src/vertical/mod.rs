@@ -2,28 +2,37 @@
 //!
 //! The hit-set method (paper Algorithm 3.2) pays for its two-scan guarantee
 //! in the derivation phase: one pruned trie traversal per Apriori
-//! candidate. This module transposes that work. During scan 2 it
-//! materializes, for each frequent letter, a **segment bitmap** — bit `j`
-//! set iff whole segment `j` contains the letter — so the frequency of any
-//! k-letter candidate is a k-way AND over `⌈m/64⌉` words followed by a
-//! popcount. The frequent set is identical to the hit-set and Apriori
-//! miners' (Property 3.1 is independent of how counting is done); only the
-//! counting substrate changes.
+//! candidate. This module transposes that work. Scan 2 folds each
+//! segment's hit into a multiset of **distinct hits** (no tree), and lays
+//! them out as columns of per-letter bitmaps: bit `c` of a letter's row is
+//! set iff distinct hit `c` contains the letter. Columns are sorted by
+//! multiplicity and each equal-multiplicity group starts on a word
+//! boundary, so every word carries one weight, and the frequency of any
+//! k-letter candidate is a k-way AND per word followed by a popcount
+//! times that word's weight. The frequent set is identical to the hit-set
+//! and Apriori miners' (Property 3.1 is independent of how counting is
+//! done); only the counting substrate changes.
 //!
-//! Every column is one segment and counts 1, so each kernel is a plain
-//! AND followed by a popcount. The AND+popcount itself runs on an
-//! 8-word unrolled wide kernel the autovectorizer turns into SIMD; the
-//! scalar reference loop it must match bit for bit stays selectable
-//! through [`MineConfig::with_kernel`](crate::MineConfig::with_kernel)
-//! for the audit and the bit-identity tests (see [`kernel`]). Candidates
-//! are counted a whole derivation level at a time against cache-sized
-//! blocks of the bitmaps, and on large stores the word axis shards into
-//! subtasks other threads can steal ([`shard`]).
+//! Distinct hits are what the paper's §3.1.2 counts from: on the Table-1
+//! workload a period-30 mine over 53 333 segments sees about 4 100 of
+//! them, so a row is ~112 words instead of 834. On noisy data where nearly
+//! every segment is its own hit the layout degrades to one weight-1 group
+//! — one column per segment, as a plain segment bitmap would be.
 //!
-//! Memory: `n_L` bitmaps of `m` bits — `n_L · m / 8` bytes, reported via
-//! the `vertical.bitmap_bytes` gauge. For the alphabet sizes the paper
-//! works with this is a few words per segment, far below the series
-//! itself.
+//! The AND+popcount itself runs on an 8-word unrolled wide kernel the
+//! autovectorizer turns into SIMD; the scalar reference loop it must
+//! match bit for bit stays selectable through
+//! [`MineConfig::with_kernel`](crate::MineConfig::with_kernel) for the
+//! audit and the bit-identity tests (see [`kernel`]). Candidates are
+//! counted a whole derivation level at a time against cache-sized blocks
+//! of the bitmaps, and on wide indexes the word axis shards into subtasks
+//! other threads can steal ([`shard`]). The incremental index
+//! ([`incremental`]) keeps one column per segment instead, because it
+//! updates columns in place as segments append and evict.
+//!
+//! Memory: `n_L` rows of one bit per distinct hit plus one weight per
+//! word, reported via the `vertical.bitmap_bytes` gauge next to
+//! `vertical.distinct_hits` and `vertical.words_per_row`.
 
 pub mod incremental;
 pub mod kernel;
@@ -44,11 +53,66 @@ use crate::scan::{MineConfig, Scan1};
 use crate::stats::MiningStats;
 
 pub use kernel::Kernel;
-use kernel::{count_dispatch, count_dispatch_cached, PrefixCache, RowBases, BLOCK_WORDS};
+use kernel::{
+    count_dispatch, count_dispatch_cached, PrefixCache, RowBases, WordWeight, BLOCK_WORDS,
+};
 pub use shard::{count_sharded, ShardExecutor, ShardedCounter, ThreadedExecutor};
 
-/// Per-letter column bitmaps: bit `j` of a letter's row is set iff
-/// column `j` (one whole period segment) contains the letter.
+/// Folds hits of `stride` words each, laid end to end in `hits`, into
+/// the distinct hits and their multiplicities: `(keys, counts)`, key `i`
+/// being `keys[i * stride..(i + 1) * stride]`, in first-seen order. Open
+/// addressing, hashed by a multiplicative fold of each hit's words — no
+/// tree, no SipHash, no allocation per hit — over a probe table of at
+/// least twice as many slots as hits, so it never fills past half.
+fn count_hits(hits: &[u64], stride: usize) -> (Vec<u64>, Vec<u64>) {
+    let mut keys = Vec::new();
+    let mut counts: Vec<u64> = Vec::new();
+    // 0 is an empty slot, else a key index + 1.
+    let mut slots = vec![0u32; (2 * (hits.len() / stride)).next_power_of_two().max(64)];
+    let mask = slots.len() - 1;
+    let shift = 64 - slots.len().trailing_zeros();
+    for key in hits.chunks_exact(stride) {
+        let mut h = 0u64;
+        for &w in key {
+            h = (h.rotate_left(23) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+        // The top bits of the Fibonacci-multiplied fold pick the home slot.
+        let mut at = (h >> shift) as usize;
+        loop {
+            match slots[at] {
+                0 => {
+                    let id = u32::try_from(counts.len() + 1);
+                    slots[at] = id.expect("fewer than 2^32 distinct hits");
+                    keys.extend_from_slice(key);
+                    counts.push(1);
+                    break;
+                }
+                slot => {
+                    let i = slot as usize - 1;
+                    let stored = &keys[i * stride..(i + 1) * stride];
+                    if stored.iter().zip(key).all(|(a, b)| a == b) {
+                        counts[i] += 1;
+                        break;
+                    }
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+    (keys, counts)
+}
+
+/// Per-letter bitmaps over the **distinct hits** of a segment pass: each
+/// column is one distinct hit, bit `c` of a letter's row is set iff hit
+/// `c` contains the letter, and every word carries the one multiplicity
+/// its columns share.
+///
+/// Columns are sorted by multiplicity, and each group of equal
+/// multiplicity starts on a word boundary, so one weight per word is
+/// exact and weights never increase along a row. A pattern's count is
+/// `Σ_w weight[w] · popcount(AND of its rows at word w)` — the hit-set
+/// method's recovery of every count from the max-subpattern hits (paper
+/// §3.1.2), answered by AND + popcount instead of a tree walk.
 #[derive(Debug, Clone)]
 pub struct VerticalIndex {
     n_letters: usize,
@@ -56,63 +120,159 @@ pub struct VerticalIndex {
     words_per_row: usize,
     /// Row-major: `words[letter * words_per_row + w]`.
     words: Vec<u64>,
+    /// Per word: the multiplicity of its columns, the end of its
+    /// equal-weight run and its column count (64 except at a group's
+    /// end).
+    weights: Vec<WordWeight>,
+    /// The counts of the empty pattern and of each single letter over
+    /// the whole multiset, which includes hits too short to lay out.
+    segments: u64,
+    letter_totals: Vec<u64>,
 }
 
 impl VerticalIndex {
-    /// An all-zero index of `n_letters` rows over `n_columns` columns.
-    pub(crate) fn with_columns(n_letters: usize, n_columns: usize) -> Self {
-        let words_per_row = n_columns.div_ceil(64);
+    /// Lays out hit `i` — words `keys[i * stride..(i + 1) * stride]` of
+    /// its letter set, multiplicity `counts[i]` — as count-sorted,
+    /// word-aligned groups, each group in hit order. `segments` and
+    /// `letter_totals` answer the patterns of fewer than two letters.
+    fn lay_out(
+        n_letters: usize,
+        stride: usize,
+        keys: &[u64],
+        counts: &[u64],
+        segments: u64,
+        letter_totals: Vec<u64>,
+    ) -> Self {
+        // Column order: stable by descending count, so on noisy data the
+        // one weight-1 group keeps first-seen (segment) order.
+        let mut order: Vec<usize> = (0..counts.len()).filter(|&i| counts[i] > 0).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(counts[i]));
+        let mut weights = Vec::new();
+        // (first column, columns) of every 64-column chunk, in word order.
+        let mut chunks = Vec::new();
+        let mut start = 0;
+        while start < order.len() {
+            let weight = counts[order[start]];
+            let len = order[start..]
+                .iter()
+                .take_while(|&&i| counts[i] == weight)
+                .count();
+            for at in (start..start + len).step_by(64) {
+                let n = (start + len - at).min(64);
+                chunks.push((at, n));
+                weights.push(WordWeight {
+                    weight,
+                    run_end: 0,
+                    fill: n as u32,
+                });
+            }
+            start += len;
+        }
+        let words_per_row = weights.len();
+        // Runs are maximal spans of one weight, read off the words.
+        let mut run_end = words_per_row;
+        for w in (0..words_per_row).rev() {
+            if w + 1 < words_per_row && weights[w + 1].weight != weights[w].weight {
+                run_end = w + 1;
+            }
+            weights[w].run_end = run_end as u32;
+        }
+        let mut words = vec![0u64; n_letters * words_per_row];
+        // Each chunk of up to 64 hits is a 64×64 bit matrix per key word;
+        // its transpose is the chunk's word of 64 letter rows at once.
+        let mut block = [0u64; 64];
+        for (w, &(at, n)) in chunks.iter().enumerate() {
+            for (kw, first_letter) in (0..n_letters).step_by(64).enumerate() {
+                block.fill(0);
+                for (row, &i) in block.iter_mut().zip(&order[at..at + n]) {
+                    *row = keys[i * stride + kw];
+                }
+                transpose64(&mut block);
+                for (letter, &bits) in (first_letter..n_letters).zip(&block) {
+                    words[letter * words_per_row + w] = bits;
+                }
+            }
+        }
         VerticalIndex {
             n_letters,
-            n_columns,
+            n_columns: order.len(),
             words_per_row,
-            words: vec![0u64; n_letters * words_per_row],
+            words,
+            weights,
+            segments,
+            letter_totals,
         }
     }
 
-    /// Builds an index directly from explicit column letter-sets — the
-    /// constructor the kernel and shard tests use to fabricate arbitrary
-    /// geometries (column counts straddling word boundaries, …).
+    /// Builds an index over an explicit multiset of hits — `(letter set,
+    /// multiplicity)` pairs, duplicates allowed — the constructor the
+    /// kernel and shard tests use to fabricate arbitrary group
+    /// geometries.
+    ///
+    /// # Panics
+    /// Panics if a hit's universe differs from `n_letters`.
+    pub fn from_hits(n_letters: usize, hits: &[(LetterSet, u64)]) -> Self {
+        let mut segments = 0;
+        let mut letter_totals = vec![0u64; n_letters];
+        let mut keys = Vec::new();
+        for (set, count) in hits {
+            assert_eq!(set.universe(), n_letters, "hit universe mismatch");
+            segments += count;
+            for letter in set.iter() {
+                letter_totals[letter] += count;
+            }
+            keys.extend_from_slice(set.words());
+        }
+        let counts: Vec<u64> = hits.iter().map(|&(_, count)| count).collect();
+        let stride = n_letters.div_ceil(64).max(1);
+        Self::lay_out(n_letters, stride, &keys, &counts, segments, letter_totals)
+    }
+
+    /// [`Self::from_hits`] with every column counting once: one weight-1
+    /// group of `columns.len()` columns.
     ///
     /// # Panics
     /// Panics if a column's universe differs from `n_letters`.
     pub fn from_columns(n_letters: usize, columns: &[LetterSet]) -> Self {
-        let mut index = Self::with_columns(n_letters, columns.len());
-        for (col, set) in columns.iter().enumerate() {
-            assert_eq!(set.universe(), n_letters, "column universe mismatch");
-            for letter in set.iter() {
-                index.set(letter, col);
-            }
-        }
-        index
+        let hits: Vec<(LetterSet, u64)> = columns.iter().map(|set| (set.clone(), 1)).collect();
+        Self::from_hits(n_letters, &hits)
     }
 
-    /// Sets bit `col` in `letter`'s bitmap.
-    #[inline]
-    fn set(&mut self, letter: usize, col: usize) {
-        self.words[letter * self.words_per_row + col / 64] |= 1u64 << (col % 64);
-    }
-
-    /// Scan 2 of the vertical engine: one segment pass building every
-    /// letter's segment bitmap. The pass polls the deadline; an abort
+    /// Scan 2 of the vertical engine: one segment pass collecting every
+    /// hit of at least two letters, folded into the distinct-hit multiset
+    /// and laid out. Shorter hits cannot contain a derive candidate, and
+    /// scan 1 already counted them. The pass polls the deadline; an abort
     /// carries `stats` as partial progress.
     pub(crate) fn from_segments(
         passes: &mut Passes<'_>,
         scan1: &Scan1,
         stats: &mut MiningStats,
     ) -> Result<Self> {
-        let mut index = Self::with_columns(scan1.alphabet.len(), scan1.segment_count);
-        let flow = passes.segments(scan1, |j, hit| {
-            for letter in hit.iter() {
-                index.set(letter, j);
+        let n_letters = scan1.alphabet.len();
+        let stride = n_letters.div_ceil(64).max(1);
+        // The pass only appends, so it stays a sequential stream; the
+        // random-access counting runs after it, in cache.
+        let mut seen = Vec::with_capacity(scan1.segment_count * stride);
+        let flow = passes.segments(scan1, |_, hit| {
+            if hit.len() >= 2 {
+                seen.extend_from_slice(hit.words());
             }
             ControlFlow::Continue(())
         })?;
         passes.settle(flow, stats)?;
-        Ok(index)
+        let (keys, counts) = count_hits(&seen, stride);
+        drop(seen);
+        Ok(Self::lay_out(
+            n_letters,
+            stride,
+            &keys,
+            &counts,
+            scan1.segment_count as u64,
+            scan1.letter_counts.clone(),
+        ))
     }
 
-    /// The number of columns whose pattern is a superpattern of `p` —
+    /// The number of segments whose hit is a superpattern of `p` —
     /// i.e. `p`'s frequency count — on the wide kernel.
     pub fn count(&self, p: &LetterSet) -> u64 {
         self.count_with_kernel(p, Kernel::Wide, &mut 0)
@@ -120,16 +280,24 @@ impl VerticalIndex {
 
     /// [`Self::count`] on an explicitly chosen kernel, accumulating the
     /// word-level AND operations into `and_ops` — the entry point the
-    /// bit-identity tests drive.
+    /// bit-identity tests drive. A pattern of fewer than two letters is
+    /// answered from the multiset's totals.
     pub fn count_with_kernel(&self, p: &LetterSet, kernel: Kernel, and_ops: &mut u64) -> u64 {
         debug_assert_eq!(p.universe(), self.n_letters);
-        let bases = RowBases::from_pattern(p, self.words_per_row);
-        let slice = bases.as_slice();
-        if slice.is_empty() {
-            // The empty pattern is a subpattern of every column.
-            return self.empty_pattern_weight(0..self.words_per_row);
+        match p.first() {
+            None => return self.segments,
+            Some(letter) if p.len() == 1 => return self.letter_totals[letter],
+            Some(_) => {}
         }
-        count_dispatch(kernel, &self.words, slice, 0..self.words_per_row, and_ops)
+        let bases = RowBases::from_pattern(p, self.words_per_row);
+        count_dispatch(
+            kernel,
+            &self.words,
+            self.weights(),
+            bases.as_slice(),
+            0..self.words_per_row,
+            and_ops,
+        )
     }
 
     /// Counts a whole derivation level's candidates in one cache-blocked
@@ -159,7 +327,15 @@ impl VerticalIndex {
                 *total += if slice.is_empty() {
                     self.empty_pattern_weight(lo..hi)
                 } else {
-                    count_dispatch_cached(kernel, &self.words, slice, lo..hi, and_ops, &mut cache)
+                    count_dispatch_cached(
+                        kernel,
+                        &self.words,
+                        self.weights(),
+                        slice,
+                        lo..hi,
+                        and_ops,
+                        &mut cache,
+                    )
                 };
             }
             lo = hi;
@@ -167,13 +343,14 @@ impl VerticalIndex {
         totals
     }
 
-    /// The empty pattern's count restricted to a word range: the number
-    /// of columns covered by those words — every column is a superpattern
-    /// of the empty pattern.
+    /// The empty pattern's count restricted to a word range: the
+    /// multiplicity of the columns laid out in those words — every
+    /// column is a superpattern of the empty pattern.
     pub(crate) fn empty_pattern_weight(&self, words: Range<usize>) -> u64 {
-        let lo = (words.start * 64).min(self.n_columns);
-        let hi = (words.end * 64).min(self.n_columns);
-        (hi - lo) as u64
+        self.weights[words]
+            .iter()
+            .map(|word| word.weight * u64::from(word.fill))
+            .sum()
     }
 
     /// The raw row-major bitmap words — what the kernels and shard
@@ -182,31 +359,58 @@ impl VerticalIndex {
         &self.words
     }
 
+    /// The per-word column multiplicities the kernels count with.
+    pub(crate) fn weights(&self) -> &[WordWeight] {
+        &self.weights
+    }
+
     /// Number of letter rows.
     pub fn n_letters(&self) -> usize {
         self.n_letters
     }
 
-    /// Number of counting columns (segments).
+    /// Number of counting columns (distinct hits laid out).
     pub fn n_columns(&self) -> usize {
         self.n_columns
     }
 
-    /// Words per bitmap row (`⌈n_columns/64⌉`) — the shardable axis.
+    /// Words per bitmap row — the shardable axis.
     pub fn words_per_row(&self) -> usize {
         self.words_per_row
     }
 
-    /// Index size in bytes: the bitmap words.
+    /// Index size in bytes: the bitmap words plus one weight per word.
     pub fn bitmap_bytes(&self) -> usize {
-        self.words.len() * 8
+        (self.words.len() + self.weights.len()) * 8
+    }
+}
+
+/// Transposes a 64×64 bit matrix in place — bit `c` of `m[r]` moves to
+/// bit `r` of `m[c]` — by swapping the off-diagonal halves of ever
+/// smaller blocks: six rounds of 32 masked swaps.
+fn transpose64(m: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask: u64 = 0x0000_0000_FFFF_FFFF;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            for r in k..k + j {
+                let t = ((m[r] >> j) ^ m[r + j]) & mask;
+                m[r] ^= t << j;
+                m[r + j] ^= t;
+            }
+            k += 2 * j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
     }
 }
 
 /// Mines all frequent partial periodic patterns of `period` in `series`
 /// with the vertical engine: scan 1 as in Algorithm 3.2, then a second
-/// scan that builds per-letter segment bitmaps instead of a max-subpattern
-/// tree, and a derivation phase of word-wide AND + popcount per candidate.
+/// scan that lays out the distinct hits as weighted per-letter bitmaps
+/// instead of a max-subpattern tree, and a derivation phase of word-wide
+/// AND + weighted popcount per candidate.
 ///
 /// Exactly two scans of the series, like the hit-set miner, and the same
 /// result bit for bit — the audit cross-check enforces this.
@@ -255,14 +459,17 @@ pub(crate) fn mine_vertical_input(
     };
     passes.settle(passes.deadline(), &mut stats)?;
 
-    // Scan 2: per-letter segment bitmaps instead of a tree.
+    // Scan 2: distinct hits as weighted per-letter bitmaps, not a tree.
     let index = {
         let _span = ppm_observe::span("vertical.scan2");
         VerticalIndex::from_segments(&mut passes, &scan1, &mut stats)?
     };
+    ppm_observe::gauge("vertical.distinct_hits", index.n_columns() as u64);
+    ppm_observe::gauge("vertical.words_per_row", index.words_per_row() as u64);
     ppm_observe::gauge("vertical.bitmap_bytes", index.bitmap_bytes() as u64);
 
-    // Derivation: 1-letter counts from scan 1, the rest by AND + popcount.
+    // Derivation: 1-letter counts from scan 1, the rest by AND + weighted
+    // popcount.
     let frequent = {
         let _span = ppm_observe::span("vertical.derive");
         match executor {
@@ -589,6 +796,7 @@ mod tests {
                             count_dispatch(
                                 kernel,
                                 index.raw_words(),
+                                index.weights(),
                                 bases.as_slice(),
                                 at..hi,
                                 &mut ops,
@@ -626,6 +834,120 @@ mod tests {
                 assert_eq!(totals, expect, "case {case} {kernel:?}");
             }
         }
+    }
+
+    #[test]
+    fn weighted_kernels_and_shards_count_bit_identically() {
+        // Distinct-hit layouts: groups of 1, 63, 64 and 65 columns put
+        // group ends inside, at and just past a word, so lane blocks
+        // straddle weights; the 577+-column weight-1 group runs whole
+        // LANES-word blocks of one weight run.
+        let mut rng = SplitMix(0xd15_71c7);
+        for case in 0..64 {
+            let n_letters = 2 + rng.below(22);
+            let mut hits: Vec<(LetterSet, u64)> = (0..577 + rng.below(70))
+                .map(|_| (rng.letters(n_letters, 6), 1))
+                .collect();
+            let mut words = hits.len().div_ceil(64);
+            for g in 0..1 + rng.below(5) {
+                let size: usize = [1, 63, 64, 65][rng.below(4)];
+                // Distinct weights per group, so no two groups merge.
+                let weight = 2 + 100 * g as u64 + rng.below(100) as u64;
+                hits.extend((0..size).map(|_| (rng.letters(n_letters, 6), weight)));
+                words += size.div_ceil(64);
+            }
+            let index = VerticalIndex::from_hits(n_letters, &hits);
+            assert_eq!(index.words_per_row(), words, "case {case}");
+            assert_eq!(index.n_columns(), hits.len(), "case {case}");
+            let naive = |p: &LetterSet| -> u64 {
+                hits.iter()
+                    .filter(|(hit, _)| p.is_subset(hit))
+                    .map(|&(_, count)| count)
+                    .sum()
+            };
+
+            // A hit's own letters, thinned, so counts are rarely zero;
+            // then its lex-ordered siblings, the shape the Apriori join
+            // emits, so the wide kernel's prefix reuse is exercised.
+            let seed = &hits[rng.below(hits.len())].0;
+            let mut pattern =
+                LetterSet::from_indices(n_letters, seed.iter().filter(|_| rng.below(4) != 0));
+            while pattern.len() < 2 {
+                pattern.insert(rng.below(n_letters));
+            }
+            let ls: Vec<usize> = pattern.iter().collect();
+            let mut cands = vec![LetterSet::new(n_letters), pattern.clone()];
+            for extra in (0..n_letters).filter(|&i| !pattern.contains(i)).take(4) {
+                cands.push(LetterSet::from_indices(
+                    n_letters,
+                    ls[..ls.len() - 1].iter().copied().chain([extra]),
+                ));
+            }
+            let expect: Vec<u64> = cands.iter().map(naive).collect();
+
+            let shared = Arc::new(index);
+            // One shard per word: every group edge is a shard edge.
+            let one_word = ThreadedExecutor::with_min_shard_words(words, 1);
+            assert_eq!(
+                one_word.plan(words, shared.n_columns(), n_letters).len(),
+                words,
+                "case {case}"
+            );
+            for kernel in [Kernel::Scalar, Kernel::Wide] {
+                for (p, &want) in cands.iter().zip(&expect) {
+                    let got = shared.count_with_kernel(p, kernel, &mut 0);
+                    assert_eq!(got, want, "case {case} {kernel:?} {p:?}");
+                }
+                let level = shared.count_level(&cands, kernel, &mut 0);
+                assert_eq!(level, expect, "case {case} {kernel:?} level");
+                let sharded = count_sharded(&shared, &cands, kernel, &one_word);
+                assert_eq!(sharded, expect, "case {case} {kernel:?} sharded");
+            }
+        }
+    }
+
+    #[test]
+    fn transpose64_moves_every_bit() {
+        let mut rng = SplitMix(0x7a_b1e);
+        let before: [u64; 64] = std::array::from_fn(|_| rng.next());
+        let mut after = before;
+        transpose64(&mut after);
+        for (r, row) in before.iter().enumerate() {
+            for (c, column) in after.iter().enumerate() {
+                assert_eq!(column >> r & 1, row >> c & 1, "bit ({r}, {c})");
+            }
+        }
+    }
+
+    #[test]
+    fn scan2_folds_segments_into_distinct_hits() {
+        // Period 2: "x y" three times, "y y" twice, "x -" once.
+        let (x, y) = (fid(0), fid(1));
+        let mut b = SeriesBuilder::new();
+        for (first, second) in [(x, Some(y)); 3]
+            .into_iter()
+            .chain([(y, Some(y)); 2])
+            .chain([(x, None)])
+        {
+            b.push_instant([first]);
+            b.push_instant(second);
+        }
+        let series = b.finish();
+        let scan1 = scan_frequent_letters(&series, 2, &MineConfig::new(0.2).unwrap()).unwrap();
+        let letter = |o, f| scan1.alphabet.index_of(o, f).unwrap();
+        let (x0, y0, y1) = (letter(0, x), letter(0, y), letter(1, y));
+        let set = |ls: &[usize]| LetterSet::from_indices(3, ls.iter().copied());
+        let index = segment_index(&series, &scan1);
+        // Two distinct hits of two letters, multiplicities 3 and 2, one
+        // word each; the one-letter hit "x -" is not laid out.
+        assert_eq!(index.n_columns(), 2);
+        assert_eq!(index.words_per_row(), 2);
+        assert_eq!(index.count(&set(&[x0, y1])), 3);
+        assert_eq!(index.count(&set(&[y0, y1])), 2);
+        assert_eq!(index.count(&set(&[x0, y0])), 0);
+        // Shorter patterns answer from the whole multiset.
+        assert_eq!(index.count(&set(&[x0])), 4);
+        assert_eq!(index.count(&set(&[])), 6);
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Segment-axis sharding of the vertical derivation.
+//! Word-axis sharding of the vertical derivation.
 //!
 //! The work-stealing sweep scheduler (PR 5) parallelizes *across* periods,
 //! so one huge single-period mine still runs one core. This module splits
 //! the counting itself: a [`ShardedCounter`] holds one derivation level's
 //! candidates plus a partition of the index's word axis into disjoint
 //! ranges, and any thread can claim-and-run a shard. Per-candidate totals
-//! accumulate in atomics; because the word ranges are disjoint, the
-//! partial counts sum **exactly**.
+//! accumulate in atomics; because the word ranges are disjoint and every
+//! weight belongs to its word, the partial counts sum **exactly**.
 //!
 //! Who runs the shards is abstracted behind [`ShardExecutor`]:
 //!
@@ -20,8 +20,11 @@
 //!
 //! Sharding only engages when the geometry pays for the per-level
 //! coordination: at least `MIN_SHARD_WORDS` (64) words per shard and
-//! `segments × letters ≥ SHARD_MIN_WORK` (2¹⁶). Below that, the plan
-//! degenerates to a single range and the caller derives unsharded.
+//! `columns × letters ≥ SHARD_MIN_WORK` (2¹⁶). Below that, the plan
+//! degenerates to a single range and the caller derives unsharded. The
+//! columns are distinct hits, so a store whose segments repeat a few
+//! thousand hits stays one range however long it is; noisy stores, where
+//! nearly every segment is its own hit, are the ones that shard.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -34,11 +37,11 @@ use super::kernel::{count_dispatch_cached, Kernel, PrefixCache, RowBases};
 use super::VerticalIndex;
 
 /// Fewest index words (64-column blocks) a shard may cover: 64 words =
-/// 4096 segments. Narrower shards spend more time in claim/merge
+/// 4096 distinct hits. Narrower shards spend more time in claim/merge
 /// bookkeeping than in the kernel.
 pub(crate) const MIN_SHARD_WORDS: usize = 64;
 
-/// Sharding work threshold on `segments × letters`: below this a level is
+/// Sharding work threshold on `columns × letters`: below this a level is
 /// cheap enough that the per-level fan-out costs more than it saves.
 pub(crate) const SHARD_MIN_WORK: u64 = 1 << 16;
 
@@ -176,6 +179,7 @@ impl ShardedCounter {
                     count_dispatch_cached(
                         self.kernel,
                         words,
+                        self.index.weights(),
                         slice,
                         lo..hi,
                         &mut and_ops,

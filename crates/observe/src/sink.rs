@@ -110,20 +110,6 @@ impl Collector {
             .collect()
     }
 
-    /// Names of started spans, in start order.
-    pub fn started_span_names(&self) -> Vec<&'static str> {
-        self.state
-            .lock()
-            .expect("collector lock")
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                Event::SpanStart { name, .. } => Some(*name),
-                _ => None,
-            })
-            .collect()
-    }
-
     /// `(name, detail)` of every mark, in order.
     pub fn marks(&self) -> Vec<(&'static str, String)> {
         self.state

@@ -10,6 +10,7 @@ use std::sync::Arc;
 
 use partial_periodic::audit::{audit, cross_check, verify_claims, AuditMode, Violation};
 use partial_periodic::core::export::{parse_patterns_tsv, patterns_tsv};
+use partial_periodic::datagen::noise::add_spurious;
 use partial_periodic::observe::{self, Collector};
 use partial_periodic::timeseries::{
     EncodedSeries, Fault, FaultInjectingSource, FaultPlan, MemorySource, QuarantineMode,
@@ -177,8 +178,10 @@ fn engines_cross_check_clean_on_random_series() {
 /// row substrates (a series and its bitmap view) at one and three
 /// threads must be **bit-for-bit identical** to Apriori (Algorithm 3.1) —
 /// the same patterns in the same order, the same counts and thresholds.
-/// The last workload is wide enough (15 000 segments × 6 letters) that
-/// the three-thread vertical derive really splits into shards.
+/// The last workload is wide enough that the three-thread vertical
+/// derive really splits into shards: 15 000 segments, with four spurious
+/// features added at every instant with probability ½, so nearly every
+/// segment is its own distinct hit.
 #[test]
 fn every_engine_is_bit_identical_across_rows_and_threads() {
     let mut workloads: Vec<(u64, usize, usize, f64)> = [3u64, 19, 31]
@@ -187,11 +190,15 @@ fn every_engine_is_bit_identical_across_rows_and_threads() {
         .collect();
     workloads.push((5, 60_000, 4, 0.3));
     for (seed, instants, p, conf) in workloads {
-        let (series, _catalog) = random_series(seed, instants, p);
+        let (mut series, _catalog) = random_series(seed, instants, p);
+        let wide = instants == 60_000;
+        if wide {
+            let pool: Vec<FeatureId> = (5..9).map(FeatureId::from_raw).collect();
+            series = add_spurious(&series, &pool, 0.5, seed);
+        }
         let encoded = EncodedSeries::encode(&series);
         let config = MineConfig::new(conf).unwrap();
         let apriori = apriori::mine(&series, p, &config).unwrap();
-        let wide = instants == 60_000;
         for engine in Engine::ALL {
             for (substrate, rows) in [
                 ("series", Rows::Series(&series)),
