@@ -1,57 +1,85 @@
 //! Level-wise candidate generation: the classic prefix join with full
-//! subset pruning, over sorted letter-index vectors.
+//! subset pruning, over sorted [`LetterSet`] levels.
+//!
+//! A level is held as letter sets of one size `k`, in *level order* — the
+//! lexicographic order of their ascending letter lists (`LetterSet`'s
+//! `Ord`), which for sets of one size is: the lowest letter where two
+//! sets differ belongs to the earlier one. Sets that agree once their highest letter is cleared
+//! (a *prefix group*) are then contiguous, and each pair `a < b` of a
+//! group joins into `a ∪ {max b}`. The prune probes the `k − 1` subsets
+//! that drop a prefix letter — the other two are `a` and `b` — by
+//! flipping one bit of the candidate's words and looking the words up in
+//! a [`WordSlots`] table over the level. No set is rebuilt from indices
+//! and no probe allocates; a universe of at most 64 letters is one word
+//! per set, and larger ones run the same loop over more words.
 
-use std::collections::HashSet;
+use crate::letters::{LetterSet, WordSlots};
 
 /// Generates the `(k+1)`-letter candidates from the frequent `k`-letter
-/// patterns (each a strictly ascending letter-index vector).
+/// sets of `level`.
 ///
-/// `frequent` must be sorted lexicographically (miners keep levels sorted).
-/// Two patterns sharing their first `k−1` letters join into a candidate;
-/// the candidate survives only if *all* of its `k`-subsets are frequent
-/// (Property 3.1).
-pub fn join_candidates(frequent: &[Vec<u32>]) -> Vec<Vec<u32>> {
-    if frequent.is_empty() {
+/// `level` must be in level order (see the module docs; miners keep it,
+/// since the join emits candidates in that order and filtering preserves
+/// it). Two sets sharing their `k−1` lowest letters join into a
+/// candidate; the candidate survives only if *all* of its `k`-subsets are
+/// in the level (Property 3.1). Candidates come out in level order.
+pub fn join_candidates(level: &[LetterSet]) -> Vec<LetterSet> {
+    let Some(first) = level.first() else {
         return Vec::new();
-    }
-    let k = frequent[0].len();
-    debug_assert!(frequent.iter().all(|p| p.len() == k));
+    };
+    let k = first.len();
+    debug_assert!(level.iter().all(|s| s.len() == k));
     debug_assert!(
-        frequent.windows(2).all(|w| w[0] < w[1]),
-        "frequent level must be sorted"
+        level.windows(2).all(|w| w[0] < w[1]),
+        "level must be sorted"
     );
-
-    let lookup: HashSet<&[u32]> = frequent.iter().map(Vec::as_slice).collect();
-    let mut out = Vec::new();
-    let mut scratch = Vec::with_capacity(k);
-
-    for i in 0..frequent.len() {
-        for j in i + 1..frequent.len() {
-            let (a, b) = (&frequent[i], &frequent[j]);
-            if a[..k - 1] != b[..k - 1] {
-                break; // sorted order: no further j shares the prefix
-            }
-            // a < b lexicographically and equal prefixes => a[k-1] < b[k-1].
-            let mut cand = a.clone();
-            cand.push(b[k - 1]);
-            // Prune: every k-subset must be frequent. The two subsets
-            // missing cand[k] and cand[k-1] are a and b themselves.
-            let ok = (0..k - 1).all(|drop| {
-                scratch.clear();
-                scratch.extend(
-                    cand.iter()
-                        .enumerate()
-                        .filter(|&(p, _)| p != drop)
-                        .map(|(_, &l)| l),
-                );
-                lookup.contains(scratch.as_slice())
-            });
-            if ok {
-                out.push(cand);
-            }
+    let mut index = WordSlots::new(level.len());
+    for (i, set) in level.iter().enumerate() {
+        if let Err(slot) = index.find(set.words(), |j| level[j].words()) {
+            index.fill(slot, i);
         }
     }
+    let in_level = |words: &[u64]| index.find(words, |j| level[j].words()).is_ok();
+
+    let mut out = Vec::new();
+    // The candidate under test, rewritten in place for every pair.
+    let mut cand = first.clone();
+    let mut start = 0;
+    while start < level.len() {
+        let top = level[start].last().expect("sets of a level are non-empty");
+        let group = 1 + level[start + 1..]
+            .iter()
+            .take_while(|b| shares_prefix(level[start].words(), b.words(), top))
+            .count();
+        let group = &level[start..start + group];
+        for (i, a) in group.iter().enumerate() {
+            for b in &group[i + 1..] {
+                let b_top = b.last().expect("sets of a level are non-empty");
+                let words = cand.words_mut();
+                words.copy_from_slice(a.words());
+                words[b_top / 64] |= 1 << (b_top % 64);
+                let pruned = a.iter().take(k - 1).any(|l| {
+                    let bit = 1 << (l % 64);
+                    words[l / 64] ^= bit;
+                    let missing = !in_level(words);
+                    words[l / 64] ^= bit;
+                    missing
+                });
+                if !pruned {
+                    out.push(cand.clone());
+                }
+            }
+        }
+        start += group.len();
+    }
     out
+}
+
+/// Whether `b`, later than `a` in level order, shares `a`'s prefix: no
+/// letter below `a`'s highest letter `top` differs between the two.
+fn shares_prefix(a: &[u64], b: &[u64], top: usize) -> bool {
+    let (w, bit) = (top / 64, top % 64);
+    a[..w] == b[..w] && (a[w] ^ b[w]) & ((1 << bit) - 1) == 0
 }
 
 /// Calls `visit` with every `k`-combination of `items`, in lexicographic
@@ -110,43 +138,195 @@ pub(crate) fn binomial(n: usize, k: usize) -> u64 {
 mod tests {
     use super::*;
 
+    use std::collections::BTreeSet;
+
+    /// A level over a universe of `n` letters, from ascending letter lists.
+    fn level(n: usize, lists: &[&[usize]]) -> Vec<LetterSet> {
+        lists
+            .iter()
+            .map(|l| LetterSet::from_indices(n, l.iter().copied()))
+            .collect()
+    }
+
+    fn lists(sets: &[LetterSet]) -> Vec<Vec<usize>> {
+        sets.iter().map(|s| s.iter().collect()).collect()
+    }
+
     #[test]
     fn join_level1_produces_all_pairs() {
-        let l1 = vec![vec![0], vec![1], vec![2]];
+        let l1 = level(3, &[&[0], &[1], &[2]]);
         let got = join_candidates(&l1);
-        assert_eq!(got, vec![vec![0, 1], vec![0, 2], vec![1, 2]]);
+        assert_eq!(lists(&got), vec![vec![0, 1], vec![0, 2], vec![1, 2]]);
     }
 
     #[test]
     fn join_prunes_missing_subsets() {
         // {0,1}, {0,2}, {1,2} all frequent -> {0,1,2} survives.
-        let l2 = vec![vec![0, 1], vec![0, 2], vec![1, 2]];
-        assert_eq!(join_candidates(&l2), vec![vec![0, 1, 2]]);
+        let l2 = level(3, &[&[0, 1], &[0, 2], &[1, 2]]);
+        assert_eq!(lists(&join_candidates(&l2)), vec![vec![0, 1, 2]]);
         // Without {1,2} the candidate must be pruned.
-        let l2 = vec![vec![0, 1], vec![0, 2]];
+        let l2 = level(3, &[&[0, 1], &[0, 2]]);
         assert!(join_candidates(&l2).is_empty());
     }
 
     #[test]
     fn join_respects_prefix_grouping() {
         // {0,1} and {2,3} share no prefix: no candidate.
-        let l2 = vec![vec![0, 1], vec![2, 3]];
+        let l2 = level(4, &[&[0, 1], &[2, 3]]);
         assert!(join_candidates(&l2).is_empty());
     }
 
     #[test]
     fn join_empty_input() {
         assert!(join_candidates(&[]).is_empty());
+        // One set joins with nothing, inline or on the heap.
+        for n in [1, 64, 130] {
+            assert!(join_candidates(&level(n, &[&[n - 1]])).is_empty());
+        }
     }
 
     #[test]
     fn join_output_is_sorted_and_unique() {
-        let l1: Vec<Vec<u32>> = (0..6).map(|i| vec![i]).collect();
+        let l1: Vec<LetterSet> = (0..6).map(|i| LetterSet::from_indices(6, [i])).collect();
         let pairs = join_candidates(&l1);
         assert!(pairs.windows(2).all(|w| w[0] < w[1]));
         let triples = join_candidates(&pairs);
         assert!(triples.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(triples.len(), binomial(6, 3) as usize);
+    }
+
+    #[test]
+    fn join_groups_across_the_word_boundary() {
+        // Prefix groups whose highest letters sit at bits 63 and 64, and
+        // a group {0, ·} whose members straddle the first heap word.
+        let l2 = level(
+            130,
+            &[
+                &[0, 63],
+                &[0, 64],
+                &[0, 129],
+                &[62, 63],
+                &[62, 64],
+                &[63, 64],
+                &[63, 129],
+                &[64, 129],
+            ],
+        );
+        assert_eq!(
+            lists(&join_candidates(&l2)),
+            vec![
+                vec![0, 63, 64],
+                vec![0, 63, 129],
+                vec![0, 64, 129],
+                vec![62, 63, 64],
+                vec![63, 64, 129],
+            ]
+        );
+    }
+
+    /// SplitMix64: a seeded, dependency-free stream.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// A letter below `n`, a third of the time one at a word edge.
+        fn letter(&mut self, n: usize) -> usize {
+            let edges = [62, 63, 64, 65, 127, 128, n - 1];
+            match self.below(3) {
+                0 => edges[self.below(edges.len())].min(n - 1),
+                _ => self.below(n),
+            }
+        }
+
+        /// `k` distinct letters below `n`, ascending.
+        fn set(&mut self, n: usize, k: usize) -> Vec<usize> {
+            let mut s = BTreeSet::new();
+            while s.len() < k {
+                s.insert(self.letter(n));
+            }
+            s.into_iter().collect()
+        }
+    }
+
+    /// A random `k`-level over `n` letters: every `k`-subset of a few
+    /// dense blocks (so joins survive the prune), some loose sets (so
+    /// they don't), then a fifth of it dropped.
+    fn random_level(rng: &mut SplitMix, n: usize, k: usize) -> BTreeSet<Vec<usize>> {
+        let mut sets = BTreeSet::new();
+        for _ in 0..3 {
+            let block = rng.set(n, (k + 2).min(n));
+            for_each_combination(&block, k, |c| {
+                sets.insert(c.to_vec());
+            });
+        }
+        for _ in 0..12 {
+            sets.insert(rng.set(n, k));
+        }
+        sets.retain(|_| rng.below(5) != 0);
+        sets
+    }
+
+    /// The definition the join implements: within each prefix group,
+    /// every `(k+1)`-subset of the group's letters whose `k`-subsets are
+    /// all in the level.
+    fn oracle(level: &BTreeSet<Vec<usize>>, k: usize) -> BTreeSet<Vec<usize>> {
+        let mut out = BTreeSet::new();
+        let all: Vec<&Vec<usize>> = level.iter().collect();
+        for group in all.chunk_by(|a, b| a[..k - 1] == b[..k - 1]) {
+            let union: Vec<usize> = group
+                .iter()
+                .flat_map(|s| s.iter().copied())
+                .collect::<BTreeSet<_>>()
+                .into_iter()
+                .collect();
+            for_each_combination(&union, k + 1, |c| {
+                let closed = (0..=k).all(|drop| {
+                    let sub: Vec<usize> = c
+                        .iter()
+                        .enumerate()
+                        .filter(|&(p, _)| p != drop)
+                        .map(|(_, &l)| l)
+                        .collect();
+                    level.contains(&sub)
+                });
+                if closed {
+                    out.insert(c.to_vec());
+                }
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn join_equals_the_subset_closure_oracle() {
+        let mut rng = SplitMix(0x5EED_0022);
+        for n in [1usize, 24, 63, 64, 65, 130] {
+            for k in 1..=n.min(4) {
+                for _ in 0..25 {
+                    let want = random_level(&mut rng, n, k);
+                    let sets: Vec<Vec<usize>> = want.iter().cloned().collect();
+                    let refs: Vec<&[usize]> = sets.iter().map(Vec::as_slice).collect();
+                    let got = join_candidates(&level(n, &refs));
+                    assert!(
+                        got.windows(2).all(|w| w[0] < w[1]),
+                        "n={n} k={k}: output not strictly ascending"
+                    );
+                    let expect: Vec<Vec<usize>> = oracle(&want, k).into_iter().collect();
+                    assert_eq!(lists(&got), expect, "n={n} k={k} level={sets:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,18 @@
 //! §3.1.2 observation — that partial-periodicity candidate sets shrink
 //! *slowly* with `k`, making all these scans expensive — is what the
 //! max-subpattern hit-set method (our [`crate::hitset`]) fixes.
+//!
+//! [`join_candidates`] is the one candidate generator of every engine:
+//! levels are [`LetterSet`](crate::LetterSet)s in lexicographic order,
+//! joined and pruned on their words. Its subset probes go to an
+//! open-addressed table whose home slot is the *top* bits of a
+//! multiplied key. That choice matters: a multiply-only hash indexed by
+//! its low bits — what a `HashSet` with a multiplicative hasher does —
+//! leaves one-word letter sets as sparse as the sets themselves and
+//! crowds a level into a few buckets (the joins ran 2–3× slower that
+//! way when measured). Algorithm 3.1's counter probes the same kind of
+//! table with each enumerated subset of a segment's projection, as a
+//! mask.
 
 mod candidate;
 mod single_period;

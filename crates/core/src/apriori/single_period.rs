@@ -1,6 +1,5 @@
 //! Algorithm 3.1: single-period Apriori mining.
 
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 
 use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
@@ -8,7 +7,7 @@ use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
 use crate::apriori::candidate::{binomial, for_each_combination, join_candidates};
 use crate::error::Result;
 use crate::guard::ResourceGuard;
-use crate::letters::LetterSet;
+use crate::letters::{LetterSet, WordSlots};
 use crate::result::{FrequentPattern, MiningResult};
 use crate::rows::{Input, Passes};
 use crate::scan::{MineConfig, Scan1};
@@ -59,10 +58,12 @@ pub(crate) fn mine_input(
     let mut frequent = scan1.seed_singletons();
     let n_letters = scan1.alphabet.len();
 
-    // Level-wise expansion: `level` holds the frequent k-letter patterns as
-    // sorted index vectors (already lexicographically ordered because the
-    // join emits candidates in order and filtering preserves it).
-    let mut level: Vec<Vec<u32>> = (0..n_letters as u32).map(|i| vec![i]).collect();
+    // Level-wise expansion: `level` holds the frequent k-letter sets in
+    // level order (the join emits candidates in order and filtering
+    // preserves it).
+    let mut level: Vec<LetterSet> = (0..n_letters)
+        .map(|i| LetterSet::from_indices(n_letters, [i]))
+        .collect();
     let mut k = 1;
     while !level.is_empty() {
         let candidates = join_candidates(&level);
@@ -77,20 +78,19 @@ pub(crate) fn mine_input(
         // so the paper's per-level candidate shrinkage is visible.
         let _level_span = ppm_observe::span("apriori.level");
         ppm_observe::counter("apriori.candidates", candidates.len() as u64);
-        let counts = count_candidates(&mut passes, &scan1, &candidates, &mut stats)?;
+        let counts = count_candidates(&mut passes, &scan1, &candidates, k, &mut stats)?;
 
-        let mut next_level = Vec::new();
-        for (cand, count) in candidates.into_iter().zip(counts) {
+        level.clear();
+        for (set, count) in candidates.into_iter().zip(counts) {
             if count >= scan1.min_count {
+                level.push(set.clone());
                 frequent.push(FrequentPattern {
-                    letters: LetterSet::from_indices(n_letters, cand.iter().map(|&l| l as usize)),
+                    letters: set,
                     count,
                 });
-                next_level.push(cand);
             }
         }
-        ppm_observe::counter("apriori.frequent", next_level.len() as u64);
-        level = next_level;
+        ppm_observe::counter("apriori.frequent", level.len() as u64);
     }
 
     Ok(scan1.into_result(config, frequent, stats))
@@ -108,23 +108,20 @@ pub(crate) fn mine_input(
 fn count_candidates(
     passes: &mut Passes<'_>,
     scan1: &Scan1,
-    candidates: &[Vec<u32>],
+    candidates: &[LetterSet],
+    k: usize,
     stats: &mut MiningStats,
 ) -> Result<Vec<u64>> {
-    let k = candidates[0].len();
     let mut counts = vec![0u64; candidates.len()];
+    let mut by_pattern = WordSlots::new(candidates.len());
+    for (i, c) in candidates.iter().enumerate() {
+        if let Err(slot) = by_pattern.find(c.words(), |j| candidates[j].words()) {
+            by_pattern.fill(slot, i);
+        }
+    }
 
-    let by_pattern: HashMap<&[u32], usize> = candidates
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.as_slice(), i))
-        .collect();
-    let candidate_sets: Vec<LetterSet> = candidates
-        .iter()
-        .map(|c| LetterSet::from_indices(scan1.alphabet.len(), c.iter().map(|&l| l as usize)))
-        .collect();
-
-    let mut proj_letters: Vec<u32> = Vec::with_capacity(scan1.alphabet.len());
+    let mut proj_letters: Vec<usize> = Vec::with_capacity(scan1.alphabet.len());
+    let mut probe = scan1.alphabet.empty_set();
     let subset_tests = &mut stats.subset_tests;
     // The segment projections this pass yields *are* the per-level scan.
     let flow = passes.segments(scan1, |_, projection| {
@@ -138,15 +135,19 @@ fn count_candidates(
         let enumerate_cost = binomial(present, k);
         if enumerate_cost <= candidates.len() as u64 {
             proj_letters.clear();
-            proj_letters.extend(projection.iter().map(|l| l as u32));
+            proj_letters.extend(projection.iter());
             for_each_combination(&proj_letters, k, |combo| {
                 *subset_tests += 1;
-                if let Some(&i) = by_pattern.get(combo) {
+                probe.clear();
+                for &l in combo {
+                    probe.insert(l);
+                }
+                if let Ok(i) = by_pattern.find(probe.words(), |j| candidates[j].words()) {
                     counts[i] += 1;
                 }
             });
         } else {
-            for (i, cset) in candidate_sets.iter().enumerate() {
+            for (i, cset) in candidates.iter().enumerate() {
                 *subset_tests += 1;
                 if cset.is_subset(projection) {
                     counts[i] += 1;

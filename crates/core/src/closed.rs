@@ -34,7 +34,7 @@
 use ppm_timeseries::FeatureSeries;
 
 use crate::error::Result;
-use crate::hitset::{build_tree, MaxSubpatternTree};
+use crate::hitset::{build_tree, count_any, MaxSubpatternTree};
 use crate::letters::LetterSet;
 use crate::result::{FrequentPattern, MiningResult};
 use crate::scan::{scan_frequent_letters, MineConfig, Scan1};
@@ -129,13 +129,7 @@ pub fn mine_closed(
     let tree = build_tree(series, &scan1, &mut stats);
 
     let n = scan1.alphabet.len();
-    let count_of = |set: &LetterSet| -> u64 {
-        match set.len() {
-            0 => scan1.segment_count as u64,
-            1 => scan1.letter_counts[set.first().expect("letter")],
-            _ => tree.count_superpatterns_walk(set),
-        }
-    };
+    let count_of = |set: &LetterSet| count_any(&tree, &scan1, set);
 
     let mut seen: HashSet<LetterSet> = HashSet::new();
     let mut closed: Vec<FrequentPattern> = Vec::new();
@@ -175,14 +169,7 @@ pub fn mine_closed(
         });
     }
 
-    closed.sort_by(|a, b| {
-        a.letters.len().cmp(&b.letters.len()).then_with(|| {
-            a.letters
-                .iter()
-                .collect::<Vec<_>>()
-                .cmp(&b.letters.iter().collect())
-        })
-    });
+    closed.sort_by(|a, b| a.letters.cmp(&b.letters));
     Ok(ClosedResult {
         period,
         segment_count: scan1.segment_count,
@@ -208,14 +195,7 @@ pub fn closed_of(result: &MiningResult) -> Vec<FrequentPattern> {
         })
         .cloned()
         .collect();
-    out.sort_by(|a, b| {
-        a.letters.len().cmp(&b.letters.len()).then_with(|| {
-            a.letters
-                .iter()
-                .collect::<Vec<_>>()
-                .cmp(&b.letters.iter().collect())
-        })
-    });
+    out.sort_by(|a, b| a.letters.cmp(&b.letters));
     out
 }
 

@@ -45,8 +45,7 @@ use ppm_timeseries::{FeatureId, FeatureSeries};
 
 use crate::apriori::join_candidates;
 use crate::error::{Error, Result};
-use crate::hitset::build_tree;
-use crate::hitset::MaxSubpatternTree;
+use crate::hitset::{build_tree, count_any};
 use crate::letters::{Alphabet, LetterSet};
 use crate::result::{FrequentPattern, MiningResult};
 use crate::scan::{scan_frequent_letters, MineConfig, Scan1};
@@ -166,12 +165,10 @@ pub fn mine_constrained(
     let cap = constraints.max_letters.unwrap_or(usize::MAX);
     let mut frequent: Vec<FrequentPattern> = Vec::new();
 
-    let count_with_required = |extra: &[u32]| -> u64 {
-        let mut set = required.clone();
-        for &l in extra {
-            set.insert(l as usize);
-        }
-        count_any(&tree, &scan1, &set)
+    let with_required = |free: &LetterSet| {
+        let mut set = free.clone();
+        set.union_with(&required);
+        set
     };
 
     // The required core itself (if non-empty and frequent).
@@ -186,26 +183,22 @@ pub fn mine_constrained(
         });
     }
 
-    let free: Vec<u32> = (0..scan1.alphabet.len() as u32)
-        .filter(|&i| !required.contains(i as usize))
-        .collect();
-
     // Level 1 over free letters (patterns of size |required| + 1).
-    let mut level: Vec<Vec<u32>> = Vec::new();
+    let mut level: Vec<LetterSet> = Vec::new();
     if required.len() < cap {
-        for &l in &free {
+        for l in (0..scan1.alphabet.len()).filter(|&i| !required.contains(i)) {
             stats.subset_tests += 1;
-            let count = count_with_required(&[l]);
+            let free = LetterSet::from_indices(scan1.alphabet.len(), [l]);
+            let set = with_required(&free);
+            // With no required letters `count_any` answers singletons
+            // from the exact scan-1 counts.
+            let count = count_any(&tree, &scan1, &set);
             if count >= scan1.min_count {
-                // With no required letters `count_any` answers singletons
-                // from the exact scan-1 counts.
-                let mut set = required.clone();
-                set.insert(l as usize);
                 frequent.push(FrequentPattern {
                     letters: set,
                     count,
                 });
-                level.push(vec![l]);
+                level.push(free);
             }
         }
     }
@@ -218,35 +211,22 @@ pub fn mine_constrained(
             break;
         }
         stats.max_level = stats.max_level.max(required.len() + candidates[0].len());
-        let mut next = Vec::new();
-        for cand in candidates {
+        level.clear();
+        for free in candidates {
             stats.subset_tests += 1;
-            let count = count_with_required(&cand);
+            let set = with_required(&free);
+            let count = count_any(&tree, &scan1, &set);
             if count >= scan1.min_count {
-                let mut set = required.clone();
-                for &l in &cand {
-                    set.insert(l as usize);
-                }
                 frequent.push(FrequentPattern {
                     letters: set,
                     count,
                 });
-                next.push(cand);
+                level.push(free);
             }
         }
-        level = next;
     }
 
     Ok(scan1.into_result(config, frequent, stats))
-}
-
-/// Counts a pattern of any size against scan-1 data and the tree.
-fn count_any(tree: &MaxSubpatternTree, scan1: &Scan1, set: &LetterSet) -> u64 {
-    match set.len() {
-        0 => scan1.segment_count as u64,
-        1 => scan1.letter_counts[set.first().expect("non-empty")],
-        _ => tree.count_superpatterns_walk(set),
-    }
 }
 
 #[cfg(test)]

@@ -7,6 +7,16 @@
 //! of its superpattern hits in the tree — the node's own count plus those
 //! of its *reachable ancestors* in the paper's formulation.
 //!
+//! The level loop here, `derive_frequent_batched`, is shared by every
+//! two-scan derive (the tree strategies and the vertical index). Its
+//! levels are [`LetterSet`]s in level order, joined by
+//! [`join_candidates`] on their words — prefix groups by masked XOR,
+//! candidates as `a | highbit(b)`, the prune as one bit flip and one
+//! table probe per subset — with no letter-index vectors and no
+//! allocation per probe (see [`crate::apriori`] for the join and the
+//! hash-fold pitfall its table avoids). Each level's join runs in one
+//! `derive.join` span, so a trace splits the derive into join and count.
+//!
 //! Three counting strategies are exposed for the ablation study (DESIGN.md
 //! experiment E7):
 //!
@@ -78,34 +88,26 @@ pub fn derive_frequent(
             );
             ppm_observe::gauge("hitset.count_ops", count_ops);
         }
-        _ => derive_frequent_with(|p| strategy.count(tree, p), scan1, frequent, stats),
+        _ => derive_frequent_batched(
+            |sets| sets.iter().map(|p| strategy.count(tree, p)).collect(),
+            scan1,
+            frequent,
+            stats,
+        ),
     }
 }
 
-/// The level-wise Apriori derivation loop over an arbitrary counting
-/// oracle — the tree strategies and the vertical segment index plug in the
-/// same way (Property 3.1 is independent of how counting is done).
-pub(crate) fn derive_frequent_with(
-    mut count: impl FnMut(&LetterSet) -> u64,
-    scan1: &Scan1,
-    frequent: &mut Vec<FrequentPattern>,
-    stats: &mut MiningStats,
-) {
-    derive_frequent_batched(
-        |sets| sets.iter().map(&mut count).collect(),
-        scan1,
-        frequent,
-        stats,
-    )
-}
-
-/// [`derive_frequent_with`] generalized to a *level-batched* counting
-/// oracle: each call receives every candidate of one Apriori level and
+/// The level-wise Apriori derivation loop over a *level-batched*
+/// counting oracle — the tree strategies and the vertical index plug in
+/// the same way (Property 3.1 is independent of how counting is done).
+/// Each call of `count_level` receives every candidate of one level and
 /// returns their counts in order. Batching is what lets the vertical
 /// engine answer a whole level against each cache block of its bitmaps
-/// once — and hand the level to a sharded counter — while the per-pattern
-/// strategies just map over the slice. Statistics (candidates, subset
-/// tests, max level) are identical to the unbatched loop.
+/// once — and hand the level to a sharded counter — while the
+/// per-pattern strategies just map over the slice.
+///
+/// Each level is joined by [`join_candidates`] inside one `derive.join`
+/// span, so a trace splits the derive into join and count.
 pub(crate) fn derive_frequent_batched(
     mut count_level: impl FnMut(&[LetterSet]) -> Vec<u64>,
     scan1: &Scan1,
@@ -113,35 +115,35 @@ pub(crate) fn derive_frequent_batched(
     stats: &mut MiningStats,
 ) {
     let n_letters = scan1.alphabet.len();
-    let mut level: Vec<Vec<u32>> = (0..n_letters as u32).map(|i| vec![i]).collect();
+    let mut level: Vec<LetterSet> = (0..n_letters)
+        .map(|i| LetterSet::from_indices(n_letters, [i]))
+        .collect();
     let mut k = 1;
     stats.max_level = stats.max_level.max(1);
     while !level.is_empty() {
-        let candidates = join_candidates(&level);
+        let candidates = {
+            let _span = ppm_observe::span("derive.join");
+            join_candidates(&level)
+        };
         stats.candidates_generated += candidates.len() as u64;
         if candidates.is_empty() {
             break;
         }
         k += 1;
         stats.max_level = stats.max_level.max(k);
-        let sets: Vec<LetterSet> = candidates
-            .iter()
-            .map(|cand| LetterSet::from_indices(n_letters, cand.iter().map(|&l| l as usize)))
-            .collect();
-        stats.subset_tests += sets.len() as u64;
-        let counts = count_level(&sets);
-        debug_assert_eq!(counts.len(), sets.len(), "one count per candidate");
-        let mut next_level = Vec::new();
-        for ((cand, set), count) in candidates.into_iter().zip(sets).zip(counts) {
+        stats.subset_tests += candidates.len() as u64;
+        let counts = count_level(&candidates);
+        debug_assert_eq!(counts.len(), candidates.len(), "one count per candidate");
+        level.clear();
+        for (set, count) in candidates.into_iter().zip(counts) {
             if count >= scan1.min_count {
+                level.push(set.clone());
                 frequent.push(FrequentPattern {
                     letters: set,
                     count,
                 });
-                next_level.push(cand);
             }
         }
-        level = next_level;
     }
 }
 

@@ -22,4 +22,4 @@ mod single_period;
 pub use single_period::{mine, mine_view, mine_with_strategy};
 pub use tree::MaxSubpatternTree;
 
-pub(crate) use single_period::{build_tree, finish};
+pub(crate) use single_period::{build_tree, count_any, finish};

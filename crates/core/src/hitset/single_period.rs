@@ -8,6 +8,7 @@ use crate::error::Result;
 use crate::guard::{Abort, ResourceGuard};
 use crate::hitset::derive::{derive_frequent, CountStrategy};
 use crate::hitset::tree::MaxSubpatternTree;
+use crate::letters::LetterSet;
 use crate::result::MiningResult;
 use crate::rows::{Input, Passes};
 use crate::scan::{MineConfig, Scan1};
@@ -88,6 +89,20 @@ pub(crate) fn finish(
     let mut frequent = scan1.seed_singletons();
     derive_frequent(tree, &scan1, strategy, &mut frequent, &mut stats);
     scan1.into_result(config, frequent, stats)
+}
+
+/// Counts a pattern of any size: 0 letters → `m` (matches everything),
+/// 1 letter → the exact scan-1 count, otherwise the tree.
+///
+/// The 1-letter special case matters: segments whose projection has a
+/// single letter are *not* inserted in the tree (paper §4), so their counts
+/// only exist in scan 1.
+pub(crate) fn count_any(tree: &MaxSubpatternTree, scan1: &Scan1, set: &LetterSet) -> u64 {
+    match set.len() {
+        0 => scan1.segment_count as u64,
+        1 => scan1.letter_counts[set.first().expect("non-empty")],
+        _ => tree.count_superpatterns_walk(set),
+    }
 }
 
 /// The second scan with no guards: projects every whole segment onto the

@@ -12,7 +12,9 @@
 //! (subset tests for matching, intersections for hit computation) become a
 //! few word-wide instructions.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use ppm_timeseries::FeatureId;
 
@@ -272,7 +274,7 @@ impl LetterSet {
     }
 
     #[inline]
-    fn words_mut(&mut self) -> &mut [u64] {
+    pub(crate) fn words_mut(&mut self) -> &mut [u64] {
         match &mut self.words {
             Words::Inline(w) => std::slice::from_mut(w),
             Words::Heap(b) => b,
@@ -403,6 +405,105 @@ impl LetterSet {
     pub fn first(&self) -> Option<usize> {
         self.iter().next()
     }
+
+    /// The largest present letter, if any.
+    pub fn last(&self) -> Option<usize> {
+        let (i, w) = self.words().iter().enumerate().rfind(|(_, &w)| w != 0)?;
+        Some(i * 64 + 63 - w.leading_zeros() as usize)
+    }
+}
+
+/// An open-addressed table from word-slice keys to dense ids, for keys
+/// that live elsewhere (a flat arena, a slice of sets): the table holds
+/// only `id + 1` per slot and asks the caller for a stored key's words.
+///
+/// Sized once to at most half full, it never re-homes. A key's words
+/// fold through a multiply, and the product's *top* bits pick its home
+/// slot (Fibonacci hashing). The top bits matter: a multiply alone
+/// leaves the low bits of a one-word key as sparse as the key itself,
+/// and a table indexed by low bits would then crowd every letter set
+/// into a few buckets.
+#[derive(Debug, Clone)]
+pub(crate) struct WordSlots {
+    /// 0 is an empty slot, else an id + 1.
+    slots: Vec<u32>,
+    shift: u32,
+}
+
+impl WordSlots {
+    /// A table with room for `keys` distinct keys.
+    pub(crate) fn new(keys: usize) -> Self {
+        let len = (2 * keys).next_power_of_two().max(64);
+        WordSlots {
+            slots: vec![0; len],
+            shift: 64 - len.trailing_zeros(),
+        }
+    }
+
+    /// The id stored under `key` (`Ok`), or the free slot it would take
+    /// (`Err`, for [`Self::fill`]). `stored(id)` returns the words of a
+    /// key already in the table; every key has the same length.
+    #[inline]
+    pub(crate) fn find<'k>(
+        &self,
+        key: &[u64],
+        stored: impl Fn(usize) -> &'k [u64],
+    ) -> Result<usize, usize> {
+        let h = key.iter().fold(0, |h, &w| fold_word(h, w));
+        let mask = self.slots.len() - 1;
+        let mut at = (h >> self.shift) as usize;
+        loop {
+            match self.slots[at] {
+                0 => return Err(at),
+                slot => {
+                    let id = slot as usize - 1;
+                    if stored(id).iter().zip(key).all(|(a, b)| a == b) {
+                        return Ok(id);
+                    }
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// Stores `id` in `slot`, a free slot [`Self::find`] returned.
+    pub(crate) fn fill(&mut self, slot: usize, id: usize) {
+        self.slots[slot] = u32::try_from(id + 1).expect("fewer than 2^32 keys");
+    }
+}
+
+/// The multiplier of the word fold (2^64 / φ, odd).
+const FOLD: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// One step of the word fold every word-keyed table here hashes with.
+#[inline]
+fn fold_word(h: u64, w: u64) -> u64 {
+    (h.rotate_left(23) ^ w).wrapping_mul(FOLD)
+}
+
+/// A `HashMap` keyed by word keys (letter sets) through [`WordHasher`].
+pub(crate) type WordMap<K, V> = HashMap<K, V, BuildHasherDefault<WordHasher>>;
+
+/// The [`WordSlots`] fold as a [`Hasher`]. `HashMap` buckets by the
+/// hash's *low* bits, so `finish` folds the high half of one more
+/// product into the low half: without it a one-word key's hash keeps
+/// the key's sparse low bits.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct WordHasher(u64);
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut w = [0; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            self.0 = fold_word(self.0, u64::from_le_bytes(w));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        let p = u128::from(self.0) * u128::from(FOLD);
+        p as u64 ^ (p >> 64) as u64
+    }
 }
 
 // Equality and hashing go through the word *slice*, never the storage
@@ -414,6 +515,25 @@ impl PartialEq for LetterSet {
 }
 
 impl Eq for LetterSet {}
+
+/// Sets order by size, then by their ascending letter lists: the
+/// canonical order of a mining result and, among sets of one size, the
+/// level order the Apriori join keeps (universes break the remaining
+/// ties, so the order agrees with equality).
+impl Ord for LetterSet {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        let by_size = self.len().cmp(&other.len());
+        by_size
+            .then_with(|| self.iter().cmp(other.iter()))
+            .then(self.universe.cmp(&other.universe))
+    }
+}
+
+impl PartialOrd for LetterSet {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
 
 impl std::hash::Hash for LetterSet {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
@@ -558,6 +678,33 @@ mod tests {
         assert_eq!(f.len(), 70);
         assert_eq!(f.first(), Some(0));
         assert_eq!(LetterSet::new(70).first(), None);
+    }
+
+    #[test]
+    fn letterset_last_crosses_words() {
+        assert_eq!(LetterSet::full(70).last(), Some(69));
+        assert_eq!(LetterSet::new(70).last(), None);
+        for n in [1usize, 63, 64, 65, 130] {
+            for top in [0, n / 2, n - 1] {
+                assert_eq!(LetterSet::from_indices(n, [0, top]).last(), Some(top));
+            }
+        }
+    }
+
+    #[test]
+    fn word_slots_find_what_they_filled() {
+        // Two-word keys that differ only in their high word must not
+        // collide into one id.
+        let keys: Vec<[u64; 2]> = (0..500u64).map(|i| [1, i << 40]).collect();
+        let mut slots = WordSlots::new(keys.len());
+        for (i, k) in keys.iter().enumerate() {
+            let slot = slots.find(k, |j| &keys[j]).unwrap_err();
+            slots.fill(slot, i);
+        }
+        for (i, k) in keys.iter().enumerate() {
+            assert_eq!(slots.find(k, |j| &keys[j]), Ok(i));
+        }
+        assert!(slots.find(&[2, 0], |j| &keys[j]).is_err());
     }
 
     #[test]

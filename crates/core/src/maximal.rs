@@ -11,7 +11,7 @@
 use ppm_timeseries::FeatureSeries;
 
 use crate::error::Result;
-use crate::hitset::{build_tree, MaxSubpatternTree};
+use crate::hitset::{build_tree, count_any, MaxSubpatternTree};
 use crate::letters::{Alphabet, LetterSet};
 use crate::result::{FrequentPattern, MiningResult};
 use crate::scan::{scan_frequent_letters, MineConfig, Scan1};
@@ -65,20 +65,6 @@ pub fn mine_maximal(
     })
 }
 
-/// Counts a pattern of any size: 0 letters → `m` (matches everything),
-/// 1 letter → the exact scan-1 count, otherwise the tree.
-///
-/// The 1-letter special case matters: segments whose projection has a
-/// single letter are *not* inserted in the tree (paper §4), so their counts
-/// only exist in scan 1.
-fn count_any(tree: &MaxSubpatternTree, scan1: &Scan1, set: &LetterSet) -> u64 {
-    match set.len() {
-        0 => scan1.segment_count as u64,
-        1 => scan1.letter_counts[set.first().expect("non-empty")],
-        _ => tree.count_superpatterns_walk(set),
-    }
-}
-
 /// MaxMiner search over the letter alphabet with tree-backed counting.
 fn max_miner(
     tree: &MaxSubpatternTree,
@@ -91,31 +77,28 @@ fn max_miner(
     }
     // Order items by ascending support: expanding rare letters first keeps
     // tails long where look-ahead succeeds most often (Bayardo's heuristic).
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&i| scan1.letter_counts[i as usize]);
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&i| scan1.letter_counts[i]);
 
     struct Group {
-        head: Vec<u32>,
-        tail: Vec<u32>,
+        head: LetterSet,
+        tail: Vec<usize>,
     }
     let mut frontier = vec![Group {
-        head: Vec::new(),
+        head: LetterSet::new(n),
         tail: order,
     }];
     let mut candidates: Vec<(LetterSet, u64)> = Vec::new();
 
-    let set_of = |letters: &[u32]| LetterSet::from_indices(n, letters.iter().map(|&l| l as usize));
-
     while let Some(group) = frontier.pop() {
         // Look-ahead: if head ∪ tail is frequent, everything below is
         // subsumed by it.
-        let mut whole: Vec<u32> = group.head.clone();
-        whole.extend_from_slice(&group.tail);
-        let whole_set = set_of(&whole);
+        let mut whole = group.head.clone();
+        group.tail.iter().for_each(|&l| whole.insert(l));
         stats.subset_tests += 1;
-        let whole_count = count_any(tree, scan1, &whole_set);
+        let whole_count = count_any(tree, scan1, &whole);
         if whole_count >= scan1.min_count {
-            candidates.push((whole_set, whole_count));
+            candidates.push((whole, whole_count));
             continue;
         }
 
@@ -123,25 +106,24 @@ fn max_miner(
         // stay frequent with the extended head in the new tail.
         for (i, &item) in group.tail.iter().enumerate() {
             let mut head = group.head.clone();
-            head.push(item);
-            let head_set = set_of(&head);
+            head.insert(item);
             stats.subset_tests += 1;
-            let head_count = count_any(tree, scan1, &head_set);
+            let head_count = count_any(tree, scan1, &head);
             if head_count < scan1.min_count {
                 continue;
             }
             let mut tail = Vec::new();
             for &later in &group.tail[i + 1..] {
                 let mut probe = head.clone();
-                probe.push(later);
+                probe.insert(later);
                 stats.subset_tests += 1;
-                if count_any(tree, scan1, &set_of(&probe)) >= scan1.min_count {
+                if count_any(tree, scan1, &probe) >= scan1.min_count {
                     tail.push(later);
                 }
             }
             stats.max_level = stats.max_level.max(head.len());
             if tail.is_empty() {
-                candidates.push((head_set, head_count));
+                candidates.push((head, head_count));
             } else {
                 frontier.push(Group { head, tail });
             }
@@ -160,14 +142,7 @@ fn max_miner(
             });
         }
     }
-    maximal.sort_by(|a, b| {
-        a.letters.len().cmp(&b.letters.len()).then_with(|| {
-            a.letters
-                .iter()
-                .collect::<Vec<_>>()
-                .cmp(&b.letters.iter().collect())
-        })
-    });
+    maximal.sort_by(|a, b| a.letters.cmp(&b.letters));
     maximal
 }
 
@@ -191,14 +166,7 @@ mod tests {
         let config = MineConfig::new(min_conf).unwrap();
         let full = crate::hitset::mine(series, period, &config).unwrap();
         let mut expect = maximal_of(&full);
-        expect.sort_by(|a, b| {
-            a.letters.len().cmp(&b.letters.len()).then_with(|| {
-                a.letters
-                    .iter()
-                    .collect::<Vec<_>>()
-                    .cmp(&b.letters.iter().collect())
-            })
-        });
+        expect.sort_by(|a, b| a.letters.cmp(&b.letters));
         let got = mine_maximal(series, period, &config).unwrap();
         // The letter universes of the two runs are identical (same scan 1),
         // so FrequentPattern equality is meaningful.

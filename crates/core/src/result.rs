@@ -62,12 +62,7 @@ impl MiningResult {
     /// indices. Miners call this before returning so results from different
     /// algorithms compare equal structurally.
     pub fn sort(&mut self) {
-        self.frequent.sort_by(|a, b| {
-            let la = a.letters.len();
-            let lb = b.letters.len();
-            la.cmp(&lb)
-                .then_with(|| a.letters.iter().cmp(b.letters.iter()))
-        });
+        self.frequent.sort_by(|a, b| a.letters.cmp(&b.letters));
     }
 
     /// Iterates frequent patterns decoded to symbolic [`Pattern`]s with

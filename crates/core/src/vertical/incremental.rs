@@ -38,12 +38,14 @@
 //! derive.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 use std::time::Instant;
 
 use ppm_timeseries::{EncodedSeriesView, FeatureId};
 
+use crate::apriori::join_candidates;
 use crate::error::{Error, Result};
-use crate::letters::{Alphabet, LetterSet};
+use crate::letters::{Alphabet, LetterSet, WordMap};
 use crate::result::{FrequentPattern, MiningResult};
 use crate::scan::{MineConfig, Scan1};
 use crate::stats::MiningStats;
@@ -72,15 +74,16 @@ struct PrevCount {
     gen: u64,
 }
 
-/// One memoized Apriori join: `output = join(input)`, both flat arrays
-/// of row ids (`input` chunked by `k`, `output` by `k + 1`). The join is
-/// a pure function of its input, so exact input equality is the whole
-/// validity condition — in the steady state the frequent levels barely
-/// move between derives and every level is a cache hit.
+/// One memoized Apriori join: `output = join(input)`, letter sets over
+/// one derive's alphabet. The join is a pure function of its input —
+/// which rows the letters stand for never enters it — so exact input
+/// equality is the whole validity condition: in the steady state the
+/// frequent levels barely move between derives and every level is a
+/// cache hit.
 #[derive(Debug, Default, Clone)]
 struct JoinLevel {
-    input: Vec<u32>,
-    output: Vec<u32>,
+    input: Vec<LetterSet>,
+    output: Vec<LetterSet>,
 }
 
 /// A sliding window of period segments held as live per-letter bitmaps.
@@ -117,13 +120,16 @@ pub struct IncrementalVerticalIndex {
     /// Rows with any bit changed since the last derive.
     dirty_rows: HashSet<usize>,
     /// Counts of **every** candidate counted at the last derive (frequent
-    /// and infrequent), keyed by the candidate's row ids in alphabet
-    /// order. Both row ids and alphabet order — sorted `(offset,
-    /// feature)` — are stable across derives, so the key survives
-    /// alphabet reshuffles and threshold changes. Entries update in
-    /// place (no per-derive rebuild); stale generations are purged at
-    /// the end of each derive.
-    prev_counts: HashMap<Box<[u32]>, PrevCount>,
+    /// and infrequent), keyed by the candidate's letter set over that
+    /// derive's alphabet, whose letter `l` is row `key_rows[l]`. A derive
+    /// whose alphabet maps letters to other rows (a letter crossed the
+    /// threshold) re-keys the map through the stable row ids first, so
+    /// counts survive alphabet reshuffles and threshold changes. Entries
+    /// update in place (no per-derive rebuild); stale generations are
+    /// purged at the end of each derive.
+    prev_counts: WordMap<LetterSet, PrevCount>,
+    /// Letter → row id of the alphabet `prev_counts` is keyed over.
+    key_rows: Vec<u32>,
     /// Monotonic derive counter stamping `prev_counts` entries.
     derive_gen: u64,
     /// Memoized joins per level (index `k - 1` holds the join of the
@@ -156,7 +162,8 @@ impl IncrementalVerticalIndex {
             evicted: 0,
             dirty: BTreeMap::new(),
             dirty_rows: HashSet::new(),
-            prev_counts: HashMap::new(),
+            prev_counts: WordMap::default(),
+            key_rows: Vec::new(),
             derive_gen: 0,
             join_cache: Vec::new(),
         }
@@ -441,51 +448,59 @@ impl IncrementalVerticalIndex {
         self.derive_gen += 1;
         let gen = self.derive_gen;
 
-        // Row id → letter index for this derive's alphabet. The whole
-        // level loop runs in row ids — stable across derives, which is
-        // what lets the join cache and the count map key directly off
-        // candidate slices — and maps back to letter indices only when a
-        // frequent pattern is materialized.
+        // Row id → letter index for this derive's alphabet: re-keys the
+        // carried counts if the alphabet moved, and marks the letters
+        // whose rows changed since the last derive.
         let mut row_to_letter = vec![u32::MAX; self.letters.len()];
         for (i, &r) in rowmap.iter().enumerate() {
             row_to_letter[r as usize] = i as u32;
         }
+        if self.key_rows != rowmap {
+            self.rekey_prev_counts(&row_to_letter, n_letters);
+            self.key_rows = rowmap;
+        }
+        let mut dirty_letters = LetterSet::new(n_letters);
+        for &r in &self.dirty_rows {
+            if row_to_letter[r] != u32::MAX {
+                dirty_letters.insert(row_to_letter[r] as usize);
+            }
+        }
 
-        let mut level_flat: Vec<u32> = rowmap.clone();
+        let mut level: Vec<LetterSet> = (0..n_letters)
+            .map(|i| LetterSet::from_indices(n_letters, [i]))
+            .collect();
         let mut k = 1;
-        while !level_flat.is_empty() {
-            let candidates = self.joined_level(&level_flat, k);
-            let width = k + 1;
-            let n_cand = candidates.len() / width;
-            stats.candidates_generated += n_cand as u64;
-            if n_cand == 0 {
+        while !level.is_empty() {
+            let candidates = {
+                let _span = ppm_observe::span("derive.join");
+                self.joined_level(&level, k)
+            };
+            stats.candidates_generated += candidates.len() as u64;
+            if candidates.is_empty() {
                 break;
             }
-            k = width;
+            k += 1;
             stats.max_level = stats.max_level.max(k);
-            stats.subset_tests += n_cand as u64;
+            stats.subset_tests += candidates.len() as u64;
             let counts = self.count_level_incremental(
                 &candidates,
-                width,
+                k,
+                &dirty_letters,
                 resolved,
                 gen,
                 &mut and_ops,
                 &mut tally,
             );
-            let mut next_flat = Vec::with_capacity(candidates.len());
-            for (cand, &count) in candidates.chunks_exact(width).zip(&counts) {
+            level.clear();
+            for (set, count) in candidates.into_iter().zip(counts) {
                 if count >= min_count {
+                    level.push(set.clone());
                     frequent.push(FrequentPattern {
-                        letters: LetterSet::from_indices(
-                            n_letters,
-                            cand.iter().map(|&r| row_to_letter[r as usize] as usize),
-                        ),
+                        letters: set,
                         count,
                     });
-                    next_flat.extend_from_slice(cand);
                 }
             }
-            level_flat = next_flat;
         }
 
         // This derive becomes the new baseline: the window is clean and
@@ -509,77 +524,90 @@ impl IncrementalVerticalIndex {
         Ok(scan1.into_result(config, frequent, stats))
     }
 
-    /// The Apriori join of one frequent level (flat, chunked by `k`),
-    /// memoized across derives. A hit — the exact same frequent `k`-sets
-    /// as some earlier derive — returns the cached candidates without
-    /// re-running the join's subset pruning; in the steady state of
+    /// Moves every carried count onto the keys of this derive's alphabet
+    /// (`row_to_letter`, over `n_letters` letters), dropping those with a
+    /// letter that left the alphabet — no such candidate is generated
+    /// now.
+    fn rekey_prev_counts(&mut self, row_to_letter: &[u32], n_letters: usize) {
+        let old = std::mem::take(&mut self.prev_counts);
+        self.prev_counts = old
+            .into_iter()
+            .filter_map(|(key, e)| {
+                let mut set = LetterSet::new(n_letters);
+                for l in key.iter() {
+                    match row_to_letter[self.key_rows[l] as usize] {
+                        u32::MAX => return None,
+                        to => set.insert(to as usize),
+                    }
+                }
+                Some((set, e))
+            })
+            .collect();
+    }
+
+    /// The Apriori join of one frequent `k`-letter level, memoized
+    /// across derives. A hit — the exact same frequent `k`-sets as some
+    /// earlier derive — returns the cached candidates without re-running
+    /// the join's subset pruning; in the steady state of
     /// append-then-rederive the frequent set barely moves and every
     /// level hits.
-    fn joined_level(&mut self, level: &[u32], k: usize) -> Vec<u32> {
+    fn joined_level(&mut self, level: &[LetterSet], k: usize) -> Vec<LetterSet> {
         if let Some(c) = self.join_cache.get(k - 1) {
             if c.input.as_slice() == level {
                 return c.output.clone();
             }
         }
-        let out = join_flat(level, k);
+        let out = join_candidates(level);
         if self.join_cache.len() < k {
             self.join_cache.resize_with(k, JoinLevel::default);
         }
         let entry = &mut self.join_cache[k - 1];
-        entry.input.clear();
-        entry.input.extend_from_slice(level);
-        entry.output.clear();
-        entry.output.extend_from_slice(&out);
+        entry.input = level.to_vec();
+        entry.output = out.clone();
         out
     }
 
-    /// Counts one candidate level (flat, chunked by `width`, in row
-    /// ids), classifying each candidate as carried (all letters clean
-    /// since the last derive), delta-recounted (known previous count,
-    /// dirty letters — recount only the dirty words), or fully counted
-    /// (never counted before).
+    /// Counts one level of `width`-letter candidates, classifying each
+    /// as carried (no letter in `dirty_letters`), delta-recounted (known
+    /// previous count, dirty letters — recount only the dirty words), or
+    /// fully counted (never counted before).
+    #[allow(clippy::too_many_arguments)]
     fn count_level_incremental(
         &mut self,
-        candidates: &[u32],
+        candidates: &[LetterSet],
         width: usize,
+        dirty_letters: &LetterSet,
         kernel: Kernel,
         gen: u64,
         and_ops: &mut u64,
         tally: &mut DeriveTally,
     ) -> Vec<u64> {
         let wpr = self.words_per_row;
-        let n_cand = candidates.len() / width;
-        let mut counts = vec![0u64; n_cand];
+        let row_of = &self.key_rows;
+        let mut counts = vec![0u64; candidates.len()];
         let mut pending_delta = Vec::new();
         let mut pending_full = Vec::new();
-        {
-            // Split borrows: the count map updates in place while the
-            // dirty bookkeeping classifies.
-            let dirty = &self.dirty;
-            let dirty_rows = &self.dirty_rows;
-            let prev_counts = &mut self.prev_counts;
-            for (i, cand) in candidates.chunks_exact(width).enumerate() {
-                match prev_counts.get_mut(cand) {
-                    Some(e)
-                        if e.gen + 1 == gen
-                            && cand.iter().all(|&r| !dirty_rows.contains(&(r as usize))) =>
-                    {
-                        e.gen = gen;
-                        counts[i] = e.count;
-                        tally.carried += 1;
-                    }
-                    Some(e) if e.gen + 1 == gen => {
-                        // Disjoint-range decomposition: the previous
-                        // count minus its dirty-word portion (from the
-                        // snapshots) plus the live dirty-word portion.
-                        counts[i] = e.count - snapshot_count_over(dirty, cand);
-                        pending_delta.push(i);
-                        tally.delta += 1;
-                    }
-                    _ => {
-                        pending_full.push(i);
-                        tally.full += 1;
-                    }
+        for (i, cand) in candidates.iter().enumerate() {
+            match self.prev_counts.get_mut(cand) {
+                Some(e) if e.gen + 1 == gen && cand.is_disjoint(dirty_letters) => {
+                    e.gen = gen;
+                    counts[i] = e.count;
+                    tally.carried += 1;
+                }
+                Some(e) if e.gen + 1 == gen => {
+                    // Disjoint-range decomposition: the previous count
+                    // minus its dirty-word portion (from the snapshots)
+                    // plus the live dirty-word portion.
+                    let snapshot = |snap: &Vec<u64>| {
+                        and_count(cand, row_of, |r| snap.get(r).copied().unwrap_or(0))
+                    };
+                    counts[i] = e.count - self.dirty.values().map(snapshot).sum::<u64>();
+                    pending_delta.push(i);
+                    tally.delta += 1;
+                }
+                _ => {
+                    pending_full.push(i);
+                    tally.full += 1;
                 }
             }
         }
@@ -587,108 +615,85 @@ impl IncrementalVerticalIndex {
         // Live counts over just the dirty words. Single-word runs — the
         // common shape after one appended or evicted segment — AND the
         // column words directly; longer runs go through the blocked wide
-        // kernel so the prefix cache reuses sibling candidates' shared
-        // ancestry on each block.
-        if !pending_delta.is_empty() {
-            let runs = self.dirty_runs();
-            let needs_kernel = runs.iter().any(|&(lo, hi)| hi - lo > 1);
-            let bases: Vec<Vec<usize>> = if needs_kernel {
-                pending_delta
-                    .iter()
-                    .map(|&i| {
-                        candidates[i * width..(i + 1) * width]
-                            .iter()
-                            .map(|&r| r as usize * wpr)
-                            .collect()
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            let mut cache = PrefixCache::default();
-            for (run_start, run_end) in runs {
-                if run_end - run_start == 1 {
-                    for &i in &pending_delta {
-                        let mut acc = u64::MAX;
-                        for &r in &candidates[i * width..(i + 1) * width] {
-                            acc &= self.rows[r as usize * wpr + run_start];
-                            if acc == 0 {
-                                break;
-                            }
-                        }
-                        *and_ops += (width - 1) as u64;
-                        counts[i] += u64::from(acc.count_ones());
-                    }
-                    continue;
-                }
-                let mut block = run_start;
-                while block < run_end {
-                    let hi = (block + BLOCK_WORDS).min(run_end);
-                    for (d, &i) in pending_delta.iter().enumerate() {
-                        counts[i] += count_dispatch_cached(
-                            kernel,
-                            &self.rows,
-                            Unit,
-                            &bases[d],
-                            block..hi,
-                            and_ops,
-                            &mut cache,
-                        );
-                    }
-                    block = hi;
-                }
+        // kernel, like the full counts.
+        for (lo, hi) in self.dirty_runs() {
+            if hi - lo > 1 {
+                self.count_blocked(
+                    kernel,
+                    candidates,
+                    &pending_delta,
+                    lo..hi,
+                    &mut counts,
+                    and_ops,
+                );
+                continue;
+            }
+            for &i in &pending_delta {
+                *and_ops += (width - 1) as u64;
+                counts[i] += and_count(&candidates[i], row_of, |r| self.rows[r * wpr + lo]);
             }
         }
-        if !pending_full.is_empty() {
-            let bases: Vec<Vec<usize>> = pending_full
-                .iter()
-                .map(|&i| {
-                    candidates[i * width..(i + 1) * width]
-                        .iter()
-                        .map(|&r| r as usize * wpr)
-                        .collect()
-                })
-                .collect();
-            let mut cache = PrefixCache::default();
-            let mut block = 0;
-            while block < wpr {
-                let hi = (block + BLOCK_WORDS).min(wpr);
-                for (f, &i) in pending_full.iter().enumerate() {
-                    counts[i] += count_dispatch_cached(
-                        kernel,
-                        &self.rows,
-                        Unit,
-                        &bases[f],
-                        block..hi,
-                        and_ops,
-                        &mut cache,
-                    );
-                }
-                block = hi;
-            }
-        }
+        self.count_blocked(
+            kernel,
+            candidates,
+            &pending_full,
+            0..wpr,
+            &mut counts,
+            and_ops,
+        );
 
         // Recounted candidates restamp in place; only genuinely new keys
         // allocate.
         for &i in pending_delta.iter().chain(pending_full.iter()) {
-            let key = &candidates[i * width..(i + 1) * width];
-            match self.prev_counts.get_mut(key) {
-                Some(e) => {
-                    e.count = counts[i];
-                    e.gen = gen;
-                }
+            let entry = PrevCount {
+                count: counts[i],
+                gen,
+            };
+            match self.prev_counts.get_mut(&candidates[i]) {
+                Some(e) => *e = entry,
                 None => {
-                    self.prev_counts.insert(
-                        key.into(),
-                        PrevCount {
-                            count: counts[i],
-                            gen,
-                        },
-                    );
+                    self.prev_counts.insert(candidates[i].clone(), entry);
                 }
             }
         }
         counts
+    }
+
+    /// Adds the count over `words` of each candidate `pending` names,
+    /// through the blocked wide kernel, so the prefix cache reuses
+    /// sibling candidates' shared ancestry on each block.
+    fn count_blocked(
+        &self,
+        kernel: Kernel,
+        candidates: &[LetterSet],
+        pending: &[usize],
+        words: Range<usize>,
+        counts: &mut [u64],
+        and_ops: &mut u64,
+    ) {
+        let wpr = self.words_per_row;
+        let bases: Vec<Vec<usize>> = pending
+            .iter()
+            .map(|&i| {
+                let rows = candidates[i].iter();
+                rows.map(|l| self.key_rows[l] as usize * wpr).collect()
+            })
+            .collect();
+        let mut cache = PrefixCache::default();
+        for block in words.clone().step_by(BLOCK_WORDS) {
+            let block = block..(block + BLOCK_WORDS).min(words.end);
+            for (&i, bases) in pending.iter().zip(&bases) {
+                counts[i] += count_dispatch_cached(
+                    kernel,
+                    &self.rows,
+                    Unit,
+                    bases,
+                    block.clone(),
+                    and_ops,
+                    &mut cache,
+                );
+            }
+        }
     }
 
     /// Maximal runs of consecutive dirty words, in ascending order.
@@ -704,60 +709,19 @@ impl IncrementalVerticalIndex {
     }
 }
 
-/// The candidate's count over the dirty words *as of the last derive*,
-/// from the per-word column snapshots. Rows interned after a snapshot
-/// read as 0 — their value at the last derive.
-fn snapshot_count_over(dirty: &BTreeMap<usize, Vec<u64>>, rows: &[u32]) -> u64 {
-    let mut total = 0u64;
-    for snap in dirty.values() {
-        let mut acc = u64::MAX;
-        for &r in rows {
-            acc &= snap.get(r as usize).copied().unwrap_or(0);
-            if acc == 0 {
-                break;
-            }
-        }
-        total += u64::from(acc.count_ones());
-    }
-    total
-}
-
-/// The Apriori join over a flat level of `k`-sets: every pair sharing a
-/// `k - 1` prefix joins, pruned unless all `k`-subsets of the joined
-/// candidate are in the level. Same candidate set (and order) as
-/// [`crate::apriori::join_candidates`] on the unflattened level — the
-/// flat layout exists so levels compare and copy as single slices.
-fn join_flat(level: &[u32], k: usize) -> Vec<u32> {
-    let sets: Vec<&[u32]> = level.chunks_exact(k).collect();
-    let lookup: HashSet<&[u32]> = sets.iter().copied().collect();
-    let mut out = Vec::new();
-    let mut scratch = Vec::with_capacity(k);
-    for i in 0..sets.len() {
-        for j in i + 1..sets.len() {
-            let (a, b) = (sets[i], sets[j]);
-            if a[..k - 1] != b[..k - 1] {
-                break; // sorted order: no further j shares the prefix
-            }
-            // All k-subsets of `a + b[k-1]` must be in the level; the two
-            // missing the last and second-to-last letters are b and a.
-            let ok = (0..k - 1).all(|drop| {
-                scratch.clear();
-                scratch.extend(
-                    a.iter()
-                        .enumerate()
-                        .filter(|&(p, _)| p != drop)
-                        .map(|(_, &l)| l),
-                );
-                scratch.push(b[k - 1]);
-                lookup.contains(scratch.as_slice())
-            });
-            if ok {
-                out.extend_from_slice(a);
-                out.push(b[k - 1]);
-            }
+/// The popcount of the AND of one word per letter of `cand`, `word(row)`
+/// giving letter `l`'s word from its row `row_of[l]`. Live words count
+/// the dirty range now; snapshot words count it as of the last derive,
+/// where rows interned since read as 0 — their value then.
+fn and_count(cand: &LetterSet, row_of: &[u32], word: impl Fn(usize) -> u64) -> u64 {
+    let mut acc = u64::MAX;
+    for l in cand.iter() {
+        acc &= word(row_of[l] as usize);
+        if acc == 0 {
+            break;
         }
     }
-    out
+    u64::from(acc.count_ones())
 }
 
 /// One-shot incremental mine of every whole segment in `view` — the

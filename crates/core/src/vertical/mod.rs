@@ -46,7 +46,7 @@ use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
 use crate::error::Result;
 use crate::guard::ResourceGuard;
 use crate::hitset::derive::derive_frequent_batched;
-use crate::letters::LetterSet;
+use crate::letters::{LetterSet, WordSlots};
 use crate::result::{FrequentPattern, MiningResult};
 use crate::rows::{Input, Passes};
 use crate::scan::{MineConfig, Scan1};
@@ -60,43 +60,21 @@ pub use shard::{count_sharded, ShardExecutor, ShardedCounter, ThreadedExecutor};
 
 /// Folds hits of `stride` words each, laid end to end in `hits`, into
 /// the distinct hits and their multiplicities: `(keys, counts)`, key `i`
-/// being `keys[i * stride..(i + 1) * stride]`, in first-seen order. Open
-/// addressing, hashed by a multiplicative fold of each hit's words — no
-/// tree, no SipHash, no allocation per hit — over a probe table of at
-/// least twice as many slots as hits, so it never fills past half.
+/// being `keys[i * stride..(i + 1) * stride]`, in first-seen order. One
+/// [`WordSlots`] table sized for every hit being distinct — no tree, no
+/// SipHash, no allocation per hit.
 fn count_hits(hits: &[u64], stride: usize) -> (Vec<u64>, Vec<u64>) {
     let mut keys = Vec::new();
     let mut counts: Vec<u64> = Vec::new();
-    // 0 is an empty slot, else a key index + 1.
-    let mut slots = vec![0u32; (2 * (hits.len() / stride)).next_power_of_two().max(64)];
-    let mask = slots.len() - 1;
-    let shift = 64 - slots.len().trailing_zeros();
+    let mut slots = WordSlots::new(hits.len() / stride);
     for key in hits.chunks_exact(stride) {
-        let mut h = 0u64;
-        for &w in key {
-            h = (h.rotate_left(23) ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-        // The top bits of the Fibonacci-multiplied fold pick the home slot.
-        let mut at = (h >> shift) as usize;
-        loop {
-            match slots[at] {
-                0 => {
-                    let id = u32::try_from(counts.len() + 1);
-                    slots[at] = id.expect("fewer than 2^32 distinct hits");
-                    keys.extend_from_slice(key);
-                    counts.push(1);
-                    break;
-                }
-                slot => {
-                    let i = slot as usize - 1;
-                    let stored = &keys[i * stride..(i + 1) * stride];
-                    if stored.iter().zip(key).all(|(a, b)| a == b) {
-                        counts[i] += 1;
-                        break;
-                    }
-                }
+        match slots.find(key, |i| &keys[i * stride..(i + 1) * stride]) {
+            Ok(i) => counts[i] += 1,
+            Err(slot) => {
+                slots.fill(slot, counts.len());
+                keys.extend_from_slice(key);
+                counts.push(1);
             }
-            at = (at + 1) & mask;
         }
     }
     (keys, counts)

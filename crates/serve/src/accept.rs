@@ -19,6 +19,7 @@
 
 use std::ffi::c_long;
 use std::io;
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::time::Duration;
 
@@ -81,10 +82,19 @@ pub(crate) fn accepted<T>(result: io::Result<T>) -> Option<T> {
     }
 }
 
+/// [`accepted`] on a TCP listener, with Nagle's algorithm off on the
+/// accepted stream: every write on these connections is a whole frame
+/// the peer waits for, so holding it back for a delayed ACK only adds
+/// latency. A stream that refuses the option still works, so it is kept.
+pub(crate) fn accepted_tcp(listener: &TcpListener) -> Option<TcpStream> {
+    let (stream, _) = accepted(listener.accept())?;
+    stream.set_nodelay(true).ok();
+    Some(stream)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::{TcpListener, TcpStream};
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::time::Instant;
 
@@ -118,6 +128,14 @@ mod tests {
         assert!(t.elapsed() < LONG / 2, "accept waited for the tick");
         client.join().unwrap();
         std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn accepted_tcp_streams_have_nodelay_set() {
+        let tcp = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = TcpStream::connect(tcp.local_addr().unwrap()).unwrap();
+        let stream = accepted_tcp(&tcp).expect("a pending connection");
+        assert!(stream.nodelay().unwrap());
     }
 
     #[test]

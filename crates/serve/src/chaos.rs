@@ -154,7 +154,7 @@ impl ChaosProxy {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
-            if let Some((client, _)) = accept::accepted(self.listener.accept()) {
+            if let Some(client) = accept::accepted_tcp(&self.listener) {
                 let index = self.conns.fetch_add(1, Ordering::Relaxed);
                 let fault = fault_for(&self.config, index);
                 ppm_observe::mark("chaos.conn", || format!("conn {index}: {}", fault.name()));
@@ -209,21 +209,30 @@ fn read_raw_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
     Ok(Some(frame))
 }
 
+/// Both legs of one proxied connection: the accepted client and a fresh
+/// upstream connection. Each gets its own timeouts, which also replace
+/// the accept tick the client socket inherits from the listener, and
+/// Nagle's algorithm off, like every other leg of the wire.
+fn legs(client: TcpStream, upstream: &str) -> io::Result<(TcpStream, TcpStream)> {
+    let timeout = Some(Duration::from_secs(10));
+    let up = TcpStream::connect(upstream)?;
+    for leg in [&client, &up] {
+        leg.set_read_timeout(timeout)?;
+        leg.set_write_timeout(timeout)?;
+        leg.set_nodelay(true)?;
+    }
+    Ok((client, up))
+}
+
 /// Proxies one connection: forward each request verbatim, disturb the
-/// response per the fault. Both legs get their own timeouts, which also
-/// replace the accept tick the client socket inherits from the listener.
+/// response per the fault.
 fn proxy_conn(
-    mut client: TcpStream,
+    client: TcpStream,
     upstream: &str,
     fault: ChaosFault,
     delay_ms: u64,
 ) -> io::Result<()> {
-    let timeout = Some(Duration::from_secs(10));
-    client.set_read_timeout(timeout)?;
-    client.set_write_timeout(timeout)?;
-    let mut up = TcpStream::connect(upstream)?;
-    up.set_read_timeout(timeout)?;
-    up.set_write_timeout(timeout)?;
+    let (mut client, mut up) = legs(client, upstream)?;
     loop {
         let Some(req) = read_raw_frame(&mut client)? else {
             return Ok(());
@@ -279,6 +288,17 @@ fn proxy_conn(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn both_proxy_legs_have_nodelay_set() {
+        let front = TcpListener::bind("127.0.0.1:0").unwrap();
+        let back = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(front.local_addr().unwrap()).unwrap();
+        let (client, _) = front.accept().unwrap();
+        let (client, up) = legs(client, &back.local_addr().unwrap().to_string()).unwrap();
+        assert!(client.nodelay().unwrap());
+        assert!(up.nodelay().unwrap());
+    }
 
     #[test]
     fn schedule_is_deterministic_and_seed_sensitive() {

@@ -73,6 +73,7 @@ impl Endpoint {
                 let s = TcpStream::connect_timeout(&resolved, timeout)?;
                 s.set_read_timeout(Some(timeout))?;
                 s.set_write_timeout(Some(timeout))?;
+                s.set_nodelay(true)?;
                 Ok(ClientStream::Tcp(s))
             }
             Endpoint::Unix(path) => {
@@ -602,6 +603,16 @@ mod tests {
             Endpoint::parse("/tmp/ppm.sock"),
             Endpoint::Unix(PathBuf::from("/tmp/ppm.sock"))
         );
+    }
+
+    #[test]
+    fn tcp_endpoints_connect_with_nodelay_set() {
+        let server = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let endpoint = Endpoint::Tcp(server.local_addr().unwrap().to_string());
+        match endpoint.connect(Duration::from_secs(5)).unwrap() {
+            ClientStream::Tcp(s) => assert!(s.nodelay().unwrap()),
+            ClientStream::Unix(_) => panic!("a TCP endpoint connected over a Unix socket"),
+        }
     }
 
     #[test]

@@ -478,7 +478,7 @@ impl Server {
                     last_verify = Instant::now();
                 }
                 let accepted = match &self.listener {
-                    Listener::Tcp(l) => accept::accepted(l.accept()).map(|(s, _)| Stream::Tcp(s)),
+                    Listener::Tcp(l) => accept::accepted_tcp(l).map(Stream::Tcp),
                     Listener::Unix(l) => accept::accepted(l.accept()).map(|(s, _)| Stream::Unix(s)),
                 };
                 if let Some(stream) = accepted {

@@ -2,19 +2,24 @@
 //! hit-set method (Alg 3.2), multi-period looping (Alg 3.3) and shared
 //! mining (Alg 3.4) must all report exactly the same frequent patterns with
 //! exactly the same counts — and those counts must agree with brute-force
-//! segment matching and brute-force subset enumeration.
+//! segment matching and brute-force subset enumeration. Every engine's
+//! derive statistics and frequent set on two generated stores are also
+//! pinned, so a change to candidate generation cannot move them.
 
 #[cfg(feature = "property-tests")]
 use proptest::prelude::*;
 
+use partial_periodic::constraints::{self, Constraints};
 use partial_periodic::core::hitset::derive::CountStrategy;
 #[cfg(feature = "property-tests")]
 use partial_periodic::core::LetterSet;
 #[cfg(feature = "property-tests")]
 use partial_periodic::multi::{mine_periods_looping, mine_periods_shared, PeriodRange};
-use partial_periodic::{apriori, hitset, FeatureCatalog, MineConfig, SeriesBuilder};
+use partial_periodic::timeseries::{self, EncodedSeries};
 #[cfg(feature = "property-tests")]
-use partial_periodic::{Engine, FeatureId};
+use partial_periodic::FeatureId;
+use partial_periodic::{apriori, hitset, FeatureCatalog, MineConfig, SeriesBuilder};
+use partial_periodic::{run, vertical, Engine, MiningResult, SyntheticSpec};
 
 #[cfg(feature = "property-tests")]
 fn build_series(instants: &[Vec<u8>]) -> partial_periodic::FeatureSeries {
@@ -197,4 +202,82 @@ fn algorithms_agree_on_the_paper_example() {
         assert_eq!(r.frequent, hs.frequent, "{strategy:?}");
         assert_eq!(r.stats, hs.stats, "{strategy:?}");
     }
+}
+
+/// What a level-wise derive must reproduce exactly: the candidate
+/// lattice's size and depth, the counting work, and the frequent set
+/// itself (pattern count plus an FNV-1a fingerprint of every
+/// pattern's letters and count, in the result's canonical order).
+fn identity(result: &MiningResult) -> (u64, u64, usize, usize, u64) {
+    let mut bytes = Vec::new();
+    for f in &result.frequent {
+        for l in f.letters.iter() {
+            bytes.extend_from_slice(&(l as u32).to_le_bytes());
+        }
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(&f.count.to_le_bytes());
+    }
+    let s = &result.stats;
+    (
+        s.candidates_generated,
+        s.subset_tests,
+        s.max_level,
+        result.frequent.len(),
+        timeseries::fnv64(&bytes),
+    )
+}
+
+/// Every engine's derive statistics and frequent set on two small
+/// Table-1 stores, pinned to the values the `Vec<u32>`-level join
+/// produced: a 24-letter alphabet (one inline word per set) and a
+/// 70-letter one (the heap form, across a word boundary). The
+/// incremental engine runs both as `run` dispatches it (the cold
+/// vertical mine) and through its live index, whose level loop and
+/// join cache are its own; constrained mining re-roots the join at
+/// a required letter.
+#[test]
+fn derive_stats_and_frequent_sets_are_pinned() {
+    let cases = [
+        (SyntheticSpec::table1(6_000, 30, 8, 24), 0.35),
+        (SyntheticSpec::table1(8_000, 80, 7, 70), 0.45),
+    ];
+    let mut got = Vec::new();
+    for (spec, conf) in cases {
+        let g = spec.generate();
+        let config = MineConfig::new(conf).unwrap();
+        let p = spec.period;
+        let cold = |e| identity(&run(e, &g.series, p, &config, 1).unwrap());
+        let mut row: Vec<_> = Engine::ALL.into_iter().map(cold).collect();
+        let enc = EncodedSeries::encode(&g.series);
+        let live = vertical::incremental::mine_incremental_view(enc.view(), p, &config);
+        row.push(identity(&live.unwrap()));
+        let (o, f) = g.backbone[0];
+        let required = Constraints::none().require(o, f);
+        let constrained = constraints::mine_constrained(&g.series, p, &config, &required);
+        row.push(identity(&constrained.unwrap()));
+        got.push(row);
+    }
+    // One row per store: hitset, apriori, vertical, incremental (as
+    // `run`), the live incremental index, constrained.
+    let p30 = (6036, 6036, 9, 4635, 6500151125932692174);
+    let p80 = (21036, 21036, 8, 9118, 12585907476459474539);
+    let want = [
+        [
+            p30,
+            (6036, 923377, 9, 4635, 6500151125932692174),
+            p30,
+            p30,
+            p30,
+            (2272, 2295, 9, 2176, 737245733575589925),
+        ],
+        [
+            p80,
+            (21036, 1910336, 8, 9118, 12585907476459474539),
+            p80,
+            p80,
+            p80,
+            (5979, 6048, 8, 4096, 12481863291115633781),
+        ],
+    ];
+    assert_eq!(got, want);
 }

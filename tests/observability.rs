@@ -7,7 +7,7 @@
 use std::sync::{Arc, Mutex};
 
 use partial_periodic::observe::{self, Collector, Event, Json, JsonLinesSink, NoopSink};
-use partial_periodic::{apriori, hitset, FeatureId, FeatureSeries, MineConfig};
+use partial_periodic::{apriori, hitset, vertical, FeatureId, FeatureSeries, MineConfig};
 use partial_periodic::{MiningResult, SeriesBuilder};
 
 fn fid(i: u32) -> FeatureId {
@@ -59,14 +59,15 @@ fn hitset_spans_and_counters_are_deterministic() {
     let config = MineConfig::new(0.5).unwrap();
     let (result, collector) = mine_collected(&series, &config);
 
+    // The derive's level loop runs one `derive.join` per level it joins.
+    let joins = joined_levels(&result);
+    assert!(joins >= 2, "the fixture joins more than one level");
+    let mut expect = vec!["hitset.scan1", "hitset.scan2"];
+    expect.extend(std::iter::repeat_n("derive.join", joins));
+    expect.extend(["hitset.derive", "hitset.mine"]);
     assert_eq!(
         collector.finished_span_names(),
-        vec![
-            "hitset.scan1",
-            "hitset.scan2",
-            "hitset.derive",
-            "hitset.mine"
-        ],
+        expect,
         "spans complete innermost-first, in phase order"
     );
     let m = result.segment_count as u64;
@@ -100,6 +101,49 @@ fn hitset_spans_and_counters_are_deterministic() {
     let (_, again) = mine_collected(&series, &config);
     let names = |c: &Collector| c.events().iter().map(Event::name).collect::<Vec<_>>();
     assert_eq!(names(&collector), names(&again));
+}
+
+/// How many levels a derive joined: every level up to the deepest with
+/// candidates, plus that one if any of its candidates was frequent (the
+/// loop then joins it too, and the join comes back empty).
+fn joined_levels(result: &MiningResult) -> usize {
+    let top = result.stats.max_level;
+    let top_frequent = result.frequent.iter().any(|f| f.letters.len() == top);
+    top - 1 + usize::from(top_frequent)
+}
+
+/// A traced vertical mine splits its derive into join and count: one
+/// `derive.join` span per joined level, each nested in `vertical.derive`.
+#[test]
+fn vertical_derive_emits_one_join_span_per_level() {
+    let series = fixed_series();
+    let config = MineConfig::new(0.5).unwrap();
+    let collector = Arc::new(Collector::new());
+    let result = {
+        let _guard = observe::install(collector.clone());
+        vertical::mine_vertical(&series, 6, &config).unwrap()
+    };
+    let events = collector.events();
+    let derive_id = events
+        .iter()
+        .find_map(|e| match e {
+            Event::SpanStart { id, name, .. } if *name == "vertical.derive" => Some(*id),
+            _ => None,
+        })
+        .expect("a vertical.derive span");
+    let join_parents: Vec<Option<u64>> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::SpanStart { parent, name, .. } if *name == "derive.join" => Some(*parent),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(join_parents.len(), joined_levels(&result));
+    assert!(
+        join_parents.len() >= 2,
+        "the fixture joins more than one level"
+    );
+    assert!(join_parents.iter().all(|&p| p == Some(derive_id)));
 }
 
 /// Apriori emits one `apriori.level` span per level and its candidate
