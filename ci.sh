@@ -120,11 +120,11 @@ echo "==> continuous ingestion smoke: ppm append, mine --follow, serve append op
 # A dedicated store copy so appends never perturb the other steps' files.
 ./target/release/ppm convert --input "$smoke_dir/smoke.ppms" \
   --out "$smoke_dir/follow.ppmc"
-# A converted store is .ppmc version 2. A version-1 store (the committed
+# A converted store is .ppmc version 3. A version-1 store (the committed
 # fixture, written before the word-hash checksum) still mines exactly like
 # its version-2 twin, and an append grows it in place as version 1.
-./target/release/ppm info --input "$smoke_dir/follow.ppmc" >"$smoke_dir/info-v2.log"
-grep -q "^format: *\.ppmc version 2$" "$smoke_dir/info-v2.log"
+./target/release/ppm info --input "$smoke_dir/follow.ppmc" >"$smoke_dir/info-v3.log"
+grep -q "^format: *\.ppmc version 3$" "$smoke_dir/info-v3.log"
 cp crates/timeseries/testdata/synthetic-p12-v1.ppmc "$smoke_dir/v1.ppmc"
 ./target/release/ppm convert --input "$smoke_dir/v1.ppmc" \
   --out "$smoke_dir/v1-twin.ppmc" >/dev/null
@@ -143,6 +143,28 @@ grep -q "^instants: *612$" "$smoke_dir/info-v1.log"
 ./target/release/ppm mine --input "$smoke_dir/v1.ppmc" --period 12 \
   --min-conf 0.6 >"$smoke_dir/mine-v1.log"
 grep -q "frequent patterns (period 12, 51 segments" "$smoke_dir/mine-v1.log"
+# The version-2 fixture (written before the commit slots) goes through the
+# same checks: it mines like its version-3 twin, and an append rewrites it
+# whole as version 2, leaving no staging file.
+cp crates/timeseries/testdata/synthetic-p12-v2.ppmc "$smoke_dir/v2.ppmc"
+./target/release/ppm convert --input "$smoke_dir/v2.ppmc" \
+  --out "$smoke_dir/v2-twin.ppmc" >/dev/null
+for store in v2 v2-twin; do
+  ./target/release/ppm mine --input "$smoke_dir/$store.ppmc" --period 12 \
+    --min-conf 0.6 --limit 100000 | grep '^  ' >"$smoke_dir/$store.lines"
+done
+test -s "$smoke_dir/v2.lines"
+diff "$smoke_dir/v2.lines" "$smoke_dir/v2-twin.lines"
+./target/release/ppm append --input "$smoke_dir/v2.ppmc" --rows "pat0;-;pat1" \
+  --repeat 4 >"$smoke_dir/append-v2.log"
+grep -q "appended 12 instants" "$smoke_dir/append-v2.log"
+test ! -e "$smoke_dir/v2.ppmc.tmp"
+./target/release/ppm info --input "$smoke_dir/v2.ppmc" >"$smoke_dir/info-v2.log"
+grep -q "^format: *\.ppmc version 2$" "$smoke_dir/info-v2.log"
+grep -q "^instants: *612$" "$smoke_dir/info-v2.log"
+./target/release/ppm mine --input "$smoke_dir/v2.ppmc" --period 12 \
+  --min-conf 0.6 >"$smoke_dir/mine-v2.log"
+grep -q "frequent patterns (period 12, 51 segments" "$smoke_dir/mine-v2.log"
 # A follow loop tails the store in the background; one whole appended
 # segment must surface as an audited incremental update.
 ./target/release/ppm mine --input "$smoke_dir/follow.ppmc" --period 25 \
@@ -153,6 +175,12 @@ sleep 0.5
 ./target/release/ppm append --input "$smoke_dir/follow.ppmc" --rows "-" \
   --repeat 25 >"$smoke_dir/append.log"
 grep -q "appended 25 instants" "$smoke_dir/append.log"
+# A version-3 append commits in place: no staging file, and the next
+# commit seq (a converted store starts at seq 1).
+test ! -e "$smoke_dir/follow.ppmc.tmp"
+./target/release/ppm info --input "$smoke_dir/follow.ppmc" >"$smoke_dir/info-follow.log"
+grep -q "^instants: *3025$" "$smoke_dir/info-follow.log"
+grep -q "^commit: *seq 2 (slot 0)$" "$smoke_dir/info-follow.log"
 wait "$follow_pid"
 grep -q "update 1: +1 segments" "$smoke_dir/follow.log"
 grep -q "audit: clean" "$smoke_dir/follow.log"

@@ -6,10 +6,14 @@
 //! empty instant. `--repeat N` appends the whole block N times — handy
 //! for driving `mine --follow` and the continuous-ingestion smoke tests.
 //!
-//! The publish goes through the columnar appender's crash-safe
-//! temp-file + atomic-rename discipline, so a reader (or a `ppm serve`
-//! daemon re-verifying the file) only ever sees the old complete store
-//! or the new complete store. Feature names must already exist in the
+//! The publish goes through the columnar appender, which holds the
+//! store's exclusive append lock (a `ppm serve` daemon appending to the
+//! same file waits for it, and it for the daemon). A version-3 store is
+//! grown in place: the new rows, `fdatasync`, then a new commit slot,
+//! `fdatasync` — `O(appended)` bytes. An older store is rewritten whole
+//! through a temp file and an atomic rename. Either way a reader (or a
+//! daemon re-verifying the file) only ever sees the old complete store or
+//! the new complete store. Feature names must already exist in the
 //! store's catalog — the catalog is fixed at store creation.
 
 use std::io::Write;

@@ -213,8 +213,8 @@ mod tests {
     }
 
     /// A version-1 store (written before the word-hash checksum) mines
-    /// exactly like its version-2 re-conversion, and `ppm append` keeps it
-    /// version 1.
+    /// exactly like its re-conversion (now version 3), and `ppm append`
+    /// keeps it version 1.
     #[test]
     fn v1_columnar_store_mines_like_its_v2_twin_and_appends_in_place() {
         let fixture = concat!(
@@ -235,7 +235,7 @@ mod tests {
                 .unwrap()
                 .version()
         };
-        assert_eq!((version(&v1), version(&v2)), (1, 2));
+        assert_eq!((version(&v1), version(&v2)), (1, 3));
         let mine = |path: &std::path::Path, engine: &str| {
             let out = run_cli(&format!(
                 "mine --input {} --period 12 --min-conf 0.6 --engine {engine} --limit 100000",
@@ -263,5 +263,59 @@ mod tests {
         assert_eq!(reader.len(), 612);
         std::fs::remove_file(v1).ok();
         std::fs::remove_file(v2).ok();
+    }
+
+    /// A version-2 store (written before the commit slots) mines exactly
+    /// like its version-3 re-conversion, and `ppm append` grows it through
+    /// the whole-file publish, keeping it version 2 and leaving no staging
+    /// file behind.
+    #[test]
+    fn v2_columnar_store_mines_like_its_v3_twin_and_appends_whole_file() {
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../timeseries/testdata/synthetic-p12-v2.ppmc"
+        );
+        let v2 = temp_path("conv-v2-fixture", "ppmc");
+        let v3 = temp_path("conv-v3", "ppmc");
+        std::fs::copy(fixture, &v2).unwrap();
+        run_cli(&format!(
+            "convert --input {} --out {}",
+            v2.display(),
+            v3.display()
+        ))
+        .unwrap();
+        let open =
+            |path: &std::path::Path| ppm_timeseries::columnar::ColumnarReader::open(path).unwrap();
+        assert_eq!((open(&v2).version(), open(&v3).version()), (2, 3));
+        let mine = |path: &std::path::Path, engine: &str| {
+            let out = run_cli(&format!(
+                "mine --input {} --period 12 --min-conf 0.6 --engine {engine} --limit 100000",
+                path.display()
+            ))
+            .unwrap();
+            out.lines()
+                .filter(|l| l.starts_with("  "))
+                .collect::<Vec<_>>()
+                .join("\n")
+        };
+        for engine in ["hitset", "apriori", "vertical", "incremental"] {
+            let lines = mine(&v2, engine);
+            assert!(lines.lines().count() > 20, "{engine}: {lines}");
+            assert_eq!(lines, mine(&v3, engine), "{engine}");
+        }
+        let text = run_cli(&format!(
+            "append --input {} --rows pat0;-;pat1 --repeat 4",
+            v2.display()
+        ))
+        .unwrap();
+        assert!(text.contains("appended 12 instants"), "{text}");
+        let mut staging = v2.as_os_str().to_owned();
+        staging.push(".tmp");
+        assert!(!std::path::Path::new(&staging).exists());
+        let reader = open(&v2);
+        assert_eq!((reader.version(), reader.len()), (2, 612));
+        assert_eq!(reader.commit(), None);
+        std::fs::remove_file(v2).ok();
+        std::fs::remove_file(v3).ok();
     }
 }

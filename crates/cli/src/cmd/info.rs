@@ -1,5 +1,6 @@
 //! `ppm info` — series summary statistics, and the format version of a
-//! columnar (`.ppmc`) input.
+//! columnar (`.ppmc`) input: for version 3 also its commit `seq`, a
+//! rollback to the older commit slot, and any uncommitted tail.
 //!
 //! With `--period P` (and optionally `--min-conf C`, default 0.5) it also
 //! runs scan 1 for that period and reports the Property 3.2 hit-set
@@ -20,18 +21,44 @@ pub(crate) const FLAGS: &[&str] = &["input period min-conf"];
 /// Runs the command.
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.required("input")?;
-    let (series, catalog, version) = if super::format_of(input) == super::Format::Columnar {
+    let (series, catalog, columnar) = if super::format_of(input) == super::Format::Columnar {
         let reader = ColumnarReader::open(input)?;
         let catalog = reader.catalog().clone();
-        (reader.to_series(), catalog, Some(reader.version()))
+        (reader.to_series(), catalog, Some(reader))
     } else {
         let (series, catalog) = super::load_series(input)?;
         (series, catalog, None)
     };
     let stats = series.stats();
     writeln!(out, "file:                 {input}")?;
-    if let Some(version) = version {
-        writeln!(out, "format:               .ppmc version {version}")?;
+    if let Some(reader) = &columnar {
+        writeln!(
+            out,
+            "format:               .ppmc version {}",
+            reader.version()
+        )?;
+        if let Some(commit) = reader.commit() {
+            write!(
+                out,
+                "commit:               seq {} (slot {})",
+                commit.seq, commit.slot
+            )?;
+            if commit.rolled_back {
+                write!(
+                    out,
+                    "; slot {} fails its check: rolled back to the last intact commit",
+                    1 - commit.slot
+                )?;
+            }
+            writeln!(out)?;
+        }
+        if reader.uncommitted_bytes() > 0 {
+            writeln!(
+                out,
+                "uncommitted tail:     {} bytes past the committed rows",
+                reader.uncommitted_bytes()
+            )?;
+        }
     }
     writeln!(out, "instants:             {}", stats.instants)?;
     writeln!(out, "feature occurrences:  {}", stats.total_features)?;
@@ -146,7 +173,11 @@ mod tests {
         let ppmc = sample_series_file("ppmc");
         let text = run_cli(&format!("info --input {}", ppmc.display())).unwrap();
         assert!(
-            text.contains("format:               .ppmc version 2\n"),
+            text.contains("format:               .ppmc version 3\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("commit:               seq 1 (slot 1)\n"),
             "{text}"
         );
         assert!(text.contains("instants:             90"), "{text}");
@@ -161,6 +192,39 @@ mod tests {
         );
         assert!(text.contains("instants:             600"), "{text}");
         std::fs::remove_file(ppms).ok();
+        std::fs::remove_file(ppmc).ok();
+    }
+
+    /// A damaged newest commit slot opens the older commit; `info` says
+    /// so, and counts the rows it no longer commits as an uncommitted tail.
+    #[test]
+    fn info_reports_a_rolled_back_commit_and_its_uncommitted_tail() {
+        let ppmc = sample_series_file("ppmc");
+        let p = ppmc.display();
+        run_cli(&format!("append --input {p} --rows alpha;beta;-")).unwrap();
+        let text = run_cli(&format!("info --input {p}")).unwrap();
+        assert!(
+            text.contains("commit:               seq 2 (slot 0)\n"),
+            "{text}"
+        );
+        assert!(!text.contains("uncommitted"), "{text}");
+        // Slot 0 starts at the first 4096-byte boundary after the header.
+        let mut bytes = std::fs::read(&ppmc).unwrap();
+        bytes[4096] ^= 0x01;
+        std::fs::write(&ppmc, &bytes).unwrap();
+        let text = run_cli(&format!("info --input {p}")).unwrap();
+        assert!(
+            text.contains(
+                "commit:               seq 1 (slot 1); slot 0 fails its check: \
+                 rolled back to the last intact commit\n"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains("uncommitted tail:     24 bytes past the committed rows\n"),
+            "{text}"
+        );
+        assert!(text.contains("instants:             90"), "{text}");
         std::fs::remove_file(ppmc).ok();
     }
 

@@ -1181,20 +1181,26 @@ impl Server {
         // byte-for-byte that load, the appender resumes its midstate and
         // hashes nothing of the existing store. Otherwise the file is
         // fully validated (a corrupt one fails here) and the publish
-        // below refuses a base that is not the resident load.
+        // below refuses a base that is not the resident load. The
+        // appender holds the file's append lock from here on, so an
+        // external `ppm append` waits for this one.
+        let verify = ppm_observe::span("append.verify");
         let mut app = ColumnarAppender::open_resident(&store.path, &resident)
             .map_err(|e| OpError::internal(format!("append open failed: {e}")))?;
+        drop(verify);
         for feats in &instants {
             app.append_instant(feats)
                 .map_err(|e| OpError::internal(format!("append failed: {e}")))?;
         }
-        // Publishes the file and keeps the appended rows, so the resident
-        // load can be grown to match without re-reading or re-hashing the
-        // whole store. Rejected (nothing published) if the file diverged
-        // from the resident load.
+        // Publishes the file — in place for a version-3 store — and keeps
+        // the appended rows, so the resident load can be grown to match
+        // without re-reading or re-hashing the whole store. Rejected
+        // (nothing published) if the file diverged from the resident load.
+        let publish = ppm_observe::span("append.publish");
         let growth = app
             .finish_growth(&resident)
             .map_err(|e| OpError::internal(format!("append publish failed: {e}")))?;
+        drop(publish);
         let total = growth.instants();
         let old_fp = resident.fingerprint();
         let new_fp = growth.fingerprint();
@@ -1207,9 +1213,11 @@ impl Server {
         // across growth + catch-up + rekey, `with_index` blocks until the
         // cache is consistent with the new fingerprint.
         let mut indexes = store.indexes();
+        let grow = ppm_observe::span("append.grow");
         store
             .grow_reader(resident, &growth)
             .map_err(|e| OpError::internal(format!("append apply failed: {e}")))?;
+        drop(grow);
         self.metrics.appends.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .appended_instants

@@ -186,7 +186,8 @@ impl Store {
     /// on. A reader a query holds is never changed under it: while any
     /// query holds the current reader, a grown copy is swapped in (built
     /// outside the lock); when none does, the reader grows in place — the
-    /// append then costs its own rows, not a copy of the store.
+    /// append then costs its own rows, not a copy of the store. Each copy
+    /// counts one `serve.append.grow_copies`.
     pub(crate) fn grow_reader(
         &self,
         base: Arc<ColumnarReader>,
@@ -201,12 +202,14 @@ impl Store {
                     Some(resident) => growth.apply_to(resident),
                     // A query took a snapshot since the count was read.
                     None => {
+                        ppm_observe::counter("serve.append.grow_copies", 1);
                         *slot = Arc::new(growth.extend(&slot)?);
                         Ok(())
                     }
                 };
             }
         }
+        ppm_observe::counter("serve.append.grow_copies", 1);
         self.swap_reader(growth.extend(&base)?);
         Ok(())
     }
@@ -427,8 +430,8 @@ mod tests {
 
         let good = std::fs::read(&path).unwrap();
         let mut bad = good.clone();
-        let mid = bad.len() / 2;
-        bad[mid] ^= 0xff;
+        let last_row_byte = bad.len() - 1;
+        bad[last_row_byte] ^= 0xff;
         std::fs::write(&path, &bad).unwrap();
         assert_eq!(reg.reverify_all(), 1, "corrupt file quarantines");
         assert!(store.is_quarantined());
@@ -498,8 +501,8 @@ mod tests {
         app.finish().unwrap();
         let grown = std::fs::read(&path).unwrap();
         // Old prefix: the last resident word. New tail: the first
-        // appended word (it starts where the old trailer was).
-        for (at, side) in [(old_len - 16 - 8, "old prefix"), (old_len - 16, "new tail")] {
+        // appended word (it starts where the old file ended).
+        for (at, side) in [(old_len - 8, "old prefix"), (old_len, "new tail")] {
             let mut bad = grown.clone();
             bad[at] ^= 0x01;
             std::fs::write(&path, &bad).unwrap();
@@ -530,17 +533,23 @@ mod tests {
             app.finish_growth(base).unwrap()
         };
 
+        let collector = Arc::new(ppm_observe::Collector::new());
+        let _sink = ppm_observe::install(collector.clone());
+        let copies = || collector.counter_total("serve.append.grow_copies");
+
         let base = store.reader();
         let before = Arc::as_ptr(&base);
         let growth = append(&base);
         store.grow_reader(base, &growth).unwrap();
         assert_eq!(Arc::as_ptr(&store.reader()), before, "grown in place");
+        assert_eq!(copies(), 0);
 
         let held = store.reader();
         let growth = append(&held);
         store.grow_reader(held.clone(), &growth).unwrap();
         assert_eq!(held.len(), 14, "the held snapshot is unchanged");
         assert!(!Arc::ptr_eq(&held, &store.reader()), "a grown copy");
+        assert_eq!(copies(), 1, "the copy is counted");
 
         let reopened = ColumnarReader::open(&path).unwrap();
         let grown = store.reader();

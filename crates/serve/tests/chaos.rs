@@ -312,8 +312,8 @@ fn quarantined_store_fails_over_to_a_healthy_replica() {
     // health op: A must report degraded while B stays clean.
     let good = std::fs::read(&store_a).unwrap();
     let mut bad = good.clone();
-    let mid = bad.len() / 2;
-    bad[mid] ^= 0xff;
+    let last_row_byte = bad.len() - 1;
+    bad[last_row_byte] ^= 0xff;
     std::fs::write(&store_a, &bad).unwrap();
     let health = raw_request(
         a.addr,

@@ -557,8 +557,9 @@ fn daemon_append_refuses_a_file_that_is_not_its_resident_load() {
     let external = sample_store("external");
     let corrupt = sample_store("flipped");
     // Offset of the first bitmap word: header (28 bytes) plus the two
-    // catalog entries, zero-padded to a whole word.
-    let word0 = (28 + (4 + "alpha".len()) + (4 + "beta".len())).next_multiple_of(8);
+    // catalog entries, zero-padded to a 4096-byte block, then the two
+    // 4096-byte commit slots.
+    let word0 = (28 + (4 + "alpha".len()) + (4 + "beta".len())).next_multiple_of(4096) + 2 * 4096;
 
     for (path, damage) in [(&external, "external append"), (&corrupt, "flipped word")] {
         let name = path.file_stem().unwrap().to_str().unwrap().to_owned();
@@ -597,6 +598,74 @@ fn daemon_append_refuses_a_file_that_is_not_its_resident_load() {
         handle.join().unwrap();
         std::fs::remove_file(path).ok();
     }
+}
+
+/// The append op's phases are child spans of `serve.append`: verify
+/// (the resident compare), publish (in place on a version-3 store) and
+/// grow (the resident load); with no query holding a snapshot the grow
+/// copies nothing.
+#[test]
+fn append_phases_are_spans_under_serve_append() {
+    let store = sample_store("append-spans");
+    let name = store.file_stem().unwrap().to_str().unwrap().to_owned();
+    let access = std::env::temp_dir().join(format!(
+        "ppm-soak-append-access-{}.jsonl",
+        std::process::id()
+    ));
+    std::fs::remove_file(&access).ok();
+    let a = access.clone();
+    let (addr, handle, _stop) = start(&store, move |c| {
+        c.access_log = Some(a);
+        c.slow_ms = Some(0);
+    });
+    let resp = request(addr, &append_req(&name, &[&["alpha"], &["beta"]]));
+    assert_eq!(
+        resp.get("instants").and_then(Json::as_u64),
+        Some(92),
+        "{resp:?}"
+    );
+    request(addr, &shutdown_req());
+    handle.join().unwrap();
+
+    let log = std::fs::read_to_string(&access).unwrap();
+    let line = log
+        .lines()
+        .map(|l| Json::parse(l).unwrap())
+        .find(|r| r.get("op").and_then(Json::as_str) == Some("append"))
+        .expect("an append line");
+    let spans = line
+        .get("spans")
+        .and_then(Json::as_arr)
+        .expect("span detail");
+    let field = |e: &Json, k: &str| e.get(k).and_then(Json::as_u64);
+    let started = |n: &str| {
+        spans
+            .iter()
+            .find(|e| {
+                e.get("type").and_then(Json::as_str) == Some("span_start")
+                    && e.get("name").and_then(Json::as_str) == Some(n)
+            })
+            .unwrap_or_else(|| panic!("no {n} span: {spans:?}"))
+    };
+    let parent = field(started("serve.append"), "id");
+    for child in ["append.verify", "append.publish", "append.grow"] {
+        assert_eq!(field(started(child), "parent"), parent, "{child}");
+    }
+    assert!(
+        !spans
+            .iter()
+            .any(|e| e.get("name").and_then(Json::as_str) == Some("serve.append.grow_copies")),
+        "no query held a snapshot: {spans:?}"
+    );
+    let reopened = ColumnarReader::open(&store).unwrap();
+    assert_eq!(reopened.len(), 92);
+    assert_eq!(
+        reopened.commit().map(|c| c.seq),
+        Some(2),
+        "one in-place commit"
+    );
+    std::fs::remove_file(store).ok();
+    std::fs::remove_file(access).ok();
 }
 
 #[test]

@@ -11,49 +11,75 @@
 //! straight out as an [`EncodedSeriesView`] that the vertical engine, the
 //! shared multi-period scan, and the audit oracle consume directly.
 //!
-//! Layout, version 2 (all integers little-endian):
+//! Layout, version 3 (all integers little-endian):
 //!
 //! ```text
 //! offset 0   magic            [u8; 4] = b"PPMC"
-//! offset 4   version          u32     = 2
+//! offset 4   version          u32     = 3
 //! offset 8   width            u64     feature-id universe (max id + 1)
 //! offset 16  words_per_instant u64    must equal ⌈width/64⌉
 //! offset 24  n_names          u32     catalog size
 //! offset 28  names            n_names × (u32 len, bytes)
-//! …          padding          zero bytes up to a multiple of 8
-//! …          words            n_instants × words_per_instant × u64, row-major
-//! EOF−16     n_instants       u64     trailer, so appends are O(new rows)
-//! EOF−8      checksum         u64     word hash over the u64s of [0, EOF−8)
+//! …          padding          zero bytes up to a multiple of 4096: H
+//! H          commit slot 0    4096-byte block: seq, n_instants, checksum,
+//!                             slot hash (u64 each), then ignored bytes
+//! H+4096     commit slot 1    the same
+//! H+8192     rows             n_instants × words_per_instant × u64,
+//!                             row-major; bytes past them are an ignored,
+//!                             uncommitted tail
 //! ```
 //!
-//! The padding makes everything before the checksum a whole number of
-//! `u64` words, and the checksum is a four-lane word hash over them (see
-//! `WordHash`): any single changed word changes it, and it runs at memory
-//! speed where a byte-serial hash cannot. Version 1 — no padding, FNV-1a
-//! over the bytes `[0, EOF−8)` — is still read, and an append keeps a
-//! store's version.
+//! The checksum is a four-lane word hash (see `WordHash`) over the header
+//! words, then the committed rows, then `n_instants`: any single changed
+//! word changes it, and it runs at memory speed where a byte-serial hash
+//! cannot. The slots sit outside it. A slot is valid when its slot hash
+//! (the word hash of a tag and its first three fields) checks and its
+//! `seq` is odd for slot 1 and even for slot 0; the valid slot with the
+//! highest `seq` is the store's commit. A store is written with its rows
+//! committed in both slots (`seq` 0 and 1), so one damaged slot always
+//! leaves a commit to open. A row-checksum mismatch under the chosen slot
+//! is an error: the older slot is never tried silently.
 //!
-//! The trailer placement is what makes [`ColumnarAppender`] cheap to
-//! *assemble*: every [`ColumnarReader`] keeps the checksum state — a
-//! streaming hash — over the bytes before its trailer, so an appender
-//! built on a verified load hashes only the `k` appended rows (`O(k)`),
-//! and [`ColumnarReader::reload`] checks a grown file by comparing the old
-//! prefix byte for byte and resuming the hash over the new rows alone.
-//! Publication is still a whole-file rewrite, crash-safe rather than
-//! in-place: [`ColumnarAppender::finish`] writes the complete new store to
-//! a same-directory temp file, fsyncs it, renames it over the original,
-//! and fsyncs the parent directory — so a crash at any byte leaves either
-//! the prior store or the fully-appended store on disk, never a torn
-//! hybrid (the same publish discipline as the sweep checkpoint).
+//! Version 2 has the same header, padded only to a multiple of 8, no
+//! slots, and a trailer instead: `n_instants` at EOF−16 and the checksum
+//! (the same word hash, over the bytes `[0, EOF−8)`) at EOF−8. Version 1
+//! has no padding and an FNV-1a trailer checksum. Both are still read, and
+//! an append keeps a store's version.
+//!
+//! Every [`ColumnarReader`] keeps the checksum midstate over its header
+//! and rows, so an appender built on a verified load hashes only the `k`
+//! appended rows (`O(k)`), and [`ColumnarReader::reload`] checks a grown
+//! file by comparing the old bytes and resuming the hash over the new rows
+//! alone.
+//!
+//! **Publishing an append.** [`ColumnarAppender`] takes an exclusive
+//! advisory lock on the file before it verifies the base, so two appenders
+//! (a CLI and a daemon, say) never interleave, and holds it until it is
+//! dropped. On a version-3 store [`ColumnarAppender::finish`] writes in
+//! place, `O(appended)` bytes in all: the new rows at the committed end,
+//! `fdatasync`, then the next commit (`seq + 1`) over the *older* slot,
+//! `fdatasync`. A crash before the slot write leaves the old commit, with
+//! the new rows as an uncommitted tail; a torn slot write fails its slot
+//! hash, so the other slot — the old commit — is opened, and
+//! [`ColumnarReader::commit`] reports the rollback; a finished slot write
+//! commits the new rows, which were synced first. Every state is exactly
+//! the old store or the new one. Versions 1 and 2 have no slots, so their
+//! only crash-safe publish is the whole-file rewrite: the complete new
+//! store goes to a same-directory `<store>.tmp`, is fsynced, renamed over
+//! the original, and the directory is fsynced (the same publish
+//! discipline as the sweep checkpoint); any failure removes the staging
+//! file. Both publishes are one ordered plan of writes and syncs, which
+//! the tests replay prefix by prefix.
 //!
 //! Corruption is rejected with a named byte offset (`Error::Corrupt`), the
 //! same policy as the checkpoint and stream-storage formats: a damaged
-//! header, a flipped bitmap word, or a truncated trailer must never
-//! mis-mine. The header and the trailer's instant count are checked
-//! before the words are read, the checksum after.
+//! header, a flipped bitmap word, or a truncated store must never
+//! mis-mine. The header and the commit (slots or trailer) are checked
+//! before the rows are read, the checksum after.
 
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Cursor, Read, Seek, SeekFrom, Write};
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 
 use crate::catalog::{FeatureCatalog, FeatureId};
@@ -63,19 +89,31 @@ use crate::series::{FeatureSeries, SeriesBuilder};
 use crate::storage::binary::Fnv64;
 
 const MAGIC: &[u8; 4] = b"PPMC";
+/// The version [`write_columnar`] writes: commit slots, in-place appends.
+const VERSION: u32 = 3;
 /// The version [`columnar_bytes`] writes: padded header, word-hash trailer.
-const VERSION: u32 = 2;
+const VERSION_V2: u32 = 2;
 /// The first version: unpadded header, FNV-1a trailer.
 const VERSION_V1: u32 = 1;
 /// Fixed header bytes before the catalog names.
 const FIXED_HEADER: usize = 4 + 4 + 8 + 8 + 4;
-/// Trailer bytes: `n_instants` + checksum.
+/// Version 1/2 trailer bytes: `n_instants` + checksum.
 const TRAILER: usize = 8 + 8;
+/// Version 3: the bytes each commit slot owns, and the header's alignment.
+/// Two slots 4096 bytes apart never share a 4 KiB block, so one torn block
+/// write cannot damage both.
+const SLOT_BLOCK: usize = 4096;
+/// Version 3: both commit slots.
+const SLOTS: usize = 2 * SLOT_BLOCK;
+/// Version 3: a slot's record, `seq, n_instants, checksum, slot hash`.
+const SLOT_RECORD: usize = 4 * 8;
+/// The first word a slot hash takes, so no other words hash alike.
+const SLOT_TAG: u64 = u64::from_le_bytes(*b"PPMCSLOT");
 /// Words per block when a file is streamed (open, validate, compare).
 const BLOCK_WORDS: usize = 1 << 16;
 
-/// The version-2 trailer checksum: a resumable hash over little-endian
-/// `u64` words, word `i` stepping lane `i mod 4`.
+/// The version-2/3 checksum: a resumable hash over little-endian `u64`
+/// words, word `i` stepping lane `i mod 4`.
 ///
 /// A step `lane ← rotl((lane ⊕ w) · K, 29)` is a bijection of the word for
 /// a fixed lane and of the lane for a fixed word, and [`Self::finish`]
@@ -151,12 +189,12 @@ impl WordHash {
     }
 }
 
-/// A store's running trailer checksum, in its format version's hash.
+/// A store's running checksum, in its format version's hash.
 #[derive(Debug, Clone)]
 enum Digest {
     /// Version 1: FNV-1a over bytes.
     Fnv(Fnv64),
-    /// Version 2: the word hash.
+    /// Versions 2 and 3: the word hash.
     Words(WordHash),
 }
 
@@ -183,8 +221,8 @@ impl Digest {
         }
     }
 
-    /// The checksum of a store whose bytes before the trailer hash to
-    /// `self` and whose trailer counts `n_instants`.
+    /// The checksum of a store whose header and rows hash to `self` and
+    /// which holds `n_instants` rows.
     fn sealed(&self, n_instants: usize) -> u64 {
         let mut h = self.clone();
         h.update(&(n_instants as u64).to_le_bytes());
@@ -192,20 +230,109 @@ impl Digest {
     }
 }
 
-/// Serializes `series` (and its catalog) into `.ppmc` bytes.
+/// A version-3 commit record: which rows the store holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Commit {
+    seq: u64,
+    n_instants: u64,
+    checksum: u64,
+}
+
+/// A version-3 store's two slots, `None` where a slot fails its check
+/// (both `None` for versions 1 and 2).
+type Slots = [Option<Commit>; 2];
+
+impl Commit {
+    /// The slot this commit lives in: `seq mod 2`, so each publish
+    /// overwrites the older of the two.
+    fn slot(&self) -> usize {
+        (self.seq % 2) as usize
+    }
+
+    fn slot_hash(&self) -> u64 {
+        let mut h = WordHash::new();
+        for w in [SLOT_TAG, self.seq, self.n_instants, self.checksum] {
+            h.push(w);
+        }
+        h.finish()
+    }
+
+    fn record(&self) -> [u8; SLOT_RECORD] {
+        let mut r = [0u8; SLOT_RECORD];
+        for (dst, w) in
+            r.chunks_exact_mut(8)
+                .zip([self.seq, self.n_instants, self.checksum, self.slot_hash()])
+        {
+            dst.copy_from_slice(&w.to_le_bytes());
+        }
+        r
+    }
+
+    /// Decodes both slots from the `SLOTS` bytes that hold them.
+    fn read_slots(block: &[u8]) -> Slots {
+        [0, 1].map(|slot| {
+            let mut w = le_words(&block[slot * SLOT_BLOCK..][..SLOT_RECORD]);
+            let mut next = || w.next().expect("four words");
+            let c = Commit {
+                seq: next(),
+                n_instants: next(),
+                checksum: next(),
+            };
+            (next() == c.slot_hash() && c.slot() == slot).then_some(c)
+        })
+    }
+
+    /// The newest valid commit.
+    fn newest(slots: &Slots) -> Option<Commit> {
+        slots.iter().flatten().max_by_key(|c| c.seq).copied()
+    }
+}
+
+/// A version-3 store's commit, as [`ColumnarReader::commit`] reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CommitInfo {
+    /// The commit's sequence number: 1 for a new store, one more per
+    /// published append.
+    pub seq: u64,
+    /// The slot that holds it (`seq mod 2`).
+    pub slot: usize,
+    /// Whether the other slot fails its check. A torn commit write does
+    /// that, so this load is the commit before an append that did not
+    /// land: a rollback.
+    pub rolled_back: bool,
+}
+
+/// Serializes `series` (and its catalog) into version-3 `.ppmc` bytes.
 pub fn encode_columnar(series: &FeatureSeries, catalog: &FeatureCatalog) -> Vec<u8> {
     let encoded = EncodedSeries::encode(series);
-    columnar_bytes(encoded.view(), catalog)
+    store_bytes(encoded.view(), catalog, VERSION)
 }
 
 /// Serializes an already-encoded view (and a catalog) into version-2
-/// `.ppmc` bytes.
+/// `.ppmc` bytes: the slot-less layout whose appends rewrite the whole
+/// file. New stores are version 3 ([`encode_columnar`], [`write_columnar`]);
+/// this writes the older layout for compatibility.
 pub fn columnar_bytes(view: EncodedSeriesView<'_>, catalog: &FeatureCatalog) -> Vec<u8> {
+    store_bytes(view, catalog, VERSION_V2)
+}
+
+/// The header's alignment: its padding ends on this boundary.
+fn header_align(version: u32) -> usize {
+    match version {
+        VERSION_V1 => 1,
+        VERSION_V2 => 8,
+        _ => SLOT_BLOCK,
+    }
+}
+
+/// Serializes `view` and `catalog` as a version-2 or version-3 store.
+fn store_bytes(view: EncodedSeriesView<'_>, catalog: &FeatureCatalog, version: u32) -> Vec<u8> {
     let names: usize = catalog.iter().map(|(_, n)| n.len() + 4).sum();
-    let header_len = (FIXED_HEADER + names).next_multiple_of(8);
-    let mut buf = Vec::with_capacity(header_len + view.bytes() + TRAILER);
+    let header_len = (FIXED_HEADER + names).next_multiple_of(header_align(version));
+    let slots = if version == VERSION { SLOTS } else { 0 };
+    let mut buf = Vec::with_capacity(header_len + slots + view.bytes() + TRAILER);
     buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.extend_from_slice(&version.to_le_bytes());
     buf.extend_from_slice(&(view.width() as u64).to_le_bytes());
     buf.extend_from_slice(&(view.words_per_instant() as u64).to_le_bytes());
     buf.extend_from_slice(&(catalog.len() as u32).to_le_bytes());
@@ -213,21 +340,33 @@ pub fn columnar_bytes(view: EncodedSeriesView<'_>, catalog: &FeatureCatalog) -> 
         buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
         buf.extend_from_slice(name.as_bytes());
     }
-    buf.resize(header_len, 0);
+    buf.resize(header_len + slots, 0);
     for t in 0..view.len() {
         for &w in view.instant_words(t) {
             buf.extend_from_slice(&w.to_le_bytes());
         }
     }
-    let mut h = Digest::for_version(VERSION);
-    h.update(&buf);
+    let mut h = Digest::for_version(version);
+    h.update(&buf[..header_len]);
+    h.update(&buf[header_len + slots..]);
     let checksum = h.sealed(view.len());
-    buf.extend_from_slice(&(view.len() as u64).to_le_bytes());
-    buf.extend_from_slice(&checksum.to_le_bytes());
+    if version == VERSION {
+        for seq in [0, 1] {
+            let c = Commit {
+                seq,
+                n_instants: view.len() as u64,
+                checksum,
+            };
+            buf[header_len + c.slot() * SLOT_BLOCK..][..SLOT_RECORD].copy_from_slice(&c.record());
+        }
+    } else {
+        buf.extend_from_slice(&(view.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&checksum.to_le_bytes());
+    }
     buf
 }
 
-/// Writes `series` (and its catalog) to `path` in the columnar format.
+/// Writes `series` (and its catalog) to `path` as a version-3 store.
 pub fn write_columnar(
     path: impl AsRef<Path>,
     series: &FeatureSeries,
@@ -286,10 +425,12 @@ pub struct ColumnarReader {
     words: Vec<u64>,
     catalog: FeatureCatalog,
     /// The file's header, catalog and padding bytes, verbatim (the bytes
-    /// before the words section).
+    /// before the slots, or before the words of a slot-less store).
     header: Vec<u8>,
-    /// Checksum state over every byte before the trailer: what an append
-    /// or a grown-file check resumes from instead of re-hashing the store.
+    /// The commit slots as verified (version 3).
+    slots: Slots,
+    /// Checksum state over the header and every row: what an append or a
+    /// grown-file check resumes from instead of re-hashing the store.
     midstate: Digest,
     file_bytes: usize,
     checksum: u64,
@@ -307,6 +448,18 @@ pub enum Reload {
     Extended(ColumnarReader),
     /// A valid store that is not the resident load or an extension of it.
     Rewritten(ColumnarReader),
+}
+
+/// A file that starts with a load's header and rows, as
+/// [`ColumnarReader::read_past_load`] found it.
+#[derive(Debug)]
+struct Past {
+    /// The file's length.
+    len: usize,
+    /// The file's commit slots (version 3).
+    slots: Slots,
+    /// Every byte after the load's rows.
+    rest: Vec<u8>,
 }
 
 impl ColumnarReader {
@@ -333,13 +486,13 @@ impl ColumnarReader {
     }
 
     /// The one verifier every load goes through: reads `len` bytes of
-    /// `.ppmc` from `src`. The trailer's instant count and the header are
-    /// checked first, so the words section's size is known before any of
-    /// it is read; then the words stream through one block buffer, each
-    /// block hashed and (with `decode`) decoded into the word vector; the
-    /// load is returned only if the checksum matches. Without `decode` the
-    /// words are verified but not kept — for the appender, which copies
-    /// the verified rows from the file itself.
+    /// `.ppmc` from `src`. The header and the commit — a version-3 store's
+    /// newest valid slot, an older store's trailer — are checked first, so
+    /// the rows' size is known before any of them is read; then the rows
+    /// stream through one block buffer, each block hashed and (with
+    /// `decode`) decoded into the word vector; the load is returned only if
+    /// the checksum matches. Without `decode` the words are verified but
+    /// not kept — for the appender, which needs only the midstate.
     fn load<R: Read + Seek>(src: &mut R, len: usize, decode: bool) -> Result<Self> {
         if len < FIXED_HEADER + TRAILER {
             return Err(corrupt(format!(
@@ -347,15 +500,7 @@ impl ColumnarReader {
                 FIXED_HEADER + TRAILER
             )));
         }
-        let words_end = len - TRAILER;
-        let mut trailer = [0u8; TRAILER];
-        src.seek(SeekFrom::Start(words_end as u64))?;
-        read_at(src, &mut trailer, words_end)?;
-        let (count, sum) = trailer.split_at(8);
-        let n_instants = u64::from_le_bytes(count.try_into().expect("8 bytes")) as usize;
-        let stored_sum = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
         src.seek(SeekFrom::Start(0))?;
-
         let mut header = vec![0u8; FIXED_HEADER];
         read_at(src, &mut header, 0)?;
         let magic: [u8; 4] = header[0..4].try_into().expect("4 bytes");
@@ -363,11 +508,18 @@ impl ColumnarReader {
             return Err(corrupt(format!("bad magic {magic:?} at offset 0")));
         }
         let version = u32::from_le_bytes(header[4..8].try_into().expect("4 bytes"));
-        if version != VERSION && version != VERSION_V1 {
+        if !(VERSION_V1..=VERSION).contains(&version) {
             return Err(corrupt(format!(
                 "unsupported version {version} at offset 4"
             )));
         }
+        // The bytes after the header: the slots, or the trailer.
+        let tail = if version == VERSION { SLOTS } else { TRAILER };
+        let header_end = len.checked_sub(tail).ok_or_else(|| {
+            corrupt(format!(
+                "file too short at offset {len}: version {version} needs {tail} bytes of commit"
+            ))
+        })?;
         let width = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes")) as usize;
         let words_per_instant =
             u64::from_le_bytes(header[16..24].try_into().expect("8 bytes")) as usize;
@@ -381,7 +533,7 @@ impl ColumnarReader {
         let mut catalog = FeatureCatalog::new();
         for i in 0..n_names {
             let off = header.len();
-            if off + 4 > words_end {
+            if off + 4 > header_end {
                 return Err(corrupt(format!(
                     "truncated catalog entry {i} at offset {off}"
                 )));
@@ -390,7 +542,7 @@ impl ColumnarReader {
             read_at(src, &mut header[off..], off)?;
             let name_len = u32::from_le_bytes(header[off..].try_into().expect("4 bytes")) as usize;
             let off = off + 4;
-            if off + name_len > words_end {
+            if off + name_len > header_end {
                 return Err(corrupt(format!(
                     "truncated name in entry {i} at offset {off}"
                 )));
@@ -401,47 +553,73 @@ impl ColumnarReader {
                 .map_err(|_| corrupt(format!("non-utf8 name in entry {i} at offset {off}")))?;
             catalog.intern(name);
         }
-        if version == VERSION {
-            let off = header.len();
-            let end = off.next_multiple_of(8);
-            if end > words_end {
-                return Err(corrupt(format!("truncated header padding at offset {off}")));
-            }
-            header.resize(end, 0);
-            read_at(src, &mut header[off..], off)?;
-            if let Some(k) = header[off..].iter().position(|&b| b != 0) {
-                return Err(corrupt(format!(
-                    "non-zero header padding at offset {}",
-                    off + k
-                )));
-            }
+        let off = header.len();
+        let end = off.next_multiple_of(header_align(version));
+        if end > header_end {
+            return Err(corrupt(format!("truncated header padding at offset {off}")));
+        }
+        header.resize(end, 0);
+        read_at(src, &mut header[off..], off)?;
+        if let Some(k) = header[off..].iter().position(|&b| b != 0) {
+            return Err(corrupt(format!(
+                "non-zero header padding at offset {}",
+                off + k
+            )));
         }
 
-        let off = header.len();
+        // The commit: which rows the store holds, and their checksum.
+        let at = header.len();
+        let (slots, n_instants, stored_sum, sum_at, rows_end) = if version == VERSION {
+            let mut block = vec![0u8; SLOTS];
+            read_at(src, &mut block, at)?;
+            let slots = Commit::read_slots(&block);
+            let c = Commit::newest(&slots)
+                .ok_or_else(|| corrupt(format!("no valid commit slot at offset {at}")))?;
+            let sum_at = at + c.slot() * SLOT_BLOCK + 16;
+            (slots, c.n_instants as usize, c.checksum, sum_at, len)
+        } else {
+            let mut trailer = [0u8; TRAILER];
+            src.seek(SeekFrom::Start(header_end as u64))?;
+            read_at(src, &mut trailer, header_end)?;
+            src.seek(SeekFrom::Start(at as u64))?;
+            let (count, sum) = trailer.split_at(8);
+            let n = u64::from_le_bytes(count.try_into().expect("8 bytes")) as usize;
+            let sum = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
+            ([None; 2], n, sum, len - 8, header_end)
+        };
+        let off = at + if version == VERSION { SLOTS } else { 0 };
         let need = n_instants
             .checked_mul(words_per_instant)
             .and_then(|w| w.checked_mul(8))
             .ok_or_else(|| {
                 corrupt(format!(
-                    "instant count {n_instants} overflows the words section at offset {words_end}"
+                    "instant count {n_instants} overflows the words section at offset {sum_at}"
                 ))
             })?;
-        let have = words_end - off;
-        if have != need {
+        let have = rows_end - off;
+        if version == VERSION && have < need {
+            return Err(corrupt(format!(
+                "committed rows end at offset {}, past the end of the file at offset {len} \
+                 ({n_instants} instants × {words_per_instant} words)",
+                off + need
+            )));
+        }
+        if version != VERSION && have != need {
             return Err(corrupt(format!(
                 "words section is {have} bytes at offset {off}, need {need} \
                  ({n_instants} instants × {words_per_instant} words)"
             )));
         }
 
-        // The one pass over the words: read a block, hash it, decode it.
+        // The one pass over the rows: read a block, hash it, decode it.
         let mut midstate = Digest::for_version(version);
         midstate.update(&header);
-        let mut words = Vec::with_capacity(if decode { have / 8 } else { 0 });
-        let mut block = vec![0u8; have.min(BLOCK_WORDS * 8)];
+        let rows_end = off + need;
+        let mut words = Vec::with_capacity(if decode { need / 8 } else { 0 });
+        let mut block = vec![0u8; need.min(BLOCK_WORDS * 8)];
         let mut at = off;
-        while at < words_end {
-            let bytes = &mut block[..(words_end - at).min(BLOCK_WORDS * 8)];
+        while at < rows_end {
+            let bytes = &mut block[..(rows_end - at).min(BLOCK_WORDS * 8)];
             read_at(src, bytes, at)?;
             midstate.update(bytes);
             if decode {
@@ -450,7 +628,7 @@ impl ColumnarReader {
             at += bytes.len();
         }
         if midstate.sealed(n_instants) != stored_sum {
-            return Err(corrupt(format!("checksum mismatch at offset {}", len - 8)));
+            return Err(corrupt(format!("checksum mismatch at offset {sum_at}")));
         }
         Ok(ColumnarReader {
             version,
@@ -460,6 +638,7 @@ impl ColumnarReader {
             words,
             catalog,
             header,
+            slots,
             midstate,
             file_bytes: len,
             checksum: stored_sum,
@@ -496,17 +675,48 @@ impl ColumnarReader {
         self.file_bytes
     }
 
-    /// The store's format version: 2 for every store this crate writes,
-    /// 1 for an older store (appends keep it 1).
+    /// The store's format version: 3 for every store this crate writes
+    /// with [`write_columnar`], 2 or 1 for an older store (appends keep
+    /// the version).
     pub fn version(&self) -> u32 {
         self.version
     }
 
-    /// The store's content fingerprint: the verified trailer checksum
-    /// (its version's hash over every byte before it). Two stores with the same
-    /// fingerprint hold byte-identical headers, catalogs, and bitmap rows,
-    /// so the fingerprint is a sound cache key for results derived from
-    /// this store; any append or rewrite changes it.
+    /// A version-3 store's commit (`None` for versions 1 and 2).
+    pub fn commit(&self) -> Option<CommitInfo> {
+        Commit::newest(&self.slots).map(|c| CommitInfo {
+            seq: c.seq,
+            slot: c.slot(),
+            rolled_back: self.slots.iter().any(Option::is_none),
+        })
+    }
+
+    /// Bytes past a version-3 store's committed rows: the uncommitted tail
+    /// an append that did not commit left behind (0 for versions 1 and 2).
+    pub fn uncommitted_bytes(&self) -> usize {
+        if self.version == VERSION {
+            self.file_bytes - self.committed_end()
+        } else {
+            0
+        }
+    }
+
+    /// Where the rows start.
+    fn rows_at(&self) -> usize {
+        self.header.len() + if self.version == VERSION { SLOTS } else { 0 }
+    }
+
+    /// Where the committed rows end.
+    fn committed_end(&self) -> usize {
+        self.rows_at() + self.n_instants * self.words_per_instant * 8
+    }
+
+    /// The store's content fingerprint: the verified checksum (its
+    /// version's hash over the header and the committed rows). Two stores
+    /// with the same fingerprint hold byte-identical headers, catalogs,
+    /// and bitmap rows, so the fingerprint is a sound cache key for results
+    /// derived from this store; any append or rewrite changes it, and a
+    /// commit slot's `seq` does not enter it.
     pub fn fingerprint(&self) -> u64 {
         self.checksum
     }
@@ -534,10 +744,11 @@ impl ColumnarReader {
     /// compare, then resume, then fall back:
     ///
     /// - a file byte-for-byte equal to this load (header, catalog, words,
-    ///   trailer) is [`Reload::Unchanged`] without hashing anything;
+    ///   and the same trailer or newest commit slot) is
+    ///   [`Reload::Unchanged`] without hashing anything;
     /// - a file that starts with this load's header and words is checked
     ///   by resuming the checksum from this load's midstate over only the
-    ///   new rows and the trailer: [`Reload::Extended`];
+    ///   new rows: [`Reload::Extended`];
     /// - anything else gets the full validating [`Self::open`], so a
     ///   corrupt file fails with the same error, and a valid one is
     ///   classified by fingerprint and [`Self::extends`].
@@ -549,11 +760,11 @@ impl ColumnarReader {
     /// bits, the compare misses none.
     pub fn reload(&self, path: impl AsRef<Path>) -> Result<Reload> {
         let path = path.as_ref();
-        if let Some(rest) = self.read_past_load(&mut File::open(path)?)? {
-            if rest == self.trailer() {
+        if let Some(past) = self.read_past_load(&mut File::open(path)?)? {
+            if self.is_current(&past) {
                 return Ok(Reload::Unchanged);
             }
-            if let Some(grown) = self.resume(&rest) {
+            if let Some(grown) = self.resume(&past) {
                 return Ok(Reload::Extended(grown));
             }
         }
@@ -567,7 +778,7 @@ impl ColumnarReader {
         })
     }
 
-    /// This load's trailer bytes: instant count, then checksum.
+    /// A slot-less load's trailer bytes: instant count, then checksum.
     fn trailer(&self) -> [u8; TRAILER] {
         let mut t = [0u8; TRAILER];
         t[..8].copy_from_slice(&(self.n_instants as u64).to_le_bytes());
@@ -575,15 +786,27 @@ impl ColumnarReader {
         t
     }
 
+    /// Whether a file that starts with this load commits exactly it: the
+    /// same newest commit slot (bytes past the committed rows are an
+    /// ignored tail), or, without slots, the same trailer.
+    fn is_current(&self, past: &Past) -> bool {
+        if self.version == VERSION {
+            Commit::newest(&past.slots) == Commit::newest(&self.slots)
+        } else {
+            past.rest == self.trailer()
+        }
+    }
+
     /// Streams `file` from its start against this load's header and
-    /// words, one block at a time. `Some(rest)` — every byte after the
-    /// words — when the file starts with them verbatim and leaves room for
-    /// a trailer; `None` when it does not (including a file that shrinks
+    /// words, one block at a time. `Some` — the file's commit slots and
+    /// every byte after the words — when the file starts with them
+    /// verbatim; `None` when it does not (including a file that shrinks
     /// while it is read).
-    fn read_past_load(&self, file: &mut File) -> std::io::Result<Option<Vec<u8>>> {
+    fn read_past_load(&self, file: &mut File) -> std::io::Result<Option<Past>> {
         let len = file.metadata()?.len() as usize;
-        let loaded = self.header.len() + self.words.len() * 8;
-        if len < loaded + TRAILER {
+        let loaded = self.rows_at() + self.words.len() * 8;
+        let trailer = if self.version == VERSION { 0 } else { TRAILER };
+        if len < loaded + trailer {
             return Ok(None);
         }
         let mut block = vec![0u8; self.header.len().max(BLOCK_WORDS * 8)];
@@ -595,6 +818,14 @@ impl ColumnarReader {
         if !fill(header)? || header[..] != self.header[..] {
             return Ok(None);
         }
+        let mut slots = [None; 2];
+        if self.version == VERSION {
+            let bytes = &mut block[..SLOTS];
+            if !fill(bytes)? {
+                return Ok(None);
+            }
+            slots = Commit::read_slots(bytes);
+        }
         for words in self.words.chunks(BLOCK_WORDS) {
             let bytes = &mut block[..words.len() * 8];
             if !fill(bytes)? || !words_equal(bytes, words) {
@@ -602,27 +833,41 @@ impl ColumnarReader {
             }
         }
         let mut rest = vec![0u8; len - loaded];
-        Ok(fill(&mut rest)?.then_some(rest))
+        Ok(fill(&mut rest)?.then_some(Past { len, slots, rest }))
     }
 
-    /// This load plus the whole instants in `rest` (new rows, then a
-    /// trailer), verified by resuming the checksum over `rest` alone;
-    /// `None` if `rest` is anything else (the caller's full validation
+    /// This load plus the whole instants that follow it in `past`,
+    /// verified by resuming the checksum over the new rows alone; `None`
+    /// if `past` commits anything else (the caller's full validation
     /// names the failure).
-    fn resume(&self, rest: &[u8]) -> Option<ColumnarReader> {
+    fn resume(&self, past: &Past) -> Option<ColumnarReader> {
         let row_bytes = self.words_per_instant * 8;
-        let (new, trailer) = rest.split_at(rest.len().checked_sub(TRAILER)?);
-        if row_bytes == 0 || new.is_empty() || !new.len().is_multiple_of(row_bytes) {
+        if row_bytes == 0 {
             return None;
         }
-        let n_instants = self.n_instants + new.len() / row_bytes;
-        let (count, sum) = trailer.split_at(8);
-        if count != (n_instants as u64).to_le_bytes() {
+        let (new, n_instants, checksum) = if self.version == VERSION {
+            let c = Commit::newest(&past.slots)?;
+            let n_instants = usize::try_from(c.n_instants).ok()?;
+            let added = n_instants.checked_sub(self.n_instants)? * row_bytes;
+            (past.rest.get(..added)?, n_instants, c.checksum)
+        } else {
+            let (new, trailer) = past.rest.split_at(past.rest.len().checked_sub(TRAILER)?);
+            if !new.len().is_multiple_of(row_bytes) {
+                return None;
+            }
+            let n_instants = self.n_instants + new.len() / row_bytes;
+            let (count, sum) = trailer.split_at(8);
+            if count != (n_instants as u64).to_le_bytes() {
+                return None;
+            }
+            let sum = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
+            (new, n_instants, sum)
+        };
+        if new.is_empty() {
             return None;
         }
         let mut midstate = self.midstate.clone();
         midstate.update(new);
-        let checksum = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
         if midstate.sealed(n_instants) != checksum {
             return None;
         }
@@ -632,6 +877,8 @@ impl ColumnarReader {
             n_instants,
             checksum,
             midstate,
+            slots: past.slots,
+            file_bytes: past.len,
         };
         growth.extend(self).ok()
     }
@@ -652,27 +899,35 @@ impl ColumnarReader {
 /// Incremental segment arrival: appends encoded rows to an existing
 /// `.ppmc` file with crash-safe publication.
 ///
-/// An appender is a verified load plus pending rows. It resumes the
+/// An appender is a verified load plus pending rows, holding the file's
+/// exclusive append lock from open until it is dropped. It resumes the
 /// load's checksum midstate, so each appended instant costs one row of
 /// hashing: the hash cost of an append is O(new rows). [`Self::open`]
 /// validates the file once; [`Self::open_resident`] hashes nothing when
 /// the file is byte-for-byte a load the caller already holds. Either way
-/// the appender keeps the opened file, not a copy of it, and the publish
-/// copies the verified rows from it. The publish is still a whole-file
-/// rewrite: [`Self::finish`] writes the complete new store to a
-/// same-directory temp file, fsyncs, atomically renames it over the
-/// original, and fsyncs the parent directory. A crash (or `kill -9`) at
-/// any point leaves either the prior store or the finished store on disk
-/// — both openable — never a half-written hybrid.
+/// the appender keeps the opened file, not a copy of it. [`Self::finish`]
+/// publishes a version-3 store in place — new rows, sync, commit slot,
+/// sync — and an older store by the whole-file rewrite (see the module
+/// docs). A crash (or `kill -9`) at any point leaves either the prior
+/// store or the finished store on disk — both openable — never a hybrid.
 #[derive(Debug)]
 pub struct ColumnarAppender {
     path: PathBuf,
-    /// The opened store. Its bytes before the trailer were verified at
-    /// open; the publish copies them from this handle, which a rename
-    /// over `path` does not disturb.
+    /// The opened store, locked for appending. Its header and committed
+    /// rows were verified at open; a version-3 publish writes through this
+    /// handle, and a whole-file publish copies the verified bytes from it,
+    /// which a rename over `path` does not disturb.
     file: File,
-    /// Length of the verified bytes before the trailer.
+    version: u32,
+    /// Where the verified rows end: the committed end a version-3 append
+    /// writes at, or the start of an older store's trailer.
     prefix_len: u64,
+    /// The file's length as opened.
+    file_len: u64,
+    /// Version 3: the offset of slot 0.
+    slots_at: u64,
+    /// Version 3: the commit slots as verified.
+    slots: Slots,
     /// Checksum state over the verified bytes plus any pending rows, in
     /// the store's own version: an append never changes the version.
     hash: Digest,
@@ -685,53 +940,98 @@ pub struct ColumnarAppender {
     opened_fingerprint: u64,
 }
 
-/// The staging path `finish` publishes through: `<store>.tmp`, always in
-/// the store's own directory so the rename cannot cross filesystems.
+/// One step of a publish. [`ColumnarAppender::finish`] runs its plan
+/// (`ColumnarAppender::plan`) in order, and the tests replay it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Step {
+    /// Create `<store>.tmp` and copy the store's verified bytes before
+    /// its trailer into it (versions 1 and 2).
+    Stage,
+    /// Write `bytes` at offset `at` of the store (version 3) or of the
+    /// staging file.
+    Write { at: u64, bytes: Vec<u8> },
+    /// Flush the written file's data to disk: `fdatasync` the store, or
+    /// `fsync` the staging file.
+    Sync,
+    /// Rename the staging file over the store, then fsync its directory.
+    Rename,
+}
+
+/// The staging path the whole-file publish goes through: `<store>.tmp`,
+/// always in the store's own directory so the rename cannot cross
+/// filesystems.
 fn staging_path(path: &Path) -> PathBuf {
     let mut os = path.as_os_str().to_owned();
     os.push(".tmp");
     PathBuf::from(os)
 }
 
+/// Opens `path` for reading and writing and takes its exclusive append
+/// lock, waiting while another appender holds it.
+fn lock_store(path: &Path) -> Result<File> {
+    loop {
+        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        file.lock()?;
+        // A whole-file publish renames a new file over `path`; a lock won
+        // on the file it replaced guards nothing, so lock the new one.
+        let (held, named) = (file.metadata()?, std::fs::metadata(path)?);
+        if (held.dev(), held.ino()) == (named.dev(), named.ino()) {
+            return Ok(file);
+        }
+    }
+}
+
 impl ColumnarAppender {
-    /// Opens `path` for appending, validating the existing contents first
-    /// (one checksum pass).
+    /// Opens `path` for appending: takes the file's append lock, then
+    /// validates the existing contents (one checksum pass).
     ///
-    /// A stale staging file (`<path>.tmp`) left behind by a crashed append
-    /// is removed here: the rename never happened, so the original store is
-    /// authoritative and the orphan holds nothing worth keeping.
+    /// A stale staging file (`<path>.tmp`) left behind by a crashed
+    /// whole-file publish is removed here: the rename never happened, so
+    /// the original store is authoritative and the orphan holds nothing
+    /// worth keeping.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
-        let file = File::open(path)?;
-        let base = ColumnarReader::load_file(&file, false)?;
-        Ok(Self::on(path, file, &base))
+        Self::verify(path, lock_store(path)?)
     }
 
     /// Opens `path` for appending on top of `resident`, a verified load of
-    /// it. If the file is byte-for-byte `resident`'s load (a streamed
-    /// compare, see [`ColumnarReader::reload`]), the appender resumes
-    /// `resident`'s checksum midstate and hashes nothing of the existing
-    /// store. Any mismatch falls back to [`Self::open`]'s full validation
-    /// — a corrupt file is rejected with the same error, and a valid but
-    /// different one opens (so [`Self::finish_extending`] with `resident`
-    /// then refuses it before writing).
+    /// it. Once the append lock is held, if the file is byte-for-byte
+    /// `resident`'s load (a streamed compare, see
+    /// [`ColumnarReader::reload`]), the appender resumes `resident`'s
+    /// checksum midstate and hashes nothing of the existing store. Any
+    /// mismatch falls back to [`Self::open`]'s full validation — a corrupt
+    /// file is rejected with the same error, and a valid but different one
+    /// opens (so [`Self::finish_extending`] with `resident` then refuses it
+    /// before writing).
     pub fn open_resident(path: impl AsRef<Path>, resident: &ColumnarReader) -> Result<Self> {
         let path = path.as_ref();
-        let mut file = File::open(path)?;
+        let mut file = lock_store(path)?;
         match resident.read_past_load(&mut file)? {
-            Some(rest) if rest == resident.trailer() => Ok(Self::on(path, file, resident)),
-            _ => Self::open(path),
+            Some(past) if resident.is_current(&past) => {
+                Ok(Self::on(path, file, resident, past.len))
+            }
+            _ => Self::verify(path, file),
         }
     }
 
-    /// An appender on `file`, verified to hold `base` (whose `words` may
-    /// be left undecoded).
-    fn on(path: &Path, file: File, base: &ColumnarReader) -> Self {
+    /// An appender on `file` after a full validation of it.
+    fn verify(path: &Path, file: File) -> Result<Self> {
+        let base = ColumnarReader::load_file(&file, false)?;
+        Ok(Self::on(path, file, &base, base.file_bytes))
+    }
+
+    /// An appender on `file`, `len` bytes long, verified to hold `base`
+    /// (whose `words` may be left undecoded).
+    fn on(path: &Path, file: File, base: &ColumnarReader, len: usize) -> Self {
         std::fs::remove_file(staging_path(path)).ok();
         ColumnarAppender {
             path: path.to_path_buf(),
             file,
-            prefix_len: (base.file_bytes - TRAILER) as u64,
+            version: base.version,
+            prefix_len: base.committed_end() as u64,
+            file_len: len as u64,
+            slots_at: base.header.len() as u64,
+            slots: base.slots,
             hash: base.midstate.clone(),
             width: base.width,
             words_per_instant: base.words_per_instant,
@@ -747,10 +1047,11 @@ impl ColumnarAppender {
     }
 
     /// The fingerprint the store *will* have once [`Self::finish`]
-    /// publishes the pending rows — computed from the streaming FNV state
-    /// without touching the file. Lets a live reader adopt the appended
-    /// state (see [`Self::finish_extending`]) and lets caches be re-keyed
-    /// before the publish lands.
+    /// publishes the pending rows — sealed from the running checksum
+    /// state (the store's own hash, resumed over the pending rows) without
+    /// touching the file. Lets a live reader adopt the appended state (see
+    /// [`Self::finish_extending`]) and lets caches be re-keyed before the
+    /// publish lands.
     pub fn preview_fingerprint(&self) -> u64 {
         self.hash.sealed(self.n_instants)
     }
@@ -795,50 +1096,119 @@ impl ColumnarAppender {
         Ok(())
     }
 
+    /// The commit a version-3 publish writes: the next `seq`, over the
+    /// older slot.
+    fn next_commit(&self) -> Option<Commit> {
+        Commit::newest(&self.slots).map(|c| Commit {
+            seq: c.seq + 1,
+            n_instants: self.n_instants as u64,
+            checksum: self.preview_fingerprint(),
+        })
+    }
+
+    /// The publish, as the ordered writes and syncs [`Self::finish`] runs.
+    /// Version 3, in place: the pending rows at the committed end, sync,
+    /// the next commit over the older slot, sync. Versions 1 and 2: stage
+    /// a copy, write the rows and the new trailer after it, sync, rename.
+    fn plan(&self) -> Vec<Step> {
+        match self.next_commit() {
+            Some(next) => vec![
+                Step::Write {
+                    at: self.prefix_len,
+                    bytes: self.pending.clone(),
+                },
+                Step::Sync,
+                Step::Write {
+                    at: self.slots_at + (next.slot() * SLOT_BLOCK) as u64,
+                    bytes: next.record().to_vec(),
+                },
+                Step::Sync,
+            ],
+            None => {
+                let mut tail = self.pending.clone();
+                tail.extend_from_slice(&(self.n_instants as u64).to_le_bytes());
+                tail.extend_from_slice(&self.preview_fingerprint().to_le_bytes());
+                vec![
+                    Step::Stage,
+                    Step::Write {
+                        at: self.prefix_len,
+                        bytes: tail,
+                    },
+                    Step::Sync,
+                    Step::Rename,
+                ]
+            }
+        }
+    }
+
     /// Publishes the appended store crash-safely; returns the new total
     /// instant count.
     ///
-    /// The complete new file — the verified prefix copied from the opened
-    /// file, pending rows, refreshed trailer — is written to `<path>.tmp`
-    /// and fsynced *before* the atomic rename over `path`, then the parent
-    /// directory is fsynced so the rename itself survives a power cut. If
-    /// the opened file was cut short in place, or the rename fails, the
-    /// staging file is removed and the original store is untouched.
-    pub fn finish(mut self) -> Result<usize> {
-        let count_bytes = (self.n_instants as u64).to_le_bytes();
-        let checksum = self.hash.sealed(self.n_instants);
+    /// A version-3 store is written in place: `O(appended)` bytes and two
+    /// `fdatasync`s, no temp file and no rename. An older store is
+    /// rewritten whole — the verified prefix copied from the opened file,
+    /// pending rows, refreshed trailer — to `<path>.tmp`, fsynced *before*
+    /// the atomic rename over `path`, and the parent directory is fsynced
+    /// so the rename itself survives a power cut. If any step fails (the
+    /// opened file was cut short in place, the disk filled, the rename
+    /// failed), the staging file is removed and the original store is
+    /// untouched.
+    pub fn finish(self) -> Result<usize> {
+        self.publish(|_| Ok(()))
+    }
 
+    /// [`Self::finish`], calling `before` ahead of each step of the plan;
+    /// an error from it fails the publish there, as the step itself
+    /// failing would.
+    fn publish(self, mut before: impl FnMut(&Step) -> std::io::Result<()>) -> Result<usize> {
+        let plan = self.plan();
+        let in_place = self.version == VERSION;
         let tmp = staging_path(&self.path);
-        {
-            let mut w = File::create(&tmp)?;
-            self.file.seek(SeekFrom::Start(0))?;
-            let copied = std::io::copy(&mut (&self.file).take(self.prefix_len), &mut w)?;
-            if copied != self.prefix_len {
-                std::fs::remove_file(&tmp).ok();
-                return Err(corrupt(format!(
-                    "store shrank while appending: truncated at offset {copied}"
-                )));
+        let mut staged: Option<File> = None;
+        let mut run = |step: &Step| -> Result<()> {
+            before(step)?;
+            match step {
+                Step::Stage => {
+                    let mut w = File::create(&tmp)?;
+                    (&self.file).seek(SeekFrom::Start(0))?;
+                    let copied = std::io::copy(&mut (&self.file).take(self.prefix_len), &mut w)?;
+                    if copied != self.prefix_len {
+                        return Err(corrupt(format!(
+                            "store shrank while appending: truncated at offset {copied}"
+                        )));
+                    }
+                    staged = Some(w);
+                }
+                Step::Write { at, bytes } => {
+                    let mut f = staged.as_ref().unwrap_or(&self.file);
+                    f.seek(SeekFrom::Start(*at))?;
+                    f.write_all(bytes)?;
+                }
+                Step::Sync => match &staged {
+                    Some(w) => w.sync_all()?,
+                    None => self.file.sync_data()?,
+                },
+                Step::Rename => {
+                    std::fs::rename(&tmp, &self.path)?;
+                    if let Some(dir) = self.path.parent().filter(|d| !d.as_os_str().is_empty()) {
+                        if let Ok(d) = File::open(dir) {
+                            d.sync_all().ok();
+                        }
+                    }
+                }
             }
-            w.write_all(&self.pending)?;
-            w.write_all(&count_bytes)?;
-            w.write_all(&checksum.to_le_bytes())?;
-            w.sync_all()?;
-        }
-        if let Err(e) = std::fs::rename(&tmp, &self.path) {
+            Ok(())
+        };
+        let done = plan.iter().try_for_each(&mut run);
+        if done.is_err() && !in_place {
             std::fs::remove_file(&tmp).ok();
-            return Err(e.into());
         }
-        if let Some(dir) = self.path.parent().filter(|d| !d.as_os_str().is_empty()) {
-            if let Ok(d) = File::open(dir) {
-                d.sync_all().ok();
-            }
-        }
-        Ok(self.n_instants)
+        done.map(|()| self.n_instants)
     }
 
     /// [`Self::finish`], keeping what the caller needs to bring a loaded
     /// reader up to the published file: the appended rows and the new
-    /// trailer state, as a [`Growth`].
+    /// commit state, as a [`Growth`].
     ///
     /// `resident` must be a load of the store this appender opened
     /// (matching fingerprint); otherwise the growth would splice rows
@@ -853,12 +1223,23 @@ impl ColumnarAppender {
                 self.opened_fingerprint
             )));
         }
+        let end = self.prefix_len as usize + self.pending.len();
+        let mut slots = self.slots;
+        let file_bytes = match self.next_commit() {
+            Some(next) => {
+                slots[next.slot()] = Some(next);
+                end.max(self.file_len as usize)
+            }
+            None => end + TRAILER,
+        };
         let growth = Growth {
             base_fingerprint: self.opened_fingerprint,
             words: le_words(&self.pending).collect(),
             n_instants: self.n_instants,
             checksum: self.preview_fingerprint(),
             midstate: self.hash.clone(),
+            slots,
+            file_bytes,
         };
         self.finish()?;
         Ok(growth)
@@ -875,7 +1256,7 @@ impl ColumnarAppender {
     }
 }
 
-/// Whole instants appended to a verified load, with the trailer state
+/// Whole instants appended to a verified load, with the commit state
 /// they give the store: what brings a [`ColumnarReader`] of the base up
 /// to the grown file without re-reading it.
 #[derive(Debug)]
@@ -884,8 +1265,12 @@ pub struct Growth {
     words: Vec<u64>,
     n_instants: usize,
     checksum: u64,
-    /// Checksum state over the grown store's bytes before its trailer.
+    /// Checksum state over the grown store's header and rows.
     midstate: Digest,
+    /// The grown store's commit slots (version 3).
+    slots: Slots,
+    /// The grown file's length.
+    file_bytes: usize,
 }
 
 impl Growth {
@@ -916,17 +1301,23 @@ impl Growth {
     pub fn apply_to(&self, base: &mut ColumnarReader) -> Result<()> {
         self.check_base(base)?;
         base.words.extend_from_slice(&self.words);
-        base.file_bytes += self.words.len() * 8;
+        base.file_bytes = self.file_bytes;
         base.n_instants = self.n_instants;
         base.checksum = self.checksum;
         base.midstate = self.midstate.clone();
+        base.slots = self.slots;
         Ok(())
     }
 
     /// A grown copy of `base`; `base` itself is left as it is.
+    ///
+    /// The copy is allocated with room to double, so the appends that
+    /// follow grow it in place. Filled exactly, the next one would
+    /// reallocate it — a third copy of the store while a query still
+    /// holds `base` — and the allocator may keep the freed copy.
     pub fn extend(&self, base: &ColumnarReader) -> Result<ColumnarReader> {
         self.check_base(base)?;
-        let mut words = Vec::with_capacity(base.words.len() + self.words.len());
+        let mut words = Vec::with_capacity(2 * (base.words.len() + self.words.len()));
         words.extend_from_slice(&base.words);
         let mut grown = ColumnarReader {
             words,
@@ -966,6 +1357,20 @@ mod tests {
         static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         std::env::temp_dir().join(format!("ppmc-test-{}-{tag}-{n}.ppmc", std::process::id()))
+    }
+
+    /// `s` as a version-2 store: the layout appends rewrite whole.
+    fn v2_bytes(s: &FeatureSeries, cat: &FeatureCatalog) -> Vec<u8> {
+        columnar_bytes(EncodedSeries::encode(s).view(), cat)
+    }
+
+    /// A version-3 store's bytes with both slot records zeroed: its
+    /// header, rows and tail, whatever its commits' `seq`.
+    fn unslotted(bytes: &[u8]) -> Vec<u8> {
+        let at = ColumnarReader::from_bytes(bytes).unwrap().header.len();
+        let mut b = bytes.to_vec();
+        b[at..at + SLOTS].fill(0);
+        b
     }
 
     #[test]
@@ -1103,7 +1508,7 @@ mod tests {
     fn reload_rejects_a_flip_in_the_old_prefix_or_the_new_tail() {
         let (s, cat) = sample();
         let path = temp("reload-flip");
-        write_columnar(&path, &s, &cat).unwrap();
+        std::fs::write(&path, v2_bytes(&s, &cat)).unwrap();
         let resident = ColumnarReader::open(&path).unwrap();
         let words_at = resident.header.len();
         grow(&path, 4);
@@ -1122,7 +1527,7 @@ mod tests {
             assert_eq!(err, want, "{what}: the full open's error, verbatim");
         }
         // A flip in an otherwise unchanged file.
-        let mut bad = encode_columnar(&s, &cat);
+        let mut bad = v2_bytes(&s, &cat);
         bad[words_at] ^= 0x01;
         std::fs::write(&path, &bad).unwrap();
         assert!(reload_err(&resident, &path).contains("checksum mismatch"));
@@ -1142,11 +1547,12 @@ mod tests {
             whole.push_instant(s.instant(t).iter().copied());
         }
         for round in 0..5u32 {
-            assert_eq!(
-                resident
-                    .read_past_load(&mut File::open(&path).unwrap())
-                    .unwrap(),
-                Some(resident.trailer().to_vec()),
+            let past = resident
+                .read_past_load(&mut File::open(&path).unwrap())
+                .unwrap()
+                .expect("the file starts with the extended reader");
+            assert!(
+                resident.is_current(&past) && past.rest.is_empty(),
                 "round {round}: the extended reader is byte-for-byte the file"
             );
             let mut app = ColumnarAppender::open_resident(&path, &resident).unwrap();
@@ -1155,8 +1561,13 @@ mod tests {
             resident = app.finish_extending(&resident).unwrap().1;
         }
         let whole = whole.finish();
-        assert_eq!(std::fs::read(&path).unwrap(), encode_columnar(&whole, &cat));
+        assert_eq!(
+            unslotted(&std::fs::read(&path).unwrap()),
+            unslotted(&encode_columnar(&whole, &cat))
+        );
         let reopened = ColumnarReader::open(&path).unwrap();
+        assert_eq!(reopened.commit().unwrap().seq, 6, "one commit per append");
+        assert_eq!(resident.commit(), reopened.commit());
         assert_eq!(resident.fingerprint(), reopened.fingerprint());
         assert_eq!(resident.view(), reopened.view());
 
@@ -1165,7 +1576,7 @@ mod tests {
         // finish_extending refuses to splice onto the stale resident.
         let good = std::fs::read(&path).unwrap();
         let mut bad = good.clone();
-        bad[resident.header.len()] ^= 0x01;
+        bad[resident.rows_at()] ^= 0x01;
         std::fs::write(&path, &bad).unwrap();
         let err = ColumnarAppender::open_resident(&path, &resident).unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
@@ -1200,7 +1611,12 @@ mod tests {
         let err = growth.apply_to(&mut resident).unwrap_err();
         assert!(err.to_string().contains("not the growth's base"), "{err}");
         assert_eq!(resident.len(), 5);
-        assert_eq!(growth.extend(&stale).unwrap().view(), reopened.view());
+        let copy = growth.extend(&stale).unwrap();
+        assert_eq!(copy.view(), reopened.view());
+        assert!(
+            copy.words.capacity() >= 2 * copy.words.len(),
+            "room to grow"
+        );
         std::fs::remove_file(&path).ok();
     }
 
@@ -1309,10 +1725,11 @@ mod tests {
         let reader = ColumnarReader::open(&path).unwrap();
         assert_eq!(reader.to_series(), whole);
         assert_eq!(
-            std::fs::read(&path).unwrap(),
-            encode_columnar(&whole, &cat),
-            "appended bytes must equal a fresh encode"
+            unslotted(&std::fs::read(&path).unwrap()),
+            unslotted(&encode_columnar(&whole, &cat)),
+            "appended header and rows must equal a fresh encode"
         );
+        assert_eq!(reader.commit().unwrap().seq, 2);
         std::fs::remove_file(path).ok();
     }
 
@@ -1326,7 +1743,7 @@ mod tests {
     fn crash_at_any_kill_point_leaves_an_openable_store() {
         let (s, cat) = sample();
         let path = temp("kill-points");
-        write_columnar(&path, &s, &cat).unwrap();
+        std::fs::write(&path, v2_bytes(&s, &cat)).unwrap();
         let original = std::fs::read(&path).unwrap();
 
         // The bytes a completed append would publish.
@@ -1395,8 +1812,8 @@ mod tests {
         let path = temp("append-corrupt");
         write_columnar(&path, &s, &cat).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xff;
+        let last_row_byte = bytes.len() - 1;
+        bytes[last_row_byte] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         assert!(ColumnarAppender::open(&path).is_err());
         std::fs::remove_file(path).ok();
@@ -1407,7 +1824,7 @@ mod tests {
     #[test]
     fn every_single_byte_flip_is_rejected_with_an_offset() {
         let (s, cat) = sample();
-        let bytes = encode_columnar(&s, &cat);
+        let bytes = v2_bytes(&s, &cat);
         let words_at = ColumnarReader::from_bytes(&bytes).unwrap().header.len();
         let count_at = bytes.len() - TRAILER;
         for idx in 0..bytes.len() {
@@ -1595,12 +2012,12 @@ mod tests {
     #[test]
     fn structural_rejections_name_the_failed_field() {
         let (s, cat) = sample();
-        let base = encode_columnar(&s, &cat);
+        let base = v2_bytes(&s, &cat);
         // Re-stamp the checksum after each structural edit so the named
         // structural check fires instead of the checksum gate.
         let restamp = |mut bytes: Vec<u8>| {
             let body = bytes.len() - 8;
-            let mut h = Digest::for_version(VERSION);
+            let mut h = Digest::for_version(VERSION_V2);
             h.update(&bytes[..body]);
             let sum = h.finish().to_le_bytes();
             bytes[body..].copy_from_slice(&sum);
@@ -1655,14 +2072,525 @@ mod tests {
     fn flipped_bitmap_word_is_caught_by_the_checksum() {
         let (s, cat) = sample();
         let bytes = encode_columnar(&s, &cat);
-        // First word of the words section: right after the fixed header,
-        // the three catalog names and the padding.
+        // First word of the rows: right after the fixed header, the three
+        // catalog names, the padding and the two commit slots.
         let names_len: usize = ["alpha", "beta", "gamma"].iter().map(|n| 4 + n.len()).sum();
-        let word0 = (FIXED_HEADER + names_len).next_multiple_of(8);
+        let word0 = (FIXED_HEADER + names_len).next_multiple_of(SLOT_BLOCK) + SLOTS;
         let mut bad = bytes.clone();
         bad[word0] ^= 0x01;
         let err = ColumnarReader::from_bytes(&bad).unwrap_err();
         assert!(err.to_string().contains("checksum mismatch"), "{err}");
+    }
+
+    // ---- Version 3: commit slots and the in-place publish. ----
+
+    /// Writes `b` at `at` of an in-memory file, growing it as a disk would.
+    fn write_at(file: &mut Vec<u8>, at: usize, b: &[u8]) {
+        if file.len() < at + b.len() {
+            file.resize(at + b.len(), 0);
+        }
+        file[at..at + b.len()].copy_from_slice(b);
+    }
+
+    /// Replays `steps` onto `file` as the disk would hold them after a
+    /// crash right past them: every write landed, a sync changes no byte.
+    fn replay(file: &mut Vec<u8>, steps: &[Step]) {
+        for step in steps {
+            if let Step::Write { at, bytes } = step {
+                write_at(file, *at as usize, bytes);
+            }
+        }
+    }
+
+    /// Whether `r` holds exactly `want`'s content.
+    fn same(r: &ColumnarReader, want: &ColumnarReader) -> bool {
+        r.fingerprint() == want.fingerprint() && r.view() == want.view()
+    }
+
+    #[test]
+    fn v3_store_commits_its_rows_in_both_slots() {
+        let (s, cat) = sample();
+        let bytes = encode_columnar(&s, &cat);
+        let r = ColumnarReader::from_bytes(&bytes).unwrap();
+        assert_eq!(r.version(), 3);
+        assert_eq!(
+            r.header.len(),
+            SLOT_BLOCK,
+            "54 header bytes pad to one block"
+        );
+        assert_eq!(bytes.len(), SLOT_BLOCK + SLOTS + 4 * 8);
+        let slots = Commit::read_slots(&bytes[SLOT_BLOCK..][..SLOTS]);
+        assert_eq!(slots.map(|c| c.map(|c| c.seq)), [Some(0), Some(1)]);
+        assert!(slots
+            .iter()
+            .flatten()
+            .all(|c| c.n_instants == 4 && c.checksum == r.fingerprint()));
+        assert_eq!(
+            r.commit(),
+            Some(CommitInfo {
+                seq: 1,
+                slot: 1,
+                rolled_back: false
+            })
+        );
+        assert_eq!(r.uncommitted_bytes(), 0);
+        // Neither an empty slot block nor a record in the wrong slot is a
+        // commit; without one the store does not open.
+        assert_eq!(Commit::read_slots(&[0; SLOTS]), [None, None]);
+        let mut moved = bytes.clone();
+        let (slot0, slot1) = (SLOT_BLOCK, 2 * SLOT_BLOCK);
+        moved.copy_within(slot1..slot1 + SLOT_RECORD, slot0);
+        moved[slot1..slot1 + SLOT_RECORD].fill(0);
+        let err = ColumnarReader::from_bytes(&moved).unwrap_err().to_string();
+        assert!(err.contains("no valid commit slot at offset 4096"), "{err}");
+        // Older versions have no commit slots.
+        assert_eq!(
+            ColumnarReader::from_bytes(&v2_bytes(&s, &cat))
+                .unwrap()
+                .commit(),
+            None
+        );
+    }
+
+    /// The write accounting of an in-place append: `k` rows write at most
+    /// `k` rows plus one commit block, sync exactly twice, stage nothing,
+    /// and the real publish runs exactly that plan.
+    #[test]
+    fn v3_append_writes_o_appended_bytes_and_syncs_twice() {
+        let (s, cat) = sample();
+        let path = temp("v3-plan");
+        write_columnar(&path, &s, &cat).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        for k in [1usize, 3, 64] {
+            let mut app = ColumnarAppender::open(&path).unwrap();
+            for r in 0..k {
+                app.append_instant(&[fid(r as u32 % 3)]).unwrap();
+            }
+            let row_bytes = app.words_per_instant * 8;
+            let plan = app.plan();
+            let written: usize = plan
+                .iter()
+                .map(|step| match step {
+                    Step::Write { bytes, .. } => bytes.len(),
+                    _ => 0,
+                })
+                .sum();
+            assert!(written <= k * row_bytes + SLOT_BLOCK, "{k} rows: {written}");
+            assert_eq!(plan.iter().filter(|s| **s == Step::Sync).count(), 2);
+            assert!(!plan.iter().any(|s| matches!(s, Step::Stage | Step::Rename)));
+            let mut ran = Vec::new();
+            app.publish(|step| {
+                ran.push(step.clone());
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(ran, plan, "{k} rows: the publish is the plan");
+            assert!(!staging_path(&path).exists());
+        }
+        // The header and the old rows are byte-for-byte as they were.
+        let after = std::fs::read(&path).unwrap();
+        let rows_at = SLOT_BLOCK + SLOTS;
+        assert_eq!(after[..SLOT_BLOCK], before[..SLOT_BLOCK]);
+        assert_eq!(after[rows_at..before.len()], before[rows_at..]);
+        let r = ColumnarReader::open(&path).unwrap();
+        assert_eq!((r.len(), r.commit().unwrap().seq), (4 + 68, 4));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Crash proof for the in-place publish: every prefix of its plan, and
+    /// each write torn after its first, middle and last byte, replayed on
+    /// a copy of the old store, opens as exactly the old store or the new
+    /// one. A torn commit record opens the older slot and reports the
+    /// rollback, and the next append recovers from it.
+    #[test]
+    fn v3_crash_at_any_step_or_torn_write_opens_the_old_or_the_new_store() {
+        let (s, cat) = sample();
+        let path = temp("v3-crash");
+        write_columnar(&path, &s, &cat).unwrap();
+        grow(&path, 2); // both slots now hold different commits
+        let old = std::fs::read(&path).unwrap();
+        let old_r = ColumnarReader::from_bytes(&old).unwrap();
+        let mut app = ColumnarAppender::open(&path).unwrap();
+        for r in 0..3 {
+            app.append_instant(&[fid(r), fid(2)]).unwrap();
+        }
+        let plan = app.plan();
+        app.finish().unwrap();
+        let new = std::fs::read(&path).unwrap();
+        let new_r = ColumnarReader::from_bytes(&new).unwrap();
+        assert_eq!(new_r.len(), 9);
+        let mut whole = old.clone();
+        replay(&mut whole, &plan);
+        assert_eq!(whole, new, "the plan is the whole publish");
+
+        let open = |disk: &[u8], what: &str| {
+            let r = ColumnarReader::from_bytes(disk)
+                .unwrap_or_else(|e| panic!("{what}: unopenable: {e}"));
+            assert!(
+                same(&r, &old_r) || same(&r, &new_r),
+                "{what}: neither the old store nor the new one"
+            );
+            r
+        };
+        for p in 0..=plan.len() {
+            let mut disk = old.clone();
+            replay(&mut disk, &plan[..p]);
+            let r = open(&disk, &format!("crash after step {p}"));
+            assert_eq!(same(&r, &new_r), p >= 3, "step {p}: the slot write commits");
+            assert!(!r.commit().unwrap().rolled_back, "step {p}");
+        }
+        let mut torn_commit = None;
+        for (i, step) in plan.iter().enumerate() {
+            let Step::Write { at, bytes } = step else {
+                continue;
+            };
+            for cut in [1, bytes.len() / 2, bytes.len() - 1] {
+                let what = format!("step {i} torn after {cut} of {} bytes", bytes.len());
+                let mut disk = old.clone();
+                replay(&mut disk, &plan[..i]);
+                write_at(&mut disk, *at as usize, &bytes[..cut]);
+                let r = open(&disk, &what);
+                assert!(same(&r, &old_r), "{what}: a torn write commits nothing");
+                let is_commit = i == 2;
+                assert_eq!(r.commit().unwrap().rolled_back, is_commit, "{what}");
+                if is_commit {
+                    torn_commit = Some(disk);
+                }
+            }
+        }
+        // Recovery: an append on the torn store starts from the old
+        // commit, overwrites the uncommitted rows and the torn slot.
+        std::fs::write(&path, torn_commit.expect("a torn commit")).unwrap();
+        let mut app = ColumnarAppender::open(&path).unwrap();
+        assert_eq!(app.len(), 6);
+        app.append_instant(&[fid(1)]).unwrap();
+        app.finish().unwrap();
+        let r = ColumnarReader::open(&path).unwrap();
+        assert_eq!(r.len(), 7);
+        assert_eq!(r.view().instant_words(6), &[1 << 1]);
+        assert_eq!(r.view().instant_words(5), old_r.view().instant_words(5));
+        let commit = r.commit().unwrap();
+        assert_eq!(
+            (commit.seq, commit.rolled_back),
+            (3, false),
+            "the torn seq 3, rewritten"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Every byte of a v3 store that has committed twice and carries an
+    /// uncommitted tail, flipped: header, padding and committed rows are
+    /// rejected with an offset; a damaged slot record rolls back to the
+    /// other slot's commit and says so; slot filler and the tail change
+    /// nothing.
+    #[test]
+    fn v3_every_single_byte_flip_is_rejected_or_rolls_back() {
+        let (s, cat) = sample();
+        let path = temp("v3-flips");
+        write_columnar(&path, &s, &cat).unwrap();
+        grow(&path, 1); // slot 0: seq 2, five rows; slot 1: seq 1, four
+        let mut bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let base = ColumnarReader::from_bytes(&bytes).unwrap();
+        let prior = ColumnarReader::from_bytes(&encode_columnar(&s, &cat)).unwrap();
+        let committed = bytes.len();
+        bytes.extend_from_slice(&[0xa5; 11]);
+        let r = ColumnarReader::from_bytes(&bytes).unwrap();
+        assert!(same(&r, &base));
+        assert_eq!(r.uncommitted_bytes(), 11);
+        let (slots_at, rows_at) = (base.header.len(), base.rows_at());
+        for idx in 0..bytes.len() {
+            for flip in [0x01u8, 0xff] {
+                let mut bad = bytes.clone();
+                bad[idx] ^= flip;
+                let what = format!("flip {flip:#x} at {idx}");
+                let got = ColumnarReader::from_bytes(&bad);
+                if idx < slots_at || (rows_at..committed).contains(&idx) {
+                    let err = got
+                        .err()
+                        .unwrap_or_else(|| panic!("{what} accepted"))
+                        .to_string();
+                    assert!(err.contains("offset"), "{what}: {err}");
+                    if idx >= rows_at {
+                        assert!(err.contains("checksum mismatch"), "{what}: {err}");
+                    }
+                    continue;
+                }
+                let r = got.unwrap_or_else(|e| panic!("{what}: {e}"));
+                let in_record = idx < rows_at && (idx - slots_at) % SLOT_BLOCK < SLOT_RECORD;
+                if in_record {
+                    let slot = (idx - slots_at) / SLOT_BLOCK;
+                    let (want, seq) = if slot == 0 { (&prior, 1) } else { (&base, 2) };
+                    assert!(same(&r, want), "{what}: the other slot's commit");
+                    assert_eq!(
+                        r.commit(),
+                        Some(CommitInfo {
+                            seq,
+                            slot: 1 - slot,
+                            rolled_back: true
+                        }),
+                        "{what}"
+                    );
+                } else {
+                    assert!(same(&r, &base), "{what}: an ignored byte");
+                    assert_eq!(r.commit(), base.commit(), "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn v3_reload_resumes_growth_and_judges_damaged_slots() {
+        let (s, cat) = sample();
+        let path = temp("v3-reload");
+        write_columnar(&path, &s, &cat).unwrap();
+        let resident = ColumnarReader::open(&path).unwrap();
+        grow(&path, 3);
+        let grown_bytes = std::fs::read(&path).unwrap();
+        let past = resident
+            .read_past_load(&mut File::open(&path).unwrap())
+            .unwrap()
+            .expect("old rows intact");
+        assert!(!resident.is_current(&past));
+        assert!(
+            resident.resume(&past).is_some(),
+            "growth takes the resume path"
+        );
+        let Reload::Extended(grown) = resident.reload(&path).unwrap() else {
+            panic!("growth must reload as an extension");
+        };
+        let reopened = ColumnarReader::open(&path).unwrap();
+        assert!(same(&grown, &reopened));
+        assert_eq!(grown.commit(), reopened.commit());
+        assert_eq!(grown.file_bytes(), reopened.file_bytes());
+        assert!(matches!(grown.reload(&path).unwrap(), Reload::Unchanged));
+
+        // A flip in the old rows or the new ones: the full open's error.
+        for at in [resident.rows_at(), resident.file_bytes()] {
+            let mut bad = grown_bytes.clone();
+            bad[at] ^= 0x01;
+            std::fs::write(&path, &bad).unwrap();
+            let err = reload_err(&resident, &path);
+            assert_eq!(
+                err,
+                ColumnarReader::from_bytes(&bad).unwrap_err().to_string()
+            );
+            assert!(err.contains("checksum mismatch"), "{err}");
+        }
+        // The newest slot damaged: the file commits the resident load
+        // again, which the grown load sees as a rewrite, not growth.
+        let newest = grown.header.len() + grown.commit().unwrap().slot * SLOT_BLOCK;
+        let mut rolled = grown_bytes.clone();
+        rolled[newest] ^= 0x01;
+        std::fs::write(&path, &rolled).unwrap();
+        assert!(matches!(resident.reload(&path).unwrap(), Reload::Unchanged));
+        assert!(matches!(
+            grown.reload(&path).unwrap(),
+            Reload::Rewritten(r) if same(&r, &resident) && r.commit().unwrap().rolled_back
+        ));
+        // The older slot damaged: still the grown load's commit.
+        let older = grown.header.len() + (1 - grown.commit().unwrap().slot) * SLOT_BLOCK;
+        let mut damaged = grown_bytes.clone();
+        damaged[older + 8] ^= 0x01;
+        std::fs::write(&path, &damaged).unwrap();
+        assert!(matches!(grown.reload(&path).unwrap(), Reload::Unchanged));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The append lock: an open appender holds it, and two appenders
+    /// racing on one file commit one after the other, each over the
+    /// other's rows — never the same slot twice, never mixed rows.
+    #[test]
+    fn v3_appenders_on_one_file_are_serialized_by_the_lock() {
+        let (s, cat) = sample();
+        let path = temp("v3-lock");
+        write_columnar(&path, &s, &cat).unwrap();
+        let probe = File::open(&path).unwrap();
+        let app = ColumnarAppender::open(&path).unwrap();
+        assert!(probe.try_lock().is_err(), "an open appender holds the lock");
+        drop(app);
+        probe.try_lock().expect("a dropped appender releases it");
+        probe.unlock().unwrap();
+
+        let r = race_two_appenders(&path);
+        assert_eq!(r.commit().unwrap().seq, 3);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Two appenders released together on `path`, a four-instant sample
+    /// store, each appending five rows of its own feature: both appends
+    /// commit, one after the other, and no commit mixes their rows.
+    fn race_two_appenders(path: &Path) -> ColumnarReader {
+        let start = std::sync::Arc::new(std::sync::Barrier::new(2));
+        let racers: Vec<_> = [0u32, 1]
+            .into_iter()
+            .map(|f| {
+                let (path, start) = (path.to_path_buf(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    let mut app = ColumnarAppender::open(&path).unwrap();
+                    for _ in 0..5 {
+                        app.append_instant(&[fid(f)]).unwrap();
+                        std::thread::yield_now();
+                    }
+                    app.finish().unwrap();
+                })
+            })
+            .collect();
+        for racer in racers {
+            racer.join().unwrap();
+        }
+        let r = ColumnarReader::open(path).unwrap();
+        assert_eq!(r.len(), 14, "both appends committed");
+        let rows: Vec<u64> = (4..14).map(|t| r.view().instant_words(t)[0]).collect();
+        assert!(
+            rows[..5].iter().all(|&w| w == rows[0])
+                && rows[5..].iter().all(|&w| w == rows[5])
+                && rows[0] != rows[5],
+            "each append's rows stay together: {rows:?}"
+        );
+        r
+    }
+
+    /// A whole-file publish renames a new file over the store, so the
+    /// appender waiting on the old file's lock must lock the new one, or
+    /// it would publish over the first append and lose it.
+    #[test]
+    fn whole_file_appenders_are_serialized_across_the_rename() {
+        let (s, cat) = sample();
+        for round in 0..4 {
+            let path = temp(&format!("v2-lock-{round}"));
+            std::fs::write(&path, v2_bytes(&s, &cat)).unwrap();
+            assert_eq!(race_two_appenders(&path).version(), 2);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    // ---- Version 2: a store written before the commit slots. ----
+
+    /// A 600-instant, 108-feature store written by the version-2 writer
+    /// (`ppm generate --length 600 --period 12 --max-pat-length 4 --f1 8
+    /// --seed 7`, then `ppm convert --to columnar`): the data of the v1
+    /// fixture.
+    const V2_FIXTURE: &[u8] = include_bytes!("../testdata/synthetic-p12-v2.ppmc");
+
+    #[test]
+    fn v2_store_opens_and_equals_its_v3_twin() {
+        let v2 = ColumnarReader::from_bytes(V2_FIXTURE).unwrap();
+        assert_eq!((v2.version(), v2.len(), v2.width()), (2, 600, 108));
+        assert_eq!(v2.header.len() % 8, 0);
+        assert_eq!(v2.commit(), None);
+        let v1 = ColumnarReader::from_bytes(V1_FIXTURE).unwrap();
+        assert_eq!(v2.view(), v1.view(), "the v1 fixture's data");
+        let path = temp("v2-open");
+        std::fs::write(&path, V2_FIXTURE).unwrap();
+        let opened = ColumnarReader::open(&path).unwrap();
+        assert_eq!(opened.version(), 2);
+        assert!(same(&opened, &v2));
+        std::fs::remove_file(&path).ok();
+
+        let v3 =
+            ColumnarReader::from_bytes(&store_bytes(v2.view(), v2.catalog(), VERSION)).unwrap();
+        assert_eq!(v3.version(), 3);
+        assert_eq!(v3.view(), v2.view());
+        assert_eq!(v3.to_series(), v2.to_series());
+        assert!(v3.catalog().iter().eq(v2.catalog().iter()));
+        assert_ne!(v3.fingerprint(), v2.fingerprint(), "a different header");
+    }
+
+    #[test]
+    fn v2_appends_stay_v2_through_the_whole_file_path_and_reload_as_extensions() {
+        let path = temp("v2-append");
+        std::fs::write(&path, V2_FIXTURE).unwrap();
+        let resident = ColumnarReader::open(&path).unwrap();
+        grow(&path, 24);
+        assert!(!staging_path(&path).exists());
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(&bytes[4..8], &2u32.to_le_bytes(), "the append kept v2");
+        assert_eq!(
+            &bytes[..V2_FIXTURE.len() - TRAILER],
+            &V2_FIXTURE[..V2_FIXTURE.len() - TRAILER]
+        );
+        assert_eq!(bytes.len(), V2_FIXTURE.len() + 24 * 2 * 8);
+
+        let past = resident
+            .read_past_load(&mut File::open(&path).unwrap())
+            .unwrap()
+            .expect("old prefix intact");
+        assert!(
+            resident.resume(&past).is_some(),
+            "growth takes the resume path"
+        );
+        let Reload::Extended(grown) = resident.reload(&path).unwrap() else {
+            panic!("a grown v2 store must reload as an extension");
+        };
+        let reopened = ColumnarReader::open(&path).unwrap();
+        assert_eq!((grown.version(), reopened.version()), (2, 2));
+        assert_eq!(grown.len(), 624);
+        assert!(same(&grown, &reopened));
+        assert_eq!(grown.file_bytes(), reopened.file_bytes());
+
+        let mut app = ColumnarAppender::open_resident(&path, &grown).unwrap();
+        app.append_instant(&[fid(3), fid(100)]).unwrap();
+        let preview = app.preview_fingerprint();
+        let (n, extended) = app.finish_extending(&grown).unwrap();
+        assert_eq!(n, 625);
+        let reopened = ColumnarReader::open(&path).unwrap();
+        assert_eq!(reopened.version(), 2);
+        assert_eq!(reopened.fingerprint(), preview);
+        assert!(same(&extended, &reopened));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn v2_flips_are_rejected() {
+        let words_at = ColumnarReader::from_bytes(V2_FIXTURE).unwrap().header.len();
+        let n = V2_FIXTURE.len();
+        let picks = (0..words_at)
+            .chain((words_at..n - TRAILER).step_by(61))
+            .chain(n - TRAILER..n);
+        for idx in picks {
+            let mut bad = V2_FIXTURE.to_vec();
+            bad[idx] ^= 0xff;
+            let err = ColumnarReader::from_bytes(&bad)
+                .err()
+                .unwrap_or_else(|| panic!("v2 flip at {idx} accepted"))
+                .to_string();
+            assert!(err.contains("offset"), "v2 flip at {idx}: {err}");
+        }
+    }
+
+    /// The whole-file publish removes `<store>.tmp` whichever step fails,
+    /// and leaves the store as it was.
+    #[test]
+    fn whole_file_publish_removes_the_staging_file_when_any_step_fails() {
+        let path = temp("v2-fail");
+        std::fs::write(&path, V2_FIXTURE).unwrap();
+        let tmp = staging_path(&path);
+        for fail_at in 0..4 {
+            let mut app = ColumnarAppender::open(&path).unwrap();
+            app.append_instant(&[fid(3)]).unwrap();
+            assert_eq!(app.plan().len(), 4);
+            let mut steps = 0;
+            let err = app
+                .publish(|step| {
+                    if steps == fail_at {
+                        return Err(std::io::Error::other(format!("no space before {step:?}")));
+                    }
+                    steps += 1;
+                    Ok(())
+                })
+                .unwrap_err();
+            assert!(err.to_string().contains("no space"), "{err}");
+            assert!(
+                !tmp.exists(),
+                "failed at step {fail_at}: staging file left behind"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), V2_FIXTURE, "step {fail_at}");
+        }
+        grow(&path, 1);
+        assert_eq!(ColumnarReader::open(&path).unwrap().len(), 601);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //! All three round-trip a [`crate::FeatureSeries`] exactly; the binary and
 //! stream formats additionally embed the [`crate::FeatureCatalog`] so a
 //! file is self-describing.
+//!
+//! The fourth format, the columnar `.ppmc` store the miners open straight
+//! into their bitmap view, lives in [`crate::columnar`]. It is the only
+//! one that grows after it is written: a version-3 store takes appends in
+//! place, committing them through two commit slots, and older versions
+//! through a whole-file rewrite.
 
 pub mod binary;
 pub mod stream;
