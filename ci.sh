@@ -18,7 +18,7 @@ cargo build --release
 
 echo "==> tier-1: test suite (every workspace crate)"
 # Scalar-vs-wide kernel identity is covered by explicit tests in this run
-# (the audit's scalar arm, vertical/shard/incremental unit tests), so the
+# (the audit's scalar arm, vertical/kernel/incremental unit tests), so the
 # suite runs once.
 cargo test -q
 
@@ -45,8 +45,8 @@ grep -q '"mining_stats"' "$smoke_dir/metrics.json"
   | grep -q "hit-set bound"
 
 echo "==> verification smoke: audit, verify, quarantine, checkpoint integrity"
-# Honest runs audit clean on every engine; the cross-check diffs all seven
-# (including the forced-scalar and force-sharded vertical arms).
+# Honest runs audit clean on every engine; the cross-check diffs all six
+# arms (including the forced-scalar and incremental vertical arms).
 for engine in hitset apriori vertical incremental; do
   ./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
     --min-conf 0.6 --engine "$engine" --audit full \

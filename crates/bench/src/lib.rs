@@ -402,11 +402,11 @@ pub fn run_disk(length: usize, max_pat_lengths: &[usize]) -> Vec<DiskRow> {
         let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
 
         let mut src = FileSource::open(&path).expect("open stream file");
-        let (ap, apriori_secs) = timed(|| run(Engine::Apriori, &mut src, 50, &config, 1).unwrap());
+        let (ap, apriori_secs) = timed(|| run(Engine::Apriori, &mut src, 50, &config).unwrap());
         let apriori_scans = src.scans_performed();
 
         let mut src = FileSource::open(&path).expect("open stream file");
-        let (hs, hitset_secs) = timed(|| run(Engine::HitSet, &mut src, 50, &config, 1).unwrap());
+        let (hs, hitset_secs) = timed(|| run(Engine::HitSet, &mut src, 50, &config).unwrap());
         let hitset_scans = src.scans_performed();
 
         assert_eq!(

@@ -88,8 +88,6 @@ fn passes(attempts: &[Attempt], committed_us: Option<u64>) -> bool {
 pub enum RaceError {
     /// The two arms disagreed on their result.
     Identity(String),
-    /// The workload did not take the path the race measures.
-    Invariant(String),
     /// Generating, writing or mining a store failed.
     Setup(String),
 }
@@ -98,7 +96,6 @@ impl fmt::Display for RaceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RaceError::Identity(d) => write!(f, "results differ: {d}"),
-            RaceError::Invariant(d) => write!(f, "workload invariant broken: {d}"),
             RaceError::Setup(d) => write!(f, "setup failed: {d}"),
         }
     }
@@ -138,7 +135,7 @@ fn run_race(
 pub struct Baseline {
     /// Summed vertical derive over the dense sweep.
     vertical_derive_us: u64,
-    /// Summed wide + sharded derive over the wide sweep.
+    /// Summed wide-kernel derive over the noisy wide sweep.
     wide_derive_us: u64,
     /// Median incremental re-mine after one appended segment.
     incremental_median_us: u64,
@@ -287,11 +284,6 @@ fn span_us(collector: &Collector, name: &str) -> u64 {
         .map_or(0, |p| p.total_us)
 }
 
-/// The largest value gauge `name` reported, or `default`.
-fn gauge(collector: &Collector, name: &str, default: u64) -> u64 {
-    *collector.gauge_maxima().get(name).unwrap_or(&default)
-}
-
 /// Microseconds since `start`, at least 1.
 fn us_since(start: Instant) -> u64 {
     (start.elapsed().as_micros() as u64).max(1)
@@ -309,7 +301,7 @@ fn vertical_vs_treewalk(
     let (arms, collector) = observed(|| {
         let (mut vertical, mut tree) = (Vec::new(), Vec::new());
         for period in range.iter().filter(|&p| p <= view.len()) {
-            vertical.push(ppm_core::run(Engine::Vertical, view, period, config, 1)?);
+            vertical.push(ppm_core::run(Engine::Vertical, view, period, config)?);
             let walk = CountStrategy::TreeWalk;
             tree.push(hitset::mine_with_strategy(view, period, config, walk)?);
         }
@@ -369,7 +361,7 @@ fn ingest_and_scheduler(
         let series = ColumnarReader::open(ppmc_path)?.to_series();
         if period <= series.len() {
             let rows = Rows::Series(&series);
-            sequential.push(ppm_core::run(Engine::Vertical, rows, period, config, 1)?);
+            sequential.push(ppm_core::run(Engine::Vertical, rows, period, config)?);
         }
     }
     let sequential_us = us_since(start);
@@ -398,103 +390,56 @@ fn ingest_and_scheduler(
     })
 }
 
-/// The scalar kernel, unsharded, against the wide kernel sharded over
-/// `threads` on the `noisy` store: per period each arm mines twice and
-/// keeps its faster `vertical.derive`; scalar over wide summed, floor 2.
-/// Some period must plan at least 2 shards (`vertical.shards`). The
-/// absolute time is the wide arm's. The `clean` store, whose segments
-/// repeat a few thousand distinct hits, is an identity arm only: both
-/// kernels must mine it to the same result.
+/// The scalar kernel against the wide kernel on the `noisy` store: per
+/// period each arm mines twice and keeps its faster `vertical.derive`;
+/// scalar over wide summed, floor 2. The absolute time is the wide arm's.
+/// The `clean` store, whose segments repeat a few thousand distinct hits,
+/// is an identity arm only: both kernels must mine it to the same result.
 fn scalar_vs_wide(
     noisy: EncodedSeriesView<'_>,
     clean: EncodedSeriesView<'_>,
     range: PeriodRange,
     config: &MineConfig,
-    threads: usize,
 ) -> Result<Attempt, RaceError> {
+    let scalar_config = config.with_kernel(Kernel::Scalar);
     let (mut scalar, mut wide) = (Vec::new(), Vec::new());
     for period in range.iter().filter(|&p| p <= clean.len()) {
-        let scalar_config = config.with_kernel(Kernel::Scalar);
         scalar.push(ppm_core::run(
             Engine::Vertical,
             clean,
             period,
             &scalar_config,
-            1,
         )?);
-        wide.push(ppm_core::run(
-            Engine::Vertical,
-            clean,
-            period,
-            config,
-            threads,
-        )?);
+        wide.push(ppm_core::run(Engine::Vertical, clean, period, config)?);
     }
-    same_results("scalar and wide+sharded (clean)", &scalar, &wide, true)?;
-    let arm = |config: &MineConfig, threads: usize, period: usize| {
+    same_results("scalar and wide (clean)", &scalar, &wide, true)?;
+    let arm = |config: &MineConfig, period: usize| {
         let mut runs = Vec::new();
         for _ in 0..2 {
-            let (result, c) =
-                observed(|| ppm_core::run(Engine::Vertical, noisy, period, config, threads));
-            let shards = gauge(&c, "vertical.shards", 1);
-            runs.push((result?, span_us(&c, "vertical.derive"), shards));
+            let (result, c) = observed(|| ppm_core::run(Engine::Vertical, noisy, period, config));
+            runs.push((result?, span_us(&c, "vertical.derive")));
         }
         Ok::<_, RaceError>(runs.into_iter().min_by_key(|r| r.1).expect("ran"))
     };
     let (mut scalar, mut wide) = (Vec::new(), Vec::new());
-    let (mut scalar_us, mut wide_us, mut shards) = (0, 0, 0);
+    let (mut scalar_us, mut wide_us) = (0, 0);
     for period in range.iter().filter(|&p| p <= noisy.len()) {
-        let (result, us, _) = arm(&config.with_kernel(Kernel::Scalar), 1, period)?;
+        let (result, us) = arm(&scalar_config, period)?;
         scalar.push(result);
         scalar_us += us;
-        let (result, us, planned) = arm(config, threads, period)?;
+        let (result, us) = arm(config, period)?;
         wide.push(result);
         wide_us += us;
-        shards = shards.max(planned);
     }
-    same_results("scalar and wide+sharded", &scalar, &wide, true)?;
-    if shards < 2 {
-        return Err(RaceError::Invariant(
-            "the shard planner never split the noisy workload".into(),
-        ));
-    }
+    same_results("scalar and wide", &scalar, &wide, true)?;
     Ok(Attempt {
         checks: vec![Check::ratio(
             "derive",
             ("scalar", scalar_us),
-            (&format!("wide+sharded (up to {shards} shards)"), wide_us),
+            ("wide", wide_us),
             Floor::AtLeast(2.0),
         )],
         absolute_us: Some(wide_us),
-    })
-}
-
-/// One period swept by `workers` scheduler workers must equal `plain`, and
-/// other workers must have run some of its shard subtasks
-/// (`sweep.shard_tasks_remote` > 0).
-fn remote_shards(
-    view: EncodedSeriesView<'_>,
-    period: usize,
-    config: &MineConfig,
-    workers: usize,
-    plain: &MiningResult,
-) -> Result<Attempt, RaceError> {
-    let range = PeriodRange::new(period, period)?;
-    let (swept, c) =
-        observed(|| mine_periods_scheduled(view, range, config, Engine::Vertical, workers));
-    same_results(
-        "scheduled and plain",
-        &swept?.results,
-        std::slice::from_ref(plain),
-        false,
-    )?;
-    Ok(Attempt {
-        checks: vec![Check {
-            what: format!("shard subtasks run by other workers ({workers} workers)"),
-            value: gauge(&c, "sweep.shard_tasks_remote", 0) as f64,
-            floor: Floor::Above(0.0),
-        }],
-        absolute_us: None,
     })
 }
 
@@ -546,7 +491,7 @@ fn incremental_vs_cold(
 
 /// Runs every race against `baseline` on workloads it writes under `dir`
 /// (60 000 dense and 1.6M wide instants, plus the wide series made
-/// `noisy`), with the attempt counts 3, 3, 4, 3, 3, printing each
+/// `noisy`), with the attempt counts 3, 3, 4, 3, printing each
 /// attempt and verdict. Each series is dropped once
 /// its races are done, so later races run in a smaller heap. Returns
 /// whether all of them passed.
@@ -591,22 +536,15 @@ pub fn run_all(dir: &Path, baseline: &Baseline) -> Result<bool, RaceError> {
     let encoded = EncodedSeries::encode(&wide.series);
     drop(wide.series);
     race(
-        "scalar vs wide+sharded kernel (noisy wide, periods 28..=32; clean wide identity)",
+        "scalar vs wide kernel (noisy wide, periods 28..=32; clean wide identity)",
         4,
         Some(baseline.wide_derive_us),
         &mut || {
             let range = PeriodRange::new(28, 32)?;
-            scalar_vs_wide(noise.view(), encoded.view(), range, &conf(0.55)?, 2)
+            scalar_vs_wide(noise.view(), encoded.view(), range, &conf(0.55)?)
         },
     );
     drop(encoded);
-    let plain = ppm_core::run(Engine::Vertical, noise.view(), 30, &conf(0.6)?, 1)?;
-    race(
-        "one period sharded across the sweep pool (noisy wide, period 30)",
-        3,
-        None,
-        &mut || remote_shards(noise.view(), 30, &conf(0.6)?, 8, &plain),
-    );
     drop(noise);
     let reader = ColumnarReader::open(&wide.ppmc)?;
     race(
@@ -707,7 +645,7 @@ mod tests {
                 b.wide_derive_us,
                 b.incremental_median_us
             ),
-            (38_632, 234_647, 469)
+            (38_632, 274_274, 469)
         );
         assert!(Baseline::parse("{\"vertical_derive_us\": 1}").is_err());
     }
@@ -718,7 +656,7 @@ mod tests {
         let data = spec(6_000).generate();
         let encoded = EncodedSeries::encode(&data.series);
         let config = MineConfig::new(0.6).unwrap();
-        let right = ppm_core::run(Engine::Vertical, encoded.view(), 30, &config, 1).unwrap();
+        let right = ppm_core::run(Engine::Vertical, encoded.view(), 30, &config).unwrap();
         let mut wrong = right.clone();
         wrong.frequent.last_mut().unwrap().count += 1;
         let mut other_stats = right.clone();
@@ -773,17 +711,8 @@ mod tests {
         write_columnar(&foreign, &data.series, &data.catalog).unwrap();
         let a = ingest_and_scheduler(&small.txt, &foreign, range, &c6, 2);
         assert!(matches!(a, Err(RaceError::Identity(_))), "{a:?}");
-        // Too narrow to shard: the kernel race refuses to time it.
-        let a = scalar_vs_wide(noise.view(), wide.view(), range, &c6, 2);
-        assert!(matches!(a, Err(RaceError::Invariant(_))), "{a:?}");
-        let plain = ppm_core::run(Engine::Vertical, noise.view(), 30, &c6, 1).unwrap();
-        assert_eq!(
-            remote_shards(noise.view(), 30, &c6, 2, &plain)
-                .unwrap()
-                .checks
-                .len(),
-            1
-        );
+        let a = scalar_vs_wide(noise.view(), wide.view(), range, &c6).unwrap();
+        assert!(a.checks.len() == 1 && a.absolute_us.unwrap() >= 1);
         let a = incremental_vs_cold(wide.view(), 30, &c6, 10).unwrap();
         assert!(a.absolute_us.unwrap() >= 1);
         assert!(incremental_vs_cold(wide.view(), 30, &c6, 400).is_err());

@@ -18,7 +18,7 @@ use crate::error::CliError;
 pub(crate) const FLAGS: &[&str] = &[
     "stores socket host port workers queue cache cache-max-entries cache-max-bytes drain-ms \
      retry-after-ms test-faults idle-timeout-ms frame-deadline-ms max-requests-per-conn \
-     verify-interval-ms mine-threads metrics-out access-log slow-ms flight-dump \
+     verify-interval-ms metrics-out access-log slow-ms flight-dump \
      flight-events",
     super::GUARD_FLAGS,
     crate::obs::FLAGS,
@@ -67,12 +67,6 @@ pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         args.parsed_or("cache-max-entries", config.cache_limits.max_entries)?;
     config.cache_limits.max_bytes =
         args.parsed_or("cache-max-bytes", config.cache_limits.max_bytes)?;
-    // `--mine-threads` shards one vertical derivation's segment axis
-    // across helpers.
-    config.mine_threads = args.parsed_or("mine-threads", config.mine_threads)?;
-    if config.mine_threads == 0 {
-        return Err(CliError::Usage("--mine-threads must be at least 1".into()));
-    }
     // Observability surface: `--metrics-out` is the continuously
     // rewritten Prometheus exposition file (not the JSON-lines sink the
     // one-shot commands write), `--access-log` the per-query JSON-lines
@@ -157,7 +151,7 @@ fn server_stores(server: &Server) -> Vec<String> {
 
 #[cfg(test)]
 mod tests {
-    use crate::cmd::testutil::{run_cli, sample_series_file};
+    use crate::cmd::testutil::{assert_rejects_flag, run_cli, sample_series_file};
 
     #[test]
     fn missing_stores_is_usage_error() {
@@ -184,15 +178,18 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// Every query's mine runs on the worker that took it, so the
+    /// removed `--mine-threads` is an undeclared flag.
     #[test]
-    fn zero_mine_threads_is_a_usage_error() {
+    fn removed_mine_thread_flag_is_rejected() {
         let path = sample_series_file("ppmc");
-        let err = run_cli(&format!(
-            "serve --stores {} --port 0 --mine-threads 0",
-            path.display()
-        ))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2);
+        assert_rejects_flag(
+            &format!(
+                "serve --stores {} --port 0 --mine-threads 2",
+                path.display()
+            ),
+            "--mine-threads",
+        );
         std::fs::remove_file(path).ok();
     }
 }

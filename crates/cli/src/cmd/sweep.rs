@@ -831,8 +831,7 @@ mod tests {
 
     /// The scalar-vs-wide kernel race runs in the `races` binary, so its
     /// flags are rejected. The vertical sweep still records the kernel it
-    /// counted with (1: wide), and a segment-sharded derive of each period
-    /// mines what the unsharded one does.
+    /// counted with (1: wide).
     #[test]
     fn compare_kernel_sweep_records_the_kernel_race() {
         let path = sample_series_file("ppms");
@@ -858,16 +857,6 @@ mod tests {
             Some(1),
             "{summary:?}"
         );
-        for period in 2..=6 {
-            let mine = |extra: &str| {
-                run_cli(&format!(
-                    "mine --input {} --period {period} --min-conf 0.6 --engine vertical {extra}",
-                    path.display()
-                ))
-                .unwrap()
-            };
-            assert_eq!(mine(""), mine("--threads 2"), "period {period}");
-        }
         std::fs::remove_file(path).ok();
         std::fs::remove_file(metrics).ok();
     }

@@ -81,7 +81,7 @@ USAGE:
   ppm generate --length N --period P --max-pat-length L --f1 K --out FILE [--seed S]
   ppm info     --input FILE [--period P [--min-conf C]]
   ppm mine     --input FILE --period P --min-conf C
-               [--engine {engines}] [--threads N] [--stream]
+               [--engine {engines}] [--stream]
                [--max-letters M] [--offsets 1,2,3] [--limit N] [--tsv]
                [--maximal | --closed]
                [--audit [full|sample|N]] [--quarantine] [--strict]
@@ -186,14 +186,13 @@ Engines: --engine picks the counting strategy ({engines}; default
 hitset). hitset is the paper's two-scan max-subpattern method; apriori is
 the level-wise Alg 3.1; vertical replaces the tree with per-letter
 bitmaps over the distinct segment hits — counting a candidate is a k-way
-AND + weighted popcount — and
-with --threads N shards that derive across N threads; incremental is the
+AND + weighted popcount; incremental is the
 vertical engine maintained as segments append (a cold vertical mine on a
 fixed input; live per store under ppm serve and mine --follow). Every
 sweep engine shares ONE encode/load (a .ppmc input opens directly as the
 bitmap rows). sweep --workers N mines the range with a work-stealing
-scheduler (per-worker deques plus a shared injector, idle workers steal
-periods from peers) off that one shared load. Performance races live
+scheduler (per-worker deques, idle workers steal periods from peers) off
+that one shared load. Performance races live
 outside ppm, in the ppm-bench crate's `races` binary.
 
 Verification: mine --audit checks the result against the paper's

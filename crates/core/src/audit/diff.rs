@@ -19,32 +19,10 @@ use crate::letters::LetterSet;
 use crate::pattern::Pattern;
 use crate::result::MiningResult;
 use crate::scan::MineConfig;
-use crate::vertical::{Kernel, ThreadedExecutor};
+use crate::vertical::Kernel;
 use crate::Engine;
 
 use super::{render, AuditReport, Violation};
-
-/// Re-mines `period` of `view` on the forced-scalar and forced-sharded
-/// vertical paths, so the oracle covers every counting substrate: the
-/// scalar reference kernel, the wide kernel (the plain vertical arm), and
-/// a sharded derive whose shard floor is lowered to 1 word so even small
-/// audit inputs genuinely split.
-fn vertical_kernel_arms(
-    view: EncodedSeriesView<'_>,
-    period: usize,
-    config: &MineConfig,
-) -> crate::error::Result<(MiningResult, MiningResult)> {
-    let scalar =
-        crate::vertical::mine_vertical_view(view, period, &config.with_kernel(Kernel::Scalar))?;
-    let executor = ThreadedExecutor::with_min_shard_words(2, 1);
-    let sharded = crate::vertical::mine_vertical_input(
-        view.into(),
-        period,
-        &config.with_kernel(Kernel::Wide),
-        Some(&executor),
-    )?;
-    Ok((scalar, sharded))
-}
 
 /// The incremental engine arm: builds the sliding-window index through
 /// the same append path a live store uses, with a mid-stream re-derive
@@ -196,9 +174,9 @@ fn diff_pair(
 
 /// Mines `series` with the hit-set, Apriori, streaming hit-set (the
 /// hit-set engine over a [`MemorySource`], re-scanned per pass), and
-/// vertical engines — the latter also on its forced-scalar kernel, on a
-/// force-sharded derive, and on the segment-at-a-time incremental index —
-/// and diffs the results pairwise against the hit-set baseline.
+/// vertical engines — the latter also on its forced-scalar reference
+/// kernel and on the segment-at-a-time incremental index — and diffs the
+/// results pairwise against the hit-set baseline.
 ///
 /// The vertical re-mine reuses one [`EncodedSeries`] cache, so the oracle
 /// probes packed instant bitmaps instead of re-merge-walking raw feature
@@ -222,11 +200,11 @@ pub fn cross_check(
         &mut MemorySource::new(series),
         period,
         config,
-        1,
     )?;
     let encoded = EncodedSeries::encode(series);
     let vertical = crate::vertical::mine_vertical_view(encoded.view(), period, config)?;
-    let (vertical_scalar, vertical_sharded) = vertical_kernel_arms(encoded.view(), period, config)?;
+    let scalar = config.with_kernel(Kernel::Scalar);
+    let vertical_scalar = crate::vertical::mine_vertical_view(encoded.view(), period, &scalar)?;
     let incremental = incremental_arm(encoded.view(), period, config)?;
     Ok(diff_against_baseline(
         &baseline,
@@ -235,7 +213,6 @@ pub fn cross_check(
             ("streaming-hitset", streamed),
             ("vertical", vertical),
             ("vertical-scalar", vertical_scalar),
-            ("vertical-sharded", vertical_sharded),
             ("incremental-vertical", incremental),
         ],
         catalog,
@@ -276,9 +253,8 @@ fn diff_against_baseline(
 
 /// [`cross_check`] over a borrowed bitmap view (a columnar file load or an
 /// [`EncodedSeries`] cache): mines with the view-backed hit-set, Apriori,
-/// and vertical engines (plus the scalar-kernel, force-sharded, and
-/// incremental vertical arms) and diffs pairwise against the hit-set
-/// baseline.
+/// and vertical engines (plus the scalar-kernel and incremental vertical
+/// arms) and diffs pairwise against the hit-set baseline.
 ///
 /// The streaming arm is absent — it re-scans a
 /// [`ppm_timeseries::SeriesSource`], which a borrowed view does not
@@ -294,7 +270,8 @@ pub fn cross_check_view(
     let baseline = crate::hitset::mine_view(view, period, config)?;
     let apriori = crate::apriori::mine_view(view, period, config)?;
     let vertical = crate::vertical::mine_vertical_view(view, period, config)?;
-    let (vertical_scalar, vertical_sharded) = vertical_kernel_arms(view, period, config)?;
+    let scalar = config.with_kernel(Kernel::Scalar);
+    let vertical_scalar = crate::vertical::mine_vertical_view(view, period, &scalar)?;
     let incremental = incremental_arm(view, period, config)?;
     Ok(diff_against_baseline(
         &baseline,
@@ -302,7 +279,6 @@ pub fn cross_check_view(
             ("apriori", apriori),
             ("vertical", vertical),
             ("vertical-scalar", vertical_scalar),
-            ("vertical-sharded", vertical_sharded),
             ("incremental-vertical", incremental),
         ],
         catalog,
@@ -333,7 +309,7 @@ mod tests {
         let config = MineConfig::new(0.5).unwrap();
         let check = cross_check(&series, 3, &config, &catalog).unwrap();
         assert!(check.agreed(), "{:?}", check.report.violations);
-        assert_eq!(check.algorithms.len(), 7);
+        assert_eq!(check.algorithms.len(), 6);
         assert!(check.compared > 0);
     }
 
@@ -344,7 +320,7 @@ mod tests {
         let config = MineConfig::new(0.5).unwrap();
         let check = cross_check_view(encoded.view(), 3, &config, &catalog).unwrap();
         assert!(check.agreed(), "{:?}", check.report.violations);
-        assert_eq!(check.algorithms.len(), 6);
+        assert_eq!(check.algorithms.len(), 5);
         let series_check = cross_check(&series, 3, &config, &catalog).unwrap();
         assert_eq!(check.compared, series_check.compared);
     }

@@ -16,7 +16,6 @@ use crate::error::Result;
 use crate::result::MiningResult;
 use crate::rows::Input;
 use crate::scan::MineConfig;
-use crate::vertical::ThreadedExecutor;
 
 /// A single-period mining engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -86,18 +85,14 @@ impl fmt::Display for Engine {
 /// `&FeatureSeries`, an [`EncodedSeriesView`](ppm_timeseries::EncodedSeriesView)
 /// or [`Rows`](crate::Rows)) or a [`SeriesSource`](ppm_timeseries::SeriesSource)
 /// re-scanned on every pass; the result is the same either way, and only
-/// the data movement differs — `series_scans` counts the passes. With
-/// `threads > 1` the vertical derive (and so the incremental engine's,
-/// which over a fixed input is the cold vertical mine) shards its word
-/// axis across a scoped pool when the index is wide enough to pay for
-/// it; the hit-set and Apriori engines run single-threaded. Every
-/// combination returns the same result.
+/// the data movement differs — `series_scans` counts the passes. Every
+/// engine mines on the calling thread; over a fixed input the incremental
+/// engine is the cold vertical mine.
 pub fn run<'a>(
     engine: Engine,
     input: impl Into<Input<'a>>,
     period: usize,
     config: &MineConfig,
-    threads: usize,
 ) -> Result<MiningResult> {
     let input = input.into();
     match engine {
@@ -105,12 +100,8 @@ pub fn run<'a>(
             crate::hitset::mine_with_strategy(input, period, config, Default::default())
         }
         Engine::Apriori => crate::apriori::mine_input(input, period, config),
-        Engine::Vertical | Engine::Incremental if threads > 1 => {
-            let executor = ThreadedExecutor::new(threads);
-            crate::vertical::mine_vertical_input(input, period, config, Some(&executor))
-        }
         Engine::Vertical | Engine::Incremental => {
-            crate::vertical::mine_vertical_input(input, period, config, None)
+            crate::vertical::mine_vertical_input(input, period, config)
         }
     }
 }
@@ -152,7 +143,7 @@ mod tests {
         period: usize,
         config: &MineConfig,
     ) -> Result<MiningResult> {
-        run(engine, &mut MemorySource::new(s), period, config, 1)
+        run(engine, &mut MemorySource::new(s), period, config)
     }
 
     #[test]
@@ -181,7 +172,7 @@ mod tests {
         let config = MineConfig::new(0.2).unwrap();
         let expect = crate::hitset::mine(&s, 8, &config).unwrap();
         let mut src = MemorySource::new(&s);
-        let got = run(Engine::HitSet, &mut src, 8, &config, 1).unwrap();
+        let got = run(Engine::HitSet, &mut src, 8, &config).unwrap();
         assert_eq!(got.frequent, expect.frequent);
         assert_eq!(got.stats, expect.stats);
         assert_eq!(src.scans_performed(), 2);
@@ -193,7 +184,7 @@ mod tests {
         let config = MineConfig::new(0.2).unwrap();
         let expect = crate::apriori::mine(&s, 8, &config).unwrap();
         let mut src = MemorySource::new(&s);
-        let got = run(Engine::Apriori, &mut src, 8, &config, 1).unwrap();
+        let got = run(Engine::Apriori, &mut src, 8, &config).unwrap();
         assert_eq!(got.frequent, expect.frequent);
         assert_eq!(got.stats, expect.stats);
         assert_eq!(src.scans_performed(), expect.stats.series_scans);
@@ -223,7 +214,7 @@ mod tests {
         let expect = crate::vertical::mine_vertical(&s, 8, &config).unwrap();
         for engine in [Engine::Vertical, Engine::Incremental] {
             let mut src = MemorySource::new(&s);
-            let got = run(engine, &mut src, 8, &config, 1).unwrap();
+            let got = run(engine, &mut src, 8, &config).unwrap();
             assert_eq!(got.frequent, expect.frequent, "{engine}");
             assert_eq!(got.stats, expect.stats, "{engine}");
             assert_eq!(src.scans_performed(), 2, "{engine}");
@@ -236,8 +227,8 @@ mod tests {
         let config = MineConfig::default();
         for engine in Engine::ALL {
             let mut src = MemorySource::new(&s);
-            assert!(run(engine, &mut src, 0, &config, 1).is_err());
-            assert!(run(engine, &mut src, 11, &config, 1).is_err());
+            assert!(run(engine, &mut src, 0, &config).is_err());
+            assert!(run(engine, &mut src, 11, &config).is_err());
             assert_eq!(src.scans_performed(), 0, "{engine}");
         }
     }

@@ -103,8 +103,7 @@ pub fn derive_frequent(
 /// Each call of `count_level` receives every candidate of one level and
 /// returns their counts in order. Batching is what lets the vertical
 /// engine answer a whole level against each cache block of its bitmaps
-/// once — and hand the level to a sharded counter — while the
-/// per-pattern strategies just map over the slice.
+/// once, while the per-pattern strategies just map over the slice.
 ///
 /// Each level is joined by [`join_candidates`] inside one `derive.join`
 /// span, so a trace splits the derive into join and count.

@@ -48,7 +48,7 @@ fn loop_periods(
         if period > rows.len() {
             continue;
         }
-        let r = run(engine, rows, period, config, 1)?;
+        let r = run(engine, rows, period, config)?;
         total_scans += r.stats.series_scans;
         results.push(r);
     }

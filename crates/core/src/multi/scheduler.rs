@@ -4,10 +4,9 @@
 //! costs vary wildly (short periods mean many segments, long periods mean
 //! wide alphabets), so a static partition leaves workers idle behind one
 //! slow period. This scheduler runs a persistent worker pool over a shared
-//! task bag instead: every worker owns a deque seeded round-robin, a shared
-//! injector deque holds overflow work, and an idle worker first drains its
-//! own deque (front), then the injector, then *steals* from the back of a
-//! peer's deque. All workers mine from the **same** borrowed
+//! task bag instead: every worker owns a deque seeded round-robin, and an
+//! idle worker first drains its own deque (front), then *steals* from the
+//! back of a peer's deque. All workers mine from the **same** borrowed
 //! [`EncodedSeriesView`] — one encode or one columnar file load for the
 //! whole sweep, never one per period.
 //!
@@ -23,9 +22,8 @@
 
 use std::any::Any;
 use std::collections::VecDeque;
-use std::ops::Range;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use ppm_observe::Histogram;
@@ -36,8 +34,6 @@ use crate::error::{Error, Result};
 use crate::multi::{MultiPeriodResult, PeriodFailure, PeriodRange};
 use crate::result::MiningResult;
 use crate::scan::MineConfig;
-use crate::vertical::shard::{plan_shards, ShardedCounter, MIN_SHARD_WORDS};
-use crate::vertical::ShardExecutor;
 
 /// Converts a worker panic payload into the typed [`Error::WorkerPanic`],
 /// so a crashing worker cannot take down the caller. Panic payloads are
@@ -67,75 +63,33 @@ fn report_task_latency(task_us: &Histogram) {
     ppm_observe::gauge("sweep.task_us_max", task_us.max());
 }
 
-/// One unit of schedulable work.
-///
-/// Period tasks are indexes into the sweep's period list. Shard tasks are
-/// invitations to help with one period's vertical derivation: the
-/// coordinating worker injects clones of its level's [`ShardedCounter`]
-/// and whoever pops one claims-and-runs unclaimed word-range shards.
-/// Claiming is atomic inside the counter, so a shard task popped after
-/// every shard is claimed is a cheap no-op.
-#[derive(Clone)]
-enum Task {
-    /// Mine the period at this index of the sweep's period list.
-    Period(usize),
-    /// Help drain a sharded level count for some period.
-    Shard(Arc<ShardedCounter>),
-}
-
-impl Task {
-    /// The period index, for the deque-discipline tests.
-    #[cfg(test)]
-    fn period(&self) -> Option<usize> {
-        match self {
-            Task::Period(idx) => Some(*idx),
-            Task::Shard(_) => None,
-        }
-    }
-}
-
-/// The scheduler's task bag: per-worker deques plus a shared injector.
+/// The scheduler's task bag: one deque of period indexes per worker.
 ///
 /// The discipline is the classic work-stealing one: owners pop their own
-/// deque from the front, the injector feeds whoever gets to it first, and
-/// thieves take from the *back* of a victim's deque so owner and thief
-/// touch opposite ends. Period tasks are seeded into the worker deques;
-/// shard subtasks always arrive through the injector mid-sweep.
+/// deque from the front, and thieves take from the *back* of a victim's
+/// deque so owner and thief touch opposite ends.
 struct Deques {
-    injector: Mutex<VecDeque<Task>>,
-    workers: Vec<Mutex<VecDeque<Task>>>,
+    workers: Vec<Mutex<VecDeque<usize>>>,
 }
 
 impl Deques {
-    /// Seeds `n_tasks` period tasks round-robin across `n_workers` worker
-    /// deques, with an empty injector.
+    /// Seeds `n_tasks` period indexes round-robin across `n_workers`
+    /// worker deques.
     fn seed(n_tasks: usize, n_workers: usize) -> Self {
-        let mut queues: Vec<VecDeque<Task>> = (0..n_workers).map(|_| VecDeque::new()).collect();
+        let mut queues: Vec<VecDeque<usize>> = (0..n_workers).map(|_| VecDeque::new()).collect();
         for task in 0..n_tasks {
-            queues[task % n_workers].push_back(Task::Period(task));
+            queues[task % n_workers].push_back(task);
         }
         Deques {
-            injector: Mutex::new(VecDeque::new()),
             workers: queues.into_iter().map(Mutex::new).collect(),
         }
     }
 
-    /// Pushes late-arriving work onto the shared injector.
-    fn inject(&self, task: Task) {
-        self.injector
-            .lock()
-            .expect("injector poisoned")
-            .push_back(task);
-    }
-
-    /// The next task for worker `me`, and whether it was stolen: own deque
-    /// front first, then the injector, then a scan of the other workers'
-    /// deque backs. `None` means the whole bag is empty.
-    fn pop(&self, me: usize) -> Option<(Task, bool)> {
+    /// The next period index for worker `me`, and whether it was stolen:
+    /// own deque front first, then a scan of the other workers' deque
+    /// backs. `None` means the whole bag is empty.
+    fn pop(&self, me: usize) -> Option<(usize, bool)> {
         if let Some(t) = self.workers[me].lock().expect("deque poisoned").pop_front() {
-            return Some((t, false));
-        }
-        if let Some(t) = self.injector.lock().expect("injector poisoned").pop_front() {
             return Some((t, false));
         }
         for step in 1..self.workers.len() {
@@ -152,38 +106,9 @@ impl Deques {
     }
 }
 
-/// A [`ShardExecutor`] that advertises shard subtasks to the scheduler's
-/// injector instead of spawning threads: idle sweep workers pop them and
-/// help, so one wide period fans out across the same pool that mines the
-/// other periods. The coordinating worker claims shards itself in
-/// parallel (every shard is claim-once, so nothing runs twice and nothing
-/// is lost if no helper ever shows up), then waits for stragglers.
-struct InjectorExecutor<'a> {
-    deques: &'a Deques,
-    workers: usize,
-}
-
-impl ShardExecutor for InjectorExecutor<'_> {
-    fn plan(&self, words: usize, columns: usize, letters: usize) -> Vec<Range<usize>> {
-        plan_shards(words, columns, letters, self.workers, MIN_SHARD_WORDS)
-    }
-
-    fn execute(&self, counter: &Arc<ShardedCounter>) {
-        for _ in 1..counter.n_shards() {
-            self.deques.inject(Task::Shard(counter.clone()));
-        }
-        while counter.run_next() {}
-        // Every shard is claimed; wait out the ones helpers are running.
-        // Helpers never abandon a claimed shard, so this terminates.
-        while !counter.is_done() {
-            std::thread::yield_now();
-        }
-    }
-}
-
 /// Mines every period in `range` from one shared bitmap view with a
-/// work-stealing pool of `workers` threads (clamped to ≥ 1; one worker, or
-/// a single-period range, runs inline with no pool).
+/// work-stealing pool of `workers` threads (clamped to between 1 and the
+/// period count; one worker runs inline with no pool).
 ///
 /// The load/encode cost is paid **once** for the whole sweep — the view is
 /// borrowed by every worker — and results are merged in ascending period
@@ -214,15 +139,9 @@ pub fn mine_periods_scheduled(
     if periods.is_empty() {
         return Ok(MultiPeriodResult::complete(Vec::new(), 0));
     }
-    // The vertical engines can split one period into shard subtasks, so
-    // extra workers are useful even past the period count; the other
-    // engines have nothing for them to do.
-    let sharded = matches!(engine, Engine::Vertical | Engine::Incremental);
-    let workers = if sharded {
-        workers.max(1)
-    } else {
-        workers.max(1).min(periods.len())
-    };
+    // Each period is one task, so workers past the period count would
+    // have nothing to do.
+    let workers = workers.max(1).min(periods.len());
     let _span = ppm_observe::span("sweep.schedule");
     ppm_observe::gauge("sweep.workers", workers as u64);
 
@@ -235,7 +154,7 @@ pub fn mine_periods_scheduled(
         let mut task_us = Histogram::with_default_precision();
         for &p in &periods {
             let task_start = Instant::now();
-            let outcome = crate::run(engine, view, p, config, 1);
+            let outcome = crate::run(engine, view, p, config);
             task_us.record(task_start.elapsed().as_micros() as u64);
             match outcome {
                 Ok(r) => results.push(r),
@@ -260,12 +179,6 @@ pub fn mine_periods_scheduled(
     let deques = Deques::seed(periods.len(), workers);
     let stolen = AtomicU64::new(0);
     let abort = AtomicBool::new(false);
-    // Periods not yet finished: keeps idle workers alive (yielding) while
-    // a coordinator may still inject shard subtasks for them to help with.
-    let remaining = AtomicUsize::new(periods.len());
-    // Shard subtasks actually run by a *helper* (a worker other than the
-    // period's coordinator) — the proof that one period used > 1 worker.
-    let remote_shards = AtomicU64::new(0);
     let collected: Mutex<Vec<(usize, MiningResult)>> =
         Mutex::new(Vec::with_capacity(periods.len()));
     let failed: Mutex<Vec<PeriodFailure>> = Mutex::new(Vec::new());
@@ -274,8 +187,6 @@ pub fn mine_periods_scheduled(
     let deques_ref = &deques;
     let stolen_ref = &stolen;
     let abort_ref = &abort;
-    let remaining_ref = &remaining;
-    let remote_ref = &remote_shards;
     let collected_ref = &collected;
     let failed_ref = &failed;
     let error_ref = &first_error;
@@ -293,85 +204,38 @@ pub fn mine_periods_scheduled(
                     let mut task_us = Histogram::with_default_precision();
                     while !abort_ref.load(Ordering::Relaxed) {
                         let Some((task, was_stolen)) = deques_ref.pop(w) else {
-                            // Empty bag. Under the vertical engines a period
-                            // still in flight may yet inject shard work, so
-                            // stay alive until every period is accounted for.
-                            if sharded && remaining_ref.load(Ordering::Acquire) > 0 {
-                                std::thread::yield_now();
-                                continue;
-                            }
                             break;
-                        };
-                        let task = match task {
-                            Task::Period(idx) => idx,
-                            Task::Shard(counter) => {
-                                // Help drain a peer's sharded level count.
-                                let start = Instant::now();
-                                let mut ran = 0u64;
-                                while counter.run_stolen() {
-                                    ran += 1;
-                                }
-                                if ran > 0 {
-                                    remote_ref.fetch_add(ran, Ordering::Relaxed);
-                                    busy_us += start.elapsed().as_micros() as u64;
-                                }
-                                continue;
-                            }
                         };
                         if was_stolen {
                             stolen_ref.fetch_add(1, Ordering::Relaxed);
                         }
                         let start = Instant::now();
-                        let period = periods_ref[task];
-                        let outcome = if sharded {
-                            let executor = InjectorExecutor {
-                                deques: deques_ref,
-                                workers,
-                            };
-                            crate::vertical::mine_vertical_input(
-                                view.into(),
-                                period,
-                                config,
-                                Some(&executor),
-                            )
-                        } else {
-                            crate::run(engine, view, period, config, 1)
-                        };
+                        let outcome = crate::run(engine, view, periods_ref[task], config);
                         let elapsed_us = start.elapsed().as_micros() as u64;
                         busy_us += elapsed_us;
                         task_us.record(elapsed_us);
-                        let fatal = match outcome {
-                            Ok(result) => {
-                                collected_ref
-                                    .lock()
-                                    .expect("results poisoned")
-                                    .push((task, result));
-                                false
-                            }
+                        match outcome {
+                            Ok(result) => collected_ref
+                                .lock()
+                                .expect("results poisoned")
+                                .push((task, result)),
                             // A guard trip fails only this period; the rest
                             // of the bag keeps draining.
-                            Err(e) if e.partial_stats().is_some() => {
-                                failed_ref
-                                    .lock()
-                                    .expect("failures poisoned")
-                                    .push(PeriodFailure {
-                                        period: periods_ref[task],
-                                        error: e,
-                                    });
-                                false
-                            }
+                            Err(e) if e.partial_stats().is_some() => failed_ref
+                                .lock()
+                                .expect("failures poisoned")
+                                .push(PeriodFailure {
+                                    period: periods_ref[task],
+                                    error: e,
+                                }),
                             Err(e) => {
                                 let mut slot = error_ref.lock().expect("error slot poisoned");
                                 if slot.is_none() {
                                     *slot = Some(e);
                                 }
                                 abort_ref.store(true, Ordering::Relaxed);
-                                true
+                                break;
                             }
-                        };
-                        remaining_ref.fetch_sub(1, Ordering::Release);
-                        if fatal {
-                            break;
                         }
                     }
                     (busy_us, task_us)
@@ -390,10 +254,6 @@ pub fn mine_periods_scheduled(
 
     ppm_observe::counter("sweep.tasks_stolen", stolen.load(Ordering::Relaxed));
     ppm_observe::gauge("sweep.worker_busy_us", busy_total);
-    ppm_observe::gauge(
-        "sweep.shard_tasks_remote",
-        remote_shards.load(Ordering::Relaxed),
-    );
     report_task_latency(&task_us);
 
     if let Some(e) = first_error.into_inner().expect("error slot poisoned") {
@@ -446,121 +306,52 @@ mod tests {
 
     // ---- Deterministic deque mechanics (no thread timing involved). ----
 
-    /// `pop` flattened to `(period_index, was_stolen)` for assertions.
-    fn pop_period(d: &Deques, me: usize) -> Option<(usize, bool)> {
-        d.pop(me)
-            .map(|(t, stolen)| (t.period().expect("period task"), stolen))
-    }
-
     #[test]
     fn seeding_is_round_robin() {
         let d = Deques::seed(5, 2);
-        let w0: Vec<usize> = d.workers[0]
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|t| t.period().unwrap())
-            .collect();
-        let w1: Vec<usize> = d.workers[1]
-            .lock()
-            .unwrap()
-            .iter()
-            .map(|t| t.period().unwrap())
-            .collect();
-        assert_eq!(w0, vec![0, 2, 4]);
-        assert_eq!(w1, vec![1, 3]);
-        assert!(d.injector.lock().unwrap().is_empty());
+        assert_eq!(*d.workers[0].lock().unwrap(), [0, 2, 4]);
+        assert_eq!(*d.workers[1].lock().unwrap(), [1, 3]);
     }
 
     #[test]
     fn owner_pops_its_own_deque_from_the_front() {
         let d = Deques::seed(5, 2);
-        assert_eq!(pop_period(&d, 0), Some((0, false)));
-        assert_eq!(pop_period(&d, 0), Some((2, false)));
-        assert_eq!(pop_period(&d, 1), Some((1, false)));
-    }
-
-    #[test]
-    fn injector_feeds_before_stealing() {
-        let d = Deques::seed(2, 2); // one task per worker
-        assert_eq!(pop_period(&d, 0), Some((0, false)));
-        d.inject(Task::Period(7));
-        // Worker 0's own deque is empty: the injector wins over stealing
-        // worker 1's task.
-        assert_eq!(pop_period(&d, 0), Some((7, false)));
-        assert_eq!(pop_period(&d, 1), Some((1, false)));
-        assert!(d.pop(0).is_none());
+        assert_eq!(d.pop(0), Some((0, false)));
+        assert_eq!(d.pop(0), Some((2, false)));
+        assert_eq!(d.pop(1), Some((1, false)));
     }
 
     #[test]
     fn thieves_take_from_the_back_of_a_victim() {
         let d = Deques::seed(6, 2); // w0: [0,2,4], w1: [1,3,5]
                                     // Exhaust worker 1's own deque.
-        assert_eq!(pop_period(&d, 1), Some((1, false)));
-        assert_eq!(pop_period(&d, 1), Some((3, false)));
-        assert_eq!(pop_period(&d, 1), Some((5, false)));
+        assert_eq!(d.pop(1), Some((1, false)));
+        assert_eq!(d.pop(1), Some((3, false)));
+        assert_eq!(d.pop(1), Some((5, false)));
         // Now worker 1 steals worker 0's *newest* task (back = 4), while
         // worker 0 still pops its oldest (front = 0).
-        assert_eq!(pop_period(&d, 1), Some((4, true)));
-        assert_eq!(pop_period(&d, 0), Some((0, false)));
-        assert_eq!(pop_period(&d, 1), Some((2, true)));
+        assert_eq!(d.pop(1), Some((4, true)));
+        assert_eq!(d.pop(0), Some((0, false)));
+        assert_eq!(d.pop(1), Some((2, true)));
         assert!(d.pop(0).is_none());
         assert!(d.pop(1).is_none());
     }
 
-    #[test]
-    fn injected_shard_tasks_are_claim_once() {
-        use crate::vertical::{count_sharded, Kernel, ThreadedExecutor, VerticalIndex};
-        use crate::LetterSet;
-        // A bag holding only shard tasks for one counter: draining every
-        // clone runs each shard exactly once and yields exact totals.
-        let columns: Vec<LetterSet> = (0..500)
-            .map(|i| LetterSet::from_indices(4, (0..4).filter(|l| (i + l) % 3 != 0)))
-            .collect();
-        let index = Arc::new(VerticalIndex::from_columns(4, &columns));
-        let cands = vec![
-            LetterSet::from_indices(4, [0, 1]),
-            LetterSet::from_indices(4, [2, 3]),
-        ];
-        let plan = vec![0..3, 3..5, 5..8];
-        let counter = ShardedCounter::new(index.clone(), &cands, plan, Kernel::Wide);
-        let d = Deques::seed(0, 2);
-        for _ in 0..5 {
-            // More clones than shards: the excess must no-op.
-            d.inject(Task::Shard(counter.clone()));
-        }
-        let mut drained = 0;
-        while let Some((task, _)) = d.pop(0) {
-            if let Task::Shard(c) = task {
-                while c.run_stolen() {
-                    drained += 1;
-                }
-            }
-        }
-        assert_eq!(drained, 3, "each shard ran exactly once");
-        assert!(counter.is_done());
-        let expect = count_sharded(
-            &index,
-            &cands,
-            Kernel::Scalar,
-            &ThreadedExecutor::with_min_shard_words(1, 1),
-        );
-        assert_eq!(counter.totals(), expect);
-    }
-
-    /// A single-period vertical sweep with more workers than periods must
-    /// still be bit-identical to the sequential mine — the shard plan (if
-    /// the index is wide enough) splits the derive, and the claim-once
-    /// discipline keeps the counts exact either way.
+    /// A single-period vertical sweep with more workers than periods runs
+    /// one worker and is bit-identical to the sequential mine.
     #[test]
     fn single_period_with_extra_workers_matches_sequential() {
-        let s = mixed_series(32768); // period 2 → 16384 segments → 256 words
+        let s = mixed_series(32768);
         let encoded = EncodedSeries::encode(&s);
         let range = PeriodRange::new(2, 2).unwrap();
         let config = MineConfig::new(0.2).unwrap();
         let sequential = crate::vertical::mine_vertical_view(encoded.view(), 2, &config).unwrap();
-        let swept =
-            mine_periods_scheduled(encoded.view(), range, &config, Engine::Vertical, 4).unwrap();
+        let collector = std::sync::Arc::new(ppm_observe::Collector::new());
+        let swept = {
+            let _guard = ppm_observe::install(collector.clone());
+            mine_periods_scheduled(encoded.view(), range, &config, Engine::Vertical, 4).unwrap()
+        };
+        assert_eq!(collector.gauge_maxima().get("sweep.workers"), Some(&1));
         assert_eq!(swept.results.len(), 1);
         assert_eq!(swept.results[0].frequent, sequential.frequent);
         assert_eq!(swept.results[0].stats, sequential.stats);

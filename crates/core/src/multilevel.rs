@@ -76,7 +76,7 @@ pub fn mine_multilevel(
             }));
         }
         let generalized = builder.finish();
-        let result = run(engine, Rows::Series(&generalized), period, config, 1)?;
+        let result = run(engine, Rows::Series(&generalized), period, config)?;
         let empty = result.is_empty();
         prev_alphabet = Some(result.alphabet.clone());
         out.push(LevelResult { depth, result });

@@ -32,7 +32,7 @@
 //! column-order invariant, so ring rotation never changes a count and
 //! every state is bit-identical to a cold [`super::mine_vertical_view`]
 //! of the same window (the audit cross-check runs this engine as its
-//! seventh arm). Second, counts over disjoint word ranges sum exactly,
+//! sixth arm). Second, counts over disjoint word ranges sum exactly,
 //! so `new = prev − prev_dirty + live_dirty` needs only a per-word
 //! snapshot of the columns taken lazily at first mutation since the last
 //! derive.
@@ -725,7 +725,7 @@ fn and_count(cand: &LetterSet, row_of: &[u32], word: impl Fn(usize) -> u64) -> u
 }
 
 /// One-shot incremental mine of every whole segment in `view` — the
-/// seventh audit engine. Builds the index segment by segment (through the
+/// sixth audit engine. Builds the index segment by segment (through the
 /// same append path a live store uses) and re-derives once at the end.
 pub fn mine_incremental_view(
     view: EncodedSeriesView<'_>,

@@ -23,9 +23,10 @@
 //!   binary's kernel race (`crates/bench`) measures what the
 //!   autovectorizer makes of them.
 //!
-//! Both kernels count over an arbitrary word *range*, which is what makes
-//! the word axis shardable (see [`super::shard`]): disjoint ranges sum
-//! exactly, because every weight is a property of its word.
+//! Both kernels count over an arbitrary word *range*: disjoint ranges sum
+//! exactly, because every weight is a property of its word. The level loop
+//! counts one cache block at a time that way, and the incremental index
+//! recounts only its dirty ranges.
 //!
 //! The per-candidate letter walk that used to `collect()` into a heap
 //! `Vec` per candidate now lands in a fixed inline buffer

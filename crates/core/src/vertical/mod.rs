@@ -25,10 +25,10 @@
 //! [`MineConfig::with_kernel`](crate::MineConfig::with_kernel) for the
 //! audit and the bit-identity tests (see [`kernel`]). Candidates are
 //! counted a whole derivation level at a time against cache-sized blocks
-//! of the bitmaps, and on wide indexes the word axis shards into subtasks
-//! other threads can steal ([`shard`]). The incremental index
-//! ([`incremental`]) keeps one column per segment instead, because it
-//! updates columns in place as segments append and evict.
+//! of the bitmaps, on the calling thread: a sweep parallelizes across
+//! periods instead. The incremental index ([`incremental`]) keeps one
+//! column per segment, because it updates columns in place as segments
+//! append and evict.
 //!
 //! Memory: `n_L` rows of one bit per distinct hit plus one weight per
 //! word, reported via the `vertical.bitmap_bytes` gauge next to
@@ -36,10 +36,8 @@
 
 pub mod incremental;
 pub mod kernel;
-pub mod shard;
 
 use std::ops::{ControlFlow, Range};
-use std::sync::Arc;
 
 use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
 
@@ -56,7 +54,6 @@ pub use kernel::Kernel;
 use kernel::{
     count_dispatch, count_dispatch_cached, PrefixCache, RowBases, WordWeight, BLOCK_WORDS,
 };
-pub use shard::{count_sharded, ShardExecutor, ShardedCounter, ThreadedExecutor};
 
 /// Folds hits of `stride` words each, laid end to end in `hits`, into
 /// the distinct hits and their multiplicities: `(keys, counts)`, key `i`
@@ -184,8 +181,7 @@ impl VerticalIndex {
 
     /// Builds an index over an explicit multiset of hits — `(letter set,
     /// multiplicity)` pairs, duplicates allowed — the constructor the
-    /// kernel and shard tests use to fabricate arbitrary group
-    /// geometries.
+    /// kernel tests use to fabricate arbitrary group geometries.
     ///
     /// # Panics
     /// Panics if a hit's universe differs from `n_letters`.
@@ -271,20 +267,22 @@ impl VerticalIndex {
         count_dispatch(
             kernel,
             &self.words,
-            self.weights(),
+            &self.weights[..],
             bases.as_slice(),
             0..self.words_per_row,
             and_ops,
         )
     }
 
-    /// Counts a whole derivation level's candidates in one cache-blocked
-    /// pass: every [`BLOCK_WORDS`] words of the bitmaps are touched once
-    /// and all candidates answer against them before the next block is
-    /// loaded, so the block stays hot across the whole level.
-    pub(crate) fn count_level(
+    /// Counts a whole derivation level's candidates over the word range
+    /// `words` in one cache-blocked pass: every [`BLOCK_WORDS`] words of
+    /// the bitmaps are touched once and all candidates answer against them
+    /// before the next block is loaded, so the block stays hot across the
+    /// whole level. Counts over disjoint ranges sum exactly.
+    fn count_level(
         &self,
         candidates: &[LetterSet],
+        words: Range<usize>,
         kernel: Kernel,
         and_ops: &mut u64,
     ) -> Vec<u64> {
@@ -297,9 +295,9 @@ impl VerticalIndex {
         // last letter; the cache folds each run's prefix AND once per
         // block (see `kernel::PrefixCache`).
         let mut cache = PrefixCache::default();
-        let mut lo = 0usize;
-        while lo < self.words_per_row {
-            let hi = (lo + BLOCK_WORDS).min(self.words_per_row);
+        let mut lo = words.start;
+        while lo < words.end {
+            let hi = (lo + BLOCK_WORDS).min(words.end);
             for (total, b) in totals.iter_mut().zip(&bases) {
                 let slice = b.as_slice();
                 *total += if slice.is_empty() {
@@ -308,7 +306,7 @@ impl VerticalIndex {
                     count_dispatch_cached(
                         kernel,
                         &self.words,
-                        self.weights(),
+                        &self.weights[..],
                         slice,
                         lo..hi,
                         and_ops,
@@ -324,22 +322,11 @@ impl VerticalIndex {
     /// The empty pattern's count restricted to a word range: the
     /// multiplicity of the columns laid out in those words — every
     /// column is a superpattern of the empty pattern.
-    pub(crate) fn empty_pattern_weight(&self, words: Range<usize>) -> u64 {
+    fn empty_pattern_weight(&self, words: Range<usize>) -> u64 {
         self.weights[words]
             .iter()
             .map(|word| word.weight * u64::from(word.fill))
             .sum()
-    }
-
-    /// The raw row-major bitmap words — what the kernels and shard
-    /// runners operate on directly.
-    pub(crate) fn raw_words(&self) -> &[u64] {
-        &self.words
-    }
-
-    /// The per-word column multiplicities the kernels count with.
-    pub(crate) fn weights(&self) -> &[WordWeight] {
-        &self.weights
     }
 
     /// Number of letter rows.
@@ -352,7 +339,7 @@ impl VerticalIndex {
         self.n_columns
     }
 
-    /// Words per bitmap row — the shardable axis.
+    /// Words per bitmap row.
     pub fn words_per_row(&self) -> usize {
         self.words_per_row
     }
@@ -397,7 +384,7 @@ pub fn mine_vertical(
     period: usize,
     config: &MineConfig,
 ) -> Result<MiningResult> {
-    mine_vertical_input(series.into(), period, config, None)
+    mine_vertical_input(series.into(), period, config)
 }
 
 /// [`mine_vertical`] over a borrowed bitmap view — the zero-materialization
@@ -408,18 +395,14 @@ pub fn mine_vertical_view(
     period: usize,
     config: &MineConfig,
 ) -> Result<MiningResult> {
-    mine_vertical_input(view.into(), period, config, None)
+    mine_vertical_input(view.into(), period, config)
 }
 
-/// Both vertical scans and the derive over any [`Input`]. With an
-/// `executor`, each derivation level's counting splits into word-range
-/// subtasks the executor runs (if the index is wide enough, see
-/// [`shard`]); results are bit-identical either way.
+/// Both vertical scans and the derive over any [`Input`].
 pub(crate) fn mine_vertical_input(
     input: Input<'_>,
     period: usize,
     config: &MineConfig,
-    executor: Option<&dyn ShardExecutor>,
 ) -> Result<MiningResult> {
     let _mine_span = ppm_observe::span("vertical.mine");
     let mut passes = Passes::new(input, ResourceGuard::new(config), "vertical.segments");
@@ -450,21 +433,16 @@ pub(crate) fn mine_vertical_input(
     // popcount.
     let frequent = {
         let _span = ppm_observe::span("vertical.derive");
-        match executor {
-            Some(ex) => {
-                let shared = Arc::new(index);
-                derive_vertical_sharded(&shared, &scan1, &mut stats, config.kernel(), ex)
-            }
-            None => derive_vertical(&index, &scan1, &mut stats, config.kernel()),
-        }
+        derive_vertical(&index, &scan1, &mut stats, config.kernel())
     };
     Ok(scan1.into_result(config, frequent, stats))
 }
 
 /// The vertical derivation phase: seeds the 1-letter patterns from scan-1
 /// counts, then runs the level-wise loop against `index`, counting each
-/// level in one cache-blocked batch on the selected kernel.
-pub(crate) fn derive_vertical(
+/// level in one cache-blocked batch on the selected kernel. Reports the
+/// kernel, the AND operations and the prefix-cache engagement as gauges.
+fn derive_vertical(
     index: &VerticalIndex,
     scan1: &Scan1,
     stats: &mut MiningStats,
@@ -473,18 +451,11 @@ pub(crate) fn derive_vertical(
     let mut frequent = scan1.seed_singletons();
     let mut and_ops = 0u64;
     derive_frequent_batched(
-        |sets| index.count_level(sets, kernel, &mut and_ops),
+        |sets| index.count_level(sets, 0..index.words_per_row, kernel, &mut and_ops),
         scan1,
         &mut frequent,
         stats,
     );
-    report_derive(kernel, and_ops);
-    frequent
-}
-
-/// The derive gauges both vertical derives report: kernel, AND operations
-/// and prefix-cache engagement.
-fn report_derive(kernel: Kernel, and_ops: u64) {
     use std::sync::atomic::Ordering::Relaxed;
     ppm_observe::gauge("vertical.kernel", kernel.gauge_code());
     ppm_observe::gauge("vertical.and_ops", and_ops);
@@ -493,60 +464,6 @@ fn report_derive(kernel: Kernel, and_ops: u64) {
         kernel::PREFIX_BUILDS.load(Relaxed),
     );
     ppm_observe::gauge("vertical.prefix_hits", kernel::PREFIX_HITS.load(Relaxed));
-}
-
-/// [`derive_vertical`] with each level's counting sharded across the word
-/// axis: the executor's plan splits the bitmaps into disjoint word ranges,
-/// a [`ShardedCounter`] per level hands them out to whichever threads the
-/// executor recruits, and the per-shard partial counts sum exactly. Falls
-/// back to the unsharded loop when the plan is a single range (index too
-/// narrow or level too cheap to pay the fan-out).
-///
-/// Emits `vertical.shards`, `vertical.shard_us_p50/p90/max` gauges and
-/// `vertical.shard_tasks[_remote]` counters on top of the unsharded
-/// telemetry.
-pub(crate) fn derive_vertical_sharded(
-    index: &Arc<VerticalIndex>,
-    scan1: &Scan1,
-    stats: &mut MiningStats,
-    kernel: Kernel,
-    executor: &dyn ShardExecutor,
-) -> Vec<FrequentPattern> {
-    let plan = executor.plan(index.words_per_row(), index.n_columns(), index.n_letters());
-    if plan.len() < 2 {
-        return derive_vertical(index, scan1, stats, kernel);
-    }
-    let mut frequent = scan1.seed_singletons();
-    let mut and_ops = 0u64;
-    let mut tasks = 0u64;
-    let mut remote = 0u64;
-    let mut latencies: Vec<u64> = Vec::new();
-    derive_frequent_batched(
-        |sets| {
-            let counter = ShardedCounter::new(index.clone(), sets, plan.clone(), kernel);
-            executor.execute(&counter);
-            debug_assert!(counter.is_done());
-            and_ops += counter.and_ops();
-            tasks += counter.n_shards() as u64;
-            remote += counter.remote_runs();
-            latencies.extend(counter.shard_latencies());
-            counter.totals()
-        },
-        scan1,
-        &mut frequent,
-        stats,
-    );
-    report_derive(kernel, and_ops);
-    ppm_observe::gauge("vertical.shards", plan.len() as u64);
-    ppm_observe::counter("vertical.shard_tasks", tasks);
-    ppm_observe::counter("vertical.shard_tasks_remote", remote);
-    if !latencies.is_empty() {
-        latencies.sort_unstable();
-        let q = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize];
-        ppm_observe::gauge("vertical.shard_us_p50", q(0.5));
-        ppm_observe::gauge("vertical.shard_us_p90", q(0.9));
-        ppm_observe::gauge("vertical.shard_us_max", *latencies.last().unwrap());
-    }
     frequent
 }
 
@@ -721,6 +638,8 @@ mod tests {
         }
     }
 
+    /// Whole-row counts equal the naive count, and word-range partials
+    /// sum to it exactly wherever the cuts land, on both kernels.
     #[test]
     fn kernels_and_shards_count_bit_identically() {
         // Column counts straddling the u64 word boundary are where lane
@@ -773,8 +692,8 @@ mod tests {
                         } else {
                             count_dispatch(
                                 kernel,
-                                index.raw_words(),
-                                index.weights(),
+                                &index.words,
+                                &index.weights[..],
                                 bases.as_slice(),
                                 at..hi,
                                 &mut ops,
@@ -786,12 +705,12 @@ mod tests {
                 }
             }
 
-            // The sharded path (forced to split even tiny geometries) must
-            // agree candidate-for-candidate on both kernels. Pad the level
-            // with lex-ordered siblings of the pattern — the shape the
-            // Apriori join emits — so the wide kernel's prefix-AND reuse is
-            // exercised against the per-candidate scalar reference.
-            let shared = Arc::new(index);
+            // A whole level, counted over word ranges cut at the same
+            // points, must agree candidate-for-candidate on both kernels.
+            // Pad the level with lex-ordered siblings of the pattern — the
+            // shape the Apriori join emits — so the wide kernel's
+            // prefix-AND reuse is exercised against the per-candidate
+            // scalar reference.
             let mut cands = vec![empty.clone(), pattern.clone()];
             let ls: Vec<usize> = pattern.iter().collect();
             if ls.len() >= 2 {
@@ -806,12 +725,36 @@ mod tests {
                 .iter()
                 .map(|p| cols.iter().filter(|col| p.is_subset(col)).count() as u64)
                 .collect();
-            let executor = ThreadedExecutor::with_min_shard_words(split.max(2), 1);
+            let words = index.words_per_row();
+            let cut = (words / split.max(2).min(words)).max(1);
             for kernel in [Kernel::Scalar, Kernel::Wide] {
-                let totals = count_sharded(&shared, &cands, kernel, &executor);
-                assert_eq!(totals, expect, "case {case} {kernel:?}");
+                assert_eq!(
+                    count_level_in_ranges(&index, &cands, kernel, cut),
+                    expect,
+                    "case {case} {kernel:?} cut {cut}"
+                );
             }
         }
+    }
+
+    /// Counts `cands` over consecutive `cut`-word ranges of `index` and
+    /// sums the per-range partials, the way the incremental index's
+    /// dirty-range recount relies on.
+    fn count_level_in_ranges(
+        index: &VerticalIndex,
+        cands: &[LetterSet],
+        kernel: Kernel,
+        cut: usize,
+    ) -> Vec<u64> {
+        let words = index.words_per_row();
+        let mut totals = vec![0u64; cands.len()];
+        for at in (0..words).step_by(cut) {
+            let part = index.count_level(cands, at..(at + cut).min(words), kernel, &mut 0);
+            for (total, n) in totals.iter_mut().zip(part) {
+                *total += n;
+            }
+        }
+        totals
     }
 
     #[test]
@@ -863,23 +806,16 @@ mod tests {
             }
             let expect: Vec<u64> = cands.iter().map(naive).collect();
 
-            let shared = Arc::new(index);
-            // One shard per word: every group edge is a shard edge.
-            let one_word = ThreadedExecutor::with_min_shard_words(words, 1);
-            assert_eq!(
-                one_word.plan(words, shared.n_columns(), n_letters).len(),
-                words,
-                "case {case}"
-            );
             for kernel in [Kernel::Scalar, Kernel::Wide] {
                 for (p, &want) in cands.iter().zip(&expect) {
-                    let got = shared.count_with_kernel(p, kernel, &mut 0);
+                    let got = index.count_with_kernel(p, kernel, &mut 0);
                     assert_eq!(got, want, "case {case} {kernel:?} {p:?}");
                 }
-                let level = shared.count_level(&cands, kernel, &mut 0);
+                let level = index.count_level(&cands, 0..words, kernel, &mut 0);
                 assert_eq!(level, expect, "case {case} {kernel:?} level");
-                let sharded = count_sharded(&shared, &cands, kernel, &one_word);
-                assert_eq!(sharded, expect, "case {case} {kernel:?} sharded");
+                // One range per word: every group edge is a range edge.
+                let per_word = count_level_in_ranges(&index, &cands, kernel, 1);
+                assert_eq!(per_word, expect, "case {case} {kernel:?} per word");
             }
         }
     }
@@ -926,42 +862,6 @@ mod tests {
         // Shorter patterns answer from the whole multiset.
         assert_eq!(index.count(&set(&[x0])), 4);
         assert_eq!(index.count(&set(&[])), 6);
-    }
-
-    #[test]
-    fn sharded_derive_matches_unsharded() {
-        let series = busy_series(4096, 6);
-        let config = MineConfig::new(0.2).unwrap();
-        let scan1 = scan_frequent_letters(&series, 4, &config).unwrap();
-        let index = segment_index(&series, &scan1);
-        let mut stats_base = MiningStats::default();
-        let base = derive_vertical(&index, &scan1, &mut stats_base, Kernel::Scalar);
-        let shared = Arc::new(index);
-        for threads in [2, 4] {
-            // Force sharding on this small index: 1-word shard floor.
-            let executor = ThreadedExecutor::with_min_shard_words(threads, 1);
-            let plan = executor.plan(
-                shared.words_per_row(),
-                shared.n_columns(),
-                shared.n_letters(),
-            );
-            assert!(plan.len() > 1, "expected a real shard plan, got {plan:?}");
-            let mut stats = MiningStats::default();
-            let got = derive_vertical_sharded(&shared, &scan1, &mut stats, Kernel::Wide, &executor);
-            assert_eq!(got, base, "threads={threads}");
-            assert_eq!(stats, stats_base, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn view_sharded_mine_equals_plain() {
-        let series = busy_series(1200, 4);
-        let encoded = EncodedSeries::encode(&series);
-        let config = MineConfig::new(0.3).unwrap();
-        let plain = mine_vertical_view(encoded.view(), 4, &config).unwrap();
-        let sharded = crate::run(crate::Engine::Vertical, encoded.view(), 4, &config, 4).unwrap();
-        assert_eq!(plain.frequent, sharded.frequent);
-        assert_eq!(plain.stats, sharded.stats);
     }
 
     #[test]

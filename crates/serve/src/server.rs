@@ -133,11 +133,6 @@ pub struct ServeConfig {
     pub verify_interval_ms: u64,
     /// Result-cache growth bounds (entries and approximate bytes).
     pub cache_limits: CacheLimits,
-    /// Threads used *inside* one vertical mine (segment-axis sharding).
-    /// 1 keeps derivation single-threaded; higher values split wide
-    /// stores' bitmap words across helpers. Distinct from `workers`,
-    /// which is how many queries run concurrently.
-    pub mine_threads: usize,
 }
 
 impl ServeConfig {
@@ -163,7 +158,6 @@ impl ServeConfig {
             max_requests_per_conn: 256,
             verify_interval_ms: 30_000,
             cache_limits: CacheLimits::default(),
-            mine_threads: 1,
         }
     }
 }
@@ -940,21 +934,32 @@ impl Server {
             return self.mine_quarantined(store, &q);
         }
 
-        // One snapshot drives both the cache key and the mining view: a
-        // concurrent append swap between a `store.fingerprint()` and a
-        // later `store.reader()` would otherwise cache a result mined
-        // from the newer reader under the old fingerprint — never served
-        // wrongly, but dead weight against the cache's capacity bounds.
-        let reader = store.reader();
-        let key = CacheKey {
-            fingerprint: reader.fingerprint(),
+        // A cold mine keeps one snapshot for both the cache key and the
+        // mining view: a concurrent append swap between a
+        // `store.fingerprint()` and a later `store.reader()` would
+        // otherwise cache a result mined from the newer reader under the
+        // old fingerprint — never served wrongly, but dead weight against
+        // the cache's capacity bounds. The live index holds no snapshot:
+        // it waits for the index guard, which an append holds while it
+        // grows the reader, and a snapshot held there would make that
+        // grow copy the whole store.
+        let snapshot = (q.engine != Engine::Incremental).then(|| store.reader());
+        let key = |fingerprint| CacheKey {
+            fingerprint,
             period: q.period,
             conf_bits: q.min_conf.to_bits(),
             engine: q.engine,
         };
         if !q.no_cache {
+            let fingerprint = snapshot
+                .as_ref()
+                .map_or_else(|| store.fingerprint(), |r| r.fingerprint());
             let lookup_started = Instant::now();
-            let (cached, outcome) = self.cache.lock().expect("cache poisoned").lookup(&key);
+            let (cached, outcome) = self
+                .cache
+                .lock()
+                .expect("cache poisoned")
+                .lookup(&key(fingerprint));
             self.metrics
                 .cache_lookup_us
                 .record(lookup_started.elapsed().as_micros() as u64);
@@ -977,24 +982,26 @@ impl Server {
         }
 
         let _span = ppm_observe::span("serve.mine");
-        let mined = match q.engine {
+        let (result, fingerprint, catalog) = match snapshot {
             // The live index: created from the store on first use, kept
             // current by the `append` op, so re-mining after growth only
-            // re-counts patterns the new segments could have moved.
-            Engine::Incremental => store.with_index(q.period, |idx| idx.rederive_dirty(&q.config)),
-            engine => ppm_core::run(
-                engine,
-                Rows::View(reader.view()),
-                q.period,
-                &q.config,
-                self.config.mine_threads,
-            ),
-        };
-        let result = mined.map_err(OpError::from_mining)?;
-        let cached = to_cached(&result, reader.catalog());
+            // re-counts patterns the new segments could have moved. Only
+            // the fingerprint and catalog of the reader it was caught up
+            // to leave the index guard: converting and caching happen
+            // after an append waiting for the guard may go ahead, and a
+            // reader held through them would make its grow copy the store.
+            None => store.with_index(q.period, |idx, reader| {
+                idx.rederive_dirty(&q.config)
+                    .map(|r| (r, reader.fingerprint(), reader.catalog().clone()))
+            }),
+            Some(reader) => ppm_core::run(q.engine, Rows::View(reader.view()), q.period, &q.config)
+                .map(|r| (r, reader.fingerprint(), reader.catalog().clone())),
+        }
+        .map_err(OpError::from_mining)?;
+        let cached = to_cached(&result, &catalog);
         if !q.no_cache {
             let mut cache = self.cache.lock().expect("cache poisoned");
-            cache.insert(key, cached.clone());
+            cache.insert(key(fingerprint), cached.clone());
         }
         Ok(mine_response(&q, &cached, "miss", None))
     }
@@ -1036,7 +1043,7 @@ impl Server {
         // index to consult: incremental runs the cold vertical mine it is
         // bit-identical to.
         let mut qsrc = QuarantiningSource::new(source, QuarantineMode::Quarantine);
-        let mined = ppm_core::run(q.engine, &mut qsrc, q.period, &q.config, 1);
+        let mined = ppm_core::run(q.engine, &mut qsrc, q.period, &q.config);
         let result = mined.map_err(OpError::from_mining)?;
         let (_, report) = qsrc.into_parts();
         let cached = to_cached(&result, reader.catalog());
@@ -1662,5 +1669,85 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "non-string panic payload".to_owned()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ppm_observe::Collector;
+    use ppm_timeseries::columnar::write_columnar;
+    use ppm_timeseries::SeriesBuilder;
+
+    /// An append that lands while a live-index mine waits for the index
+    /// guard grows the resident load in place, because the waiting mine
+    /// holds no snapshot of it. The mine then runs on the grown load and
+    /// caches its result under the grown fingerprint.
+    #[test]
+    fn an_append_during_a_waiting_live_mine_grows_in_place() {
+        let tmp = |ext: &str| {
+            std::env::temp_dir().join(format!(
+                "ppm-serve-server-{}-grow.{ext}",
+                std::process::id()
+            ))
+        };
+        let (path, socket) = (tmp("ppmc"), tmp("sock"));
+        let mut catalog = FeatureCatalog::new();
+        let alpha = catalog.intern("alpha");
+        let mut builder = SeriesBuilder::new();
+        for _ in 0..6 {
+            builder.push_instant([alpha]);
+            builder.push_instant([]);
+        }
+        write_columnar(&path, &builder.finish(), &catalog).unwrap();
+        let registry = StoreRegistry::open(&[&path]).unwrap();
+        let server = Server::bind(registry, ServeConfig::new(Bind::Unix(socket.clone()))).unwrap();
+        let store = server.registry().iter().next().unwrap();
+        let req = Json::parse(&format!(
+            r#"{{"op":"mine","store":"{}","period":2,"min_conf":0.5,"engine":"incremental"}}"#,
+            store.name
+        ))
+        .unwrap();
+
+        let (mine_obs, append_obs) = (Arc::new(Collector::new()), Arc::new(Collector::new()));
+        let _sink = ppm_observe::install(append_obs.clone());
+        let grown = std::thread::scope(|scope| {
+            // The append's critical section, run by hand: it holds the
+            // index guard while it publishes and grows the reader.
+            let indexes = store.indexes();
+            let mine = scope.spawn(|| {
+                let _sink = ppm_observe::install(mine_obs.clone());
+                server.op_mine(&req).is_ok()
+            });
+            // Past its cache lookup, the mine can only be waiting for the
+            // guard.
+            while mine_obs.counter_total("serve.cache.misses") == 0 {
+                assert!(!mine.is_finished(), "the mine ended before its lookup");
+                std::thread::yield_now();
+            }
+            let resident = store.reader();
+            let mut app = ColumnarAppender::open_resident(&store.path, &resident).unwrap();
+            for _ in 0..2 {
+                app.append_instant(&[alpha]).unwrap();
+                app.append_instant(&[]).unwrap();
+            }
+            let growth = app.finish_growth(&resident).unwrap();
+            store.grow_reader(resident, &growth).unwrap();
+            drop(indexes);
+            assert!(mine.join().unwrap(), "the mine succeeds");
+            growth.fingerprint()
+        });
+        assert_eq!(append_obs.counter_total("serve.append.grow_copies"), 0);
+        let key = CacheKey {
+            fingerprint: grown,
+            period: 2,
+            conf_bits: 0.5f64.to_bits(),
+            engine: Engine::Incremental,
+        };
+        let (cached, _) = server.cache.lock().unwrap().lookup(&key);
+        let cached = cached.expect("cached under the grown fingerprint");
+        assert_eq!(cached.segment_count, 8, "mined off the grown load");
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(socket).ok();
     }
 }

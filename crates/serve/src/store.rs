@@ -244,22 +244,24 @@ impl Store {
         }
     }
 
-    /// Runs `f` on the live incremental index for `period`, creating it
-    /// from the current reader on first use and catching it up on every
-    /// use (see module docs).
+    /// Runs `f` on the live incremental index for `period` and the reader
+    /// it was caught up to, creating the index from the current reader on
+    /// first use and catching it up on every use (see module docs).
     pub fn with_index<R>(
         &self,
         period: usize,
-        f: impl FnOnce(&mut IncrementalVerticalIndex) -> R,
+        f: impl FnOnce(&mut IncrementalVerticalIndex, &ColumnarReader) -> R,
     ) -> R {
         let mut indexes = self.indexes();
         // Snapshot the reader *under* the index guard: the append op
         // swaps the reader while holding this guard, so an index can
-        // never be caught up past append's own dirty-state judgment.
+        // never be caught up past append's own dirty-state judgment, and
+        // a caller waiting for the guard pins no older load that the
+        // append's grow would have to copy.
         let reader = self.reader();
         let index = indexes.get_or_create(period);
         Self::catch_up(index, &reader);
-        let out = f(index);
+        let out = f(index, &reader);
         indexes.publish_gauges();
         out
     }
@@ -565,7 +567,7 @@ mod tests {
         let path = sample_store("index");
         let reg = StoreRegistry::open(&[&path]).unwrap();
         let store = reg.iter().next().unwrap();
-        store.with_index(2, |idx| assert_eq!(idx.appended_segments(), 6));
+        store.with_index(2, |idx, _| assert_eq!(idx.appended_segments(), 6));
 
         let mut app = ColumnarAppender::open(&path).unwrap();
         let alpha = store.reader().catalog().get("alpha").unwrap();
@@ -576,7 +578,7 @@ mod tests {
         assert_eq!(reg.reverify_all(), 0);
 
         // The same index object absorbed exactly the two new segments.
-        store.with_index(2, |idx| {
+        store.with_index(2, |idx, _| {
             assert_eq!(idx.appended_segments(), 8);
             assert!(idx.dirty_words() > 0, "new segments left dirty words");
         });
@@ -612,7 +614,7 @@ mod tests {
         let grown = ColumnarReader::open(&path).unwrap();
 
         let store = reg.iter().next().unwrap();
-        store.with_index(2, |idx| assert_eq!(idx.appended_segments(), 6));
+        store.with_index(2, |idx, _| assert_eq!(idx.appended_segments(), 6));
 
         let guard = store.indexes();
         let entered = Arc::new(AtomicBool::new(false));
@@ -621,7 +623,7 @@ mod tests {
             let entered = entered.clone();
             std::thread::spawn(move || {
                 let store = reg.iter().next().unwrap();
-                store.with_index(2, |idx| {
+                store.with_index(2, |idx, _| {
                     entered.store(true, Ordering::SeqCst);
                     idx.appended_segments()
                 })
@@ -648,16 +650,16 @@ mod tests {
         // Fill the table to its cap, then touch the first period so it
         // is most-recently used.
         for period in 1..=MAX_LIVE_INDEXES {
-            store.with_index(period, |_| ());
+            store.with_index(period, |_, _| ());
         }
         let (live, bytes) = store.index_stats();
         assert_eq!(live, MAX_LIVE_INDEXES);
         assert!(bytes > 0, "resident indexes hold bitmap bytes");
-        store.with_index(1, |idx| assert_eq!(idx.period(), 1));
+        store.with_index(1, |idx, _| assert_eq!(idx.period(), 1));
 
         // One more distinct period evicts the least-recently used
         // (period 2 — period 1 was just touched), not the table's size.
-        store.with_index(MAX_LIVE_INDEXES + 1, |_| ());
+        store.with_index(MAX_LIVE_INDEXES + 1, |_, _| ());
         let indexes = store.indexes();
         assert_eq!(indexes.len(), MAX_LIVE_INDEXES);
         assert!(indexes.get(1).is_some(), "recently-used survives");
@@ -666,7 +668,7 @@ mod tests {
         drop(indexes);
 
         // A re-query of the evicted period simply rebuilds it.
-        store.with_index(2, |idx| assert_eq!(idx.appended_segments(), 6));
+        store.with_index(2, |idx, _| assert_eq!(idx.appended_segments(), 6));
         std::fs::remove_file(path).ok();
     }
 

@@ -36,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let config = MineConfig::new(0.8)?;
     println!("=== Frequent partial periodic patterns (period 3, min_conf 0.8) ===");
-    let result = run(Engine::HitSet, Rows::Series(&series), 3, &config, 1)?;
+    let result = run(Engine::HitSet, Rows::Series(&series), 3, &config)?;
     for (pattern, count, conf) in result.patterns() {
         println!(
             "  {:<28} count={count:<3} conf={conf:.2}",
@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The Apriori baseline finds exactly the same patterns, with more scans.
-    let apriori = run(Engine::Apriori, Rows::Series(&series), 3, &config, 1)?;
+    let apriori = run(Engine::Apriori, Rows::Series(&series), 3, &config)?;
     assert_eq!(apriori.frequent, result.frequent);
     println!(
         "  Apriori found the same {} patterns in {} scans",

@@ -1,7 +1,7 @@
 //! Retail transactions, end to end: raw timestamped event log → ETL onto an
 //! hourly grid → constraint-based mining ("only patterns involving coffee",
 //! "only the morning hours") → periodic rules. Also demonstrates the
-//! threaded vertical miner on the full weekly period.
+//! vertical miner on the full weekly period.
 //!
 //! Run with: `cargo run --example retail_events`
 
@@ -76,15 +76,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         hitset::mine(&series, week, &config)?.alphabet.len()
     );
 
-    // The vertical engine on 4 threads over the full weekly period:
-    // identical output, its derive sharded across the threads.
+    // The vertical engine over the full weekly period: identical output,
+    // counted by AND + popcount over the distinct hits instead of a tree.
     let sequential = hitset::mine(&series, week, &config)?;
-    let threaded = run(Engine::Vertical, Rows::Series(&series), week, &config, 4)?;
-    assert_eq!(sequential.frequent, threaded.frequent);
+    let vertical = run(Engine::Vertical, Rows::Series(&series), week, &config)?;
+    assert_eq!(sequential.frequent, vertical.frequent);
     println!(
-        "\nVertical (4 threads) == hit set: {} patterns, {} scans each",
-        threaded.len(),
-        threaded.stats.series_scans
+        "\nVertical == hit set: {} patterns, {} scans each",
+        vertical.len(),
+        vertical.stats.series_scans
     );
     Ok(())
 }

@@ -246,7 +246,7 @@ fn derive_stats_and_frequent_sets_are_pinned() {
         let g = spec.generate();
         let config = MineConfig::new(conf).unwrap();
         let p = spec.period;
-        let cold = |e| identity(&run(e, &g.series, p, &config, 1).unwrap());
+        let cold = |e| identity(&run(e, &g.series, p, &config).unwrap());
         let mut row: Vec<_> = Engine::ALL.into_iter().map(cold).collect();
         let enc = EncodedSeries::encode(&g.series);
         let live = vertical::incremental::mine_incremental_view(enc.view(), p, &config);

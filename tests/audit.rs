@@ -6,12 +6,9 @@
 //! pattern, or forged threshold is flagged). Both directions are exercised
 //! here on seeded pseudo-random series.
 
-use std::sync::Arc;
-
 use partial_periodic::audit::{audit, cross_check, verify_claims, AuditMode, Violation};
 use partial_periodic::core::export::{parse_patterns_tsv, patterns_tsv};
 use partial_periodic::datagen::noise::add_spurious;
-use partial_periodic::observe::{self, Collector};
 use partial_periodic::timeseries::{
     EncodedSeries, Fault, FaultInjectingSource, FaultPlan, MemorySource, QuarantineMode,
     QuarantiningSource, SeriesSource,
@@ -73,14 +70,12 @@ fn honest_runs_audit_clean_for_every_engine() {
             let (series, catalog) = random_series(seed, 600, p);
             let config = MineConfig::new(0.5).unwrap();
             for engine in Engine::ALL {
-                for threads in [1, 3] {
-                    let result = run(engine, Rows::Series(&series), p, &config, threads);
-                    assert_clean(&result.unwrap(), &series, &catalog);
-                }
+                let result = run(engine, Rows::Series(&series), p, &config);
+                assert_clean(&result.unwrap(), &series, &catalog);
             }
             let mut src = MemorySource::new(&series);
             assert_clean(
-                &run(Engine::HitSet, &mut src, p, &config, 1).unwrap(),
+                &run(Engine::HitSet, &mut src, p, &config).unwrap(),
                 &series,
                 &catalog,
             );
@@ -170,20 +165,19 @@ fn engines_cross_check_clean_on_random_series() {
         let (series, catalog) = random_series(seed, 540, 6);
         let check = cross_check(&series, 6, &MineConfig::new(0.45).unwrap(), &catalog).unwrap();
         assert!(check.agreed(), "seed {seed}: {:?}", check.report.violations);
-        assert_eq!(check.algorithms.len(), 7);
+        assert_eq!(check.algorithms.len(), 6);
     }
 }
 
 /// The engines' differential suite, one table: every [`Engine`] on both
-/// row substrates (a series and its bitmap view) at one and three
-/// threads must be **bit-for-bit identical** to Apriori (Algorithm 3.1) —
-/// the same patterns in the same order, the same counts and thresholds.
-/// The last workload is wide enough that the three-thread vertical
-/// derive really splits into shards: 15 000 segments, with four spurious
-/// features added at every instant with probability ½, so nearly every
-/// segment is its own distinct hit.
+/// row substrates (a series and its bitmap view) must be **bit-for-bit
+/// identical** to Apriori (Algorithm 3.1) — the same patterns in the same
+/// order, the same counts and thresholds. The last workload lays the
+/// vertical index out many words wide: 15 000 segments, with four
+/// spurious features added at every instant with probability ½, so
+/// nearly every segment is its own distinct hit.
 #[test]
-fn every_engine_is_bit_identical_across_rows_and_threads() {
+fn every_engine_is_bit_identical_across_rows() {
     let mut workloads: Vec<(u64, usize, usize, f64)> = [3u64, 19, 31]
         .into_iter()
         .flat_map(|seed| [(seed, 240, 4, 0.4), (seed, 540, 6, 0.4), (seed, 90, 9, 0.4)])
@@ -191,8 +185,7 @@ fn every_engine_is_bit_identical_across_rows_and_threads() {
     workloads.push((5, 60_000, 4, 0.3));
     for (seed, instants, p, conf) in workloads {
         let (mut series, _catalog) = random_series(seed, instants, p);
-        let wide = instants == 60_000;
-        if wide {
+        if instants == 60_000 {
             let pool: Vec<FeatureId> = (5..9).map(FeatureId::from_raw).collect();
             series = add_spurious(&series, &pool, 0.5, seed);
         }
@@ -204,23 +197,11 @@ fn every_engine_is_bit_identical_across_rows_and_threads() {
                 ("series", Rows::Series(&series)),
                 ("view", Rows::View(encoded.view())),
             ] {
-                for threads in [1, 3] {
-                    let at =
-                        format!("seed {seed} p {p}: {engine} on {substrate}, {threads} threads");
-                    let collector = Arc::new(Collector::new());
-                    let result = {
-                        let _guard = observe::install(collector.clone());
-                        run(engine, rows, p, &config, threads).unwrap()
-                    };
-                    assert_eq!(result.frequent, apriori.frequent, "{at}");
-                    assert_eq!(result.min_count, apriori.min_count, "{at}");
-                    assert_eq!(result.segment_count, apriori.segment_count, "{at}");
-                    let shards = collector.gauge_maxima().get("vertical.shards").copied();
-                    let sharded = wide
-                        && threads > 1
-                        && matches!(engine, Engine::Vertical | Engine::Incremental);
-                    assert_eq!(shards.is_some_and(|n| n >= 2), sharded, "{at}: {shards:?}");
-                }
+                let at = format!("seed {seed} p {p}: {engine} on {substrate}");
+                let result = run(engine, rows, p, &config).unwrap();
+                assert_eq!(result.frequent, apriori.frequent, "{at}");
+                assert_eq!(result.min_count, apriori.min_count, "{at}");
+                assert_eq!(result.segment_count, apriori.segment_count, "{at}");
             }
         }
     }
@@ -298,7 +279,7 @@ fn quarantined_mining_yields_sound_lower_bounds() {
         .fail_scan(1, Fault::Garbage { instant: 0 });
     let faulty = FaultInjectingSource::new(MemorySource::new(&series), plan);
     let mut q = QuarantiningSource::new(faulty, QuarantineMode::Quarantine);
-    let mined = run(Engine::HitSet, &mut q, 6, &config, 1).unwrap();
+    let mined = run(Engine::HitSet, &mut q, 6, &config).unwrap();
     let (_, report) = q.into_parts();
     assert_eq!(report.len(), 1);
     assert_eq!(report.entries().next().unwrap().instant, 0);
@@ -336,7 +317,7 @@ fn reject_mode_fails_the_mine_with_a_typed_error() {
     let plan = FaultPlan::new().fail_scan(0, Fault::Garbage { instant: 3 });
     let faulty = FaultInjectingSource::new(MemorySource::new(&series), plan);
     let mut q = QuarantiningSource::new(faulty, QuarantineMode::Reject);
-    let err = run(Engine::HitSet, &mut q, 6, &MineConfig::new(0.5).unwrap(), 1).unwrap_err();
+    let err = run(Engine::HitSet, &mut q, 6, &MineConfig::new(0.5).unwrap()).unwrap_err();
     let msg = err.to_string();
     assert!(msg.contains("instant 3"), "{msg}");
 }
@@ -389,7 +370,7 @@ fn shared_view_concurrent_readers_are_bit_identical_to_sequential() {
     let jobs: Vec<(usize, Engine)> = (2..=7)
         .flat_map(|p| Engine::ALL.map(|engine| (p, engine)))
         .collect();
-    let mine_on_view = |view, p, engine| run(engine, Rows::View(view), p, &config, 1).unwrap();
+    let mine_on_view = |view, p, engine| run(engine, Rows::View(view), p, &config).unwrap();
 
     let sequential: Vec<MiningResult> = jobs
         .iter()

@@ -1,6 +1,6 @@
 //! Integration tests across the newer modules: event-log ETL, constrained
-//! mining, windowed evolution mining, and threaded (sharded vertical)
-//! mining — composed into full pipelines.
+//! mining, windowed evolution mining, and vertical mining — composed into
+//! full pipelines.
 
 #[cfg(feature = "property-tests")]
 use proptest::prelude::*;
@@ -138,13 +138,11 @@ proptest! {
         prop_assert_eq!(constrained.len(), expect);
     }
 
-    /// Threaded vertical mining is identical to sequential hit-set mining
-    /// for any thread count.
+    /// Vertical mining is identical to hit-set mining.
     #[test]
-    fn parallel_equals_sequential_any_threads(
+    fn vertical_equals_hitset(
         instants in prop::collection::vec(prop::collection::vec(0u8..5, 0..4), 30..100),
         period in 2usize..7,
-        threads in 1usize..9,
     ) {
         prop_assume!(instants.len() >= period);
         let mut b = SeriesBuilder::new();
@@ -154,8 +152,8 @@ proptest! {
         let series = b.finish();
         let config = MineConfig::new(0.4).unwrap();
         let seq = hitset::mine(&series, period, &config).unwrap();
-        let par = run(Engine::Vertical, Rows::Series(&series), period, &config, threads).unwrap();
-        prop_assert_eq!(seq.frequent, par.frequent);
+        let vertical = run(Engine::Vertical, Rows::Series(&series), period, &config).unwrap();
+        prop_assert_eq!(seq.frequent, vertical.frequent);
     }
 }
 
@@ -197,7 +195,7 @@ fn evolution_on_synthetic_data() {
     assert_eq!(track.first_seen(), Some(n / 2));
 }
 
-/// The whole stack composes: events → series → threaded weekly mine →
+/// The whole stack composes: events → series → vertical weekly mine →
 /// periodic rules.
 #[test]
 fn full_pipeline_composes() {
@@ -210,7 +208,7 @@ fn full_pipeline_composes() {
     let week = 7 * 24;
     let config = MineConfig::new(0.7).unwrap();
 
-    let par = run(Engine::Vertical, Rows::Series(&series), week, &config, 4).unwrap();
+    let par = run(Engine::Vertical, Rows::Series(&series), week, &config).unwrap();
     let seq = hitset::mine(&series, week, &config).unwrap();
     assert_eq!(par.frequent, seq.frequent);
     assert!(!par.is_empty());

@@ -80,7 +80,7 @@ fn transient_scan2_failure_recovers_bit_identically() {
 
     // Fault-free baseline over the same file.
     let mut clean = FileSource::open(&path).unwrap();
-    let expect = run(Engine::HitSet, &mut clean, 6, &config, 1).unwrap();
+    let expect = run(Engine::HitSet, &mut clean, 6, &config).unwrap();
     assert!(!expect.is_empty(), "baseline must find patterns");
     assert_eq!(expect.stats.series_scans, 2);
 
@@ -89,7 +89,7 @@ fn transient_scan2_failure_recovers_bit_identically() {
     let plan = FaultPlan::new().fail_scan(1, Fault::ShortRead { instants: 250 });
     let faulty = FaultInjectingSource::new(FileSource::open(&path).unwrap(), plan);
     let mut src = with_retries(faulty, 3);
-    let got = run(Engine::HitSet, &mut src, 6, &config, 1).unwrap();
+    let got = run(Engine::HitSet, &mut src, 6, &config).unwrap();
 
     assert_bit_identical(&expect, &got);
     assert_eq!(src.retries(), 1);
@@ -115,7 +115,7 @@ fn faults_on_both_scans_recover_and_match_memory_mining() {
         .fail_scan(2, Fault::ShortRead { instants: 100 });
     let faulty = FaultInjectingSource::new(MemorySource::new(&series), plan);
     let mut src = with_retries(faulty, 3);
-    let got = run(Engine::HitSet, &mut src, 6, &config, 1).unwrap();
+    let got = run(Engine::HitSet, &mut src, 6, &config).unwrap();
 
     assert_bit_identical(&expect, &got);
     assert_eq!(src.inner().attempts(), 4, "two logical scans, two retries");
@@ -136,7 +136,7 @@ fn retry_exhaustion_reports_attempt_counts() {
     let mut src = with_retries(faulty, 3);
 
     let config = MineConfig::new(0.5).unwrap();
-    let err = run(Engine::HitSet, &mut src, 6, &config, 1).unwrap_err();
+    let err = run(Engine::HitSet, &mut src, 6, &config).unwrap_err();
     assert!(
         matches!(err, Error::Series(ref e) if e.is_transient()),
         "{err}"
@@ -158,7 +158,7 @@ fn truncation_fails_fast_through_the_retrier() {
     let mut src = with_retries(faulty, 5);
 
     let config = MineConfig::new(0.5).unwrap();
-    let err = run(Engine::HitSet, &mut src, 6, &config, 1).unwrap_err();
+    let err = run(Engine::HitSet, &mut src, 6, &config).unwrap_err();
     assert!(
         matches!(
             err,
@@ -184,7 +184,7 @@ fn invalid_periods_are_rejected_before_scanning() {
         );
 
         let mut src = MemorySource::new(&series);
-        let err = run(Engine::HitSet, &mut src, period, &config, 1).unwrap_err();
+        let err = run(Engine::HitSet, &mut src, period, &config).unwrap_err();
         assert!(matches!(err, Error::InvalidPeriod { .. }), "{err}");
         assert_eq!(src.scans_performed(), 0, "validation precedes I/O");
     }
@@ -225,7 +225,7 @@ fn fault_retry_recovery_emits_ordered_events() {
     let collector = Arc::new(Collector::new());
     let got = {
         let _guard = observe::install(collector.clone());
-        run(Engine::HitSet, &mut src, 6, &config, 1).unwrap()
+        run(Engine::HitSet, &mut src, 6, &config).unwrap()
     };
 
     let events = collector.events();
@@ -265,7 +265,7 @@ fn silent_bit_flips_change_results_without_an_error() {
         .fail_scan(0, Fault::BitFlip { instant: 0 })
         .fail_scan(1, Fault::BitFlip { instant: 0 });
     let mut src = FaultInjectingSource::new(MemorySource::new(&series), plan);
-    let got = run(Engine::HitSet, &mut src, 6, &config, 1).unwrap();
+    let got = run(Engine::HitSet, &mut src, 6, &config).unwrap();
 
     assert_eq!(src.faults_injected(), 2);
     // The run "succeeds" — that is exactly the problem.

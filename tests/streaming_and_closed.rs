@@ -75,12 +75,12 @@ proptest! {
             .unwrap();
 
         let mut src = FileSource::open(&path).unwrap();
-        let got = run(Engine::HitSet, &mut src, period, &config, 1).unwrap();
+        let got = run(Engine::HitSet, &mut src, period, &config).unwrap();
         prop_assert_eq!(&got.frequent, &expect.frequent);
         prop_assert_eq!(src.scans_performed(), 2);
 
         let mut src = FileSource::open(&path).unwrap();
-        let ap = run(Engine::Apriori, &mut src, period, &config, 1).unwrap();
+        let ap = run(Engine::Apriori, &mut src, period, &config).unwrap();
         prop_assert_eq!(&ap.frequent, &expect.frequent);
         prop_assert_eq!(src.scans_performed(), ap.stats.series_scans);
         std::fs::remove_file(path).ok();
@@ -156,7 +156,7 @@ fn disk_mining_at_scale() {
         .and_then(|w| w.write_series(&data.series))
         .unwrap();
     let mut src = FileSource::open(&path).unwrap();
-    let disk = run(Engine::HitSet, &mut src, 25, &config, 1).unwrap();
+    let disk = run(Engine::HitSet, &mut src, 25, &config).unwrap();
     let mem = hitset::mine(&data.series, 25, &config).unwrap();
     assert_eq!(disk.frequent, mem.frequent);
     assert_eq!(disk.stats.series_scans, 2);
