@@ -120,51 +120,44 @@ echo "==> continuous ingestion smoke: ppm append, mine --follow, serve append op
 # A dedicated store copy so appends never perturb the other steps' files.
 ./target/release/ppm convert --input "$smoke_dir/smoke.ppms" \
   --out "$smoke_dir/follow.ppmc"
-# A converted store is .ppmc version 3. A version-1 store (the committed
-# fixture, written before the word-hash checksum) still mines exactly like
-# its version-2 twin, and an append grows it in place as version 1.
+# A converted store is .ppmc version 3. The committed version-1 and
+# version-2 fixtures (written before the word-hash checksum and before the
+# commit slots) stay readable: each mines exactly like its converted twin
+# and `info` names its version. Appends need version 3: `ppm append` on a
+# fixture is a usage error (exit 2) that leaves the file byte-identical,
+# and the converted twin takes the same rows in place.
 ./target/release/ppm info --input "$smoke_dir/follow.ppmc" >"$smoke_dir/info-v3.log"
 grep -q "^format: *\.ppmc version 3$" "$smoke_dir/info-v3.log"
-cp crates/timeseries/testdata/synthetic-p12-v1.ppmc "$smoke_dir/v1.ppmc"
-./target/release/ppm convert --input "$smoke_dir/v1.ppmc" \
-  --out "$smoke_dir/v1-twin.ppmc" >/dev/null
-for store in v1 v1-twin; do
-  ./target/release/ppm mine --input "$smoke_dir/$store.ppmc" --period 12 \
-    --min-conf 0.6 --limit 100000 | grep '^  ' >"$smoke_dir/$store.lines"
+for v in 1 2; do
+  fixture="crates/timeseries/testdata/synthetic-p12-v$v.ppmc"
+  cp "$fixture" "$smoke_dir/v$v.ppmc"
+  ./target/release/ppm convert --input "$smoke_dir/v$v.ppmc" \
+    --out "$smoke_dir/v$v-twin.ppmc" >/dev/null
+  for store in "v$v" "v$v-twin"; do
+    ./target/release/ppm mine --input "$smoke_dir/$store.ppmc" --period 12 \
+      --min-conf 0.6 --limit 100000 | grep '^  ' >"$smoke_dir/$store.lines"
+  done
+  test -s "$smoke_dir/v$v.lines"
+  diff "$smoke_dir/v$v.lines" "$smoke_dir/v$v-twin.lines"
+  ./target/release/ppm info --input "$smoke_dir/v$v.ppmc" >"$smoke_dir/info-v$v.log"
+  grep -q "^format: *\.ppmc version $v$" "$smoke_dir/info-v$v.log"
+  append_status=0
+  ./target/release/ppm append --input "$smoke_dir/v$v.ppmc" --rows "pat0;-;pat1" \
+    --repeat 4 >"$smoke_dir/append-v$v.log" 2>&1 || append_status=$?
+  test "$append_status" -eq 2
+  grep -q "version $v" "$smoke_dir/append-v$v.log"
+  grep -q "ppm convert" "$smoke_dir/append-v$v.log"
+  cmp "$fixture" "$smoke_dir/v$v.ppmc"
+  ./target/release/ppm append --input "$smoke_dir/v$v-twin.ppmc" --rows "pat0;-;pat1" \
+    --repeat 4 >"$smoke_dir/append-v$v-twin.log"
+  grep -q "appended 12 instants" "$smoke_dir/append-v$v-twin.log"
+  ./target/release/ppm info --input "$smoke_dir/v$v-twin.ppmc" >"$smoke_dir/info-v$v-twin.log"
+  grep -q "^format: *\.ppmc version 3$" "$smoke_dir/info-v$v-twin.log"
+  grep -q "^instants: *612$" "$smoke_dir/info-v$v-twin.log"
+  ./target/release/ppm mine --input "$smoke_dir/v$v-twin.ppmc" --period 12 \
+    --min-conf 0.6 >"$smoke_dir/mine-v$v-twin.log"
+  grep -q "frequent patterns (period 12, 51 segments" "$smoke_dir/mine-v$v-twin.log"
 done
-test -s "$smoke_dir/v1.lines"
-diff "$smoke_dir/v1.lines" "$smoke_dir/v1-twin.lines"
-./target/release/ppm append --input "$smoke_dir/v1.ppmc" --rows "pat0;-;pat1" \
-  --repeat 4 >"$smoke_dir/append-v1.log"
-grep -q "appended 12 instants" "$smoke_dir/append-v1.log"
-./target/release/ppm info --input "$smoke_dir/v1.ppmc" >"$smoke_dir/info-v1.log"
-grep -q "^format: *\.ppmc version 1$" "$smoke_dir/info-v1.log"
-grep -q "^instants: *612$" "$smoke_dir/info-v1.log"
-./target/release/ppm mine --input "$smoke_dir/v1.ppmc" --period 12 \
-  --min-conf 0.6 >"$smoke_dir/mine-v1.log"
-grep -q "frequent patterns (period 12, 51 segments" "$smoke_dir/mine-v1.log"
-# The version-2 fixture (written before the commit slots) goes through the
-# same checks: it mines like its version-3 twin, and an append rewrites it
-# whole as version 2, leaving no staging file.
-cp crates/timeseries/testdata/synthetic-p12-v2.ppmc "$smoke_dir/v2.ppmc"
-./target/release/ppm convert --input "$smoke_dir/v2.ppmc" \
-  --out "$smoke_dir/v2-twin.ppmc" >/dev/null
-for store in v2 v2-twin; do
-  ./target/release/ppm mine --input "$smoke_dir/$store.ppmc" --period 12 \
-    --min-conf 0.6 --limit 100000 | grep '^  ' >"$smoke_dir/$store.lines"
-done
-test -s "$smoke_dir/v2.lines"
-diff "$smoke_dir/v2.lines" "$smoke_dir/v2-twin.lines"
-./target/release/ppm append --input "$smoke_dir/v2.ppmc" --rows "pat0;-;pat1" \
-  --repeat 4 >"$smoke_dir/append-v2.log"
-grep -q "appended 12 instants" "$smoke_dir/append-v2.log"
-test ! -e "$smoke_dir/v2.ppmc.tmp"
-./target/release/ppm info --input "$smoke_dir/v2.ppmc" >"$smoke_dir/info-v2.log"
-grep -q "^format: *\.ppmc version 2$" "$smoke_dir/info-v2.log"
-grep -q "^instants: *612$" "$smoke_dir/info-v2.log"
-./target/release/ppm mine --input "$smoke_dir/v2.ppmc" --period 12 \
-  --min-conf 0.6 >"$smoke_dir/mine-v2.log"
-grep -q "frequent patterns (period 12, 51 segments" "$smoke_dir/mine-v2.log"
 # A follow loop tails the store in the background; one whole appended
 # segment must surface as an audited incremental update.
 ./target/release/ppm mine --input "$smoke_dir/follow.ppmc" --period 25 \

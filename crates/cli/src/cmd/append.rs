@@ -8,13 +8,15 @@
 //!
 //! The publish goes through the columnar appender, which holds the
 //! store's exclusive append lock (a `ppm serve` daemon appending to the
-//! same file waits for it, and it for the daemon). A version-3 store is
-//! grown in place: the new rows, `fdatasync`, then a new commit slot,
-//! `fdatasync` — `O(appended)` bytes. An older store is rewritten whole
-//! through a temp file and an atomic rename. Either way a reader (or a
-//! daemon re-verifying the file) only ever sees the old complete store or
-//! the new complete store. Feature names must already exist in the
-//! store's catalog — the catalog is fixed at store creation.
+//! same file waits for it, and it for the daemon). The store is grown in
+//! place: the new rows, `fdatasync`, then a new commit slot, `fdatasync`
+//! — `O(appended)` bytes — so a reader (or a daemon re-verifying the
+//! file) only ever sees the old complete store or the new complete store.
+//! Only version-3 stores take appends: a version-1/2 store, written by an
+//! older build, is refused as a usage error (exit 2) and left untouched;
+//! `ppm convert --input OLD.ppmc --out NEW.ppmc` rewrites it as version 3.
+//! Feature names must already exist in the store's catalog — the catalog
+//! is fixed at store creation.
 
 use std::io::Write;
 
@@ -86,8 +88,9 @@ pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
 
 #[cfg(test)]
 mod tests {
-    use crate::cmd::testutil::{run_cli, sample_series_file};
+    use crate::cmd::testutil::{run_cli, sample_series_file, temp_path};
     use ppm_timeseries::columnar::ColumnarReader;
+    use std::path::Path;
 
     #[test]
     fn append_grows_the_store_and_the_result_reopens_clean() {
@@ -124,5 +127,61 @@ mod tests {
         // Nothing was staged or published.
         assert_eq!(ColumnarReader::open(&path).unwrap().len(), 90);
         std::fs::remove_file(path).ok();
+    }
+
+    /// A version-1/2 store is refused as a usage error naming its version
+    /// and `ppm convert`, byte-identical and unlocked afterwards (a second
+    /// append gets the same refusal instead of waiting); its converted
+    /// twin appends in place as version 3.
+    #[test]
+    fn append_refuses_v1_and_v2_stores_until_they_are_converted() {
+        for version in [1, 2] {
+            let fixture = format!(
+                "{}/../timeseries/testdata/synthetic-p12-v{version}.ppmc",
+                env!("CARGO_MANIFEST_DIR")
+            );
+            let old = temp_path(&format!("append-v{version}"), "ppmc");
+            let twin = temp_path(&format!("append-v{version}-twin"), "ppmc");
+            std::fs::copy(&fixture, &old).unwrap();
+            let append = |path: &Path| {
+                run_cli(&format!(
+                    "append --input {} --rows pat0;-;pat1 --repeat 4",
+                    path.display()
+                ))
+            };
+            for attempt in 0..2 {
+                let err = append(&old).unwrap_err();
+                assert_eq!(err.exit_code(), 2, "attempt {attempt}: {err}");
+                let text = err.to_string();
+                assert!(text.contains(&format!("version {version}")), "{text}");
+                assert!(text.contains("ppm convert"), "{text}");
+            }
+            assert_eq!(
+                std::fs::read(&old).unwrap(),
+                std::fs::read(&fixture).unwrap()
+            );
+            let mut staging = old.as_os_str().to_owned();
+            staging.push(".tmp");
+            assert!(!Path::new(&staging).exists());
+
+            run_cli(&format!(
+                "convert --input {} --out {}",
+                old.display(),
+                twin.display()
+            ))
+            .unwrap();
+            let text = append(&twin).unwrap();
+            assert!(text.contains("appended 12 instants"), "{text}");
+            assert!(text.contains("612 total"), "{text}");
+            let info = run_cli(&format!("info --input {}", twin.display())).unwrap();
+            assert!(
+                info.contains("format:               .ppmc version 3\n"),
+                "{info}"
+            );
+            let grown = ColumnarReader::open(&twin).unwrap();
+            assert_eq!(grown.commit().unwrap().seq, 2, "one in-place commit");
+            std::fs::remove_file(old).ok();
+            std::fs::remove_file(twin).ok();
+        }
     }
 }

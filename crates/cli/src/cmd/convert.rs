@@ -213,80 +213,38 @@ mod tests {
     }
 
     /// A version-1 store (written before the word-hash checksum) mines
-    /// exactly like its re-conversion (now version 3), and `ppm append`
-    /// keeps it version 1.
+    /// exactly like its re-conversion (now version 3).
     #[test]
-    fn v1_columnar_store_mines_like_its_v2_twin_and_appends_in_place() {
-        let fixture = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../timeseries/testdata/synthetic-p12-v1.ppmc"
-        );
-        let v1 = temp_path("conv-v1", "ppmc");
-        let v2 = temp_path("conv-v2", "ppmc");
-        std::fs::copy(fixture, &v1).unwrap();
-        run_cli(&format!(
-            "convert --input {} --out {}",
-            v1.display(),
-            v2.display()
-        ))
-        .unwrap();
-        let version = |path: &std::path::Path| {
-            ppm_timeseries::columnar::ColumnarReader::open(path)
-                .unwrap()
-                .version()
-        };
-        assert_eq!((version(&v1), version(&v2)), (1, 3));
-        let mine = |path: &std::path::Path, engine: &str| {
-            let out = run_cli(&format!(
-                "mine --input {} --period 12 --min-conf 0.6 --engine {engine} --limit 100000",
-                path.display()
-            ))
-            .unwrap();
-            out.lines()
-                .filter(|l| l.starts_with("  "))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        for engine in ["hitset", "apriori", "vertical", "incremental"] {
-            let lines = mine(&v1, engine);
-            assert!(lines.lines().count() > 20, "{engine}: {lines}");
-            assert_eq!(lines, mine(&v2, engine), "{engine}");
-        }
-        let text = run_cli(&format!(
-            "append --input {} --rows pat0;-;pat1 --repeat 4",
-            v1.display()
-        ))
-        .unwrap();
-        assert!(text.contains("appended 12 instants"), "{text}");
-        assert_eq!(version(&v1), 1);
-        let reader = ppm_timeseries::columnar::ColumnarReader::open(&v1).unwrap();
-        assert_eq!(reader.len(), 612);
-        std::fs::remove_file(v1).ok();
-        std::fs::remove_file(v2).ok();
+    fn v1_columnar_store_mines_like_its_v3_twin() {
+        old_columnar_store_mines_like_its_v3_twin(1);
     }
 
     /// A version-2 store (written before the commit slots) mines exactly
-    /// like its version-3 re-conversion, and `ppm append` grows it through
-    /// the whole-file publish, keeping it version 2 and leaving no staging
-    /// file behind.
+    /// like its version-3 re-conversion.
     #[test]
-    fn v2_columnar_store_mines_like_its_v3_twin_and_appends_whole_file() {
-        let fixture = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../timeseries/testdata/synthetic-p12-v2.ppmc"
+    fn v2_columnar_store_mines_like_its_v3_twin() {
+        old_columnar_store_mines_like_its_v3_twin(2);
+    }
+
+    /// Converts the committed version-`version` fixture and diffs every
+    /// engine's patterns on the fixture against its converted twin.
+    fn old_columnar_store_mines_like_its_v3_twin(version: u32) {
+        let fixture = format!(
+            "{}/../timeseries/testdata/synthetic-p12-v{version}.ppmc",
+            env!("CARGO_MANIFEST_DIR")
         );
-        let v2 = temp_path("conv-v2-fixture", "ppmc");
-        let v3 = temp_path("conv-v3", "ppmc");
-        std::fs::copy(fixture, &v2).unwrap();
+        let old = temp_path(&format!("conv-v{version}"), "ppmc");
+        let v3 = temp_path(&format!("conv-v{version}-twin"), "ppmc");
+        std::fs::copy(fixture, &old).unwrap();
         run_cli(&format!(
             "convert --input {} --out {}",
-            v2.display(),
+            old.display(),
             v3.display()
         ))
         .unwrap();
         let open =
             |path: &std::path::Path| ppm_timeseries::columnar::ColumnarReader::open(path).unwrap();
-        assert_eq!((open(&v2).version(), open(&v3).version()), (2, 3));
+        assert_eq!((open(&old).version(), open(&v3).version()), (version, 3));
         let mine = |path: &std::path::Path, engine: &str| {
             let out = run_cli(&format!(
                 "mine --input {} --period 12 --min-conf 0.6 --engine {engine} --limit 100000",
@@ -299,23 +257,11 @@ mod tests {
                 .join("\n")
         };
         for engine in ["hitset", "apriori", "vertical", "incremental"] {
-            let lines = mine(&v2, engine);
+            let lines = mine(&old, engine);
             assert!(lines.lines().count() > 20, "{engine}: {lines}");
             assert_eq!(lines, mine(&v3, engine), "{engine}");
         }
-        let text = run_cli(&format!(
-            "append --input {} --rows pat0;-;pat1 --repeat 4",
-            v2.display()
-        ))
-        .unwrap();
-        assert!(text.contains("appended 12 instants"), "{text}");
-        let mut staging = v2.as_os_str().to_owned();
-        staging.push(".tmp");
-        assert!(!std::path::Path::new(&staging).exists());
-        let reader = open(&v2);
-        assert_eq!((reader.version(), reader.len()), (2, 612));
-        assert_eq!(reader.commit(), None);
-        std::fs::remove_file(v2).ok();
+        std::fs::remove_file(old).ok();
         std::fs::remove_file(v3).ok();
     }
 }

@@ -420,8 +420,8 @@ fn follow_columnar(
         // Compare-then-resume: an unchanged file is byte-compared, a grown
         // one hashes only its new rows (see `ColumnarReader::reload`).
         reader = match reader.reload(input) {
-            // A failed re-open mid-publish is transient (a whole-file
-            // publish renames the store); the next poll sees the new file.
+            // A failed re-open is transient (a file being renamed over
+            // the store, say); the next poll sees the new file.
             Err(_) | Ok(Reload::Unchanged) => continue,
             Ok(Reload::Extended(fresh)) => fresh,
             Ok(Reload::Rewritten(fresh)) => {

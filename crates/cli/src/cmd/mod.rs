@@ -156,7 +156,10 @@ pub fn save_series_as(
             Ok(())
         }
         Format::Columnar => {
+            // `convert` and `generate` report success only once the store
+            // is durable, so a crash cannot lose a store they announced.
             columnar::write_columnar(path, series, catalog)?;
+            std::fs::File::open(path)?.sync_all()?;
             Ok(())
         }
     }

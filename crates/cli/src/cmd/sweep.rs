@@ -4,8 +4,8 @@
 //! straight into the bitmap rows; other formats are bit-packed once and
 //! every period mines from that borrowed view (the vertical engines loop
 //! over the periods, like Alg 3.3). `--workers N` replaces the
-//! per-period loop with the work-stealing scheduler
-//! ([`ppm_core::multi::mine_periods_scheduled`]).
+//! per-period loop with a pool of N workers claiming periods from one
+//! shared counter ([`ppm_core::multi::mine_periods_scheduled`]).
 //!
 //! With `--checkpoint FILE` the sweep mines one period at a time (the
 //! looping strategy of Alg 3.3), records each completed period in the
@@ -81,7 +81,7 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<StatsRollup, CliError
         for flag in ["checkpoint", "looping"] {
             if args.switch(flag) {
                 return Err(CliError::Usage(format!(
-                    "--workers runs the work-stealing scheduler; it does not \
+                    "--workers runs the shared-counter scheduler; it does not \
                      combine with --{flag}"
                 )));
             }
@@ -128,7 +128,7 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<StatsRollup, CliError
     let (result, how) = match engine {
         _ if workers > 1 => (
             mine_periods_scheduled(view, range, &config, engine, workers)?,
-            format!("work-stealing scheduler, {workers} workers"),
+            format!("shared-counter scheduler, {workers} workers"),
         ),
         Engine::Vertical | Engine::Incremental => (looping()?, "vertical bitmap engine".into()),
         Engine::Apriori => (looping()?, "looping Apriori, Alg 3.3/3.1".into()),
@@ -628,7 +628,7 @@ mod tests {
             ))
             .unwrap();
             assert!(
-                scheduled.contains("work-stealing scheduler, 3 workers"),
+                scheduled.contains("shared-counter scheduler, 3 workers"),
                 "{scheduled}"
             );
             let table = |s: &str| {

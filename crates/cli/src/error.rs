@@ -73,7 +73,9 @@ impl CliError {
             CliError::Series(e) => {
                 // A transient error that reaches the top means every retry
                 // was spent.
-                if e.is_transient() {
+                if matches!(e, ppm_timeseries::Error::ReadOnlyVersion { .. }) {
+                    ErrorCode::Usage.exit_code()
+                } else if e.is_transient() {
                     ErrorCode::RetriesExhausted.exit_code()
                 } else {
                     ErrorCode::Internal.exit_code()
@@ -137,6 +139,8 @@ mod tests {
         assert_eq!(io.exit_code(), 1);
         assert!(io.to_string().contains("boom"));
         assert_eq!(CliError::Audit("claims".into()).exit_code(), 1);
+        let read_only: CliError = ppm_timeseries::Error::ReadOnlyVersion { version: 2 }.into();
+        assert_eq!(read_only.exit_code(), 2);
     }
 
     #[test]

@@ -143,7 +143,8 @@ and exits cleanly. ppm query is the matching client; its mine output is
 byte-identical to direct ppm mine on the same store.
 
 Continuous ingestion: ppm append grows a .ppmc in place (atomic
-publish); mine --follow tails a growing store, re-mining only the
+publish; version-3 stores only: convert an older one first); mine
+--follow tails a growing store, re-mining only the
 patterns an appended segment could have changed through an incremental
 vertical index (bit-identical to a cold mine at every state); ppm query
 --op append sends rows to a daemon, which feeds its live indexes and
@@ -190,8 +191,8 @@ AND + weighted popcount; incremental is the
 vertical engine maintained as segments append (a cold vertical mine on a
 fixed input; live per store under ppm serve and mine --follow). Every
 sweep engine shares ONE encode/load (a .ppmc input opens directly as the
-bitmap rows). sweep --workers N mines the range with a work-stealing
-scheduler (per-worker deques, idle workers steal periods from peers) off
+bitmap rows). sweep --workers N mines the range with a shared-counter
+scheduler (N workers, each idle one claims the next unmined period) off
 that one shared load. Performance races live
 outside ppm, in the ppm-bench crate's `races` binary.
 

@@ -1,28 +1,26 @@
-//! The work-stealing sweep scheduler.
+//! The sweep scheduler: a worker pool over one shared claim counter.
 //!
 //! A period sweep is a bag of independent tasks — "mine period `p`" — whose
 //! costs vary wildly (short periods mean many segments, long periods mean
 //! wide alphabets), so a static partition leaves workers idle behind one
-//! slow period. This scheduler runs a persistent worker pool over a shared
-//! task bag instead: every worker owns a deque seeded round-robin, and an
-//! idle worker first drains its own deque (front), then *steals* from the
-//! back of a peer's deque. All workers mine from the **same** borrowed
+//! slow period. The tasks are known up front and share nothing, so one
+//! atomic counter balances them: each idle worker claims the next
+//! unclaimed period index, and a worker stuck on a slow period simply
+//! claims fewer. All workers mine from the **same** borrowed
 //! [`EncodedSeriesView`] — one encode or one columnar file load for the
 //! whole sweep, never one per period.
 //!
 //! Results merge in period order, so the output is indistinguishable from
 //! the sequential loop (the integration tests assert bit-identical results
-//! and stats). Instrumented through `ppm-observe`: `sweep.tasks_stolen`
-//! (counter), `sweep.worker_busy_us` (gauge, total busy time summed over
-//! workers), `sweep.tasks` (counter, periods mined), and the per-period
-//! task-latency distribution as `sweep.task_us_{p50,p90,p99,max}` gauges
-//! (each worker records task durations into a local log-linear
-//! [`Histogram`], merged after the join — recording never synchronizes
-//! the pool).
+//! and stats). Instrumented through `ppm-observe`: `sweep.workers` (gauge),
+//! `sweep.worker_busy_us` (gauge, total busy time summed over workers),
+//! `sweep.tasks` (counter, periods mined), and the per-period task-latency
+//! distribution as `sweep.task_us_{p50,p90,p99,max}` gauges (each worker
+//! records task durations into a local log-linear [`Histogram`], merged
+//! after the join — recording never synchronizes the pool).
 
 use std::any::Any;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -63,52 +61,67 @@ fn report_task_latency(task_us: &Histogram) {
     ppm_observe::gauge("sweep.task_us_max", task_us.max());
 }
 
-/// The scheduler's task bag: one deque of period indexes per worker.
-///
-/// The discipline is the classic work-stealing one: owners pop their own
-/// deque from the front, and thieves take from the *back* of a victim's
-/// deque so owner and thief touch opposite ends.
-struct Deques {
-    workers: Vec<Mutex<VecDeque<usize>>>,
+/// The sweep's shared state: the periods, the claim counter over them,
+/// and what the workers leave behind.
+struct Bag<'a> {
+    view: EncodedSeriesView<'a>,
+    periods: &'a [usize],
+    config: &'a MineConfig,
+    engine: Engine,
+    /// The index of the next unclaimed period.
+    next: AtomicUsize,
+    /// Set by the first non-guard failure: no worker claims after it.
+    abort: AtomicBool,
+    results: Mutex<Vec<(usize, MiningResult)>>,
+    failures: Mutex<Vec<PeriodFailure>>,
+    first_error: Mutex<Option<Error>>,
 }
 
-impl Deques {
-    /// Seeds `n_tasks` period indexes round-robin across `n_workers`
-    /// worker deques.
-    fn seed(n_tasks: usize, n_workers: usize) -> Self {
-        let mut queues: Vec<VecDeque<usize>> = (0..n_workers).map(|_| VecDeque::new()).collect();
-        for task in 0..n_tasks {
-            queues[task % n_workers].push_back(task);
-        }
-        Deques {
-            workers: queues.into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// The next period index for worker `me`, and whether it was stolen:
-    /// own deque front first, then a scan of the other workers' deque
-    /// backs. `None` means the whole bag is empty.
-    fn pop(&self, me: usize) -> Option<(usize, bool)> {
-        if let Some(t) = self.workers[me].lock().expect("deque poisoned").pop_front() {
-            return Some((t, false));
-        }
-        for step in 1..self.workers.len() {
-            let victim = (me + step) % self.workers.len();
-            if let Some(t) = self.workers[victim]
-                .lock()
-                .expect("deque poisoned")
-                .pop_back()
-            {
-                return Some((t, true));
+impl Bag<'_> {
+    /// One worker: claims and mines periods until none is left or the
+    /// sweep aborts. Returns its busy time and task-latency histogram.
+    fn work(&self) -> (u64, Histogram) {
+        let mut busy_us = 0u64;
+        let mut task_us = Histogram::with_default_precision();
+        while !self.abort.load(Ordering::Relaxed) {
+            let task = self.next.fetch_add(1, Ordering::Relaxed);
+            let Some(&period) = self.periods.get(task) else {
+                break;
+            };
+            let start = Instant::now();
+            let outcome = crate::run(self.engine, self.view, period, self.config);
+            let elapsed_us = start.elapsed().as_micros() as u64;
+            busy_us += elapsed_us;
+            task_us.record(elapsed_us);
+            match outcome {
+                Ok(result) => self
+                    .results
+                    .lock()
+                    .expect("results poisoned")
+                    .push((task, result)),
+                // A guard trip fails only this period; the rest of the bag
+                // keeps draining.
+                Err(e) if e.partial_stats().is_some() => self
+                    .failures
+                    .lock()
+                    .expect("failures poisoned")
+                    .push(PeriodFailure { period, error: e }),
+                Err(e) => {
+                    self.first_error
+                        .lock()
+                        .expect("error slot poisoned")
+                        .get_or_insert(e);
+                    self.abort.store(true, Ordering::Relaxed);
+                }
             }
         }
-        None
+        (busy_us, task_us)
     }
 }
 
-/// Mines every period in `range` from one shared bitmap view with a
-/// work-stealing pool of `workers` threads (clamped to between 1 and the
-/// period count; one worker runs inline with no pool).
+/// Mines every period in `range` from one shared bitmap view with a pool
+/// of `workers` threads claiming periods from one counter (clamped to
+/// between 1 and the period count; one worker runs inline with no pool).
 ///
 /// The load/encode cost is paid **once** for the whole sweep — the view is
 /// borrowed by every worker — and results are merged in ascending period
@@ -145,123 +158,46 @@ pub fn mine_periods_scheduled(
     let _span = ppm_observe::span("sweep.schedule");
     ppm_observe::gauge("sweep.workers", workers as u64);
 
-    if workers == 1 {
-        // Inline path: same shared view, no pool to pay for — including the
-        // same guard discipline (a tripped period is recorded, not fatal).
-        let start = Instant::now();
-        let mut results = Vec::with_capacity(periods.len());
-        let mut failures = Vec::new();
-        let mut task_us = Histogram::with_default_precision();
-        for &p in &periods {
-            let task_start = Instant::now();
-            let outcome = crate::run(engine, view, p, config);
-            task_us.record(task_start.elapsed().as_micros() as u64);
-            match outcome {
-                Ok(r) => results.push(r),
-                Err(e) if e.partial_stats().is_some() => failures.push(PeriodFailure {
-                    period: p,
-                    error: e,
-                }),
-                Err(e) => return Err(e),
+    let bag = Bag {
+        view,
+        periods: &periods,
+        config,
+        engine,
+        next: AtomicUsize::new(0),
+        abort: AtomicBool::new(false),
+        results: Mutex::new(Vec::with_capacity(periods.len())),
+        failures: Mutex::new(Vec::new()),
+        first_error: Mutex::new(None),
+    };
+    let (busy_us, task_us) = if workers == 1 {
+        // No pool to pay for: the one worker runs on this thread.
+        bag.work()
+    } else {
+        // Workers run detached from the observe context on purpose:
+        // per-task engine spans from concurrent periods would interleave
+        // into one aggregate and poison per-phase timings. The scheduler
+        // reports its own metrics from this thread after the join instead.
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(|| bag.work())).collect();
+            let mut busy_total = 0u64;
+            let mut merged = Histogram::with_default_precision();
+            for h in handles {
+                let (busy_us, task_us) = h.join().map_err(worker_panic)?;
+                busy_total += busy_us;
+                merged.merge(&task_us);
             }
-        }
-        ppm_observe::counter("sweep.tasks_stolen", 0);
-        ppm_observe::gauge("sweep.worker_busy_us", start.elapsed().as_micros() as u64);
-        report_task_latency(&task_us);
-        let total_scans = results.iter().map(|r| r.stats.series_scans).sum();
-        return Ok(MultiPeriodResult {
-            results,
-            total_scans,
-            failures,
-        });
-    }
-
-    let deques = Deques::seed(periods.len(), workers);
-    let stolen = AtomicU64::new(0);
-    let abort = AtomicBool::new(false);
-    let collected: Mutex<Vec<(usize, MiningResult)>> =
-        Mutex::new(Vec::with_capacity(periods.len()));
-    let failed: Mutex<Vec<PeriodFailure>> = Mutex::new(Vec::new());
-    let first_error: Mutex<Option<Error>> = Mutex::new(None);
-
-    let deques_ref = &deques;
-    let stolen_ref = &stolen;
-    let abort_ref = &abort;
-    let collected_ref = &collected;
-    let failed_ref = &failed;
-    let error_ref = &first_error;
-    let periods_ref = &periods;
-
-    // Workers run detached from the observe context on purpose: per-task
-    // engine spans from concurrent periods would interleave into one
-    // aggregate and poison per-phase timings. The scheduler reports its own
-    // metrics from the main thread after the join instead.
-    let (busy_total, task_us): (u64, Histogram) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let mut busy_us = 0u64;
-                    let mut task_us = Histogram::with_default_precision();
-                    while !abort_ref.load(Ordering::Relaxed) {
-                        let Some((task, was_stolen)) = deques_ref.pop(w) else {
-                            break;
-                        };
-                        if was_stolen {
-                            stolen_ref.fetch_add(1, Ordering::Relaxed);
-                        }
-                        let start = Instant::now();
-                        let outcome = crate::run(engine, view, periods_ref[task], config);
-                        let elapsed_us = start.elapsed().as_micros() as u64;
-                        busy_us += elapsed_us;
-                        task_us.record(elapsed_us);
-                        match outcome {
-                            Ok(result) => collected_ref
-                                .lock()
-                                .expect("results poisoned")
-                                .push((task, result)),
-                            // A guard trip fails only this period; the rest
-                            // of the bag keeps draining.
-                            Err(e) if e.partial_stats().is_some() => failed_ref
-                                .lock()
-                                .expect("failures poisoned")
-                                .push(PeriodFailure {
-                                    period: periods_ref[task],
-                                    error: e,
-                                }),
-                            Err(e) => {
-                                let mut slot = error_ref.lock().expect("error slot poisoned");
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                abort_ref.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                    (busy_us, task_us)
-                })
-            })
-            .collect();
-        let mut busy_total = 0u64;
-        let mut merged = Histogram::with_default_precision();
-        for h in handles {
-            let (busy_us, task_us) = h.join().map_err(worker_panic)?;
-            busy_total += busy_us;
-            merged.merge(&task_us);
-        }
-        Ok::<_, Error>((busy_total, merged))
-    })?;
-
-    ppm_observe::counter("sweep.tasks_stolen", stolen.load(Ordering::Relaxed));
-    ppm_observe::gauge("sweep.worker_busy_us", busy_total);
+            Ok::<_, Error>((busy_total, merged))
+        })?
+    };
+    ppm_observe::gauge("sweep.worker_busy_us", busy_us);
     report_task_latency(&task_us);
 
-    if let Some(e) = first_error.into_inner().expect("error slot poisoned") {
+    if let Some(e) = bag.first_error.into_inner().expect("error slot poisoned") {
         return Err(e);
     }
-    let mut collected = collected.into_inner().expect("results poisoned");
+    let mut collected = bag.results.into_inner().expect("results poisoned");
     collected.sort_by_key(|&(task, _)| task);
-    let mut failures = failed.into_inner().expect("failures poisoned");
+    let mut failures = bag.failures.into_inner().expect("failures poisoned");
     failures.sort_by_key(|f| f.period);
     debug_assert_eq!(collected.len() + failures.len(), periods.len());
     let results: Vec<MiningResult> = collected.into_iter().map(|(_, r)| r).collect();
@@ -302,39 +238,6 @@ mod tests {
             b.push_instant(inst);
         }
         b.finish()
-    }
-
-    // ---- Deterministic deque mechanics (no thread timing involved). ----
-
-    #[test]
-    fn seeding_is_round_robin() {
-        let d = Deques::seed(5, 2);
-        assert_eq!(*d.workers[0].lock().unwrap(), [0, 2, 4]);
-        assert_eq!(*d.workers[1].lock().unwrap(), [1, 3]);
-    }
-
-    #[test]
-    fn owner_pops_its_own_deque_from_the_front() {
-        let d = Deques::seed(5, 2);
-        assert_eq!(d.pop(0), Some((0, false)));
-        assert_eq!(d.pop(0), Some((2, false)));
-        assert_eq!(d.pop(1), Some((1, false)));
-    }
-
-    #[test]
-    fn thieves_take_from_the_back_of_a_victim() {
-        let d = Deques::seed(6, 2); // w0: [0,2,4], w1: [1,3,5]
-                                    // Exhaust worker 1's own deque.
-        assert_eq!(d.pop(1), Some((1, false)));
-        assert_eq!(d.pop(1), Some((3, false)));
-        assert_eq!(d.pop(1), Some((5, false)));
-        // Now worker 1 steals worker 0's *newest* task (back = 4), while
-        // worker 0 still pops its oldest (front = 0).
-        assert_eq!(d.pop(1), Some((4, true)));
-        assert_eq!(d.pop(0), Some((0, false)));
-        assert_eq!(d.pop(1), Some((2, true)));
-        assert!(d.pop(0).is_none());
-        assert!(d.pop(1).is_none());
     }
 
     /// A single-period vertical sweep with more workers than periods runs

@@ -1190,10 +1190,14 @@ impl Server {
         // fully validated (a corrupt one fails here) and the publish
         // below refuses a base that is not the resident load. The
         // appender holds the file's append lock from here on, so an
-        // external `ppm append` waits for this one.
+        // external `ppm append` waits for this one. A version-1/2 store
+        // is refused as a usage error: it serves reads, not appends.
         let verify = ppm_observe::span("append.verify");
-        let mut app = ColumnarAppender::open_resident(&store.path, &resident)
-            .map_err(|e| OpError::internal(format!("append open failed: {e}")))?;
+        let mut app =
+            ColumnarAppender::open_resident(&store.path, &resident).map_err(|e| match e {
+                ppm_timeseries::Error::ReadOnlyVersion { .. } => OpError::usage(e.to_string()),
+                e => OpError::internal(format!("append open failed: {e}")),
+            })?;
         drop(verify);
         for feats in &instants {
             app.append_instant(feats)
@@ -1747,6 +1751,60 @@ mod tests {
         let (cached, _) = server.cache.lock().unwrap().lookup(&key);
         let cached = cached.expect("cached under the grown fingerprint");
         assert_eq!(cached.segment_count, 8, "mined off the grown load");
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(socket).ok();
+    }
+
+    /// The `append` op on a served version-2 store answers wire code 2
+    /// (usage) naming the version and `ppm convert`, twice — the refusal
+    /// releases the append lock — while the file stays byte-identical, no
+    /// staging file appears, health stays ready and `mine` keeps answering.
+    #[test]
+    fn append_to_a_v2_store_is_a_usage_error_and_the_store_keeps_serving() {
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../timeseries/testdata/synthetic-p12-v2.ppmc"
+        );
+        let tmp = |ext: &str| {
+            std::env::temp_dir().join(format!("ppm-serve-server-{}-v2.{ext}", std::process::id()))
+        };
+        let (path, socket) = (tmp("ppmc"), tmp("sock"));
+        std::fs::copy(fixture, &path).unwrap();
+        let registry = StoreRegistry::open(&[&path]).unwrap();
+        let server = Server::bind(registry, ServeConfig::new(Bind::Unix(socket.clone()))).unwrap();
+        let name = server.registry().iter().next().unwrap().name.clone();
+        let request = |body: &str| {
+            let req = Json::parse(&format!(
+                r#"{{"v":{},"store":"{name}",{body}}}"#,
+                protocol::VERSION
+            ))
+            .unwrap();
+            server.dispatch(&req)
+        };
+        for attempt in 0..2 {
+            let resp = request(r#""op":"append","rows":[["pat0"],[]]"#);
+            assert_eq!(resp.get("type").and_then(Json::as_str), Some("error"));
+            assert_eq!(
+                resp.get("code").and_then(Json::as_u64),
+                Some(2),
+                "{attempt}"
+            );
+            let message = resp.get("message").and_then(Json::as_str).unwrap();
+            assert!(message.contains("version 2"), "{message}");
+            assert!(message.contains("ppm convert"), "{message}");
+        }
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            std::fs::read(fixture).unwrap()
+        );
+        let mut staging = path.as_os_str().to_owned();
+        staging.push(".tmp");
+        assert!(!std::path::Path::new(&staging).exists());
+        let health = request(r#""op":"health""#);
+        assert_eq!(health.get("ready"), Some(&Json::Bool(true)));
+        assert_eq!(health.get("degraded"), Some(&Json::Bool(false)));
+        let mine = request(r#""op":"mine","period":12,"min_conf":0.6"#);
+        assert_eq!(mine.get("type").and_then(Json::as_str), Some("result"));
         std::fs::remove_file(path).ok();
         std::fs::remove_file(socket).ok();
     }

@@ -17,14 +17,15 @@
 //! Each store also carries a health bit. [`StoreRegistry::reverify_all`]
 //! re-reads every backing file and judges it against the resident load
 //! with [`ColumnarReader::reload`]: compare first, resume the checksum
-//! for growth, and fall back to the full trailer-checksum validation for
+//! for growth, and fall back to the full checksum validation for
 //! anything else. Three verdicts:
 //!
 //! - **unchanged** — byte-identical to the resident load (or, after a
 //!   full validation, the same fingerprint): healthy, nothing to do;
 //! - **grown** — the file is the resident load plus appended whole
 //!   instants, its checksum resumed from the resident midstate over the
-//!   new rows: an appender published new instants. This is *not*
+//!   new rows (a version-1/2 file, with no commit slots to resume from,
+//!   is validated whole): an appender published new instants. This is *not*
 //!   corruption; the grown reader is swapped in (queries started on the
 //!   old `Arc` finish on it) and the store stays healthy;
 //! - **diverged** — vanished, corrupt, or rewritten with different

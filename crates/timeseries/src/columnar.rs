@@ -43,33 +43,30 @@
 //! Version 2 has the same header, padded only to a multiple of 8, no
 //! slots, and a trailer instead: `n_instants` at EOF−16 and the checksum
 //! (the same word hash, over the bytes `[0, EOF−8)`) at EOF−8. Version 1
-//! has no padding and an FNV-1a trailer checksum. Both are still read, and
-//! an append keeps a store's version.
+//! has no padding and an FNV-1a trailer checksum. Both are still read —
+//! opened, mined, audited, reloaded — but take no appends: an appender
+//! refuses them with [`Error::ReadOnlyVersion`] before it writes anything,
+//! and `ppm convert` rewrites one as version 3.
 //!
 //! Every [`ColumnarReader`] keeps the checksum midstate over its header
 //! and rows, so an appender built on a verified load hashes only the `k`
 //! appended rows (`O(k)`), and [`ColumnarReader::reload`] checks a grown
-//! file by comparing the old bytes and resuming the hash over the new rows
-//! alone.
+//! version-3 file by comparing the old bytes and resuming the hash over
+//! the new rows alone.
 //!
 //! **Publishing an append.** [`ColumnarAppender`] takes an exclusive
 //! advisory lock on the file before it verifies the base, so two appenders
 //! (a CLI and a daemon, say) never interleave, and holds it until it is
-//! dropped. On a version-3 store [`ColumnarAppender::finish`] writes in
-//! place, `O(appended)` bytes in all: the new rows at the committed end,
-//! `fdatasync`, then the next commit (`seq + 1`) over the *older* slot,
-//! `fdatasync`. A crash before the slot write leaves the old commit, with
-//! the new rows as an uncommitted tail; a torn slot write fails its slot
-//! hash, so the other slot — the old commit — is opened, and
-//! [`ColumnarReader::commit`] reports the rollback; a finished slot write
-//! commits the new rows, which were synced first. Every state is exactly
-//! the old store or the new one. Versions 1 and 2 have no slots, so their
-//! only crash-safe publish is the whole-file rewrite: the complete new
-//! store goes to a same-directory `<store>.tmp`, is fsynced, renamed over
-//! the original, and the directory is fsynced (the same publish
-//! discipline as the sweep checkpoint); any failure removes the staging
-//! file. Both publishes are one ordered plan of writes and syncs, which
-//! the tests replay prefix by prefix.
+//! dropped. [`ColumnarAppender::finish`] writes in place, `O(appended)`
+//! bytes in all: the new rows at the committed end, `fdatasync`, then the
+//! next commit (`seq + 1`) over the *older* slot, `fdatasync`. A crash
+//! before the slot write leaves the old commit, with the new rows as an
+//! uncommitted tail; a torn slot write fails its slot hash, so the other
+//! slot — the old commit — is opened, and [`ColumnarReader::commit`]
+//! reports the rollback; a finished slot write commits the new rows,
+//! which were synced first. Every state is exactly the old store or the
+//! new one. The publish is one ordered plan of writes and syncs, which the
+//! tests replay prefix by prefix.
 //!
 //! Corruption is rejected with a named byte offset (`Error::Corrupt`), the
 //! same policy as the checkpoint and stream-storage formats: a damaged
@@ -79,8 +76,8 @@
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Cursor, Read, Seek, SeekFrom, Write};
-use std::os::unix::fs::MetadataExt;
-use std::path::{Path, PathBuf};
+use std::os::unix::fs::{FileExt, MetadataExt};
+use std::path::Path;
 
 use crate::catalog::{FeatureCatalog, FeatureId};
 use crate::encoded::{EncodedSeries, EncodedSeriesView};
@@ -91,7 +88,7 @@ use crate::storage::binary::Fnv64;
 const MAGIC: &[u8; 4] = b"PPMC";
 /// The version [`write_columnar`] writes: commit slots, in-place appends.
 const VERSION: u32 = 3;
-/// The version [`columnar_bytes`] writes: padded header, word-hash trailer.
+/// The second version: padded header, word-hash trailer.
 const VERSION_V2: u32 = 2;
 /// The first version: unpadded header, FNV-1a trailer.
 const VERSION_V1: u32 = 1;
@@ -306,14 +303,6 @@ pub struct CommitInfo {
 pub fn encode_columnar(series: &FeatureSeries, catalog: &FeatureCatalog) -> Vec<u8> {
     let encoded = EncodedSeries::encode(series);
     store_bytes(encoded.view(), catalog, VERSION)
-}
-
-/// Serializes an already-encoded view (and a catalog) into version-2
-/// `.ppmc` bytes: the slot-less layout whose appends rewrite the whole
-/// file. New stores are version 3 ([`encode_columnar`], [`write_columnar`]);
-/// this writes the older layout for compatibility.
-pub fn columnar_bytes(view: EncodedSeriesView<'_>, catalog: &FeatureCatalog) -> Vec<u8> {
-    store_bytes(view, catalog, VERSION_V2)
 }
 
 /// The header's alignment: its padding ends on this boundary.
@@ -676,8 +665,7 @@ impl ColumnarReader {
     }
 
     /// The store's format version: 3 for every store this crate writes
-    /// with [`write_columnar`], 2 or 1 for an older store (appends keep
-    /// the version).
+    /// with [`write_columnar`], 2 or 1 for an older, read-only store.
     pub fn version(&self) -> u32 {
         self.version
     }
@@ -746,12 +734,13 @@ impl ColumnarReader {
     /// - a file byte-for-byte equal to this load (header, catalog, words,
     ///   and the same trailer or newest commit slot) is
     ///   [`Reload::Unchanged`] without hashing anything;
-    /// - a file that starts with this load's header and words is checked
-    ///   by resuming the checksum from this load's midstate over only the
-    ///   new rows: [`Reload::Extended`];
-    /// - anything else gets the full validating [`Self::open`], so a
-    ///   corrupt file fails with the same error, and a valid one is
-    ///   classified by fingerprint and [`Self::extends`].
+    /// - a version-3 file that starts with this load's header and words
+    ///   and commits more rows is checked by resuming the checksum from
+    ///   this load's midstate over only the new rows: [`Reload::Extended`];
+    /// - anything else — a version-1/2 file another writer grew included —
+    ///   gets the full validating [`Self::open`], so a corrupt file fails
+    ///   with the same error, and a valid one is classified by fingerprint
+    ///   and [`Self::extends`].
     ///
     /// The compare streams the file in blocks: only the bytes past this
     /// load are buffered. Byte equality with a load that was
@@ -838,44 +827,30 @@ impl ColumnarReader {
 
     /// This load plus the whole instants that follow it in `past`,
     /// verified by resuming the checksum over the new rows alone; `None`
-    /// if `past` commits anything else (the caller's full validation
-    /// names the failure).
+    /// if `past` commits anything else, or has no commit slots (a
+    /// version-1/2 file: the caller's full validation judges it).
     fn resume(&self, past: &Past) -> Option<ColumnarReader> {
+        let c = Commit::newest(&past.slots)?;
         let row_bytes = self.words_per_instant * 8;
         if row_bytes == 0 {
             return None;
         }
-        let (new, n_instants, checksum) = if self.version == VERSION {
-            let c = Commit::newest(&past.slots)?;
-            let n_instants = usize::try_from(c.n_instants).ok()?;
-            let added = n_instants.checked_sub(self.n_instants)? * row_bytes;
-            (past.rest.get(..added)?, n_instants, c.checksum)
-        } else {
-            let (new, trailer) = past.rest.split_at(past.rest.len().checked_sub(TRAILER)?);
-            if !new.len().is_multiple_of(row_bytes) {
-                return None;
-            }
-            let n_instants = self.n_instants + new.len() / row_bytes;
-            let (count, sum) = trailer.split_at(8);
-            if count != (n_instants as u64).to_le_bytes() {
-                return None;
-            }
-            let sum = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
-            (new, n_instants, sum)
-        };
+        let n_instants = usize::try_from(c.n_instants).ok()?;
+        let added = n_instants.checked_sub(self.n_instants)? * row_bytes;
+        let new = past.rest.get(..added)?;
         if new.is_empty() {
             return None;
         }
         let mut midstate = self.midstate.clone();
         midstate.update(new);
-        if midstate.sealed(n_instants) != checksum {
+        if midstate.sealed(n_instants) != c.checksum {
             return None;
         }
         let growth = Growth {
             base_fingerprint: self.checksum,
             words: le_words(new).collect(),
             n_instants,
-            checksum,
+            checksum: c.checksum,
             midstate,
             slots: past.slots,
             file_bytes: past.len,
@@ -897,7 +872,7 @@ impl ColumnarReader {
 }
 
 /// Incremental segment arrival: appends encoded rows to an existing
-/// `.ppmc` file with crash-safe publication.
+/// version-3 `.ppmc` file with crash-safe publication.
 ///
 /// An appender is a verified load plus pending rows, holding the file's
 /// exclusive append lock from open until it is dropped. It resumes the
@@ -905,31 +880,26 @@ impl ColumnarReader {
 /// hashing: the hash cost of an append is O(new rows). [`Self::open`]
 /// validates the file once; [`Self::open_resident`] hashes nothing when
 /// the file is byte-for-byte a load the caller already holds. Either way
-/// the appender keeps the opened file, not a copy of it. [`Self::finish`]
-/// publishes a version-3 store in place — new rows, sync, commit slot,
-/// sync — and an older store by the whole-file rewrite (see the module
-/// docs). A crash (or `kill -9`) at any point leaves either the prior
-/// store or the finished store on disk — both openable — never a hybrid.
+/// the appender keeps the opened file, not a copy of it. Both refuse a
+/// version-1/2 store with [`Error::ReadOnlyVersion`], releasing the lock
+/// and writing nothing. [`Self::finish`] publishes in place — new rows,
+/// sync, commit slot, sync (see the module docs). A crash (or `kill -9`)
+/// at any point leaves either the prior store or the finished store on
+/// disk — both openable — never a hybrid.
 #[derive(Debug)]
 pub struct ColumnarAppender {
-    path: PathBuf,
     /// The opened store, locked for appending. Its header and committed
-    /// rows were verified at open; a version-3 publish writes through this
-    /// handle, and a whole-file publish copies the verified bytes from it,
-    /// which a rename over `path` does not disturb.
+    /// rows were verified at open; the publish writes through this handle.
     file: File,
-    version: u32,
-    /// Where the verified rows end: the committed end a version-3 append
-    /// writes at, or the start of an older store's trailer.
+    /// Where the committed rows end: where the pending rows are written.
     prefix_len: u64,
     /// The file's length as opened.
     file_len: u64,
-    /// Version 3: the offset of slot 0.
+    /// The offset of slot 0.
     slots_at: u64,
-    /// Version 3: the commit slots as verified.
+    /// The commit slots as verified.
     slots: Slots,
-    /// Checksum state over the verified bytes plus any pending rows, in
-    /// the store's own version: an append never changes the version.
+    /// Checksum state over the verified bytes plus any pending rows.
     hash: Digest,
     width: usize,
     words_per_instant: usize,
@@ -944,26 +914,10 @@ pub struct ColumnarAppender {
 /// (`ColumnarAppender::plan`) in order, and the tests replay it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Step {
-    /// Create `<store>.tmp` and copy the store's verified bytes before
-    /// its trailer into it (versions 1 and 2).
-    Stage,
-    /// Write `bytes` at offset `at` of the store (version 3) or of the
-    /// staging file.
+    /// Write `bytes` at offset `at` of the store.
     Write { at: u64, bytes: Vec<u8> },
-    /// Flush the written file's data to disk: `fdatasync` the store, or
-    /// `fsync` the staging file.
+    /// Flush the store's written data to disk (`fdatasync`).
     Sync,
-    /// Rename the staging file over the store, then fsync its directory.
-    Rename,
-}
-
-/// The staging path the whole-file publish goes through: `<store>.tmp`,
-/// always in the store's own directory so the rename cannot cross
-/// filesystems.
-fn staging_path(path: &Path) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(".tmp");
-    PathBuf::from(os)
 }
 
 /// Opens `path` for reading and writing and takes its exclusive append
@@ -972,8 +926,9 @@ fn lock_store(path: &Path) -> Result<File> {
     loop {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         file.lock()?;
-        // A whole-file publish renames a new file over `path`; a lock won
-        // on the file it replaced guards nothing, so lock the new one.
+        // Something may rename a new file over `path` (a `ppm convert`
+        // into place, say) while this waits; a lock won on the file it
+        // replaced guards nothing, so lock the new one.
         let (held, named) = (file.metadata()?, std::fs::metadata(path)?);
         if (held.dev(), held.ino()) == (named.dev(), named.ino()) {
             return Ok(file);
@@ -984,14 +939,8 @@ fn lock_store(path: &Path) -> Result<File> {
 impl ColumnarAppender {
     /// Opens `path` for appending: takes the file's append lock, then
     /// validates the existing contents (one checksum pass).
-    ///
-    /// A stale staging file (`<path>.tmp`) left behind by a crashed
-    /// whole-file publish is removed here: the rename never happened, so
-    /// the original store is authoritative and the orphan holds nothing
-    /// worth keeping.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref();
-        Self::verify(path, lock_store(path)?)
+        Self::verify(lock_store(path.as_ref())?)
     }
 
     /// Opens `path` for appending on top of `resident`, a verified load of
@@ -1001,33 +950,33 @@ impl ColumnarAppender {
     /// checksum midstate and hashes nothing of the existing store. Any
     /// mismatch falls back to [`Self::open`]'s full validation — a corrupt
     /// file is rejected with the same error, and a valid but different one
-    /// opens (so [`Self::finish_extending`] with `resident` then refuses it
+    /// opens (so [`Self::finish_growth`] with `resident` then refuses it
     /// before writing).
     pub fn open_resident(path: impl AsRef<Path>, resident: &ColumnarReader) -> Result<Self> {
-        let path = path.as_ref();
-        let mut file = lock_store(path)?;
+        let mut file = lock_store(path.as_ref())?;
         match resident.read_past_load(&mut file)? {
-            Some(past) if resident.is_current(&past) => {
-                Ok(Self::on(path, file, resident, past.len))
-            }
-            _ => Self::verify(path, file),
+            Some(past) if resident.is_current(&past) => Self::on(file, resident, past.len),
+            _ => Self::verify(file),
         }
     }
 
     /// An appender on `file` after a full validation of it.
-    fn verify(path: &Path, file: File) -> Result<Self> {
+    fn verify(file: File) -> Result<Self> {
         let base = ColumnarReader::load_file(&file, false)?;
-        Ok(Self::on(path, file, &base, base.file_bytes))
+        Self::on(file, &base, base.file_bytes)
     }
 
     /// An appender on `file`, `len` bytes long, verified to hold `base`
-    /// (whose `words` may be left undecoded).
-    fn on(path: &Path, file: File, base: &ColumnarReader, len: usize) -> Self {
-        std::fs::remove_file(staging_path(path)).ok();
-        ColumnarAppender {
-            path: path.to_path_buf(),
+    /// (whose `words` may be left undecoded). A version-1/2 `base` is
+    /// refused, and dropping `file` releases the lock.
+    fn on(file: File, base: &ColumnarReader, len: usize) -> Result<Self> {
+        if base.version != VERSION {
+            return Err(Error::ReadOnlyVersion {
+                version: base.version,
+            });
+        }
+        Ok(ColumnarAppender {
             file,
-            version: base.version,
             prefix_len: base.committed_end() as u64,
             file_len: len as u64,
             slots_at: base.header.len() as u64,
@@ -1038,7 +987,7 @@ impl ColumnarAppender {
             n_instants: base.n_instants,
             pending: Vec::new(),
             opened_fingerprint: base.checksum,
-        }
+        })
     }
 
     /// The fingerprint of the store as it was opened, before any append.
@@ -1050,7 +999,7 @@ impl ColumnarAppender {
     /// publishes the pending rows — sealed from the running checksum
     /// state (the store's own hash, resumed over the pending rows) without
     /// touching the file. Lets a live reader adopt the appended state (see
-    /// [`Self::finish_extending`]) and lets caches be re-keyed before the
+    /// [`Self::finish_growth`]) and lets caches be re-keyed before the
     /// publish lands.
     pub fn preview_fingerprint(&self) -> u64 {
         self.hash.sealed(self.n_instants)
@@ -1096,63 +1045,38 @@ impl ColumnarAppender {
         Ok(())
     }
 
-    /// The commit a version-3 publish writes: the next `seq`, over the
-    /// older slot.
-    fn next_commit(&self) -> Option<Commit> {
-        Commit::newest(&self.slots).map(|c| Commit {
-            seq: c.seq + 1,
+    /// The commit the publish writes: the next `seq`, over the older slot.
+    fn next_commit(&self) -> Commit {
+        let last = Commit::newest(&self.slots).expect("a verified version-3 load has a commit");
+        Commit {
+            seq: last.seq + 1,
             n_instants: self.n_instants as u64,
             checksum: self.preview_fingerprint(),
-        })
-    }
-
-    /// The publish, as the ordered writes and syncs [`Self::finish`] runs.
-    /// Version 3, in place: the pending rows at the committed end, sync,
-    /// the next commit over the older slot, sync. Versions 1 and 2: stage
-    /// a copy, write the rows and the new trailer after it, sync, rename.
-    fn plan(&self) -> Vec<Step> {
-        match self.next_commit() {
-            Some(next) => vec![
-                Step::Write {
-                    at: self.prefix_len,
-                    bytes: self.pending.clone(),
-                },
-                Step::Sync,
-                Step::Write {
-                    at: self.slots_at + (next.slot() * SLOT_BLOCK) as u64,
-                    bytes: next.record().to_vec(),
-                },
-                Step::Sync,
-            ],
-            None => {
-                let mut tail = self.pending.clone();
-                tail.extend_from_slice(&(self.n_instants as u64).to_le_bytes());
-                tail.extend_from_slice(&self.preview_fingerprint().to_le_bytes());
-                vec![
-                    Step::Stage,
-                    Step::Write {
-                        at: self.prefix_len,
-                        bytes: tail,
-                    },
-                    Step::Sync,
-                    Step::Rename,
-                ]
-            }
         }
     }
 
-    /// Publishes the appended store crash-safely; returns the new total
-    /// instant count.
-    ///
-    /// A version-3 store is written in place: `O(appended)` bytes and two
-    /// `fdatasync`s, no temp file and no rename. An older store is
-    /// rewritten whole — the verified prefix copied from the opened file,
-    /// pending rows, refreshed trailer — to `<path>.tmp`, fsynced *before*
-    /// the atomic rename over `path`, and the parent directory is fsynced
-    /// so the rename itself survives a power cut. If any step fails (the
-    /// opened file was cut short in place, the disk filled, the rename
-    /// failed), the staging file is removed and the original store is
-    /// untouched.
+    /// The publish, as the ordered writes and syncs [`Self::finish`] runs:
+    /// the pending rows at the committed end, sync, the next commit over
+    /// the older slot, sync.
+    fn plan(&self) -> Vec<Step> {
+        let next = self.next_commit();
+        vec![
+            Step::Write {
+                at: self.prefix_len,
+                bytes: self.pending.clone(),
+            },
+            Step::Sync,
+            Step::Write {
+                at: self.slots_at + (next.slot() * SLOT_BLOCK) as u64,
+                bytes: next.record().to_vec(),
+            },
+            Step::Sync,
+        ]
+    }
+
+    /// Publishes the appended store crash-safely, in place: `O(appended)`
+    /// bytes and two `fdatasync`s, no temp file and no rename. Returns the
+    /// new total instant count.
     pub fn finish(self) -> Result<usize> {
         self.publish(|_| Ok(()))
     }
@@ -1161,49 +1085,14 @@ impl ColumnarAppender {
     /// an error from it fails the publish there, as the step itself
     /// failing would.
     fn publish(self, mut before: impl FnMut(&Step) -> std::io::Result<()>) -> Result<usize> {
-        let plan = self.plan();
-        let in_place = self.version == VERSION;
-        let tmp = staging_path(&self.path);
-        let mut staged: Option<File> = None;
-        let mut run = |step: &Step| -> Result<()> {
+        for step in &self.plan() {
             before(step)?;
             match step {
-                Step::Stage => {
-                    let mut w = File::create(&tmp)?;
-                    (&self.file).seek(SeekFrom::Start(0))?;
-                    let copied = std::io::copy(&mut (&self.file).take(self.prefix_len), &mut w)?;
-                    if copied != self.prefix_len {
-                        return Err(corrupt(format!(
-                            "store shrank while appending: truncated at offset {copied}"
-                        )));
-                    }
-                    staged = Some(w);
-                }
-                Step::Write { at, bytes } => {
-                    let mut f = staged.as_ref().unwrap_or(&self.file);
-                    f.seek(SeekFrom::Start(*at))?;
-                    f.write_all(bytes)?;
-                }
-                Step::Sync => match &staged {
-                    Some(w) => w.sync_all()?,
-                    None => self.file.sync_data()?,
-                },
-                Step::Rename => {
-                    std::fs::rename(&tmp, &self.path)?;
-                    if let Some(dir) = self.path.parent().filter(|d| !d.as_os_str().is_empty()) {
-                        if let Ok(d) = File::open(dir) {
-                            d.sync_all().ok();
-                        }
-                    }
-                }
+                Step::Write { at, bytes } => self.file.write_all_at(bytes, *at)?,
+                Step::Sync => self.file.sync_data()?,
             }
-            Ok(())
-        };
-        let done = plan.iter().try_for_each(&mut run);
-        if done.is_err() && !in_place {
-            std::fs::remove_file(&tmp).ok();
         }
-        done.map(|()| self.n_instants)
+        Ok(self.n_instants)
     }
 
     /// [`Self::finish`], keeping what the caller needs to bring a loaded
@@ -1223,36 +1112,20 @@ impl ColumnarAppender {
                 self.opened_fingerprint
             )));
         }
-        let end = self.prefix_len as usize + self.pending.len();
+        let next = self.next_commit();
         let mut slots = self.slots;
-        let file_bytes = match self.next_commit() {
-            Some(next) => {
-                slots[next.slot()] = Some(next);
-                end.max(self.file_len as usize)
-            }
-            None => end + TRAILER,
-        };
+        slots[next.slot()] = Some(next);
         let growth = Growth {
             base_fingerprint: self.opened_fingerprint,
             words: le_words(&self.pending).collect(),
             n_instants: self.n_instants,
-            checksum: self.preview_fingerprint(),
+            checksum: next.checksum,
             midstate: self.hash.clone(),
             slots,
-            file_bytes,
+            file_bytes: (self.prefix_len as usize + self.pending.len()).max(self.file_len as usize),
         };
         self.finish()?;
         Ok(growth)
-    }
-
-    /// [`Self::finish_growth`] applied to a copy of `resident`: publishes
-    /// the appended store crash-safely and returns a new
-    /// [`ColumnarReader`] equal to re-opening the published file — built
-    /// by extending `resident`'s word vector with the pending rows instead
-    /// of re-reading (and re-checksumming) the whole store.
-    pub fn finish_extending(self, resident: &ColumnarReader) -> Result<(usize, ColumnarReader)> {
-        let growth = self.finish_growth(resident)?;
-        Ok((growth.instants(), growth.extend(resident)?))
     }
 }
 
@@ -1335,6 +1208,7 @@ impl Growth {
 mod tests {
     use super::*;
     use crate::series::SeriesBuilder;
+    use std::path::PathBuf;
 
     fn fid(i: u32) -> FeatureId {
         FeatureId::from_raw(i)
@@ -1359,9 +1233,9 @@ mod tests {
         std::env::temp_dir().join(format!("ppmc-test-{}-{tag}-{n}.ppmc", std::process::id()))
     }
 
-    /// `s` as a version-2 store: the layout appends rewrite whole.
+    /// `s` as a version-2 store: the slot-less, read-only layout.
     fn v2_bytes(s: &FeatureSeries, cat: &FeatureCatalog) -> Vec<u8> {
-        columnar_bytes(EncodedSeries::encode(s).view(), cat)
+        store_bytes(EncodedSeries::encode(s).view(), cat, VERSION_V2)
     }
 
     /// A version-3 store's bytes with both slot records zeroed: its
@@ -1390,7 +1264,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_extending_matches_a_fresh_open_bit_for_bit() {
+    fn finish_growth_extends_a_copy_that_matches_a_fresh_open_bit_for_bit() {
         let (s, cat) = sample();
         let path = temp("extend");
         write_columnar(&path, &s, &cat).unwrap();
@@ -1402,8 +1276,9 @@ mod tests {
         app.append_instant(&[]).unwrap();
         app.append_instant(&[fid(1)]).unwrap();
         let preview = app.preview_fingerprint();
-        let (n, extended) = app.finish_extending(&resident).unwrap();
-        assert_eq!(n, 7);
+        let growth = app.finish_growth(&resident).unwrap();
+        assert_eq!(growth.instants(), 7);
+        let extended = growth.extend(&resident).unwrap();
 
         let reopened = ColumnarReader::open(&path).unwrap();
         assert_eq!(extended.fingerprint(), preview);
@@ -1417,7 +1292,7 @@ mod tests {
     }
 
     #[test]
-    fn finish_extending_rejects_a_mismatched_resident() {
+    fn finish_growth_rejects_a_mismatched_resident() {
         let (s, cat) = sample();
         let path = temp("extend-mismatch");
         let other_path = temp("extend-other");
@@ -1433,7 +1308,7 @@ mod tests {
 
         let mut app = ColumnarAppender::open(&path).unwrap();
         app.append_instant(&[fid(1)]).unwrap();
-        assert!(app.finish_extending(&other).is_err());
+        assert!(app.finish_growth(&other).is_err());
         // Nothing was published: the original store is untouched.
         assert_eq!(ColumnarReader::open(&path).unwrap().len(), s.len());
         std::fs::remove_file(&path).ok();
@@ -1447,6 +1322,18 @@ mod tests {
             app.append_instant(&[fid(r % 3)]).unwrap();
         }
         app.finish().unwrap();
+    }
+
+    /// `s` plus `rows` single-feature instants, the ones [`grow`] appends.
+    fn grown_by(s: &FeatureSeries, rows: u32) -> FeatureSeries {
+        let mut b = SeriesBuilder::new();
+        for t in 0..s.len() {
+            b.push_instant(s.instant(t).iter().copied());
+        }
+        for r in 0..rows {
+            b.push_instant([fid(r % 3)]);
+        }
+        b.finish()
     }
 
     fn reload_err(resident: &ColumnarReader, path: &Path) -> String {
@@ -1511,8 +1398,7 @@ mod tests {
         std::fs::write(&path, v2_bytes(&s, &cat)).unwrap();
         let resident = ColumnarReader::open(&path).unwrap();
         let words_at = resident.header.len();
-        grow(&path, 4);
-        let grown = std::fs::read(&path).unwrap();
+        let grown = v2_bytes(&grown_by(&s, 4), &cat);
         let tail_at = resident.file_bytes() - TRAILER;
         for (at, what) in [
             (words_at, "old prefix"),
@@ -1558,7 +1444,11 @@ mod tests {
             let mut app = ColumnarAppender::open_resident(&path, &resident).unwrap();
             app.append_instant(&[fid(round % 3)]).unwrap();
             whole.push_instant([fid(round % 3)]);
-            resident = app.finish_extending(&resident).unwrap().1;
+            resident = app
+                .finish_growth(&resident)
+                .unwrap()
+                .extend(&resident)
+                .unwrap();
         }
         let whole = whole.finish();
         assert_eq!(
@@ -1573,7 +1463,7 @@ mod tests {
 
         // A file that is not the resident load: corrupt is rejected with
         // the full open's error; valid-but-different opens, and
-        // finish_extending refuses to splice onto the stale resident.
+        // finish_growth refuses to splice onto the stale resident.
         let good = std::fs::read(&path).unwrap();
         let mut bad = good.clone();
         bad[resident.rows_at()] ^= 0x01;
@@ -1585,7 +1475,7 @@ mod tests {
         let grown = std::fs::read(&path).unwrap();
         let mut app = ColumnarAppender::open_resident(&path, &resident).unwrap();
         app.append_instant(&[fid(0)]).unwrap();
-        assert!(app.finish_extending(&resident).is_err());
+        assert!(app.finish_growth(&resident).is_err());
         assert_eq!(std::fs::read(&path).unwrap(), grown, "nothing published");
         std::fs::remove_file(&path).ok();
     }
@@ -1733,51 +1623,6 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    /// Kill-point fuzz for the crash-safe publish: simulate a crash at
-    /// every byte of the staging write (original store + truncated
-    /// `<path>.tmp` on disk) and assert the prior store still opens with
-    /// its old contents; then simulate the post-rename state and assert
-    /// the appended store opens. A fresh appender must also sweep the
-    /// stale staging file away.
-    #[test]
-    fn crash_at_any_kill_point_leaves_an_openable_store() {
-        let (s, cat) = sample();
-        let path = temp("kill-points");
-        std::fs::write(&path, v2_bytes(&s, &cat)).unwrap();
-        let original = std::fs::read(&path).unwrap();
-
-        // The bytes a completed append would publish.
-        let mut appender = ColumnarAppender::open(&path).unwrap();
-        appender.append_instant(&[fid(1)]).unwrap();
-        appender.append_instant(&[fid(0), fid(2)]).unwrap();
-        appender.finish().unwrap();
-        let finished = std::fs::read(&path).unwrap();
-        assert_ne!(original, finished);
-
-        let tmp = staging_path(&path);
-        for cut in 0..finished.len() {
-            // Crash state: rename never ran; tmp holds `cut` bytes.
-            std::fs::write(&path, &original).unwrap();
-            std::fs::write(&tmp, &finished[..cut]).unwrap();
-            let reader = ColumnarReader::open(&path)
-                .unwrap_or_else(|e| panic!("kill point {cut}: prior store must open: {e}"));
-            assert_eq!(reader.len(), 4, "kill point {cut}");
-            assert_eq!(reader.to_series(), s, "kill point {cut}");
-            // Recovery: a fresh appender opens the prior store and sweeps
-            // the orphaned staging file.
-            let again = ColumnarAppender::open(&path)
-                .unwrap_or_else(|e| panic!("kill point {cut}: reopen for append: {e}"));
-            assert_eq!(again.len(), 4, "kill point {cut}");
-            assert!(!tmp.exists(), "kill point {cut}: stale tmp must be swept");
-        }
-
-        // Crash state: rename completed, crash before anything else.
-        std::fs::write(&path, &finished).unwrap();
-        let reader = ColumnarReader::open(&path).unwrap();
-        assert_eq!(reader.len(), 6, "post-rename store is the appended one");
-        std::fs::remove_file(&path).ok();
-    }
-
     #[test]
     fn fingerprint_tracks_content_changes() {
         let (s, cat) = sample();
@@ -1916,59 +1761,13 @@ mod tests {
         assert_eq!(opened.view(), v1.view());
         std::fs::remove_file(&path).ok();
 
-        let v2_bytes = columnar_bytes(v1.view(), v1.catalog());
+        let v2_bytes = store_bytes(v1.view(), v1.catalog(), VERSION_V2);
         let v2 = ColumnarReader::from_bytes(&v2_bytes).unwrap();
         assert_eq!(v2.version(), 2);
         assert_eq!(v2.view(), v1.view());
         assert_eq!(v2.to_series(), v1.to_series());
         assert!(v2.catalog().iter().eq(v1.catalog().iter()));
         assert_ne!(v2.fingerprint(), v1.fingerprint(), "a different hash");
-    }
-
-    #[test]
-    fn v1_appends_stay_v1_and_reload_as_extensions() {
-        let path = temp("v1-append");
-        std::fs::write(&path, V1_FIXTURE).unwrap();
-        let resident = ColumnarReader::open(&path).unwrap();
-        grow(&path, 24);
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[4..8], &1u32.to_le_bytes(), "the append kept v1");
-        assert_eq!(
-            &bytes[..V1_FIXTURE.len() - TRAILER],
-            &V1_FIXTURE[..V1_FIXTURE.len() - TRAILER]
-        );
-
-        // The grown v1 store reloads by resuming the FNV midstate.
-        let rest = resident
-            .read_past_load(&mut File::open(&path).unwrap())
-            .unwrap()
-            .expect("old prefix intact");
-        assert!(
-            resident.resume(&rest).is_some(),
-            "growth takes the resume path"
-        );
-        let Reload::Extended(grown) = resident.reload(&path).unwrap() else {
-            panic!("a grown v1 store must reload as an extension");
-        };
-        let reopened = ColumnarReader::open(&path).unwrap();
-        assert_eq!(grown.version(), 1);
-        assert_eq!(reopened.version(), 1);
-        assert_eq!(grown.len(), 624);
-        assert_eq!(grown.fingerprint(), reopened.fingerprint());
-        assert_eq!(grown.view(), reopened.view());
-
-        // A resident append chain resumes the v1 midstate too.
-        let mut app = ColumnarAppender::open_resident(&path, &grown).unwrap();
-        app.append_instant(&[fid(3), fid(100)]).unwrap();
-        let preview = app.preview_fingerprint();
-        let (n, extended) = app.finish_extending(&grown).unwrap();
-        assert_eq!(n, 625);
-        let reopened = ColumnarReader::open(&path).unwrap();
-        assert_eq!(reopened.version(), 1);
-        assert_eq!(reopened.fingerprint(), preview);
-        assert_eq!(extended.fingerprint(), preview);
-        assert_eq!(extended.view(), reopened.view());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -2177,7 +1976,6 @@ mod tests {
                 .sum();
             assert!(written <= k * row_bytes + SLOT_BLOCK, "{k} rows: {written}");
             assert_eq!(plan.iter().filter(|s| **s == Step::Sync).count(), 2);
-            assert!(!plan.iter().any(|s| matches!(s, Step::Stage | Step::Rename)));
             let mut ran = Vec::new();
             app.publish(|step| {
                 ran.push(step.clone());
@@ -2185,7 +1983,6 @@ mod tests {
             })
             .unwrap();
             assert_eq!(ran, plan, "{k} rows: the publish is the plan");
-            assert!(!staging_path(&path).exists());
         }
         // The header and the old rows are byte-for-byte as they were.
         let after = std::fs::read(&path).unwrap();
@@ -2452,20 +2249,6 @@ mod tests {
         r
     }
 
-    /// A whole-file publish renames a new file over the store, so the
-    /// appender waiting on the old file's lock must lock the new one, or
-    /// it would publish over the first append and lose it.
-    #[test]
-    fn whole_file_appenders_are_serialized_across_the_rename() {
-        let (s, cat) = sample();
-        for round in 0..4 {
-            let path = temp(&format!("v2-lock-{round}"));
-            std::fs::write(&path, v2_bytes(&s, &cat)).unwrap();
-            assert_eq!(race_two_appenders(&path).version(), 2);
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
     // ---- Version 2: a store written before the commit slots. ----
 
     /// A 600-instant, 108-feature store written by the version-2 writer
@@ -2499,50 +2282,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_appends_stay_v2_through_the_whole_file_path_and_reload_as_extensions() {
-        let path = temp("v2-append");
-        std::fs::write(&path, V2_FIXTURE).unwrap();
-        let resident = ColumnarReader::open(&path).unwrap();
-        grow(&path, 24);
-        assert!(!staging_path(&path).exists());
-        let bytes = std::fs::read(&path).unwrap();
-        assert_eq!(&bytes[4..8], &2u32.to_le_bytes(), "the append kept v2");
-        assert_eq!(
-            &bytes[..V2_FIXTURE.len() - TRAILER],
-            &V2_FIXTURE[..V2_FIXTURE.len() - TRAILER]
-        );
-        assert_eq!(bytes.len(), V2_FIXTURE.len() + 24 * 2 * 8);
-
-        let past = resident
-            .read_past_load(&mut File::open(&path).unwrap())
-            .unwrap()
-            .expect("old prefix intact");
-        assert!(
-            resident.resume(&past).is_some(),
-            "growth takes the resume path"
-        );
-        let Reload::Extended(grown) = resident.reload(&path).unwrap() else {
-            panic!("a grown v2 store must reload as an extension");
-        };
-        let reopened = ColumnarReader::open(&path).unwrap();
-        assert_eq!((grown.version(), reopened.version()), (2, 2));
-        assert_eq!(grown.len(), 624);
-        assert!(same(&grown, &reopened));
-        assert_eq!(grown.file_bytes(), reopened.file_bytes());
-
-        let mut app = ColumnarAppender::open_resident(&path, &grown).unwrap();
-        app.append_instant(&[fid(3), fid(100)]).unwrap();
-        let preview = app.preview_fingerprint();
-        let (n, extended) = app.finish_extending(&grown).unwrap();
-        assert_eq!(n, 625);
-        let reopened = ColumnarReader::open(&path).unwrap();
-        assert_eq!(reopened.version(), 2);
-        assert_eq!(reopened.fingerprint(), preview);
-        assert!(same(&extended, &reopened));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn v2_flips_are_rejected() {
         let words_at = ColumnarReader::from_bytes(V2_FIXTURE).unwrap().header.len();
         let n = V2_FIXTURE.len();
@@ -2560,36 +2299,62 @@ mod tests {
         }
     }
 
-    /// The whole-file publish removes `<store>.tmp` whichever step fails,
-    /// and leaves the store as it was.
+    /// Both appender opens refuse a version-1/2 store with the typed
+    /// error, before writing anything, and release the append lock.
     #[test]
-    fn whole_file_publish_removes_the_staging_file_when_any_step_fails() {
-        let path = temp("v2-fail");
-        std::fs::write(&path, V2_FIXTURE).unwrap();
-        let tmp = staging_path(&path);
-        for fail_at in 0..4 {
-            let mut app = ColumnarAppender::open(&path).unwrap();
-            app.append_instant(&[fid(3)]).unwrap();
-            assert_eq!(app.plan().len(), 4);
-            let mut steps = 0;
-            let err = app
-                .publish(|step| {
-                    if steps == fail_at {
-                        return Err(std::io::Error::other(format!("no space before {step:?}")));
-                    }
-                    steps += 1;
-                    Ok(())
-                })
-                .unwrap_err();
-            assert!(err.to_string().contains("no space"), "{err}");
-            assert!(
-                !tmp.exists(),
-                "failed at step {fail_at}: staging file left behind"
-            );
-            assert_eq!(std::fs::read(&path).unwrap(), V2_FIXTURE, "step {fail_at}");
+    fn appenders_refuse_v1_and_v2_stores_and_release_the_lock() {
+        for (version, fixture) in [(1, V1_FIXTURE), (2, V2_FIXTURE)] {
+            let path = temp(&format!("v{version}-refuse"));
+            std::fs::write(&path, fixture).unwrap();
+            let resident = ColumnarReader::open(&path).unwrap();
+            for attempt in 0..2 {
+                let refused = if attempt == 0 {
+                    ColumnarAppender::open(&path)
+                } else {
+                    ColumnarAppender::open_resident(&path, &resident)
+                };
+                let err = refused.unwrap_err();
+                assert!(
+                    matches!(err, Error::ReadOnlyVersion { version: v } if v == version),
+                    "v{version}: {err}"
+                );
+                let text = err.to_string();
+                assert!(text.contains(&format!("version {version}")), "{text}");
+                assert!(text.contains("ppm convert"), "{text}");
+                File::open(&path)
+                    .unwrap()
+                    .try_lock()
+                    .expect("a refused appender holds no lock");
+            }
+            assert_eq!(std::fs::read(&path).unwrap(), fixture, "v{version}");
+            std::fs::remove_file(&path).ok();
         }
-        grow(&path, 1);
-        assert_eq!(ColumnarReader::open(&path).unwrap().len(), 601);
+    }
+
+    /// A version-2 store grown by another writer (an older build's
+    /// whole-file append) carries no slots to resume from, so reload judges
+    /// it through the full open: still an extension, equal to a fresh open.
+    #[test]
+    fn slot_less_store_grown_by_another_writer_reloads_as_an_extension() {
+        let (s, cat) = sample();
+        let path = temp("v2-grown");
+        std::fs::write(&path, v2_bytes(&s, &cat)).unwrap();
+        let resident = ColumnarReader::open(&path).unwrap();
+        std::fs::write(&path, v2_bytes(&grown_by(&s, 3), &cat)).unwrap();
+        let past = resident
+            .read_past_load(&mut File::open(&path).unwrap())
+            .unwrap()
+            .expect("old prefix intact");
+        assert!(!resident.is_current(&past), "a new trailer");
+        assert!(resident.resume(&past).is_none(), "no slots to resume");
+        let Reload::Extended(grown) = resident.reload(&path).unwrap() else {
+            panic!("a grown v2 store must reload as an extension");
+        };
+        let reopened = ColumnarReader::open(&path).unwrap();
+        assert_eq!((grown.version(), grown.len()), (2, 7));
+        assert!(same(&grown, &reopened));
+        assert!(grown.extends(&resident));
+        assert!(matches!(grown.reload(&path).unwrap(), Reload::Unchanged));
         std::fs::remove_file(&path).ok();
     }
 

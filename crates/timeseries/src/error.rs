@@ -53,6 +53,14 @@ pub enum Error {
         /// Human-readable description of the problem.
         detail: String,
     },
+    /// An append was asked of a `.ppmc` store older than version 3: only
+    /// version 3 has the commit slots an in-place append publishes
+    /// through. The store stays readable; `ppm convert` rewrites it as
+    /// version 3.
+    ReadOnlyVersion {
+        /// The store's format version (1 or 2).
+        version: u32,
+    },
 }
 
 impl fmt::Display for Error {
@@ -72,6 +80,11 @@ impl fmt::Display for Error {
                 write!(f, "invalid discretization: {detail}")
             }
             Error::InvalidTaxonomy { detail } => write!(f, "invalid taxonomy: {detail}"),
+            Error::ReadOnlyVersion { version } => write!(
+                f,
+                ".ppmc version {version} store is read-only: appends need version 3 \
+                 (rewrite it with `ppm convert --input STORE --out NEW.ppmc`)"
+            ),
         }
     }
 }
