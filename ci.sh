@@ -195,6 +195,11 @@ rows="-"; for _ in $(seq 24); do rows="$rows;-"; done
 ./target/release/ppm query --port "$port10" --op append --store follow \
   --rows "$rows" >"$smoke_dir/wire-append.log"
 grep -q "appended 25 instants" "$smoke_dir/wire-append.log"
+# No query held the store during that append, so it grew the resident
+# load in place: no copy of the store.
+./target/release/ppm query --port "$port10" --op metrics \
+  >"$smoke_dir/metrics10.log"
+grep -qx "ppm_serve_append_grow_copies_total 0" "$smoke_dir/metrics10.log"
 ./target/release/ppm query --port "$port10" --store follow --period 25 \
   --min-conf 0.6 --engine incremental >"$smoke_dir/q-inc.log"
 ./target/release/ppm mine --input "$smoke_dir/follow.ppmc" --period 25 \

@@ -20,7 +20,7 @@
 
 use std::io::Write;
 
-use ppm_timeseries::columnar::{ColumnarAppender, ColumnarReader};
+use ppm_timeseries::columnar::ColumnarAppender;
 use ppm_timeseries::FeatureId;
 
 use crate::args::Parsed;
@@ -48,9 +48,11 @@ pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         return Err(CliError::Usage("--repeat must be at least 1".into()));
     }
 
-    // Resolve every feature name against the fixed catalog up front, so a
-    // typo fails before anything is staged.
-    let reader = ColumnarReader::open(input)?;
+    // One verifying pass: the appender takes the append lock and checks
+    // the store, and names resolve against the catalog it verified. An
+    // unknown name fails before anything is written, and returning drops
+    // the appender, which releases the lock.
+    let mut appender = ColumnarAppender::open(input)?;
     let instants: Vec<Vec<FeatureId>> = rows_text
         .split(';')
         .map(|instant| {
@@ -58,7 +60,7 @@ pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
                 .split_whitespace()
                 .filter(|n| *n != "-")
                 .map(|n| {
-                    reader.catalog().get(n).ok_or_else(|| {
+                    appender.catalog().get(n).ok_or_else(|| {
                         CliError::Usage(format!(
                             "unknown feature {n:?} (the catalog is fixed at store creation)"
                         ))
@@ -68,9 +70,6 @@ pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         })
         .collect::<Result<_, _>>()?;
 
-    // The appender resumes the reader's checksum midstate: the store is
-    // hashed once per append, by the open above.
-    let mut appender = ColumnarAppender::open_resident(input, &reader)?;
     for _ in 0..repeat {
         for feats in &instants {
             appender.append_instant(feats)?;
@@ -126,6 +125,20 @@ mod tests {
         assert!(err.to_string().contains("unknown feature"), "{err}");
         // Nothing was staged or published.
         assert_eq!(ColumnarReader::open(&path).unwrap().len(), 90);
+        std::fs::remove_file(path).ok();
+    }
+
+    /// An unknown name is refused after the appender took the lock; the
+    /// refusal releases it, so the next append goes straight through.
+    #[test]
+    fn an_unknown_name_releases_the_append_lock() {
+        let path = sample_series_file("ppmc");
+        let p = path.to_str().unwrap();
+        let err = run_cli(&format!("append --input {p} --rows alpha;gamma")).unwrap_err();
+        assert_eq!(err.exit_code(), 2, "{err}");
+        let out = run_cli(&format!("append --input {p} --rows alpha")).unwrap();
+        assert!(out.contains("91 total"), "{out}");
+        assert_eq!(ColumnarReader::open(&path).unwrap().len(), 91);
         std::fs::remove_file(path).ok();
     }
 

@@ -414,6 +414,7 @@ fn render_result(
                 "bad_frames",
                 "stores",
                 "stores_quarantined",
+                "append_grow_copies",
                 "live_indexes",
                 "index_bytes",
                 "uptime_s",

@@ -165,6 +165,18 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// The length of [`escape`]`(s)`, counted without building it.
+pub fn escaped_len(s: &str) -> usize {
+    2 + s
+        .chars()
+        .map(|c| match c {
+            '"' | '\\' | '\n' | '\r' | '\t' => 2,
+            c if (c as u32) < 0x20 => 6,
+            c => c.len_utf8(),
+        })
+        .sum::<usize>()
+}
+
 fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {

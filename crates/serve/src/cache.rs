@@ -55,8 +55,10 @@ use std::fmt::Write as _;
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use ppm_core::{Engine, MineConfig};
+use ppm_observe::json::escaped_len;
 use ppm_observe::Json;
 use ppm_timeseries::fnv64;
 
@@ -180,7 +182,8 @@ impl Default for CacheLimits {
 #[derive(Debug)]
 struct Entry {
     key: CacheKey,
-    value: CachedResult,
+    /// Shared with every response built from it: a hit clones the pointer.
+    value: Arc<CachedResult>,
     /// Serialized size, charged against [`CacheLimits::max_bytes`].
     bytes: usize,
     /// Second-chance bit: set when the entry answered a lookup (exact hit
@@ -270,10 +273,10 @@ impl ResultCache {
             }
             match Self::parse_entry(line) {
                 Ok((key, value)) => {
-                    let bytes = Self::entry_json(&key, &value).render().len();
+                    let bytes = Self::entry_bytes(&key, &value);
                     cache.entries.push(Entry {
                         key,
-                        value,
+                        value: Arc::new(value),
                         bytes,
                         referenced: false,
                     });
@@ -377,15 +380,15 @@ impl ResultCache {
         })
     }
 
-    /// Looks up `key`. Exact hits return the entry verbatim; for the
-    /// constant-scan engines a cached entry at a
+    /// Looks up `key`. Exact hits return the entry itself (a pointer
+    /// clone); for the constant-scan engines a cached entry at a
     /// *lower* confidence answers by anti-monotone filtering (see module
     /// docs). Counters update accordingly.
-    pub fn lookup(&mut self, key: &CacheKey) -> (Option<CachedResult>, CacheOutcome) {
+    pub fn lookup(&mut self, key: &CacheKey) -> (Option<Arc<CachedResult>>, CacheOutcome) {
         if let Some(e) = self.entries.iter_mut().find(|e| &e.key == key) {
             e.referenced = true;
             self.hits += 1;
-            return (Some(e.value.clone()), CacheOutcome::Hit);
+            return (Some(Arc::clone(&e.value)), CacheOutcome::Hit);
         }
         if key.engine.has_constant_scans() {
             let conf = key.conf();
@@ -423,7 +426,7 @@ impl ResultCache {
                     rows,
                 };
                 self.derived += 1;
-                return (Some(derived), CacheOutcome::Derived);
+                return (Some(Arc::new(derived)), CacheOutcome::Derived);
             }
         }
         self.misses += 1;
@@ -434,12 +437,12 @@ impl ResultCache {
     /// (second-chance), and persists the cache when backed by a file.
     /// Persistence failures are reported as a mark, not an error — the
     /// cache is an accelerator, never a correctness gate.
-    pub fn insert(&mut self, key: CacheKey, value: CachedResult) {
+    pub fn insert(&mut self, key: CacheKey, value: Arc<CachedResult>) {
         if self.limits.max_entries == 0 {
             return;
         }
         self.entries.retain(|e| e.key != key);
-        let bytes = Self::entry_json(&key, &value).render().len();
+        let bytes = Self::entry_bytes(&key, &value);
         // A fresh entry starts referenced: it survives the first clock
         // sweep its own insert triggers, so inserting can never evict the
         // entry being inserted while older unreferenced ones remain.
@@ -511,8 +514,8 @@ impl ResultCache {
                 }
                 Rekey::Keep { segment_count } => {
                     e.key.fingerprint = new_fp;
-                    e.value.segment_count = segment_count;
-                    e.bytes = Self::entry_json(&e.key, &e.value).render().len();
+                    Arc::make_mut(&mut e.value).segment_count = segment_count;
+                    e.bytes = Self::entry_bytes(&e.key, &e.value);
                     kept += 1;
                     true
                 }
@@ -595,6 +598,31 @@ impl ResultCache {
         ])
     }
 
+    /// The length of `entry_json(key, value).render()` — the size charged
+    /// against [`CacheLimits::max_bytes`] — counted without building or
+    /// rendering the JSON tree.
+    fn entry_bytes(key: &CacheKey, value: &CachedResult) -> usize {
+        // Everything but the values: the two hex fields are 16 digits each.
+        const FRAME: &str =
+            r#"{"fp":"","period":,"conf_bits":"","engine":,"segments":,"scans":,"rows":[]}"#;
+        let rows: usize = value
+            .rows
+            .iter()
+            .map(|r| {
+                // `[display,letters,count]`
+                4 + escaped_len(&r.display) + num_len(r.letters as u64) + num_len(r.count)
+            })
+            .sum();
+        FRAME.len()
+            + 2 * 16
+            + num_len(key.period as u64)
+            + escaped_len(key.engine.name())
+            + num_len(value.segment_count as u64)
+            + num_len(value.scans as u64)
+            + rows
+            + value.rows.len().saturating_sub(1)
+    }
+
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -606,6 +634,16 @@ impl ResultCache {
             entries: self.entries.len(),
             bytes: self.resident_bytes(),
         }
+    }
+}
+
+/// The rendered length of [`Json::from_u64`]`(v)`: its decimal digits up
+/// to 2⁵³, where a JSON number is still an exact integer.
+fn num_len(v: u64) -> usize {
+    if v <= 1 << 53 {
+        v.checked_ilog10().map_or(1, |d| d as usize + 1)
+    } else {
+        Json::from_u64(v).render().len()
     }
 }
 
@@ -622,8 +660,8 @@ mod tests {
         }
     }
 
-    fn sample_value() -> CachedResult {
-        CachedResult {
+    fn sample_value() -> Arc<CachedResult> {
+        Arc::new(CachedResult {
             segment_count: 10,
             scans: 2,
             rows: vec![
@@ -643,13 +681,66 @@ mod tests {
                     count: 5,
                 },
             ],
-        }
+        })
     }
 
     fn temp(tag: &str) -> PathBuf {
         static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let n = N.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         std::env::temp_dir().join(format!("ppm-serve-cache-{}-{tag}-{n}", std::process::id()))
+    }
+
+    /// The byte size charged for an entry is its rendered length, for
+    /// names that need JSON escapes and numbers past exact `f64` range too.
+    #[test]
+    fn entry_bytes_equals_the_rendered_length() {
+        let names = [
+            "",
+            "a {b,c} *",
+            "quo\"te",
+            "back\\slash",
+            "new\nline\r\t",
+            "ctl\u{1}\u{1f}",
+            "caf\u{e9} \u{65e5}\u{672c} \u{1f600}",
+        ];
+        let counts = [0, 9, 10, 1 << 53, (1 << 53) + 1, u64::MAX];
+        for (i, engine) in Engine::ALL.into_iter().enumerate() {
+            let key = CacheKey {
+                fingerprint: i as u64,
+                period: 10usize.pow(i as u32),
+                conf_bits: (0.1 * i as f64).to_bits(),
+                engine,
+            };
+            let rows = names
+                .iter()
+                .zip(counts.iter().cycle().skip(i))
+                .map(|(name, &count)| CachedRow {
+                    display: name.to_string(),
+                    letters: count as usize,
+                    count,
+                })
+                .take(i + 1)
+                .collect();
+            for value in [
+                CachedResult {
+                    segment_count: 0,
+                    scans: 0,
+                    rows: Vec::new(),
+                },
+                CachedResult {
+                    segment_count: 123_456,
+                    scans: 2,
+                    rows,
+                },
+            ] {
+                let rendered = ResultCache::entry_json(&key, &value).render().len();
+                assert_eq!(
+                    ResultCache::entry_bytes(&key, &value),
+                    rendered,
+                    "{value:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -71,6 +71,9 @@ pub struct ServeMetrics {
     pub appends: AtomicU64,
     /// Instants appended across every `append` op.
     pub appended_instants: AtomicU64,
+    /// Appends that copied a store's words to grow its resident load (see
+    /// `Store::grow_reader`).
+    pub append_grow_copies: AtomicU64,
     /// Total µs workers spent serving connections.
     pub worker_busy_us: AtomicU64,
     /// Queue wait per connection: admit → dequeue.
@@ -110,6 +113,7 @@ impl ServeMetrics {
             cache_misses: AtomicU64::new(0),
             appends: AtomicU64::new(0),
             appended_instants: AtomicU64::new(0),
+            append_grow_copies: AtomicU64::new(0),
             worker_busy_us: AtomicU64::new(0),
             queue_wait_us: AtomicHistogram::new(DEFAULT_GRID_BITS),
             service_us: AtomicHistogram::new(DEFAULT_GRID_BITS),
@@ -260,6 +264,12 @@ pub fn prometheus_text(
         "ppm_serve_appended_instants_total",
         "Instants appended across every append op",
         metrics.appended_instants.load(Ordering::Relaxed),
+    );
+    c(
+        &mut out,
+        "ppm_serve_append_grow_copies_total",
+        "Appends that copied a store to grow its resident load",
+        metrics.append_grow_copies.load(Ordering::Relaxed),
     );
     c(
         &mut out,

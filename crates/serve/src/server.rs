@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ppm_core::{Engine, MineConfig, MiningResult, Pattern, Rows};
+use ppm_core::{Alphabet, Engine, LetterSet, MineConfig, MiningResult, Rows};
 use ppm_observe::{FlightKind, FlightRecorder, Json, NameId};
 use ppm_timeseries::columnar::ColumnarAppender;
 use ppm_timeseries::{
@@ -998,10 +998,10 @@ impl Server {
                 .map(|r| (r, reader.fingerprint(), reader.catalog().clone())),
         }
         .map_err(OpError::from_mining)?;
-        let cached = to_cached(&result, &catalog);
+        let cached = Arc::new(to_cached(&result, &catalog));
         if !q.no_cache {
             let mut cache = self.cache.lock().expect("cache poisoned");
-            cache.insert(key(fingerprint), cached.clone());
+            cache.insert(key(fingerprint), Arc::clone(&cached));
         }
         Ok(mine_response(&q, &cached, "miss", None))
     }
@@ -1120,8 +1120,9 @@ impl Server {
     }
 
     /// The `append` wire op: publishes new instants to a store's backing
-    /// file (through the columnar appender's crash-safe tmp + rename),
-    /// swaps the grown reader in without a restart, feeds every live
+    /// file (through the columnar appender's in-place commit: the new rows,
+    /// then a commit slot), grows the resident reader to match without
+    /// re-reading the file (see `Store::grow_reader`), feeds every live
     /// incremental index the completed segments, and migrates
     /// result-cache entries instead of dropping them all.
     ///
@@ -1225,11 +1226,14 @@ impl Server {
         // cache is consistent with the new fingerprint.
         let mut indexes = store.indexes();
         let grow = ppm_observe::span("append.grow");
-        store
+        let copied = store
             .grow_reader(resident, &growth)
             .map_err(|e| OpError::internal(format!("append apply failed: {e}")))?;
         drop(grow);
         self.metrics.appends.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .append_grow_copies
+            .fetch_add(u64::from(copied), Ordering::Relaxed);
         self.metrics
             .appended_instants
             .fetch_add(instants.len() as u64, Ordering::Relaxed);
@@ -1433,6 +1437,10 @@ impl Server {
                     "appended_instants".to_owned(),
                     Json::from_u64(self.metrics.appended_instants.load(Ordering::Relaxed)),
                 ),
+                (
+                    "append_grow_copies".to_owned(),
+                    Json::from_u64(self.metrics.append_grow_copies.load(Ordering::Relaxed)),
+                ),
                 ("live_indexes".to_owned(), Json::from_usize(live_indexes)),
                 ("index_bytes".to_owned(), Json::from_usize(index_bytes)),
                 (
@@ -1613,19 +1621,69 @@ fn to_cached(result: &MiningResult, catalog: &FeatureCatalog) -> CachedResult {
             .cmp(&a.letters.len())
             .then(b.count.cmp(&a.count))
     });
+    let renderer = RowRenderer::new(&result.alphabet, catalog);
     CachedResult {
         segment_count: result.segment_count,
         scans: result.stats.series_scans,
         rows: rows
             .into_iter()
             .map(|fp| CachedRow {
-                display: Pattern::from_letter_set(&result.alphabet, &fp.letters)
-                    .display(catalog)
-                    .to_string(),
+                display: renderer.render(&fp.letters),
                 letters: fp.letters.len(),
                 count: fp.count,
             })
             .collect(),
+    }
+}
+
+/// Renders letter sets over one result's alphabet in one pass each, from
+/// a table built once per result: every letter's offset and name. The
+/// text is byte-identical to `Pattern::from_letter_set(..).display(..)`:
+/// positions joined by spaces, `*` for an empty one, a bare name for a
+/// single letter, `{a,b}` for several (letters are in offset, then
+/// feature order), and `f{raw}` for an id the catalog does not name.
+struct RowRenderer {
+    period: usize,
+    letters: Vec<(usize, String)>,
+}
+
+impl RowRenderer {
+    fn new(alphabet: &Alphabet, catalog: &FeatureCatalog) -> RowRenderer {
+        RowRenderer {
+            period: alphabet.period(),
+            letters: alphabet
+                .iter()
+                .map(|(_, offset, f)| (offset, catalog.name_or_placeholder(f)))
+                .collect(),
+        }
+    }
+
+    fn render(&self, set: &LetterSet) -> String {
+        let named: usize = set.iter().map(|i| self.letters[i].1.len() + 1).sum();
+        let mut out = String::with_capacity(2 * self.period + named);
+        let mut letters = set.iter().map(|i| &self.letters[i]).peekable();
+        for offset in 0..self.period {
+            if offset > 0 {
+                out.push(' ');
+            }
+            let mut at = || letters.next_if(|(o, _)| *o == offset).map(|(_, n)| n);
+            match (at(), at()) {
+                (None, _) => out.push('*'),
+                (Some(name), None) => out.push_str(name),
+                (Some(first), Some(second)) => {
+                    out.push('{');
+                    out.push_str(first);
+                    out.push(',');
+                    out.push_str(second);
+                    while let Some(name) = at() {
+                        out.push(',');
+                        out.push_str(name);
+                    }
+                    out.push('}');
+                }
+            }
+        }
+        out
     }
 }
 
@@ -1753,6 +1811,50 @@ mod tests {
         assert_eq!(cached.segment_count, 8, "mined off the grown load");
         std::fs::remove_file(path).ok();
         std::fs::remove_file(socket).ok();
+    }
+
+    /// `to_cached` renders every row of a real mine byte-identically to
+    /// `Pattern::display`: `*`, bare names, brace sets of co-occurring
+    /// features, and `f{raw}` placeholders for ids the catalog lacks.
+    #[test]
+    fn rendered_rows_equal_pattern_display() {
+        use ppm_core::Pattern;
+        use ppm_timeseries::FeatureId;
+
+        let mut catalog = FeatureCatalog::new();
+        let (a, b) = (catalog.intern("alpha"), catalog.intern("b\"q"));
+        let (c, d) = (FeatureId::from_raw(7), FeatureId::from_raw(12));
+        let mut builder = SeriesBuilder::new();
+        for i in 0..40 {
+            builder.push_instant([a, b, c]);
+            builder.push_instant(if i % 3 == 0 { vec![] } else { vec![d] });
+            builder.push_instant([b]);
+            builder.push_instant([a, d]);
+        }
+        let series = builder.finish();
+        let config = MineConfig::new(0.5).unwrap();
+        let result = ppm_core::run(Engine::Vertical, Rows::Series(&series), 4, &config).unwrap();
+        let mut got: Vec<_> = to_cached(&result, &catalog)
+            .rows
+            .into_iter()
+            .map(|r| (r.display, r.letters, r.count))
+            .collect();
+        let mut want: Vec<_> = result
+            .frequent
+            .iter()
+            .map(|fp| {
+                let pattern = Pattern::from_letter_set(&result.alphabet, &fp.letters);
+                let display = pattern.display(&catalog).to_string();
+                (display, fp.letters.len(), fp.count)
+            })
+            .collect();
+        got.sort();
+        want.sort();
+        assert_eq!(got, want);
+        let shown = |needle: &str| want.iter().any(|(d, _, _)| d.contains(needle));
+        for needle in ["{alpha,b\"q,f7}", "f12", "* b\"q *", "alpha"] {
+            assert!(shown(needle), "no row shows {needle:?}: {want:?}");
+        }
     }
 
     /// The `append` op on a served version-2 store answers wire code 2

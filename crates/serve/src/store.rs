@@ -7,7 +7,10 @@
 //! with zero copying. A reader a query holds is never changed: the lock
 //! exists only so a *grown* file can be swapped in without restarting,
 //! or — when no query holds the current reader — grown in place by an
-//! append (`Store::grow_reader`).
+//! append (`Store::grow_reader`). The store also keeps the reader its
+//! last grow swapped out, as a spare: once no query holds it, the next
+//! append that finds the current reader held catches the spare up and
+//! swaps it in instead of copying the store.
 //! Stores are addressed by their file stem — `trades.ppmc` serves as
 //! `"trades"` — and each carries the content fingerprint the result
 //! cache keys on.
@@ -51,7 +54,7 @@
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockWriteGuard};
 
 use ppm_core::vertical::incremental::IncrementalVerticalIndex;
 use ppm_timeseries::columnar::{ColumnarReader, Growth, Reload};
@@ -131,6 +134,16 @@ impl IndexTable {
     }
 }
 
+/// A store's loads. `current` serves every new query. `spare` is the
+/// reader the last copying or spare grow replaced: a prefix of `current`
+/// (every swap that is not a grow drops it), kept so the next grow that
+/// finds `current` held need not copy the store.
+#[derive(Debug)]
+struct Loads {
+    current: Arc<ColumnarReader>,
+    spare: Option<Arc<ColumnarReader>>,
+}
+
 /// One open store.
 #[derive(Debug)]
 pub struct Store {
@@ -138,8 +151,8 @@ pub struct Store {
     pub name: String,
     /// Where the store was loaded from.
     pub path: PathBuf,
-    /// The current validated load. Swapped (never mutated) on growth.
-    reader: RwLock<Arc<ColumnarReader>>,
+    /// The current validated load and the spare (see [`Loads`]).
+    loads: RwLock<Loads>,
     /// Health bit: `true` once checksum re-verification has failed (and
     /// until a later re-verification succeeds again).
     quarantined: AtomicBool,
@@ -154,7 +167,10 @@ impl Store {
         Store {
             name,
             path,
-            reader: RwLock::new(Arc::new(reader)),
+            loads: RwLock::new(Loads {
+                current: Arc::new(reader),
+                spare: None,
+            }),
             quarantined: AtomicBool::new(false),
             indexes: Mutex::new(IndexTable::default()),
             append_lock: Mutex::new(()),
@@ -164,7 +180,15 @@ impl Store {
     /// The current reader. The returned `Arc` is a stable snapshot: a
     /// concurrent growth swap never changes data under a running query.
     pub fn reader(&self) -> Arc<ColumnarReader> {
-        self.reader.read().expect("reader lock poisoned").clone()
+        self.loads
+            .read()
+            .expect("reader lock poisoned")
+            .current
+            .clone()
+    }
+
+    fn loads(&self) -> RwLockWriteGuard<'_, Loads> {
+        self.loads.write().expect("reader lock poisoned")
     }
 
     /// The store's content fingerprint (see
@@ -173,46 +197,67 @@ impl Store {
         self.reader().fingerprint()
     }
 
-    /// Publishes a fresh reader (after an append) and returns the one it
-    /// replaced.
+    /// Publishes a fresh reader that is not a grow of the current one (a
+    /// reload) and returns the one it replaced. The spare is dropped: it
+    /// is a prefix of the replaced load, not provably of `fresh`.
     pub(crate) fn swap_reader(&self, fresh: ColumnarReader) -> Arc<ColumnarReader> {
-        std::mem::replace(
-            &mut *self.reader.write().expect("reader lock poisoned"),
-            Arc::new(fresh),
-        )
+        let mut loads = self.loads();
+        loads.spare = None;
+        std::mem::replace(&mut loads.current, Arc::new(fresh))
     }
 
     /// Brings the resident load up to an append the caller published.
     /// `base` is the caller's snapshot of the load the append was built
-    /// on. A reader a query holds is never changed under it: while any
-    /// query holds the current reader, a grown copy is swapped in (built
-    /// outside the lock); when none does, the reader grows in place — the
-    /// append then costs its own rows, not a copy of the store. Each copy
-    /// counts one `serve.append.grow_copies`.
+    /// on. A reader a query holds is never changed under it. In order:
+    ///
+    /// 1. when no query holds the current reader, it grows in place;
+    /// 2. else, when no query holds the spare, the spare catches up (it
+    ///    copies only the rows it lacks), grows, and is swapped in — the
+    ///    replaced reader becomes the spare;
+    /// 3. else a grown copy of the current reader is built outside the
+    ///    lock and swapped in, and the replaced reader becomes the spare.
+    ///
+    /// Either way the append costs its own rows, not a copy of the store,
+    /// unless both readers are held. Returns whether the store's words
+    /// were copied — a grown copy, or a spare that had to move to a
+    /// larger allocation — and counts each in `serve.append.grow_copies`.
     pub(crate) fn grow_reader(
         &self,
         base: Arc<ColumnarReader>,
         growth: &Growth,
-    ) -> ppm_timeseries::Result<()> {
-        // The store's slot and `base` itself: anything more is a query.
-        if Arc::strong_count(&base) <= 2 {
-            let mut slot = self.reader.write().expect("reader lock poisoned");
-            if Arc::ptr_eq(&slot, &base) {
+    ) -> ppm_timeseries::Result<bool> {
+        let base = {
+            let mut loads = self.loads();
+            let Loads { current, spare } = &mut *loads;
+            if Arc::ptr_eq(current, &base) {
                 drop(base);
-                return match Arc::get_mut(&mut slot) {
-                    Some(resident) => growth.apply_to(resident),
-                    // A query took a snapshot since the count was read.
-                    None => {
+                if let Some(resident) = Arc::get_mut(current) {
+                    growth.apply_to(resident)?;
+                    return Ok(false);
+                }
+                if let Some(free) = spare.as_mut().and_then(Arc::get_mut) {
+                    let moved = free.catch_up_to(current)?;
+                    growth.apply_to(free)?;
+                    std::mem::swap(current, spare.as_mut().expect("matched above"));
+                    if moved {
                         ppm_observe::counter("serve.append.grow_copies", 1);
-                        *slot = Arc::new(growth.extend(&slot)?);
-                        Ok(())
                     }
-                };
+                    return Ok(moved);
+                }
+                current.clone()
+            } else {
+                base
             }
-        }
+        };
         ppm_observe::counter("serve.append.grow_copies", 1);
-        self.swap_reader(growth.extend(&base)?);
-        Ok(())
+        let grown = Arc::new(growth.extend(&base)?);
+        let mut loads = self.loads();
+        let replaced = std::mem::replace(&mut loads.current, grown);
+        // The replaced reader is the copy's prefix only if it is the load
+        // the copy was built from: a reload may have replaced that load
+        // (before this call or while the copy was built).
+        loads.spare = Arc::ptr_eq(&replaced, &base).then_some(replaced);
+        Ok(true)
     }
 
     /// Serializes append publishes to this store's backing file.
@@ -560,6 +605,107 @@ mod tests {
         assert_eq!(grown.fingerprint(), reopened.fingerprint());
         assert_eq!(grown.view(), reopened.view());
         assert_eq!(reg.reverify_all(), 0, "the file is byte-for-byte the load");
+
+        // The copy kept the load it replaced as the spare. Once its
+        // snapshot is released, an append that finds the current reader
+        // held revives the spare: caught up and grown, not copied again
+        // (unless it has to move to a larger allocation).
+        drop((held, grown));
+        let held = store.reader();
+        let growth = append(&held);
+        store.grow_reader(held.clone(), &growth).unwrap();
+        assert_eq!(held.len(), 16, "the held snapshot is unchanged");
+        assert_eq!(Arc::as_ptr(&store.reader()), before, "the spare revived");
+        assert!(copies() <= 2, "{} copies", copies());
+        let reopened = ColumnarReader::open(&path).unwrap();
+        assert_eq!(store.reader().len(), 18);
+        assert_eq!(store.reader().fingerprint(), reopened.fingerprint());
+        assert_eq!(store.reader().view(), reopened.view());
+        assert_eq!(reg.reverify_all(), 0);
+        std::fs::remove_file(path).ok();
+    }
+
+    /// Appends that each hold a snapshot of the load they grow alternate
+    /// between the two readers: only the first (there is no spare yet)
+    /// and one revival that outgrows the spare's allocation copy the
+    /// store. No held snapshot ever changes.
+    #[test]
+    fn held_snapshots_across_alternating_appends_copy_at_most_twice() {
+        let path = sample_store("alternate");
+        let reg = StoreRegistry::open(&[&path]).unwrap();
+        let store = reg.iter().next().unwrap();
+        let alpha = store.reader().catalog().get("alpha").unwrap();
+        let collector = Arc::new(ppm_observe::Collector::new());
+        let _sink = ppm_observe::install(collector.clone());
+
+        let mut held: Option<(Arc<ColumnarReader>, ColumnarReader)> = None;
+        for round in 0..8 {
+            let snapshot = store.reader();
+            let frozen = (*snapshot).clone();
+            // The previous round's query ends: its snapshot was never
+            // changed while it was held.
+            if let Some((old, old_frozen)) = held.take() {
+                assert_eq!(old.fingerprint(), old_frozen.fingerprint(), "{round}");
+                assert_eq!(old.view(), old_frozen.view(), "{round}");
+            }
+            let mut app = ColumnarAppender::open_resident(&path, &snapshot).unwrap();
+            let row = if round % 2 == 0 { vec![alpha] } else { vec![] };
+            app.append_instant(&row).unwrap();
+            let growth = app.finish_growth(&snapshot).unwrap();
+            store.grow_reader(snapshot.clone(), &growth).unwrap();
+            assert!(!Arc::ptr_eq(&snapshot, &store.reader()), "{round}");
+            assert_eq!(snapshot.view(), frozen.view(), "{round}");
+            held = Some((snapshot, frozen));
+        }
+        let copies = collector.counter_total("serve.append.grow_copies");
+        assert!((1..=2).contains(&copies), "{copies} copies");
+        let reopened = ColumnarReader::open(&path).unwrap();
+        let current = store.reader();
+        assert_eq!(current.len(), 20);
+        assert_eq!(current.fingerprint(), reopened.fingerprint());
+        assert_eq!(current.view(), reopened.view());
+        assert_eq!(reg.reverify_all(), 0);
+        std::fs::remove_file(path).ok();
+    }
+
+    /// A reload swap is not a grow: `reverify`'s extended load replaces the
+    /// current one and drops the spare, so the next contested append
+    /// copies the extended load and still equals a fresh open.
+    #[test]
+    fn a_reload_swap_drops_the_spare() {
+        let path = sample_store("reload-spare");
+        let reg = StoreRegistry::open(&[&path]).unwrap();
+        let store = reg.iter().next().unwrap();
+        let alpha = store.reader().catalog().get("alpha").unwrap();
+        let append = |base: &Arc<ColumnarReader>| {
+            let mut app = ColumnarAppender::open_resident(&path, base).unwrap();
+            app.append_instant(&[alpha]).unwrap();
+            app.finish_growth(base).unwrap()
+        };
+
+        // A contested append: the held load becomes the spare.
+        let held = store.reader();
+        store.grow_reader(held.clone(), &append(&held)).unwrap();
+        assert_eq!(Arc::strong_count(&held), 2, "the store keeps it as spare");
+
+        // Another writer grows the file; re-verification swaps it in.
+        let mut app = ColumnarAppender::open(&path).unwrap();
+        app.append_instant(&[]).unwrap();
+        app.finish().unwrap();
+        assert_eq!(reg.reverify_all(), 0);
+        assert_eq!(store.reader().len(), 14);
+        assert_eq!(Arc::strong_count(&held), 1, "the spare was dropped");
+        drop(held);
+
+        let held = store.reader();
+        let copied = store.grow_reader(held.clone(), &append(&held)).unwrap();
+        assert!(copied, "no spare to revive");
+        assert_eq!(held.len(), 14);
+        let reopened = ColumnarReader::open(&path).unwrap();
+        assert_eq!(store.reader().len(), 15);
+        assert_eq!(store.reader().fingerprint(), reopened.fingerprint());
+        assert_eq!(store.reader().view(), reopened.view());
+        assert_eq!(reg.reverify_all(), 0);
         std::fs::remove_file(path).ok();
     }
 

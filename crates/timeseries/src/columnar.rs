@@ -728,6 +728,36 @@ impl ColumnarReader {
             && self.words[..prefix.words.len()] == prefix.words[..]
     }
 
+    /// Brings this load up to `ahead`, a later load of the same store that
+    /// this one is a prefix of: copies only the rows this load lacks and
+    /// takes `ahead`'s commit state, so a [`Growth`] built on `ahead`
+    /// applies to this load afterwards. The prefix is the caller's
+    /// guarantee and is not compared; `ahead` is refused with
+    /// [`Error::Corrupt`], leaving this load untouched, if its header (and
+    /// with it the version, the row width or the catalog) differs or it
+    /// holds fewer instants.
+    ///
+    /// Returns whether the rows had to move to a larger allocation; one is
+    /// reserved with room to double, as [`Growth::extend`] does.
+    pub fn catch_up_to(&mut self, ahead: &ColumnarReader) -> Result<bool> {
+        if self.header != ahead.header || self.n_instants > ahead.n_instants {
+            return Err(corrupt(format!(
+                "cannot catch a load of {} instants up to a load of {} instants: \
+                 the headers differ or the target is behind",
+                self.n_instants, ahead.n_instants
+            )));
+        }
+        let moved = reserve_doubled(&mut self.words, ahead.words.len());
+        self.words
+            .extend_from_slice(&ahead.words[self.n_instants * self.words_per_instant..]);
+        self.n_instants = ahead.n_instants;
+        self.checksum = ahead.checksum;
+        self.midstate = ahead.midstate.clone();
+        self.slots = ahead.slots;
+        self.file_bytes = ahead.file_bytes;
+        Ok(moved)
+    }
+
     /// Re-reads the store at `path` and judges it against this load —
     /// compare, then resume, then fall back:
     ///
@@ -908,6 +938,8 @@ pub struct ColumnarAppender {
     pending: Vec<u8>,
     /// The fingerprint of the store as opened, before any append.
     opened_fingerprint: u64,
+    /// The verified load's feature catalog.
+    catalog: FeatureCatalog,
 }
 
 /// One step of a publish. [`ColumnarAppender::finish`] runs its plan
@@ -955,21 +987,24 @@ impl ColumnarAppender {
     pub fn open_resident(path: impl AsRef<Path>, resident: &ColumnarReader) -> Result<Self> {
         let mut file = lock_store(path.as_ref())?;
         match resident.read_past_load(&mut file)? {
-            Some(past) if resident.is_current(&past) => Self::on(file, resident, past.len),
+            Some(past) if resident.is_current(&past) => {
+                Self::on(file, resident, resident.catalog.clone(), past.len)
+            }
             _ => Self::verify(file),
         }
     }
 
     /// An appender on `file` after a full validation of it.
     fn verify(file: File) -> Result<Self> {
-        let base = ColumnarReader::load_file(&file, false)?;
-        Self::on(file, &base, base.file_bytes)
+        let mut base = ColumnarReader::load_file(&file, false)?;
+        let catalog = std::mem::take(&mut base.catalog);
+        Self::on(file, &base, catalog, base.file_bytes)
     }
 
     /// An appender on `file`, `len` bytes long, verified to hold `base`
-    /// (whose `words` may be left undecoded). A version-1/2 `base` is
-    /// refused, and dropping `file` releases the lock.
-    fn on(file: File, base: &ColumnarReader, len: usize) -> Result<Self> {
+    /// (whose `words` may be left undecoded) with `catalog`. A version-1/2
+    /// `base` is refused, and dropping `file` releases the lock.
+    fn on(file: File, base: &ColumnarReader, catalog: FeatureCatalog, len: usize) -> Result<Self> {
         if base.version != VERSION {
             return Err(Error::ReadOnlyVersion {
                 version: base.version,
@@ -987,7 +1022,14 @@ impl ColumnarAppender {
             n_instants: base.n_instants,
             pending: Vec::new(),
             opened_fingerprint: base.checksum,
+            catalog,
         })
+    }
+
+    /// The feature catalog of the store as verified at open: what feature
+    /// names resolve against while the append lock is held.
+    pub fn catalog(&self) -> &FeatureCatalog {
+        &self.catalog
     }
 
     /// The fingerprint of the store as it was opened, before any append.
@@ -1129,6 +1171,17 @@ impl ColumnarAppender {
     }
 }
 
+/// Makes room in `words` for `need` words. When that needs a larger
+/// allocation, reserves room for `2 × need`, so the appends that follow
+/// fit in place, and returns `true`: the words were copied.
+fn reserve_doubled(words: &mut Vec<u64>, need: usize) -> bool {
+    if words.capacity() >= need {
+        return false;
+    }
+    words.reserve_exact(2 * need - words.len());
+    true
+}
+
 /// Whole instants appended to a verified load, with the commit state
 /// they give the store: what brings a [`ColumnarReader`] of the base up
 /// to the grown file without re-reading it.
@@ -1190,7 +1243,8 @@ impl Growth {
     /// holds `base` — and the allocator may keep the freed copy.
     pub fn extend(&self, base: &ColumnarReader) -> Result<ColumnarReader> {
         self.check_base(base)?;
-        let mut words = Vec::with_capacity(2 * (base.words.len() + self.words.len()));
+        let mut words = Vec::new();
+        reserve_doubled(&mut words, base.words.len() + self.words.len());
         words.extend_from_slice(&base.words);
         let mut grown = ColumnarReader {
             words,
@@ -1507,6 +1561,50 @@ mod tests {
             copy.words.capacity() >= 2 * copy.words.len(),
             "room to grow"
         );
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A lagging load of a store catches up to a later load of it by
+    /// copying the rows it lacks and taking its commit state — after
+    /// which a growth built on the later load applies to it. A load of
+    /// another store, or one that is ahead, is refused untouched.
+    #[test]
+    fn catch_up_to_copies_the_missing_rows_and_refuses_other_stores() {
+        let (s, cat) = sample();
+        let path = temp("catch-up");
+        write_columnar(&path, &s, &cat).unwrap();
+        let mut lagging = ColumnarReader::open(&path).unwrap();
+        grow(&path, 3);
+        let ahead = ColumnarReader::open(&path).unwrap();
+        let mut app = ColumnarAppender::open_resident(&path, &ahead).unwrap();
+        app.append_instant(&[fid(1)]).unwrap();
+        let growth = app.finish_growth(&ahead).unwrap();
+
+        let mut foreign = {
+            let mut other = FeatureCatalog::new();
+            other.intern("zeta");
+            ColumnarReader::from_bytes(&encode_columnar(&s, &other)).unwrap()
+        };
+        let err = foreign.catch_up_to(&ahead).unwrap_err();
+        assert!(err.to_string().contains("headers differ"), "{err}");
+        assert_eq!(foreign.len(), 4, "refused untouched");
+        let err = ahead.clone().catch_up_to(&lagging).unwrap_err();
+        assert!(err.to_string().contains("target is behind"), "{err}");
+
+        assert!(lagging.catch_up_to(&ahead).unwrap(), "an exact load moves");
+        assert!(
+            lagging.words.capacity() >= 2 * ahead.words.len(),
+            "room to grow"
+        );
+        assert_eq!(lagging.fingerprint(), ahead.fingerprint());
+        assert_eq!(lagging.view(), ahead.view());
+        growth.apply_to(&mut lagging).unwrap();
+        let reopened = ColumnarReader::open(&path).unwrap();
+        assert_eq!(lagging.fingerprint(), reopened.fingerprint());
+        assert_eq!(lagging.file_bytes(), reopened.file_bytes());
+        assert_eq!(lagging.commit(), reopened.commit());
+        assert_eq!(lagging.view(), reopened.view());
+        assert!(!lagging.catch_up_to(&reopened).unwrap(), "nothing to copy");
         std::fs::remove_file(&path).ok();
     }
 
