@@ -22,6 +22,12 @@ echo "==> tier-1: test suite (every workspace crate)"
 # suite runs once.
 cargo test -q
 
+echo "==> counting kernels under native codegen (ppm-core tests, -C target-cpu=native)"
+# Native codegen changes what the autovectorizer emits for the counting
+# loops (hardware popcnt, AVX2); every bit-identity test must hold there
+# too. A target dir of its own keeps the portable build's artifacts.
+RUSTFLAGS="-C target-cpu=native" CARGO_TARGET_DIR=target/native cargo test -q -p ppm-core
+
 echo "==> benchmark self-tests (perfbench is a package of its own)"
 cargo test --offline --manifest-path perfbench/Cargo.toml
 

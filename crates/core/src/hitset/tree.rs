@@ -285,10 +285,10 @@ impl MaxSubpatternTree {
                     next_lo = next_lo.min(w);
                     next_hi = w + 1;
                 }
-                *count_ops += u64::from(dropped.count_ones());
                 while dropped != 0 {
                     counts[w * 64 + dropped.trailing_zeros() as usize] -= subtree;
                     dropped &= dropped - 1;
+                    *count_ops += 1;
                 }
             }
             if !reached {

@@ -14,9 +14,10 @@
 //! input.
 //!
 //! Over packed rows both passes run word-wise: scan 1 counts through
-//! [`RowCounts`]' byte lanes, scan 2 projects each segment through the
-//! alphabet's [`SegmentMasks`]. The per-instant loops over a
-//! [`FeatureSeries`] are the reference both are tested against.
+//! [`RowCounts`]' carry planes and byte lanes, scan 2 projects each
+//! segment through the alphabet's [`SegmentMasks`]. The per-instant
+//! loops over a [`FeatureSeries`] are the reference both are tested
+//! against.
 //!
 //! `Passes` also owns what every pass shares: the resource guard's
 //! deadline poll (once per [`DEADLINE_CHECK_INTERVAL`] segments) and the
@@ -351,31 +352,67 @@ const SPREAD: [u64; 256] = {
     table
 };
 
-/// Adds every byte of `words[i]` into its eight lanes `lanes[8i..8i + 8]`.
+/// Carry planes per row word: bit `i` of plane `k` is bit `k` of a 4-bit
+/// counter for bit `i` of the word.
+const PLANES: usize = 4;
+
+/// Segments the planes hold before they spread into the byte lanes: a
+/// 4-bit counter reaches 15.
+const PLANE_SEGMENTS: usize = (1 << PLANES) - 1;
+
+/// Lanes are flushed before any can pass `u8::MAX`: each spread adds at
+/// most [`PLANE_SEGMENTS`] to each lane, and 17 spreads are 255.
+const LANE_FLUSH_SEGMENTS: usize = u8::MAX as usize;
+const _: () = assert!(LANE_FLUSH_SEGMENTS.is_multiple_of(PLANE_SEGMENTS));
+
+/// Ripple-adds `segment`'s words into their carry planes: bit `b` of
+/// word `i` counts in bit `b` of `planes[k][i]`, `k` the bit weight. Per
+/// word that is a 4-bit adder of AND / XOR, with no branch, which LLVM
+/// vectorizes.
 #[inline]
-fn add_bytes(lanes: &mut [u64], words: &[u64]) {
-    for (lanes, &w) in lanes.chunks_exact_mut(8).zip(words) {
-        for (byte, lane) in lanes.iter_mut().enumerate() {
-            *lane += SPREAD[usize::from((w >> (8 * byte)) as u8)];
-        }
+fn add_planes(planes: &mut [Vec<u64>; PLANES], segment: &[u64]) {
+    let [p0, p1, p2, p3] = planes;
+    let planes = p0.iter_mut().zip(p1.iter_mut()).zip(p2.iter_mut());
+    for (((p0, p1), p2), (p3, &w)) in planes.zip(p3.iter_mut().zip(segment)) {
+        let c0 = *p0 & w;
+        *p0 ^= w;
+        let c1 = *p1 & c0;
+        *p1 ^= c0;
+        let c2 = *p2 & c1;
+        *p2 ^= c1;
+        *p3 ^= c2;
     }
 }
 
-/// Lanes are flushed before any can pass `u8::MAX`: each segment adds at
-/// most 1 to each lane.
-const LANE_FLUSH_SEGMENTS: usize = u8::MAX as usize;
+/// Adds every plane into the byte lanes and zeroes it: byte `b` of word
+/// `i` of plane `k` adds `SPREAD[byte] << k` to lane `8i + b`, all four
+/// planes in one read-modify-write of the lane.
+fn spread_planes(planes: &mut [Vec<u64>; PLANES], lanes: &mut [u64]) {
+    let [p0, p1, p2, p3] = planes;
+    let planes = p0.iter_mut().zip(p1.iter_mut()).zip(p2.iter_mut());
+    let lanes = p3.iter_mut().zip(lanes.chunks_exact_mut(8));
+    for (((p0, p1), p2), (p3, lanes)) in planes.zip(lanes) {
+        for (byte, lane) in lanes.iter_mut().enumerate() {
+            let spread = |plane: &u64| SPREAD[usize::from((*plane >> (8 * byte)) as u8)];
+            *lane += spread(p0) + (spread(p1) << 1) + (spread(p2) << 2) + (spread(p3) << 3);
+        }
+        (*p0, *p1, *p2, *p3) = (0, 0, 0, 0);
+    }
+}
 
 /// Scan 1 over packed rows, fed whole segments in series order (never a
 /// partial tail segment, which must not count).
 ///
-/// Each `(offset, row word, byte)` owns one `u64` of eight byte lanes,
-/// one per bit, so a segment's words line up with its lanes one to one:
-/// a segment is one linear pass adding [`SPREAD`] of every byte, with no
-/// branch per bit and no per-instant `t % period`. The lanes are flushed
-/// into the exact count table every [`LANE_FLUSH_SEGMENTS`] segments. Bit
-/// `f` of a row counts as feature `f`, bits past the view's width
-/// included, exactly as the per-instant loop over the materialized series
-/// counts them.
+/// Each `(offset, row word)` owns [`PLANES`] carry planes, a 4-bit counter
+/// per bit, so a segment's words line up with their planes one to one: a
+/// segment is one linear ripple-add, with no branch per bit and no
+/// per-instant `t % period` (the positional popcount of Klarqvist, Muła
+/// and Lemire, 2021). Every [`PLANE_SEGMENTS`] segments the planes spread
+/// into byte lanes — one `u64` of eight 8-bit counters per `(offset, row
+/// word, byte)` — which flush into the exact count table every
+/// [`LANE_FLUSH_SEGMENTS`] segments. Bit `f` of a row counts as feature
+/// `f`, bits past the view's width included, exactly as the per-instant
+/// loop over the materialized series counts them.
 ///
 /// Key spaces past the dense table's limit fall back to one
 /// [`CountTable::add`] per set bit.
@@ -387,11 +424,14 @@ pub(crate) struct RowCounts {
 
 enum RowCountKind {
     Lanes {
+        /// `planes[k][offset · words_per_instant + word]`: plane `k` of
+        /// each row word.
+        planes: [Vec<u64>; PLANES],
         /// `lanes[(offset · words_per_instant + word) · 8 + byte]`.
         lanes: Vec<u64>,
         /// Flushed totals, `counts[offset · 64 · words_per_instant + bit]`.
         counts: Vec<u64>,
-        /// Segments added since the last flush.
+        /// Segments added since the last lane flush.
         segments: usize,
     },
     Bits(CountTable),
@@ -402,6 +442,7 @@ impl RowCounts {
     pub(crate) fn new(period: usize, words_per_instant: usize) -> Self {
         let kind = match CountTable::with_width(period, 64 * words_per_instant) {
             CountTable::Dense { counts, .. } => RowCountKind::Lanes {
+                planes: std::array::from_fn(|_| vec![0; counts.len() / 64]),
                 lanes: vec![0; counts.len() / 8],
                 counts,
                 segments: 0,
@@ -424,12 +465,16 @@ impl RowCounts {
         for segment in words.chunks_exact(self.period * wpi) {
             match &mut self.kind {
                 RowCountKind::Lanes {
+                    planes,
                     lanes,
                     counts,
                     segments,
                 } => {
-                    add_bytes(lanes, segment);
+                    add_planes(planes, segment);
                     *segments += 1;
+                    if segments.is_multiple_of(PLANE_SEGMENTS) {
+                        spread_planes(planes, lanes);
+                    }
                     if *segments == LANE_FLUSH_SEGMENTS {
                         flush(lanes, counts);
                         *segments = 0;
@@ -455,10 +500,12 @@ impl RowCounts {
     pub(crate) fn finish(self) -> CountTable {
         match self.kind {
             RowCountKind::Lanes {
+                mut planes,
                 mut lanes,
                 mut counts,
                 ..
             } => {
+                spread_planes(&mut planes, &mut lanes);
                 flush(&mut lanes, &mut counts);
                 CountTable::Dense {
                     width: 64 * self.words_per_instant,
@@ -692,6 +739,73 @@ mod tests {
         assert!(matches!(lanes, CountTable::Sparse(_)));
         let oracle = Rows::Series(&series).count(period, period * 2);
         assert_eq!(table(&lanes), table(&oracle));
+    }
+
+    /// The byte-lane scan 1 the carry planes replaced: one [`SPREAD`] add
+    /// per byte of every row word, flushed every [`LANE_FLUSH_SEGMENTS`]
+    /// segments. The bit-identity reference for [`RowCounts`].
+    fn byte_lane_counts(period: usize, wpi: usize, words: &[u64]) -> Vec<u64> {
+        let mut lanes = vec![0u64; period * wpi * 8];
+        let mut counts = vec![0u64; period * wpi * 64];
+        for (j, segment) in words.chunks_exact(period * wpi).enumerate() {
+            for (lanes, &w) in lanes.chunks_exact_mut(8).zip(segment) {
+                for (byte, lane) in lanes.iter_mut().enumerate() {
+                    *lane += SPREAD[usize::from((w >> (8 * byte)) as u8)];
+                }
+            }
+            if (j + 1) % LANE_FLUSH_SEGMENTS == 0 {
+                flush(&mut lanes, &mut counts);
+            }
+        }
+        flush(&mut lanes, &mut counts);
+        counts
+    }
+
+    /// The carry planes against the byte-lane reference, cut at and
+    /// around both flush edges (every 15 segments into the lanes, every
+    /// 255 into the totals), on all-ones rows — every plane carries at
+    /// each spread — and on random rows, fed whole and one segment at a
+    /// time as the shared sweep feeds them.
+    #[test]
+    fn carry_planes_match_the_byte_lane_reference() {
+        let period = 3;
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for wpi in 1..=3 {
+            for m in [1, 14, 15, 16, 254, 255, 256, 271, 510] {
+                for all_ones in [false, true] {
+                    let words: Vec<u64> = (0..m * period * wpi)
+                        .map(|_| {
+                            x ^= x << 13;
+                            x ^= x >> 7;
+                            x ^= x << 17;
+                            if all_ones {
+                                u64::MAX
+                            } else {
+                                x
+                            }
+                        })
+                        .collect();
+                    let expect = byte_lane_counts(period, wpi, &words);
+                    let mut whole = RowCounts::new(period, wpi);
+                    whole.add_segments(&words);
+                    let mut one_by_one = RowCounts::new(period, wpi);
+                    for segment in words.chunks_exact(period * wpi) {
+                        one_by_one.add_segments(segment);
+                    }
+                    for (feed, counts) in [("whole", whole), ("per segment", one_by_one)] {
+                        let CountTable::Dense { counts, width } = counts.finish() else {
+                            panic!("a dense key space");
+                        };
+                        assert_eq!(width, 64 * wpi);
+                        let case = format!("{wpi} words, {m} segments, all ones {all_ones}");
+                        assert_eq!(counts, expect, "{case}, fed {feed}");
+                        if all_ones {
+                            assert!(counts.iter().all(|&c| c == m as u64), "{case}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// The word-wise passes are still the paper's two scans.

@@ -50,7 +50,7 @@ use crate::result::{FrequentPattern, MiningResult};
 use crate::scan::{MineConfig, Scan1};
 use crate::stats::MiningStats;
 
-use super::kernel::{count_dispatch_cached, Kernel, PrefixCache, Unit, BLOCK_WORDS};
+use super::kernel::{count_dispatch_cached, Kernel, LevelBases, PrefixCache, Unit, BLOCK_WORDS};
 
 /// Counts incremented by one level's worth of candidate classification,
 /// reported as gauges after each re-derive.
@@ -672,17 +672,14 @@ impl IncrementalVerticalIndex {
         and_ops: &mut u64,
     ) {
         let wpr = self.words_per_row;
-        let bases: Vec<Vec<usize>> = pending
-            .iter()
-            .map(|&i| {
-                let rows = candidates[i].iter();
-                rows.map(|l| self.key_rows[l] as usize * wpr).collect()
-            })
-            .collect();
+        let bases = LevelBases::new(pending.iter().map(|&i| {
+            let rows = candidates[i].iter();
+            rows.map(|l| self.key_rows[l] as usize * wpr)
+        }));
         let mut cache = PrefixCache::default();
         for block in words.clone().step_by(BLOCK_WORDS) {
             let block = block..(block + BLOCK_WORDS).min(words.end);
-            for (&i, bases) in pending.iter().zip(&bases) {
+            for (&i, bases) in pending.iter().zip(bases.iter()) {
                 counts[i] += count_dispatch_cached(
                     kernel,
                     &self.rows,

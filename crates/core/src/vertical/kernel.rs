@@ -5,21 +5,22 @@
 //! The cold [`VerticalIndex`](super::VerticalIndex) lays out each
 //! distinct hit once and weights every word by the multiplicity its
 //! columns share; the incremental index keeps one column per segment and
-//! counts every word once. The kernels take the weights as runs of words
-//! that share one, tally each run unweighted and multiply once. Those
-//! word operations dominate the whole derive phase on dense workloads,
-//! so this module provides two interchangeable kernels:
+//! counts every word once (`Unit`). Those word operations dominate the
+//! whole derive phase on dense workloads, so this module provides two
+//! interchangeable kernels:
 //!
 //! * **scalar** — one word at a time with an early exit as soon as the
 //!   accumulator goes to zero; the reference implementation every other
 //!   path must match bit for bit.
-//! * **wide** — straight-line unrolled lanes of `LANES` (8) words per
-//!   iteration over pre-resolved row offsets. The loop body is pure
-//!   `u64` AND / popcount with no data-dependent branches inside a
-//!   block, which LLVM auto-vectorizes to SSE2/AVX2 on x86-64 (and to
-//!   NEON on aarch64). An explicit `std::arch` intrinsics path is
-//!   deliberately absent: this crate is `#![forbid(unsafe_code)]`, and
-//!   the portable lanes are the always-correct fallback — the `races`
+//! * **wide** — two passes per cache block. The AND pass runs unrolled
+//!   lanes of `LANES` (8) words over pre-resolved row offsets, with no
+//!   data-dependent branch inside a lane block, and stops ANDing a lane
+//!   block once it is all zero. The tally pass is one branch-free
+//!   `Σ_w weight[w] · popcount(acc[w])` over the whole block
+//!   (`Weights::tally`). LLVM auto-vectorizes both to SSE2/AVX2 on
+//!   x86-64 (and to NEON on aarch64). An explicit `std::arch` intrinsics
+//!   path is deliberately absent: this crate is `#![forbid(unsafe_code)]`,
+//!   and the portable loops are the always-correct fallback — the `races`
 //!   binary's kernel race (`crates/bench`) measures what the
 //!   autovectorizer makes of them.
 //!
@@ -28,9 +29,9 @@
 //! counts one cache block at a time that way, and the incremental index
 //! recounts only its dirty ranges.
 //!
-//! The per-candidate letter walk that used to `collect()` into a heap
-//! `Vec` per candidate now lands in a fixed inline buffer
-//! (`RowBases`) — no allocation on the counting hot path.
+//! A level's candidates resolve their letter rows into one flat buffer
+//! (`LevelBases`), a single candidate's into a fixed inline one
+//! (`RowBases`) — no allocation per candidate on the counting hot path.
 
 use std::ops::Range;
 
@@ -42,7 +43,7 @@ use crate::letters::LetterSet;
 pub(crate) const LANES: usize = 8;
 
 /// Words per cache block of batched counting
-/// ([`super::VerticalIndex::count_level`]): 128 words is 1 KiB of bitmap
+/// ([`super::VerticalIndex::count_level_cached`]): 128 words is 1 KiB of bitmap
 /// per letter row, so a whole alphabet's block (`n_letters` KiB) sits in
 /// L1/L2 while every candidate of the level is answered against it.
 pub(crate) const BLOCK_WORDS: usize = 128;
@@ -78,12 +79,11 @@ impl Kernel {
     }
 }
 
-/// A candidate's letter rows resolved to word offsets (`letter ·
-/// words_per_row`), held inline up to [`INLINE_ARITY`] letters.
-///
-/// This replaces the per-candidate `Vec<usize>` collect that used to sit
-/// on the counting hot path: for every realistic arity the offsets live
-/// on the stack, and the kernels receive a plain `&[usize]`.
+/// One candidate's letter rows resolved to word offsets (`letter ·
+/// words_per_row`), held inline up to [`INLINE_ARITY`] letters: for
+/// every realistic arity a single count resolves its offsets on the
+/// stack, and the kernels receive a plain `&[usize]`. A level resolves
+/// all of its candidates into one [`LevelBases`] instead.
 pub(crate) struct RowBases {
     inline: [usize; INLINE_ARITY],
     len: usize,
@@ -124,50 +124,105 @@ impl RowBases {
     }
 }
 
-/// The multiplicity each word's set bits count with, handed out in runs
-/// of words that share one weight. A weight belongs to its word, never
-/// to the range that counts it, so word-range partials still sum
-/// exactly; the kernels tally each run unweighted and multiply once.
+/// A whole level's candidate row offsets, laid end to end: candidate `i`'s
+/// are `rows[ends[i - 1]..ends[i]]`. One buffer for the level instead of
+/// one per candidate, so resolving a level of ten thousand candidates
+/// touches a few hundred KiB, not megabytes of mostly unused inline
+/// slots.
+pub(crate) struct LevelBases {
+    rows: Vec<usize>,
+    ends: Vec<usize>,
+}
+
+impl LevelBases {
+    /// Collects each candidate's row offsets, in candidate order.
+    pub(crate) fn new<C: IntoIterator<Item = usize>>(candidates: impl Iterator<Item = C>) -> Self {
+        let mut rows = Vec::new();
+        let ends = candidates
+            .map(|bases| {
+                rows.extend(bases);
+                rows.len()
+            })
+            .collect();
+        LevelBases { rows, ends }
+    }
+
+    /// Each candidate's offsets, in candidate order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.rows[start..end])
+    }
+}
+
+/// The multiplicity each word's set bits count with, looked up per word.
+/// A weight belongs to its word, never to the range that counts it, so
+/// word-range partials still sum exactly.
 pub(crate) trait Weights: Copy {
-    /// The weight of word `w`, and the end of the run of words from `w`
-    /// that carry it, capped at `end`.
-    fn run(self, w: usize, end: usize) -> (u64, usize);
+    /// The weight of word `w`.
+    fn at(self, w: usize) -> u64;
+
+    /// `Σ_i weight(start + i) · popcount(acc_i)`: the tally of a span of
+    /// ANDed words from word `start`, a straight loop with no branch per
+    /// word that LLVM vectorizes.
+    fn tally(self, acc: impl Iterator<Item = u64>, start: usize) -> u64;
 }
 
 /// Every column counts once: the incremental index's one column per
-/// segment. The whole range is one run.
+/// segment.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Unit;
 
 impl Weights for Unit {
     #[inline]
-    fn run(self, _: usize, end: usize) -> (u64, usize) {
-        (1, end)
+    fn at(self, _: usize) -> u64 {
+        1
     }
-}
 
-/// One word of the cold index's weight layout: the multiplicity of its
-/// columns, the end of its equal-weight run, and how many columns it
-/// holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct WordWeight {
-    pub(crate) weight: u64,
-    pub(crate) run_end: u32,
-    pub(crate) fill: u32,
-}
-
-impl Weights for &[WordWeight] {
     #[inline]
-    fn run(self, w: usize, end: usize) -> (u64, usize) {
-        let word = self[w];
-        (word.weight, (word.run_end as usize).min(end))
+    fn tally(self, acc: impl Iterator<Item = u64>, _: usize) -> u64 {
+        acc.map(|a| u64::from(a.count_ones())).sum()
     }
+}
+
+/// The cold index's layout: one weight per word, the multiplicity of its
+/// columns.
+impl Weights for &[u64] {
+    #[inline]
+    fn at(self, w: usize) -> u64 {
+        self[w]
+    }
+
+    #[inline]
+    fn tally(self, acc: impl Iterator<Item = u64>, start: usize) -> u64 {
+        acc.zip(&self[start..])
+            .map(|(a, &weight)| weight * u64::from(a.count_ones()))
+            .sum()
+    }
+}
+
+/// The AND of word `w` of the rows at `first` and `rest`, breaking out of
+/// the chain as soon as the accumulator is zero; every row ANDed is one
+/// `and_ops`.
+#[inline]
+fn and_word(words: &[u64], first: usize, rest: &[usize], w: usize, and_ops: &mut u64) -> u64 {
+    let mut acc = words[first + w];
+    *and_ops += 1;
+    for &base in rest {
+        if acc == 0 {
+            break;
+        }
+        acc &= words[base + w];
+        *and_ops += 1;
+    }
+    acc
 }
 
 /// The scalar reference kernel over words `range`: one word at a time,
-/// breaking out of the AND chain as soon as the accumulator is zero; each
-/// weight run's popcount is multiplied by its weight. `bases` must be
-/// non-empty (the empty pattern is the caller's special case).
+/// breaking out of the AND chain as soon as the accumulator is zero, each
+/// word's popcount multiplied by its weight. `bases` must be non-empty
+/// (the empty pattern is the caller's special case).
 pub(crate) fn count_scalar<W: Weights>(
     words: &[u64],
     weights: W,
@@ -177,90 +232,15 @@ pub(crate) fn count_scalar<W: Weights>(
 ) -> u64 {
     debug_assert!(!bases.is_empty());
     let (&first, rest) = bases.split_first().expect("non-empty candidate");
-    let mut total = 0u64;
-    let mut w = range.start;
-    while w < range.end {
-        let (weight, end) = weights.run(w, range.end);
-        let mut bits = 0u64;
-        for w in w..end {
-            let mut acc = words[first + w];
-            *and_ops += 1;
-            for &base in rest {
-                if acc == 0 {
-                    break;
-                }
-                acc &= words[base + w];
-                *and_ops += 1;
-            }
-            bits += u64::from(acc.count_ones());
-        }
-        total += weight * bits;
-        w = end;
-    }
-    total
+    range
+        .map(|w| weights.at(w) * u64::from(and_word(words, first, rest, w, and_ops).count_ones()))
+        .sum()
 }
 
-/// Full-adder compression of three bit-planes into a (sum, carry) pair:
-/// per bit position, `a + b + c = sum + 2·carry`. Pure AND/XOR — the
-/// building block of the carry-save popcount below.
-#[inline]
-fn csa(a: u64, b: u64, c: u64) -> (u64, u64) {
-    let u = a ^ b;
-    (u ^ c, (a & b) | (u & c))
-}
-
-/// Harley–Seal residues: running bit-planes of weight 1, 2 and 4 that
-/// defer popcounting almost entirely. [`HarleySeal::feed`] compresses
-/// each [`LANES`]-word block into the residues with seven full adders
-/// and popcounts only the weight-8 carry, so one `count_ones` runs per
-/// eight words instead of eight — on targets without a hardware `popcnt`
-/// (the portable baseline this crate is built for) each `count_ones` is
-/// a ~12-op SWAR sequence, and this is the single biggest lever in the
-/// whole kernel. [`HarleySeal::finish`] settles the residues.
-#[derive(Default)]
-struct HarleySeal {
-    ones: u64,
-    twos: u64,
-    fours: u64,
-    total: u64,
-}
-
-impl HarleySeal {
-    /// Folds one lane block into the residues; per bit position the
-    /// planes and the popcounted weight-8 carries always sum exactly to
-    /// the bits fed so far.
-    #[inline]
-    fn feed(&mut self, acc: &[u64; LANES]) {
-        let (s, c1) = csa(self.ones, acc[0], acc[1]);
-        self.ones = s;
-        let (s, c2) = csa(self.ones, acc[2], acc[3]);
-        self.ones = s;
-        let (s, d1) = csa(self.twos, c1, c2);
-        self.twos = s;
-        let (s, c1) = csa(self.ones, acc[4], acc[5]);
-        self.ones = s;
-        let (s, c2) = csa(self.ones, acc[6], acc[7]);
-        self.ones = s;
-        let (s, d2) = csa(self.twos, c1, c2);
-        self.twos = s;
-        let (s, e) = csa(self.fours, d1, d2);
-        self.fours = s;
-        self.total += 8 * u64::from(e.count_ones());
-    }
-
-    /// The exact popcount of everything fed.
-    #[inline]
-    fn finish(self) -> u64 {
-        self.total
-            + u64::from(self.ones.count_ones())
-            + 2 * u64::from(self.twos.count_ones())
-            + 4 * u64::from(self.fours.count_ones())
-    }
-}
-
-/// The wide kernel over words `range`: each weight run is counted by
-/// [`count_wide_run`] and multiplied by its weight once. Counts are
-/// exactly [`count_scalar`]'s — only the operation order differs.
+/// The wide kernel over words `range`: each [`BLOCK_WORDS`] block is
+/// ANDed by [`and_lanes`] into a stack buffer and tallied by
+/// [`Weights::tally`]. Counts are exactly [`count_scalar`]'s — only the
+/// operation order differs.
 pub(crate) fn count_wide<W: Weights>(
     words: &[u64],
     weights: W,
@@ -268,28 +248,30 @@ pub(crate) fn count_wide<W: Weights>(
     range: Range<usize>,
     and_ops: &mut u64,
 ) -> u64 {
+    let mut buf = [0u64; BLOCK_WORDS];
     let mut total = 0u64;
-    let mut w = range.start;
-    while w < range.end {
-        let (weight, end) = weights.run(w, range.end);
-        total += weight * count_wide_run(words, bases, w..end, and_ops);
-        w = end;
+    let mut lo = range.start;
+    while lo < range.end {
+        let hi = (lo + BLOCK_WORDS).min(range.end);
+        let acc = &mut buf[..hi - lo];
+        and_lanes(words, bases, lo, acc, and_ops);
+        total += weights.tally(acc.iter().copied(), lo);
+        lo = hi;
     }
     total
 }
 
-/// The unweighted wide count over words `range`: [`LANES`]-word unrolled
-/// blocks of branch-free AND lanes (auto-vectorized), a whole-block skip
-/// once the OR of all lanes reaches zero, and a deferred [`HarleySeal`]
-/// tally; the sub-block tail falls back to [`count_scalar`].
-fn count_wide_run(words: &[u64], bases: &[usize], range: Range<usize>, and_ops: &mut u64) -> u64 {
+/// Writes the AND of `bases`' rows at words `start..start + acc.len()`
+/// into `acc`: [`LANES`]-word unrolled blocks of branch-free AND lanes
+/// (auto-vectorized) that stop ANDing once the OR of all lanes reaches
+/// zero, and a sub-block tail of [`and_word`]s.
+fn and_lanes(words: &[u64], bases: &[usize], start: usize, acc: &mut [u64], and_ops: &mut u64) {
     debug_assert!(!bases.is_empty());
     let (&first, rest) = bases.split_first().expect("non-empty candidate");
-    let mut hs = HarleySeal::default();
-    let mut w = range.start;
-    while w + LANES <= range.end {
-        let mut acc = [0u64; LANES];
-        let mut any = 0u64;
+    let mut w = start;
+    let mut blocks = acc.chunks_exact_mut(LANES);
+    for block in &mut blocks {
+        let acc: &mut [u64; LANES] = block.try_into().expect("lane block");
         let mut chain = rest;
         // Fuse the first AND row into the load: low-arity candidates
         // (k = 2–3, the bulk of any level-by-level derive) then run a
@@ -314,10 +296,10 @@ fn count_wide_run(words: &[u64], bases: &[usize], range: Range<usize>, and_ops: 
                 chain = tail;
             }
         }
-        for &lane in &acc {
-            any |= lane;
-        }
+        let mut any = acc.iter().fold(0, |any, &lane| any | lane);
         for &base in chain {
+            // An all-zero block stays zero: skip the rest of its chain
+            // (common once the AND runs dry).
             if any == 0 {
                 break;
             }
@@ -330,24 +312,14 @@ fn count_wide_run(words: &[u64], bases: &[usize], range: Range<usize>, and_ops: 
             for i in 0..LANES {
                 acc[i] &= src[i];
             }
-            any = 0;
-            for &lane in &acc {
-                any |= lane;
-            }
+            any = acc.iter().fold(0, |any, &lane| any | lane);
             *and_ops += LANES as u64;
-        }
-        // An all-zero block contributes nothing — skip the popcount
-        // entirely (common once the AND chain runs dry).
-        if any != 0 {
-            hs.feed(&acc);
         }
         w += LANES;
     }
-    let mut total = hs.finish();
-    if w < range.end {
-        total += count_scalar(words, Unit, bases, w..range.end, and_ops);
+    for (out, w) in blocks.into_remainder().iter_mut().zip(w..) {
+        *out = and_word(words, first, rest, w, and_ops);
     }
-    total
 }
 
 /// Dispatches one candidate count over `range` to the chosen kernel.
@@ -366,24 +338,6 @@ pub(crate) fn count_dispatch<W: Weights>(
     }
 }
 
-/// Memo for the AND of a candidate *prefix* over one word range.
-///
-/// Apriori's join emits a level's candidates in sorted runs: every
-/// candidate extending the same frequent (k−1)-pattern `a` is consecutive
-/// and differs only in its last letter, so `bases[..k-1]` is identical
-/// across the run. The cache holds that prefix's AND over the current
-/// cache block; each candidate in the run then costs one row AND + tally
-/// instead of re-deriving the whole k-row chain. An all-zero prefix short
-/// -circuits the entire run for the block (`any == false`).
-/// Prefix rows served from the cache across the process lifetime — with
-/// [`PREFIX_BUILDS`], the reuse-rate gauges (`vertical.prefix_hits` /
-/// `vertical.prefix_builds`).
-pub(crate) static PREFIX_HITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-/// Prefix rows the cache had to AND because they differed from the
-/// previous candidate (or the block changed).
-pub(crate) static PREFIX_BUILDS: std::sync::atomic::AtomicU64 =
-    std::sync::atomic::AtomicU64::new(0);
-
 /// Depth-indexed memo of candidate-prefix ANDs over one word range.
 ///
 /// Apriori's join emits each level's candidates in sorted (lexicographic)
@@ -395,8 +349,12 @@ pub(crate) static PREFIX_BUILDS: std::sync::atomic::AtomicU64 =
 /// new candidate reuses the longest common prefix and ANDs only the rows
 /// past it, so a whole level's counting does trie-edge many row-ANDs per
 /// block instead of Σ arity. No per-depth zero checks: by Apriori every
-/// prefix is itself frequent, so its AND is never globally empty and the
-/// per-lane-block skip in the tally pass already handles local zeros.
+/// prefix is itself frequent, so its AND is never globally empty.
+///
+/// The cache also tallies its own engagement — the prefix rows it served
+/// and the ones it had to AND — so one derive that owns one cache reports
+/// exactly its own reuse (`vertical.prefix_hits` /
+/// `vertical.prefix_builds`).
 #[derive(Default)]
 pub(crate) struct PrefixCache {
     /// Prefix bases of the previous candidate; depth `d` of `store` holds
@@ -406,6 +364,11 @@ pub(crate) struct PrefixCache {
     range: Range<usize>,
     /// Depth-major accumulators: `store[d*BLOCK_WORDS..][..range.len()]`.
     store: Vec<u64>,
+    /// Prefix rows served from the cache.
+    pub(crate) hits: u64,
+    /// Prefix rows ANDed because they differed from the previous
+    /// candidate's (or the block changed).
+    pub(crate) builds: u64,
 }
 
 impl PrefixCache {
@@ -420,16 +383,23 @@ impl PrefixCache {
             .take_while(|&(&a, &b)| a == b)
             .count()
     }
+
+    /// Drops the memoized prefix, keeping the buffers and the tallies:
+    /// the next candidate builds its prefix from scratch.
+    pub(crate) fn forget(&mut self) {
+        self.key.clear();
+    }
 }
 
 /// [`count_wide`] through the prefix memo: a candidate of arity ≥ 3
 /// splits into `bases[..k-1]` — served from `cache`, extending the
 /// longest prefix shared with the previous candidate — and a final row
-/// ANDed + tallied per candidate. Counts are exactly [`count_scalar`]'s:
+/// ANDed and tallied per candidate. Counts are exactly [`count_scalar`]'s:
 /// AND is associative, so reusing a folded prefix is just a
-/// reassociation; the bit-identity proptests pin this path against both
-/// plain kernels. `and_ops` meters rows actually ANDed (cache hits cost
-/// nothing), so it also measures what the memo saves.
+/// reassociation; the in-module `prefixed_*` tests and the vertical
+/// engine's seeded `*_count_bit_identically` tests pin this path against
+/// the scalar kernel. `and_ops` meters rows actually ANDed (cache hits
+/// cost nothing), so it also measures what the memo saves.
 pub(crate) fn count_wide_prefixed<W: Weights>(
     words: &[u64],
     weights: W,
@@ -470,44 +440,15 @@ pub(crate) fn count_wide_prefixed<W: Weights>(
         *and_ops += n as u64;
         d += 1;
     }
-    PREFIX_HITS.fetch_add(lcp as u64, std::sync::atomic::Ordering::Relaxed);
-    PREFIX_BUILDS.fetch_add((depth - lcp) as u64, std::sync::atomic::Ordering::Relaxed);
+    cache.hits += lcp as u64;
+    cache.builds += (depth - lcp) as u64;
     cache.key.clear();
     cache.key.extend_from_slice(prefix);
     cache.range = range.clone();
     let row = &words[last + range.start..last + range.end];
     let pre = &cache.store[(depth - 1) * BLOCK_WORDS..(depth - 1) * BLOCK_WORDS + n];
     *and_ops += n as u64;
-    let mut total = 0u64;
-    let mut i = 0usize;
-    while i < n {
-        let (weight, end) = weights.run(range.start + i, range.end);
-        let end = end - range.start;
-        let mut hs = HarleySeal::default();
-        while i + LANES <= end {
-            let a: &[u64; LANES] = pre[i..i + LANES].try_into().expect("lane block");
-            let b: &[u64; LANES] = row[i..i + LANES].try_into().expect("lane block");
-            let mut acc = [0u64; LANES];
-            for j in 0..LANES {
-                acc[j] = a[j] & b[j];
-            }
-            let mut any = 0u64;
-            for &lane in &acc {
-                any |= lane;
-            }
-            if any != 0 {
-                hs.feed(&acc);
-            }
-            i += LANES;
-        }
-        let mut bits = hs.finish();
-        while i < end {
-            bits += u64::from((pre[i] & row[i]).count_ones());
-            i += 1;
-        }
-        total += weight * bits;
-    }
-    total
+    weights.tally(pre.iter().zip(row).map(|(&a, &b)| a & b), range.start)
 }
 
 /// [`count_dispatch`] for the level-batched block loops, which walk a
@@ -647,6 +588,69 @@ mod tests {
             &mut cache,
         );
         assert_eq!(ops, wpr as u64, "sibling reuses the cached prefix");
+    }
+
+    /// The wide kernels against the scalar one and a naive tally over
+    /// ranges of 0, 1, 7, 8, 9, 127 and 128 words — empty, inside one
+    /// lane block, a lane block and either side of it, a cache block and
+    /// one word short — at arities 1–4, with unit weights and with
+    /// per-word weights, some past `u32::MAX`.
+    #[test]
+    fn wide_tally_matches_scalar_at_lane_and_block_edges() {
+        let wpr = 131;
+        let store = words(4 * wpr, 0xC0FFEE);
+        let weighted: Vec<u64> = words(wpr, 0x7A11)
+            .into_iter()
+            .map(|x| if x % 3 == 0 { x >> 24 } else { x % 1000 })
+            .collect();
+        assert!(weighted.iter().any(|&w| w > u64::from(u32::MAX)));
+        let naive = |bases: &[usize], range: Range<usize>, weight: &dyn Fn(usize) -> u64| {
+            range
+                .map(|w| {
+                    let acc = bases.iter().fold(u64::MAX, |acc, &b| acc & store[b + w]);
+                    weight(w) * u64::from(acc.count_ones())
+                })
+                .sum::<u64>()
+        };
+        for arity in 1..=4 {
+            let bases: Vec<usize> = (0..arity).map(|i| i * wpr).collect();
+            for len in [0, 1, 7, 8, 9, 127, 128] {
+                for start in [0, 3] {
+                    let range = start..start + len;
+                    let case = format!("arity {arity}, range {range:?}");
+                    let mut ops = 0u64;
+                    let want = naive(&bases, range.clone(), &|_| 1);
+                    let scalar = count_scalar(&store, Unit, &bases, range.clone(), &mut ops);
+                    let wide = count_wide(&store, Unit, &bases, range.clone(), &mut ops);
+                    let prefixed = count_wide_prefixed(
+                        &store,
+                        Unit,
+                        &bases,
+                        range.clone(),
+                        &mut ops,
+                        &mut PrefixCache::default(),
+                    );
+                    assert_eq!((scalar, wide, prefixed), (want, want, want), "{case} unit");
+                    let weights = &weighted[..];
+                    let want = naive(&bases, range.clone(), &|w| weighted[w]);
+                    let scalar = count_scalar(&store, weights, &bases, range.clone(), &mut ops);
+                    let wide = count_wide(&store, weights, &bases, range.clone(), &mut ops);
+                    let prefixed = count_wide_prefixed(
+                        &store,
+                        weights,
+                        &bases,
+                        range.clone(),
+                        &mut ops,
+                        &mut PrefixCache::default(),
+                    );
+                    assert_eq!(
+                        (scalar, wide, prefixed),
+                        (want, want, want),
+                        "{case} weighted"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

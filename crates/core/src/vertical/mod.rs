@@ -52,7 +52,7 @@ use crate::stats::MiningStats;
 
 pub use kernel::Kernel;
 use kernel::{
-    count_dispatch, count_dispatch_cached, PrefixCache, RowBases, WordWeight, BLOCK_WORDS,
+    count_dispatch, count_dispatch_cached, LevelBases, PrefixCache, RowBases, BLOCK_WORDS,
 };
 
 /// Folds hits of `stride` words each, laid end to end in `hits`, into
@@ -95,10 +95,10 @@ pub struct VerticalIndex {
     words_per_row: usize,
     /// Row-major: `words[letter * words_per_row + w]`.
     words: Vec<u64>,
-    /// Per word: the multiplicity of its columns, the end of its
-    /// equal-weight run and its column count (64 except at a group's
-    /// end).
-    weights: Vec<WordWeight>,
+    /// Per word: the multiplicity of its columns.
+    weights: Vec<u64>,
+    /// Per word: its column count (64 except at a group's end).
+    fills: Vec<u8>,
     /// The counts of the empty pattern and of each single letter over
     /// the whole multiset, which includes hits too short to lay out.
     segments: u64,
@@ -123,6 +123,7 @@ impl VerticalIndex {
         let mut order: Vec<usize> = (0..counts.len()).filter(|&i| counts[i] > 0).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(counts[i]));
         let mut weights = Vec::new();
+        let mut fills = Vec::new();
         // (first column, columns) of every 64-column chunk, in word order.
         let mut chunks = Vec::new();
         let mut start = 0;
@@ -135,23 +136,12 @@ impl VerticalIndex {
             for at in (start..start + len).step_by(64) {
                 let n = (start + len - at).min(64);
                 chunks.push((at, n));
-                weights.push(WordWeight {
-                    weight,
-                    run_end: 0,
-                    fill: n as u32,
-                });
+                weights.push(weight);
+                fills.push(n as u8);
             }
             start += len;
         }
         let words_per_row = weights.len();
-        // Runs are maximal spans of one weight, read off the words.
-        let mut run_end = words_per_row;
-        for w in (0..words_per_row).rev() {
-            if w + 1 < words_per_row && weights[w + 1].weight != weights[w].weight {
-                run_end = w + 1;
-            }
-            weights[w].run_end = run_end as u32;
-        }
         let mut words = vec![0u64; n_letters * words_per_row];
         // Each chunk of up to 64 hits is a 64×64 bit matrix per key word;
         // its transpose is the chunk's word of 64 letter rows at once.
@@ -174,6 +164,7 @@ impl VerticalIndex {
             words_per_row,
             words,
             weights,
+            fills,
             segments,
             letter_totals,
         }
@@ -274,11 +265,8 @@ impl VerticalIndex {
         )
     }
 
-    /// Counts a whole derivation level's candidates over the word range
-    /// `words` in one cache-blocked pass: every [`BLOCK_WORDS`] words of
-    /// the bitmaps are touched once and all candidates answer against them
-    /// before the next block is loaded, so the block stays hot across the
-    /// whole level. Counts over disjoint ranges sum exactly.
+    /// [`Self::count_level_cached`] with a prefix cache of its own.
+    #[cfg(test)]
     fn count_level(
         &self,
         candidates: &[LetterSet],
@@ -286,20 +274,35 @@ impl VerticalIndex {
         kernel: Kernel,
         and_ops: &mut u64,
     ) -> Vec<u64> {
-        let bases: Vec<RowBases> = candidates
-            .iter()
-            .map(|p| RowBases::from_pattern(p, self.words_per_row))
-            .collect();
+        let mut cache = PrefixCache::default();
+        self.count_level_cached(candidates, words, kernel, and_ops, &mut cache)
+    }
+
+    /// Counts a whole derivation level's candidates over the word range
+    /// `words` in one cache-blocked pass: every [`BLOCK_WORDS`] words of
+    /// the bitmaps are touched once and all candidates answer against them
+    /// before the next block is loaded, so the block stays hot across the
+    /// whole level. Counts over disjoint ranges sum exactly. The level
+    /// starts `cache` cold, and the cache tallies its reuse across calls.
+    fn count_level_cached(
+        &self,
+        candidates: &[LetterSet],
+        words: Range<usize>,
+        kernel: Kernel,
+        and_ops: &mut u64,
+        cache: &mut PrefixCache,
+    ) -> Vec<u64> {
+        let wpr = self.words_per_row;
+        let bases = LevelBases::new(candidates.iter().map(|p| p.iter().map(|l| l * wpr)));
         let mut totals = vec![0u64; candidates.len()];
         // Sibling candidates arrive in sorted runs sharing all but their
         // last letter; the cache folds each run's prefix AND once per
         // block (see `kernel::PrefixCache`).
-        let mut cache = PrefixCache::default();
+        cache.forget();
         let mut lo = words.start;
         while lo < words.end {
             let hi = (lo + BLOCK_WORDS).min(words.end);
-            for (total, b) in totals.iter_mut().zip(&bases) {
-                let slice = b.as_slice();
+            for (total, slice) in totals.iter_mut().zip(bases.iter()) {
                 *total += if slice.is_empty() {
                     self.empty_pattern_weight(lo..hi)
                 } else {
@@ -310,7 +313,7 @@ impl VerticalIndex {
                         slice,
                         lo..hi,
                         and_ops,
-                        &mut cache,
+                        cache,
                     )
                 };
             }
@@ -323,9 +326,10 @@ impl VerticalIndex {
     /// multiplicity of the columns laid out in those words — every
     /// column is a superpattern of the empty pattern.
     fn empty_pattern_weight(&self, words: Range<usize>) -> u64 {
-        self.weights[words]
+        self.weights[words.clone()]
             .iter()
-            .map(|word| word.weight * u64::from(word.fill))
+            .zip(&self.fills[words])
+            .map(|(&weight, &fill)| weight * u64::from(fill))
             .sum()
     }
 
@@ -450,20 +454,20 @@ fn derive_vertical(
 ) -> Vec<FrequentPattern> {
     let mut frequent = scan1.seed_singletons();
     let mut and_ops = 0u64;
+    let mut cache = PrefixCache::default();
     derive_frequent_batched(
-        |sets| index.count_level(sets, 0..index.words_per_row, kernel, &mut and_ops),
+        |sets| {
+            let words = 0..index.words_per_row;
+            index.count_level_cached(sets, words, kernel, &mut and_ops, &mut cache)
+        },
         scan1,
         &mut frequent,
         stats,
     );
-    use std::sync::atomic::Ordering::Relaxed;
     ppm_observe::gauge("vertical.kernel", kernel.gauge_code());
     ppm_observe::gauge("vertical.and_ops", and_ops);
-    ppm_observe::gauge(
-        "vertical.prefix_builds",
-        kernel::PREFIX_BUILDS.load(Relaxed),
-    );
-    ppm_observe::gauge("vertical.prefix_hits", kernel::PREFIX_HITS.load(Relaxed));
+    ppm_observe::gauge("vertical.prefix_builds", cache.builds);
+    ppm_observe::gauge("vertical.prefix_hits", cache.hits);
     frequent
 }
 
@@ -762,7 +766,9 @@ mod tests {
         // Distinct-hit layouts: groups of 1, 63, 64 and 65 columns put
         // group ends inside, at and just past a word, so lane blocks
         // straddle weights; the 577+-column weight-1 group runs whole
-        // LANES-word blocks of one weight run.
+        // LANES-word blocks of one weight. Every case also lays out one
+        // group heavier than `u32::MAX`, so a tally that narrows its
+        // multiply must still be exact.
         let mut rng = SplitMix(0xd15_71c7);
         for case in 0..64 {
             let n_letters = 2 + rng.below(22);
@@ -777,6 +783,10 @@ mod tests {
                 hits.extend((0..size).map(|_| (rng.letters(n_letters, 6), weight)));
                 words += size.div_ceil(64);
             }
+            let size: usize = [1, 63, 64, 65][case % 4];
+            let weight = u64::from(u32::MAX) + 1 + 7 * case as u64;
+            hits.extend((0..size).map(|_| (rng.letters(n_letters, 6), weight)));
+            words += size.div_ceil(64);
             let index = VerticalIndex::from_hits(n_letters, &hits);
             assert_eq!(index.words_per_row(), words, "case {case}");
             assert_eq!(index.n_columns(), hits.len(), "case {case}");
@@ -818,6 +828,33 @@ mod tests {
                 assert_eq!(per_word, expect, "case {case} {kernel:?} per word");
             }
         }
+    }
+
+    /// The prefix gauges count one derive's cache engagement, not the
+    /// process's: two identical mines report equal values.
+    #[test]
+    fn prefix_gauges_are_per_mine() {
+        let series = busy_series(900, 5);
+        let config = MineConfig::new(0.25).unwrap();
+        let gauges = || {
+            let collector = std::sync::Arc::new(ppm_observe::Collector::new());
+            {
+                let _guard = ppm_observe::install(collector.clone());
+                mine_vertical(&series, 4, &config).unwrap();
+            }
+            let gauges = collector.gauge_maxima();
+            let gauge = |name: &str| gauges.get(name).copied().expect(name);
+            (
+                gauge("vertical.prefix_hits"),
+                gauge("vertical.prefix_builds"),
+            )
+        };
+        let first = gauges();
+        assert!(
+            first.0 > 0 && first.1 > 0,
+            "the mine reuses prefixes: {first:?}"
+        );
+        assert_eq!(gauges(), first);
     }
 
     #[test]
