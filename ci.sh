@@ -39,33 +39,33 @@ echo "==> observability smoke: mine --trace --metrics-out on a generated dataset
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "$smoke_dir"' EXIT
 ./target/release/ppm generate --length 3000 --period 25 --max-pat-length 4 \
-  --f1 8 --seed 7 --out "$smoke_dir/smoke.ppms"
-./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
+  --f1 8 --seed 7 --out "$smoke_dir/smoke.ppmc"
+./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
   --min-conf 0.6 --trace --metrics-out "$smoke_dir/metrics.json" \
   >"$smoke_dir/stdout.log" 2>"$smoke_dir/trace.log"
 grep -q "frequent patterns" "$smoke_dir/stdout.log"
 test -s "$smoke_dir/trace.log"   # --trace wrote the span tree to stderr
 grep -q '"type":"summary"' "$smoke_dir/metrics.json"
 grep -q '"mining_stats"' "$smoke_dir/metrics.json"
-./target/release/ppm info --input "$smoke_dir/smoke.ppms" --period 25 \
+./target/release/ppm info --input "$smoke_dir/smoke.ppmc" --period 25 \
   | grep -q "hit-set bound"
 
 echo "==> verification smoke: audit, verify, quarantine, checkpoint integrity"
 # Honest runs audit clean on every engine; the cross-check diffs all six
 # arms (including the forced-scalar and incremental vertical arms).
 for engine in hitset apriori vertical incremental; do
-  ./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
+  ./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
     --min-conf 0.6 --engine "$engine" --audit full \
     | grep -q "audit: clean"
 done
 # An exported result file re-verifies against its series.
-./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
+./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
   --min-conf 0.6 --tsv >"$smoke_dir/patterns.tsv"
-./target/release/ppm verify --input "$smoke_dir/smoke.ppms" \
+./target/release/ppm verify --input "$smoke_dir/smoke.ppmc" \
   --patterns "$smoke_dir/patterns.tsv" --period 25 --min-conf 0.6 \
   | grep -q "verify: clean"
 # A deliberately perturbed count must fail the audit with a non-zero exit.
-if ./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
+if ./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
   --min-conf 0.6 --audit --perturb-count 0 >"$smoke_dir/perturb.log" 2>&1; then
   echo "perturbed mine was not caught by the audit" >&2; exit 1
 fi
@@ -75,42 +75,52 @@ grep -q "count mismatch" "$smoke_dir/perturb.log"
 # (Capture to a file: the quarantine report prints before mining, so a
 # `grep -q` pipe would close early and EPIPE the miner under pipefail.)
 quarantine_status=0
-./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
+./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
   --min-conf 0.6 --quarantine --inject-garbage 3 \
   >"$smoke_dir/quarantine.log" || quarantine_status=$?
 test "$quarantine_status" -eq 4
 grep -q "quarantined 1 instants" "$smoke_dir/quarantine.log"
-if ./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
+if ./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
   --min-conf 0.6 --strict --inject-garbage 3 >/dev/null 2>&1; then
   echo "strict mode accepted garbage input" >&2; exit 1
 fi
 # A corrupted sweep checkpoint is rejected, not silently resumed.
-./target/release/ppm sweep --input "$smoke_dir/smoke.ppms" --from 24 --to 26 \
+./target/release/ppm sweep --input "$smoke_dir/smoke.ppmc" --from 24 --to 26 \
   --min-conf 0.6 --checkpoint "$smoke_dir/sweep.ckpt" >/dev/null
 sed -i 's/^period 24 /period 99 /' "$smoke_dir/sweep.ckpt"  # edit a row body; its checksum now lies
-if ./target/release/ppm sweep --input "$smoke_dir/smoke.ppms" --from 24 --to 26 \
+if ./target/release/ppm sweep --input "$smoke_dir/smoke.ppmc" --from 24 --to 26 \
   --min-conf 0.6 --checkpoint "$smoke_dir/sweep.ckpt" >/dev/null 2>"$smoke_dir/ckpt.log"; then
   echo "corrupted checkpoint was accepted" >&2; exit 1
 fi
 grep -qi "checksum" "$smoke_dir/ckpt.log"
-# Out of core: every engine mines a .ppmstream copy of the smoke dataset,
-# re-scanning the file per pass, to the same pattern lines as the
-# in-memory mine. Apriori honours the deadline guard like the two-scan
-# engines: exit 3 with partial progress.
-./target/release/ppm convert --input "$smoke_dir/smoke.ppms" --to stream \
-  --out "$smoke_dir/smoke.ppmstream" >/dev/null
+# Out of core: every engine mines the smoke store with --stream,
+# re-scanning the file per pass, to the same pattern lines and the same
+# series_scans (the header line) as the in-memory mine of the store.
+# Apriori honours the deadline guard like the two-scan engines: exit 3
+# with partial progress.
 for engine in hitset apriori vertical incremental; do
-  ./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
+  ./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
     --min-conf 0.6 --engine "$engine" --limit 100000 \
-    | grep '^  ' >"$smoke_dir/memory.lines"
-  ./target/release/ppm mine --input "$smoke_dir/smoke.ppmstream" --period 25 \
+    | grep -E '^  |frequent patterns' >"$smoke_dir/memory.lines"
+  ./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
     --min-conf 0.6 --engine "$engine" --limit 100000 --stream \
-    | grep '^  ' >"$smoke_dir/stream.lines"
-  test -s "$smoke_dir/memory.lines"
+    | grep -E '^  |frequent patterns' >"$smoke_dir/stream.lines"
+  grep -q '^  ' "$smoke_dir/memory.lines"
   diff "$smoke_dir/memory.lines" "$smoke_dir/stream.lines"
 done
+# .ppmc and .txt are the only series formats: the removed block-binary
+# format is a usage error (exit 2) as a --to name and as an input.
+removed_status=0
+./target/release/ppm convert --input "$smoke_dir/smoke.ppmc" --to binary \
+  --out "$smoke_dir/removed.bin" >/dev/null 2>&1 || removed_status=$?
+test "$removed_status" -eq 2
+cp "$smoke_dir/smoke.ppmc" "$smoke_dir/old.ppms"
+removed_status=0
+./target/release/ppm mine --input "$smoke_dir/old.ppms" --period 25 \
+  --min-conf 0.6 >/dev/null 2>&1 || removed_status=$?
+test "$removed_status" -eq 2
 deadline_status=0
-./target/release/ppm mine --input "$smoke_dir/smoke.ppms" --period 25 \
+./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
   --min-conf 0.6 --engine apriori --deadline-ms 0 \
   >"$smoke_dir/deadline.log" || deadline_status=$?
 test "$deadline_status" -eq 3
@@ -124,7 +134,7 @@ grep -q "E9 — extensions" "$smoke_dir/experiments.log"  # the last experiment 
 
 echo "==> continuous ingestion smoke: ppm append, mine --follow, serve append op"
 # A dedicated store copy so appends never perturb the other steps' files.
-./target/release/ppm convert --input "$smoke_dir/smoke.ppms" \
+./target/release/ppm convert --input "$smoke_dir/smoke.ppmc" \
   --out "$smoke_dir/follow.ppmc"
 # A converted store is .ppmc version 3. The committed version-1 and
 # version-2 fixtures (written before the word-hash checksum and before the
@@ -224,8 +234,6 @@ echo "==> daemon smoke: serve/query, metrics scrape, flight dump, guard trip, qu
 # The daemon serves .ppmc stores; its mine answers must be byte-identical
 # to direct `ppm mine` on the same store. --test-faults unlocks the
 # fault-injection ops the smoke leans on (inject_garbage).
-./target/release/ppm convert --input "$smoke_dir/smoke.ppms" \
-  --out "$smoke_dir/smoke.ppmc"
 for eng in hitset apriori vertical; do
   for period in 24 25 26; do
     ./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" \

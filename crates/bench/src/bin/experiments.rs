@@ -300,7 +300,7 @@ fn derive_ablation(quick: bool) {
 
 /// E10 — disk-resident mining: the §5 argument that scans are the cost.
 fn disk(quick: bool) {
-    banner("E10 — disk-resident mining (streaming .ppmstream, every scan is file I/O)");
+    banner("E10 — disk-resident mining (a .ppmc store streamed from disk, every scan is file I/O)");
     let length = if quick { 50_000 } else { 200_000 };
     println!(
         "{:>15} {:>12} {:>12} {:>9} {:>12} {:>12} {:>10}",

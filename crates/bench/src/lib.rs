@@ -380,12 +380,13 @@ pub struct DiskRow {
 }
 
 /// The §5 disk argument, made concrete: [`ppm_core::run`] both algorithms
-/// over a `.ppmstream` [`FileSource`](ppm_timeseries::storage::stream::FileSource),
-/// so Apriori's extra levels become extra passes over the file. Results
-/// are asserted equal to the in-memory miners.
+/// over a `.ppmc` store through a
+/// [`ColumnarSource`](ppm_timeseries::columnar::ColumnarSource), so
+/// Apriori's extra levels become extra passes over the file. Results are
+/// asserted equal to the in-memory miners.
 pub fn run_disk(length: usize, max_pat_lengths: &[usize]) -> Vec<DiskRow> {
     use ppm_core::run;
-    use ppm_timeseries::storage::stream::{FileSource, StreamWriter};
+    use ppm_timeseries::columnar::{write_columnar, ColumnarSource};
     use ppm_timeseries::SeriesSource as _;
 
     let dir = std::env::temp_dir().join(format!("ppm-disk-exp-{}", std::process::id()));
@@ -395,17 +396,15 @@ pub fn run_disk(length: usize, max_pat_lengths: &[usize]) -> Vec<DiskRow> {
         let spec = SyntheticSpec::figure2(length, mpl);
         let data = spec.generate();
         let config = MineConfig::new(spec.recommended_min_conf()).unwrap();
-        let path = dir.join(format!("fig2-{length}-{mpl}.ppmstream"));
-        StreamWriter::create(&path, &data.catalog)
-            .and_then(|w| w.write_series(&data.series))
-            .expect("write stream file");
+        let path = dir.join(format!("fig2-{length}-{mpl}.ppmc"));
+        write_columnar(&path, &data.series, &data.catalog).expect("write store");
         let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
 
-        let mut src = FileSource::open(&path).expect("open stream file");
+        let mut src = ColumnarSource::open(&path).expect("open store");
         let (ap, apriori_secs) = timed(|| run(Engine::Apriori, &mut src, 50, &config).unwrap());
         let apriori_scans = src.scans_performed();
 
-        let mut src = FileSource::open(&path).expect("open stream file");
+        let mut src = ColumnarSource::open(&path).expect("open store");
         let (hs, hitset_secs) = timed(|| run(Engine::HitSet, &mut src, 50, &config).unwrap());
         let hitset_scans = src.scans_performed();
 

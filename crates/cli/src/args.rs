@@ -147,9 +147,9 @@ mod tests {
 
     #[test]
     fn parses_command_and_flags() {
-        let p = Parsed::parse(&argv("mine --input x.ppms --period 24 --maximal")).unwrap();
+        let p = Parsed::parse(&argv("mine --input x.ppmc --period 24 --maximal")).unwrap();
         assert_eq!(p.command, "mine");
-        assert_eq!(p.get("input"), Some("x.ppms"));
+        assert_eq!(p.get("input"), Some("x.ppmc"));
         assert_eq!(p.required_parsed::<usize>("period").unwrap(), 24);
         assert!(p.switch("maximal"));
         assert!(!p.switch("looping"));

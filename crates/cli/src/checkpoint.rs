@@ -11,8 +11,9 @@
 //! The format is line-oriented text, human-inspectable:
 //!
 //! ```text
-//! ppm-sweep-checkpoint v2
-//! input data.ppms
+//! ppm-sweep-checkpoint v3
+//! input data.ppmc
+//! fingerprint 5f0e3d2c1b0a9988
 //! min_conf 0.6
 //! range 40 60
 //! period 40 12 5 3 2 c=a1b2c3d4e5f60718
@@ -22,10 +23,14 @@
 //! where each `period` line is `period patterns |F1| max_len scans` plus
 //! (since v2) an FNV-1a checksum of the row body, so a damaged or edited
 //! row is rejected by name instead of silently resuming from a wrong
-//! count. v1 files (no checksums) still load. A checkpoint written by a
-//! *different* sweep (mismatched input, threshold, or range) is rejected
-//! rather than silently ignored, so stale files cannot masquerade as
-//! progress.
+//! count. Since v3 the header records the input's content fingerprint
+//! (a `.ppmc` store's own, or the FNV-1a of a text file's bytes), so an
+//! input that changed under the same path — an append, say — does not
+//! resume rows mined from its old content. v1 (no checksums) and v2 (no
+//! fingerprint) files still load, and match on the path alone. A
+//! checkpoint written by a *different* sweep (mismatched input,
+//! threshold, or range) is rejected rather than silently ignored, so stale
+//! files cannot masquerade as progress.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
@@ -35,10 +40,14 @@ use ppm_timeseries::fnv64;
 use crate::error::CliError;
 
 /// First line of every checkpoint file this version writes.
+const MAGIC_V3: &str = "ppm-sweep-checkpoint v3";
+
+/// The previous format: identical except the header records no input
+/// fingerprint. Still accepted on load so an upgrade never invalidates
+/// progress.
 const MAGIC_V2: &str = "ppm-sweep-checkpoint v2";
 
-/// The previous format: identical except period rows carry no checksum.
-/// Still accepted on load so an upgrade never invalidates progress.
+/// The first format: no fingerprint, and period rows carry no checksum.
 const MAGIC_V1: &str = "ppm-sweep-checkpoint v1";
 
 /// Summary of one fully mined period — everything the sweep report prints.
@@ -61,6 +70,9 @@ pub struct PeriodRow {
 pub struct SweepCheckpoint {
     /// The series file the sweep reads.
     pub input: String,
+    /// The content fingerprint of that file when the sweep began; `None`
+    /// for a v1 or v2 checkpoint, which did not record one.
+    pub fingerprint: Option<u64>,
     /// The confidence threshold.
     pub min_conf: f64,
     /// Low end of the period range (inclusive).
@@ -72,10 +84,12 @@ pub struct SweepCheckpoint {
 }
 
 impl SweepCheckpoint {
-    /// An empty checkpoint for a fresh sweep.
-    pub fn new(input: &str, min_conf: f64, from: usize, to: usize) -> Self {
+    /// An empty checkpoint for a fresh sweep of `input`, whose content
+    /// fingerprint is `fingerprint`.
+    pub fn new(input: &str, fingerprint: u64, min_conf: f64, from: usize, to: usize) -> Self {
         SweepCheckpoint {
             input: input.to_owned(),
+            fingerprint: Some(fingerprint),
             min_conf,
             from,
             to,
@@ -84,9 +98,21 @@ impl SweepCheckpoint {
     }
 
     /// Whether this checkpoint belongs to the sweep described by the
-    /// arguments (same input path, threshold, and range).
-    pub fn matches(&self, input: &str, min_conf: f64, from: usize, to: usize) -> bool {
-        self.input == input && self.min_conf == min_conf && self.from == from && self.to == to
+    /// arguments: same input path, threshold, and range, and the same
+    /// input content where the checkpoint recorded a fingerprint.
+    pub fn matches(
+        &self,
+        input: &str,
+        fingerprint: u64,
+        min_conf: f64,
+        from: usize,
+        to: usize,
+    ) -> bool {
+        self.input == input
+            && self.fingerprint.is_none_or(|f| f == fingerprint)
+            && self.min_conf == min_conf
+            && self.from == from
+            && self.to == to
     }
 
     /// The recorded row for `period`, if that period already completed.
@@ -102,11 +128,21 @@ impl SweepCheckpoint {
         self.rows.sort_by_key(|r| r.period);
     }
 
-    /// Serializes to the (v2) checkpoint text format.
+    /// Serializes to the v3 checkpoint text format, or to v2 for a
+    /// checkpoint that records no fingerprint.
     pub fn render(&self) -> String {
         let mut s = String::new();
-        let _ = writeln!(s, "{MAGIC_V2}");
-        let _ = writeln!(s, "input {}", self.input);
+        match self.fingerprint {
+            Some(f) => {
+                let _ = writeln!(s, "{MAGIC_V3}");
+                let _ = writeln!(s, "input {}", self.input);
+                let _ = writeln!(s, "fingerprint {f:016x}");
+            }
+            None => {
+                let _ = writeln!(s, "{MAGIC_V2}");
+                let _ = writeln!(s, "input {}", self.input);
+            }
+        }
         let _ = writeln!(s, "min_conf {}", self.min_conf);
         let _ = writeln!(s, "range {} {}", self.from, self.to);
         for r in &self.rows {
@@ -119,15 +155,16 @@ impl SweepCheckpoint {
         s
     }
 
-    /// Parses the checkpoint text format (v2, or the checksum-less v1).
-    /// Corrupt checkpoints are an error — resuming from garbage would
-    /// silently skip unmined periods.
+    /// Parses the checkpoint text format (v3, the fingerprint-less v2,
+    /// or the checksum-less v1). Corrupt checkpoints are an error —
+    /// resuming from garbage would silently skip unmined periods.
     pub fn parse(text: &str) -> Result<Self, CliError> {
         let bad = |detail: &str| CliError::Usage(format!("corrupt checkpoint: {detail}"));
         let mut lines = text.lines();
-        let checksummed = match lines.next() {
-            Some(MAGIC_V2) => true,
-            Some(MAGIC_V1) => false,
+        let (fingerprinted, checksummed) = match lines.next() {
+            Some(MAGIC_V3) => (true, true),
+            Some(MAGIC_V2) => (false, true),
+            Some(MAGIC_V1) => (false, false),
             _ => return Err(bad("missing header (is this a ppm sweep checkpoint?)")),
         };
         let field = |line: Option<&str>, key: &str| -> Result<String, CliError> {
@@ -137,6 +174,12 @@ impl SweepCheckpoint {
                 .ok_or_else(|| bad(&format!("expected `{key} ...` line")))
         };
         let input = field(lines.next(), "input")?;
+        let fingerprint = if fingerprinted {
+            let hex = field(lines.next(), "fingerprint")?;
+            Some(u64::from_str_radix(&hex, 16).map_err(|_| bad("unparsable fingerprint"))?)
+        } else {
+            None
+        };
         let min_conf: f64 = field(lines.next(), "min_conf")?
             .parse()
             .map_err(|_| bad("unparsable min_conf"))?;
@@ -193,6 +236,7 @@ impl SweepCheckpoint {
         }
         Ok(SweepCheckpoint {
             input,
+            fingerprint,
             min_conf,
             from,
             to,
@@ -244,8 +288,10 @@ impl SweepCheckpoint {
 mod tests {
     use super::*;
 
+    const FINGERPRINT: u64 = 0x5f0e_3d2c_1b0a_9988;
+
     fn sample() -> SweepCheckpoint {
-        let mut cp = SweepCheckpoint::new("data.ppms", 0.6, 40, 60);
+        let mut cp = SweepCheckpoint::new("data.ppmc", FINGERPRINT, 0.6, 40, 60);
         cp.record(PeriodRow {
             period: 41,
             patterns: 9,
@@ -288,11 +334,40 @@ mod tests {
     #[test]
     fn matches_checks_all_parameters() {
         let cp = sample();
-        assert!(cp.matches("data.ppms", 0.6, 40, 60));
-        assert!(!cp.matches("other.ppms", 0.6, 40, 60));
-        assert!(!cp.matches("data.ppms", 0.5, 40, 60));
-        assert!(!cp.matches("data.ppms", 0.6, 41, 60));
-        assert!(!cp.matches("data.ppms", 0.6, 40, 61));
+        let f = FINGERPRINT;
+        assert!(cp.matches("data.ppmc", f, 0.6, 40, 60));
+        assert!(!cp.matches("other.ppmc", f, 0.6, 40, 60));
+        assert!(!cp.matches("data.ppmc", f + 1, 0.6, 40, 60));
+        assert!(!cp.matches("data.ppmc", f, 0.5, 40, 60));
+        assert!(!cp.matches("data.ppmc", f, 0.6, 41, 60));
+        assert!(!cp.matches("data.ppmc", f, 0.6, 40, 61));
+    }
+
+    /// `cp` rendered as a v2 (`checksums`) or v1 file: no fingerprint line.
+    fn legacy(cp: &SweepCheckpoint, checksums: bool) -> String {
+        cp.render()
+            .lines()
+            .filter(|l| !l.starts_with("fingerprint "))
+            .map(|l| match l.split_once(" c=") {
+                Some((body, _)) if !checksums => body.to_owned(),
+                _ => l.to_owned(),
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+            .replace(MAGIC_V3, if checksums { MAGIC_V2 } else { MAGIC_V1 })
+    }
+
+    #[test]
+    fn v2_checkpoints_without_a_fingerprint_load_and_match_on_the_path() {
+        let old = SweepCheckpoint::parse(&legacy(&sample(), true)).unwrap();
+        assert_eq!(old.fingerprint, None);
+        assert_eq!(old.rows, sample().rows);
+        assert!(old.matches("data.ppmc", 1, 0.6, 40, 60));
+        assert!(!old.matches("other.ppmc", 1, 0.6, 40, 60));
+        // It renders back as v2, and a recorded fingerprint makes it v3.
+        assert_eq!(SweepCheckpoint::parse(&old.render()).unwrap(), old);
+        assert!(old.render().starts_with(MAGIC_V2));
+        assert!(sample().render().starts_with(MAGIC_V3));
     }
 
     #[test]
@@ -308,18 +383,14 @@ mod tests {
 
     #[test]
     fn v1_checkpoints_without_checksums_still_load() {
-        let cp = sample();
-        let v1 = cp
-            .render()
-            .lines()
-            .map(|l| match l.split_once(" c=") {
-                Some((body, _)) => body.to_owned(),
-                None => l.to_owned(),
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-            .replace("ppm-sweep-checkpoint v2", "ppm-sweep-checkpoint v1");
-        assert_eq!(SweepCheckpoint::parse(&v1).unwrap(), cp);
+        let cp = SweepCheckpoint {
+            fingerprint: None,
+            ..sample()
+        };
+        assert_eq!(
+            SweepCheckpoint::parse(&legacy(&sample(), false)).unwrap(),
+            cp
+        );
     }
 
     #[test]
@@ -331,7 +402,7 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("checksum mismatch"), "{msg}");
         assert!(msg.contains("40 13"), "error must name the row: {msg}");
-        // A v2 row with the checksum chopped off is also rejected.
+        // A checksummed row with the checksum chopped off is also rejected.
         let render = cp.render();
         let headless: String = render
             .lines()

@@ -32,7 +32,7 @@ pub(crate) const FLAGS: &[&str] = &["input rows repeat"];
 /// Runs `ppm append`.
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.required("input")?;
-    if super::format_of(input) != super::Format::Columnar {
+    if super::format_of(input)? != super::Format::Columnar {
         return Err(CliError::Usage(
             "append only grows columnar .ppmc stores (write one with convert --to columnar)".into(),
         ));
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn append_rejects_non_columnar_inputs_and_unknown_features() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let p = path.to_str().unwrap();
         let err = run_cli(&format!("append --input {p} --rows alpha")).unwrap_err();
         assert_eq!(err.exit_code(), 2);

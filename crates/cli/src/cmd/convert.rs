@@ -1,54 +1,25 @@
-//! `ppm convert` — transcode between the text and binary series formats.
-//!
-//! `--salvage` recovers what it can from a damaged `.ppmstream` file (one
-//! truncated by a crashed writer, say) instead of refusing to read it: the
-//! valid record prefix is extracted and written to the output path.
+//! `ppm convert` — transcode between the text format and the columnar
+//! `.ppmc` store, or rewrite an older `.ppmc` store as version 3.
 
 use std::io::Write;
-
-use ppm_timeseries::storage::salvage_series;
 
 use crate::args::Parsed;
 use crate::error::CliError;
 
 /// The flags `ppm convert` accepts; any other is a usage error.
-pub(crate) const FLAGS: &[&str] = &["input out salvage to"];
+pub(crate) const FLAGS: &[&str] = &["input out to"];
 
 /// Runs the command.
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.required("input")?;
     let output = args.required("out")?;
-
-    if args.switch("salvage") {
-        if super::format_of(input) != super::Format::Stream {
-            return Err(CliError::Usage(
-                "--salvage recovers damaged .ppmstream files; other formats \
-                 fail whole-file checksums and cannot be partially recovered"
-                    .into(),
-            ));
-        }
-        let (series, catalog, report) = salvage_series(input)?;
-        super::save_series(output, &series, &catalog)?;
-        writeln!(
-            out,
-            "salvaged {input} -> {output}: {} instants recovered",
-            report.recovered_instants
-        )?;
-        if report.clean {
-            writeln!(out, "file was intact; output is a faithful copy")?;
-        } else {
-            writeln!(out, "damage: {}", report.detail)?;
-        }
-        return Ok(());
-    }
-
-    let (series, catalog) = super::load_series(input)?;
-    // `--to text|binary|stream|columnar` overrides extension sniffing, so
-    // a columnar store can live at any path (`convert --to columnar`).
+    // `--to text|columnar` overrides extension sniffing, so a columnar
+    // store can live at any path (`convert --to columnar`).
     let format = match args.get("to") {
         Some(name) => super::Format::parse(name)?,
-        None => super::format_of(output),
+        None => super::format_of(output)?,
     };
+    let (series, catalog) = super::load_series(input)?;
     super::save_series_as(output, format, &series, &catalog)?;
     writeln!(
         out,
@@ -61,108 +32,101 @@ pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
 
 #[cfg(test)]
 mod tests {
-    use crate::cmd::testutil::{run_cli, sample_series_file, temp_path};
+    use crate::cmd::testutil::{assert_rejects_flag, run_cli, sample_series_file, temp_path};
 
     #[test]
-    fn binary_to_text_and_back() {
-        let bin = sample_series_file("ppms");
+    fn columnar_to_text_and_back() {
+        let store = sample_series_file("ppmc");
         let txt = temp_path("conv", "txt");
-        let bin2 = temp_path("conv2", "ppms");
+        let store2 = temp_path("conv2", "ppmc");
         run_cli(&format!(
             "convert --input {} --out {}",
-            bin.display(),
+            store.display(),
             txt.display()
         ))
         .unwrap();
         run_cli(&format!(
             "convert --input {} --out {}",
             txt.display(),
-            bin2.display()
+            store2.display()
         ))
         .unwrap();
-        let (a, _) = crate::cmd::load_series(bin.to_str().unwrap()).unwrap();
-        let (b, _) = crate::cmd::load_series(bin2.to_str().unwrap()).unwrap();
+        let (a, _) = crate::cmd::load_series(store.to_str().unwrap()).unwrap();
+        let (b, _) = crate::cmd::load_series(store2.to_str().unwrap()).unwrap();
         assert_eq!(a.len(), b.len());
         // Same feature multiset per instant (ids may be renumbered).
         assert_eq!(a.total_features(), b.total_features());
-        for p in [bin, txt, bin2] {
+        for p in [store, txt, store2] {
             std::fs::remove_file(p).ok();
         }
     }
 
+    /// The partial-recovery flag and the block-binary and record-stream
+    /// formats are gone: each is a usage error (exit 2), and so is an
+    /// input or output path whose extension names neither `.txt` nor
+    /// `.ppmc`.
     #[test]
-    fn salvage_recovers_truncated_stream() {
-        let stream = sample_series_file("ppmstream");
-        // Chop the trailer and the last few records off, as a crashed
-        // writer would.
-        let bytes = std::fs::read(&stream).unwrap();
-        std::fs::write(&stream, &bytes[..bytes.len() - 40]).unwrap();
-
-        // A plain convert refuses the damaged file...
-        let rescue = temp_path("salvaged", "ppms");
-        let err = run_cli(&format!(
-            "convert --input {} --out {}",
-            stream.display(),
-            rescue.display()
-        ))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 1);
-
-        // ...while --salvage recovers the valid prefix.
-        let text = run_cli(&format!(
-            "convert --input {} --out {} --salvage",
-            stream.display(),
-            rescue.display()
-        ))
-        .unwrap();
-        assert!(text.contains("instants recovered"), "{text}");
-        assert!(text.contains("damage:"), "{text}");
-        let (series, catalog) = crate::cmd::load_series(rescue.to_str().unwrap()).unwrap();
-        assert!(!series.is_empty() && series.len() < 90, "a strict prefix");
-        assert!(catalog.get("alpha").is_some());
-        for p in [stream, rescue] {
+    fn removed_flags_and_formats_are_usage_errors() {
+        let txt = sample_series_file("txt");
+        let out = temp_path("conv-removed", "ppmc");
+        assert_rejects_flag(
+            &format!(
+                "convert --input {} --out {} --salvage",
+                txt.display(),
+                out.display()
+            ),
+            "--salvage",
+        );
+        for to in ["binary", "stream"] {
+            let err = run_cli(&format!(
+                "convert --input {} --out {} --to {to}",
+                txt.display(),
+                out.display()
+            ))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "--to {to}: {err}");
+        }
+        let unknown = temp_path("conv-removed", "bin");
+        std::fs::copy(&txt, &unknown).unwrap();
+        for (input, output) in [(&unknown, &out), (&txt, &unknown)] {
+            let err = run_cli(&format!(
+                "convert --input {} --out {}",
+                input.display(),
+                output.display()
+            ))
+            .unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{err}");
+            assert!(err.to_string().contains(".ppmc"), "{err}");
+        }
+        assert!(!out.exists(), "no output is written");
+        for p in [txt, unknown] {
             std::fs::remove_file(p).ok();
         }
-    }
-
-    #[test]
-    fn salvage_requires_stream_input() {
-        let bin = sample_series_file("ppms");
-        let out = temp_path("salvage-bad", "ppms");
-        let err = run_cli(&format!(
-            "convert --input {} --out {} --salvage",
-            bin.display(),
-            out.display()
-        ))
-        .unwrap_err();
-        assert_eq!(err.exit_code(), 2);
-        std::fs::remove_file(bin).ok();
     }
 
     #[test]
     fn to_columnar_and_back_preserves_the_series() {
-        let bin = sample_series_file("ppms");
+        let txt = sample_series_file("txt");
         // `--to columnar` wins over the misleading `.dat` extension.
         let col = temp_path("conv-col", "dat");
-        let back = temp_path("conv-col-back", "ppms");
+        let back = temp_path("conv-col-back", "txt");
         run_cli(&format!(
             "convert --input {} --out {} --to columnar",
-            bin.display(),
+            txt.display(),
             col.display()
         ))
         .unwrap();
         let reader = ppm_timeseries::columnar::ColumnarReader::open(&col).unwrap();
         assert_eq!(reader.len(), 90);
-        let text = run_cli(&format!(
-            "convert --input {} --out {} --to binary",
+        // An input is never sniffed: `.dat` names no format, so reading the
+        // store back needs the real extension.
+        let err = run_cli(&format!(
+            "convert --input {} --out {}",
             col.display(),
             back.display()
         ))
         .unwrap_err();
-        // `.dat` sniffs as block binary, not columnar — the typed error
-        // (bad magic) proves sniffing stayed honest; converting back needs
-        // the real extension.
-        assert_eq!(text.exit_code(), 1);
+        assert_eq!(err.exit_code(), 2);
         let col2 = temp_path("conv-col2", "ppmc");
         std::fs::copy(&col, &col2).unwrap();
         run_cli(&format!(
@@ -171,43 +135,43 @@ mod tests {
             back.display()
         ))
         .unwrap();
-        let (a, _) = crate::cmd::load_series(bin.to_str().unwrap()).unwrap();
+        let (a, _) = crate::cmd::load_series(txt.to_str().unwrap()).unwrap();
         let (b, _) = crate::cmd::load_series(back.to_str().unwrap()).unwrap();
         assert_eq!(a.len(), b.len());
         assert_eq!(a.total_features(), b.total_features());
-        for p in [bin, col, col2, back] {
+        for p in [txt, col, col2, back] {
             std::fs::remove_file(p).ok();
         }
     }
 
     #[test]
     fn rejects_unknown_to_format() {
-        let bin = sample_series_file("ppms");
-        let out = temp_path("conv-badfmt", "ppms");
+        let txt = sample_series_file("txt");
+        let out = temp_path("conv-badfmt", "txt");
         let err = run_cli(&format!(
             "convert --input {} --out {} --to parquet",
-            bin.display(),
+            txt.display(),
             out.display()
         ))
         .unwrap_err();
         assert_eq!(err.exit_code(), 2);
-        std::fs::remove_file(bin).ok();
+        std::fs::remove_file(txt).ok();
     }
 
     #[test]
     fn text_output_is_readable() {
-        let bin = sample_series_file("ppms");
+        let store = sample_series_file("ppmc");
         let txt = temp_path("conv-read", "txt");
         run_cli(&format!(
             "convert --input {} --out {}",
-            bin.display(),
+            store.display(),
             txt.display()
         ))
         .unwrap();
         let content = std::fs::read_to_string(&txt).unwrap();
         assert!(content.contains("alpha"));
         assert!(content.contains('-'));
-        for p in [bin, txt] {
+        for p in [store, txt] {
             std::fs::remove_file(p).ok();
         }
     }

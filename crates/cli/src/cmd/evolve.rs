@@ -63,7 +63,7 @@ mod tests {
 
     #[test]
     fn classifies_tracks() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!(
             "evolve --input {} --period 3 --min-conf 0.6 --window 10",
             path.display()
@@ -77,7 +77,7 @@ mod tests {
 
     #[test]
     fn window_longer_than_series_errors() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let err = run_cli(&format!(
             "evolve --input {} --period 3 --min-conf 0.6 --window 1000",
             path.display()

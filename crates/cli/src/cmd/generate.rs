@@ -17,6 +17,7 @@ pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let max_pat: usize = args.required_parsed("max-pat-length")?;
     let f1: usize = args.required_parsed("f1")?;
     let out_path = args.required("out")?;
+    let format = super::format_of(out_path)?;
 
     let mut spec = SyntheticSpec::table1(length, period, max_pat, f1);
     spec.seed = args.parsed_or("seed", spec.seed)?;
@@ -24,7 +25,7 @@ pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
         return Err(CliError::Usage(detail));
     }
     let data = spec.generate();
-    super::save_series(out_path, &data.series, &data.catalog)?;
+    super::save_series_as(out_path, format, &data.series, &data.catalog)?;
 
     let stats = data.series.stats();
     writeln!(
@@ -47,7 +48,7 @@ mod tests {
 
     #[test]
     fn generates_a_minable_file() {
-        let path = temp_path("gen", "ppms");
+        let path = temp_path("gen", "ppmc");
         let p = path.to_str().unwrap();
         let text = run_cli(&format!(
             "generate --length 5000 --period 20 --max-pat-length 3 --f1 6 --out {p}"
@@ -63,7 +64,7 @@ mod tests {
 
     #[test]
     fn rejects_invalid_spec() {
-        let path = temp_path("gen-bad", "ppms");
+        let path = temp_path("gen-bad", "ppmc");
         let err = run_cli(&format!(
             "generate --length 10 --period 20 --max-pat-length 3 --f1 6 --out {}",
             path.display()

@@ -21,7 +21,7 @@ pub(crate) const FLAGS: &[&str] = &["input period min-conf"];
 /// Runs the command.
 pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
     let input = args.required("input")?;
-    let (series, catalog, columnar) = if super::format_of(input) == super::Format::Columnar {
+    let (series, catalog, columnar) = if super::format_of(input)? == super::Format::Columnar {
         let reader = ColumnarReader::open(input)?;
         let catalog = reader.catalog().clone();
         (reader.to_series(), catalog, Some(reader))
@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn prints_stats() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!("info --input {}", path.display())).unwrap();
         assert!(text.contains("instants:             90"));
         assert!(text.contains("catalog size:         2"));
@@ -146,7 +146,7 @@ mod tests {
 
     #[test]
     fn period_flag_reports_the_hit_set_bound() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!("info --input {} --period 3", path.display())).unwrap();
         // m = 30 segments, |F1| = 2 at the default min_conf 0.5, so the
         // Property 3.2 bound is min(30, 2^2 - 1) = 3.
@@ -167,8 +167,8 @@ mod tests {
 
     #[test]
     fn columnar_input_reports_its_format_version() {
-        let ppms = sample_series_file("ppms");
-        let text = run_cli(&format!("info --input {}", ppms.display())).unwrap();
+        let txt = sample_series_file("txt");
+        let text = run_cli(&format!("info --input {}", txt.display())).unwrap();
         assert!(!text.contains("format:"), "{text}");
         let ppmc = sample_series_file("ppmc");
         let text = run_cli(&format!("info --input {}", ppmc.display())).unwrap();
@@ -191,7 +191,7 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("instants:             600"), "{text}");
-        std::fs::remove_file(ppms).ok();
+        std::fs::remove_file(txt).ok();
         std::fs::remove_file(ppmc).ok();
     }
 
@@ -230,7 +230,7 @@ mod tests {
 
     #[test]
     fn invalid_period_is_mining_error() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let err = run_cli(&format!("info --input {} --period 0", path.display())).unwrap_err();
         assert_eq!(err.exit_code(), 1);
         std::fs::remove_file(path).ok();
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn missing_file_is_io_error() {
-        let err = run_cli("info --input /definitely/not/here.ppms").unwrap_err();
+        let err = run_cli("info --input /definitely/not/here.ppmc").unwrap_err();
         assert_eq!(err.exit_code(), 1);
     }
 }

@@ -8,8 +8,7 @@ use ppm_core::constraints::{mine_constrained, Constraints};
 use ppm_core::maximal::mine_maximal;
 use ppm_core::vertical::incremental::IncrementalVerticalIndex;
 use ppm_core::{run as run_engine, Engine, MineConfig, MiningResult, MiningStats, Pattern, Rows};
-use ppm_timeseries::columnar::{ColumnarReader, Reload};
-use ppm_timeseries::storage::stream::FileSource;
+use ppm_timeseries::columnar::{ColumnarReader, ColumnarSource, Reload};
 use ppm_timeseries::{
     EncodedSeriesView, Fault, FaultInjectingSource, FaultPlan, FeatureCatalog, FeatureSeries,
     MemorySource, QuarantineMode, QuarantineReport, QuarantiningSource, RetryPolicy,
@@ -51,6 +50,7 @@ pub fn run(args: &Parsed, out: &mut dyn Write) -> Result<(), CliError> {
 /// (`None` only for paths that never mined, e.g. a usage error).
 fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, CliError> {
     let input = args.required("input")?;
+    let format = super::format_of(input)?;
     let period: usize = args.required_parsed("period")?;
     let min_conf: f64 = args.required_parsed("min-conf")?;
     let limit: usize = args.parsed_or("limit", 20)?;
@@ -110,7 +110,7 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
     // Follow mode rides the incremental vertical index and therefore
     // requires the columnar store whose file the index tails.
     if args.switch("follow") {
-        if super::format_of(input) != super::Format::Columnar {
+        if format != super::Format::Columnar {
             return Err(CliError::Usage(
                 "--follow needs a columnar .ppmc input \
                  (write one with convert --to columnar)"
@@ -144,15 +144,16 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
         return follow_columnar(args, input, period, min_conf, &config, out);
     }
 
-    // Out-of-core mode: stream a .ppmstream file; never materialize it.
-    // Every engine runs over the re-scanned source.
+    // Out-of-core mode: stream a .ppmc store's committed rows from disk
+    // on every scan; never hold them. Every engine runs over the
+    // re-scanned source.
     if args.switch("stream") {
-        if super::format_of(input) != super::Format::Stream {
+        if format != super::Format::Columnar {
             return Err(CliError::Usage(
-                "--stream requires a .ppmstream input (see `ppm convert`)".into(),
+                "--stream requires a .ppmc input (write one with convert --to columnar)".into(),
             ));
         }
-        let file = FileSource::open(input)?;
+        let file = ColumnarSource::open(input)?;
         let catalog = file.catalog().clone();
         // --retries N: transparently re-scan up to N extra times when a
         // scan fails with a transient I/O error.
@@ -217,7 +218,7 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
         || args.switch("closed")
         || args.switch("offsets")
         || args.switch("max-letters");
-    if super::format_of(input) == super::Format::Columnar && !needs_instants {
+    if format == super::Format::Columnar && !needs_instants {
         let reader = ColumnarReader::open(input)?;
         let view = reader.view();
         let result = run_engine(engine, Rows::View(view), period, &config);
@@ -717,7 +718,7 @@ mod tests {
 
     #[test]
     fn mines_the_sample() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6",
             path.display()
@@ -731,7 +732,7 @@ mod tests {
 
     #[test]
     fn all_engines_agree_in_output_counts() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let base = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6",
             path.display()
@@ -756,7 +757,7 @@ mod tests {
 
     #[test]
     fn maximal_mode() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6 --maximal",
             path.display()
@@ -768,7 +769,7 @@ mod tests {
 
     #[test]
     fn constrained_mode_filters_offsets() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6 --offsets 0 --max-letters 1",
             path.display()
@@ -781,7 +782,7 @@ mod tests {
 
     #[test]
     fn tsv_output_is_machine_readable() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6 --tsv",
             path.display()
@@ -799,7 +800,7 @@ mod tests {
 
     #[test]
     fn closed_mode() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6 --closed",
             path.display()
@@ -809,32 +810,30 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// `--stream` mines a `.ppmc` store from disk to the same header and
+    /// pattern lines as the in-memory mine of the same store, on every
+    /// engine: the same `series_scans`, each one a file scan.
     #[test]
     fn stream_mode_mines_out_of_core() {
-        let stream = sample_series_file("ppmstream");
-        let plain = sample_series_file("ppms");
-        let pattern_lines = |text: &str| -> Vec<String> {
+        let store = sample_series_file("ppmc");
+        let mined_lines = |text: &str| -> Vec<String> {
             text.lines()
-                .filter(|l| l.starts_with("  "))
+                .filter(|l| l.starts_with("  ") || l.contains("frequent patterns"))
                 .map(str::to_owned)
                 .collect()
         };
         for engine in Engine::ALL {
-            let mine = |path: &std::path::Path, extra: &str| {
+            let mine = |extra: &str| {
                 run_cli(&format!(
                     "mine --input {} --period 3 --min-conf 0.6 --engine {engine}{extra}",
-                    path.display()
+                    store.display()
                 ))
                 .unwrap()
             };
-            let streamed = mine(&stream, " --stream");
-            let in_memory = mine(&plain, "");
+            let streamed = mine(" --stream");
+            let in_memory = mine("");
             assert!(streamed.contains("alpha"), "{engine}: {streamed}");
-            assert_eq!(
-                pattern_lines(&streamed),
-                pattern_lines(&in_memory),
-                "{engine}"
-            );
+            assert_eq!(mined_lines(&streamed), mined_lines(&in_memory), "{engine}");
             // Apriori's scan count grows with the pattern length; the
             // others read the file exactly twice.
             if engine.has_constant_scans() {
@@ -846,25 +845,25 @@ mod tests {
                 assert!(streamed.contains("file scans"), "{engine}: {streamed}");
             }
         }
-        std::fs::remove_file(stream).ok();
-        std::fs::remove_file(plain).ok();
+        std::fs::remove_file(store).ok();
     }
 
     #[test]
     fn stream_mode_requires_stream_format() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let err = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6 --stream",
             path.display()
         ))
         .unwrap_err();
         assert_eq!(err.exit_code(), 2);
+        assert!(err.to_string().contains(".ppmc"), "{err}");
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn unknown_or_valueless_engine_is_usage_error() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         for flag in ["--engine magic", "--engine parallel", "--engine"] {
             let err = run_cli(&format!(
                 "mine --input {} --period 3 --min-conf 0.6 {flag}",
@@ -881,7 +880,7 @@ mod tests {
     /// undeclared flag (exit 2 naming it) on every input format.
     #[test]
     fn vertical_engine_mines_with_two_scans_and_threads() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let base = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6",
             path.display()
@@ -910,7 +909,7 @@ mod tests {
 
     #[test]
     fn retries_flag_streams_like_the_plain_path() {
-        let path = sample_series_file("ppmstream");
+        let path = sample_series_file("ppmc");
         let text = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6 --stream --retries 3",
             path.display()
@@ -925,8 +924,8 @@ mod tests {
     #[test]
     fn zero_deadline_reports_partial_progress() {
         // Every engine stops after scan 1, in memory and out of core.
-        let plain = sample_series_file("ppms");
-        let stream = sample_series_file("ppmstream");
+        let plain = sample_series_file("txt");
+        let stream = sample_series_file("ppmc");
         for engine in Engine::ALL {
             for (path, extra) in [(&plain, ""), (&stream, " --stream")] {
                 let argv: Vec<String> = format!(
@@ -958,16 +957,16 @@ mod tests {
     fn valueless_resilience_flags_are_usage_errors() {
         // A forgotten value must not silently disable the guard/retry the
         // user asked for.
-        let ppms = sample_series_file("ppms");
-        let stream = sample_series_file("ppmstream");
+        let txt = sample_series_file("txt");
+        let stream = sample_series_file("ppmc");
         for cmd in [
             format!(
                 "mine --input {} --period 3 --min-conf 0.6 --deadline-ms",
-                ppms.display()
+                txt.display()
             ),
             format!(
                 "mine --input {} --period 3 --min-conf 0.6 --max-tree-nodes",
-                ppms.display()
+                txt.display()
             ),
             format!(
                 "mine --input {} --period 3 --min-conf 0.6 --stream --retries",
@@ -975,19 +974,19 @@ mod tests {
             ),
             format!(
                 "sweep --input {} --from 2 --to 4 --min-conf 0.6 --checkpoint",
-                ppms.display()
+                txt.display()
             ),
         ] {
             let err = run_cli(&cmd).unwrap_err();
             assert_eq!(err.exit_code(), 2, "{cmd}");
         }
-        std::fs::remove_file(ppms).ok();
+        std::fs::remove_file(txt).ok();
         std::fs::remove_file(stream).ok();
     }
 
     #[test]
     fn generous_guards_change_nothing() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let base = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6",
             path.display()
@@ -1008,7 +1007,7 @@ mod tests {
         use crate::cmd::testutil::temp_path;
         use ppm_observe::Json;
 
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let metrics = temp_path("mine-metrics", "json");
         let text = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6 --metrics-out {}",
@@ -1046,7 +1045,7 @@ mod tests {
         use crate::cmd::testutil::temp_path;
         use ppm_observe::Json;
 
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let metrics = temp_path("mine-metrics-abort", "json");
         let argv: Vec<String> = format!(
             "mine --input {} --period 3 --min-conf 0.6 --deadline-ms 0 --metrics-out {}",
@@ -1071,7 +1070,7 @@ mod tests {
 
     #[test]
     fn trace_and_progress_leave_stdout_unchanged() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let base = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6",
             path.display()
@@ -1094,7 +1093,7 @@ mod tests {
 
     #[test]
     fn valueless_metrics_out_is_usage_error() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let err = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6 --metrics-out",
             path.display()
@@ -1106,7 +1105,7 @@ mod tests {
 
     #[test]
     fn audit_full_is_clean_for_all_engines() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         for engine in Engine::ALL {
             let text = run_cli(&format!(
                 "mine --input {} --period 3 --min-conf 0.6 --engine {engine} --audit full",
@@ -1121,7 +1120,7 @@ mod tests {
 
     #[test]
     fn sampled_audit_is_clean_and_says_so() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6 --audit 2",
             path.display()
@@ -1134,7 +1133,7 @@ mod tests {
 
     #[test]
     fn audit_catches_a_perturbed_count() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let argv: Vec<String> = format!(
             "mine --input {} --period 3 --min-conf 0.6 --audit full --perturb-count 0",
             path.display()
@@ -1153,7 +1152,7 @@ mod tests {
 
     #[test]
     fn quarantine_reports_injected_garbage_and_still_mines() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let argv: Vec<String> = format!(
             "mine --input {} --period 3 --min-conf 0.6 --quarantine --inject-garbage 1",
             path.display()
@@ -1175,7 +1174,7 @@ mod tests {
 
     #[test]
     fn quarantine_on_clean_input_reports_zero() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let base = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6",
             path.display()
@@ -1194,7 +1193,7 @@ mod tests {
 
     #[test]
     fn strict_mode_fails_fast_on_garbage() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let err = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 0.6 --strict --inject-garbage 1",
             path.display()
@@ -1207,7 +1206,7 @@ mod tests {
 
     #[test]
     fn quarantine_works_in_stream_mode() {
-        let path = sample_series_file("ppmstream");
+        let path = sample_series_file("ppmc");
         let argv: Vec<String> = format!(
             "mine --input {} --period 3 --min-conf 0.6 --stream --quarantine --inject-garbage 1",
             path.display()
@@ -1226,7 +1225,7 @@ mod tests {
 
     #[test]
     fn audit_and_garbage_flag_combinations_are_usage_errors() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         for extra in [
             "--audit full --tsv",
             "--audit full --maximal",
@@ -1249,12 +1248,12 @@ mod tests {
 
     #[test]
     fn columnar_input_mines_identically_on_every_engine() {
-        let ppms = sample_series_file("ppms");
+        let txt = sample_series_file("txt");
         let ppmc = sample_series_file("ppmc");
         for engine in Engine::ALL {
-            let from_binary = run_cli(&format!(
+            let from_text = run_cli(&format!(
                 "mine --input {} --period 3 --min-conf 0.6 --engine {engine}",
-                ppms.display()
+                txt.display()
             ))
             .unwrap();
             let from_columnar = run_cli(&format!(
@@ -1262,9 +1261,9 @@ mod tests {
                 ppmc.display()
             ))
             .unwrap();
-            assert_eq!(from_binary, from_columnar, "{engine}");
+            assert_eq!(from_text, from_columnar, "{engine}");
         }
-        std::fs::remove_file(ppms).ok();
+        std::fs::remove_file(txt).ok();
         std::fs::remove_file(ppmc).ok();
     }
 
@@ -1319,10 +1318,10 @@ mod tests {
 
     #[test]
     fn follow_flag_combinations_are_usage_errors() {
-        let ppms = sample_series_file("ppms");
+        let txt = sample_series_file("txt");
         let ppmc = sample_series_file("ppmc");
         for (file, extra) in [
-            (&ppms, "--follow"), // needs .ppmc
+            (&txt, "--follow"), // needs .ppmc
             (&ppmc, "--follow --tsv"),
             (&ppmc, "--follow --engine apriori"),
             (&ppmc, "--follow --window 0"),
@@ -1335,7 +1334,7 @@ mod tests {
             .unwrap_err();
             assert_eq!(err.exit_code(), 2, "{extra}: {err}");
         }
-        std::fs::remove_file(ppms).ok();
+        std::fs::remove_file(txt).ok();
         std::fs::remove_file(ppmc).ok();
     }
 
@@ -1457,7 +1456,7 @@ mod tests {
 
     #[test]
     fn bad_confidence_is_mining_error() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let err = run_cli(&format!(
             "mine --input {} --period 3 --min-conf 7",
             path.display()

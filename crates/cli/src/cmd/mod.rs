@@ -18,7 +18,7 @@ use std::path::Path;
 
 use ppm_core::{Engine, MineConfig};
 use ppm_timeseries::columnar::{self, ColumnarReader};
-use ppm_timeseries::storage::{self, stream};
+use ppm_timeseries::storage;
 use ppm_timeseries::{FeatureCatalog, FeatureSeries};
 
 use crate::args::Parsed;
@@ -65,12 +65,9 @@ pub fn parse_engine(args: &Parsed) -> Result<Engine, CliError> {
 pub enum Format {
     /// Line-oriented text (`.txt`).
     Text,
-    /// Block binary (`.ppms` and anything unrecognized).
-    Binary,
-    /// Record-streaming binary (`.ppmstream`).
-    Stream,
     /// Columnar bitmap store (`.ppmc`) — the on-disk layout *is* the
-    /// encoded-series layout, so miners borrow the loaded words directly.
+    /// encoded-series layout, so miners borrow the loaded words directly
+    /// or stream them from disk.
     Columnar,
 }
 
@@ -79,41 +76,35 @@ impl Format {
     pub fn parse(name: &str) -> Result<Format, CliError> {
         match name {
             "text" => Ok(Format::Text),
-            "binary" => Ok(Format::Binary),
-            "stream" => Ok(Format::Stream),
             "columnar" => Ok(Format::Columnar),
             other => Err(CliError::Usage(format!(
-                "unknown format `{other}` (expected text, binary, stream, or columnar)"
+                "unknown format `{other}` (expected text or columnar)"
             ))),
         }
     }
 }
 
-/// Detects the format of `path` from its extension.
-pub fn format_of(path: &str) -> Format {
+/// Detects the format of `path` from its extension; any other extension
+/// is a usage error.
+pub fn format_of(path: &str) -> Result<Format, CliError> {
     match Path::new(path).extension().and_then(|e| e.to_str()) {
-        Some(ext) if ext.eq_ignore_ascii_case("txt") => Format::Text,
-        Some(ext) if ext.eq_ignore_ascii_case("ppmstream") => Format::Stream,
-        Some(ext) if ext.eq_ignore_ascii_case("ppmc") => Format::Columnar,
-        _ => Format::Binary,
+        Some(ext) if ext.eq_ignore_ascii_case("txt") => Ok(Format::Text),
+        Some(ext) if ext.eq_ignore_ascii_case("ppmc") => Ok(Format::Columnar),
+        _ => Err(CliError::Usage(format!(
+            "{path}: unknown series format; series files are .txt (text) \
+             or .ppmc (columnar store)"
+        ))),
     }
 }
 
 /// Loads a series (and catalog) from `path` in whatever format the
-/// extension indicates. Streaming files are materialized.
+/// extension indicates. A columnar store is materialized.
 pub fn load_series(path: &str) -> Result<(FeatureSeries, FeatureCatalog), CliError> {
-    match format_of(path) {
+    match format_of(path)? {
         Format::Text => {
             let text = std::fs::read_to_string(path)?;
             let mut catalog = FeatureCatalog::new();
             let series = storage::parse_series(&text, &mut catalog)?;
-            Ok((series, catalog))
-        }
-        Format::Binary => Ok(storage::read_series(path)?),
-        Format::Stream => {
-            let source = stream::FileSource::open(path)?;
-            let series = source.materialize()?;
-            let catalog = source.catalog().clone();
             Ok((series, catalog))
         }
         Format::Columnar => {
@@ -131,7 +122,7 @@ pub fn save_series(
     series: &FeatureSeries,
     catalog: &FeatureCatalog,
 ) -> Result<(), CliError> {
-    save_series_as(path, format_of(path), series, catalog)
+    save_series_as(path, format_of(path)?, series, catalog)
 }
 
 /// Saves a series to `path` in an explicitly chosen format, regardless of
@@ -145,14 +136,6 @@ pub fn save_series_as(
     match format {
         Format::Text => {
             std::fs::write(path, storage::render_series(series, catalog))?;
-            Ok(())
-        }
-        Format::Binary => {
-            storage::write_series(path, series, catalog)?;
-            Ok(())
-        }
-        Format::Stream => {
-            stream::StreamWriter::create(path, catalog)?.write_series(series)?;
             Ok(())
         }
         Format::Columnar => {
@@ -232,7 +215,7 @@ pub(crate) mod testutil {
 
     #[test]
     fn all_formats_round_trip_through_helpers() {
-        for ext in ["txt", "ppms", "ppmstream", "ppmc"] {
+        for ext in ["txt", "ppmc"] {
             let path = sample_series_file(ext);
             let (series, catalog) = load_series(path.to_str().unwrap()).unwrap();
             assert_eq!(series.len(), 90, "{ext}");
@@ -247,7 +230,7 @@ pub(crate) mod testutil {
     fn every_engine_error_names_the_same_list() {
         use ppm_serve::{Bind, BoundAddr, ServeConfig, Server, StoreRegistry};
 
-        let ppms = sample_series_file("ppms");
+        let txt = sample_series_file("txt");
         let ppmc = sample_series_file("ppmc");
         let registry = StoreRegistry::open(&[&ppmc]).unwrap();
         let server =
@@ -260,10 +243,10 @@ pub(crate) mod testutil {
         let store = ppmc.file_stem().unwrap().to_str().unwrap();
 
         let errors = [
-            format!("mine --input {} --period 3 --min-conf 0.6", ppms.display()),
+            format!("mine --input {} --period 3 --min-conf 0.6", txt.display()),
             format!(
                 "sweep --input {} --from 2 --to 4 --min-conf 0.6",
-                ppms.display()
+                txt.display()
             ),
             format!(
                 "query --port {} --store {store} --period 3 --min-conf 0.6 --retries 0",
@@ -280,26 +263,30 @@ pub(crate) mod testutil {
                 "{err}"
             );
         }
-        std::fs::remove_file(ppms).ok();
+        std::fs::remove_file(txt).ok();
         std::fs::remove_file(ppmc).ok();
     }
 
     #[test]
     fn format_detection() {
-        assert_eq!(format_of("a.txt"), Format::Text);
-        assert_eq!(format_of("a.TXT"), Format::Text);
-        assert_eq!(format_of("a.ppms"), Format::Binary);
-        assert_eq!(format_of("a.ppmstream"), Format::Stream);
-        assert_eq!(format_of("a.ppmc"), Format::Columnar);
-        assert_eq!(format_of("noext"), Format::Binary);
+        assert_eq!(format_of("a.txt").unwrap(), Format::Text);
+        assert_eq!(format_of("a.TXT").unwrap(), Format::Text);
+        assert_eq!(format_of("a.ppmc").unwrap(), Format::Columnar);
+        // Any other extension is a usage error that names both formats.
+        for path in ["a.bin", "noext", "a.csv"] {
+            let err = format_of(path).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{path}");
+            let msg = err.to_string();
+            assert!(msg.contains(".txt") && msg.contains(".ppmc"), "{msg}");
+        }
     }
 
     #[test]
     fn explicit_format_names_parse() {
         assert_eq!(Format::parse("text").unwrap(), Format::Text);
-        assert_eq!(Format::parse("binary").unwrap(), Format::Binary);
-        assert_eq!(Format::parse("stream").unwrap(), Format::Stream);
         assert_eq!(Format::parse("columnar").unwrap(), Format::Columnar);
-        assert_eq!(Format::parse("parquet").unwrap_err().exit_code(), 2);
+        for name in ["binary", "stream", "parquet"] {
+            assert_eq!(Format::parse(name).unwrap_err().exit_code(), 2, "{name}");
+        }
     }
 }

@@ -50,7 +50,7 @@ mod tests {
 
     #[test]
     fn finds_the_perfect_letter() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!(
             "perfect --input {} --from 2 --to 4",
             path.display()
@@ -64,7 +64,7 @@ mod tests {
 
     #[test]
     fn cycle_elimination_is_visible() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!(
             "perfect --input {} --from 2 --to 2",
             path.display()

@@ -51,7 +51,7 @@ mod tests {
 
     #[test]
     fn emits_rules() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!(
             "rules --input {} --period 3 --min-conf 0.5 --min-rule-conf 0.5",
             path.display()
@@ -64,7 +64,7 @@ mod tests {
 
     #[test]
     fn threshold_can_silence_all_rules() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!(
             "rules --input {} --period 3 --min-conf 0.5 --min-rule-conf 0.999",
             path.display()

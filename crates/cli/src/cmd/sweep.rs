@@ -1,28 +1,30 @@
 //! `ppm sweep` — multi-period mining over a range (Algs 3.3/3.4).
 //!
 //! Every engine shares **one** encode/load: columnar (`.ppmc`) input opens
-//! straight into the bitmap rows; other formats are bit-packed once and
-//! every period mines from that borrowed view (the vertical engines loop
-//! over the periods, like Alg 3.3). `--workers N` replaces the
-//! per-period loop with a pool of N workers claiming periods from one
-//! shared counter ([`ppm_core::multi::mine_periods_scheduled`]).
+//! straight into the bitmap rows; text is bit-packed once, and every
+//! period mines from that borrowed view. The hit-set engine interleaves
+//! all periods in two scans (Alg 3.4); the other engines mine one period
+//! per task (Alg 3.3) through [`ppm_core::multi::mine_periods_scheduled`],
+//! inline by default, or on a pool of `--workers N` claiming periods from
+//! one shared counter.
 //!
-//! With `--checkpoint FILE` the sweep mines one period at a time (the
-//! looping strategy of Alg 3.3), records each completed period in the
-//! checkpoint, and on a rerun resumes without re-mining anything already
-//! recorded. Resource-guard aborts (`--deadline-ms`, `--max-tree-nodes`)
-//! degrade gracefully: the periods mined so far are reported and kept in
-//! the checkpoint instead of the whole run dying.
+//! With `--checkpoint FILE` the sweep mines one period at a time with the
+//! hit-set engine (the looping strategy of Alg 3.3), records each
+//! completed period in the checkpoint, and on a rerun resumes without
+//! re-mining anything already recorded — unless the input's content
+//! changed, which the checkpoint's fingerprint catches. Resource-guard
+//! aborts (`--deadline-ms`, `--max-tree-nodes`) degrade gracefully: the
+//! periods mined so far are reported and kept in the checkpoint instead of
+//! the whole run dying.
 
 use std::io::Write;
 
 use ppm_core::multi::{
-    mine_periods_looping_view, mine_periods_scheduled, mine_periods_shared_view, MultiPeriodResult,
-    PeriodRange,
+    mine_periods_scheduled, mine_periods_shared_view, MultiPeriodResult, PeriodRange,
 };
-use ppm_core::{hitset, Engine, MineConfig, StatsRollup};
+use ppm_core::{run as run_engine, Engine, MineConfig, StatsRollup};
 use ppm_timeseries::columnar::ColumnarReader;
-use ppm_timeseries::{EncodedSeries, EncodedSeriesView, FeatureSeries};
+use ppm_timeseries::{fnv64, storage, EncodedSeries, EncodedSeriesView, FeatureCatalog};
 
 use crate::args::Parsed;
 use crate::checkpoint::{PeriodRow, SweepCheckpoint};
@@ -31,7 +33,7 @@ use crate::obs::{rollup_json, ObsSetup};
 
 /// The flags `ppm sweep` accepts; any other is a usage error.
 pub(crate) const FLAGS: &[&str] = &[
-    "input from to min-conf engine looping workers checkpoint",
+    "input from to min-conf engine workers checkpoint",
     super::GUARD_FLAGS,
     crate::obs::FLAGS,
 ];
@@ -62,10 +64,9 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<StatsRollup, CliError
     let min_conf: f64 = args.required_parsed("min-conf")?;
 
     let engine = super::parse_engine(args)?;
-    if engine != Engine::HitSet && (args.switch("looping") || args.switch("checkpoint")) {
+    if engine != Engine::HitSet && args.switch("checkpoint") {
         return Err(CliError::Usage(format!(
-            "--looping and --checkpoint are hit-set sweep modes; \
-             they do not combine with --engine {engine}"
+            "--checkpoint is a hit-set sweep mode; it does not combine with --engine {engine}"
         )));
     }
     let workers: usize = if args.switch("workers") {
@@ -77,65 +78,68 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<StatsRollup, CliError
     } else {
         1
     };
-    if workers > 1 {
-        for flag in ["checkpoint", "looping"] {
-            if args.switch(flag) {
-                return Err(CliError::Usage(format!(
-                    "--workers runs the shared-counter scheduler; it does not \
-                     combine with --{flag}"
-                )));
-            }
-        }
+    if workers > 1 && args.switch("checkpoint") {
+        return Err(CliError::Usage(
+            "--workers runs the shared-counter scheduler; it does not \
+             combine with --checkpoint"
+                .into(),
+        ));
     }
 
     let config = super::apply_guards(args, MineConfig::new(min_conf)?)?;
     let range = PeriodRange::new(from, to)?;
+    let checkpoint = if args.switch("checkpoint") {
+        Some(args.required("checkpoint")?)
+    } else {
+        None
+    };
 
-    if args.switch("checkpoint") {
-        let checkpoint_path = args.required("checkpoint")?;
-        let (series, _catalog) = super::load_series(input)?;
+    // One-time encode/load shared by EVERY engine and the checkpointed
+    // sweep: a columnar file opens straight into the bitmap rows (the
+    // on-disk layout is the encoded layout); text is parsed and
+    // bit-packed exactly once, here, never again per period. The
+    // fingerprint is what a checkpoint records of the input's content.
+    let reader_slot;
+    let encoded_slot;
+    let (view, fingerprint): (EncodedSeriesView<'_>, u64) = match super::format_of(input)? {
+        super::Format::Columnar => {
+            reader_slot = ColumnarReader::open(input)?;
+            (reader_slot.view(), reader_slot.fingerprint())
+        }
+        super::Format::Text => {
+            let text = std::fs::read_to_string(input)?;
+            let series = storage::parse_series(&text, &mut FeatureCatalog::new())?;
+            encoded_slot = EncodedSeries::encode(&series);
+            (encoded_slot.view(), fnv64(text.as_bytes()))
+        }
+    };
+
+    if let Some(checkpoint_path) = checkpoint {
         return run_checkpointed(
             input,
+            fingerprint,
             from,
             to,
             min_conf,
             checkpoint_path,
-            &series,
+            view,
             &config,
             out,
         );
     }
 
-    // One-time encode/load shared by EVERY engine: a columnar file opens
-    // straight into the bitmap rows (the on-disk layout is the encoded
-    // layout); any other format is materialized and bit-packed exactly
-    // once, here, never again per period.
-    let reader_slot;
-    let encoded_slot;
-    let view: EncodedSeriesView<'_> = match super::format_of(input) {
-        super::Format::Columnar => {
-            reader_slot = ColumnarReader::open(input)?;
-            reader_slot.view()
-        }
-        _ => {
-            let (series, _catalog) = super::load_series(input)?;
-            encoded_slot = EncodedSeries::encode(&series);
-            encoded_slot.view()
-        }
-    };
-
-    let looping = || mine_periods_looping_view(view, range, &config, engine);
     let (result, how) = match engine {
-        _ if workers > 1 => (
-            mine_periods_scheduled(view, range, &config, engine, workers)?,
-            format!("shared-counter scheduler, {workers} workers"),
-        ),
-        Engine::Vertical | Engine::Incremental => (looping()?, "vertical bitmap engine".into()),
-        Engine::Apriori => (looping()?, "looping Apriori, Alg 3.3/3.1".into()),
-        Engine::HitSet if args.switch("looping") => (looping()?, "looping, Alg 3.3".into()),
-        Engine::HitSet => (
+        Engine::HitSet if workers == 1 => (
             mine_periods_shared_view(view, range, &config)?,
-            "shared, Alg 3.4".into(),
+            "shared, Alg 3.4".to_owned(),
+        ),
+        _ => (
+            mine_periods_scheduled(view, range, &config, engine, workers)?,
+            match engine {
+                _ if workers > 1 => format!("shared-counter scheduler, {workers} workers"),
+                Engine::Apriori => "looping Apriori, Alg 3.3/3.1".to_owned(),
+                _ => "vertical bitmap engine".to_owned(),
+            },
         ),
     };
     let result = fail_aborted_periods(result, from, to, out)?;
@@ -222,23 +226,24 @@ fn print_table(rows: &[PeriodRow], out: &mut dyn Write) -> Result<(), CliError> 
     Ok(())
 }
 
-/// A checkpointed sweep: one period at a time, resuming from (and updating)
-/// the checkpoint file after every completed period. The returned rollup
-/// covers only the periods mined *now* — checkpoint rows carry summary
-/// columns, not full stats.
+/// A checkpointed sweep: one period at a time from `view`, resuming from
+/// (and updating) the checkpoint after every completed period. The
+/// returned rollup covers only the periods mined *now* — checkpoint rows
+/// carry summary columns, not full stats.
 #[allow(clippy::too_many_arguments)]
 fn run_checkpointed(
     input: &str,
+    fingerprint: u64,
     from: usize,
     to: usize,
     min_conf: f64,
     checkpoint_path: &str,
-    series: &FeatureSeries,
+    view: EncodedSeriesView<'_>,
     config: &MineConfig,
     out: &mut dyn Write,
 ) -> Result<StatsRollup, CliError> {
     let mut checkpoint = match SweepCheckpoint::load(checkpoint_path)? {
-        Some(cp) if cp.matches(input, min_conf, from, to) => {
+        Some(mut cp) if cp.matches(input, fingerprint, min_conf, from, to) => {
             ppm_observe::mark("checkpoint.resumed", || {
                 format!(
                     "resumed {checkpoint_path} with {} periods already mined",
@@ -251,15 +256,18 @@ fn run_checkpointed(
                 cp.rows.len(),
                 to - from + 1
             )?;
+            // A v1/v2 checkpoint adopts the fingerprint it lacked.
+            cp.fingerprint = Some(fingerprint);
             cp
         }
         Some(_) => {
             return Err(CliError::Usage(format!(
                 "checkpoint {checkpoint_path} was written by a different sweep \
-                 (input, min-conf, or range mismatch); delete it or choose another path"
+                 (input, input content, min-conf, or range mismatch); delete it or \
+                 choose another path"
             )))
         }
-        None => SweepCheckpoint::new(input, min_conf, from, to),
+        None => SweepCheckpoint::new(input, fingerprint, min_conf, from, to),
     };
 
     let mut rollup = StatsRollup::new();
@@ -269,7 +277,7 @@ fn run_checkpointed(
         if checkpoint.row_for(period).is_some() {
             continue;
         }
-        match hitset::mine(series, period, config) {
+        match run_engine(Engine::HitSet, view, period, config) {
             Ok(r) => {
                 rollup.add(&r.stats);
                 checkpoint.record(PeriodRow {
@@ -344,7 +352,7 @@ mod tests {
 
     #[test]
     fn shared_sweep_reports_two_scans() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let text = run_cli(&format!(
             "sweep --input {} --from 2 --to 6 --min-conf 0.6",
             path.display()
@@ -362,21 +370,32 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// The engines other than the hit set loop over the periods (Alg
+    /// 3.3), so their scans add up: two per period for the vertical
+    /// engines, one per level for Apriori.
     #[test]
     fn looping_sweep_scales_scans() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
+        for engine in ["vertical", "incremental"] {
+            let text = run_cli(&format!(
+                "sweep --input {} --from 2 --to 6 --min-conf 0.6 --engine {engine}",
+                path.display()
+            ))
+            .unwrap();
+            assert!(text.contains("10 total series scans"), "{engine}: {text}");
+        }
         let text = run_cli(&format!(
-            "sweep --input {} --from 2 --to 6 --min-conf 0.6 --looping",
+            "sweep --input {} --from 2 --to 6 --min-conf 0.6 --engine apriori",
             path.display()
         ))
         .unwrap();
-        assert!(text.contains("10 total series scans"), "{text}");
+        assert!(text.contains("looping Apriori"), "{text}");
         std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn inverted_range_is_rejected() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let err = run_cli(&format!(
             "sweep --input {} --from 6 --to 2 --min-conf 0.6",
             path.display()
@@ -388,7 +407,7 @@ mod tests {
 
     #[test]
     fn checkpointed_sweep_matches_looping_sweep() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let ckpt = temp_path("sweep-clean", "ckpt");
         let text = run_cli(&format!(
             "sweep --input {} --from 2 --to 6 --min-conf 0.6 --checkpoint {}",
@@ -400,6 +419,12 @@ mod tests {
         assert!(text.contains("5 mined now, 0 from checkpoint"), "{text}");
         assert!(text.contains("sweep complete"), "{text}");
         assert!(text.contains("densest period: 6"), "{text}");
+        let looping = run_cli(&format!(
+            "sweep --input {} --from 2 --to 6 --min-conf 0.6 --engine vertical",
+            path.display()
+        ))
+        .unwrap();
+        assert_eq!(sweep_table(&text), sweep_table(&looping));
         let cp = SweepCheckpoint::load(ckpt.to_str().unwrap())
             .unwrap()
             .unwrap();
@@ -410,12 +435,14 @@ mod tests {
 
     #[test]
     fn resumed_sweep_skips_completed_periods() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let ckpt = temp_path("sweep-resume", "ckpt");
         // Seed the checkpoint with a sentinel row for period 2: its pattern
         // count (999) could never come from actual mining, so seeing it in
         // the resumed run's report proves period 2 was NOT re-mined.
-        let mut cp = SweepCheckpoint::new(path.to_str().unwrap(), 0.6, 2, 6);
+        let text = std::fs::read(&path).unwrap();
+        let fingerprint = ppm_timeseries::fnv64(&text);
+        let mut cp = SweepCheckpoint::new(path.to_str().unwrap(), fingerprint, 0.6, 2, 6);
         cp.record(PeriodRow {
             period: 2,
             patterns: 999,
@@ -441,9 +468,9 @@ mod tests {
 
     #[test]
     fn mismatched_checkpoint_is_rejected() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let ckpt = temp_path("sweep-mismatch", "ckpt");
-        let cp = SweepCheckpoint::new("some-other-input.ppms", 0.6, 2, 6);
+        let cp = SweepCheckpoint::new("some-other-input.txt", 0, 0.6, 2, 6);
         cp.save(ckpt.to_str().unwrap()).unwrap();
         let err = run_cli(&format!(
             "sweep --input {} --from 2 --to 6 --min-conf 0.6 --checkpoint {}",
@@ -459,10 +486,10 @@ mod tests {
 
     #[test]
     fn sweep_metrics_summary_carries_the_rollup() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let metrics = temp_path("sweep-metrics", "json");
         run_cli(&format!(
-            "sweep --input {} --from 2 --to 6 --min-conf 0.6 --looping --metrics-out {}",
+            "sweep --input {} --from 2 --to 6 --min-conf 0.6 --engine vertical --metrics-out {}",
             path.display(),
             metrics.display()
         ))
@@ -488,7 +515,7 @@ mod tests {
 
     #[test]
     fn checkpointed_sweep_emits_checkpoint_marks() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let ckpt = temp_path("sweep-marks", "ckpt");
         let metrics = temp_path("sweep-marks-metrics", "json");
         run_cli(&format!(
@@ -535,7 +562,7 @@ mod tests {
 
     #[test]
     fn vertical_sweep_reports_the_same_table_as_shared() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let shared = run_cli(&format!(
             "sweep --input {} --from 2 --to 6 --min-conf 0.6",
             path.display()
@@ -561,10 +588,9 @@ mod tests {
 
     #[test]
     fn vertical_engine_flag_combinations_are_usage_errors() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let ckpt = temp_path("sweep-vertical-ckpt", "ckpt");
         for extra in [
-            "--engine vertical --looping".to_owned(),
             format!("--engine vertical --checkpoint {}", ckpt.display()),
             "--engine parallel".to_owned(),
         ] {
@@ -579,19 +605,19 @@ mod tests {
     }
 
     #[test]
-    fn columnar_sweep_matches_binary_sweep_on_every_engine() {
-        let ppms = sample_series_file("ppms");
+    fn columnar_sweep_matches_text_sweep_on_every_engine() {
+        let txt = sample_series_file("txt");
         let ppmc = sample_series_file("ppmc");
         for extra in [
             "",
             "--engine apriori",
             "--engine vertical",
             "--engine incremental",
-            "--looping",
+            "--workers 2",
         ] {
-            let from_binary = run_cli(&format!(
+            let from_text = run_cli(&format!(
                 "sweep --input {} --from 2 --to 6 --min-conf 0.6 {extra}",
-                ppms.display()
+                txt.display()
             ))
             .unwrap();
             let from_columnar = run_cli(&format!(
@@ -599,29 +625,21 @@ mod tests {
                 ppmc.display()
             ))
             .unwrap();
-            assert_eq!(from_binary, from_columnar, "{extra}");
+            assert_eq!(from_text, from_columnar, "{extra}");
         }
-        std::fs::remove_file(ppms).ok();
+        std::fs::remove_file(txt).ok();
         std::fs::remove_file(ppmc).ok();
     }
 
     #[test]
     fn workers_sweep_matches_the_sequential_table() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         for engine in Engine::ALL {
             let sequential = run_cli(&format!(
-                "sweep --input {} --from 2 --to 6 --min-conf 0.6 --engine {engine} --looping",
+                "sweep --input {} --from 2 --to 6 --min-conf 0.6 --engine {engine}",
                 path.display()
-            ));
-            // --looping is hitset-only; use the engine's own sequential path.
-            let sequential = match sequential {
-                Ok(s) => s,
-                Err(_) => run_cli(&format!(
-                    "sweep --input {} --from 2 --to 6 --min-conf 0.6 --engine {engine}",
-                    path.display()
-                ))
-                .unwrap(),
-            };
+            ))
+            .unwrap();
             let scheduled = run_cli(&format!(
                 "sweep --input {} --from 2 --to 6 --min-conf 0.6 --engine {engine} --workers 3",
                 path.display()
@@ -644,10 +662,9 @@ mod tests {
 
     #[test]
     fn workers_flag_combinations_are_usage_errors() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let ckpt = temp_path("sweep-workers-ckpt", "ckpt");
         for extra in [
-            "--workers 2 --looping".to_owned(),
             format!("--workers 2 --checkpoint {}", ckpt.display()),
             "--workers 0".to_owned(),
             "--workers".to_owned(),
@@ -664,7 +681,7 @@ mod tests {
 
     #[test]
     fn deadline_abort_degrades_and_keeps_progress() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let ckpt = temp_path("sweep-deadline", "ckpt");
         // A zero deadline aborts on the very first period, but the command
         // still succeeds, reporting zero completed periods.
@@ -690,27 +707,71 @@ mod tests {
 
     #[test]
     fn scheduled_guard_trips_fail_per_period_with_exit_3() {
-        let path = sample_series_file("ppms");
-        // A zero deadline trips the guard in every scheduled worker; each
-        // period fails individually, the failures are named with partial
-        // progress, and the process exits with the partial-result code.
-        let argv: Vec<String> = format!(
-            "sweep --input {} --from 2 --to 6 --min-conf 0.6 --workers 3 --deadline-ms 0",
-            path.display()
-        )
-        .split_whitespace()
-        .map(str::to_owned)
-        .collect();
-        let mut out = Vec::new();
-        let err = crate::run(&argv, &mut out).unwrap_err();
-        assert_eq!(err.exit_code(), 3);
-        let text = String::from_utf8(out).unwrap();
-        for period in 2..=6 {
-            assert!(text.contains(&format!("period {period} aborted")), "{text}");
+        let path = sample_series_file("txt");
+        // A zero deadline trips the guard in every scheduled task, on a
+        // pool or inline at one worker; each period fails individually,
+        // the failures are named with partial progress, and the process
+        // exits with the partial-result code.
+        for extra in ["--workers 3", "--engine vertical", "--engine apriori"] {
+            let argv: Vec<String> = format!(
+                "sweep --input {} --from 2 --to 6 --min-conf 0.6 --deadline-ms 0 {extra}",
+                path.display()
+            )
+            .split_whitespace()
+            .map(str::to_owned)
+            .collect();
+            let mut out = Vec::new();
+            let err = crate::run(&argv, &mut out).unwrap_err();
+            assert_eq!(err.exit_code(), 3, "{extra}");
+            let text = String::from_utf8(out).unwrap();
+            for period in 2..=6 {
+                assert!(text.contains(&format!("period {period} aborted")), "{text}");
+            }
+            assert!(text.contains("partial progress"), "{text}");
+            assert!(text.contains("0 completed, 5 aborted"), "{text}");
         }
-        assert!(text.contains("partial progress"), "{text}");
-        assert!(text.contains("0 completed, 5 aborted"), "{text}");
         std::fs::remove_file(path).ok();
+    }
+
+    /// A checkpoint records its input's content fingerprint: after an
+    /// append grows the store (or a text file is edited) under the same
+    /// path, the checkpoint is refused instead of resuming rows mined
+    /// from the old content.
+    #[test]
+    fn checkpoint_is_not_resumed_across_a_changed_input() {
+        for ext in ["ppmc", "txt"] {
+            let path = sample_series_file(ext);
+            let ckpt = temp_path("sweep-changed", "ckpt");
+            let sweep = format!(
+                "sweep --input {} --from 2 --to 4 --min-conf 0.6 --checkpoint {}",
+                path.display(),
+                ckpt.display()
+            );
+            assert!(run_cli(&sweep).unwrap().contains("sweep complete"));
+            // Unchanged, it resumes.
+            assert!(run_cli(&sweep)
+                .unwrap()
+                .contains("3 of 3 periods already mined"));
+            if ext == "ppmc" {
+                run_cli(&format!(
+                    "append --input {} --rows - --repeat 90",
+                    path.display()
+                ))
+                .unwrap();
+            } else {
+                let mut text = std::fs::read_to_string(&path).unwrap();
+                text.push_str("-\n".repeat(90).as_str());
+                std::fs::write(&path, text).unwrap();
+            }
+            let err = run_cli(&sweep).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "{ext}: {err}");
+            assert!(err.to_string().contains("different sweep"), "{ext}: {err}");
+            // A fresh sweep of the grown input mines it anew.
+            std::fs::remove_file(&ckpt).ok();
+            assert!(run_cli(&sweep).unwrap().contains("3 mined now"), "{ext}");
+            std::fs::remove_file(path).ok();
+            std::fs::remove_file(ckpt).ok();
+        }
     }
 
     /// `--bench-report` left `ppm` with the races: next to a checkpoint or
@@ -718,7 +779,7 @@ mod tests {
     /// before the checkpoint file is created.
     #[test]
     fn bench_report_rejects_checkpoint_and_bad_names() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let ckpt = temp_path("sweep-bench-ckpt", "ckpt");
         for extra in [
             format!("--bench-report x --checkpoint {}", ckpt.display()),
@@ -793,7 +854,7 @@ mod tests {
     #[test]
     fn compare_ingest_requires_columnar_input() {
         let txt = sample_series_file("txt");
-        for ext in ["ppms", "ppmc"] {
+        for ext in ["txt", "ppmc"] {
             let input = sample_series_file(ext);
             assert_rejects_flag(
                 &format!(
@@ -812,7 +873,7 @@ mod tests {
     /// on every engine, the vertical one included.
     #[test]
     fn compare_kernel_requires_the_vertical_engine() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         for (extra, flag) in [
             ("--compare-kernel", "--compare-kernel"),
             ("--engine vertical --compare-kernel", "--compare-kernel"),
@@ -834,7 +895,7 @@ mod tests {
     /// counted with (1: wide).
     #[test]
     fn compare_kernel_sweep_records_the_kernel_race() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let metrics = temp_path("sweep-kernel-metrics", "json");
         assert_rejects_flag(
             &format!(
@@ -867,7 +928,7 @@ mod tests {
     /// and records its bitmap footprint.
     #[test]
     fn compare_tree_sweep_records_the_derivation_race() {
-        let path = sample_series_file("ppms");
+        let path = sample_series_file("txt");
         let metrics = temp_path("sweep-tree-metrics", "json");
         assert_rejects_flag(
             &format!(

@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn clean_export_verifies() {
-        let input = sample_series_file("ppms");
+        let input = sample_series_file("txt");
         let claims = export_tsv(&input);
         let text = run_cli(&format!(
             "verify --input {} --patterns {} --period 3 --min-conf 0.6",
@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn tampered_count_fails_with_exit_1() {
-        let input = sample_series_file("ppms");
+        let input = sample_series_file("txt");
         let claims = export_tsv(&input);
         // Bump the first data row's count field.
         let raw = std::fs::read_to_string(&claims).unwrap();
@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn damaged_tsv_is_a_mining_error_not_a_panic() {
-        let input = sample_series_file("ppms");
+        let input = sample_series_file("txt");
         let claims = temp_path("verify-broken", "tsv");
         std::fs::write(&claims, "not a header\njunk\n").unwrap();
         let err = run_cli(&format!(
@@ -143,7 +143,7 @@ mod tests {
 
     #[test]
     fn sampled_verify_is_still_clean() {
-        let input = sample_series_file("ppms");
+        let input = sample_series_file("txt");
         let claims = export_tsv(&input);
         let text = run_cli(&format!(
             "verify --input {} --patterns {} --period 3 --min-conf 0.6 --sample 2",
@@ -174,7 +174,7 @@ mod tests {
 
     #[test]
     fn missing_flags_are_usage_errors() {
-        let err = run_cli("verify --input x.ppms --period 3").unwrap_err();
+        let err = run_cli("verify --input x.ppmc --period 3").unwrap_err();
         assert_eq!(err.exit_code(), 2);
     }
 }

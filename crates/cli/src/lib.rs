@@ -3,17 +3,18 @@
 //! Thin, testable command layer over the workspace libraries:
 //!
 //! ```text
-//! ppm generate --length 100000 --period 50 --max-pat-length 6 --f1 12 --out data.ppms
-//! ppm info     --input data.ppms
-//! ppm mine     --input data.ppms --period 50 --min-conf 0.6 [--engine vertical] [--limit 20]
-//! ppm sweep    --input data.ppms --from 40 --to 60 --min-conf 0.6 [--engine vertical]
-//! ppm perfect  --input data.ppms --from 40 --to 60
-//! ppm convert  --input data.txt --out data.ppms
+//! ppm generate --length 100000 --period 50 --max-pat-length 6 --f1 12 --out data.ppmc
+//! ppm info     --input data.ppmc
+//! ppm mine     --input data.ppmc --period 50 --min-conf 0.6 [--engine vertical] [--limit 20]
+//! ppm sweep    --input data.ppmc --from 40 --to 60 --min-conf 0.6 [--engine vertical]
+//! ppm perfect  --input data.ppmc --from 40 --to 60
+//! ppm convert  --input data.txt --out data.ppmc
 //! ```
 //!
-//! Series files are the binary `.ppms` format of
-//! [`ppm_timeseries::storage::binary`], or the line-oriented text format
-//! when the extension is `.txt`.
+//! Series files are the columnar `.ppmc` store of
+//! [`ppm_timeseries::columnar`], or the line-oriented text format of
+//! [`ppm_timeseries::storage::text`]; the extension names which, and any
+//! other extension is a usage error.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -93,15 +94,14 @@ USAGE:
   ppm append   --input FILE.ppmc --rows \"a b;c;-\" [--repeat N]
   ppm verify   --input FILE --patterns FILE.tsv --period P --min-conf C
                [--sample [N]]
-  ppm sweep    --input FILE --from P1 --to P2 --min-conf C [--looping]
+  ppm sweep    --input FILE --from P1 --to P2 --min-conf C
                [--engine {engines}] [--workers N]
                [--checkpoint FILE] [--deadline-ms MS] [--max-tree-nodes N]
                [--trace] [--metrics-out FILE]
   ppm perfect  --input FILE --from P1 --to P2
   ppm rules    --input FILE --period P --min-conf C [--min-rule-conf R] [--tsv]
   ppm evolve   --input FILE --period P --min-conf C --window W [--stride S]
-  ppm convert  --input FILE --out FILE [--salvage]
-               [--to text|binary|stream|columnar]
+  ppm convert  --input FILE --out FILE [--to text|columnar]
   ppm serve    --stores A.ppmc,B.ppmc [--port P | --socket PATH]
                [--workers N] [--queue N] [--cache FILE]
                [--cache-max-entries N] [--cache-max-bytes B]
@@ -123,12 +123,13 @@ USAGE:
                [--fault-percent PCT] [--delay-ms MS]
   ppm help
 
-Series files by extension: .ppms (block binary, checksummed), .ppmstream
-(record streaming, minable out of core with --stream), .txt (one instant
-per line, features space-separated, '-' = empty), .ppmc (columnar bitmap
-store whose on-disk layout is the miners' encoded layout — mine, sweep,
-and verify open it straight into a borrowed view with no re-encoding;
-write one with convert --to columnar).
+Series files by extension: .txt (one instant per line, features
+space-separated, '-' = empty) or .ppmc (columnar bitmap store whose
+on-disk layout is the miners' encoded layout, checksummed — mine, sweep,
+and verify open it straight into a borrowed view with no re-encoding,
+and mine --stream mines it out of core, re-reading the file on every
+scan). Any other extension is a usage error; generate and convert write
+.ppmc by extension or with --to columnar.
 
 Serving: ppm serve keeps every --stores .ppmc open as one shared
 zero-copy view and answers concurrent queries over a length-prefixed
@@ -176,12 +177,14 @@ Exit codes (shared between direct commands and the daemon): 0 success;
 quarantined (counts are sound lower bounds); 5 transient-I/O retries
 exhausted; 6 daemon overloaded (retry after the hinted backoff).
 
-Resilience: --retries N re-scans a .ppmstream up to N extra times on
-transient I/O errors; --deadline-ms / --max-tree-nodes abort runaway mines
-with a typed error carrying partial statistics; sweep --checkpoint FILE
-records each completed period and resumes after a crash or abort without
-re-mining; convert --salvage recovers the valid record prefix of a
-truncated .ppmstream.
+Resilience: mine --stream --retries N re-scans a .ppmc up to N extra
+times on transient I/O errors; --deadline-ms / --max-tree-nodes abort
+runaway mines with a typed error carrying partial statistics; sweep
+--checkpoint FILE records each completed period and resumes after a
+crash or abort without re-mining (never across a changed input: the
+checkpoint records the input's fingerprint). A damaged .ppmc is refused,
+never partly read: an append that did not commit is ignored, and a torn
+commit opens the commit before it.
 
 Engines: --engine picks the counting strategy ({engines}; default
 hitset). hitset is the paper's two-scan max-subpattern method; apriori is
@@ -283,8 +286,12 @@ mod tests {
                 "sweep --from 2 --to 4 --min-conf 0.5 --threads 2",
                 "--threads",
             ),
+            (
+                "sweep --from 2 --to 4 --min-conf 0.5 --looping",
+                "--looping",
+            ),
         ] {
-            let argv: Vec<String> = format!("{line} --input missing-input.ppms")
+            let argv: Vec<String> = format!("{line} --input missing-input.ppmc")
                 .split_whitespace()
                 .map(str::to_owned)
                 .collect();

@@ -18,7 +18,7 @@
 //! vertical bitmap engine and its incremental form) and [`run`] mines one
 //! period with any of them, from any [`Input`]: a series or bitmap view
 //! held in memory ([`Rows`]), or a [`SeriesSource`] such as a
-//! disk-resident `.ppmstream` file, re-scanned on every pass (paper §5).
+//! disk-resident `.ppmc` store, re-scanned on every pass (paper §5).
 //!
 //! [`SeriesSource`]: ppm_timeseries::SeriesSource
 //!

@@ -1,11 +1,10 @@
 //! Algorithm 3.3: multi-period mining by looping the single-period miner.
 
-use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
+use ppm_timeseries::FeatureSeries;
 
 use crate::engine::{run, Engine};
 use crate::error::Result;
 use crate::multi::{MultiPeriodResult, PeriodRange};
-use crate::rows::Rows;
 use crate::scan::MineConfig;
 
 /// Mines every period in `range` by running the chosen single-period
@@ -21,34 +20,13 @@ pub fn mine_periods_looping(
     config: &MineConfig,
     engine: Engine,
 ) -> Result<MultiPeriodResult> {
-    loop_periods(Rows::Series(series), range, config, engine)
-}
-
-/// [`mine_periods_looping`] over a borrowed bitmap view: each period is
-/// mined from the packed rows (no series materialized), with the same
-/// per-period scan accounting.
-pub fn mine_periods_looping_view(
-    view: EncodedSeriesView<'_>,
-    range: PeriodRange,
-    config: &MineConfig,
-    engine: Engine,
-) -> Result<MultiPeriodResult> {
-    loop_periods(Rows::View(view), range, config, engine)
-}
-
-fn loop_periods(
-    rows: Rows<'_>,
-    range: PeriodRange,
-    config: &MineConfig,
-    engine: Engine,
-) -> Result<MultiPeriodResult> {
     let mut results = Vec::with_capacity(range.len());
     let mut total_scans = 0;
     for period in range.iter() {
-        if period > rows.len() {
+        if period > series.len() {
             continue;
         }
-        let r = run(engine, rows, period, config)?;
+        let r = run(engine, series, period, config)?;
         total_scans += r.stats.series_scans;
         results.push(r);
     }
@@ -108,24 +86,6 @@ mod tests {
         let config = MineConfig::new(0.5).unwrap();
         let out = mine_periods_looping(&s, range, &config, Engine::HitSet).unwrap();
         assert_eq!(out.total_scans, 2 * 4);
-    }
-
-    #[test]
-    fn view_looping_equals_series_looping() {
-        use ppm_timeseries::EncodedSeries;
-        let s = two_period_series(120);
-        let encoded = EncodedSeries::encode(&s);
-        let range = PeriodRange::new(2, 6).unwrap();
-        let config = MineConfig::new(0.9).unwrap();
-        for alg in Engine::ALL {
-            let plain = mine_periods_looping(&s, range, &config, alg).unwrap();
-            let viewed = mine_periods_looping_view(encoded.view(), range, &config, alg).unwrap();
-            assert_eq!(plain.total_scans, viewed.total_scans, "{alg:?}");
-            assert_eq!(plain.results.len(), viewed.results.len());
-            for (a, b) in plain.results.iter().zip(&viewed.results) {
-                assert_eq!(a.frequent, b.frequent, "{alg:?} period {}", a.period);
-            }
-        }
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! * [`mine_periods_shared`] — **Algorithm 3.4**: interleave all periods in
 //!   the *same* two physical scans, trading memory (per-period count
 //!   tables and trees held simultaneously) for I/O.
+//!
+//! [`mine_periods_scheduled`] runs Alg 3.3's per-period tasks over one
+//! shared bitmap view, on a pool of workers or inline at one.
 
 mod looping;
 mod scheduler;
@@ -21,7 +24,7 @@ mod shared;
 /// The sweep scheduler's engine choice: the crate's one [`Engine`](crate::Engine)
 /// under the name the scheduler API used before engines were unified.
 pub use crate::Engine as SweepEngine;
-pub use looping::{mine_periods_looping, mine_periods_looping_view};
+pub use looping::mine_periods_looping;
 pub use scheduler::mine_periods_scheduled;
 pub use shared::{mine_periods_shared, mine_periods_shared_view};
 
@@ -101,9 +104,8 @@ pub struct MultiPeriodResult {
     /// Physical scans over the time series performed in total.
     pub total_scans: usize,
     /// Periods whose tasks tripped a resource guard, in ascending period
-    /// order. Empty for the sequential strategies, which abort on the first
-    /// guard trip instead (their single-threaded deadline makes every
-    /// later period a foregone conclusion).
+    /// order. Empty for [`mine_periods_looping`] and the shared
+    /// strategy, which abort on the first guard trip instead.
     pub failures: Vec<PeriodFailure>,
 }
 

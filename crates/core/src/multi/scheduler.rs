@@ -11,8 +11,9 @@
 //! whole sweep, never one per period.
 //!
 //! Results merge in period order, so the output is indistinguishable from
-//! the sequential loop (the integration tests assert bit-identical results
-//! and stats). Instrumented through `ppm-observe`: `sweep.workers` (gauge),
+//! Alg 3.3's loop over the series (the tests assert the same patterns,
+//! counts and scans). At one worker the loop runs inline, so `ppm sweep`
+//! mines every sequential non-shared sweep through it. Instrumented through `ppm-observe`: `sweep.workers` (gauge),
 //! `sweep.worker_busy_us` (gauge, total busy time summed over workers),
 //! `sweep.tasks` (counter, periods mined), and the per-period task-latency
 //! distribution as `sweep.task_us_{p50,p90,p99,max}` gauges (each worker
@@ -125,7 +126,7 @@ impl Bag<'_> {
 ///
 /// The load/encode cost is paid **once** for the whole sweep — the view is
 /// borrowed by every worker — and results are merged in ascending period
-/// order, bit-identical to the sequential per-period loop.
+/// order, whatever the number of workers.
 ///
 /// Resource guards (`--deadline-ms` / `--max-tree-nodes` via
 /// [`MineConfig::with_deadline`] / [`MineConfig::with_max_tree_nodes`])
@@ -214,7 +215,7 @@ mod tests {
     use super::*;
     use ppm_timeseries::{EncodedSeries, FeatureId, SeriesBuilder};
 
-    use crate::multi::mine_periods_looping_view;
+    use crate::multi::mine_periods_looping;
 
     fn fid(i: u32) -> FeatureId {
         FeatureId::from_raw(i)
@@ -262,6 +263,9 @@ mod tests {
 
     // ---- Scheduler output equals the sequential per-period loop. ----
 
+    /// At one worker (inline) and at four, the scheduler mines what Alg
+    /// 3.3's loop over the series mines: the same periods, patterns,
+    /// counts and scans.
     #[test]
     fn scheduled_equals_looping_for_every_engine() {
         let s = mixed_series(150);
@@ -269,16 +273,19 @@ mod tests {
         let range = PeriodRange::new(2, 9).unwrap();
         let config = MineConfig::new(0.6).unwrap();
         for engine in Engine::ALL {
-            let scheduled =
-                mine_periods_scheduled(encoded.view(), range, &config, engine, 4).unwrap();
-            let sequential =
-                mine_periods_looping_view(encoded.view(), range, &config, engine).unwrap();
-            assert_eq!(scheduled.total_scans, sequential.total_scans, "{engine:?}");
-            assert_eq!(scheduled.results.len(), sequential.results.len());
-            for (a, b) in scheduled.results.iter().zip(&sequential.results) {
-                assert_eq!(a.period, b.period, "{engine:?}");
-                assert_eq!(a.frequent, b.frequent, "{engine:?} period {}", a.period);
-                assert_eq!(a.stats, b.stats, "{engine:?} period {}", a.period);
+            let looping = mine_periods_looping(&s, range, &config, engine).unwrap();
+            for workers in [1, 4] {
+                let scheduled =
+                    mine_periods_scheduled(encoded.view(), range, &config, engine, workers)
+                        .unwrap();
+                assert_eq!(scheduled.total_scans, looping.total_scans, "{engine:?}");
+                assert_eq!(scheduled.results.len(), looping.results.len());
+                for (a, b) in scheduled.results.iter().zip(&looping.results) {
+                    let at = format!("{engine:?} period {} workers {workers}", a.period);
+                    assert_eq!(a.period, b.period, "{at}");
+                    assert_eq!(a.frequent, b.frequent, "{at}");
+                    assert_eq!(a.stats.series_scans, b.stats.series_scans, "{at}");
+                }
             }
         }
     }

@@ -134,7 +134,7 @@ impl Projector<'_> {
 pub enum Input<'a> {
     /// A series or bitmap view held in memory.
     Rows(Rows<'a>),
-    /// A source scanned once per pass — a `.ppmstream` file on disk, or
+    /// A source scanned once per pass — a `.ppmc` store on disk, or
     /// any retrying, fault-injecting or quarantining wrapper around one.
     Source(&'a mut dyn SeriesSource),
 }

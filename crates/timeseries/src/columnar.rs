@@ -1,9 +1,9 @@
 //! The binary columnar series store (`.ppmc`): an on-disk layout that *is*
-//! the [`EncodedSeries`] layout.
+//! the [`EncodedSeries`] layout, and the crate's one binary format.
 //!
-//! Every text or block-binary mine re-parses its input, rebuilds the CSR
-//! series, and re-packs the per-instant bitmaps before any counting starts.
-//! The columnar store skips all of that: the file body is the encoded
+//! Every text mine re-parses its input, rebuilds the CSR series, and
+//! re-packs the per-instant bitmaps before any counting starts. The
+//! columnar store skips all of that: the file body is the encoded
 //! cache's row-major `u64` words verbatim, so opening a `.ppmc` is one
 //! streamed pass — the file goes through one block buffer, and each block
 //! is hashed and decoded into a single word vector, with no whole-file
@@ -69,21 +69,29 @@
 //! tests replay prefix by prefix.
 //!
 //! Corruption is rejected with a named byte offset (`Error::Corrupt`), the
-//! same policy as the checkpoint and stream-storage formats: a damaged
-//! header, a flipped bitmap word, or a truncated store must never
-//! mis-mine. The header and the commit (slots or trailer) are checked
-//! before the rows are read, the checksum after.
+//! same policy as the checkpoint format: a damaged header, a flipped
+//! bitmap word, or a truncated store must never mis-mine. The header and
+//! the commit (slots or trailer) are checked before the rows are read, the
+//! checksum after. There is no partial recovery: an uncommitted tail is
+//! ignored and a torn commit opens the older commit, but a damaged
+//! committed row fails the whole store.
+//!
+//! **Out of core.** A [`ColumnarReader`] holds the rows in memory; a
+//! [`ColumnarSource`] keeps only the header and commit, and streams the
+//! committed rows from disk on every scan, re-verifying the same
+//! checksum each time — the disk-resident series of the paper's §5.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Cursor, Read, Seek, SeekFrom, Write};
 use std::os::unix::fs::{FileExt, MetadataExt};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::catalog::{FeatureCatalog, FeatureId};
 use crate::encoded::{EncodedSeries, EncodedSeriesView};
 use crate::error::{Error, Result};
+use crate::fnv::Fnv64;
 use crate::series::{FeatureSeries, SeriesBuilder};
-use crate::storage::binary::Fnv64;
+use crate::source::SeriesSource;
 
 const MAGIC: &[u8; 4] = b"PPMC";
 /// The version [`write_columnar`] writes: commit slots, in-place appends.
@@ -403,86 +411,39 @@ fn read_at(src: &mut impl Read, buf: &mut [u8], at: usize) -> Result<()> {
     })
 }
 
-/// A fully validated columnar load: the bitmap words in one allocation,
-/// borrowed out as [`EncodedSeriesView`]s.
+/// A store's layout as its header and commit state it: everything a rows
+/// pass needs, checked before any row is read. [`ColumnarReader`]'s load
+/// and every [`ColumnarSource`] scan stream the rows it names.
 #[derive(Debug, Clone)]
-pub struct ColumnarReader {
+struct Layout {
     version: u32,
     width: usize,
     words_per_instant: usize,
+    /// The committed instant count.
     n_instants: usize,
-    words: Vec<u64>,
     catalog: FeatureCatalog,
-    /// The file's header, catalog and padding bytes, verbatim (the bytes
-    /// before the slots, or before the words of a slot-less store).
+    /// The header, catalog and padding bytes, verbatim (the bytes before
+    /// the slots, or before the rows of a slot-less store).
     header: Vec<u8>,
-    /// The commit slots as verified (version 3).
+    /// The commit slots as read (version 3).
     slots: Slots,
-    /// Checksum state over the header and every row: what an append or a
-    /// grown-file check resumes from instead of re-hashing the store.
-    midstate: Digest,
-    file_bytes: usize,
+    /// Where the rows start.
+    rows_at: usize,
+    /// Bytes of committed rows: `n_instants × words_per_instant × 8`.
+    rows_bytes: usize,
+    /// The commit's checksum over the header and the committed rows.
     checksum: u64,
+    /// Where that checksum is stored, for the error that names it.
+    checksum_at: usize,
 }
 
-/// What a re-read of a store's file shows against a resident load (see
-/// [`ColumnarReader::reload`]).
-#[derive(Debug)]
-pub enum Reload {
-    /// The file holds the resident load's content (byte for byte, or a
-    /// fully validated file with the same fingerprint).
-    Unchanged,
-    /// The file is the resident load plus appended whole instants; the
-    /// grown load.
-    Extended(ColumnarReader),
-    /// A valid store that is not the resident load or an extension of it.
-    Rewritten(ColumnarReader),
-}
-
-/// A file that starts with a load's header and rows, as
-/// [`ColumnarReader::read_past_load`] found it.
-#[derive(Debug)]
-struct Past {
-    /// The file's length.
-    len: usize,
-    /// The file's commit slots (version 3).
-    slots: Slots,
-    /// Every byte after the load's rows.
-    rest: Vec<u8>,
-}
-
-impl ColumnarReader {
-    /// Opens `path` in one streamed pass (see the module docs) and returns
-    /// only once the checksum matched. Reports the file size through the
-    /// `columnar.file_bytes` gauge.
-    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        let reader = Self::load_file(&File::open(path)?, true)?;
-        ppm_observe::gauge("columnar.file_bytes", reader.file_bytes as u64);
-        Ok(reader)
-    }
-
-    /// Validates and loads `.ppmc` bytes through the same pass as
-    /// [`Self::open`]. Every rejection names the byte offset of the failed
-    /// check.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        Self::load(&mut Cursor::new(bytes), bytes.len(), true)
-    }
-
-    /// [`Self::load`] over an opened file.
-    fn load_file(file: &File, decode: bool) -> Result<Self> {
-        let len = file.metadata()?.len() as usize;
-        Self::load(&mut BufReader::new(file), len, decode)
-    }
-
-    /// The one verifier every load goes through: reads `len` bytes of
-    /// `.ppmc` from `src`. The header and the commit — a version-3 store's
-    /// newest valid slot, an older store's trailer — are checked first, so
-    /// the rows' size is known before any of them is read; then the rows
-    /// stream through one block buffer, each block hashed and (with
-    /// `decode`) decoded into the word vector; the load is returned only if
-    /// the checksum matches. Without `decode` the words are verified but
-    /// not kept — for the appender, which needs only the midstate.
-    fn load<R: Read + Seek>(src: &mut R, len: usize, decode: bool) -> Result<Self> {
+impl Layout {
+    /// The header-and-commit check over `len` bytes of `.ppmc` in `src`:
+    /// the header and catalog, then the commit — a version-3 store's
+    /// newest valid slot, an older store's trailer — and that the rows it
+    /// commits fit the file. Leaves `src` at the first row. Every
+    /// rejection names the byte offset of the failed check.
+    fn read<R: Read + Seek>(src: &mut R, len: usize) -> Result<Self> {
         if len < FIXED_HEADER + TRAILER {
             return Err(corrupt(format!(
                 "file too short at offset {len}: need at least {} header+trailer bytes",
@@ -558,7 +519,7 @@ impl ColumnarReader {
 
         // The commit: which rows the store holds, and their checksum.
         let at = header.len();
-        let (slots, n_instants, stored_sum, sum_at, rows_end) = if version == VERSION {
+        let (slots, n_instants, checksum, checksum_at, rows_end) = if version == VERSION {
             let mut block = vec![0u8; SLOTS];
             read_at(src, &mut block, at)?;
             let slots = Commit::read_slots(&block);
@@ -576,37 +537,136 @@ impl ColumnarReader {
             let sum = u64::from_le_bytes(sum.try_into().expect("8 bytes"));
             ([None; 2], n, sum, len - 8, header_end)
         };
-        let off = at + if version == VERSION { SLOTS } else { 0 };
-        let need = n_instants
+        let rows_at = at + if version == VERSION { SLOTS } else { 0 };
+        let rows_bytes = n_instants
             .checked_mul(words_per_instant)
             .and_then(|w| w.checked_mul(8))
             .ok_or_else(|| {
                 corrupt(format!(
-                    "instant count {n_instants} overflows the words section at offset {sum_at}"
+                    "instant count {n_instants} overflows the words section at offset {checksum_at}"
                 ))
             })?;
-        let have = rows_end - off;
-        if version == VERSION && have < need {
+        let have = rows_end - rows_at;
+        if version == VERSION && have < rows_bytes {
             return Err(corrupt(format!(
                 "committed rows end at offset {}, past the end of the file at offset {len} \
                  ({n_instants} instants × {words_per_instant} words)",
-                off + need
+                rows_at + rows_bytes
             )));
         }
-        if version != VERSION && have != need {
+        if version != VERSION && have != rows_bytes {
             return Err(corrupt(format!(
-                "words section is {have} bytes at offset {off}, need {need} \
+                "words section is {have} bytes at offset {rows_at}, need {rows_bytes} \
                  ({n_instants} instants × {words_per_instant} words)"
             )));
         }
 
+        Ok(Layout {
+            version,
+            width,
+            words_per_instant,
+            n_instants,
+            catalog,
+            header,
+            slots,
+            rows_at,
+            rows_bytes,
+            checksum,
+            checksum_at,
+        })
+    }
+}
+
+/// A fully validated columnar load: the bitmap words in one allocation,
+/// borrowed out as [`EncodedSeriesView`]s.
+#[derive(Debug, Clone)]
+pub struct ColumnarReader {
+    version: u32,
+    width: usize,
+    words_per_instant: usize,
+    n_instants: usize,
+    words: Vec<u64>,
+    catalog: FeatureCatalog,
+    /// The file's header, catalog and padding bytes, verbatim (the bytes
+    /// before the slots, or before the words of a slot-less store).
+    header: Vec<u8>,
+    /// The commit slots as verified (version 3).
+    slots: Slots,
+    /// Checksum state over the header and every row: what an append or a
+    /// grown-file check resumes from instead of re-hashing the store.
+    midstate: Digest,
+    file_bytes: usize,
+    checksum: u64,
+}
+
+/// What a re-read of a store's file shows against a resident load (see
+/// [`ColumnarReader::reload`]).
+#[derive(Debug)]
+pub enum Reload {
+    /// The file holds the resident load's content (byte for byte, or a
+    /// fully validated file with the same fingerprint).
+    Unchanged,
+    /// The file is the resident load plus appended whole instants; the
+    /// grown load.
+    Extended(ColumnarReader),
+    /// A valid store that is not the resident load or an extension of it.
+    Rewritten(ColumnarReader),
+}
+
+/// A file that starts with a load's header and rows, as
+/// [`ColumnarReader::read_past_load`] found it.
+#[derive(Debug)]
+struct Past {
+    /// The file's length.
+    len: usize,
+    /// The file's commit slots (version 3).
+    slots: Slots,
+    /// Every byte after the load's rows.
+    rest: Vec<u8>,
+}
+
+impl ColumnarReader {
+    /// Opens `path` in one streamed pass (see the module docs) and returns
+    /// only once the checksum matched. Reports the file size through the
+    /// `columnar.file_bytes` gauge.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
+        let reader = Self::load_file(&File::open(path)?, true)?;
+        ppm_observe::gauge("columnar.file_bytes", reader.file_bytes as u64);
+        Ok(reader)
+    }
+
+    /// Validates and loads `.ppmc` bytes through the same pass as
+    /// [`Self::open`]. Every rejection names the byte offset of the failed
+    /// check.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
+        Self::load(&mut Cursor::new(bytes), bytes.len(), true)
+    }
+
+    /// [`Self::load`] over an opened file.
+    fn load_file(file: &File, decode: bool) -> Result<Self> {
+        let len = file.metadata()?.len() as usize;
+        Self::load(&mut BufReader::new(file), len, decode)
+    }
+
+    /// The one verifier every load goes through: reads `len` bytes of
+    /// `.ppmc` from `src`. [`Layout::read`] checks the header and the
+    /// commit first, so the rows' size is known before any of them is
+    /// read; then the rows stream through one block buffer, each block
+    /// hashed and (with `decode`) decoded into the word vector; the load is
+    /// returned only if the checksum matches. Without `decode` the words
+    /// are verified but not kept — for the appender, which needs only the
+    /// midstate.
+    fn load<R: Read + Seek>(src: &mut R, len: usize, decode: bool) -> Result<Self> {
+        let layout = Layout::read(src, len)?;
+        let need = layout.rows_bytes;
+
         // The one pass over the rows: read a block, hash it, decode it.
-        let mut midstate = Digest::for_version(version);
-        midstate.update(&header);
-        let rows_end = off + need;
+        let mut midstate = Digest::for_version(layout.version);
+        midstate.update(&layout.header);
+        let rows_end = layout.rows_at + need;
         let mut words = Vec::with_capacity(if decode { need / 8 } else { 0 });
         let mut block = vec![0u8; need.min(BLOCK_WORDS * 8)];
-        let mut at = off;
+        let mut at = layout.rows_at;
         while at < rows_end {
             let bytes = &mut block[..(rows_end - at).min(BLOCK_WORDS * 8)];
             read_at(src, bytes, at)?;
@@ -616,21 +676,24 @@ impl ColumnarReader {
             }
             at += bytes.len();
         }
-        if midstate.sealed(n_instants) != stored_sum {
-            return Err(corrupt(format!("checksum mismatch at offset {sum_at}")));
+        if midstate.sealed(layout.n_instants) != layout.checksum {
+            return Err(corrupt(format!(
+                "checksum mismatch at offset {}",
+                layout.checksum_at
+            )));
         }
         Ok(ColumnarReader {
-            version,
-            width,
-            words_per_instant,
-            n_instants,
+            version: layout.version,
+            width: layout.width,
+            words_per_instant: layout.words_per_instant,
+            n_instants: layout.n_instants,
             words,
-            catalog,
-            header,
-            slots,
+            catalog: layout.catalog,
+            header: layout.header,
+            slots: layout.slots,
             midstate,
             file_bytes: len,
-            checksum: stored_sum,
+            checksum: layout.checksum,
         })
     }
 
@@ -898,6 +961,117 @@ impl ColumnarReader {
             b.push_instant(view.features_at(t));
         }
         b.finish()
+    }
+}
+
+/// A disk-resident [`SeriesSource`] over a `.ppmc` store: the paper's
+/// §5 setting, where every scan is a pass over the file.
+///
+/// [`Self::open`] runs only the header-and-commit check; no row is read
+/// or kept. Each [`SeriesSource::scan`] reopens the file and streams the
+/// committed rows through one block buffer, hashing the header and the
+/// rows with the store's own checksum and decoding each block through an
+/// [`EncodedSeriesView`]. The checksum is checked at the end of every
+/// scan, so a store damaged while a multi-scan mine is in flight fails
+/// that scan with [`Error::Corrupt`], and a file cut short under it fails
+/// with [`Error::Truncated`]; either names the scan.
+///
+/// A scan reads the rows the store committed when it was opened. A
+/// version-3 append never writes over committed rows, so appends that
+/// land during a mine are ignored until the next open.
+#[derive(Debug)]
+pub struct ColumnarSource {
+    path: PathBuf,
+    layout: Layout,
+    scans: usize,
+}
+
+impl ColumnarSource {
+    /// Opens the store at `path`: checks its header and commit only.
+    pub fn open(path: impl AsRef<Path>) -> Result<Self> {
+        let path = path.as_ref().to_path_buf();
+        let file = File::open(&path)?;
+        let len = file.metadata()?.len() as usize;
+        let layout = Layout::read(&mut BufReader::new(&file), len)?;
+        Ok(ColumnarSource {
+            path,
+            layout,
+            scans: 0,
+        })
+    }
+
+    /// The embedded feature catalog.
+    pub fn catalog(&self) -> &FeatureCatalog {
+        &self.layout.catalog
+    }
+}
+
+impl SeriesSource for ColumnarSource {
+    fn instant_count(&self) -> usize {
+        self.layout.n_instants
+    }
+
+    fn scan(&mut self, visit: &mut dyn FnMut(usize, &[FeatureId])) -> Result<()> {
+        let _span = ppm_observe::span("storage.scan");
+        self.scans += 1;
+        let (scan, layout) = (self.scans, &self.layout);
+        let file = File::open(&self.path)?;
+        let fill = |buf: &mut [u8], at: usize| {
+            file.read_exact_at(buf, at as u64).map_err(|e| {
+                if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                    Error::Truncated {
+                        detail: format!(
+                            "scan {scan}: the file ends before offset {}, where its \
+                             committed rows end",
+                            layout.rows_at + layout.rows_bytes
+                        ),
+                    }
+                } else {
+                    e.into()
+                }
+            })
+        };
+        let mut digest = Digest::for_version(layout.version);
+        let mut header = vec![0u8; layout.header.len()];
+        fill(&mut header, 0)?;
+        digest.update(&header);
+
+        // Whole rows per block, so each block decodes as a view.
+        let n = layout.n_instants;
+        let row_bytes = layout.words_per_instant * 8;
+        let block_rows = (BLOCK_WORDS * 8)
+            .checked_div(row_bytes)
+            .map_or(n, |rows| rows.max(1));
+        let mut block = vec![0u8; block_rows.min(n) * row_bytes];
+        let mut words = Vec::with_capacity(block.len() / 8);
+        let mut features = Vec::new();
+        let mut t = 0;
+        while t < n {
+            let rows = block_rows.min(n - t);
+            let bytes = &mut block[..rows * row_bytes];
+            fill(bytes, layout.rows_at + t * row_bytes)?;
+            digest.update(bytes);
+            words.clear();
+            words.extend(le_words(bytes));
+            let view = EncodedSeriesView::new(layout.width, rows, &words);
+            for i in 0..rows {
+                features.clear();
+                features.extend(view.features_at(i));
+                visit(t + i, &features);
+            }
+            t += rows;
+        }
+        if digest.sealed(n) != layout.checksum {
+            return Err(corrupt(format!(
+                "checksum mismatch at offset {} on scan {scan}",
+                layout.checksum_at
+            )));
+        }
+        Ok(())
+    }
+
+    fn scans_performed(&self) -> usize {
+        self.scans
     }
 }
 
@@ -2460,5 +2634,132 @@ mod tests {
     fn missing_file_is_io_error() {
         let err = ColumnarReader::open("/nonexistent/definitely/missing.ppmc").unwrap_err();
         assert!(matches!(err, Error::Io(_)));
+        let err = ColumnarSource::open("/nonexistent/definitely/missing.ppmc").unwrap_err();
+        assert!(matches!(err, Error::Io(_)));
+    }
+
+    // ---- ColumnarSource: the store streamed from disk on every scan. ----
+
+    /// Every instant one scan of `src` visits, in order.
+    fn scanned(src: &mut ColumnarSource) -> Result<FeatureSeries> {
+        let mut b = SeriesBuilder::new();
+        let mut next = 0;
+        src.scan(&mut |t, feats| {
+            assert_eq!(t, next, "instants arrive in order");
+            next += 1;
+            b.push_instant(feats.iter().copied());
+        })?;
+        Ok(b.finish())
+    }
+
+    #[test]
+    fn source_scans_the_committed_rows_in_order_and_counts() {
+        let (s, cat) = sample();
+        let path = temp("source");
+        write_columnar(&path, &s, &cat).unwrap();
+        let mut src = ColumnarSource::open(&path).unwrap();
+        assert_eq!(src.instant_count(), 4);
+        assert_eq!(src.scans_performed(), 0);
+        assert!(src.catalog().iter().eq(cat.iter()));
+        assert_eq!(scanned(&mut src).unwrap(), s);
+        assert_eq!(scanned(&mut src).unwrap(), s);
+        assert_eq!(src.scans_performed(), 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn source_streams_widths_and_block_edges_like_the_reader() {
+        // No rows; rows of 0, 1 and 3 words; the 1-word store spans
+        // several blocks.
+        for (width, n) in [(0usize, 0usize), (0, 5), (64, BLOCK_WORDS + 7), (129, 300)] {
+            let mut b = SeriesBuilder::new();
+            for t in 0..n {
+                let feats: Vec<FeatureId> = (0..width as u32)
+                    .filter(|f| (t as u32 + f).is_multiple_of(7))
+                    .map(fid)
+                    .collect();
+                b.push_instant(feats);
+            }
+            let s = b.finish();
+            let cat = FeatureCatalog::with_synthetic_features(width);
+            let path = temp("source-widths");
+            write_columnar(&path, &s, &cat).unwrap();
+            let mut src = ColumnarSource::open(&path).unwrap();
+            assert_eq!(scanned(&mut src).unwrap(), s, "width {width}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn source_streams_the_v1_and_v2_fixtures_like_the_reader() {
+        for (version, fixture) in [(1, V1_FIXTURE), (2, V2_FIXTURE)] {
+            let path = temp("source-fixture");
+            std::fs::write(&path, fixture).unwrap();
+            let reader = ColumnarReader::open(&path).unwrap();
+            assert_eq!(reader.version(), version);
+            let mut src = ColumnarSource::open(&path).unwrap();
+            assert_eq!(src.instant_count(), reader.len());
+            assert!(src.catalog().iter().eq(reader.catalog().iter()));
+            for _ in 0..2 {
+                assert_eq!(scanned(&mut src).unwrap(), reader.to_series(), "v{version}");
+            }
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn source_rejects_a_flipped_row_word_on_the_next_scan() {
+        let (s, cat) = sample();
+        let path = temp("source-flip");
+        write_columnar(&path, &s, &cat).unwrap();
+        let rows_at = ColumnarReader::open(&path).unwrap().rows_at();
+        let mut src = ColumnarSource::open(&path).unwrap();
+        scanned(&mut src).unwrap();
+
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[rows_at + 8 * 2] ^= 0x02;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = scanned(&mut src).unwrap_err();
+        assert!(matches!(err, Error::Corrupt { .. }), "{err}");
+        let msg = err.to_string();
+        assert!(
+            msg.contains("checksum mismatch") && msg.contains("scan 2"),
+            "{msg}"
+        );
+        assert!(!err.is_transient());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn source_fails_a_scan_of_a_file_cut_short_under_it() {
+        let (s, cat) = sample();
+        let path = temp("source-cut");
+        write_columnar(&path, &s, &cat).unwrap();
+        let mut src = ColumnarSource::open(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &bytes[..bytes.len() - 1]).unwrap();
+        let err = scanned(&mut src).unwrap_err();
+        assert!(matches!(err, Error::Truncated { .. }), "{err}");
+        assert!(err.to_string().contains("scan 1"), "{err}");
+        assert!(!err.is_transient());
+        // A cut store does not even open.
+        assert!(ColumnarSource::open(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn source_ignores_an_append_between_scans() {
+        let (s, cat) = sample();
+        let path = temp("source-append");
+        write_columnar(&path, &s, &cat).unwrap();
+        let mut src = ColumnarSource::open(&path).unwrap();
+        assert_eq!(scanned(&mut src).unwrap(), s);
+        grow(&path, 5);
+        assert_eq!(ColumnarReader::open(&path).unwrap().len(), 9);
+        assert_eq!(scanned(&mut src).unwrap(), s, "the rows committed at open");
+        assert_eq!(src.instant_count(), 4);
+        let mut reopened = ColumnarSource::open(&path).unwrap();
+        assert_eq!(scanned(&mut reopened).unwrap(), grown_by(&s, 5));
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -17,9 +17,9 @@ pub enum Error {
         /// Human-readable description of what check failed.
         detail: String,
     },
-    /// A stored series file ended mid-record: everything before the cut is
-    /// intact, so [`crate::storage::stream::salvage_series`] can usually
-    /// recover a prefix.
+    /// A stored series ended before the rows it commits: a file cut short
+    /// under a scan (or a fault plan's injected cut). Fatal, like
+    /// [`Error::Corrupt`]: a retry would read the same short file.
     Truncated {
         /// Human-readable description of where the data ran out.
         detail: String,

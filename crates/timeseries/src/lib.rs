@@ -17,12 +17,14 @@
 //!   the vertical engine, audit re-mines) are single bit tests.
 //! * [`segment`] — period-segment views (`m = ⌊N/p⌋` whole segments of a
 //!   period `p`), the unit over which pattern confidence is defined.
-//! * [`columnar`] — a binary columnar store whose on-disk layout *is* the
-//!   [`EncodedSeries`] layout, so opening a `.ppmc` file loads straight into
-//!   a borrowed [`EncodedSeriesView`] with zero per-row allocation.
-//! * [`storage`] — a versioned binary on-disk format plus a line-oriented
-//!   text (CSV-like) import/export, so series larger than memory pressure
-//!   allows can be staged on disk as the paper assumes in §5.
+//! * [`columnar`] — the one binary store, `.ppmc`, whose on-disk layout
+//!   *is* the [`EncodedSeries`] layout: opening one loads straight into a
+//!   borrowed [`EncodedSeriesView`] with zero per-row allocation, and a
+//!   [`columnar::ColumnarSource`] re-scans it from disk on every pass, so a
+//!   series larger than memory allows is mined out of core as the paper
+//!   assumes in §5.
+//! * [`storage`] — the line-oriented text import/export for small series
+//!   and fixtures.
 //! * [`fault`] / [`retry`] — deterministic fault injection and transparent
 //!   retry wrappers around any [`SeriesSource`], so out-of-core mining
 //!   survives flaky I/O and tests can reproduce failure sequences exactly.
@@ -61,6 +63,7 @@
 mod catalog;
 mod encoded;
 mod error;
+mod fnv;
 mod series;
 
 pub mod calendar;
@@ -80,6 +83,7 @@ pub use catalog::{FeatureCatalog, FeatureId};
 pub use encoded::{EncodedSeries, EncodedSeriesView, FeatureBits};
 pub use error::{Error, Result};
 pub use fault::{Fault, FaultInjectingSource, FaultPlan};
+pub use fnv::fnv64;
 pub use quarantine::{
     QuarantineMode, QuarantineReason, QuarantineReport, QuarantinedInstant, QuarantiningSource,
 };
@@ -87,5 +91,4 @@ pub use retry::{RetryPolicy, RetryingSource};
 pub use segment::{Segment, SegmentIter, Segments};
 pub use series::{FeatureSeries, InstantIter, SeriesBuilder, SeriesStats};
 pub use source::{MemorySource, SeriesSource};
-pub use storage::binary::fnv64;
 pub use taxonomy::Taxonomy;

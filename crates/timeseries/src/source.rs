@@ -6,8 +6,9 @@
 //! miners independent of where the data lives:
 //!
 //! * [`FeatureSeries`] implements it in memory;
-//! * [`crate::storage::stream::FileSource`] streams a `.ppmstream` file
-//!   from disk on every scan without materializing it.
+//! * [`crate::columnar::ColumnarSource`] streams a `.ppmc` store's
+//!   committed rows from disk on every scan without materializing them,
+//!   re-verifying their checksum each time.
 //!
 //! The trait also counts scans, so experiments can report physical scan
 //! totals straight from the source.

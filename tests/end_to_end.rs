@@ -3,7 +3,7 @@
 
 use partial_periodic::core::scan_frequent_letters;
 use partial_periodic::datagen::workloads::{activity, stock};
-use partial_periodic::timeseries::{discretize, storage};
+use partial_periodic::timeseries::{columnar, discretize, storage};
 use partial_periodic::{hitset, FeatureCatalog, MineConfig, SyntheticSpec};
 
 /// The synthetic generator's contract: mining at the recommended threshold
@@ -55,15 +55,18 @@ fn storage_round_trip_preserves_mining() {
 
     let dir = std::env::temp_dir().join(format!("ppm-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("series.ppms");
-    storage::write_series(&path, &g.series, &g.catalog).unwrap();
-    let (loaded, catalog2) = storage::read_series(&path).unwrap();
+    let path = dir.join("series.ppmc");
+    columnar::write_columnar(&path, &g.series, &g.catalog).unwrap();
+    let reader = columnar::ColumnarReader::open(&path).unwrap();
     std::fs::remove_dir_all(&dir).ok();
 
+    let loaded = reader.to_series();
     assert_eq!(loaded, g.series);
-    assert_eq!(catalog2.len(), g.catalog.len());
+    assert!(reader.catalog().iter().eq(g.catalog.iter()));
     let after = hitset::mine(&loaded, 15, &config).unwrap();
     assert_eq!(before.frequent, after.frequent);
+    let from_view = hitset::mine_view(reader.view(), 15, &config).unwrap();
+    assert_eq!(before.frequent, from_view.frequent);
 }
 
 /// The text format round-trips small series through human-readable form.

@@ -183,11 +183,11 @@ proptest! {
     // ------------------------------------------------------- storage codecs
 
     #[test]
-    fn block_format_round_trips_arbitrary_series(
+    fn columnar_format_round_trips_arbitrary_series(
         instants in prop::collection::vec(prop::collection::vec(0u32..500, 0..5), 0..80),
         names in prop::collection::vec("[a-z]{1,12}", 0..20),
     ) {
-        use partial_periodic::timeseries::storage::binary;
+        use partial_periodic::timeseries::columnar::{encode_columnar, ColumnarReader};
         use partial_periodic::{FeatureCatalog, FeatureId, SeriesBuilder};
 
         let mut catalog = FeatureCatalog::new();
@@ -199,16 +199,16 @@ proptest! {
             builder.push_instant(inst.iter().map(|&f| FeatureId::from_raw(f)));
         }
         let series = builder.finish();
-        let bytes = binary::encode_series(&series, &catalog);
-        let (series2, catalog2) = binary::decode_series(&bytes).unwrap();
-        prop_assert_eq!(series, series2);
-        prop_assert_eq!(catalog.len(), catalog2.len());
-        // Any single-byte corruption is detected (checksum or structure).
-        if !bytes.is_empty() {
+        let bytes = encode_columnar(&series, &catalog);
+        let reader = ColumnarReader::from_bytes(&bytes).unwrap();
+        prop_assert_eq!(reader.to_series(), series);
+        prop_assert_eq!(catalog.len(), reader.catalog().len());
+        // A single-byte corruption of a committed row is detected.
+        if reader.view().bytes() > 0 {
             let mut bad = bytes.to_vec();
-            let idx = bad.len() / 2;
+            let idx = bad.len() - 1;
             bad[idx] ^= 0x5a;
-            prop_assert!(binary::decode_series(&bad).is_err());
+            prop_assert!(ColumnarReader::from_bytes(&bad).is_err());
         }
     }
 

@@ -1,13 +1,16 @@
 //! End-to-end resilience: fault injection, retries, and recovery.
 //!
 //! The headline scenario: the hit-set engine (Alg 3.2, two physical
-//! passes) over a disk source whose second scan fails transiently must,
-//! when wrapped in a retrier, produce a `MiningResult` bit-identical to
-//! the fault-free run — same patterns, same counts, same statistics.
+//! passes) over a `.ppmc` store streamed from disk whose second scan fails
+//! transiently must, when wrapped in a retrier, produce a `MiningResult`
+//! bit-identical to the fault-free run — same patterns, same counts, same
+//! statistics.
+
+use std::path::{Path, PathBuf};
 
 use partial_periodic::core::Error;
+use partial_periodic::timeseries::columnar::{write_columnar, ColumnarAppender, ColumnarSource};
 use partial_periodic::timeseries::retry::with_retries;
-use partial_periodic::timeseries::storage::stream::{FileSource, StreamWriter};
 use partial_periodic::timeseries::{
     Fault, FaultInjectingSource, FaultPlan, MemorySource, SeriesSource,
 };
@@ -20,13 +23,54 @@ fn fid(i: u32) -> FeatureId {
     FeatureId::from_raw(i)
 }
 
-fn temp(tag: &str) -> std::path::PathBuf {
+fn temp(tag: &str) -> PathBuf {
     static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     std::env::temp_dir().join(format!(
-        "ppm-int-resilience-{}-{tag}-{}.ppmstream",
+        "ppm-int-resilience-{}-{tag}-{}.ppmc",
         std::process::id(),
         N.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ))
+}
+
+/// Writes `series` (features 0..4) to a fresh `.ppmc` store.
+fn store(series: &FeatureSeries, tag: &str) -> PathBuf {
+    let path = temp(tag);
+    write_columnar(&path, series, &FeatureCatalog::with_synthetic_features(4)).unwrap();
+    path
+}
+
+/// Where a fresh store's rows start: they are its last bytes.
+fn rows_at(path: &Path, series: &FeatureSeries) -> usize {
+    std::fs::metadata(path).unwrap().len() as usize - series.len() * 8
+}
+
+/// A source that runs `between` once, after its first scan and before its
+/// second: the moment a two-scan mine is in flight.
+struct BetweenScans<S, F> {
+    inner: S,
+    between: Option<F>,
+}
+
+impl<S: SeriesSource, F: FnOnce()> SeriesSource for BetweenScans<S, F> {
+    fn instant_count(&self) -> usize {
+        self.inner.instant_count()
+    }
+
+    fn scan(
+        &mut self,
+        visit: &mut dyn FnMut(usize, &[FeatureId]),
+    ) -> partial_periodic::timeseries::Result<()> {
+        if self.inner.scans_performed() == 1 {
+            if let Some(between) = self.between.take() {
+                between();
+            }
+        }
+        self.inner.scan(visit)
+    }
+
+    fn scans_performed(&self) -> usize {
+        self.inner.scans_performed()
+    }
 }
 
 /// A deterministic "busy" series: a planted period-6 pattern plus
@@ -73,13 +117,10 @@ fn assert_bit_identical(a: &MiningResult, b: &MiningResult) {
 fn transient_scan2_failure_recovers_bit_identically() {
     let series = busy_series(600);
     let config = MineConfig::new(0.5).unwrap();
-    let path = temp("recover");
-    StreamWriter::create(&path, &FeatureCatalog::new())
-        .and_then(|w| w.write_series(&series))
-        .unwrap();
+    let path = store(&series, "recover");
 
     // Fault-free baseline over the same file.
-    let mut clean = FileSource::open(&path).unwrap();
+    let mut clean = ColumnarSource::open(&path).unwrap();
     let expect = run(Engine::HitSet, &mut clean, 6, &config).unwrap();
     assert!(!expect.is_empty(), "baseline must find patterns");
     assert_eq!(expect.stats.series_scans, 2);
@@ -87,7 +128,7 @@ fn transient_scan2_failure_recovers_bit_identically() {
     // The faulty run: physical attempt 1 (the first try of logical scan 2)
     // delivers 250 instants, then dies with a transient I/O error.
     let plan = FaultPlan::new().fail_scan(1, Fault::ShortRead { instants: 250 });
-    let faulty = FaultInjectingSource::new(FileSource::open(&path).unwrap(), plan);
+    let faulty = FaultInjectingSource::new(ColumnarSource::open(&path).unwrap(), plan);
     let mut src = with_retries(faulty, 3);
     let got = run(Engine::HitSet, &mut src, 6, &config).unwrap();
 
@@ -128,11 +169,12 @@ fn faults_on_both_scans_recover_and_match_memory_mining() {
 #[test]
 fn retry_exhaustion_reports_attempt_counts() {
     let series = busy_series(120);
+    let path = store(&series, "exhaust");
     let plan = FaultPlan::new()
         .fail_scan(0, Fault::TransientIo)
         .fail_scan(1, Fault::TransientIo)
         .fail_scan(2, Fault::TransientIo);
-    let faulty = FaultInjectingSource::new(MemorySource::new(&series), plan);
+    let faulty = FaultInjectingSource::new(ColumnarSource::open(&path).unwrap(), plan);
     let mut src = with_retries(faulty, 3);
 
     let config = MineConfig::new(0.5).unwrap();
@@ -147,15 +189,18 @@ fn retry_exhaustion_reports_attempt_counts() {
         "all three attempts spent on logical scan 1"
     );
     assert_eq!(src.scans_performed(), 0, "no logical scan completed");
+    std::fs::remove_file(path).ok();
 }
 
-/// Fatal damage (truncation) must not be retried: one attempt, typed error.
+/// Fatal damage must not be retried: a store cut short after it was
+/// opened fails its scan in one attempt with the typed error.
 #[test]
 fn truncation_fails_fast_through_the_retrier() {
     let series = busy_series(120);
-    let plan = FaultPlan::new().fail_scan(0, Fault::Truncate { instants: 30 });
-    let faulty = FaultInjectingSource::new(MemorySource::new(&series), plan);
-    let mut src = with_retries(faulty, 5);
+    let path = store(&series, "cut");
+    let mut src = with_retries(ColumnarSource::open(&path).unwrap(), 5);
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..bytes.len() - 30 * 8]).unwrap();
 
     let config = MineConfig::new(0.5).unwrap();
     let err = run(Engine::HitSet, &mut src, 6, &config).unwrap_err();
@@ -167,6 +212,65 @@ fn truncation_fails_fast_through_the_retrier() {
         "{err}"
     );
     assert_eq!(src.attempts(), 1, "fatal errors burn exactly one attempt");
+    std::fs::remove_file(path).ok();
+}
+
+/// A committed row word flipped on disk between scan 1 and scan 2 fails
+/// the mine with a corruption error that names scan 2; a retrier does not
+/// retry it.
+#[test]
+fn a_row_flipped_between_scans_fails_the_mine_at_scan_2() {
+    let series = busy_series(600);
+    let path = store(&series, "flip-between");
+    let flip = || {
+        let mut bytes = std::fs::read(&path).unwrap();
+        let at = rows_at(&path, &series) + 8 * 300;
+        bytes[at] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+    };
+    let source = BetweenScans {
+        inner: ColumnarSource::open(&path).unwrap(),
+        between: Some(flip),
+    };
+    let mut src = with_retries(source, 3);
+    let err = run(Engine::HitSet, &mut src, 6, &MineConfig::new(0.5).unwrap()).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            Error::Series(partial_periodic::timeseries::Error::Corrupt { .. })
+        ),
+        "{err}"
+    );
+    assert!(err.to_string().contains("on scan 2"), "{err}");
+    assert_eq!(src.attempts(), 2, "scan 1, then one attempt at scan 2");
+    std::fs::remove_file(&path).ok();
+}
+
+/// An append that lands between the scans of a mine grows the store, but
+/// both scans read the rows committed when the source opened: the mine
+/// equals the mine of the store before the append.
+#[test]
+fn an_append_between_scans_leaves_the_mine_on_the_old_rows() {
+    let series = busy_series(600);
+    let config = MineConfig::new(0.5).unwrap();
+    let path = store(&series, "append-between");
+    let append = || {
+        let mut app = ColumnarAppender::open(&path).unwrap();
+        for t in 0..60u32 {
+            app.append_instant(&[fid(t % 4)]).unwrap();
+        }
+        app.finish().unwrap();
+    };
+    let mut src = BetweenScans {
+        inner: ColumnarSource::open(&path).unwrap(),
+        between: Some(append),
+    };
+    let got = run(Engine::HitSet, &mut src, 6, &config).unwrap();
+    assert!(src.between.is_none(), "the append ran");
+    assert_bit_identical(&hitset::mine(&series, 6, &config).unwrap(), &got);
+    let grown = ColumnarSource::open(&path).unwrap();
+    assert_eq!(grown.instant_count(), 660);
+    std::fs::remove_file(&path).ok();
 }
 
 /// Period 0 and periods longer than the series are rejected up front, on
@@ -218,8 +322,9 @@ fn fault_retry_recovery_emits_ordered_events() {
 
     let series = busy_series(240);
     let config = MineConfig::new(0.5).unwrap();
+    let path = store(&series, "events");
     let plan = FaultPlan::new().fail_scan(1, Fault::TransientIo);
-    let faulty = FaultInjectingSource::new(MemorySource::new(&series), plan);
+    let faulty = FaultInjectingSource::new(ColumnarSource::open(&path).unwrap(), plan);
     let mut src = with_retries(faulty, 3);
 
     let collector = Arc::new(Collector::new());
@@ -248,12 +353,13 @@ fn fault_retry_recovery_emits_ordered_events() {
     // Observation must not perturb the mine itself.
     let expect = hitset::mine(&series, 6, &config).unwrap();
     assert_bit_identical(&expect, &got);
+    std::fs::remove_file(path).ok();
 }
 
 /// The threat the storage checksums exist for: a bit flip *past* the
 /// checksum layer is silent — the scan succeeds and the damage shows up
-/// only as different mining output. This documents why `FileSource`
-/// re-verifies its trailer on every scan.
+/// only as different mining output. This documents why `ColumnarSource`
+/// re-verifies its checksum on every scan.
 #[test]
 fn silent_bit_flips_change_results_without_an_error() {
     let series = busy_series(600);
@@ -275,87 +381,66 @@ fn silent_bit_flips_change_results_without_an_error() {
     );
 }
 
-/// Bit-flip fuzz over a whole `.ppmstream` file: every single-bit
-/// corruption is either rejected with a typed error at open/materialize
-/// time or provably harmless — when the scan succeeds, the series read
-/// back must equal the original instant for instant. (Feature *names* in
-/// the catalog are the only payload bytes the record and trailer
-/// checksums do not cover, and they cannot change which ids each instant
-/// carries.) Never a panic, never silently different data.
+/// Bit-flip fuzz over a whole `.ppmc` store opened as a disk source:
+/// every single-byte flip inside the header (magic, version, widths,
+/// catalog, padding) or the committed rows is rejected by the next scan
+/// with a typed corruption error — never a panic, never silently
+/// different data. The commit slots between them sit outside the
+/// checksum; the open already chose its commit from them.
 #[test]
-fn stream_bit_flip_fuzz_is_rejected_or_harmless() {
+fn every_header_or_row_byte_flip_is_rejected_by_the_next_scan() {
     let series = busy_series(48);
-    let path = temp("bitflip");
-    StreamWriter::create(&path, &FeatureCatalog::new())
-        .and_then(|w| w.write_series(&series))
-        .unwrap();
+    let path = store(&series, "bitflip");
     let pristine = std::fs::read(&path).unwrap();
-
-    let mut rejected = 0usize;
-    let mut survived = 0usize;
-    for pos in 0..pristine.len() {
+    let rows_at = rows_at(&path, &series);
+    // The header ends where the two 4 KiB commit slots begin.
+    let header = 0..rows_at - 2 * 4096;
+    let mut src = ColumnarSource::open(&path).unwrap();
+    let mut flips = 0;
+    for pos in header.chain(rows_at..pristine.len()) {
         for mask in [0x01u8, 0x80] {
             let mut bytes = pristine.clone();
             bytes[pos] ^= mask;
             std::fs::write(&path, &bytes).unwrap();
-            match FileSource::open(&path).and_then(|s| s.materialize()) {
-                Err(_) => rejected += 1,
-                Ok(read_back) => {
-                    survived += 1;
-                    assert_eq!(
-                        read_back, series,
-                        "byte {pos} mask {mask:#04x} changed the data without an error"
-                    );
-                }
-            }
+            let err = src
+                .scan(&mut |_, _| {})
+                .expect_err(&format!("byte {pos} mask {mask:#04x} accepted"));
+            assert!(
+                matches!(err, partial_periodic::timeseries::Error::Corrupt { .. }),
+                "byte {pos}: {err}"
+            );
+            flips += 1;
         }
     }
-    assert!(
-        rejected > survived,
-        "checksums should reject most flips ({rejected} rejected, {survived} survived)"
-    );
+    assert!(flips > 2 * 48 * 8, "{flips} flips");
+    std::fs::write(&path, &pristine).unwrap();
+    src.scan(&mut |_, _| {}).unwrap();
     std::fs::remove_file(path).ok();
 }
 
-/// Truncation fuzz: every prefix of a `.ppmstream` file either fails with
-/// a typed error (the trailer is gone, so a full-integrity open must
-/// refuse) — or is the intact whole file. Salvage, by contrast, recovers
-/// exactly the valid record prefix from any cut point past the catalog.
+/// Truncation fuzz: a store cut at any byte does not open, and a source
+/// opened before the cut fails its next scan with the typed truncation
+/// error. No prefix of a store is ever mined.
 #[test]
-fn stream_truncation_fuzz_salvages_a_true_prefix() {
-    use partial_periodic::timeseries::storage::stream::salvage_series;
-
+fn every_truncation_fails_the_open_or_the_next_scan() {
     let series = busy_series(48);
-    let path = temp("truncate");
-    StreamWriter::create(&path, &FeatureCatalog::new())
-        .and_then(|w| w.write_series(&series))
-        .unwrap();
+    let path = store(&series, "truncate");
     let pristine = std::fs::read(&path).unwrap();
-
+    let mut src = ColumnarSource::open(&path).unwrap();
     for cut in 0..pristine.len() {
         std::fs::write(&path, &pristine[..cut]).unwrap();
-
-        // A full-integrity open must never accept a truncated file.
         assert!(
-            FileSource::open(&path)
-                .and_then(|s| s.materialize())
-                .is_err(),
-            "cut at {cut}/{} accepted",
+            ColumnarSource::open(&path).is_err(),
+            "cut at {cut}/{} opened",
             pristine.len()
         );
-
-        // Salvage never panics; whatever it recovers is a true prefix.
-        if let Ok((recovered, _, report)) = salvage_series(&path) {
-            assert!(recovered.len() <= series.len(), "cut {cut}");
-            for t in 0..recovered.len() {
-                assert_eq!(
-                    recovered.instant(t),
-                    series.instant(t),
-                    "cut {cut}: salvaged instant {t} differs from the original"
-                );
-            }
-            assert_eq!(report.recovered_instants, recovered.len());
-        }
+        let err = src
+            .scan(&mut |_, _| {})
+            .expect_err(&format!("cut at {cut} scanned"));
+        assert!(
+            matches!(err, partial_periodic::timeseries::Error::Truncated { .. }),
+            "cut at {cut}: {err}"
+        );
     }
     std::fs::remove_file(path).ok();
 }

@@ -1,6 +1,6 @@
 //! Integration + property tests for the out-of-core path and closed
-//! patterns: stream-format round trips, disk mining equivalence, and the
-//! closed-set compression laws.
+//! patterns: `.ppmc` stores streamed from disk, disk mining equivalence,
+//! and the closed-set compression laws.
 
 #[cfg(feature = "property-tests")]
 use proptest::prelude::*;
@@ -8,8 +8,7 @@ use proptest::prelude::*;
 #[cfg(feature = "property-tests")]
 use partial_periodic::closed::closed_of;
 use partial_periodic::closed::mine_closed;
-use partial_periodic::timeseries::storage::stream::{FileSource, StreamWriter};
-#[cfg(feature = "property-tests")]
+use partial_periodic::timeseries::columnar::{write_columnar, ColumnarReader, ColumnarSource};
 use partial_periodic::timeseries::SeriesSource;
 use partial_periodic::{hitset, run, Engine, MineConfig, SyntheticSpec};
 #[cfg(feature = "property-tests")]
@@ -23,7 +22,7 @@ fn fid(i: u32) -> FeatureId {
 fn temp(tag: &str) -> std::path::PathBuf {
     static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     std::env::temp_dir().join(format!(
-        "ppm-int-stream-{}-{tag}-{}.ppmstream",
+        "ppm-int-stream-{}-{tag}-{}.ppmc",
         std::process::id(),
         N.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ))
@@ -33,9 +32,9 @@ fn temp(tag: &str) -> std::path::PathBuf {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Any series survives a .ppmstream round trip bit-for-bit.
+    /// Any series streams back from a .ppmc store bit-for-bit.
     #[test]
-    fn stream_format_round_trips(
+    fn columnar_source_round_trips(
         instants in prop::collection::vec(prop::collection::vec(0u32..300, 0..6), 0..120),
     ) {
         let mut b = SeriesBuilder::new();
@@ -45,12 +44,12 @@ proptest! {
         let series = b.finish();
         let path = temp("prop");
         let catalog = FeatureCatalog::with_synthetic_features(300);
-        StreamWriter::create(&path, &catalog)
-            .and_then(|w| w.write_series(&series))
-            .unwrap();
-        let src = FileSource::open(&path).unwrap();
+        write_columnar(&path, &series, &catalog).unwrap();
+        let mut src = ColumnarSource::open(&path).unwrap();
         prop_assert_eq!(src.instant_count(), series.len());
-        prop_assert_eq!(src.materialize().unwrap(), series);
+        let mut b = SeriesBuilder::new();
+        src.scan(&mut |_, feats| b.push_instant(feats.iter().copied())).unwrap();
+        prop_assert_eq!(b.finish(), series);
         std::fs::remove_file(path).ok();
     }
 
@@ -70,16 +69,14 @@ proptest! {
         let expect = hitset::mine(&series, period, &config).unwrap();
 
         let path = temp("mine");
-        StreamWriter::create(&path, &FeatureCatalog::new())
-            .and_then(|w| w.write_series(&series))
-            .unwrap();
+        write_columnar(&path, &series, &FeatureCatalog::with_synthetic_features(5)).unwrap();
 
-        let mut src = FileSource::open(&path).unwrap();
+        let mut src = ColumnarSource::open(&path).unwrap();
         let got = run(Engine::HitSet, &mut src, period, &config).unwrap();
         prop_assert_eq!(&got.frequent, &expect.frequent);
         prop_assert_eq!(src.scans_performed(), 2);
 
-        let mut src = FileSource::open(&path).unwrap();
+        let mut src = ColumnarSource::open(&path).unwrap();
         let ap = run(Engine::Apriori, &mut src, period, &config).unwrap();
         prop_assert_eq!(&ap.frequent, &expect.frequent);
         prop_assert_eq!(src.scans_performed(), ap.stats.series_scans);
@@ -145,20 +142,48 @@ fn closed_compression_on_synthetic_data() {
     assert_eq!(closed.stats.series_scans, 2);
 }
 
-/// Disk mining at scale: stream a synthetic file and match memory results.
+/// Disk mining at scale: stream a synthetic store and match memory
+/// results, on every engine, with the same scans.
 #[test]
 fn disk_mining_at_scale() {
     let spec = SyntheticSpec::table1(20_000, 25, 4, 8);
     let data = spec.generate();
     let config = MineConfig::new(spec.recommended_min_conf()).unwrap();
     let path = temp("scale");
-    StreamWriter::create(&path, &data.catalog)
-        .and_then(|w| w.write_series(&data.series))
-        .unwrap();
-    let mut src = FileSource::open(&path).unwrap();
-    let disk = run(Engine::HitSet, &mut src, 25, &config).unwrap();
-    let mem = hitset::mine(&data.series, 25, &config).unwrap();
-    assert_eq!(disk.frequent, mem.frequent);
-    assert_eq!(disk.stats.series_scans, 2);
+    write_columnar(&path, &data.series, &data.catalog).unwrap();
+    for engine in Engine::ALL {
+        let mut src = ColumnarSource::open(&path).unwrap();
+        let disk = run(engine, &mut src, 25, &config).unwrap();
+        let mem = run(engine, &data.series, 25, &config).unwrap();
+        assert_eq!(disk.frequent, mem.frequent, "{engine}");
+        assert_eq!(disk.stats.series_scans, mem.stats.series_scans, "{engine}");
+        assert_eq!(src.scans_performed(), disk.stats.series_scans, "{engine}");
+    }
     std::fs::remove_file(path).ok();
+}
+
+/// The committed version-1 and version-2 stores stream from disk to the
+/// same result as their in-memory load, on every engine.
+#[test]
+fn old_version_fixtures_stream_like_their_load() {
+    for version in [1, 2] {
+        let fixture = format!(
+            "{}/crates/timeseries/testdata/synthetic-p12-v{version}.ppmc",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let reader = ColumnarReader::open(&fixture).unwrap();
+        assert_eq!(reader.version(), version);
+        let config = MineConfig::new(0.6).unwrap();
+        for engine in Engine::ALL {
+            let mut src = ColumnarSource::open(&fixture).unwrap();
+            let disk = run(engine, &mut src, 12, &config).unwrap();
+            let mem = run(engine, reader.view(), 12, &config).unwrap();
+            assert!(!mem.is_empty(), "v{version} {engine}");
+            assert_eq!(disk.frequent, mem.frequent, "v{version} {engine}");
+            assert_eq!(
+                disk.stats.series_scans, mem.stats.series_scans,
+                "v{version} {engine}"
+            );
+        }
+    }
 }
