@@ -2668,10 +2668,21 @@ mod tests {
     }
 
     #[test]
+    fn source_streams_an_empty_store() {
+        let path = temp("source-empty");
+        write_columnar(&path, &FeatureSeries::empty(), &FeatureCatalog::new()).unwrap();
+        let mut src = ColumnarSource::open(&path).unwrap();
+        assert_eq!(src.instant_count(), 0);
+        let mut visited = 0;
+        src.scan(&mut |_, _| visited += 1).unwrap();
+        assert_eq!((visited, src.scans_performed()), (0, 1));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn source_streams_widths_and_block_edges_like_the_reader() {
-        // No rows; rows of 0, 1 and 3 words; the 1-word store spans
-        // several blocks.
-        for (width, n) in [(0usize, 0usize), (0, 5), (64, BLOCK_WORDS + 7), (129, 300)] {
+        // Rows of 0, 1 and 3 words; the 1-word store spans several blocks.
+        for (width, n) in [(0usize, 5usize), (64, BLOCK_WORDS + 7), (129, 300)] {
             let mut b = SeriesBuilder::new();
             for t in 0..n {
                 let feats: Vec<FeatureId> = (0..width as u32)
@@ -2744,6 +2755,27 @@ mod tests {
         assert!(!err.is_transient());
         // A cut store does not even open.
         assert!(ColumnarSource::open(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A cut store does not open; a flipped row byte opens (the open checks
+    /// the header and commit only) but fails the first scan.
+    #[test]
+    fn source_detects_truncation_and_corruption() {
+        let (s, cat) = sample();
+        let path = temp("source-damage");
+        write_columnar(&path, &s, &cat).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        for cut in [3usize, bytes.len() / 2, bytes.len() - 1] {
+            std::fs::write(&path, &bytes[..cut]).unwrap();
+            assert!(ColumnarSource::open(&path).is_err(), "cut {cut} accepted");
+        }
+        let mut bad = bytes.clone();
+        *bad.last_mut().unwrap() ^= 0x01;
+        std::fs::write(&path, &bad).unwrap();
+        let mut src = ColumnarSource::open(&path).unwrap();
+        let err = scanned(&mut src).unwrap_err();
+        assert!(matches!(err, Error::Corrupt { .. }), "{err}");
         std::fs::remove_file(&path).ok();
     }
 
