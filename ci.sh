@@ -52,11 +52,13 @@ grep -q '"mining_stats"' "$smoke_dir/metrics.json"
 
 echo "==> verification smoke: audit, verify, quarantine, checkpoint integrity"
 # Honest runs audit clean on every engine; the cross-check diffs all six
-# arms (including the forced-scalar and incremental vertical arms).
+# arms of the view path: the hit set counted by bitmap and by tree walk,
+# Apriori, and the vertical, forced-scalar and incremental vertical arms.
 for engine in hitset apriori vertical incremental; do
   ./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
-    --min-conf 0.6 --engine "$engine" --audit full \
-    | grep -q "audit: clean"
+    --min-conf 0.6 --engine "$engine" --audit full >"$smoke_dir/audit.log"
+  grep -q "audit: clean" "$smoke_dir/audit.log"
+  grep -q "cross-check: 6 engines" "$smoke_dir/audit.log"
 done
 # An exported result file re-verifies against its series.
 ./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \

@@ -1113,7 +1113,7 @@ mod tests {
             ))
             .unwrap();
             assert!(text.contains("audit: clean"), "{engine}: {text}");
-            assert!(text.contains("cross-check: 6 engines"), "{engine}: {text}");
+            assert!(text.contains("cross-check: 7 engines"), "{engine}: {text}");
         }
         std::fs::remove_file(path).ok();
     }
@@ -1275,7 +1275,7 @@ mod tests {
             path.display()
         ))
         .unwrap();
-        assert!(text.contains("cross-check: 5 engines"), "{text}");
+        assert!(text.contains("cross-check: 6 engines"), "{text}");
         assert!(text.contains("audit: clean"), "{text}");
         std::fs::remove_file(path).ok();
     }
@@ -1421,7 +1421,7 @@ mod tests {
         assert!(text.contains("update 1: +1 segments (31 live"), "{text}");
         assert!(text.contains("re-mined in"), "{text}");
         // Every update is proven bit-identical to a cold mine.
-        assert!(text.contains("cross-check: 5 engines"), "{text}");
+        assert!(text.contains("cross-check: 6 engines"), "{text}");
         assert!(text.contains("audit: clean"), "{text}");
         std::fs::remove_file(path).ok();
     }

@@ -202,9 +202,9 @@ outside ppm, in the ppm-bench crate's `races` binary.
 Verification: mine --audit checks the result against the paper's
 invariants (anti-monotone counts, downward closure, confidence bounds,
 Property 3.2 bookkeeping), recounts patterns with an independent oracle
-(full, or a deterministic sample), and diffs the hit-set, Apriori,
-streaming, and vertical engines against each other; violations exit
-non-zero.
+(full, or a deterministic sample), and diffs the hit-set (its tree
+counted by bitmap and by the paper's tree walk), Apriori, streaming, and
+vertical engines against each other; violations exit non-zero.
 mine --quarantine skips malformed instants at the scan boundary and
 reports them (counts become sound lower bounds); --strict fails fast on
 the first one instead. verify re-audits an exported `mine --tsv` file

@@ -4,7 +4,10 @@
 //! set) compute the *same* frequent set with the *same* counts; the same
 //! hit-set code re-scanning a [`ppm_timeseries::SeriesSource`] must agree
 //! with its in-memory run, and the vertical engine
-//! ([`crate::vertical`]) recounts the same definition columnarly. Running
+//! ([`crate::vertical`]) recounts the same definition columnarly. The
+//! hit-set engine's default derive counts through the vertical engine's
+//! bitmap kernel, so a `hitset-tree` arm recounts its tree with the
+//! paper's own traversal ([`CountStrategy::TreeWalk`]). Running
 //! all of them on the same input and diffing the outputs is therefore a
 //! free correctness oracle: any disagreement is a bug in at least one
 //! engine, found without knowing which answer is right.
@@ -15,6 +18,7 @@ use ppm_timeseries::{
     EncodedSeries, EncodedSeriesView, FeatureCatalog, FeatureSeries, MemorySource,
 };
 
+use crate::hitset::derive::CountStrategy;
 use crate::letters::LetterSet;
 use crate::pattern::Pattern;
 use crate::result::MiningResult;
@@ -172,11 +176,12 @@ fn diff_pair(
     }
 }
 
-/// Mines `series` with the hit-set, Apriori, streaming hit-set (the
-/// hit-set engine over a [`MemorySource`], re-scanned per pass), and
-/// vertical engines — the latter also on its forced-scalar reference
-/// kernel and on the segment-at-a-time incremental index — and diffs the
-/// results pairwise against the hit-set baseline.
+/// Mines `series` with the hit-set engine (also counting its tree by the
+/// paper's traversal), Apriori, streaming hit-set (the hit-set engine over
+/// a [`MemorySource`], re-scanned per pass), and vertical engines — the
+/// latter also on its forced-scalar reference kernel and on the
+/// segment-at-a-time incremental index — and diffs the results pairwise
+/// against the hit-set baseline.
 ///
 /// The vertical re-mine reuses one [`EncodedSeries`] cache, so the oracle
 /// probes packed instant bitmaps instead of re-merge-walking raw feature
@@ -194,6 +199,7 @@ pub fn cross_check(
 ) -> crate::error::Result<CrossCheck> {
     let _span = ppm_observe::span("audit.diff");
     let baseline = crate::hitset::mine(series, period, config)?;
+    let tree = crate::hitset::mine_with_strategy(series, period, config, CountStrategy::TreeWalk)?;
     let apriori = crate::apriori::mine(series, period, config)?;
     let streamed = crate::run(
         Engine::HitSet,
@@ -209,6 +215,7 @@ pub fn cross_check(
     Ok(diff_against_baseline(
         &baseline,
         &[
+            ("hitset-tree", tree),
             ("apriori", apriori),
             ("streaming-hitset", streamed),
             ("vertical", vertical),
@@ -252,9 +259,10 @@ fn diff_against_baseline(
 }
 
 /// [`cross_check`] over a borrowed bitmap view (a columnar file load or an
-/// [`EncodedSeries`] cache): mines with the view-backed hit-set, Apriori,
-/// and vertical engines (plus the scalar-kernel and incremental vertical
-/// arms) and diffs pairwise against the hit-set baseline.
+/// [`EncodedSeries`] cache): mines with the view-backed hit-set (plus its
+/// tree-walk arm), Apriori, and vertical engines (plus the scalar-kernel
+/// and incremental vertical arms) and diffs pairwise against the hit-set
+/// baseline.
 ///
 /// The streaming arm is absent — it re-scans a
 /// [`ppm_timeseries::SeriesSource`], which a borrowed view does not
@@ -268,6 +276,7 @@ pub fn cross_check_view(
 ) -> crate::error::Result<CrossCheck> {
     let _span = ppm_observe::span("audit.diff");
     let baseline = crate::hitset::mine_view(view, period, config)?;
+    let tree = crate::hitset::mine_with_strategy(view, period, config, CountStrategy::TreeWalk)?;
     let apriori = crate::apriori::mine_view(view, period, config)?;
     let vertical = crate::vertical::mine_vertical_view(view, period, config)?;
     let scalar = config.with_kernel(Kernel::Scalar);
@@ -276,6 +285,7 @@ pub fn cross_check_view(
     Ok(diff_against_baseline(
         &baseline,
         &[
+            ("hitset-tree", tree),
             ("apriori", apriori),
             ("vertical", vertical),
             ("vertical-scalar", vertical_scalar),
@@ -309,7 +319,8 @@ mod tests {
         let config = MineConfig::new(0.5).unwrap();
         let check = cross_check(&series, 3, &config, &catalog).unwrap();
         assert!(check.agreed(), "{:?}", check.report.violations);
-        assert_eq!(check.algorithms.len(), 6);
+        assert_eq!(check.algorithms.len(), 7);
+        assert!(check.algorithms.contains(&"hitset-tree"));
         assert!(check.compared > 0);
     }
 
@@ -320,7 +331,8 @@ mod tests {
         let config = MineConfig::new(0.5).unwrap();
         let check = cross_check_view(encoded.view(), 3, &config, &catalog).unwrap();
         assert!(check.agreed(), "{:?}", check.report.violations);
-        assert_eq!(check.algorithms.len(), 5);
+        assert_eq!(check.algorithms.len(), 6);
+        assert!(check.algorithms.contains(&"hitset-tree"));
         let series_check = cross_check(&series, 3, &config, &catalog).unwrap();
         assert_eq!(check.compared, series_check.compared);
     }

@@ -19,9 +19,10 @@
 //!   sharing no code with the letter-projection/tree path the miners use.
 //!   Full recount, or a deterministic sample for large results.
 //! * **Cross-algorithm diff** ([`cross_check`]) — mines the same input
-//!   with the hit-set (in memory and streamed), Apriori and vertical
-//!   engines and diffs the outputs; the algorithms are proved equivalent,
-//!   so any disagreement is a bug in one of them.
+//!   with the hit-set (in memory and streamed, its tree counted by bitmap
+//!   and by the paper's tree walk), Apriori and vertical engines and diffs
+//!   the outputs; the algorithms are proved equivalent, so any
+//!   disagreement is a bug in one of them.
 //!
 //! Every violation carries enough rendered context (pattern text, counts,
 //! segment indices) to reproduce it by hand. Audit outcomes emit

@@ -20,19 +20,16 @@
 //! Three counting strategies are exposed for the ablation study (DESIGN.md
 //! experiment E7):
 //!
-//! * [`CountStrategy::LevelWalk`] (the default) — one depth-first walk of
-//!   the tree per Apriori level, every candidate of the level counted at
-//!   once: each starts at the root's subtree total and subtracts the
-//!   subtrees that miss one of its letters (see
-//!   [`MaxSubpatternTree::count_level`]);
+//! * [`CountStrategy::Bitmap`] (the default) — the tree's nodes with
+//!   count > 0 laid out as a [`VerticalIndex`], every level counted by
+//!   word-wide AND + weighted popcount on the config's kernel: the same
+//!   counter, code and all, as the vertical engine ([`crate::vertical`]),
+//!   which lays its distinct hits out in scan 2 instead of in a tree;
 //! * [`CountStrategy::TreeWalk`] — the paper's pruned trie traversal, one
-//!   walk per candidate;
+//!   walk per candidate, kept as the algorithm of record and as the
+//!   audit's independent tree counter;
 //! * [`CountStrategy::LinearScan`] — a flat pass over the distinct hits
 //!   with one bitset subset test each.
-//!
-//! The columnar alternative — per-letter bitmaps over the distinct hits,
-//! counted by word-wide AND + weighted popcount — is the vertical engine
-//! ([`crate::vertical`]), which lays them out in scan 2 instead of a tree.
 
 use crate::apriori::join_candidates;
 use crate::hitset::tree::MaxSubpatternTree;
@@ -40,75 +37,71 @@ use crate::letters::LetterSet;
 use crate::result::FrequentPattern;
 use crate::scan::Scan1;
 use crate::stats::MiningStats;
+use crate::vertical::{Kernel, VerticalIndex};
 
 /// How candidate counts are extracted from the tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CountStrategy {
-    /// One walk of the trie per Apriori level, counting the whole level
-    /// with per-node subtree totals.
+    /// The distinct hits as weighted per-letter bitmaps, a whole level
+    /// counted by AND + weighted popcount.
     #[default]
-    LevelWalk,
+    Bitmap,
     /// Pruned traversal of the trie (paper §4), once per candidate. Skips
-    /// whole subtrees that drop a letter of the candidate.
+    /// every branch that drops a letter of the candidate.
     TreeWalk,
     /// Flat scan over the nodes with count > 0.
     LinearScan,
-}
-
-impl CountStrategy {
-    /// Counts the superpattern hits of `p` under this strategy.
-    pub fn count(self, tree: &MaxSubpatternTree, p: &LetterSet) -> u64 {
-        match self {
-            CountStrategy::LevelWalk => tree.count_level(std::slice::from_ref(p), &mut 0)[0],
-            CountStrategy::TreeWalk => tree.count_superpatterns_walk(p),
-            CountStrategy::LinearScan => tree.count_superpatterns_linear(p),
-        }
-    }
 }
 
 /// Derives every frequent pattern with ≥ 2 letters from the tree,
 /// level-wise from the frequent 1-patterns of `scan1`. Appends to
 /// `frequent` and updates `stats`; returns nothing else — 1-letter patterns
 /// are the caller's responsibility (their exact counts come from scan 1).
+/// `kernel` counts the [`CountStrategy::Bitmap`] levels, whose AND word
+/// operations the `hitset.and_ops` gauge reports.
 pub fn derive_frequent(
     tree: &MaxSubpatternTree,
     scan1: &Scan1,
     strategy: CountStrategy,
+    kernel: Kernel,
     frequent: &mut Vec<FrequentPattern>,
     stats: &mut MiningStats,
 ) {
-    match strategy {
-        CountStrategy::LevelWalk => {
-            let mut count_ops = 0u64;
-            derive_frequent_batched(
-                |sets| tree.count_level(sets, &mut count_ops),
-                scan1,
-                frequent,
-                stats,
-            );
-            ppm_observe::gauge("hitset.count_ops", count_ops);
+    let count: fn(&MaxSubpatternTree, &LetterSet) -> u64 = match strategy {
+        CountStrategy::Bitmap => {
+            let (and_ops, _) = hit_index(tree).derive_levels(scan1, kernel, frequent, stats);
+            ppm_observe::gauge("hitset.and_ops", and_ops);
+            return;
         }
-        _ => derive_frequent_batched(
-            |sets| sets.iter().map(|p| strategy.count(tree, p)).collect(),
-            scan1,
-            frequent,
-            stats,
-        ),
-    }
+        CountStrategy::TreeWalk => MaxSubpatternTree::count_superpatterns_walk,
+        CountStrategy::LinearScan => MaxSubpatternTree::count_superpatterns_linear,
+    };
+    derive_frequent_batched(
+        |sets| sets.iter().map(|p| count(tree, p)).collect(),
+        scan1,
+        frequent,
+        stats,
+    );
+}
+
+/// The tree's distinct hits (its nodes with count > 0) laid out as a
+/// bitmap index over the tree's letters.
+fn hit_index(tree: &MaxSubpatternTree) -> VerticalIndex {
+    VerticalIndex::from_hits(tree.c_max().universe(), tree.hits())
 }
 
 /// The level-wise Apriori derivation loop over a *level-batched*
-/// counting oracle — the tree strategies and the vertical index plug in
-/// the same way (Property 3.1 is independent of how counting is done).
-/// Each call of `count_level` receives every candidate of one level and
-/// returns their counts in order. Batching is what lets the vertical
-/// engine answer a whole level against each cache block of its bitmaps
-/// once, while the per-pattern strategies just map over the slice.
+/// counting oracle — the per-candidate tree strategies and the bitmap
+/// index plug in the same way (Property 3.1 is independent of how
+/// counting is done). Each call of `count_batch` receives every candidate
+/// of one level and returns their counts in order. Batching is what lets
+/// the bitmap index answer a whole level against each cache block of its
+/// rows once, while the per-candidate strategies just map over the slice.
 ///
 /// Each level is joined by [`join_candidates`] inside one `derive.join`
 /// span, so a trace splits the derive into join and count.
 pub(crate) fn derive_frequent_batched(
-    mut count_level: impl FnMut(&[LetterSet]) -> Vec<u64>,
+    mut count_batch: impl FnMut(&[LetterSet]) -> Vec<u64>,
     scan1: &Scan1,
     frequent: &mut Vec<FrequentPattern>,
     stats: &mut MiningStats,
@@ -131,7 +124,7 @@ pub(crate) fn derive_frequent_batched(
         k += 1;
         stats.max_level = stats.max_level.max(k);
         stats.subset_tests += candidates.len() as u64;
-        let counts = count_level(&candidates);
+        let counts = count_batch(&candidates);
         debug_assert_eq!(counts.len(), candidates.len(), "one count per candidate");
         level.clear();
         for (set, count) in candidates.into_iter().zip(counts) {
@@ -182,13 +175,20 @@ mod tests {
             tree.insert(&set(4, &[0, 1, 2]));
         }
         for strategy in [
-            CountStrategy::LevelWalk,
+            CountStrategy::Bitmap,
             CountStrategy::TreeWalk,
             CountStrategy::LinearScan,
         ] {
             let mut frequent = Vec::new();
             let mut stats = MiningStats::default();
-            derive_frequent(&tree, &scan1, strategy, &mut frequent, &mut stats);
+            derive_frequent(
+                &tree,
+                &scan1,
+                strategy,
+                Kernel::Wide,
+                &mut frequent,
+                &mut stats,
+            );
             // {0,1} {0,2} {1,2} {0,1,2}: 4 multi-letter patterns.
             assert_eq!(frequent.len(), 4, "{strategy:?}");
             assert!(frequent.iter().all(|f| f.count == 10));
@@ -212,6 +212,7 @@ mod tests {
             &tree,
             &scan1,
             CountStrategy::TreeWalk,
+            Kernel::Wide,
             &mut frequent,
             &mut stats,
         );
@@ -242,19 +243,27 @@ mod tests {
         let run = |strategy| {
             let mut frequent = Vec::new();
             let mut stats = MiningStats::default();
-            derive_frequent(&tree, &scan1, strategy, &mut frequent, &mut stats);
+            derive_frequent(
+                &tree,
+                &scan1,
+                strategy,
+                Kernel::Wide,
+                &mut frequent,
+                &mut stats,
+            );
             frequent.sort_by_key(|f| f.letters.iter().collect::<Vec<_>>());
             frequent
         };
         let a = run(CountStrategy::TreeWalk);
         let b = run(CountStrategy::LinearScan);
-        let c = run(CountStrategy::LevelWalk);
+        let c = run(CountStrategy::Bitmap);
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert!(!a.is_empty());
         // Single-pattern counting agrees too.
+        let index = hit_index(&tree);
         for f in &a {
-            assert_eq!(CountStrategy::LevelWalk.count(&tree, &f.letters), f.count);
+            assert_eq!(index.count(&f.letters), f.count);
         }
     }
 
@@ -268,11 +277,136 @@ mod tests {
             &tree,
             &scan1,
             CountStrategy::TreeWalk,
+            Kernel::Wide,
             &mut frequent,
             &mut stats,
         );
         assert!(frequent.is_empty());
         // Candidates were still generated at level 2 (and rejected).
         assert_eq!(stats.candidates_generated, 3);
+    }
+
+    /// splitmix64: a deterministic draw stream for the randomized checks.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// A random subset of `pool`, each letter kept with probability
+        /// `keep_pct`%.
+        fn subset(&mut self, universe: usize, pool: &[usize], keep_pct: u64) -> LetterSet {
+            LetterSet::from_indices(
+                universe,
+                pool.iter().copied().filter(|_| self.below(100) < keep_pct),
+            )
+        }
+    }
+
+    /// A random tree over `universe` letters whose `C_max` holds every
+    /// letter except those in `absent`, with `hits` inserts of random
+    /// counts (0 included, to force bare interior nodes).
+    fn random_tree(
+        rng: &mut SplitMix,
+        universe: usize,
+        absent: &[usize],
+        hits: usize,
+    ) -> MaxSubpatternTree {
+        let pool: Vec<usize> = (0..universe).filter(|l| !absent.contains(l)).collect();
+        let mut t = MaxSubpatternTree::new(LetterSet::from_indices(universe, pool.clone()));
+        for _ in 0..hits {
+            let keep = 40 + rng.below(55);
+            let hit = rng.subset(universe, &pool, keep);
+            if hit.len() >= 2 {
+                t.insert_with_count(&hit, rng.below(4));
+            }
+        }
+        t
+    }
+
+    /// Asserts the tree's hit index counts every candidate, as one level
+    /// on both kernels and one at a time, as the linear scan does.
+    fn assert_index_matches_linear(t: &MaxSubpatternTree, candidates: &[LetterSet]) {
+        let index = hit_index(t);
+        let expect: Vec<u64> = candidates
+            .iter()
+            .map(|p| t.count_superpatterns_linear(p))
+            .collect();
+        let words = 0..index.words_per_row();
+        for kernel in [Kernel::Scalar, Kernel::Wide] {
+            let level = index.count_level(candidates, words.clone(), kernel, &mut 0);
+            assert_eq!(level, expect, "{kernel:?}");
+        }
+        for (p, &want) in candidates.iter().zip(&expect) {
+            assert_eq!(index.count(p), want, "{p:?}");
+        }
+    }
+
+    #[test]
+    fn bitmap_counts_match_linear_on_random_trees() {
+        for seed in 0..24u64 {
+            let mut rng = SplitMix(seed);
+            let universe = 3 + rng.below(12) as usize;
+            let hits = 1 + rng.below(80) as usize;
+            let t = random_tree(&mut rng, universe, &[], hits);
+            let all: Vec<usize> = (0..universe).collect();
+            let candidates: Vec<LetterSet> = (0..65)
+                .map(|_| {
+                    let keep = rng.below(60);
+                    rng.subset(universe, &all, keep)
+                })
+                .collect();
+            assert_index_matches_linear(&t, &candidates);
+        }
+    }
+
+    #[test]
+    fn bitmap_counts_match_linear_over_64_letters() {
+        // Universes past one word lay out multi-word hit keys.
+        for (seed, universe) in [(1u64, 65usize), (2, 100), (3, 130)] {
+            let mut rng = SplitMix(seed);
+            let t = random_tree(&mut rng, universe, &[], 60);
+            let all: Vec<usize> = (0..universe).collect();
+            let candidates: Vec<LetterSet> = (0..129)
+                .map(|_| {
+                    let keep = rng.below(8);
+                    rng.subset(universe, &all, keep)
+                })
+                .collect();
+            assert_index_matches_linear(&t, &candidates);
+        }
+    }
+
+    #[test]
+    fn bitmap_counts_zero_letters_outside_c_max() {
+        let mut rng = SplitMix(9);
+        let t = random_tree(&mut rng, 10, &[2, 7], 50);
+        let all: Vec<usize> = (0..10).collect();
+        let candidates: Vec<LetterSet> = (0..65).map(|_| rng.subset(10, &all, 25)).collect();
+        assert!(candidates.iter().any(|p| p.contains(2) || p.contains(7)));
+        assert_index_matches_linear(&t, &candidates);
+    }
+
+    #[test]
+    fn bitmap_counts_on_empty_and_root_only_trees() {
+        let candidates = [set(5, &[0, 1]), set(5, &[]), set(5, &[0, 1, 2, 3, 4])];
+        let empty = MaxSubpatternTree::new(LetterSet::full(5));
+        assert_eq!(hit_index(&empty).n_columns(), 0);
+        assert_index_matches_linear(&empty, &candidates);
+        assert_index_matches_linear(&empty, &[]);
+
+        let mut root_only = MaxSubpatternTree::new(LetterSet::full(5));
+        root_only.insert_with_count(&LetterSet::full(5), 7);
+        assert_index_matches_linear(&root_only, &candidates);
+        assert_eq!(hit_index(&root_only).count(&candidates[0]), 7);
     }
 }

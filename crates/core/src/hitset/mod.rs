@@ -11,7 +11,9 @@
 //! * [`tree`] — the max-subpattern tree (Algorithm 4.1): a set-trie over
 //!   missing-letter lists, with 0-count interior nodes.
 //! * [`derive`](mod@derive) — Algorithm 4.2: level-wise derivation of all frequent
-//!   patterns, counting candidates against the tree.
+//!   patterns from the tree's hits — by default laid out as the vertical
+//!   engine's weighted bitmaps and counted by its kernel, or by the
+//!   paper's tree walk.
 //! * [`mine`] — Algorithm 3.2 end to end.
 
 pub mod derive;

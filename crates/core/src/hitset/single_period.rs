@@ -16,7 +16,9 @@ use crate::stats::MiningStats;
 
 /// Mines all frequent partial periodic patterns of `period` in `series`
 /// with the max-subpattern hit-set method (paper Algorithm 3.2), using the
-/// default level-walk counting strategy.
+/// default bitmap counting strategy: the tree's distinct hits counted by
+/// AND + weighted popcount on the config's
+/// [`Kernel`](crate::vertical::Kernel), as the vertical engine counts.
 ///
 /// Exactly **two** scans of the series are performed, independent of the
 /// period and of the length of the longest frequent pattern.
@@ -87,7 +89,14 @@ pub(crate) fn finish(
 ) -> MiningResult {
     absorb_tree_stats(&mut stats, tree);
     let mut frequent = scan1.seed_singletons();
-    derive_frequent(tree, &scan1, strategy, &mut frequent, &mut stats);
+    derive_frequent(
+        tree,
+        &scan1,
+        strategy,
+        config.kernel(),
+        &mut frequent,
+        &mut stats,
+    );
     scan1.into_result(config, frequent, stats)
 }
 
@@ -396,21 +405,22 @@ mod tests {
     }
 
     #[test]
-    fn level_walk_matches_tree_walk_on_dense_table1_data() {
+    fn bitmap_matches_tree_walk_on_dense_table1_data() {
+        use crate::vertical::Kernel;
         // A dense Table-1 store (|F1| = 24, long planted patterns) mined
         // at the low threshold where derivation dominates.
         let g = ppm_datagen::SyntheticSpec::table1(6_000, 30, 12, 24).generate();
         let config = MineConfig::new(0.35).unwrap();
-        let level = mine_with_strategy(&g.series, 30, &config, CountStrategy::LevelWalk).unwrap();
+        let bitmap = mine(&g.series, 30, &config).unwrap();
         let walk = mine_with_strategy(&g.series, 30, &config, CountStrategy::TreeWalk).unwrap();
-        assert!(level.len() > 1_000, "{} patterns", level.len());
+        assert!(bitmap.len() > 1_000, "{} patterns", bitmap.len());
         // Same patterns, counts and order, and the same statistics.
-        assert_eq!(level.frequent, walk.frequent);
-        assert_eq!(level.stats, walk.stats);
-        assert_eq!(
-            mine(&g.series, 30, &config).unwrap().frequent,
-            level.frequent
-        );
+        assert_eq!(bitmap.frequent, walk.frequent);
+        assert_eq!(bitmap.stats, walk.stats);
+        // The scalar reference kernel counts the hit set identically.
+        let scalar = mine(&g.series, 30, &config.with_kernel(Kernel::Scalar)).unwrap();
+        assert_eq!(scalar.frequent, bitmap.frequent);
+        assert_eq!(scalar.stats, bitmap.stats);
     }
 
     #[test]

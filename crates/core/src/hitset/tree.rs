@@ -11,10 +11,10 @@
 //! count 0.
 //!
 //! Nodes live in an arena (`Vec`) and refer to each other by index: no
-//! boxes, no reference counting, no unsafe. Every node also keeps its
-//! subtree total (its own count plus its descendants'), kept on the insert
-//! path, so [`MaxSubpatternTree::count_level`] can settle a whole subtree
-//! with one subtraction.
+//! boxes, no reference counting, no unsafe. A node holds its pattern, its
+//! count and its child links, nothing else: the derive counts from the
+//! nodes with count > 0 ([`MaxSubpatternTree::hits`]), laid out as a
+//! bitmap index (see [`crate::hitset::derive`]).
 
 use crate::letters::LetterSet;
 
@@ -27,10 +27,6 @@ struct Node {
     pattern: LetterSet,
     /// Number of segments whose hit was exactly this pattern.
     count: u64,
-    /// `count` plus the counts of every descendant.
-    subtree: u64,
-    /// Canonical parent (None for the root).
-    parent: Option<NodeId>,
     /// Child links `(dropped letter, node)`, sorted by letter. The child's
     /// missing list is the parent's plus that letter, and the letter is
     /// larger than every letter already missing on the path.
@@ -41,6 +37,8 @@ struct Node {
 #[derive(Debug, Clone)]
 pub struct MaxSubpatternTree {
     nodes: Vec<Node>,
+    /// Every count inserted: the number of contributing segments.
+    total: u64,
 }
 
 impl MaxSubpatternTree {
@@ -50,10 +48,9 @@ impl MaxSubpatternTree {
             nodes: vec![Node {
                 pattern: c_max,
                 count: 0,
-                subtree: 0,
-                parent: None,
                 children: Vec::new(),
             }],
+            total: 0,
         }
     }
 
@@ -90,7 +87,6 @@ impl MaxSubpatternTree {
         let mut cur: NodeId = 0;
         for letter in missing.iter() {
             let letter = letter as u32;
-            self.nodes[cur as usize].subtree += count;
             cur = match self.nodes[cur as usize]
                 .children
                 .binary_search_by_key(&letter, |&(l, _)| l)
@@ -103,8 +99,6 @@ impl MaxSubpatternTree {
                     self.nodes.push(Node {
                         pattern,
                         count: 0,
-                        subtree: 0,
-                        parent: Some(cur),
                         children: Vec::new(),
                     });
                     self.nodes[cur as usize].children.insert(pos, (letter, id));
@@ -112,9 +106,8 @@ impl MaxSubpatternTree {
                 }
             };
         }
-        let node = &mut self.nodes[cur as usize];
-        node.count += count;
-        node.subtree += count;
+        self.nodes[cur as usize].count += count;
+        self.total += count;
     }
 
     /// Total nodes, including 0-count interior nodes.
@@ -122,14 +115,23 @@ impl MaxSubpatternTree {
         self.nodes.len()
     }
 
+    /// The distinct hit patterns and their counts: every node with
+    /// count > 0, in arena order.
+    pub fn hits(&self) -> impl Iterator<Item = (&LetterSet, u64)> {
+        self.nodes
+            .iter()
+            .filter(|n| n.count > 0)
+            .map(|n| (&n.pattern, n.count))
+    }
+
     /// Number of distinct hit patterns (nodes with count > 0).
     pub fn distinct_hits(&self) -> usize {
-        self.nodes.iter().filter(|n| n.count > 0).count()
+        self.hits().count()
     }
 
     /// Total hits registered (the number of contributing segments).
     pub fn total_hits(&self) -> u64 {
-        self.nodes[0].subtree
+        self.total
     }
 
     /// The stored count of exactly the pattern `set`, if a node for it
@@ -157,16 +159,15 @@ impl MaxSubpatternTree {
     /// counts of all stored hits that are superpatterns of `p`
     /// (linear-scan strategy — one bitset subset test per distinct hit).
     pub fn count_superpatterns_linear(&self, p: &LetterSet) -> u64 {
-        self.nodes
-            .iter()
-            .filter(|n| n.count > 0 && p.is_subset(&n.pattern))
-            .map(|n| n.count)
+        self.hits()
+            .filter(|(hit, _)| p.is_subset(hit))
+            .map(|(_, count)| count)
             .sum()
     }
 
     /// The frequency count of a candidate pattern `p`, computed by walking
     /// the trie (the paper's reachable-ancestor traversal, generalized to
-    /// arbitrary candidates): a subtree reached by dropping a letter of `p`
+    /// arbitrary candidates): a branch reached by dropping a letter of `p`
     /// can contain no superpattern of `p` and is pruned wholesale.
     pub fn count_superpatterns_walk(&self, p: &LetterSet) -> u64 {
         let mut total = 0u64;
@@ -183,126 +184,6 @@ impl MaxSubpatternTree {
             }
         }
         total
-    }
-
-    /// The frequency counts of a whole Apriori level in one depth-first
-    /// walk: entry `i` is the count of `candidates[i]`, the value
-    /// [`Self::count_superpatterns_linear`] gives it. Adds to `count_ops`
-    /// one per candidate per subtree subtraction.
-    ///
-    /// Every count starts at the root's subtree total — every hit — and
-    /// the walk takes away the subtrees that miss a letter of the
-    /// candidate. Candidates are bitmap columns, one word row per letter.
-    /// At an edge that drops letter `l`, a candidate still active at the
-    /// parent either
-    ///
-    /// * contains `l`: the child's whole subtree misses it, so the child's
-    ///   subtree total is subtracted and the candidate stops there;
-    /// * has every letter below `l`: everything under the child drops only
-    ///   larger letters, so it all contains the candidate — skip;
-    /// * otherwise descends with the child.
-    ///
-    /// Children are sorted by letter, so once no active candidate reaches
-    /// `l` the node's remaining children are skipped too.
-    pub fn count_level(&self, candidates: &[LetterSet], count_ops: &mut u64) -> Vec<u64> {
-        let words = candidates.len().div_ceil(64);
-        let universe = self.c_max().universe();
-        let mut counts = vec![0u64; candidates.len()];
-        // Row `l` of `contains`: the candidates holding letter `l`; of
-        // `reaches`: those whose largest letter is ≥ `l`.
-        let mut contains = vec![0u64; universe * words];
-        let mut reaches = vec![0u64; (universe + 1) * words];
-        // One active set per depth of the walk; depth 0 is the root's.
-        let mut active = vec![0u64; words];
-        for (i, p) in candidates.iter().enumerate() {
-            debug_assert_eq!(p.universe(), universe, "candidate over another alphabet");
-            if !p.is_subset(self.c_max()) {
-                continue; // no stored hit holds a letter outside C_max
-            }
-            counts[i] = self.nodes[0].subtree;
-            let (w, bit) = (i / 64, 1u64 << (i % 64));
-            active[w] |= bit;
-            let mut max = None;
-            for l in p.iter() {
-                contains[l * words + w] |= bit;
-                max = Some(l);
-            }
-            if let Some(max) = max {
-                reaches[max * words + w] |= bit;
-            }
-        }
-        for l in (0..universe).rev() {
-            let (lower, upper) = reaches.split_at_mut((l + 1) * words);
-            for (a, &b) in lower[l * words..].iter_mut().zip(&upper[..words]) {
-                *a |= b;
-            }
-        }
-
-        struct Frame {
-            node: NodeId,
-            next_child: usize,
-            /// The active words of this depth's set lie in `lo..hi`.
-            lo: usize,
-            hi: usize,
-        }
-        let mut frames = vec![Frame {
-            node: 0,
-            next_child: 0,
-            lo: 0,
-            hi: words,
-        }];
-        while let Some(frame) = frames.last_mut() {
-            let Some(&(letter, child)) = self.nodes[frame.node as usize]
-                .children
-                .get(frame.next_child)
-            else {
-                frames.pop();
-                continue;
-            };
-            frame.next_child += 1;
-            let subtree = self.nodes[child as usize].subtree;
-            if subtree == 0 {
-                continue; // nothing under it to subtract or descend for
-            }
-            let (lo, hi) = (frame.lo, frame.hi);
-            let depth = frames.len() - 1;
-            if active.len() < (depth + 2) * words {
-                active.resize((depth + 2) * words, 0);
-            }
-            let (parent, next) = active.split_at_mut((depth + 1) * words);
-            let parent = &parent[depth * words..];
-            let l = letter as usize;
-            let has = &contains[l * words..(l + 1) * words];
-            let reach = &reaches[l * words..(l + 1) * words];
-            let mut reached = false;
-            let (mut next_lo, mut next_hi) = (hi, lo);
-            for w in lo..hi {
-                let relevant = parent[w] & reach[w];
-                let mut dropped = relevant & has[w];
-                next[w] = relevant & !has[w];
-                reached |= relevant != 0;
-                if next[w] != 0 {
-                    next_lo = next_lo.min(w);
-                    next_hi = w + 1;
-                }
-                while dropped != 0 {
-                    counts[w * 64 + dropped.trailing_zeros() as usize] -= subtree;
-                    dropped &= dropped - 1;
-                    *count_ops += 1;
-                }
-            }
-            if !reached {
-                frames.pop();
-            } else if next_lo < next_hi {
-                frames.push(Frame {
-                    node: child,
-                    next_child: 0,
-                    lo: next_lo,
-                    hi: next_hi,
-                });
-            }
-        }
-        counts
     }
 
     /// The *reachable ancestors* of the node for `set` (paper §4, Example
@@ -379,15 +260,13 @@ impl MaxSubpatternTree {
     /// Maximum depth of the tree (root = 0); equals the largest number of
     /// letters missing from any stored hit.
     pub fn depth(&self) -> usize {
-        let mut depth = vec![0usize; self.nodes.len()];
-        let mut max = 0;
-        // Parents always precede children in the arena, so one pass works.
-        for i in 1..self.nodes.len() {
-            let parent = self.nodes[i].parent.expect("non-root has parent") as usize;
-            depth[i] = depth[parent] + 1;
-            max = max.max(depth[i]);
-        }
-        max
+        // A node's depth is the number of letters missing from its pattern.
+        let c_max = self.c_max().len();
+        self.nodes
+            .iter()
+            .map(|n| c_max - n.pattern.len())
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -573,21 +452,8 @@ mod tests {
         assert_eq!(t.count_superpatterns_walk(&set(4, &[0, 1, 3])), 10);
         // The root itself: only its own 10 hits.
         assert_eq!(t.count_superpatterns_walk(&LetterSet::full(4)), 10);
-
-        // The level walk gives the same counts, one level per call.
-        let level2: Vec<LetterSet> = expect.iter().map(|(l, _)| set(4, l)).collect();
-        let freqs: Vec<u64> = expect.iter().map(|&(_, f)| f).collect();
-        assert_eq!(t.count_level(&level2, &mut 0), freqs);
-        let level3 = [
-            set(4, &[1, 2, 3]),
-            set(4, &[0, 1, 2]),
-            set(4, &[0, 2, 3]),
-            set(4, &[0, 1, 3]),
-        ];
-        assert_eq!(t.count_level(&level3, &mut 0), [60, 50, 42, 10]);
-        assert_eq!(t.count_level(&[LetterSet::full(4)], &mut 0), [10]);
         assert_eq!(t.total_hits(), 184);
-        assert_totals_consistent(&t);
+        assert_eq!(t.distinct_hits(), 9);
     }
 
     #[test]
@@ -616,187 +482,36 @@ mod tests {
         assert_eq!(t.count_at(&set(4, &[3])), None);
     }
 
-    /// Every node's subtree total is its count plus its children's totals,
-    /// and the root's total is the sum of all counts.
-    fn assert_totals_consistent(t: &MaxSubpatternTree) {
-        for (id, node) in t.nodes.iter().enumerate() {
-            let below: u64 = node
-                .children
-                .iter()
-                .map(|&(_, c)| t.nodes[c as usize].subtree)
-                .sum();
-            assert_eq!(node.subtree, node.count + below, "node {id}");
-        }
-        assert_eq!(t.total_hits(), t.nodes.iter().map(|n| n.count).sum());
-    }
-
-    /// splitmix64: a deterministic draw stream for the randomized checks.
-    struct SplitMix(u64);
-
-    impl SplitMix {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        fn below(&mut self, n: u64) -> u64 {
-            self.next() % n
-        }
-
-        /// A random subset of `pool`, each letter kept with probability
-        /// `keep_pct`%.
-        fn subset(&mut self, universe: usize, pool: &[usize], keep_pct: u64) -> LetterSet {
-            LetterSet::from_indices(
-                universe,
-                pool.iter().copied().filter(|_| self.below(100) < keep_pct),
-            )
-        }
-    }
-
-    /// A random tree over `universe` letters whose `C_max` holds every
-    /// letter except those in `absent`, with `hits` inserts of random
-    /// counts (0 included, to force bare interior nodes).
-    fn random_tree(
-        rng: &mut SplitMix,
-        universe: usize,
-        absent: &[usize],
-        hits: usize,
-    ) -> MaxSubpatternTree {
-        let pool: Vec<usize> = (0..universe).filter(|l| !absent.contains(l)).collect();
-        let mut t = MaxSubpatternTree::new(LetterSet::from_indices(universe, pool.clone()));
-        for _ in 0..hits {
-            let keep = 40 + rng.below(55);
-            let hit = rng.subset(universe, &pool, keep);
-            if hit.len() >= 2 {
-                t.insert_with_count(&hit, rng.below(4));
-            }
-        }
-        t
-    }
-
-    /// Asserts the level walk equals the linear scan for every candidate.
-    fn assert_level_matches_linear(t: &MaxSubpatternTree, candidates: &[LetterSet]) {
-        let mut ops = 0;
-        let got = t.count_level(candidates, &mut ops);
-        assert_eq!(got.len(), candidates.len());
-        for (i, (p, &count)) in candidates.iter().zip(&got).enumerate() {
-            assert_eq!(
-                count,
-                t.count_superpatterns_linear(p),
-                "candidate {i}: {p:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn count_level_matches_linear_on_random_trees() {
-        for seed in 0..24u64 {
-            let mut rng = SplitMix(seed);
-            let universe = 3 + rng.below(12) as usize;
-            let hits = 1 + rng.below(80) as usize;
-            let t = random_tree(&mut rng, universe, &[], hits);
-            assert_totals_consistent(&t);
-            let all: Vec<usize> = (0..universe).collect();
-            // Bitmap word edges: 1, 63, 64, 65 and 129 candidates.
-            for n in [1usize, 63, 64, 65, 129] {
-                let candidates: Vec<LetterSet> = (0..n)
-                    .map(|_| {
-                        let keep = rng.below(60);
-                        rng.subset(universe, &all, keep)
-                    })
-                    .collect();
-                assert_level_matches_linear(&t, &candidates);
-            }
-        }
-    }
-
-    #[test]
-    fn count_level_matches_linear_over_64_letters() {
-        // Universes past one word store LetterSets on the heap.
-        for (seed, universe) in [(1u64, 65usize), (2, 100), (3, 130)] {
-            let mut rng = SplitMix(seed);
-            let t = random_tree(&mut rng, universe, &[], 60);
-            assert_totals_consistent(&t);
-            let all: Vec<usize> = (0..universe).collect();
-            let candidates: Vec<LetterSet> = (0..129)
-                .map(|_| {
-                    let keep = rng.below(8);
-                    rng.subset(universe, &all, keep)
-                })
-                .collect();
-            assert_level_matches_linear(&t, &candidates);
-        }
-    }
-
-    #[test]
-    fn count_level_zeroes_letters_outside_c_max() {
-        let mut rng = SplitMix(9);
-        let t = random_tree(&mut rng, 10, &[2, 7], 50);
-        let all: Vec<usize> = (0..10).collect();
-        let candidates: Vec<LetterSet> = (0..65).map(|_| rng.subset(10, &all, 25)).collect();
-        assert!(candidates.iter().any(|p| p.contains(2) || p.contains(7)));
-        assert_level_matches_linear(&t, &candidates);
-    }
-
-    #[test]
-    fn count_level_on_empty_and_root_only_trees() {
-        let candidates = [set(5, &[0, 1]), set(5, &[]), set(5, &[0, 1, 2, 3, 4])];
-        let mut ops = 0;
-        let empty = MaxSubpatternTree::new(LetterSet::full(5));
-        assert_eq!(empty.count_level(&candidates, &mut ops), [0, 0, 0]);
-        assert_eq!(empty.count_level(&[], &mut ops), Vec::<u64>::new());
-
-        let mut root_only = MaxSubpatternTree::new(LetterSet::full(5));
-        root_only.insert_with_count(&LetterSet::full(5), 7);
-        assert_eq!(root_only.count_level(&candidates, &mut ops), [7, 7, 7]);
-        // No edges, so no subtractions.
-        assert_eq!(ops, 0);
-    }
-
-    #[test]
-    fn count_ops_tally_subtree_subtractions() {
-        // Root {0,1,2} with one child (~0) holding 2 hits: {0,1} subtracts
-        // it once, {1,2} is fully above it and never looks.
-        let mut t = MaxSubpatternTree::new(LetterSet::full(3));
-        t.insert_with_count(&set(3, &[1, 2]), 2);
-        t.insert(&LetterSet::full(3));
-        let mut ops = 0;
-        assert_eq!(
-            t.count_level(&[set(3, &[0, 1]), set(3, &[1, 2])], &mut ops),
-            [1, 3]
-        );
-        assert_eq!(ops, 1);
-    }
-
     #[test]
     fn zero_count_inserts_keep_totals_consistent() {
         let mut t = MaxSubpatternTree::new(LetterSet::full(5));
         t.insert_with_count(&set(5, &[1, 3]), 0);
         assert_eq!(t.node_count(), 4);
         assert_eq!(t.total_hits(), 0);
-        assert_totals_consistent(&t);
+        assert_eq!(t.distinct_hits(), 0);
         t.insert_with_count(&set(5, &[1, 3, 4]), 3);
         t.insert_with_count(&set(5, &[0, 1]), 0);
         assert_eq!(t.total_hits(), 3);
-        assert_totals_consistent(&t);
-        assert_level_matches_linear(&t, &[set(5, &[1, 3]), set(5, &[0, 1])]);
+        assert_eq!(t.distinct_hits(), 1);
+        assert_eq!(t.count_superpatterns_linear(&set(5, &[1, 3])), 3);
+        assert_eq!(t.count_superpatterns_linear(&set(5, &[0, 1])), 0);
     }
 
     #[test]
     fn totals_hold_after_every_insert() {
         // A guarded build may stop after any insert (the tree budget is
-        // checked per insert), so each prefix must be consistent.
-        let mut rng = SplitMix(5);
+        // checked per insert), so each prefix's totals must be right.
         let mut t = MaxSubpatternTree::new(LetterSet::full(8));
-        let all: Vec<usize> = (0..8).collect();
-        for _ in 0..40 {
-            let hit = rng.subset(8, &all, 60);
+        let mut inserted = 0;
+        for i in 0..40u32 {
+            let bits = i.wrapping_mul(0x9E37_79B9) >> 24;
+            let hit = LetterSet::from_indices(8, (0..8).filter(|l| bits >> l & 1 == 1));
             if hit.len() >= 2 {
                 t.insert(&hit);
-                assert_totals_consistent(&t);
+                inserted += 1;
+                assert_eq!(t.total_hits(), inserted);
+                assert_eq!(t.total_hits(), t.hits().map(|(_, c)| c).sum::<u64>());
+                assert!(t.distinct_hits() <= t.node_count());
             }
         }
     }

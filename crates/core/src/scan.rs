@@ -67,10 +67,12 @@ impl MineConfig {
         self
     }
 
-    /// Selects the vertical engine's counting kernel ([`Kernel::Wide`] by
-    /// default; [`Kernel::Scalar`] is the reference the audit compares it
-    /// against). The kernel changes only *how* counts are computed, never
-    /// the counts — both yield bit-identical frequent sets.
+    /// Selects the bitmap counting kernel of both cold two-scan engines —
+    /// the vertical derive and the hit-set derive's default
+    /// [`CountStrategy::Bitmap`](crate::hitset::derive::CountStrategy::Bitmap)
+    /// ([`Kernel::Wide`] by default; [`Kernel::Scalar`] is the reference the
+    /// audit compares it against). The kernel changes only *how* counts are
+    /// computed, never the counts — both yield bit-identical frequent sets.
     pub fn with_kernel(mut self, kernel: Kernel) -> Self {
         self.kernel = kernel;
         self

@@ -53,11 +53,12 @@ pub(crate) const BLOCK_WORDS: usize = 128;
 /// heap once rather than per candidate.
 const INLINE_ARITY: usize = 32;
 
-/// Which counting kernel to run. Both yield bit-identical counts. Every
-/// mine runs the wide kernel unless its [`MineConfig::with_kernel`] asks
-/// for the scalar one — which only the audit cross-check, the bit-identity
-/// tests and the `races` binary's kernel race do, as the reference the
-/// wide kernel is checked against.
+/// Which counting kernel to run. Both yield bit-identical counts. The
+/// vertical derive and the hit-set derive's default bitmap strategy both
+/// count on it. Every mine runs the wide kernel unless its
+/// [`MineConfig::with_kernel`] asks for the scalar one — which only the
+/// audit cross-check, the bit-identity tests and the `races` binary's
+/// kernel race do, as the reference the wide kernel is checked against.
 ///
 /// [`MineConfig::with_kernel`]: crate::MineConfig::with_kernel
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -26,7 +26,9 @@
 //! audit and the bit-identity tests (see [`kernel`]). Candidates are
 //! counted a whole derivation level at a time against cache-sized blocks
 //! of the bitmaps, on the calling thread: a sweep parallelizes across
-//! periods instead. The incremental index ([`incremental`]) keeps one
+//! periods instead. The hit-set engine's default derive lays its tree's
+//! hits out as a [`VerticalIndex`] and counts them through the same level
+//! loop and kernel. The incremental index ([`incremental`]) keeps one
 //! column per segment, because it updates columns in place as segments
 //! append and evict.
 //!
@@ -170,16 +172,21 @@ impl VerticalIndex {
         }
     }
 
-    /// Builds an index over an explicit multiset of hits — `(letter set,
-    /// multiplicity)` pairs, duplicates allowed — the constructor the
-    /// kernel tests use to fabricate arbitrary group geometries.
+    /// Builds an index over an explicit multiset of hits — borrowed
+    /// `(letter set, multiplicity)` pairs, duplicates allowed: the
+    /// max-subpattern tree's nodes for the hit-set derive, or fabricated
+    /// group geometries for the kernel tests.
     ///
     /// # Panics
     /// Panics if a hit's universe differs from `n_letters`.
-    pub fn from_hits(n_letters: usize, hits: &[(LetterSet, u64)]) -> Self {
+    pub fn from_hits<'a>(
+        n_letters: usize,
+        hits: impl IntoIterator<Item = (&'a LetterSet, u64)>,
+    ) -> Self {
         let mut segments = 0;
         let mut letter_totals = vec![0u64; n_letters];
         let mut keys = Vec::new();
+        let mut counts = Vec::new();
         for (set, count) in hits {
             assert_eq!(set.universe(), n_letters, "hit universe mismatch");
             segments += count;
@@ -187,8 +194,8 @@ impl VerticalIndex {
                 letter_totals[letter] += count;
             }
             keys.extend_from_slice(set.words());
+            counts.push(count);
         }
-        let counts: Vec<u64> = hits.iter().map(|&(_, count)| count).collect();
         let stride = n_letters.div_ceil(64).max(1);
         Self::lay_out(n_letters, stride, &keys, &counts, segments, letter_totals)
     }
@@ -199,8 +206,7 @@ impl VerticalIndex {
     /// # Panics
     /// Panics if a column's universe differs from `n_letters`.
     pub fn from_columns(n_letters: usize, columns: &[LetterSet]) -> Self {
-        let hits: Vec<(LetterSet, u64)> = columns.iter().map(|set| (set.clone(), 1)).collect();
-        Self::from_hits(n_letters, &hits)
+        Self::from_hits(n_letters, columns.iter().map(|set| (set, 1)))
     }
 
     /// Scan 2 of the vertical engine: one segment pass collecting every
@@ -267,7 +273,7 @@ impl VerticalIndex {
 
     /// [`Self::count_level_cached`] with a prefix cache of its own.
     #[cfg(test)]
-    fn count_level(
+    pub(crate) fn count_level(
         &self,
         candidates: &[LetterSet],
         words: Range<usize>,
@@ -331,6 +337,34 @@ impl VerticalIndex {
             .zip(&self.fills[words])
             .map(|(&weight, &fill)| weight * u64::from(fill))
             .sum()
+    }
+
+    /// The level-wise derive over this index — the one counter of both
+    /// cold two-scan engines: the vertical engine's scan-2 index, and the
+    /// hit-set engine's tree laid out as one. Each level is counted in one
+    /// cache-blocked batch on `kernel`. Appends the frequent patterns of
+    /// two or more letters to `frequent` and updates `stats`; returns the
+    /// AND operations and the prefix cache's tallies for the caller's
+    /// gauges, and emits none itself.
+    pub(crate) fn derive_levels(
+        &self,
+        scan1: &Scan1,
+        kernel: Kernel,
+        frequent: &mut Vec<FrequentPattern>,
+        stats: &mut MiningStats,
+    ) -> (u64, PrefixCache) {
+        let mut and_ops = 0u64;
+        let mut cache = PrefixCache::default();
+        derive_frequent_batched(
+            |sets| {
+                let words = 0..self.words_per_row;
+                self.count_level_cached(sets, words, kernel, &mut and_ops, &mut cache)
+            },
+            scan1,
+            frequent,
+            stats,
+        );
+        (and_ops, cache)
     }
 
     /// Number of letter rows.
@@ -443,8 +477,7 @@ pub(crate) fn mine_vertical_input(
 }
 
 /// The vertical derivation phase: seeds the 1-letter patterns from scan-1
-/// counts, then runs the level-wise loop against `index`, counting each
-/// level in one cache-blocked batch on the selected kernel. Reports the
+/// counts, then runs [`VerticalIndex::derive_levels`]. Reports the
 /// kernel, the AND operations and the prefix-cache engagement as gauges.
 fn derive_vertical(
     index: &VerticalIndex,
@@ -453,17 +486,7 @@ fn derive_vertical(
     kernel: Kernel,
 ) -> Vec<FrequentPattern> {
     let mut frequent = scan1.seed_singletons();
-    let mut and_ops = 0u64;
-    let mut cache = PrefixCache::default();
-    derive_frequent_batched(
-        |sets| {
-            let words = 0..index.words_per_row;
-            index.count_level_cached(sets, words, kernel, &mut and_ops, &mut cache)
-        },
-        scan1,
-        &mut frequent,
-        stats,
-    );
+    let (and_ops, cache) = index.derive_levels(scan1, kernel, &mut frequent, stats);
     ppm_observe::gauge("vertical.kernel", kernel.gauge_code());
     ppm_observe::gauge("vertical.and_ops", and_ops);
     ppm_observe::gauge("vertical.prefix_builds", cache.builds);
@@ -787,7 +810,7 @@ mod tests {
             let weight = u64::from(u32::MAX) + 1 + 7 * case as u64;
             hits.extend((0..size).map(|_| (rng.letters(n_letters, 6), weight)));
             words += size.div_ceil(64);
-            let index = VerticalIndex::from_hits(n_letters, &hits);
+            let index = VerticalIndex::from_hits(n_letters, hits.iter().map(|(s, c)| (s, *c)));
             assert_eq!(index.words_per_row(), words, "case {case}");
             assert_eq!(index.n_columns(), hits.len(), "case {case}");
             let naive = |p: &LetterSet| -> u64 {

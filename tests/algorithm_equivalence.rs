@@ -72,12 +72,12 @@ proptest! {
         let linear =
             hitset::mine_with_strategy(&series, period, &config, CountStrategy::LinearScan)
                 .unwrap();
-        let level =
-            hitset::mine_with_strategy(&series, period, &config, CountStrategy::LevelWalk)
+        let bitmap =
+            hitset::mine_with_strategy(&series, period, &config, CountStrategy::Bitmap)
                 .unwrap();
         prop_assert_eq!(&walk.frequent, &linear.frequent);
-        prop_assert_eq!(&walk.frequent, &level.frequent);
-        prop_assert_eq!(walk.stats, level.stats);
+        prop_assert_eq!(&walk.frequent, &bitmap.frequent);
+        prop_assert_eq!(walk.stats, bitmap.stats);
     }
 
     #[test]
@@ -194,7 +194,7 @@ fn algorithms_agree_on_the_paper_example() {
     assert_eq!(ap.frequent, hs.frequent);
     assert_eq!(hs.len(), 5); // a**, *c*, **b, a*b, ac*
     for strategy in [
-        CountStrategy::LevelWalk,
+        CountStrategy::Bitmap,
         CountStrategy::TreeWalk,
         CountStrategy::LinearScan,
     ] {

@@ -165,7 +165,8 @@ fn engines_cross_check_clean_on_random_series() {
         let (series, catalog) = random_series(seed, 540, 6);
         let check = cross_check(&series, 6, &MineConfig::new(0.45).unwrap(), &catalog).unwrap();
         assert!(check.agreed(), "seed {seed}: {:?}", check.report.violations);
-        assert_eq!(check.algorithms.len(), 6);
+        assert_eq!(check.algorithms.len(), 7);
+        assert!(check.algorithms.contains(&"hitset-tree"));
     }
 }
 

@@ -84,15 +84,21 @@ fn hitset_spans_and_counters_are_deterministic() {
         collector.gauge_maxima().get("tree.distinct_hits"),
         Some(&(result.stats.distinct_hits as u64))
     );
-    // The default level-walk derive reports its subtree subtractions: some
-    // candidate misses a hit here, and none subtracts more than once per
-    // tree node.
-    let count_ops = *collector
+    // The default bitmap derive reports its AND word operations under its
+    // own name: a hit-set trace carries no `vertical.` span or gauge, since
+    // phase attribution goes by that prefix.
+    let and_ops = *collector
         .gauge_maxima()
-        .get("hitset.count_ops")
-        .expect("level walk emits hitset.count_ops");
-    assert!(count_ops > 0);
-    assert!(count_ops <= result.stats.candidates_generated * result.stats.tree_nodes as u64);
+        .get("hitset.and_ops")
+        .expect("the bitmap derive emits hitset.and_ops");
+    assert!(and_ops > 0);
+    let vertical = collector
+        .events()
+        .iter()
+        .map(Event::name)
+        .filter(|name| name.starts_with("vertical."))
+        .collect::<Vec<_>>();
+    assert!(vertical.is_empty(), "{vertical:?}");
 
     // Sequence numbers are strictly increasing; a rerun repeats the exact
     // event names in the exact order.
