@@ -54,12 +54,18 @@ echo "==> verification smoke: audit, verify, quarantine, checkpoint integrity"
 # Honest runs audit clean on every engine; the cross-check diffs all six
 # arms of the view path: the hit set counted by bitmap and by tree walk,
 # Apriori, and the vertical, forced-scalar and incremental vertical arms.
-for engine in hitset apriori vertical incremental; do
+for engine in hitset apriori vertical; do
   ./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
     --min-conf 0.6 --engine "$engine" --audit full >"$smoke_dir/audit.log"
   grep -q "audit: clean" "$smoke_dir/audit.log"
   grep -q "cross-check: 6 engines" "$smoke_dir/audit.log"
 done
+# `incremental` names the daemon's live index, not an engine: mine
+# rejects it like any unknown engine (exit 2).
+incremental_status=0
+./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
+  --min-conf 0.6 --engine incremental >/dev/null 2>&1 || incremental_status=$?
+test "$incremental_status" -eq 2
 # An exported result file re-verifies against its series.
 ./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
   --min-conf 0.6 --tsv >"$smoke_dir/patterns.tsv"
@@ -100,7 +106,7 @@ grep -qi "checksum" "$smoke_dir/ckpt.log"
 # series_scans (the header line) as the in-memory mine of the store.
 # Apriori honours the deadline guard like the two-scan engines: exit 3
 # with partial progress.
-for engine in hitset apriori vertical incremental; do
+for engine in hitset apriori vertical; do
   ./target/release/ppm mine --input "$smoke_dir/smoke.ppmc" --period 25 \
     --min-conf 0.6 --engine "$engine" --limit 100000 \
     | grep -E '^  |frequent patterns' >"$smoke_dir/memory.lines"
@@ -223,6 +229,18 @@ grep -qx "ppm_serve_append_grow_copies_total 0" "$smoke_dir/metrics10.log"
 ./target/release/ppm mine --input "$smoke_dir/follow.ppmc" --period 25 \
   --min-conf 0.6 --engine vertical >"$smoke_dir/direct-inc.log"
 cmp "$smoke_dir/q-inc.log" "$smoke_dir/direct-inc.log"
+# The cache keys answers, not engines: a hit-set answer serves a vertical
+# query as an exact hit, and Apriori answers bypass the cache.
+./target/release/ppm query --port "$port10" --store follow --period 25 \
+  --min-conf 0.6 --engine hitset >/dev/null
+./target/release/ppm query --port "$port10" --store follow --period 25 \
+  --min-conf 0.6 --engine vertical --show-cached >"$smoke_dir/q-shared.log"
+grep -q "cached: hit" "$smoke_dir/q-shared.log"
+for _ in 1 2; do
+  ./target/release/ppm query --port "$port10" --store follow --period 25 \
+    --min-conf 0.6 --engine apriori --show-cached >"$smoke_dir/q-apriori.log"
+  grep -q "cached: bypass" "$smoke_dir/q-apriori.log"
+done
 # To a file, not a pipe: grep -q exits at first match, and under
 # pipefail the query's EPIPE on its remaining output fails the step.
 ./target/release/ppm query --port "$port10" --op health \

@@ -220,7 +220,7 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        for engine in ["hitset", "apriori", "vertical", "incremental"] {
+        for engine in ["hitset", "apriori", "vertical"] {
             let lines = mine(&old, engine);
             assert!(lines.lines().count() > 20, "{engine}: {lines}");
             assert_eq!(lines, mine(&v3, engine), "{engine}");

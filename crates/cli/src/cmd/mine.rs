@@ -135,7 +135,7 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
                 )));
             }
         }
-        if args.switch("engine") && !matches!(engine, Engine::Vertical | Engine::Incremental) {
+        if args.switch("engine") && engine != Engine::Vertical {
             return Err(CliError::Usage(format!(
                 "--follow always re-mines through the incremental vertical \
                  index; --engine {engine} cannot follow"
@@ -836,7 +836,7 @@ mod tests {
             assert_eq!(mined_lines(&streamed), mined_lines(&in_memory), "{engine}");
             // Apriori's scan count grows with the pattern length; the
             // others read the file exactly twice.
-            if engine.has_constant_scans() {
+            if engine != Engine::Apriori {
                 assert!(
                     streamed.contains("streamed 2 file scans"),
                     "{engine}: {streamed}"
@@ -864,13 +864,23 @@ mod tests {
     #[test]
     fn unknown_or_valueless_engine_is_usage_error() {
         let path = sample_series_file("txt");
-        for flag in ["--engine magic", "--engine parallel", "--engine"] {
+        // `incremental` names the daemon's live index, not an engine.
+        for flag in [
+            "--engine magic",
+            "--engine parallel",
+            "--engine incremental",
+            "--engine",
+        ] {
             let err = run_cli(&format!(
                 "mine --input {} --period 3 --min-conf 0.6 {flag}",
                 path.display()
             ))
             .unwrap_err();
             assert_eq!(err.exit_code(), 2, "{flag}");
+            assert!(
+                err.to_string().contains("(hitset|apriori|vertical)"),
+                "{err}"
+            );
         }
         std::fs::remove_file(path).ok();
     }
@@ -1441,7 +1451,7 @@ mod tests {
             app.finish().unwrap();
         });
         let text = run_cli(&format!(
-            "mine --input {} --period 3 --min-conf 0.6 --follow --engine incremental \
+            "mine --input {} --period 3 --min-conf 0.6 --follow --engine vertical \
              --window 10 --follow-poll-ms 10 --follow-max-updates 1",
             path.display()
         ))

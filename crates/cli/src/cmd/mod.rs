@@ -225,7 +225,8 @@ pub(crate) mod testutil {
     }
 
     /// `mine`, `sweep` and the daemon's `mine` op reject an unknown engine
-    /// with one and the same list of engines.
+    /// with one and the same list of engines; the daemon's goes on with
+    /// `|incremental`, its live-index request.
     #[test]
     fn every_engine_error_names_the_same_list() {
         use ppm_serve::{Bind, BoundAddr, ServeConfig, Server, StoreRegistry};
@@ -259,7 +260,7 @@ pub(crate) mod testutil {
         for err in &errors {
             assert_eq!(err.exit_code(), 2, "{err}");
             assert!(
-                err.to_string().contains(&format!("({})", Engine::names())),
+                err.to_string().contains(&format!("({}", Engine::names())),
                 "{err}"
             );
         }

@@ -412,6 +412,7 @@ fn render_result(
                 "panics",
                 "conn_reaped",
                 "bad_frames",
+                "accept_errors",
                 "stores",
                 "stores_quarantined",
                 "append_grow_copies",

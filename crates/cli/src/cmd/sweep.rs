@@ -372,18 +372,16 @@ mod tests {
 
     /// The engines other than the hit set loop over the periods (Alg
     /// 3.3), so their scans add up: two per period for the vertical
-    /// engines, one per level for Apriori.
+    /// engine, one per level for Apriori.
     #[test]
     fn looping_sweep_scales_scans() {
         let path = sample_series_file("txt");
-        for engine in ["vertical", "incremental"] {
-            let text = run_cli(&format!(
-                "sweep --input {} --from 2 --to 6 --min-conf 0.6 --engine {engine}",
-                path.display()
-            ))
-            .unwrap();
-            assert!(text.contains("10 total series scans"), "{engine}: {text}");
-        }
+        let text = run_cli(&format!(
+            "sweep --input {} --from 2 --to 6 --min-conf 0.6 --engine vertical",
+            path.display()
+        ))
+        .unwrap();
+        assert!(text.contains("10 total series scans"), "{text}");
         let text = run_cli(&format!(
             "sweep --input {} --from 2 --to 6 --min-conf 0.6 --engine apriori",
             path.display()
@@ -608,13 +606,7 @@ mod tests {
     fn columnar_sweep_matches_text_sweep_on_every_engine() {
         let txt = sample_series_file("txt");
         let ppmc = sample_series_file("ppmc");
-        for extra in [
-            "",
-            "--engine apriori",
-            "--engine vertical",
-            "--engine incremental",
-            "--workers 2",
-        ] {
+        for extra in ["", "--engine apriori", "--engine vertical", "--workers 2"] {
             let from_text = run_cli(&format!(
                 "sweep --input {} --from 2 --to 6 --min-conf 0.6 {extra}",
                 txt.display()

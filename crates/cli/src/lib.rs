@@ -113,7 +113,7 @@ USAGE:
                [--op mine|rules|verify|append|info|health|stats|shutdown]
                [--store NAME --period P --min-conf C]
                [--rows \"a b;c;-\" [--repeat N]]
-               [--engine {engines}]
+               [--engine {engines}|incremental]
                [--limit N] [--no-cache]
                [--quarantine [--inject-garbage T]] [--show-cached]
                [--deadline-ms MS] [--max-tree-nodes N] [--min-rule-conf R]
@@ -137,8 +137,9 @@ JSON protocol (TCP or Unix socket). Admission control sheds queries
 beyond --queue with an explicit retry-after response; a panicking query
 is contained to an error response; mined results land in a crash-safe
 cache (--cache FILE, checksummed entries, atomic publish) keyed by
-store fingerprint + period + min_conf + engine, where a lower-confidence
-entry also answers higher-confidence queries by anti-monotone filtering.
+store fingerprint + period + min_conf, where a lower-confidence entry
+also answers higher-confidence queries by anti-monotone filtering. The
+two-scan engines share each entry; Apriori answers bypass the cache.
 SIGTERM drains in-flight queries under --drain-ms, flushes the cache,
 and exits cleanly. ppm query is the matching client; its mine output is
 byte-identical to direct ppm mine on the same store.
@@ -190,9 +191,9 @@ Engines: --engine picks the counting strategy ({engines}; default
 hitset). hitset is the paper's two-scan max-subpattern method; apriori is
 the level-wise Alg 3.1; vertical replaces the tree with per-letter
 bitmaps over the distinct segment hits — counting a candidate is a k-way
-AND + weighted popcount; incremental is the
-vertical engine maintained as segments append (a cold vertical mine on a
-fixed input; live per store under ppm serve and mine --follow). Every
+AND + weighted popcount. query --engine incremental asks ppm serve to
+answer from the store's live vertical index, maintained as segments
+append (mine --follow tails a store through the same index). Every
 sweep engine shares ONE encode/load (a .ppmc input opens directly as the
 bitmap rows). sweep --workers N mines the range with a shared-counter
 scheduler (N workers, each idle one claims the next unmined period) off

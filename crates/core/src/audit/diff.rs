@@ -28,7 +28,7 @@ use crate::Engine;
 
 use super::{render, AuditReport, Violation};
 
-/// The incremental engine arm: builds the sliding-window index through
+/// The `incremental-vertical` arm: builds the sliding-window index through
 /// the same append path a live store uses, with a mid-stream re-derive
 /// (discarded) so the final derive genuinely exercises the carry/delta
 /// classification instead of full-counting everything, then re-derives

@@ -1,14 +1,14 @@
 //! The engine vocabulary and the one dispatch over it.
 //!
-//! Four engines mine a single period: the paper's Algorithms 3.2
-//! (hit set) and 3.1 (Apriori), and two recountings of the same
-//! definition — the vertical bitmap engine and its incremental form.
-//! All four return the same frequent set with the same counts (the audit
-//! cross-check enforces it); they differ in scan count, memory and
-//! speed. [`Engine`] names them once — every CLI flag, daemon request
-//! field and cache key parses and prints through [`Engine::parse`] /
-//! [`Engine::name`] — and [`run`] is the one place an engine becomes a
-//! miner call.
+//! Three engines mine a single period: the paper's Algorithms 3.2
+//! (hit set) and 3.1 (Apriori), and a recounting of the same definition,
+//! the vertical bitmap engine. All three return the same frequent set
+//! with the same counts (the audit cross-check enforces it); they differ
+//! in scan count, memory and speed. [`Engine`] names them once — every
+//! CLI flag and daemon request field parses and prints through
+//! [`Engine::parse`] / [`Engine::name`] — and [`run`] is the one place an
+//! engine becomes a miner call. Engines name algorithms: where an answer
+//! is read from, such as a daemon's live index, is not an engine.
 
 use std::fmt;
 
@@ -28,20 +28,11 @@ pub enum Engine {
     /// Per-letter bitmaps over the distinct segment hits, one weight per
     /// word; AND + weighted popcount per candidate; two scans.
     Vertical,
-    /// The vertical engine maintained incrementally as segments append.
-    /// Over a fixed input it is the cold vertical mine; a daemon keeps a
-    /// live index per store instead.
-    Incremental,
 }
 
 impl Engine {
     /// Every engine, in the order usage text lists them.
-    pub const ALL: [Engine; 4] = [
-        Engine::HitSet,
-        Engine::Apriori,
-        Engine::Vertical,
-        Engine::Incremental,
-    ];
+    pub const ALL: [Engine; 3] = [Engine::HitSet, Engine::Apriori, Engine::Vertical];
 
     /// Parses an engine name as spelled on the CLI and the wire.
     pub fn parse(name: &str) -> Option<Engine> {
@@ -54,7 +45,6 @@ impl Engine {
             Engine::HitSet => "hitset",
             Engine::Apriori => "apriori",
             Engine::Vertical => "vertical",
-            Engine::Incremental => "incremental",
         }
     }
 
@@ -62,16 +52,6 @@ impl Engine {
     /// text print.
     pub fn names() -> String {
         Engine::ALL.map(Engine::name).join("|")
-    }
-
-    /// Whether the engine's scan count is a constant 2, independent of
-    /// the confidence threshold. For these engines a result mined at a
-    /// lower confidence answers a higher one by filtering its rows
-    /// (anti-monotonicity), echoed scan count included; Apriori's scan
-    /// count varies with the threshold, so its answers only ever match
-    /// exactly.
-    pub fn has_constant_scans(self) -> bool {
-        self != Engine::Apriori
     }
 }
 
@@ -86,8 +66,7 @@ impl fmt::Display for Engine {
 /// or [`Rows`](crate::Rows)) or a [`SeriesSource`](ppm_timeseries::SeriesSource)
 /// re-scanned on every pass; the result is the same either way, and only
 /// the data movement differs — `series_scans` counts the passes. Every
-/// engine mines on the calling thread; over a fixed input the incremental
-/// engine is the cold vertical mine.
+/// engine mines on the calling thread.
 pub fn run<'a>(
     engine: Engine,
     input: impl Into<Input<'a>>,
@@ -100,9 +79,7 @@ pub fn run<'a>(
             crate::hitset::mine_with_strategy(input, period, config, Default::default())
         }
         Engine::Apriori => crate::apriori::mine_input(input, period, config),
-        Engine::Vertical | Engine::Incremental => {
-            crate::vertical::mine_vertical_input(input, period, config)
-        }
+        Engine::Vertical => crate::vertical::mine_vertical_input(input, period, config),
     }
 }
 
@@ -153,17 +130,9 @@ mod tests {
             assert_eq!(e.to_string(), e.name());
         }
         assert_eq!(Engine::parse("parallel"), None);
-        assert_eq!(Engine::names(), "hitset|apriori|vertical|incremental");
+        assert_eq!(Engine::parse("incremental"), None);
+        assert_eq!(Engine::names(), "hitset|apriori|vertical");
         assert_eq!(Engine::default(), Engine::HitSet);
-    }
-
-    #[test]
-    fn only_apriori_has_a_threshold_dependent_scan_count() {
-        let varying: Vec<_> = Engine::ALL
-            .into_iter()
-            .filter(|e| !e.has_constant_scans())
-            .collect();
-        assert_eq!(varying, [Engine::Apriori]);
     }
 
     #[test]
@@ -207,18 +176,16 @@ mod tests {
 
     #[test]
     fn streaming_incremental_equals_in_memory() {
-        // Over a source, as over fixed rows, the incremental engine is
-        // the cold vertical mine: two passes.
+        // Over a source, as over fixed rows, the vertical engine that the
+        // incremental index maintains mines in two passes.
         let s = busy(400);
         let config = MineConfig::new(0.2).unwrap();
         let expect = crate::vertical::mine_vertical(&s, 8, &config).unwrap();
-        for engine in [Engine::Vertical, Engine::Incremental] {
-            let mut src = MemorySource::new(&s);
-            let got = run(engine, &mut src, 8, &config).unwrap();
-            assert_eq!(got.frequent, expect.frequent, "{engine}");
-            assert_eq!(got.stats, expect.stats, "{engine}");
-            assert_eq!(src.scans_performed(), 2, "{engine}");
-        }
+        let mut src = MemorySource::new(&s);
+        let got = run(Engine::Vertical, &mut src, 8, &config).unwrap();
+        assert_eq!(got.frequent, expect.frequent);
+        assert_eq!(got.stats, expect.stats);
+        assert_eq!(src.scans_performed(), 2);
     }
 
     #[test]

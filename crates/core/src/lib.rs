@@ -15,7 +15,7 @@
 //!   period range in 2 scans total.
 //!
 //! [`Engine`] names the single-period engines (the two above plus the
-//! vertical bitmap engine and its incremental form) and [`run`] mines one
+//! vertical bitmap engine) and [`run`] mines one
 //! period with any of them, from any [`Input`]: a series or bitmap view
 //! held in memory ([`Rows`]), or a [`SeriesSource`] such as a
 //! disk-resident `.ppmc` store, re-scanned on every pass (paper §5).

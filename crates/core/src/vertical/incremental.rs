@@ -721,24 +721,6 @@ fn and_count(cand: &LetterSet, row_of: &[u32], word: impl Fn(usize) -> u64) -> u
     u64::from(acc.count_ones())
 }
 
-/// One-shot incremental mine of every whole segment in `view` — the
-/// sixth audit engine. Builds the index segment by segment (through the
-/// same append path a live store uses) and re-derives once at the end.
-pub fn mine_incremental_view(
-    view: EncodedSeriesView<'_>,
-    period: usize,
-    config: &MineConfig,
-) -> Result<MiningResult> {
-    if period == 0 || period > view.len() {
-        return Err(Error::InvalidPeriod {
-            period,
-            series_len: view.len(),
-        });
-    }
-    let mut index = IncrementalVerticalIndex::from_view(view, period, None);
-    index.rederive_dirty(config)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -820,7 +802,9 @@ mod tests {
         let view = EncodedSeriesView::new(width, 50 * period + 3, &words);
         let config = MineConfig::new(0.5).unwrap();
         let cold = mine_vertical_view(view, period, &config).unwrap();
-        let incremental = mine_incremental_view(view, period, &config).unwrap();
+        let incremental = IncrementalVerticalIndex::from_view(view, period, None)
+            .rederive_dirty(&config)
+            .unwrap();
         assert_eq!(incremental.frequent, cold.frequent);
         assert_eq!(incremental.stats, cold.stats);
     }

@@ -21,6 +21,7 @@ use std::ffi::c_long;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// How long one `accept()` waits before its loop comes back to its
@@ -70,12 +71,16 @@ pub(crate) fn set_tick(listener: &impl AsRawFd, tick: Duration) -> io::Result<()
 
 /// One `accept()` outcome: the connection, or `None` when the tick passed
 /// with none. A real error (EMFILE, ENFILE, ...) also yields `None`, after
-/// a one-tick back-off so the loop cannot spin on it.
-pub(crate) fn accepted<T>(result: io::Result<T>) -> Option<T> {
+/// a one-tick back-off so the loop cannot spin on it; it is counted in
+/// `errors` when the caller keeps a count.
+pub(crate) fn accepted<T>(result: io::Result<T>, errors: Option<&AtomicU64>) -> Option<T> {
     match result {
         Ok(conn) => Some(conn),
         Err(e) if e.kind() == io::ErrorKind::WouldBlock => None,
         Err(_) => {
+            if let Some(errors) = errors {
+                errors.fetch_add(1, Ordering::Relaxed);
+            }
             std::thread::sleep(TICK);
             None
         }
@@ -86,8 +91,11 @@ pub(crate) fn accepted<T>(result: io::Result<T>) -> Option<T> {
 /// accepted stream: every write on these connections is a whole frame
 /// the peer waits for, so holding it back for a delayed ACK only adds
 /// latency. A stream that refuses the option still works, so it is kept.
-pub(crate) fn accepted_tcp(listener: &TcpListener) -> Option<TcpStream> {
-    let (stream, _) = accepted(listener.accept())?;
+pub(crate) fn accepted_tcp(
+    listener: &TcpListener,
+    errors: Option<&AtomicU64>,
+) -> Option<TcpStream> {
+    let (stream, _) = accepted(listener.accept(), errors)?;
     stream.set_nodelay(true).ok();
     Some(stream)
 }
@@ -110,7 +118,7 @@ mod tests {
             TcpStream::connect(addr).unwrap()
         });
         let t = Instant::now();
-        assert!(accepted(tcp.accept()).is_some());
+        assert!(accepted(tcp.accept(), None).is_some());
         assert!(t.elapsed() < LONG / 2, "accept waited for the tick");
         client.join().unwrap();
 
@@ -124,7 +132,7 @@ mod tests {
             UnixStream::connect(p).unwrap()
         });
         let t = Instant::now();
-        assert!(accepted(unix.accept()).is_some());
+        assert!(accepted(unix.accept(), None).is_some());
         assert!(t.elapsed() < LONG / 2, "accept waited for the tick");
         client.join().unwrap();
         std::fs::remove_file(path).ok();
@@ -134,7 +142,7 @@ mod tests {
     fn accepted_tcp_streams_have_nodelay_set() {
         let tcp = TcpListener::bind("127.0.0.1:0").unwrap();
         let _client = TcpStream::connect(tcp.local_addr().unwrap()).unwrap();
-        let stream = accepted_tcp(&tcp).expect("a pending connection");
+        let stream = accepted_tcp(&tcp, None).expect("a pending connection");
         assert!(stream.nodelay().unwrap());
     }
 
@@ -145,7 +153,7 @@ mod tests {
         set_tick(&tcp, tick).unwrap();
         let err = tcp.accept().expect_err("no one connected");
         assert_eq!(err.kind(), io::ErrorKind::WouldBlock, "{err}");
-        assert!(accepted(tcp.accept()).is_none());
+        assert!(accepted(tcp.accept(), None).is_none());
 
         let path =
             std::env::temp_dir().join(format!("ppm-accept-idle-{}.sock", std::process::id()));
@@ -154,7 +162,21 @@ mod tests {
         set_tick(&unix, tick).unwrap();
         let err = unix.accept().expect_err("no one connected");
         assert_eq!(err.kind(), io::ErrorKind::WouldBlock, "{err}");
-        assert!(accepted(unix.accept()).is_none());
+        assert!(accepted(unix.accept(), None).is_none());
         std::fs::remove_file(path).ok();
+    }
+
+    /// An accept that fails for want of descriptors yields no connection
+    /// and is counted; an idle tick is not an error and is not.
+    #[test]
+    fn accept_errors_are_counted_and_idle_ticks_are_not() {
+        const EMFILE: i32 = 24;
+        let errors = AtomicU64::new(0);
+        let idle = io::Error::from(io::ErrorKind::WouldBlock);
+        assert!(accepted::<()>(Err(idle), Some(&errors)).is_none());
+        assert_eq!(errors.load(Ordering::Relaxed), 0);
+        let failed = io::Error::from_raw_os_error(EMFILE);
+        assert!(accepted::<()>(Err(failed), Some(&errors)).is_none());
+        assert_eq!(errors.load(Ordering::Relaxed), 1);
     }
 }

@@ -1,7 +1,14 @@
 //! The crash-safe result cache: mined answers keyed by
-//! `(store fingerprint, period, min_conf, engine)`, persisted with the
+//! `(store fingerprint, period, min_conf)`, persisted with the
 //! checksummed atomic-publish discipline, exploiting anti-monotonicity to
 //! answer *stricter* queries from *looser* cached results.
+//!
+//! The key names an answer, not the engine that mined it: the two-scan
+//! engines (hit set, vertical, and the daemon's live vertical index)
+//! return the same rows, counts and scan count (Property 3.1, enforced by
+//! the audit cross-check), so one entry answers all of them. Apriori's
+//! echoed scan count depends on the threshold, so the daemon never
+//! caches its answers.
 //!
 //! ## The anti-monotonicity rule
 //!
@@ -9,16 +16,11 @@
 //! `min_count(c) = max(1, ceil(c · m))` over `m` segments, and
 //! `min_count` is monotone in `c`. A cached result mined at `c_lo`
 //! therefore contains a superset of every result at `c_hi ≥ c_lo` for the
-//! same `(fingerprint, period, engine)`: filtering its rows by
+//! same `(fingerprint, period)`: filtering its rows by
 //! `count ≥ min_count(c_hi)` reproduces the direct mine *bit-identically*,
 //! because rows are stored in the canonical report order (pattern length
-//! desc, count desc) which filtering preserves.
-//!
-//! Derivation is restricted to the engines whose scan count is a
-//! constant 2 regardless of confidence ([`Engine::has_constant_scans`]),
-//! so the echoed `scans` field also matches a direct mine. Apriori's scan
-//! count varies with the confidence, so Apriori entries only ever answer
-//! exact-key hits.
+//! desc, count desc) which filtering preserves. The daemon caches only
+//! two-scan answers, so the echoed `scans` field matches too.
 //!
 //! ## Surviving appends
 //!
@@ -38,7 +40,10 @@
 //! rename + parent-dir fsync. On load, a damaged line is *rejected by
 //! name* (the offending line number and, when parseable, its key are
 //! reported) while intact entries survive — a torn tail after `kill -9`
-//! costs at most the entry being written, never the warm cache.
+//! costs at most the entry being written, never the warm cache. Files
+//! written when entries were keyed by engine still load: a `hitset`,
+//! `vertical` or `incremental` line loads into its shape's one entry, and
+//! an `apriori` line is rejected like any other line the cache cannot use.
 //!
 //! ## Bounded growth
 //!
@@ -57,7 +62,7 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use ppm_core::{Engine, MineConfig};
+use ppm_core::MineConfig;
 use ppm_observe::json::escaped_len;
 use ppm_observe::Json;
 use ppm_timeseries::fnv64;
@@ -74,8 +79,6 @@ pub struct CacheKey {
     pub period: usize,
     /// `min_conf.to_bits()`.
     pub conf_bits: u64,
-    /// The engine that mined the entry.
-    pub engine: Engine,
 }
 
 impl CacheKey {
@@ -85,11 +88,10 @@ impl CacheKey {
 
     fn describe(&self) -> String {
         format!(
-            "fp={:016x} period={} conf={} engine={}",
+            "fp={:016x} period={} conf={}",
             self.fingerprint,
             self.period,
-            self.conf(),
-            self.engine
+            self.conf()
         )
     }
 }
@@ -273,6 +275,9 @@ impl ResultCache {
             }
             match Self::parse_entry(line) {
                 Ok((key, value)) => {
+                    // Files keyed by engine hold one line per engine for
+                    // a shape; the last one stands for all of them.
+                    cache.entries.retain(|e| e.key != key);
                     let bytes = Self::entry_bytes(&key, &value);
                     cache.entries.push(Entry {
                         key,
@@ -357,6 +362,14 @@ impl ResultCache {
     }
 
     fn json_key(json: &Json) -> Result<CacheKey, String> {
+        // Older files name the engine that mined each entry. A two-scan
+        // engine's answer is the shared entry; Apriori's scan count
+        // depends on the threshold, so its line cannot answer.
+        if let Some(engine) = json.get("engine") {
+            if !matches!(engine.as_str(), Some("hitset" | "vertical" | "incremental")) {
+                return Err(format!("engine {} answers are not cached", engine.render()));
+            }
+        }
         let hex = |field: &str| {
             json.get(field)
                 .and_then(Json::as_str)
@@ -370,67 +383,48 @@ impl ResultCache {
                 .and_then(Json::as_u64)
                 .ok_or("missing period")? as usize,
             conf_bits: hex("conf_bits")?,
-            engine: {
-                let name = json
-                    .get("engine")
-                    .and_then(Json::as_str)
-                    .ok_or("missing engine")?;
-                Engine::parse(name).ok_or_else(|| format!("unknown engine {name:?}"))?
-            },
         })
     }
 
     /// Looks up `key`. Exact hits return the entry itself (a pointer
-    /// clone); for the constant-scan engines a cached entry at a
-    /// *lower* confidence answers by anti-monotone filtering (see module
-    /// docs). Counters update accordingly.
+    /// clone); otherwise a cached entry at a *lower* confidence answers
+    /// by anti-monotone filtering (see module docs). Counters update
+    /// accordingly.
     pub fn lookup(&mut self, key: &CacheKey) -> (Option<Arc<CachedResult>>, CacheOutcome) {
         if let Some(e) = self.entries.iter_mut().find(|e| &e.key == key) {
             e.referenced = true;
             self.hits += 1;
             return (Some(Arc::clone(&e.value)), CacheOutcome::Hit);
         }
-        if key.engine.has_constant_scans() {
-            let conf = key.conf();
-            // The best donor: the *highest* cached confidence not above the
-            // query's, so the filter discards as little as possible.
-            let donor = self
-                .entries
-                .iter_mut()
-                .filter(|e| {
-                    e.key.fingerprint == key.fingerprint
-                        && e.key.period == key.period
-                        && e.key.engine == key.engine
-                        && e.key.conf() <= conf
-                })
-                .max_by(|a, b| a.key.conf().total_cmp(&b.key.conf()));
-            if let Some(e) = donor {
+        let conf = key.conf();
+        // The best donor: the *highest* cached confidence not above the
+        // query's, so the filter discards as little as possible.
+        let donor = self
+            .entries
+            .iter_mut()
+            .filter(|e| {
+                e.key.fingerprint == key.fingerprint
+                    && e.key.period == key.period
+                    && e.key.conf() <= conf
+            })
+            .max_by(|a, b| a.key.conf().total_cmp(&b.key.conf()));
+        match (donor, MineConfig::new(conf)) {
+            (Some(e), Ok(config)) => {
                 e.referenced = true;
-                let v = &e.value;
-                let min_count = match MineConfig::new(conf) {
-                    Ok(c) => c.min_count(v.segment_count),
-                    Err(_) => {
-                        self.misses += 1;
-                        return (None, CacheOutcome::Miss);
-                    }
-                };
-                let rows: Vec<CachedRow> = v
-                    .rows
-                    .iter()
-                    .filter(|r| r.count >= min_count)
-                    .cloned()
-                    .collect();
+                let min_count = config.min_count(e.value.segment_count);
+                let rows = e.value.rows.iter().filter(|r| r.count >= min_count);
                 let derived = CachedResult {
-                    segment_count: v.segment_count,
-                    scans: v.scans,
-                    rows,
+                    rows: rows.cloned().collect(),
+                    ..*e.value
                 };
                 self.derived += 1;
-                return (Some(Arc::new(derived)), CacheOutcome::Derived);
+                (Some(Arc::new(derived)), CacheOutcome::Derived)
+            }
+            _ => {
+                self.misses += 1;
+                (None, CacheOutcome::Miss)
             }
         }
-        self.misses += 1;
-        (None, CacheOutcome::Miss)
     }
 
     /// Inserts (or replaces) an entry, evicts past the configured bounds
@@ -576,7 +570,6 @@ impl ResultCache {
                 "conf_bits".to_owned(),
                 Json::Str(format!("{:016x}", key.conf_bits)),
             ),
-            ("engine".to_owned(), Json::Str(key.engine.name().to_owned())),
             ("segments".to_owned(), Json::from_usize(value.segment_count)),
             ("scans".to_owned(), Json::from_usize(value.scans)),
             (
@@ -603,8 +596,7 @@ impl ResultCache {
     /// rendering the JSON tree.
     fn entry_bytes(key: &CacheKey, value: &CachedResult) -> usize {
         // Everything but the values: the two hex fields are 16 digits each.
-        const FRAME: &str =
-            r#"{"fp":"","period":,"conf_bits":"","engine":,"segments":,"scans":,"rows":[]}"#;
+        const FRAME: &str = r#"{"fp":"","period":,"conf_bits":"","segments":,"scans":,"rows":[]}"#;
         let rows: usize = value
             .rows
             .iter()
@@ -616,7 +608,6 @@ impl ResultCache {
         FRAME.len()
             + 2 * 16
             + num_len(key.period as u64)
-            + escaped_len(key.engine.name())
             + num_len(value.segment_count as u64)
             + num_len(value.scans as u64)
             + rows
@@ -656,7 +647,6 @@ mod tests {
             fingerprint: 0xabcd,
             period: 3,
             conf_bits: conf.to_bits(),
-            engine: Engine::HitSet,
         }
     }
 
@@ -704,12 +694,11 @@ mod tests {
             "caf\u{e9} \u{65e5}\u{672c} \u{1f600}",
         ];
         let counts = [0, 9, 10, 1 << 53, (1 << 53) + 1, u64::MAX];
-        for (i, engine) in Engine::ALL.into_iter().enumerate() {
+        for i in 0..3 {
             let key = CacheKey {
                 fingerprint: i as u64,
                 period: 10usize.pow(i as u32),
                 conf_bits: (0.1 * i as f64).to_bits(),
-                engine,
             };
             let rows = names
                 .iter()
@@ -768,31 +757,6 @@ mod tests {
         assert_eq!(got.scans, 2, "scans echo the donor entry");
         // Lower confidence than any cached entry cannot be derived.
         assert_eq!(c.lookup(&key(0.1)).1, CacheOutcome::Miss);
-    }
-
-    #[test]
-    fn apriori_entries_only_answer_exact_keys() {
-        let mut c = ResultCache::in_memory();
-        let mut k = key(0.4);
-        k.engine = Engine::Apriori;
-        c.insert(k.clone(), sample_value());
-        assert_eq!(c.lookup(&k).1, CacheOutcome::Hit);
-        let mut higher = k.clone();
-        higher.conf_bits = 0.9f64.to_bits();
-        assert_eq!(c.lookup(&higher).1, CacheOutcome::Miss);
-    }
-
-    #[test]
-    fn incremental_entries_donate_anti_monotone_answers() {
-        let mut c = ResultCache::in_memory();
-        let mut k = key(0.4);
-        k.engine = Engine::Incremental;
-        c.insert(k.clone(), sample_value());
-        let mut higher = k.clone();
-        higher.conf_bits = 0.9f64.to_bits();
-        let (got, outcome) = c.lookup(&higher);
-        assert_eq!(outcome, CacheOutcome::Derived);
-        assert_eq!(got.unwrap().rows.len(), 1);
     }
 
     #[test]
@@ -881,12 +845,13 @@ mod tests {
             other.period = 4;
             c.insert(other, sample_value());
         }
-        // Rename the first entry's engine and re-seal its checksum, so
-        // only the engine name is wrong.
+        // Name an unknown engine in the first entry, the way files keyed
+        // by engine did, and re-seal its checksum, so only the engine name
+        // is wrong.
         let text = std::fs::read_to_string(&path).unwrap();
         let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
         let json = lines[1].splitn(3, ' ').nth(2).unwrap();
-        let json = json.replace("\"engine\":\"hitset\"", "\"engine\":\"parallel\"");
+        let json = json.replace("\"segments\":", "\"engine\":\"parallel\",\"segments\":");
         lines[1] = format!("entry {:016x} {json}", fnv64(json.as_bytes()));
         std::fs::write(&path, lines.join("\n")).unwrap();
 
@@ -905,32 +870,36 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
-    /// A cache file written before engines were a type (engine names as
-    /// free strings) loads without rejections and keeps answering.
+    /// A cache file keyed by engine (one line per engine at one shape)
+    /// still loads: its three two-scan lines collapse into the shape's one
+    /// entry, which answers exactly and derives stricter answers, and its
+    /// Apriori line is rejected by line number.
     #[test]
     fn cache_file_with_string_engines_still_answers() {
         let path = temp("v1");
         std::fs::write(&path, include_str!("../testdata/engine-names-v1.ppmcache")).unwrap();
-        let mut c = ResultCache::open(&path);
-        assert_eq!(c.stats().rejected, 0);
-        assert_eq!(c.stats().entries, Engine::ALL.len());
-        let at = |engine, conf: f64| CacheKey {
+        let collector = std::sync::Arc::new(ppm_observe::Collector::new());
+        let mut c = {
+            let _guard = ppm_observe::install(collector.clone());
+            ResultCache::open(&path)
+        };
+        assert_eq!(c.stats().rejected, 1);
+        assert_eq!(c.stats().entries, 1);
+        let named = collector.events().iter().any(|e| {
+            matches!(e, ppm_observe::Event::Mark { name: "serve.cache.rejected", detail, .. }
+                if detail.starts_with("cache line 3:") && detail.contains("\"apriori\""))
+        });
+        assert!(named, "{:?}", collector.events());
+        let at = |conf: f64| CacheKey {
             fingerprint: 0x0016_9eea_5326_9749,
             period: 6,
             conf_bits: conf.to_bits(),
-            engine,
         };
-        for engine in Engine::ALL {
-            let (got, outcome) = c.lookup(&at(engine, 0.8));
-            assert_eq!(outcome, CacheOutcome::Hit, "{engine}");
-            assert_eq!(got.unwrap().rows.len(), 7, "{engine}");
-            let expect = if engine.has_constant_scans() {
-                CacheOutcome::Derived
-            } else {
-                CacheOutcome::Miss
-            };
-            assert_eq!(c.lookup(&at(engine, 0.9)).1, expect, "{engine}");
-        }
+        let (got, outcome) = c.lookup(&at(0.8));
+        assert_eq!(outcome, CacheOutcome::Hit);
+        let got = got.unwrap();
+        assert_eq!((got.rows.len(), got.scans), (7, 2));
+        assert_eq!(c.lookup(&at(0.9)).1, CacheOutcome::Derived);
         std::fs::remove_file(path).ok();
     }
 

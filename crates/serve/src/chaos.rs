@@ -154,7 +154,7 @@ impl ChaosProxy {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
-            if let Some(client) = accept::accepted_tcp(&self.listener) {
+            if let Some(client) = accept::accepted_tcp(&self.listener, None) {
                 let index = self.conns.fetch_add(1, Ordering::Relaxed);
                 let fault = fault_for(&self.config, index);
                 ppm_observe::mark("chaos.conn", || format!("conn {index}: {}", fault.name()));

@@ -59,6 +59,9 @@ pub struct ServeMetrics {
     pub conn_reaped: AtomicU64,
     /// Malformed wire frames answered with a typed error and a close.
     pub bad_frames: AtomicU64,
+    /// Failed `accept()` calls other than an idle tick (EMFILE, ENFILE,
+    /// ...).
+    pub accept_errors: AtomicU64,
     /// Current admission-queue depth.
     pub queue_depth: AtomicU64,
     /// Exact-key cache answers.
@@ -107,6 +110,7 @@ impl ServeMetrics {
             panics: AtomicU64::new(0),
             conn_reaped: AtomicU64::new(0),
             bad_frames: AtomicU64::new(0),
+            accept_errors: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             cache_derived: AtomicU64::new(0),
@@ -136,8 +140,8 @@ impl ServeMetrics {
     }
 
     /// Counts a cache provenance label (`hit` / `derived` / `miss`;
-    /// `bypass` is deliberately uncounted — quarantine queries never
-    /// consult the cache).
+    /// `bypass` is deliberately uncounted — quarantine and Apriori
+    /// queries never consult the cache).
     pub fn count_cache_label(&self, label: &str) {
         match label {
             "hit" => self.cache_hits.fetch_add(1, Ordering::Relaxed),
@@ -234,6 +238,12 @@ pub fn prometheus_text(
         "ppm_serve_bad_frames_total",
         "Malformed wire frames answered with a typed error",
         metrics.bad_frames.load(Ordering::Relaxed),
+    );
+    c(
+        &mut out,
+        "ppm_serve_accept_errors_total",
+        "Failed accept calls other than an idle tick",
+        metrics.accept_errors.load(Ordering::Relaxed),
     );
     c(
         &mut out,

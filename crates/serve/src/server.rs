@@ -471,9 +471,12 @@ impl Server {
                     self.registry.reverify_all();
                     last_verify = Instant::now();
                 }
+                let errors = Some(&self.metrics.accept_errors);
                 let accepted = match &self.listener {
-                    Listener::Tcp(l) => accept::accepted_tcp(l).map(Stream::Tcp),
-                    Listener::Unix(l) => accept::accepted(l.accept()).map(|(s, _)| Stream::Unix(s)),
+                    Listener::Tcp(l) => accept::accepted_tcp(l, errors).map(Stream::Tcp),
+                    Listener::Unix(l) => {
+                        accept::accepted(l.accept(), errors).map(|(s, _)| Stream::Unix(s))
+                    }
                 };
                 if let Some(stream) = accepted {
                     self.admit(stream, &queue);
@@ -943,14 +946,18 @@ impl Server {
         // it waits for the index guard, which an append holds while it
         // grows the reader, and a snapshot held there would make that
         // grow copy the whole store.
-        let snapshot = (q.engine != Engine::Incremental).then(|| store.reader());
+        let snapshot = (!q.live).then(|| store.reader());
         let key = |fingerprint| CacheKey {
             fingerprint,
             period: q.period,
             conf_bits: q.min_conf.to_bits(),
-            engine: q.engine,
         };
-        if !q.no_cache {
+        // Apriori's echoed scan count depends on the threshold, so its
+        // answer can neither share an entry with the two-scan engines nor
+        // be derived: it bypasses the cache, as a quarantined mine does.
+        let bypass = q.engine == Engine::Apriori;
+        let use_cache = !q.no_cache && !bypass;
+        if use_cache {
             let fingerprint = snapshot
                 .as_ref()
                 .map_or_else(|| store.fingerprint(), |r| r.fingerprint());
@@ -999,11 +1006,12 @@ impl Server {
         }
         .map_err(OpError::from_mining)?;
         let cached = Arc::new(to_cached(&result, &catalog));
-        if !q.no_cache {
+        if use_cache {
             let mut cache = self.cache.lock().expect("cache poisoned");
             cache.insert(key(fingerprint), Arc::clone(&cached));
         }
-        Ok(mine_response(&q, &cached, "miss", None))
+        let label = if bypass { "bypass" } else { "miss" };
+        Ok(mine_response(&q, &cached, label, None))
     }
 
     /// The quarantine path: materialize, clean (optionally injecting
@@ -1040,8 +1048,8 @@ impl Server {
         };
         // Mine straight through the quarantine, re-validating on every
         // pass. The cleaned stream is not the store, so there is no live
-        // index to consult: incremental runs the cold vertical mine it is
-        // bit-identical to.
+        // index to consult: a live-index request runs the cold vertical
+        // mine it is bit-identical to.
         let mut qsrc = QuarantiningSource::new(source, QuarantineMode::Quarantine);
         let mined = ppm_core::run(q.engine, &mut qsrc, q.period, &q.config);
         let result = mined.map_err(OpError::from_mining)?;
@@ -1141,8 +1149,7 @@ impl Server {
     ///   (the new segments contribute zero bits to them) and patterns
     ///   touching a dirty letter are bounded below threshold in both
     ///   states, so the cached rows are provably bit-identical to a
-    ///   fresh mine. Restricted to the constant-scan engines so the
-    ///   echoed `scans` stays exact too;
+    ///   fresh mine;
     /// - otherwise the entry is dropped: a fresh mine may differ.
     fn op_append(&self, req: &Json) -> Result<Json, OpError> {
         let name = req_str(req, "store").map_err(OpError::usage)?;
@@ -1258,9 +1265,6 @@ impl Server {
                         return Rekey::Keep {
                             segment_count: new_m,
                         };
-                    }
-                    if !key.engine.has_constant_scans() {
-                        return Rekey::Drop;
                     }
                     let Some(idx) = indexes.get(key.period) else {
                         return Rekey::Drop;
@@ -1424,6 +1428,10 @@ impl Server {
                     "bad_frames".to_owned(),
                     Json::from_u64(self.metrics.bad_frames.load(Ordering::Relaxed)),
                 ),
+                (
+                    "accept_errors".to_owned(),
+                    Json::from_u64(self.metrics.accept_errors.load(Ordering::Relaxed)),
+                ),
                 ("stores".to_owned(), Json::from_usize(self.registry.len())),
                 (
                     "stores_quarantined".to_owned(),
@@ -1475,6 +1483,9 @@ struct MineQuery {
     period: usize,
     min_conf: f64,
     engine: Engine,
+    /// Answer from the store's live vertical index (`"engine":
+    /// "incremental"` on the wire) instead of a cold mine.
+    live: bool,
     limit: usize,
     config: MineConfig,
     quarantine: bool,
@@ -1490,11 +1501,16 @@ impl MineQuery {
             return Err(OpError::usage("period must be at least 1".into()));
         }
         let min_conf = req_f64(req, "min_conf").map_err(OpError::usage)?;
-        let engine = match req.get("engine").and_then(Json::as_str) {
+        let name = req.get("engine").and_then(Json::as_str);
+        // `incremental` is a serving choice, not an algorithm: the
+        // vertical engine's answer, read from the store's live index.
+        let live = name == Some("incremental");
+        let engine = match name {
             None => Engine::default(),
+            Some(_) if live => Engine::Vertical,
             Some(name) => Engine::parse(name).ok_or_else(|| {
                 OpError::usage(format!(
-                    "engine {name:?} is not servable ({})",
+                    "engine {name:?} is not servable ({}|incremental)",
                     Engine::names()
                 ))
             })?,
@@ -1522,6 +1538,7 @@ impl MineQuery {
             period,
             min_conf,
             engine,
+            live,
             limit,
             config,
             quarantine: matches!(req.get("quarantine"), Some(Json::Bool(true))),
@@ -1706,11 +1723,17 @@ fn mine_response(
             ])
         })
         .collect();
+    // A live-index answer echoes the spelling its request sent.
+    let engine = if q.live {
+        "incremental"
+    } else {
+        q.engine.name()
+    };
     let mut fields = vec![
         ("store".to_owned(), Json::Str(q.store.clone())),
         ("period".to_owned(), Json::from_usize(q.period)),
         ("min_conf".to_owned(), Json::Num(q.min_conf)),
-        ("engine".to_owned(), Json::Str(q.engine.name().to_owned())),
+        ("engine".to_owned(), Json::Str(engine.to_owned())),
         ("patterns".to_owned(), Json::from_usize(c.rows.len())),
         ("segments".to_owned(), Json::from_usize(c.segment_count)),
         ("scans".to_owned(), Json::from_usize(c.scans)),
@@ -1804,11 +1827,70 @@ mod tests {
             fingerprint: grown,
             period: 2,
             conf_bits: 0.5f64.to_bits(),
-            engine: Engine::Incremental,
         };
         let (cached, _) = server.cache.lock().unwrap().lookup(&key);
         let cached = cached.expect("cached under the grown fingerprint");
         assert_eq!(cached.segment_count, 8, "mined off the grown load");
+        std::fs::remove_file(path).ok();
+        std::fs::remove_file(socket).ok();
+    }
+
+    /// One cache entry answers a shape whichever two-scan path mines it:
+    /// after a hit-set mine, the vertical engine and the live index are
+    /// exact hits with the same rows, segments and scans, each echoing
+    /// the engine spelling it sent. Apriori answers bypass the cache.
+    #[test]
+    fn the_cache_keys_answers_not_engines() {
+        let tmp = |ext: &str| {
+            std::env::temp_dir().join(format!(
+                "ppm-serve-server-{}-shared.{ext}",
+                std::process::id()
+            ))
+        };
+        let (path, socket) = (tmp("ppmc"), tmp("sock"));
+        let mut catalog = FeatureCatalog::new();
+        let (a, b) = (catalog.intern("alpha"), catalog.intern("beta"));
+        let mut builder = SeriesBuilder::new();
+        for i in 0..30 {
+            builder.push_instant([a]);
+            builder.push_instant(if i % 4 == 0 { vec![] } else { vec![b] });
+            builder.push_instant(if i % 3 == 0 { vec![a, b] } else { vec![] });
+        }
+        write_columnar(&path, &builder.finish(), &catalog).unwrap();
+        let registry = StoreRegistry::open(&[&path]).unwrap();
+        let server = Server::bind(registry, ServeConfig::new(Bind::Unix(socket.clone()))).unwrap();
+        let name = server.registry().iter().next().unwrap().name.clone();
+        let mine = |engine: &str| {
+            let req = Json::parse(&format!(
+                r#"{{"v":{},"op":"mine","store":"{name}","period":3,"min_conf":0.3,"engine":"{engine}"}}"#,
+                protocol::VERSION
+            ))
+            .unwrap();
+            let resp = server.dispatch(&req);
+            let field = |f: &str| resp.get(f).cloned();
+            assert_eq!(field("engine"), Some(Json::Str(engine.to_owned())));
+            let cached = resp
+                .get("cached")
+                .and_then(Json::as_str)
+                .unwrap()
+                .to_owned();
+            let answer = [field("rows"), field("segments"), field("scans")];
+            (cached, answer)
+        };
+        let entries = || server.cache.lock().unwrap().stats().entries;
+
+        let (cached, mined) = mine("hitset");
+        assert_eq!(cached, "miss");
+        assert!(matches!(&mined[0], Some(Json::Arr(rows)) if !rows.is_empty()));
+        assert_eq!(mined[2], Some(Json::from_u64(2)));
+        for engine in ["vertical", "incremental"] {
+            assert_eq!(mine(engine), ("hit".to_owned(), mined.clone()), "{engine}");
+        }
+        assert_eq!(entries(), 1);
+        for _ in 0..2 {
+            assert_eq!(mine("apriori").0, "bypass");
+        }
+        assert_eq!(entries(), 1, "Apriori answers are never cached");
         std::fs::remove_file(path).ok();
         std::fs::remove_file(socket).ok();
     }

@@ -38,12 +38,14 @@
 //!
 //! ## Live incremental indexes
 //!
-//! Each store lazily owns one [`IncrementalVerticalIndex`] per mined
-//! period. [`Store::with_index`] creates the index from the current
-//! reader on first use and *catches it up* — feeding any whole segments
-//! appended since the index last saw the store — before handing it to
-//! the caller, so both the `append` wire op and reverify-detected growth
-//! leave the next incremental query sub-millisecond instead of cold.
+//! Each store lazily owns one [`IncrementalVerticalIndex`] per period a
+//! `mine` request asked it to answer live (`"engine":"incremental"` on
+//! the wire; every other request mines cold). [`Store::with_index`]
+//! creates the index from the current reader on first use and *catches
+//! it up* — feeding any whole segments appended since the index last saw
+//! the store — before handing it to the caller, so both the `append`
+//! wire op and reverify-detected growth leave the next live-index query
+//! sub-millisecond instead of cold.
 //!
 //! Every live index holds a full bitmap matrix over the whole store, so
 //! the per-store table is a bounded LRU ([`MAX_LIVE_INDEXES`] periods):

@@ -231,11 +231,12 @@ fn failover_survives_chaos_and_a_replica_kill() {
         },
     );
 
-    // More distinct (engine, period, conf) shapes than cache slots, so
-    // eviction must actually run for the bound to hold.
+    // More distinct (period, conf) shapes than cache slots, so eviction
+    // must actually run for the bound to hold: the hit set and vertical
+    // engines share one entry per shape, and Apriori bypasses the cache.
     let mut shapes = Vec::new();
     for engine in ["hitset", "apriori", "vertical"] {
-        for period in [2u64, 3, 5] {
+        for period in [2u64, 3, 4, 5, 6, 7] {
             shapes.push((engine, period, 0.5f64));
         }
     }

@@ -279,17 +279,18 @@ fn append_feeds_live_indexes_and_migrates_the_cache_selectively() {
         ])
     };
 
-    // Warm two entries: one at a confidence whose min_count survives one
-    // more segment (0.45 over 30 segments: ceil(13.5) = ceil(13.95) = 14)
-    // and one whose does not (0.5: 15 -> 16).
+    // Warm two entries: one at a confidence whose min_count does not
+    // survive one more segment (0.5: 15 -> 16) and one whose does (0.45
+    // over 30 segments: ceil(13.5) = ceil(13.95) = 14). The stricter one
+    // is mined first, so the looser one cannot be derived from it.
+    let resp = request(addr, &mine_req(&name, 3, 0.5, "hitset"));
+    assert_eq!(resp.get("cached").and_then(Json::as_str), Some("miss"));
     let resp = request(addr, &mine_req(&name, 3, 0.45, "incremental"));
     assert_eq!(resp.get("cached").and_then(Json::as_str), Some("miss"));
     assert_eq!(
         response_rows(&resp),
         direct_rows(&path, 3, 0.45, "vertical")
     );
-    let resp = request(addr, &mine_req(&name, 3, 0.5, "hitset"));
-    assert_eq!(resp.get("cached").and_then(Json::as_str), Some("miss"));
 
     // An all-empty segment: no letter is touched and min_count holds at
     // 14, so the 0.45 entry is provably still exact and survives the
@@ -324,9 +325,10 @@ fn append_feeds_live_indexes_and_migrates_the_cache_selectively() {
         direct_rows(&path, 3, 0.45, "vertical")
     );
 
-    // The dropped entry re-mines and matches the grown file too.
+    // The dropped entry's shape is now derived from the kept 0.45 entry,
+    // which the live index mined, and matches the grown file too.
     let resp = request(addr, &mine_req(&name, 3, 0.5, "hitset"));
-    assert_eq!(resp.get("cached").and_then(Json::as_str), Some("miss"));
+    assert_eq!(resp.get("cached").and_then(Json::as_str), Some("derived"));
     assert_eq!(response_rows(&resp), direct_rows(&path, 3, 0.5, "hitset"));
 
     // A content-bearing segment: the incremental engine re-derives from

@@ -16,10 +16,11 @@ use partial_periodic::core::LetterSet;
 #[cfg(feature = "property-tests")]
 use partial_periodic::multi::{mine_periods_looping, mine_periods_shared, PeriodRange};
 use partial_periodic::timeseries::{self, EncodedSeries};
+use partial_periodic::vertical::incremental::IncrementalVerticalIndex;
 #[cfg(feature = "property-tests")]
 use partial_periodic::FeatureId;
 use partial_periodic::{apriori, hitset, FeatureCatalog, MineConfig, SeriesBuilder};
-use partial_periodic::{run, vertical, Engine, MiningResult, SyntheticSpec};
+use partial_periodic::{run, Engine, MiningResult, SyntheticSpec};
 
 #[cfg(feature = "property-tests")]
 fn build_series(instants: &[Vec<u8>]) -> partial_periodic::FeatureSeries {
@@ -230,11 +231,10 @@ fn identity(result: &MiningResult) -> (u64, u64, usize, usize, u64) {
 /// Every engine's derive statistics and frequent set on two small
 /// Table-1 stores, pinned to the values the `Vec<u32>`-level join
 /// produced: a 24-letter alphabet (one inline word per set) and a
-/// 70-letter one (the heap form, across a word boundary). The
-/// incremental engine runs both as `run` dispatches it (the cold
-/// vertical mine) and through its live index, whose level loop and
-/// join cache are its own; constrained mining re-roots the join at
-/// a required letter.
+/// 70-letter one (the heap form, across a word boundary). The vertical
+/// engine also runs through its live incremental index, whose level
+/// loop and join cache are its own; constrained mining re-roots the join
+/// at a required letter.
 #[test]
 fn derive_stats_and_frequent_sets_are_pinned() {
     let cases = [
@@ -249,7 +249,7 @@ fn derive_stats_and_frequent_sets_are_pinned() {
         let cold = |e| identity(&run(e, &g.series, p, &config).unwrap());
         let mut row: Vec<_> = Engine::ALL.into_iter().map(cold).collect();
         let enc = EncodedSeries::encode(&g.series);
-        let live = vertical::incremental::mine_incremental_view(enc.view(), p, &config);
+        let live = IncrementalVerticalIndex::from_view(enc.view(), p, None).rederive_dirty(&config);
         row.push(identity(&live.unwrap()));
         let (o, f) = g.backbone[0];
         let required = Constraints::none().require(o, f);
@@ -257,8 +257,8 @@ fn derive_stats_and_frequent_sets_are_pinned() {
         row.push(identity(&constrained.unwrap()));
         got.push(row);
     }
-    // One row per store: hitset, apriori, vertical, incremental (as
-    // `run`), the live incremental index, constrained.
+    // One row per store: hitset, apriori, vertical, the live incremental
+    // index, constrained.
     let p30 = (6036, 6036, 9, 4635, 6500151125932692174);
     let p80 = (21036, 21036, 8, 9118, 12585907476459474539);
     let want = [
@@ -267,13 +267,11 @@ fn derive_stats_and_frequent_sets_are_pinned() {
             (6036, 923377, 9, 4635, 6500151125932692174),
             p30,
             p30,
-            p30,
             (2272, 2295, 9, 2176, 737245733575589925),
         ],
         [
             p80,
             (21036, 1910336, 8, 9118, 12585907476459474539),
-            p80,
             p80,
             p80,
             (5979, 6048, 8, 4096, 12481863291115633781),
