@@ -759,6 +759,58 @@ mod tests {
         assert_eq!(c.lookup(&key(0.1)).1, CacheOutcome::Miss);
     }
 
+    /// Writes a cache file the way files keyed by engine did: one entry
+    /// per `(engine, conf)` at the sample shape, each line re-sealed.
+    fn engine_keyed_file(tag: &str, entries: &[(&str, f64)]) -> PathBuf {
+        let path = temp(tag);
+        {
+            let mut c = ResultCache::open(&path);
+            for &(_, conf) in entries {
+                c.insert(key(conf), sample_value());
+            }
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<String> = text.lines().map(str::to_owned).collect();
+        for (line, &(engine, _)) in lines[1..].iter_mut().zip(entries) {
+            let json = line.splitn(3, ' ').nth(2).unwrap();
+            let tag = format!("\"engine\":\"{engine}\",\"segments\":");
+            let json = json.replace("\"segments\":", &tag);
+            *line = format!("entry {:016x} {json}", fnv64(json.as_bytes()));
+        }
+        std::fs::write(&path, lines.join("\n")).unwrap();
+        path
+    }
+
+    /// An Apriori entry never donates: its scan count depends on the
+    /// threshold it was mined at, so an engine-keyed file's Apriori line
+    /// answers no key at all, while the two-scan entry beside it answers
+    /// its exact key and derives only above its own confidence.
+    #[test]
+    fn apriori_entries_only_answer_exact_keys() {
+        let path = engine_keyed_file("apriori", &[("apriori", 0.4), ("hitset", 0.6)]);
+        let mut c = ResultCache::open(&path);
+        assert_eq!((c.stats().entries, c.stats().rejected), (1, 1));
+        assert_eq!(c.lookup(&key(0.4)).1, CacheOutcome::Miss);
+        assert_eq!(c.lookup(&key(0.5)).1, CacheOutcome::Miss, "no Apriori donor");
+        assert_eq!(c.lookup(&key(0.6)).1, CacheOutcome::Hit);
+        assert_eq!(c.lookup(&key(0.9)).1, CacheOutcome::Derived);
+        std::fs::remove_file(path).ok();
+    }
+
+    /// An entry the daemon's live index mined loads as the shape's one
+    /// entry and donates stricter answers like any two-scan entry.
+    #[test]
+    fn incremental_entries_donate_anti_monotone_answers() {
+        let path = engine_keyed_file("incremental", &[("incremental", 0.4)]);
+        let mut c = ResultCache::open(&path);
+        assert_eq!((c.stats().entries, c.stats().rejected), (1, 0));
+        assert_eq!(c.lookup(&key(0.4)).1, CacheOutcome::Hit);
+        let (got, outcome) = c.lookup(&key(0.9));
+        assert_eq!(outcome, CacheOutcome::Derived);
+        assert_eq!(got.unwrap().rows.len(), 1);
+        std::fs::remove_file(path).ok();
+    }
+
     #[test]
     fn rekey_store_migrates_selectively_and_spares_other_stores() {
         let path = temp("rekey");
