@@ -16,7 +16,7 @@ use std::time::Instant;
 use ppm_core::hitset::derive::CountStrategy;
 use ppm_core::multi::{mine_periods_scheduled, PeriodRange};
 use ppm_core::vertical::incremental::IncrementalVerticalIndex;
-use ppm_core::{hitset, Engine, Kernel, MineConfig, MiningResult, Rows};
+use ppm_core::{hitset, Engine, Kernel, MineConfig, MiningResult};
 use ppm_datagen::noise::add_spurious;
 use ppm_datagen::SyntheticSpec;
 use ppm_observe::{aggregate_phases, Collector, Json};
@@ -360,8 +360,7 @@ fn ingest_and_scheduler(
     for period in range.iter() {
         let series = ColumnarReader::open(ppmc_path)?.to_series();
         if period <= series.len() {
-            let rows = Rows::Series(&series);
-            sequential.push(ppm_core::run(Engine::Vertical, rows, period, config)?);
+            sequential.push(ppm_core::run(Engine::Vertical, &series, period, config)?);
         }
     }
     let sequential_us = us_since(start);

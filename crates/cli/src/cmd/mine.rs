@@ -7,11 +7,11 @@ use ppm_core::closed::mine_closed;
 use ppm_core::constraints::{mine_constrained, Constraints};
 use ppm_core::maximal::mine_maximal;
 use ppm_core::vertical::incremental::IncrementalVerticalIndex;
-use ppm_core::{run as run_engine, Engine, MineConfig, MiningResult, MiningStats, Pattern, Rows};
+use ppm_core::{run as run_engine, Engine, MineConfig, MiningResult, MiningStats, Pattern};
 use ppm_timeseries::columnar::{ColumnarReader, ColumnarSource, Reload};
 use ppm_timeseries::{
-    EncodedSeriesView, Fault, FaultInjectingSource, FaultPlan, FeatureCatalog, FeatureSeries,
-    MemorySource, QuarantineMode, QuarantineReport, QuarantiningSource, RetryPolicy,
+    EncodedSeries, EncodedSeriesView, Fault, FaultInjectingSource, FaultPlan, FeatureCatalog,
+    FeatureSeries, MemorySource, QuarantineMode, QuarantineReport, QuarantiningSource, RetryPolicy,
     RetryingSource, SeriesBuilder, SeriesSource,
 };
 
@@ -208,57 +208,32 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
         return Ok(Some(result.stats));
     }
 
-    // Columnar fast path: a `.ppmc` file's bytes *are* the bitmap rows, so
-    // every engine mines straight off the load with no series
-    // materialized. Modes that need raw instants (quarantine, maximal,
-    // closed, constraints) fall through to the materializing path below.
-    let needs_instants = quarantine
-        || strict
-        || args.switch("maximal")
-        || args.switch("closed")
-        || args.switch("offsets")
-        || args.switch("max-letters");
-    if format == super::Format::Columnar && !needs_instants {
-        let reader = ColumnarReader::open(input)?;
-        let view = reader.view();
-        let result = run_engine(engine, Rows::View(view), period, &config);
-        let mut result = report_if_aborted(result, out)?;
-        if let Some(idx) = perturb {
-            perturb_count(&mut result, idx, out)?;
-        }
-        if args.switch("tsv") {
-            write!(
-                out,
-                "{}",
-                ppm_core::export::patterns_tsv(&result, reader.catalog())
-            )?;
-            return Ok(Some(result.stats));
-        }
-        print_result(&result, reader.catalog(), period, min_conf, limit, out)?;
-        if let Some(mode) = audit_mode {
-            run_audit_view(view, &result, reader.catalog(), period, &config, mode, out)?;
-        }
-        return Ok(Some(result.stats));
-    }
-
-    let (series, catalog) = super::load_series(input)?;
-
-    // Quarantine: pass every instant through scan-boundary validation and
-    // mine the cleaned series. Quarantined instants become empty, so all
-    // reported counts/confidences are sound lower bounds.
+    // In memory, every mode mines packed rows. A `.ppmc` file's bytes
+    // *are* those rows, so it mines straight off the load; a text input
+    // parses and encodes once. Quarantine needs raw instants: it
+    // materializes the series, cleans it and encodes what survives.
+    // Quarantined instants become empty, so all reported counts and
+    // confidences are sound lower bounds.
+    let (reader, encoded);
     let mut skipped = 0;
-    let series = if quarantine || strict {
-        let (cleaned, rep) = quarantine_series(&series, inject, strict)?;
-        print_quarantine(&rep, out)?;
-        skipped = rep.len();
-        cleaned
+    let (view, catalog) = if format == super::Format::Columnar && !(quarantine || strict) {
+        reader = ColumnarReader::open(input)?;
+        (reader.view(), reader.catalog())
     } else {
-        series
+        let (mut series, catalog) = super::load_series(input)?;
+        if quarantine || strict {
+            let (cleaned, rep) = quarantine_series(&series, inject, strict)?;
+            print_quarantine(&rep, out)?;
+            skipped = rep.len();
+            series = cleaned;
+        }
+        encoded = (EncodedSeries::encode(&series), catalog);
+        (encoded.0.view(), &encoded.1)
     };
 
     // Maximal-only mode short-circuits (it has its own result shape).
     if args.switch("maximal") {
-        let result = mine_maximal(&series, period, &config)?;
+        let result = mine_maximal(view, period, &config)?;
         writeln!(
             out,
             "{} maximal patterns (period {period}, {} segments, min_conf {min_conf}):",
@@ -270,7 +245,7 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
             writeln!(
                 out,
                 "  {}  count={} conf={:.3}",
-                pattern.display(&catalog),
+                pattern.display(catalog),
                 fp.count,
                 fp.count as f64 / result.segment_count as f64
             )?;
@@ -280,7 +255,7 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
 
     // Closed-only mode: the lossless compression of the frequent set.
     if args.switch("closed") {
-        let result = mine_closed(&series, period, &config)?;
+        let result = mine_closed(view, period, &config)?;
         writeln!(
             out,
             "{} closed patterns (period {period}, {} segments, min_conf {min_conf}):",
@@ -292,7 +267,7 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
             writeln!(
                 out,
                 "  {}  count={} conf={:.3}",
-                pattern.display(&catalog),
+                pattern.display(catalog),
                 fp.count,
                 fp.count as f64 / result.segment_count as f64
             )?;
@@ -314,9 +289,9 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
         if let Some(m) = max_letters {
             c = c.max_letters(m?);
         }
-        mine_constrained(&series, period, &config, &c)?
+        mine_constrained(view, period, &config, &c)?
     } else {
-        let result = run_engine(engine, Rows::Series(&series), period, &config);
+        let result = run_engine(engine, view, period, &config);
         report_if_aborted(result, out)?
     };
 
@@ -325,12 +300,12 @@ fn run_inner(args: &Parsed, out: &mut dyn Write) -> Result<Option<MiningStats>, 
     }
 
     if args.switch("tsv") {
-        write!(out, "{}", ppm_core::export::patterns_tsv(&result, &catalog))?;
+        write!(out, "{}", ppm_core::export::patterns_tsv(&result, catalog))?;
         return finish_mined(result.stats, skipped);
     }
-    print_result(&result, &catalog, period, min_conf, limit, out)?;
+    print_result(&result, catalog, period, min_conf, limit, out)?;
     if let Some(mode) = audit_mode {
-        run_audit(&series, &result, &catalog, period, &config, mode, out)?;
+        run_audit(view, &result, catalog, period, &config, mode, out)?;
     }
     finish_mined(result.stats, skipped)
 }
@@ -456,7 +431,7 @@ fn follow_columnar(
         )?;
         print_result(&result, reader.catalog(), period, min_conf, limit, out)?;
         if let Some(mode) = audit_mode {
-            run_audit_view(
+            run_audit(
                 reader.view(),
                 &result,
                 reader.catalog(),
@@ -576,31 +551,15 @@ fn print_quarantine(report: &QuarantineReport, out: &mut dyn Write) -> Result<()
     Ok(())
 }
 
-/// Runs the full verification stack on a mined result: structural
-/// invariants, the differential oracle's recount, and the cross-algorithm
-/// diff. Violations are printed and surface as [`CliError::Audit`]
-/// (exit code 1) so pipelines fail loudly on a wrong answer.
+/// Runs the full verification stack on a result mined off `view`:
+/// structural invariants, the differential oracle's recount, and the
+/// cross-engine diff ([`audit::cross_check_view`] — hit-set, Apriori,
+/// vertical, plus the tree-walk, scalar-kernel and incremental vertical
+/// arms, all straight off the packed rows). The recount oracle needs raw
+/// instants, so the view is rebuilt into a series just for that check.
+/// Violations are printed and surface as [`CliError::Audit`] (exit code
+/// 1) so pipelines fail loudly on a wrong answer.
 fn run_audit(
-    series: &FeatureSeries,
-    result: &MiningResult,
-    catalog: &FeatureCatalog,
-    period: usize,
-    config: &MineConfig,
-    mode: AuditMode,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let report = audit::audit(series, result, catalog, mode)?;
-    let check = audit::cross_check(series, period, config, catalog)?;
-    finish_audit(report, check, out)
-}
-
-/// [`run_audit`] for a result mined off a borrowed columnar view: the
-/// cross-engine diff runs straight off the packed rows
-/// ([`audit::cross_check_view`] — hit-set, Apriori, vertical, plus the
-/// scalar-kernel and incremental vertical arms); the recount oracle
-/// needs raw instants, so the view is rebuilt into a series just for
-/// that check.
-fn run_audit_view(
     view: EncodedSeriesView<'_>,
     result: &MiningResult,
     catalog: &FeatureCatalog,
@@ -1123,7 +1082,7 @@ mod tests {
             ))
             .unwrap();
             assert!(text.contains("audit: clean"), "{engine}: {text}");
-            assert!(text.contains("cross-check: 7 engines"), "{engine}: {text}");
+            assert!(text.contains("cross-check: 6 engines"), "{engine}: {text}");
         }
         std::fs::remove_file(path).ok();
     }
@@ -1256,22 +1215,35 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// Text input parses, encodes once and mines the same packed rows a
+    /// `.ppmc` load does: stdout is byte-identical on every engine and in
+    /// every mode the in-memory path serves.
     #[test]
     fn columnar_input_mines_identically_on_every_engine() {
         let txt = sample_series_file("txt");
         let ppmc = sample_series_file("ppmc");
         for engine in Engine::ALL {
-            let from_text = run_cli(&format!(
-                "mine --input {} --period 3 --min-conf 0.6 --engine {engine}",
-                txt.display()
-            ))
-            .unwrap();
-            let from_columnar = run_cli(&format!(
-                "mine --input {} --period 3 --min-conf 0.6 --engine {engine}",
-                ppmc.display()
-            ))
-            .unwrap();
-            assert_eq!(from_text, from_columnar, "{engine}");
+            for mode in [
+                "",
+                "--maximal",
+                "--closed",
+                "--offsets 0",
+                "--max-letters 1",
+                "--offsets 0,1 --max-letters 2",
+                "--tsv",
+                "--audit full",
+            ] {
+                let mine = |input: &std::path::Path| {
+                    run_cli(&format!(
+                        "mine --input {} --period 3 --min-conf 0.6 --engine {engine} {mode}",
+                        input.display()
+                    ))
+                    .unwrap()
+                };
+                let from_text = mine(&txt);
+                assert!(!from_text.is_empty(), "{engine} {mode}");
+                assert_eq!(from_text, mine(&ppmc), "{engine} {mode}");
+            }
         }
         std::fs::remove_file(txt).ok();
         std::fs::remove_file(ppmc).ok();
@@ -1308,22 +1280,33 @@ mod tests {
         std::fs::remove_file(path).ok();
     }
 
+    /// Quarantine is the one mode that materializes raw instants, from
+    /// either input: the report, the counts and the exit code agree.
     #[test]
-    fn columnar_input_materializes_for_instant_modes() {
-        let path = sample_series_file("ppmc");
-        let text = run_cli(&format!(
-            "mine --input {} --period 3 --min-conf 0.6 --maximal",
-            path.display()
-        ))
-        .unwrap();
-        assert!(text.contains("maximal patterns"), "{text}");
-        let text = run_cli(&format!(
-            "mine --input {} --period 3 --min-conf 0.6 --quarantine",
-            path.display()
-        ))
-        .unwrap();
-        assert!(text.contains("quarantined 0 instants"), "{text}");
-        std::fs::remove_file(path).ok();
+    fn quarantine_mines_identically_on_text_and_columnar_input() {
+        let txt = sample_series_file("txt");
+        let ppmc = sample_series_file("ppmc");
+        for extra in ["--quarantine", "--quarantine --inject-garbage 1"] {
+            let mine = |input: &std::path::Path| {
+                let argv: Vec<String> = format!(
+                    "mine --input {} --period 3 --min-conf 0.6 {extra}",
+                    input.display()
+                )
+                .split_whitespace()
+                .map(str::to_owned)
+                .collect();
+                let mut out = Vec::new();
+                let code = crate::run(&argv, &mut out).map_or_else(|e| e.exit_code(), |()| 0);
+                (String::from_utf8(out).unwrap(), code)
+            };
+            let (text, code) = mine(&txt);
+            assert!(text.contains("quarantined"), "{text}");
+            assert!(text.contains("frequent patterns"), "{text}");
+            assert_eq!(code, if extra.contains("garbage") { 4 } else { 0 });
+            assert_eq!(mine(&ppmc), (text, code), "{extra}");
+        }
+        std::fs::remove_file(txt).ok();
+        std::fs::remove_file(ppmc).ok();
     }
 
     #[test]

@@ -183,9 +183,8 @@ fn diff_pair(
 /// segment-at-a-time incremental index — and diffs the results pairwise
 /// against the hit-set baseline.
 ///
-/// The vertical re-mine reuses one [`EncodedSeries`] cache, so the oracle
-/// probes packed instant bitmaps instead of re-merge-walking raw feature
-/// slices.
+/// Every arm but the streaming one mines one [`EncodedSeries`] cache of
+/// the series, as [`cross_check_view`] mines a view.
 ///
 /// The miners canonicalize ordering before returning, so equal results
 /// compare equal structurally; any difference in membership or counts
@@ -198,9 +197,6 @@ pub fn cross_check(
     catalog: &FeatureCatalog,
 ) -> crate::error::Result<CrossCheck> {
     let _span = ppm_observe::span("audit.diff");
-    let baseline = crate::hitset::mine(series, period, config)?;
-    let tree = crate::hitset::mine_with_strategy(series, period, config, CountStrategy::TreeWalk)?;
-    let apriori = crate::apriori::mine(series, period, config)?;
     let streamed = crate::run(
         Engine::HitSet,
         &mut MemorySource::new(series),
@@ -208,22 +204,55 @@ pub fn cross_check(
         config,
     )?;
     let encoded = EncodedSeries::encode(series);
-    let vertical = crate::vertical::mine_vertical_view(encoded.view(), period, config)?;
+    check_arms(encoded.view(), Some(streamed), period, config, catalog)
+}
+
+/// [`cross_check`] over a borrowed bitmap view (a columnar file load or an
+/// [`EncodedSeries`] cache): every arm but the streaming one, which
+/// re-scans a [`ppm_timeseries::SeriesSource`] that a borrowed view does
+/// not provide. No [`FeatureSeries`] is ever materialized.
+pub fn cross_check_view(
+    view: EncodedSeriesView<'_>,
+    period: usize,
+    config: &MineConfig,
+    catalog: &FeatureCatalog,
+) -> crate::error::Result<CrossCheck> {
+    let _span = ppm_observe::span("audit.diff");
+    check_arms(view, None, period, config, catalog)
+}
+
+/// Mines `view` with every in-memory arm, adds the `streamed` arm when
+/// there is one, and diffs each against the hit-set baseline.
+fn check_arms(
+    view: EncodedSeriesView<'_>,
+    streamed: Option<MiningResult>,
+    period: usize,
+    config: &MineConfig,
+    catalog: &FeatureCatalog,
+) -> crate::error::Result<CrossCheck> {
+    let baseline = crate::hitset::mine_view(view, period, config)?;
     let scalar = config.with_kernel(Kernel::Scalar);
-    let vertical_scalar = crate::vertical::mine_vertical_view(encoded.view(), period, &scalar)?;
-    let incremental = incremental_arm(encoded.view(), period, config)?;
-    Ok(diff_against_baseline(
-        &baseline,
-        &[
-            ("hitset-tree", tree),
-            ("apriori", apriori),
-            ("streaming-hitset", streamed),
-            ("vertical", vertical),
-            ("vertical-scalar", vertical_scalar),
-            ("incremental-vertical", incremental),
-        ],
-        catalog,
-    ))
+    let mut arms = vec![
+        (
+            "hitset-tree",
+            crate::hitset::mine_with_strategy(view, period, config, CountStrategy::TreeWalk)?,
+        ),
+        ("apriori", crate::apriori::mine_view(view, period, config)?),
+        (
+            "vertical",
+            crate::vertical::mine_vertical_view(view, period, config)?,
+        ),
+        (
+            "vertical-scalar",
+            crate::vertical::mine_vertical_view(view, period, &scalar)?,
+        ),
+        (
+            "incremental-vertical",
+            incremental_arm(view, period, config)?,
+        ),
+    ];
+    arms.extend(streamed.map(|result| ("streaming-hitset", result)));
+    Ok(diff_against_baseline(&baseline, &arms, catalog))
 }
 
 /// Diffs every named arm against the hit-set `baseline` and reports the
@@ -256,43 +285,6 @@ fn diff_against_baseline(
         }
     });
     check
-}
-
-/// [`cross_check`] over a borrowed bitmap view (a columnar file load or an
-/// [`EncodedSeries`] cache): mines with the view-backed hit-set (plus its
-/// tree-walk arm), Apriori, and vertical engines (plus the scalar-kernel
-/// and incremental vertical arms) and diffs pairwise against the hit-set
-/// baseline.
-///
-/// The streaming arm is absent — it re-scans a
-/// [`ppm_timeseries::SeriesSource`], which a borrowed view does not
-/// provide — so this oracle covers the engines over packed rows
-/// directly, without ever materializing a [`FeatureSeries`].
-pub fn cross_check_view(
-    view: EncodedSeriesView<'_>,
-    period: usize,
-    config: &MineConfig,
-    catalog: &FeatureCatalog,
-) -> crate::error::Result<CrossCheck> {
-    let _span = ppm_observe::span("audit.diff");
-    let baseline = crate::hitset::mine_view(view, period, config)?;
-    let tree = crate::hitset::mine_with_strategy(view, period, config, CountStrategy::TreeWalk)?;
-    let apriori = crate::apriori::mine_view(view, period, config)?;
-    let vertical = crate::vertical::mine_vertical_view(view, period, config)?;
-    let scalar = config.with_kernel(Kernel::Scalar);
-    let vertical_scalar = crate::vertical::mine_vertical_view(view, period, &scalar)?;
-    let incremental = incremental_arm(view, period, config)?;
-    Ok(diff_against_baseline(
-        &baseline,
-        &[
-            ("hitset-tree", tree),
-            ("apriori", apriori),
-            ("vertical", vertical),
-            ("vertical-scalar", vertical_scalar),
-            ("incremental-vertical", incremental),
-        ],
-        catalog,
-    ))
 }
 
 #[cfg(test)]

@@ -31,13 +31,12 @@
 //! assert_eq!(result.closed[0].letters.len(), 2);
 //! ```
 
-use ppm_timeseries::FeatureSeries;
-
 use crate::error::Result;
-use crate::hitset::{build_tree, count_any, MaxSubpatternTree};
+use crate::hitset::{count_any, scan_and_build_tree, MaxSubpatternTree};
 use crate::letters::LetterSet;
 use crate::result::{FrequentPattern, MiningResult};
-use crate::scan::{scan_frequent_letters, MineConfig, Scan1};
+use crate::rows::Input;
+use crate::scan::{MineConfig, Scan1};
 use crate::stats::MiningStats;
 
 /// The closure of `set` within the mined data: the largest pattern matched
@@ -112,21 +111,16 @@ pub struct ClosedResult {
 ///
 /// The enumeration is the standard closure-based search: start from the
 /// closures of the frequent 1-patterns, then repeatedly extend closed
-/// patterns by one letter and take closures, deduplicating.
-pub fn mine_closed(
-    series: &FeatureSeries,
+/// patterns by one letter and take closures, deduplicating. The input is
+/// any [`Input`]: a series, a bitmap view or a source.
+pub fn mine_closed<'a>(
+    input: impl Into<Input<'a>>,
     period: usize,
     config: &MineConfig,
 ) -> Result<ClosedResult> {
     use std::collections::HashSet;
 
-    let scan1 = scan_frequent_letters(series, period, config)?;
-    let mut stats = MiningStats {
-        series_scans: 1,
-        max_level: 1,
-        ..Default::default()
-    };
-    let tree = build_tree(series, &scan1, &mut stats);
+    let (scan1, tree, mut stats) = scan_and_build_tree(input, period, config)?;
 
     let n = scan1.alphabet.len();
     let count_of = |set: &LetterSet| count_any(&tree, &scan1, set);
@@ -202,7 +196,7 @@ pub fn closed_of(result: &MiningResult) -> Vec<FrequentPattern> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_timeseries::{FeatureId, SeriesBuilder};
+    use ppm_timeseries::{FeatureId, FeatureSeries, SeriesBuilder};
 
     fn fid(i: u32) -> FeatureId {
         FeatureId::from_raw(i)
@@ -288,9 +282,7 @@ mod tests {
     fn closure_is_extensive_idempotent_and_count_preserving() {
         let s = random_series(200, 3);
         let config = MineConfig::new(0.2).unwrap();
-        let scan1 = scan_frequent_letters(&s, 5, &config).unwrap();
-        let mut stats = MiningStats::default();
-        let tree = build_tree(&s, &scan1, &mut stats);
+        let (scan1, tree, _) = scan_and_build_tree(&s, 5, &config).unwrap();
         let n = scan1.alphabet.len();
         let segs = s.segments(5).unwrap();
 
@@ -329,9 +321,7 @@ mod tests {
         }
         let s = b.finish();
         let config = MineConfig::new(0.2).unwrap();
-        let scan1 = scan_frequent_letters(&s, 2, &config).unwrap();
-        let mut stats = MiningStats::default();
-        let tree = build_tree(&s, &scan1, &mut stats);
+        let (scan1, tree, _) = scan_and_build_tree(&s, 2, &config).unwrap();
         let f0 = scan1.alphabet.index_of(0, fid(0)).unwrap();
         let set = LetterSet::from_indices(scan1.alphabet.len(), [f0]);
         assert_eq!(closure(&tree, &scan1, &set), Some(set.clone()));
@@ -346,9 +336,7 @@ mod tests {
         }
         let s = b.finish();
         let config = MineConfig::new(0.5).unwrap();
-        let scan1 = scan_frequent_letters(&s, 2, &config).unwrap();
-        let mut stats = MiningStats::default();
-        let tree = build_tree(&s, &scan1, &mut stats);
+        let (scan1, tree, _) = scan_and_build_tree(&s, 2, &config).unwrap();
         let empty = LetterSet::new(scan1.alphabet.len());
         let cl = closure(&tree, &scan1, &empty).unwrap();
         assert_eq!(cl.len(), 1); // exactly the always-present letter

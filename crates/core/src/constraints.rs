@@ -41,14 +41,16 @@
 //! assert_eq!(result.len(), 1); // coffee@0; tv@1 was filtered out
 //! ```
 
-use ppm_timeseries::{FeatureId, FeatureSeries};
+use ppm_timeseries::FeatureId;
 
 use crate::apriori::join_candidates;
 use crate::error::{Error, Result};
-use crate::hitset::{build_tree, count_any};
+use crate::guard::ResourceGuard;
+use crate::hitset::{count_any, grow_tree};
 use crate::letters::{Alphabet, LetterSet};
 use crate::result::{FrequentPattern, MiningResult};
-use crate::scan::{scan_frequent_letters, MineConfig, Scan1};
+use crate::rows::{Input, Passes};
+use crate::scan::{MineConfig, Scan1};
 use crate::stats::MiningStats;
 
 /// Constraints on the patterns to mine. `Default` means unconstrained.
@@ -102,9 +104,10 @@ impl Constraints {
 
 /// Mines all frequent patterns of `period` satisfying `constraints`, with
 /// two scans (the hit-set pipeline). Counts are exact and identical to
-/// filtering an unconstrained run; the constraints only *prune work*.
-pub fn mine_constrained(
-    series: &FeatureSeries,
+/// filtering an unconstrained run; the constraints only *prune work*. The
+/// input is any [`Input`]: a series, a bitmap view or a source.
+pub fn mine_constrained<'a>(
+    input: impl Into<Input<'a>>,
     period: usize,
     config: &MineConfig,
     constraints: &Constraints,
@@ -121,9 +124,10 @@ pub fn mine_constrained(
     // Scan 1, then shrink the alphabet to the admissible letters (required
     // letters are always admissible — requiring a letter implies wanting
     // patterns that contain it).
-    let scan1_full = scan_frequent_letters(series, period, config)?;
+    let mut passes = Passes::new(input.into(), ResourceGuard::unlimited(), "hitset.segments");
+    let scan1_full = passes.scan1(period, config)?;
     let mut stats = MiningStats {
-        series_scans: 1,
+        series_scans: passes.completed(),
         max_level: 1,
         ..Default::default()
     };
@@ -159,7 +163,7 @@ pub fn mine_constrained(
     }
 
     // Scan 2 over the reduced alphabet.
-    let tree = build_tree(series, &scan1, &mut stats);
+    let tree = grow_tree(&mut passes, &scan1, &mut stats)?;
 
     // Derivation over the free letters, re-rooted at `required`.
     let cap = constraints.max_letters.unwrap_or(usize::MAX);
@@ -232,7 +236,7 @@ pub fn mine_constrained(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_timeseries::SeriesBuilder;
+    use ppm_timeseries::{FeatureSeries, SeriesBuilder};
 
     fn fid(i: u32) -> FeatureId {
         FeatureId::from_raw(i)

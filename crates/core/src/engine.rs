@@ -61,12 +61,13 @@ impl fmt::Display for Engine {
     }
 }
 
-/// Mines `period` of `input` with `engine`. The input is fixed rows (a
-/// `&FeatureSeries`, an [`EncodedSeriesView`](ppm_timeseries::EncodedSeriesView)
-/// or [`Rows`](crate::Rows)) or a [`SeriesSource`](ppm_timeseries::SeriesSource)
-/// re-scanned on every pass; the result is the same either way, and only
-/// the data movement differs — `series_scans` counts the passes. Every
-/// engine mines on the calling thread.
+/// Mines `period` of `input` with `engine`. The input is packed rows in
+/// memory (an [`EncodedSeriesView`](ppm_timeseries::EncodedSeriesView), or
+/// a `&FeatureSeries` encoded once on entry) or a
+/// [`SeriesSource`](ppm_timeseries::SeriesSource) re-scanned on every pass;
+/// the result is the same either way, and only the data movement differs
+/// — `series_scans` counts the passes. Every engine mines on the calling
+/// thread.
 pub fn run<'a>(
     engine: Engine,
     input: impl Into<Input<'a>>,

@@ -24,4 +24,4 @@ mod single_period;
 pub use single_period::{mine, mine_view, mine_with_strategy};
 pub use tree::MaxSubpatternTree;
 
-pub(crate) use single_period::{build_tree, count_any, finish};
+pub(crate) use single_period::{count_any, finish, grow_tree, scan_and_build_tree};

@@ -114,27 +114,31 @@ pub(crate) fn count_any(tree: &MaxSubpatternTree, scan1: &Scan1, set: &LetterSet
     }
 }
 
-/// The second scan with no guards: projects every whole segment onto the
-/// frequent-letter alphabet and inserts hits with at least two letters
-/// into the tree (1-letter hits carry no information beyond scan 1; empty
-/// hits none). Adds the scan and the tree's size to `stats`.
-pub(crate) fn build_tree(
-    series: &FeatureSeries,
-    scan1: &Scan1,
-    stats: &mut MiningStats,
-) -> MaxSubpatternTree {
-    let scans_before = stats.series_scans;
-    let mut passes = Passes::new(series.into(), ResourceGuard::unlimited(), "hitset.segments");
-    let tree = grow_tree(&mut passes, scan1, stats).expect("an unlimited guard cannot abort");
-    stats.series_scans += scans_before;
-    tree
+/// Scan 1 and scan 2 with no guards over `input`, for the miners that
+/// answer from the tree alone (maximal, closed): the scan-1 result, the
+/// tree, and stats recording the two passes and the tree's size.
+pub(crate) fn scan_and_build_tree<'a>(
+    input: impl Into<Input<'a>>,
+    period: usize,
+    config: &MineConfig,
+) -> Result<(Scan1, MaxSubpatternTree, MiningStats)> {
+    let mut passes = Passes::new(input.into(), ResourceGuard::unlimited(), "hitset.segments");
+    let scan1 = passes.scan1(period, config)?;
+    let mut stats = MiningStats {
+        max_level: 1,
+        ..Default::default()
+    };
+    let tree = grow_tree(&mut passes, &scan1, &mut stats)?;
+    Ok((scan1, tree, stats))
 }
 
-/// Scan 2 under the pass's guards: the tree budget is checked after every
-/// insert, the deadline by the pass. The tree's statistics and the passes
-/// completed land in `stats` either way; on a violation the typed guard
-/// error carries them.
-fn grow_tree(
+/// Scan 2 under the pass's guards: projects every whole segment onto the
+/// frequent-letter alphabet and inserts hits with at least two letters
+/// into the tree (1-letter hits carry no information beyond scan 1; empty
+/// hits none). The tree budget is checked after every insert, the deadline
+/// by the pass. The tree's statistics and the passes completed land in
+/// `stats` either way; on a violation the typed guard error carries them.
+pub(crate) fn grow_tree(
     passes: &mut Passes<'_>,
     scan1: &Scan1,
     stats: &mut MiningStats,

@@ -139,9 +139,37 @@ impl Alphabet {
         distinct
     }
 
+    /// Each letter's probe into a whole segment of packed rows with
+    /// `words_per_instant` words per instant (see [`SegmentMasks`]).
+    pub(crate) fn segment_masks(&self, words_per_instant: usize) -> SegmentMasks {
+        let probes = self
+            .letters
+            .iter()
+            .map(|&(o, f)| {
+                let (word, bit) = (f.index() / 64, f.index() % 64);
+                if word < words_per_instant {
+                    (o as usize * words_per_instant + word, 1u64 << bit)
+                } else {
+                    // Past the rows' words: the letter is never present.
+                    (0, 0)
+                }
+            })
+            .collect();
+        SegmentMasks { probes }
+    }
+}
+
+#[cfg(test)]
+impl Alphabet {
     /// Projects one period segment's instant (`offset`, feature slice) into
-    /// `set`: sets the bit of every frequent letter present.
-    pub fn project_instant(&self, offset: usize, features: &[FeatureId], set: &mut LetterSet) {
+    /// `set`: sets the bit of every frequent letter present. The
+    /// per-instant reference [`SegmentMasks`] is tested against.
+    pub(crate) fn project_instant(
+        &self,
+        offset: usize,
+        features: &[FeatureId],
+        set: &mut LetterSet,
+    ) {
         let range = self.letters_at(offset);
         if range.is_empty() || features.is_empty() {
             return;
@@ -161,25 +189,6 @@ impl Alphabet {
                 }
             }
         }
-    }
-
-    /// Each letter's probe into a whole segment of packed rows with
-    /// `words_per_instant` words per instant (see [`SegmentMasks`]).
-    pub(crate) fn segment_masks(&self, words_per_instant: usize) -> SegmentMasks {
-        let probes = self
-            .letters
-            .iter()
-            .map(|&(o, f)| {
-                let (word, bit) = (f.index() / 64, f.index() % 64);
-                if word < words_per_instant {
-                    (o as usize * words_per_instant + word, 1u64 << bit)
-                } else {
-                    // Past the rows' words: the letter is never present.
-                    (0, 0)
-                }
-            })
-            .collect();
-        SegmentMasks { probes }
     }
 }
 

@@ -16,9 +16,10 @@
 //!
 //! [`Engine`] names the single-period engines (the two above plus the
 //! vertical bitmap engine) and [`run`] mines one
-//! period with any of them, from any [`Input`]: a series or bitmap view
-//! held in memory ([`Rows`]), or a [`SeriesSource`] such as a
-//! disk-resident `.ppmc` store, re-scanned on every pass (paper §5).
+//! period with any of them, from any [`Input`]: packed rows held in
+//! memory (a bitmap view, or a series encoded once on entry), or a
+//! [`SeriesSource`] such as a disk-resident `.ppmc` store, re-scanned on
+//! every pass (paper §5).
 //!
 //! [`SeriesSource`]: ppm_timeseries::SeriesSource
 //!
@@ -89,7 +90,7 @@ pub use error::{Error, Result};
 pub use letters::{Alphabet, LetterIter, LetterSet};
 pub use pattern::{Pattern, PatternDisplay, Symbol};
 pub use result::{FrequentPattern, MiningResult};
-pub use rows::{Input, Rows};
+pub use rows::Input;
 pub use scan::{scan_frequent_letters, scan_frequent_letters_view, MineConfig, Scan1};
 pub use stats::{hit_set_bound, MiningStats, StatsRollup};
 pub use vertical::Kernel;

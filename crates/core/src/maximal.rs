@@ -8,13 +8,12 @@
 //! MaxMiner's look-ahead search, with all candidate counting answered from
 //! the max-subpattern tree, so the series is still scanned only twice.
 
-use ppm_timeseries::FeatureSeries;
-
 use crate::error::Result;
-use crate::hitset::{build_tree, count_any, MaxSubpatternTree};
+use crate::hitset::{count_any, scan_and_build_tree, MaxSubpatternTree};
 use crate::letters::{Alphabet, LetterSet};
 use crate::result::{FrequentPattern, MiningResult};
-use crate::scan::{scan_frequent_letters, MineConfig, Scan1};
+use crate::rows::Input;
+use crate::scan::{MineConfig, Scan1};
 use crate::stats::MiningStats;
 
 /// Output of maximal-pattern mining.
@@ -40,18 +39,13 @@ pub struct MaximalResult {
 /// [`MiningResult::maximal`] out of a full [`crate::hitset::mine`] run, but
 /// prunes the search with MaxMiner's look-ahead: whenever `head ∪ tail` is
 /// frequent, the whole subtree below `head` collapses to a single answer.
-pub fn mine_maximal(
-    series: &FeatureSeries,
+/// The input is any [`Input`]: a series, a bitmap view or a source.
+pub fn mine_maximal<'a>(
+    input: impl Into<Input<'a>>,
     period: usize,
     config: &MineConfig,
 ) -> Result<MaximalResult> {
-    let scan1 = scan_frequent_letters(series, period, config)?;
-    let mut stats = MiningStats {
-        series_scans: 1,
-        max_level: 1,
-        ..Default::default()
-    };
-    let tree = build_tree(series, &scan1, &mut stats);
+    let (scan1, tree, mut stats) = scan_and_build_tree(input, period, config)?;
 
     let maximal = max_miner(&tree, &scan1, &mut stats);
 
@@ -156,7 +150,7 @@ pub fn maximal_of(result: &MiningResult) -> Vec<FrequentPattern> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ppm_timeseries::{FeatureId, SeriesBuilder};
+    use ppm_timeseries::{FeatureId, FeatureSeries, SeriesBuilder};
 
     fn fid(i: u32) -> FeatureId {
         FeatureId::from_raw(i)

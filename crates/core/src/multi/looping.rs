@@ -1,6 +1,6 @@
 //! Algorithm 3.3: multi-period mining by looping the single-period miner.
 
-use ppm_timeseries::FeatureSeries;
+use ppm_timeseries::{EncodedSeries, FeatureSeries};
 
 use crate::engine::{run, Engine};
 use crate::error::Result;
@@ -13,20 +13,22 @@ use crate::scan::MineConfig;
 /// With the hit-set algorithm this costs `2·k` scans for `k` periods;
 /// [`super::mine_periods_shared`] brings that down to 2. Periods longer
 /// than the series (no whole segment) are skipped rather than failing, so
-/// a wide exploratory range over a short series still succeeds.
+/// a wide exploratory range over a short series still succeeds. The
+/// series is encoded into packed rows once for every period.
 pub fn mine_periods_looping(
     series: &FeatureSeries,
     range: PeriodRange,
     config: &MineConfig,
     engine: Engine,
 ) -> Result<MultiPeriodResult> {
+    let encoded = EncodedSeries::encode(series);
     let mut results = Vec::with_capacity(range.len());
     let mut total_scans = 0;
     for period in range.iter() {
         if period > series.len() {
             continue;
         }
-        let r = run(engine, series, period, config)?;
+        let r = run(engine, encoded.view(), period, config)?;
         total_scans += r.stats.series_scans;
         results.push(r);
     }

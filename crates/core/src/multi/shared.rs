@@ -11,7 +11,7 @@ use crate::letters::{LetterSet, SegmentMasks};
 use crate::multi::{MultiPeriodResult, PeriodRange};
 use crate::result::MiningResult;
 use crate::rows::RowCounts;
-use crate::scan::{scan1_from_counts, CountTable, MineConfig, Scan1};
+use crate::scan::{scan1_from_counts, MineConfig, Scan1};
 use crate::stats::MiningStats;
 
 /// Mines every period in `range` with **two physical scans total** (paper
@@ -19,76 +19,19 @@ use crate::stats::MiningStats;
 /// all periods simultaneously; the second pass feeds every period's
 /// max-subpattern tree as segments complete. Memory grows with the number
 /// of periods (one count table and one tree each), which is the trade the
-/// paper describes.
+/// paper describes. The series is encoded into packed rows once, then
+/// mined as [`mine_periods_shared_view`] mines them.
 pub fn mine_periods_shared(
     series: &FeatureSeries,
     range: PeriodRange,
     config: &MineConfig,
 ) -> Result<MultiPeriodResult> {
-    let periods: Vec<usize> = range.iter().filter(|&p| p <= series.len()).collect();
-    if periods.is_empty() {
-        return Ok(MultiPeriodResult::complete(Vec::new(), 0));
-    }
-    let _mine_span = ppm_observe::span("shared.mine");
-    ppm_observe::gauge("shared.periods", periods.len() as u64);
-    let n = series.len();
-
-    // ---- Scan 1: per-period (offset, feature) counts, one physical pass.
-    // The same pass packs each instant into the encoded-series cache, so
-    // scan 2 probes bitmaps for every period instead of merge-walking the
-    // raw feature slices once per period.
-    let scan1_span = ppm_observe::span("shared.scan1");
-    let mut counts: Vec<CountTable> = periods
-        .iter()
-        .map(|&p| CountTable::with_width(p, CountTable::width_of(series)))
-        .collect();
-    let usable: Vec<usize> = periods.iter().map(|&p| (n / p) * p).collect();
-    let enc_width = EncodedSeries::width_for(series);
-    let words_per_instant = enc_width.div_ceil(64);
-    let mut enc_words = vec![0u64; n * words_per_instant];
-    for t in 0..n {
-        let instant = series.instant(t);
-        if instant.is_empty() {
-            continue;
-        }
-        let base = t * words_per_instant;
-        for &f in instant {
-            let idx = f.index();
-            enc_words[base + idx / 64] |= 1u64 << (idx % 64);
-        }
-        for (pi, &p) in periods.iter().enumerate() {
-            if t >= usable[pi] {
-                continue;
-            }
-            let offset = (t % p) as u32;
-            for &f in instant {
-                counts[pi].add(offset, f);
-            }
-        }
-    }
-    let encoded = EncodedSeries::from_chunks(enc_width, n, vec![enc_words]);
-    ppm_observe::gauge("shared.encoded_bytes", encoded.bytes() as u64);
-
-    // Materialize a Scan1 per period.
-    let scans: Vec<Scan1> = periods
-        .iter()
-        .zip(&counts)
-        .map(|(&p, table)| {
-            let m = n / p;
-            scan1_from_counts(table, p, m, config.min_count(m))
-        })
-        .collect();
-    drop(counts);
-    drop(scan1_span);
-
-    let results = scan2_and_derive(encoded.view(), &periods, scans, config);
-    Ok(MultiPeriodResult::complete(results, 2))
+    mine_periods_shared_view(EncodedSeries::encode(series).view(), range, config)
 }
 
 /// [`mine_periods_shared`] over a borrowed bitmap view (an
-/// [`EncodedSeries`] cache or a columnar file load): the encode step of
-/// scan 1 disappears entirely — the rows *are* the encoding — so the two
-/// "scans" are two passes over packed words with no series materialized.
+/// [`EncodedSeries`] cache or a columnar file load): the two scans are
+/// two passes over packed words, with no series materialized.
 pub fn mine_periods_shared_view(
     view: EncodedSeriesView<'_>,
     range: PeriodRange,
@@ -140,8 +83,7 @@ fn segment_pass(n: usize, periods: &[usize], mut visit: impl FnMut(usize, Range<
     }
 }
 
-/// Scan 2 plus derivation, shared by the series-backed and view-backed
-/// entry points: one physical pass over the packed rows feeding every
+/// Scan 2 plus derivation: one physical pass over the packed rows feeding every
 /// period's max-subpattern tree — each period projects a segment through
 /// its alphabet's masks as the segment's last instant is read — then the
 /// in-memory derivation per period.

@@ -20,7 +20,6 @@ use ppm_timeseries::{FeatureId, FeatureSeries, SeriesBuilder, Taxonomy};
 use crate::engine::{run, Engine};
 use crate::error::Result;
 use crate::result::MiningResult;
-use crate::rows::Rows;
 use crate::scan::MineConfig;
 
 /// The mining result at one taxonomy depth.
@@ -76,7 +75,7 @@ pub fn mine_multilevel(
             }));
         }
         let generalized = builder.finish();
-        let result = run(engine, Rows::Series(&generalized), period, config)?;
+        let result = run(engine, &generalized, period, config)?;
         let empty = result.is_empty();
         prev_alphabet = Some(result.alphabet.clone());
         out.push(LevelResult { depth, result });

@@ -16,7 +16,6 @@ use ppm_timeseries::{window, FeatureSeries};
 use crate::engine::{run, Engine};
 use crate::error::Result;
 use crate::result::MiningResult;
-use crate::rows::Rows;
 use crate::scan::MineConfig;
 
 /// Mines `series` at `period` after enlarging every slot by `half_width`
@@ -32,10 +31,10 @@ pub fn mine_with_slot_enlargement(
     engine: Engine,
 ) -> Result<MiningResult> {
     if half_width == 0 {
-        return run(engine, Rows::Series(series), period, config);
+        return run(engine, series, period, config);
     }
     let enlarged = window::enlarge_slots(series, half_width);
-    run(engine, Rows::Series(&enlarged), period, config)
+    run(engine, &enlarged, period, config)
 }
 
 #[cfg(test)]
@@ -74,7 +73,7 @@ mod tests {
     fn exact_mining_misses_the_jittered_event() {
         let s = jittered(30);
         let config = MineConfig::new(0.9).unwrap();
-        let exact = run(Engine::HitSet, Rows::Series(&s), 8, &config).unwrap();
+        let exact = run(Engine::HitSet, &s, 8, &config).unwrap();
         // Each of offsets 2, 3, 4 sees the event only 1/3 of the time.
         assert!(exact.is_empty());
     }
@@ -95,7 +94,7 @@ mod tests {
     fn zero_width_equals_exact() {
         let s = jittered(12);
         let config = MineConfig::new(0.3).unwrap();
-        let a = run(Engine::HitSet, Rows::Series(&s), 8, &config).unwrap();
+        let a = run(Engine::HitSet, &s, 8, &config).unwrap();
         let b = mine_with_slot_enlargement(&s, 8, 0, &config, Engine::HitSet).unwrap();
         assert_eq!(a.frequent, b.frequent);
     }
@@ -104,7 +103,7 @@ mod tests {
     fn confidence_is_monotone_in_width() {
         let s = jittered(30);
         let config = MineConfig::new(0.1).unwrap();
-        let exact = run(Engine::HitSet, Rows::Series(&s), 8, &config).unwrap();
+        let exact = run(Engine::HitSet, &s, 8, &config).unwrap();
         let wide = mine_with_slot_enlargement(&s, 8, 1, &config, Engine::HitSet).unwrap();
         // Every pattern frequent under exact matching stays frequent (with
         // count no smaller) under enlargement.

@@ -4,156 +4,83 @@
 //! Every engine's scans reduce to two passes — "count each feature at
 //! its offset" (scan 1) and "project each whole segment onto the
 //! frequent-letter alphabet" (scan 2, and each of Apriori's level
-//! scans). [`Rows`] dispatches that work over either a
-//! [`FeatureSeries`] (the CSR substrate) or a borrowed
-//! [`EncodedSeriesView`] (the in-memory cache, or a `.ppmc` columnar file
-//! loaded without materializing a series at all). [`Input`] adds the
-//! third substrate, a [`SeriesSource`] that is physically re-scanned on
-//! every pass (§5's disk-resident series), and `Passes` runs both passes
-//! over any of them, so each miner has one implementation for every
-//! input.
+//! scans). Both passes run over one substrate, packed rows: one
+//! `⌈width/64⌉`-word bitmap per instant. [`Input`] names where the rows
+//! come from — a borrowed [`EncodedSeriesView`] (an [`EncodedSeries`]
+//! cache, or a `.ppmc` columnar file loaded without materializing a
+//! series), a [`FeatureSeries`] encoded once on entry, or a
+//! [`SeriesSource`] physically re-scanned on every pass (§5's
+//! disk-resident series). A source's instants are packed as they arrive
+//! into one reused segment of row words, at the width the source
+//! declares, so `Passes` has one implementation of each pass.
 //!
-//! Over packed rows both passes run word-wise: scan 1 counts through
-//! [`RowCounts`]' carry planes and byte lanes, scan 2 projects each
-//! segment through the alphabet's [`SegmentMasks`]. The per-instant
-//! loops over a [`FeatureSeries`] are the reference both are tested
+//! Scan 1 counts whole segments through [`RowCounts`]' carry planes and
+//! byte lanes; scan 2 projects each segment through the alphabet's
+//! [`SegmentMasks`]. The per-instant loops over a [`FeatureSeries`] live
+//! on only in this module's tests, as the reference both are checked
 //! against.
 //!
 //! `Passes` also owns what every pass shares: the resource guard's
 //! deadline poll (once per [`DEADLINE_CHECK_INTERVAL`] segments) and the
 //! count of completed passes each miner reports as `series_scans`. On
-//! fixed rows a pass stops at the first abort; a source's scan cannot be
-//! cut short, so the rest of the pass is muted instead and still counts
-//! as completed. A source reports its own scan count, so a retried scan
-//! stays one logical scan.
+//! in-memory rows a pass stops at the first abort; a source's scan cannot
+//! be cut short, so the rest of the pass is muted instead and still
+//! counts as completed. A source reports its own scan count, so a retried
+//! scan stays one logical scan.
 
-use std::collections::HashMap;
 use std::ops::ControlFlow;
 
-use ppm_timeseries::{EncodedSeriesView, FeatureId, FeatureSeries, SeriesSource};
+use ppm_timeseries::{EncodedSeries, EncodedSeriesView, FeatureId, FeatureSeries, SeriesSource};
 
 use crate::error::{Error, Result};
 use crate::guard::{Abort, ResourceGuard, DEADLINE_CHECK_INTERVAL};
-use crate::letters::{Alphabet, LetterSet, SegmentMasks};
+use crate::letters::{LetterSet, SegmentMasks};
 use crate::scan::{scan1_from_counts, CountTable, MineConfig, Scan1};
 use crate::stats::MiningStats;
 
-/// The two in-memory row substrates the miners consume.
-#[derive(Debug, Clone, Copy)]
-pub enum Rows<'a> {
-    /// Raw CSR feature slices.
-    Series(&'a FeatureSeries),
-    /// Packed per-instant bitmaps, borrowed from an [`EncodedSeries`]
-    /// cache or a columnar file load.
-    ///
-    /// [`EncodedSeries`]: ppm_timeseries::EncodedSeries
-    View(EncodedSeriesView<'a>),
-}
-
-impl<'a> Rows<'a> {
-    /// Number of instants.
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Rows::Series(s) => s.len(),
-            Rows::View(v) => v.len(),
-        }
-    }
-
-    /// Scan 1's counts of every `(offset, feature)` over the first
-    /// `usable` instants (whole segments of `period`).
-    fn count(&self, period: usize, usable: usize) -> CountTable {
-        match self {
-            Rows::Series(s) => {
-                let mut counts = CountTable::with_width(period, CountTable::width_of(s));
-                for t in 0..usable {
-                    for &f in s.instant(t) {
-                        counts.add((t % period) as u32, f);
-                    }
-                }
-                counts
-            }
-            Rows::View(v) => {
-                let mut counts = RowCounts::new(period, v.words_per_instant());
-                counts.add_segments(&v.words()[..usable * v.words_per_instant()]);
-                counts.finish()
-            }
-        }
-    }
-
-    /// Scan 2's projection of whole segments onto `alphabet`.
-    fn projector<'s>(&self, alphabet: &'s Alphabet) -> Projector<'s>
-    where
-        'a: 's,
-    {
-        match *self {
-            Rows::Series(s) => Projector::Series(s, alphabet),
-            Rows::View(v) => Projector::View {
-                words: v.words(),
-                segment_words: alphabet.period() * v.words_per_instant(),
-                masks: alphabet.segment_masks(v.words_per_instant()),
-            },
-        }
-    }
-}
-
-/// How [`Passes::segments`] projects a whole segment of fixed rows.
-enum Projector<'a> {
-    /// Merge-walks each instant's feature slice against the alphabet.
-    Series(&'a FeatureSeries, &'a Alphabet),
-    /// One masked load per letter from the segment's packed words.
-    View {
-        words: &'a [u64],
-        segment_words: usize,
-        masks: SegmentMasks,
-    },
-}
-
-impl Projector<'_> {
-    /// Overwrites `hit` with the letters present in segment `j`.
-    #[inline]
-    fn project(&self, j: usize, hit: &mut LetterSet) {
-        match self {
-            Projector::Series(s, alphabet) => {
-                let period = alphabet.period();
-                hit.clear();
-                for offset in 0..period {
-                    alphabet.project_instant(offset, s.instant(j * period + offset), hit);
-                }
-            }
-            Projector::View {
-                words,
-                segment_words,
-                masks,
-            } => masks.project(&words[j * segment_words..][..*segment_words], hit),
-        }
-    }
-}
-
-/// Any input a miner accepts: fixed in-memory [`Rows`], or a
+/// Any input a miner accepts: packed rows held in memory, or a
 /// [`SeriesSource`] re-scanned start to finish on every pass.
 pub enum Input<'a> {
-    /// A series or bitmap view held in memory.
-    Rows(Rows<'a>),
+    /// Packed rows borrowed from an [`EncodedSeries`] cache or a columnar
+    /// file load.
+    View(EncodedSeriesView<'a>),
+    /// A series encoded once on entry (what `From<&FeatureSeries>`
+    /// builds), mined as its view.
+    Encoded(EncodedSeries),
     /// A source scanned once per pass — a `.ppmc` store on disk, or
     /// any retrying, fault-injecting or quarantining wrapper around one.
     Source(&'a mut dyn SeriesSource),
 }
 
-impl<'a> From<Rows<'a>> for Input<'a> {
-    fn from(rows: Rows<'a>) -> Self {
-        Input::Rows(rows)
+impl Input<'_> {
+    /// The packed rows of an in-memory input; `None` for a source.
+    fn view(&self) -> Option<EncodedSeriesView<'_>> {
+        match self {
+            Input::View(view) => Some(*view),
+            Input::Encoded(encoded) => Some(encoded.view()),
+            Input::Source(_) => None,
+        }
+    }
+
+    /// Number of instants.
+    fn len(&self) -> usize {
+        match self {
+            Input::View(view) => view.len(),
+            Input::Encoded(encoded) => encoded.len(),
+            Input::Source(source) => source.instant_count(),
+        }
     }
 }
 
 impl<'a> From<&'a FeatureSeries> for Input<'a> {
     fn from(series: &'a FeatureSeries) -> Self {
-        Input::Rows(Rows::Series(series))
+        Input::Encoded(EncodedSeries::encode(series))
     }
 }
 
 impl<'a> From<EncodedSeriesView<'a>> for Input<'a> {
     fn from(view: EncodedSeriesView<'a>) -> Self {
-        Input::Rows(Rows::View(view))
+        Input::View(view)
     }
 }
 
@@ -177,7 +104,7 @@ pub(crate) struct Passes<'a> {
     /// The counter each segment pass bumps (batched at the deadline
     /// cadence), e.g. `hitset.segments` for `mine --progress`.
     counter: &'static str,
-    /// Fixed rows: passes completed. A source: its scan count at start.
+    /// In-memory rows: passes completed. A source: its scan count at start.
     scans: usize,
 }
 
@@ -186,8 +113,8 @@ impl<'a> Passes<'a> {
     /// progress as `counter`.
     pub(crate) fn new(input: Input<'a>, guard: ResourceGuard, counter: &'static str) -> Self {
         let scans = match &input {
-            Input::Rows(_) => 0,
             Input::Source(source) => source.scans_performed(),
+            _ => 0,
         };
         Passes {
             input,
@@ -205,8 +132,8 @@ impl<'a> Passes<'a> {
     /// Passes completed so far — the miners' `series_scans`.
     pub(crate) fn completed(&self) -> usize {
         match &self.input {
-            Input::Rows(_) => self.scans,
             Input::Source(source) => source.scans_performed() - self.scans,
+            _ => self.scans,
         }
     }
 
@@ -233,10 +160,7 @@ impl<'a> Passes<'a> {
     /// Scan 1 for `period`: counts every `(offset, feature)` over the
     /// whole segments and keeps the pairs that reach the threshold.
     pub(crate) fn scan1(&mut self, period: usize, config: &MineConfig) -> Result<Scan1> {
-        let n = match &self.input {
-            Input::Rows(rows) => rows.len(),
-            Input::Source(source) => source.instant_count(),
-        };
+        let n = self.input.len();
         if period == 0 || period > n {
             return Err(Error::InvalidPeriod {
                 period,
@@ -244,25 +168,31 @@ impl<'a> Passes<'a> {
             });
         }
         let m = n / period;
-        let usable = m * period;
         let counts = match &mut self.input {
-            Input::Rows(rows) => {
-                let counts = rows.count(period, usable);
-                self.scans += 1;
-                counts
-            }
             Input::Source(source) => {
-                // The width of a source is unknown before the scan.
-                let mut counts = CountTable::Sparse(HashMap::new());
-                scan_source(&mut **source, usable, &mut |t, features| {
-                    for &f in features {
-                        counts.add((t % period) as u32, f);
-                    }
+                let mut counts = RowCounts::new(period, source.width().div_ceil(64));
+                // Scan 1 never breaks: the flow is always `Continue`.
+                let _ = scan_segments(&mut **source, period, m, |_, segment| {
+                    counts.add_segments(segment);
+                    ControlFlow::Continue(())
                 })?;
                 counts
             }
+            rows => {
+                let view = rows.view().expect("in-memory rows have a view");
+                let wpi = view.words_per_instant();
+                let mut counts = RowCounts::new(period, wpi);
+                counts.add_segments(&view.words()[..m * period * wpi]);
+                self.scans += 1;
+                counts
+            }
         };
-        Ok(scan1_from_counts(&counts, period, m, config.min_count(m)))
+        Ok(scan1_from_counts(
+            &counts.finish(),
+            period,
+            m,
+            config.min_count(m),
+        ))
     }
 
     /// One segment-hit pass: projects each whole segment `j` onto
@@ -270,7 +200,7 @@ impl<'a> Passes<'a> {
     ///
     /// The pass polls the deadline once per [`DEADLINE_CHECK_INTERVAL`]
     /// segments. The first abort — the deadline's, or one `visit` breaks
-    /// with — ends the pass: fixed rows stop there, a source visits
+    /// with — ends the pass: in-memory rows stop there, a source visits
     /// nothing more until its scan ends. Only a pass that ran to the end
     /// counts as completed, and a muted source scan does.
     pub(crate) fn segments(
@@ -287,8 +217,9 @@ impl<'a> Passes<'a> {
         // Counter increments batch at the deadline-check cadence so the
         // observability cost stays off the per-segment fast path.
         let mut pending: u64 = 0;
-        let mut end_segment = |j: usize, hit: &LetterSet| {
-            let flow = visit(j, hit);
+        let mut end_segment = |j: usize, masks: &SegmentMasks, segment: &[u64]| {
+            masks.project(segment, &mut hit);
+            let flow = visit(j, &hit);
             pending += 1;
             if flow.is_continue() && j.is_multiple_of(DEADLINE_CHECK_INTERVAL) {
                 ppm_observe::counter(counter, std::mem::take(&mut pending));
@@ -299,12 +230,20 @@ impl<'a> Passes<'a> {
             flow
         };
         let flow = match &mut self.input {
-            Input::Rows(rows) => {
-                let projector = rows.projector(alphabet);
+            Input::Source(source) => {
+                let masks = alphabet.segment_masks(source.width().div_ceil(64));
+                scan_segments(&mut **source, period, m, |j, segment| {
+                    end_segment(j, &masks, segment)
+                })?
+            }
+            rows => {
+                let view = rows.view().expect("in-memory rows have a view");
+                let masks = alphabet.segment_masks(view.words_per_instant());
+                let segment_words = period * view.words_per_instant();
                 let mut flow = ControlFlow::Continue(());
                 for j in 0..m {
-                    projector.project(j, &mut hit);
-                    flow = end_segment(j, &hit);
+                    let segment = &view.words()[j * segment_words..][..segment_words];
+                    flow = end_segment(j, &masks, segment);
                     if flow.is_break() {
                         break;
                     }
@@ -314,24 +253,61 @@ impl<'a> Passes<'a> {
                 }
                 flow
             }
-            Input::Source(source) => {
-                let mut flow = ControlFlow::Continue(());
-                scan_source(&mut **source, m * period, &mut |t, features| {
-                    if flow.is_break() {
-                        return;
-                    }
-                    let offset = t % period;
-                    alphabet.project_instant(offset, features, &mut hit);
-                    if offset == period - 1 {
-                        flow = end_segment(t / period, &hit);
-                        hit.clear();
-                    }
-                })?;
-                flow
-            }
         };
         ppm_observe::counter(counter, pending);
         Ok(flow)
+    }
+}
+
+/// One physical scan of `source` for `period`: packs each instant of the
+/// first `m` whole segments into one reused segment of row words, at the
+/// width the source declares, and calls `visit(j, segment)` as segment `j`
+/// completes (a partial tail segment never counts). Once `visit` breaks,
+/// the rest of the scan is muted and the break is returned.
+///
+/// A feature at or past the declared width has no bit in the row: the
+/// scan is muted there and fails with [`ppm_timeseries::Error::Corrupt`]
+/// naming the instant.
+fn scan_segments(
+    source: &mut dyn SeriesSource,
+    period: usize,
+    m: usize,
+    mut visit: impl FnMut(usize, &[u64]) -> ControlFlow<Abort>,
+) -> Result<ControlFlow<Abort>> {
+    let width = source.width();
+    let wpi = width.div_ceil(64);
+    let usable = m * period;
+    let mut segment = vec![0u64; period * wpi];
+    let mut flow = ControlFlow::Continue(());
+    let mut past_width: Option<(usize, FeatureId)> = None;
+    source.scan(&mut |t, features| {
+        if t >= usable || flow.is_break() || past_width.is_some() {
+            return;
+        }
+        let offset = t % period;
+        let row = &mut segment[offset * wpi..][..wpi];
+        row.fill(0);
+        for &f in features {
+            let idx = f.index();
+            if idx >= width {
+                past_width = Some((t, f));
+                return;
+            }
+            row[idx / 64] |= 1u64 << (idx % 64);
+        }
+        if offset == period - 1 {
+            flow = visit(t / period, &segment);
+        }
+    })?;
+    match past_width {
+        Some((t, f)) => Err(ppm_timeseries::Error::Corrupt {
+            detail: format!(
+                "instant {t} carries feature id {} past the source's width {width}",
+                f.raw()
+            ),
+        }
+        .into()),
+        None => Ok(flow),
     }
 }
 
@@ -528,28 +504,18 @@ fn flush(lanes: &mut [u64], counts: &mut [u64]) {
     }
 }
 
-/// One physical scan of `source`, visiting the first `usable` instants
-/// (the whole segments; a partial tail segment never counts).
-fn scan_source(
-    source: &mut dyn SeriesSource,
-    usable: usize,
-    visit: &mut dyn FnMut(usize, &[FeatureId]),
-) -> Result<()> {
-    source.scan(&mut |t, features| {
-        if t < usable {
-            visit(t, features);
-        }
-    })?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    use ppm_timeseries::{EncodedSeries, EncodedSeriesView, MemorySource, SeriesBuilder};
+    use ppm_timeseries::{
+        Fault, FaultInjectingSource, FaultPlan, MemorySource, RetryPolicy, RetryingSource,
+        SeriesBuilder,
+    };
 
+    use crate::letters::Alphabet;
     use crate::scan::{scan_frequent_letters, scan_frequent_letters_view};
+    use crate::Engine;
 
     fn fid(i: u32) -> FeatureId {
         FeatureId::from_raw(i)
@@ -569,6 +535,42 @@ mod tests {
             b.push_instant(inst);
         }
         b.finish()
+    }
+
+    /// The reference scan 1: one [`CountTable::add`] per feature of every
+    /// instant of the first `usable`, in a table as wide as the series.
+    fn series_counts(series: &FeatureSeries, period: usize, usable: usize) -> CountTable {
+        let width = series.max_feature_id().map_or(0, |f| f.index() + 1);
+        let mut counts = CountTable::with_width(period, width);
+        for t in 0..usable {
+            for &f in series.instant(t) {
+                counts.add((t % period) as u32, f);
+            }
+        }
+        counts
+    }
+
+    /// The reference scan 2: each whole segment's hit, merge-walking every
+    /// instant's features against the alphabet.
+    fn series_hits(series: &FeatureSeries, alphabet: &Alphabet, m: usize) -> Vec<LetterSet> {
+        let period = alphabet.period();
+        (0..m)
+            .map(|j| {
+                let mut hit = alphabet.empty_set();
+                for offset in 0..period {
+                    alphabet.project_instant(offset, series.instant(j * period + offset), &mut hit);
+                }
+                hit
+            })
+            .collect()
+    }
+
+    /// Scan 1's carry-plane count of a view's first `usable` rows.
+    fn packed_counts(view: EncodedSeriesView<'_>, period: usize, usable: usize) -> CountTable {
+        let wpi = view.words_per_instant();
+        let mut counts = RowCounts::new(period, wpi);
+        counts.add_segments(&view.words()[..usable * wpi]);
+        counts.finish()
     }
 
     /// Every segment's hit, collected through one pass over `input`.
@@ -606,8 +608,8 @@ mod tests {
         assert_eq!(got.segment_count, 50);
         assert_eq!(from_source.completed(), 1);
 
-        let expect = hits(Input::from(&series), &scan1);
-        assert_eq!(expect.len(), 50);
+        let expect = series_hits(&series, &scan1.alphabet, 50);
+        assert_eq!(hits(Input::from(&series), &scan1), expect);
         assert_eq!(hits(Input::from(encoded.view()), &scan1), expect);
         assert_eq!(hits(Input::from(&mut source), &scan1), expect);
     }
@@ -646,7 +648,8 @@ mod tests {
     /// The byte-lane scan 1 and the mask projection against the
     /// per-instant loops over the same instants as a series: across word
     /// boundaries, across the lane flush at 255 segments, with saturated
-    /// lanes, and with a partial tail segment that must not count.
+    /// lanes, and with a partial tail segment that must not count — over
+    /// a view and over a source packed segment by segment.
     #[test]
     fn lane_counts_and_mask_projection_match_the_series_loops() {
         let period = 3;
@@ -659,8 +662,8 @@ mod tests {
                     let view = encoded.view();
                     assert_eq!(view.width(), width as usize);
                     let usable = m * period;
-                    let lanes = Rows::View(view).count(period, usable);
-                    let oracle = Rows::Series(&series).count(period, usable);
+                    let lanes = packed_counts(view, period, usable);
+                    let oracle = series_counts(&series, period, usable);
                     let got = table(&lanes);
                     assert_eq!(
                         got,
@@ -674,20 +677,19 @@ mod tests {
                     }
 
                     let config = MineConfig::new(0.3).unwrap();
-                    let scan1 = scan_frequent_letters(&series, period, &config).unwrap();
+                    let scan1 = scan1_from_counts(&oracle, period, m, config.min_count(m));
                     assert!(!scan1.alphabet.is_empty());
-                    let via_view = Passes::new(
-                        Input::from(view),
-                        ResourceGuard::unlimited(),
-                        "test.segments",
-                    )
-                    .scan1(period, &config)
-                    .unwrap();
-                    assert_eq!(via_view.alphabet, scan1.alphabet);
-                    assert_eq!(via_view.letter_counts, scan1.letter_counts);
-                    let expect = hits(Input::from(&series), &scan1);
-                    assert_eq!(expect.len(), m);
+                    let mut source = MemorySource::new(&series);
+                    for input in [Input::from(view), Input::from(&mut source)] {
+                        let via = Passes::new(input, ResourceGuard::unlimited(), "test.segments")
+                            .scan1(period, &config)
+                            .unwrap();
+                        assert_eq!(via.alphabet, scan1.alphabet);
+                        assert_eq!(via.letter_counts, scan1.letter_counts);
+                    }
+                    let expect = series_hits(&series, &scan1.alphabet, m);
                     assert_eq!(hits(Input::from(view), &scan1), expect, "width {width}");
+                    assert_eq!(hits(Input::from(&mut source), &scan1), expect);
                 }
             }
         }
@@ -711,20 +713,20 @@ mod tests {
             b.push_instant(view.features_at(t));
         }
         let series = b.finish();
-        assert_eq!(CountTable::width_of(&series), 128);
+        assert_eq!(series.max_feature_id(), Some(fid(127)));
         let usable = m * period;
-        let lanes = Rows::View(view).count(period, usable);
-        let oracle = Rows::Series(&series).count(period, usable);
+        let lanes = packed_counts(view, period, usable);
+        let oracle = series_counts(&series, period, usable);
         assert_eq!(table(&lanes), table(&oracle));
         let config = MineConfig::new(0.3).unwrap();
-        let scan1 = scan_frequent_letters(&series, period, &config).unwrap();
+        let scan1 = scan1_from_counts(&oracle, period, m, config.min_count(m));
         assert!(scan1.alphabet.iter().any(|(_, _, f)| f.index() >= width));
         let via_view = scan_frequent_letters_view(view, period, &config).unwrap();
         assert_eq!(via_view.alphabet, scan1.alphabet);
         assert_eq!(via_view.letter_counts, scan1.letter_counts);
         assert_eq!(
             hits(Input::from(view), &scan1),
-            hits(Input::from(&series), &scan1)
+            series_hits(&series, &scan1.alphabet, m)
         );
     }
 
@@ -735,9 +737,9 @@ mod tests {
         let period = 66_000; // 66 000 × 64 lanes > the dense limit
         let series = rows_of(3, period * 2 + 7, 11, false);
         let encoded = EncodedSeries::encode(&series);
-        let lanes = Rows::View(encoded.view()).count(period, period * 2);
+        let lanes = packed_counts(encoded.view(), period, period * 2);
         assert!(matches!(lanes, CountTable::Sparse(_)));
-        let oracle = Rows::Series(&series).count(period, period * 2);
+        let oracle = series_counts(&series, period, period * 2);
         assert_eq!(table(&lanes), table(&oracle));
     }
 
@@ -847,8 +849,97 @@ mod tests {
                 .unwrap();
             assert_eq!(flow, ControlFlow::Break(Abort::TreeBudget));
             assert_eq!(visited, 10, "no segment is visited after the abort");
-            // Fixed rows stopped early; the source's muted scan completed.
+            // In-memory rows stopped early; the source's muted scan completed.
             assert_eq!(passes.completed(), usize::from(is_source));
+        }
+    }
+
+    /// A source that declares a narrower width than the features it
+    /// delivers.
+    struct Narrow<'a>(MemorySource<'a>, usize);
+
+    impl SeriesSource for Narrow<'_> {
+        fn instant_count(&self) -> usize {
+            self.0.instant_count()
+        }
+
+        fn width(&self) -> usize {
+            self.1
+        }
+
+        fn scan(
+            &mut self,
+            visit: &mut dyn FnMut(usize, &[FeatureId]),
+        ) -> ppm_timeseries::Result<()> {
+            self.0.scan(visit)
+        }
+
+        fn scans_performed(&self) -> usize {
+            self.0.scans_performed()
+        }
+    }
+
+    /// A feature at or past a source's declared width has no bit in the
+    /// packed row: both passes fail with a typed `Corrupt` error naming
+    /// the first such instant, never a miscount or a panic.
+    #[test]
+    fn a_feature_past_a_sources_width_is_corrupt_naming_the_instant() {
+        let mut b = SeriesBuilder::new();
+        for t in 0..40u32 {
+            b.push_instant(if t == 7 {
+                vec![fid(0), fid(64)]
+            } else {
+                vec![fid(t % 3)]
+            });
+        }
+        let series = b.finish();
+        let config = MineConfig::new(0.2).unwrap();
+        for width in [3, 64] {
+            let mut narrow = Narrow(MemorySource::new(&series), width);
+            let err = crate::run(Engine::HitSet, &mut narrow, 4, &config).unwrap_err();
+            match err {
+                Error::Series(ppm_timeseries::Error::Corrupt { detail }) => {
+                    assert!(detail.contains("instant 7"), "{detail}");
+                    assert!(detail.contains("feature id 64"), "{detail}");
+                }
+                other => panic!("expected a Corrupt error, got {other:?}"),
+            }
+        }
+        // Scan 2 checks too: a scan 1 over the honest rows, then a pass
+        // over the narrow source.
+        let scan1 = scan_frequent_letters(&series, 4, &config).unwrap();
+        let mut narrow = Narrow(MemorySource::new(&series), 3);
+        let mut passes = Passes::new(
+            Input::from(&mut narrow),
+            ResourceGuard::unlimited(),
+            "test.segments",
+        );
+        let err = passes
+            .segments(&scan1, |_, _| ControlFlow::Continue(()))
+            .unwrap_err();
+        assert!(err.to_string().contains("instant 7"), "{err}");
+    }
+
+    /// A scan cut short by a transient fault and replayed by
+    /// [`RetryingSource`] packs every instant once, in order: every
+    /// engine mines bit-identically to the in-memory rows.
+    #[test]
+    fn a_retried_short_read_mines_bit_identically() {
+        let series = sample(203);
+        let config = MineConfig::new(0.2).unwrap();
+        for engine in Engine::ALL {
+            let expect = crate::run(engine, &series, 4, &config).unwrap();
+            // Attempt 0 cuts mid-segment, attempt 2 mid-way through scan 2.
+            let plan = FaultPlan::new()
+                .fail_scan(0, Fault::ShortRead { instants: 37 })
+                .fail_scan(2, Fault::ShortRead { instants: 150 });
+            let faulty = FaultInjectingSource::new(MemorySource::new(&series), plan);
+            let policy = RetryPolicy::with_max_attempts(3).without_backoff();
+            let mut retrying = RetryingSource::new(faulty, policy);
+            let got = crate::run(engine, &mut retrying, 4, &config).unwrap();
+            assert_eq!(got.frequent, expect.frequent, "{engine}");
+            assert_eq!(got.stats, expect.stats, "{engine}");
+            assert_eq!(retrying.inner().faults_injected(), 2, "{engine}");
         }
     }
 }

@@ -146,13 +146,7 @@ pub(crate) enum CountTable {
 }
 
 impl CountTable {
-    /// The dense key-space width for `series`: max feature id + 1.
-    pub(crate) fn width_of(series: &FeatureSeries) -> usize {
-        series.max_feature_id().map_or(0, |f| f.index() + 1)
-    }
-
-    /// A table for an explicit `(period, width)` key space — used by
-    /// parallel workers so every partial table picks the same layout.
+    /// A table for an explicit `(period, width)` key space.
     pub(crate) fn with_width(period: usize, width: usize) -> Self {
         if width > 0
             && period
@@ -260,7 +254,7 @@ impl Scan1 {
 
 /// Performs scan 1 for a single period: one pass over the first `m·p`
 /// instants, counting each `(offset, feature)` occurrence, then filtering
-/// by the threshold.
+/// by the threshold. The series is encoded into packed rows first.
 pub fn scan_frequent_letters(
     series: &FeatureSeries,
     period: usize,

@@ -791,7 +791,11 @@ mod tests {
         let mut c = ResultCache::open(&path);
         assert_eq!((c.stats().entries, c.stats().rejected), (1, 1));
         assert_eq!(c.lookup(&key(0.4)).1, CacheOutcome::Miss);
-        assert_eq!(c.lookup(&key(0.5)).1, CacheOutcome::Miss, "no Apriori donor");
+        assert_eq!(
+            c.lookup(&key(0.5)).1,
+            CacheOutcome::Miss,
+            "no Apriori donor"
+        );
         assert_eq!(c.lookup(&key(0.6)).1, CacheOutcome::Hit);
         assert_eq!(c.lookup(&key(0.9)).1, CacheOutcome::Derived);
         std::fs::remove_file(path).ok();

@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ppm_core::{Alphabet, Engine, LetterSet, MineConfig, MiningResult, Rows};
+use ppm_core::{Alphabet, Engine, LetterSet, MineConfig, MiningResult};
 use ppm_observe::{FlightKind, FlightRecorder, Json, NameId};
 use ppm_timeseries::columnar::ColumnarAppender;
 use ppm_timeseries::{
@@ -1001,7 +1001,7 @@ impl Server {
                 idx.rederive_dirty(&q.config)
                     .map(|r| (r, reader.fingerprint(), reader.catalog().clone()))
             }),
-            Some(reader) => ppm_core::run(q.engine, Rows::View(reader.view()), q.period, &q.config)
+            Some(reader) => ppm_core::run(q.engine, reader.view(), q.period, &q.config)
                 .map(|r| (r, reader.fingerprint(), reader.catalog().clone())),
         }
         .map_err(OpError::from_mining)?;
@@ -1915,7 +1915,7 @@ mod tests {
         }
         let series = builder.finish();
         let config = MineConfig::new(0.5).unwrap();
-        let result = ppm_core::run(Engine::Vertical, Rows::Series(&series), 4, &config).unwrap();
+        let result = ppm_core::run(Engine::Vertical, &series, 4, &config).unwrap();
         let mut got: Vec<_> = to_cached(&result, &catalog)
             .rows
             .into_iter()

@@ -151,8 +151,7 @@ fn direct_rows(store: &PathBuf, period: usize, conf: f64, engine: &str) -> Vec<(
     let reader = ColumnarReader::open(store).unwrap();
     let config = ppm_core::MineConfig::new(conf).unwrap();
     let engine = ppm_core::Engine::parse(engine).expect("a known engine");
-    let result =
-        ppm_core::run(engine, ppm_core::Rows::View(reader.view()), period, &config).unwrap();
+    let result = ppm_core::run(engine, reader.view(), period, &config).unwrap();
     let mut rows: Vec<_> = result.frequent.iter().collect();
     rows.sort_by(|a, b| {
         b.letters

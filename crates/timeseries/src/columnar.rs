@@ -1011,6 +1011,10 @@ impl SeriesSource for ColumnarSource {
         self.layout.n_instants
     }
 
+    fn width(&self) -> usize {
+        self.layout.width
+    }
+
     fn scan(&mut self, visit: &mut dyn FnMut(usize, &[FeatureId])) -> Result<()> {
         let _span = ppm_observe::span("storage.scan");
         self.scans += 1;

@@ -7,8 +7,8 @@
 //! [`EncodedSeries`] answers that question with a single bit test: each
 //! instant's feature set is packed into `⌈width/64⌉` words, where bit `f`
 //! of the row is set iff feature id `f` occurs at the instant. Encoding
-//! costs one pass over the CSR series; every later consumer — the shared
-//! multi-period scan, the parallel miner's workers, the vertical engine —
+//! costs one pass over the CSR series; every later consumer — every
+//! miner's passes, the shared multi-period scan, the sweep's workers —
 //! reuses the same cache instead of re-merge-walking raw feature slices.
 //!
 //! Feature ids are interned densely by the catalog, so `width` (one past
@@ -38,58 +38,24 @@ impl EncodedSeries {
         series.max_feature_id().map_or(0, |f| f.index() + 1)
     }
 
-    /// Encodes every instant of `series` in one pass.
+    /// Encodes every instant of `series` in one pass into one buffer.
     pub fn encode(series: &FeatureSeries) -> Self {
         let width = Self::width_for(series);
-        let chunk = Self::encode_range(series, 0, series.len(), width);
-        Self::from_chunks(width, series.len(), vec![chunk])
-    }
-
-    /// Encodes instants `start..end` of `series` into raw row words — the
-    /// building block for chunked parallel encoding. All chunks of one
-    /// series must share the same `width` (use [`Self::width_for`]).
-    ///
-    /// # Panics
-    /// Panics if `start..end` is not a valid instant range.
-    pub fn encode_range(
-        series: &FeatureSeries,
-        start: usize,
-        end: usize,
-        width: usize,
-    ) -> Vec<u64> {
-        assert!(start <= end && end <= series.len(), "bad encode range");
-        let wpi = width.div_ceil(64);
-        let mut words = vec![0u64; (end - start) * wpi];
-        for t in start..end {
-            let base = (t - start) * wpi;
-            for &f in series.instant(t) {
+        let words_per_instant = width.div_ceil(64);
+        let mut words = vec![0u64; series.len() * words_per_instant];
+        for (row, instant) in words
+            .chunks_exact_mut(words_per_instant.max(1))
+            .zip(series.iter())
+        {
+            for &f in instant {
                 let idx = f.index();
-                words[base + idx / 64] |= 1u64 << (idx % 64);
+                row[idx / 64] |= 1u64 << (idx % 64);
             }
         }
-        words
-    }
-
-    /// Assembles an encoding from consecutive [`Self::encode_range`] chunks
-    /// covering instants `0..n_instants` in order.
-    ///
-    /// # Panics
-    /// Panics if the chunks don't add up to exactly `n_instants` rows.
-    pub fn from_chunks(width: usize, n_instants: usize, chunks: Vec<Vec<u64>>) -> Self {
-        let words_per_instant = width.div_ceil(64);
-        let mut words = Vec::with_capacity(n_instants * words_per_instant);
-        for chunk in chunks {
-            words.extend_from_slice(&chunk);
-        }
-        assert_eq!(
-            words.len(),
-            n_instants * words_per_instant,
-            "encoded chunks don't cover the series"
-        );
         EncodedSeries {
             width,
             words_per_instant,
-            n_instants,
+            n_instants: series.len(),
             words,
         }
     }
@@ -299,19 +265,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_encoding_equals_whole_series_encoding() {
-        let series = sample();
-        let width = EncodedSeries::width_for(&series);
-        let chunks = vec![
-            EncodedSeries::encode_range(&series, 0, 1, width),
-            EncodedSeries::encode_range(&series, 1, 3, width),
-            EncodedSeries::encode_range(&series, 3, 4, width),
-        ];
-        let assembled = EncodedSeries::from_chunks(width, series.len(), chunks);
-        assert_eq!(assembled, EncodedSeries::encode(&series));
-    }
-
-    #[test]
     fn instant_words_expose_the_raw_bitmap() {
         let enc = EncodedSeries::encode(&sample());
         assert_eq!(enc.instant_words(0), &[0b101u64, 0]);
@@ -327,15 +280,6 @@ mod tests {
         assert!(enc.is_empty());
         assert_eq!(enc.width(), 0);
         assert_eq!(enc.bytes(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "don't cover")]
-    fn from_chunks_rejects_short_coverage() {
-        let series = sample();
-        let width = EncodedSeries::width_for(&series);
-        let chunk = EncodedSeries::encode_range(&series, 0, 2, width);
-        EncodedSeries::from_chunks(width, series.len(), vec![chunk]);
     }
 
     #[test]

@@ -175,6 +175,10 @@ impl<S: SeriesSource> SeriesSource for FaultInjectingSource<S> {
         self.inner.instant_count()
     }
 
+    fn width(&self) -> usize {
+        self.inner.width()
+    }
+
     fn scan(&mut self, visit: &mut dyn FnMut(usize, &[FeatureId])) -> Result<()> {
         let attempt = self.attempts;
         self.attempts += 1;

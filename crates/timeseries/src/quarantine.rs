@@ -268,6 +268,10 @@ impl<S: SeriesSource> SeriesSource for QuarantiningSource<S> {
         self.inner.instant_count()
     }
 
+    fn width(&self) -> usize {
+        self.inner.width()
+    }
+
     fn scan(&mut self, visit: &mut dyn FnMut(usize, &[FeatureId])) -> Result<()> {
         let (max_feature, max_width) = (self.max_feature, self.max_width);
         let report = &mut self.report;

@@ -127,6 +127,10 @@ impl<S: SeriesSource> SeriesSource for RetryingSource<S> {
         self.inner.instant_count()
     }
 
+    fn width(&self) -> usize {
+        self.inner.width()
+    }
+
     fn scan(&mut self, visit: &mut dyn FnMut(usize, &[FeatureId])) -> Result<()> {
         // High-water mark: instants already delivered to `visit` during
         // this logical scan. Replayed attempts skip everything below it.

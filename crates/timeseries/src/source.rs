@@ -14,6 +14,7 @@
 //! totals straight from the source.
 
 use crate::catalog::FeatureId;
+use crate::encoded::EncodedSeries;
 use crate::error::Result;
 use crate::series::FeatureSeries;
 
@@ -22,6 +23,11 @@ use crate::series::FeatureSeries;
 pub trait SeriesSource {
     /// Number of instants per scan.
     fn instant_count(&self) -> usize;
+
+    /// The feature-id universe a scan delivers: every id is below it. A
+    /// miner packs each instant into a row of `⌈width/64⌉` words, so an id
+    /// at or past the width is a contract breach, reported as corruption.
+    fn width(&self) -> usize;
 
     /// Performs one full scan, calling `visit(t, features)` for every
     /// instant in order. `features` is sorted and deduplicated.
@@ -34,6 +40,10 @@ pub trait SeriesSource {
 impl<S: SeriesSource + ?Sized> SeriesSource for &mut S {
     fn instant_count(&self) -> usize {
         (**self).instant_count()
+    }
+
+    fn width(&self) -> usize {
+        (**self).width()
     }
 
     fn scan(&mut self, visit: &mut dyn FnMut(usize, &[FeatureId])) -> Result<()> {
@@ -49,19 +59,28 @@ impl<S: SeriesSource + ?Sized> SeriesSource for &mut S {
 #[derive(Debug)]
 pub struct MemorySource<'a> {
     series: &'a FeatureSeries,
+    width: usize,
     scans: usize,
 }
 
 impl<'a> MemorySource<'a> {
     /// Wraps a series.
     pub fn new(series: &'a FeatureSeries) -> Self {
-        MemorySource { series, scans: 0 }
+        MemorySource {
+            series,
+            width: EncodedSeries::width_for(series),
+            scans: 0,
+        }
     }
 }
 
 impl SeriesSource for MemorySource<'_> {
     fn instant_count(&self) -> usize {
         self.series.len()
+    }
+
+    fn width(&self) -> usize {
+        self.width
     }
 
     fn scan(&mut self, visit: &mut dyn FnMut(usize, &[FeatureId])) -> Result<()> {
@@ -95,6 +114,7 @@ mod tests {
         let s = b.finish();
         let mut src = MemorySource::new(&s);
         assert_eq!(src.instant_count(), 3);
+        assert_eq!(src.width(), 4);
         assert_eq!(src.scans_performed(), 0);
 
         let mut seen = Vec::new();

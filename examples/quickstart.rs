@@ -3,7 +3,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use partial_periodic::{rules, run, Engine, FeatureCatalog, MineConfig, Rows, SeriesBuilder};
+use partial_periodic::timeseries::EncodedSeries;
+use partial_periodic::{rules, run, Engine, FeatureCatalog, MineConfig, SeriesBuilder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A "day" of three slots: morning, noon, evening. Jim drinks coffee
@@ -33,10 +34,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     let series = builder.finish();
+    // The miners read packed rows: one bitmap per instant. Encode once and
+    // mine the view with every engine (passing `&series` encodes per call).
+    let encoded = EncodedSeries::encode(&series);
 
     let config = MineConfig::new(0.8)?;
     println!("=== Frequent partial periodic patterns (period 3, min_conf 0.8) ===");
-    let result = run(Engine::HitSet, Rows::Series(&series), 3, &config)?;
+    let result = run(Engine::HitSet, encoded.view(), 3, &config)?;
     for (pattern, count, conf) in result.patterns() {
         println!(
             "  {:<28} count={count:<3} conf={conf:.2}",
@@ -49,7 +53,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The Apriori baseline finds exactly the same patterns, with more scans.
-    let apriori = run(Engine::Apriori, Rows::Series(&series), 3, &config)?;
+    let apriori = run(Engine::Apriori, encoded.view(), 3, &config)?;
     assert_eq!(apriori.frequent, result.frequent);
     println!(
         "  Apriori found the same {} patterns in {} scans",

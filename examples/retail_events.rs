@@ -8,7 +8,8 @@
 use partial_periodic::constraints::{mine_constrained, Constraints};
 use partial_periodic::datagen::workloads::retail::{self, store_script};
 use partial_periodic::timeseries::calendar::WeeklyGrid;
-use partial_periodic::{hitset, run, Engine, FeatureCatalog, MineConfig, Rows};
+use partial_periodic::timeseries::EncodedSeries;
+use partial_periodic::{hitset, run, Engine, FeatureCatalog, MineConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // One year of store events.
@@ -25,13 +26,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.before_origin + report.after_end
     );
 
+    // Every query below mines the same packed rows: encode them once.
+    let encoded = EncodedSeries::encode(&series);
+    let rows = encoded.view();
     let week = 7 * 24;
     let config = MineConfig::new(0.7)?;
 
     // Constrained query 1: weekly patterns involving coffee.
     let coffee = catalog.get("coffee").expect("coffee interned");
     let q1 = mine_constrained(
-        &series,
+        rows,
         week,
         &config,
         &Constraints::none().require(8, coffee), // Monday 08:00 slot
@@ -64,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .flat_map(|d| (8..12).map(move |h| d * 24 + h))
         .collect();
     let q2 = mine_constrained(
-        &series,
+        rows,
         week,
         &config,
         &Constraints::none().at_offsets(morning).max_letters(4),
@@ -73,13 +77,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "\nMorning-slot query: {} patterns over {} admissible letters (full run would consider {})",
         q2.len(),
         q2.alphabet.len(),
-        hitset::mine(&series, week, &config)?.alphabet.len()
+        hitset::mine_view(rows, week, &config)?.alphabet.len()
     );
 
     // The vertical engine over the full weekly period: identical output,
     // counted by AND + popcount over the distinct hits instead of a tree.
-    let sequential = hitset::mine(&series, week, &config)?;
-    let vertical = run(Engine::Vertical, Rows::Series(&series), week, &config)?;
+    let sequential = hitset::mine_view(rows, week, &config)?;
+    let vertical = run(Engine::Vertical, rows, week, &config)?;
     assert_eq!(sequential.frequent, vertical.frequent);
     println!(
         "\nVertical == hit set: {} patterns, {} scans each",

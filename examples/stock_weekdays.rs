@@ -6,7 +6,8 @@
 
 use partial_periodic::datagen::workloads::stock;
 use partial_periodic::maximal::mine_maximal;
-use partial_periodic::multi::{mine_periods_shared, PeriodRange};
+use partial_periodic::multi::{mine_periods_shared_view, PeriodRange};
+use partial_periodic::timeseries::EncodedSeries;
 use partial_periodic::{rules, FeatureCatalog, MineConfig, Pattern};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -15,8 +16,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let series = stock::movements(&prices, 0.004, &mut catalog);
     println!("{} trading days of movements (up/down/flat)", series.len());
 
+    // The sweep and the maximal mine read the same packed rows.
+    let encoded = EncodedSeries::encode(&series);
+
     // Which period is the data periodic at? Sweep 2..=9 in two scans.
-    let sweep = mine_periods_shared(&series, PeriodRange::new(2, 9)?, &MineConfig::new(0.75)?)?;
+    let range = PeriodRange::new(2, 9)?;
+    let sweep = mine_periods_shared_view(encoded.view(), range, &MineConfig::new(0.75)?)?;
     println!(
         "\n=== Period sweep 2..=9 ({} scans total) ===",
         sweep.total_scans
@@ -29,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Mine the discovered period for maximal patterns only.
     let config = MineConfig::new(0.75)?;
-    let max = mine_maximal(&series, best, &config)?;
+    let max = mine_maximal(encoded.view(), best, &config)?;
     println!("\n=== Maximal patterns at period {best} (min_conf 0.75) ===");
     for fp in &max.maximal {
         let pattern = Pattern::from_letter_set(&max.alphabet, &fp.letters);

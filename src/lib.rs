@@ -56,7 +56,7 @@ pub use ppm_timeseries as timeseries;
 pub use ppm_core::{
     apriori, audit, closed, constraints, evolution, hitset, maximal, multi, multilevel, perfect,
     perturb, rules, run, stats, vertical, Engine, FrequentPattern, Input, MineConfig, MiningResult,
-    Pattern, Rows, Symbol,
+    Pattern, Symbol,
 };
 pub use ppm_datagen::SyntheticSpec;
 pub use ppm_timeseries::{FeatureCatalog, FeatureId, FeatureSeries, SeriesBuilder};

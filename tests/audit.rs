@@ -15,8 +15,8 @@ use partial_periodic::timeseries::{
 };
 use partial_periodic::vertical::mine_vertical;
 use partial_periodic::{
-    apriori, hitset, run, Engine, FeatureCatalog, FeatureId, FeatureSeries, MineConfig,
-    MiningResult, Rows, SeriesBuilder,
+    apriori, hitset, run, Engine, FeatureCatalog, FeatureId, FeatureSeries, Input, MineConfig,
+    MiningResult, SeriesBuilder,
 };
 
 /// A seeded pseudo-random series with planted periodic structure (period
@@ -70,7 +70,7 @@ fn honest_runs_audit_clean_for_every_engine() {
             let (series, catalog) = random_series(seed, 600, p);
             let config = MineConfig::new(0.5).unwrap();
             for engine in Engine::ALL {
-                let result = run(engine, Rows::Series(&series), p, &config);
+                let result = run(engine, &series, p, &config);
                 assert_clean(&result.unwrap(), &series, &catalog);
             }
             let mut src = MemorySource::new(&series);
@@ -194,12 +194,14 @@ fn every_engine_is_bit_identical_across_rows() {
         let config = MineConfig::new(conf).unwrap();
         let apriori = apriori::mine(&series, p, &config).unwrap();
         for engine in Engine::ALL {
-            for (substrate, rows) in [
-                ("series", Rows::Series(&series)),
-                ("view", Rows::View(encoded.view())),
+            let mut source = MemorySource::new(&series);
+            for (substrate, input) in [
+                ("series", Input::from(&series)),
+                ("view", Input::from(encoded.view())),
+                ("source", Input::from(&mut source)),
             ] {
                 let at = format!("seed {seed} p {p}: {engine} on {substrate}");
-                let result = run(engine, rows, p, &config).unwrap();
+                let result = run(engine, input, p, &config).unwrap();
                 assert_eq!(result.frequent, apriori.frequent, "{at}");
                 assert_eq!(result.min_count, apriori.min_count, "{at}");
                 assert_eq!(result.segment_count, apriori.segment_count, "{at}");
@@ -371,7 +373,7 @@ fn shared_view_concurrent_readers_are_bit_identical_to_sequential() {
     let jobs: Vec<(usize, Engine)> = (2..=7)
         .flat_map(|p| Engine::ALL.map(|engine| (p, engine)))
         .collect();
-    let mine_on_view = |view, p, engine| run(engine, Rows::View(view), p, &config).unwrap();
+    let mine_on_view = |view, p, engine| run(engine, view, p, &config).unwrap();
 
     let sequential: Vec<MiningResult> = jobs
         .iter()

@@ -10,7 +10,7 @@ use partial_periodic::constraints::{mine_constrained, Constraints};
 use partial_periodic::evolution::{mine_windows, Drift, WindowSpec};
 use partial_periodic::timeseries::events::EventLog;
 use partial_periodic::{
-    hitset, run, Engine, FeatureCatalog, FeatureId, MineConfig, Rows, SeriesBuilder, SyntheticSpec,
+    hitset, run, Engine, FeatureCatalog, FeatureId, MineConfig, SeriesBuilder, SyntheticSpec,
 };
 
 fn fid(i: u32) -> FeatureId {
@@ -152,7 +152,7 @@ proptest! {
         let series = b.finish();
         let config = MineConfig::new(0.4).unwrap();
         let seq = hitset::mine(&series, period, &config).unwrap();
-        let vertical = run(Engine::Vertical, Rows::Series(&series), period, &config).unwrap();
+        let vertical = run(Engine::Vertical, &series, period, &config).unwrap();
         prop_assert_eq!(seq.frequent, vertical.frequent);
     }
 }
@@ -208,7 +208,7 @@ fn full_pipeline_composes() {
     let week = 7 * 24;
     let config = MineConfig::new(0.7).unwrap();
 
-    let par = run(Engine::Vertical, Rows::Series(&series), week, &config).unwrap();
+    let par = run(Engine::Vertical, &series, week, &config).unwrap();
     let seq = hitset::mine(&series, week, &config).unwrap();
     assert_eq!(par.frequent, seq.frequent);
     assert!(!par.is_empty());

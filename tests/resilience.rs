@@ -56,6 +56,10 @@ impl<S: SeriesSource, F: FnOnce()> SeriesSource for BetweenScans<S, F> {
         self.inner.instant_count()
     }
 
+    fn width(&self) -> usize {
+        self.inner.width()
+    }
+
     fn scan(
         &mut self,
         visit: &mut dyn FnMut(usize, &[FeatureId]),
