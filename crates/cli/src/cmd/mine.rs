@@ -410,10 +410,7 @@ fn follow_columnar(
             }
         };
         let before = index.appended_segments();
-        let m = reader.len() / period;
-        while index.appended_segments() < m {
-            index.append_from_view(reader.view(), index.appended_segments());
-        }
+        index.catch_up(reader.view());
         if index.appended_segments() == before {
             continue; // grew by less than one whole segment
         }

@@ -423,6 +423,12 @@ fn render_result(
             ] {
                 writeln!(out, "{field}: {}", u(field))?;
             }
+            // Memory is reported only where the daemon can read `/proc`.
+            for field in ["rss_bytes", "peak_rss_bytes"] {
+                if let Some(v) = resp.get(field).and_then(Json::as_u64) {
+                    writeln!(out, "{field}: {v}")?;
+                }
+            }
             if let Some(cache) = resp.get("cache") {
                 for field in [
                     "entries",

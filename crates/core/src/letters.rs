@@ -304,6 +304,14 @@ impl LetterSet {
         self.universe as usize
     }
 
+    /// Bytes the set holds on the heap (0 for an inline set).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match &self.words {
+            Words::Inline(_) => 0,
+            Words::Heap(b) => std::mem::size_of_val(&**b),
+        }
+    }
+
     /// Inserts letter `i`.
     ///
     /// # Panics

@@ -193,6 +193,23 @@ pub fn summary_json(h: &Histogram) -> Json {
     Json::Obj(fields)
 }
 
+/// The daemon's own memory in bytes, `(rss, peak_rss)`: `VmRSS` and
+/// `VmHWM` from `/proc/self/status`. `None` where `/proc` is absent (or
+/// lacks either line).
+pub(crate) fn process_memory() -> Option<(u64, u64)> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib = |key: &str| -> Option<u64> {
+        let line = status.lines().find(|l| l.starts_with(key))?;
+        let kb = line[key.len()..]
+            .split_whitespace()
+            .next()?
+            .parse::<u64>()
+            .ok()?;
+        Some(kb * 1024)
+    };
+    Some((kib("VmRSS:")?, kib("VmHWM:")?))
+}
+
 /// Renders the full daemon state as Prometheus text exposition.
 pub fn prometheus_text(
     metrics: &ServeMetrics,
@@ -315,9 +332,23 @@ pub fn prometheus_text(
     g(
         &mut out,
         "ppm_serve_index_bytes",
-        "Resident bitmap bytes held by live incremental indexes",
+        "Resident bytes held by live incremental indexes (segment logs, dense rows, carried counts)",
         index_bytes as u64,
     );
+    if let Some((rss, peak)) = process_memory() {
+        g(
+            &mut out,
+            "ppm_serve_rss_bytes",
+            "Daemon resident set size (VmRSS)",
+            rss,
+        );
+        g(
+            &mut out,
+            "ppm_serve_peak_rss_bytes",
+            "Daemon peak resident set size (VmHWM)",
+            peak,
+        );
+    }
     g(
         &mut out,
         "ppm_serve_cache_entries",
@@ -660,6 +691,10 @@ mod tests {
         assert!(text.contains("ppm_serve_stores_quarantined 1"));
         assert!(text.contains("ppm_serve_live_indexes 2"));
         assert!(text.contains("ppm_serve_index_bytes 4096"));
+        if cfg!(target_os = "linux") {
+            assert!(text.contains("\nppm_serve_rss_bytes "), "{text}");
+            assert!(text.contains("\nppm_serve_peak_rss_bytes "), "{text}");
+        }
         assert!(text.contains("ppm_serve_conn_reaped_total 0"));
         assert!(text.contains("ppm_serve_cache_evictions_total 0"));
         assert!(text.contains("ppm_serve_queue_wait_us_bucket{le=\"+Inf\"} 4"));

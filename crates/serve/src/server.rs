@@ -1251,7 +1251,7 @@ impl Server {
         // dirty letters are exactly what the new segments touched.
         let reader = store.reader();
         for idx in indexes.values_mut() {
-            crate::store::Store::catch_up(idx, &reader);
+            idx.catch_up(reader.view());
         }
         let fed = indexes.len();
         let (kept, dropped) =
@@ -1401,79 +1401,82 @@ impl Server {
     fn op_stats(&self) -> Json {
         let cache = self.cache.lock().expect("cache poisoned").stats();
         let (live_indexes, index_bytes) = self.index_footprint();
-        result_response(
-            "stats",
-            vec![
-                (
-                    "queue_depth".to_owned(),
-                    Json::from_u64(self.metrics.queue_depth.load(Ordering::Relaxed)),
-                ),
-                (
-                    "shed".to_owned(),
-                    Json::from_u64(self.metrics.shed.load(Ordering::Relaxed)),
-                ),
-                (
-                    "served".to_owned(),
-                    Json::from_u64(self.metrics.served.load(Ordering::Relaxed)),
-                ),
-                (
-                    "panics".to_owned(),
-                    Json::from_u64(self.metrics.panics.load(Ordering::Relaxed)),
-                ),
-                (
-                    "conn_reaped".to_owned(),
-                    Json::from_u64(self.metrics.conn_reaped.load(Ordering::Relaxed)),
-                ),
-                (
-                    "bad_frames".to_owned(),
-                    Json::from_u64(self.metrics.bad_frames.load(Ordering::Relaxed)),
-                ),
-                (
-                    "accept_errors".to_owned(),
-                    Json::from_u64(self.metrics.accept_errors.load(Ordering::Relaxed)),
-                ),
-                ("stores".to_owned(), Json::from_usize(self.registry.len())),
-                (
-                    "stores_quarantined".to_owned(),
-                    Json::from_usize(self.registry.quarantined_count()),
-                ),
-                (
-                    "appends".to_owned(),
-                    Json::from_u64(self.metrics.appends.load(Ordering::Relaxed)),
-                ),
-                (
-                    "appended_instants".to_owned(),
-                    Json::from_u64(self.metrics.appended_instants.load(Ordering::Relaxed)),
-                ),
-                (
-                    "append_grow_copies".to_owned(),
-                    Json::from_u64(self.metrics.append_grow_copies.load(Ordering::Relaxed)),
-                ),
-                ("live_indexes".to_owned(), Json::from_usize(live_indexes)),
-                ("index_bytes".to_owned(), Json::from_usize(index_bytes)),
-                (
-                    "uptime_s".to_owned(),
-                    Json::from_u64(self.metrics.uptime_s()),
-                ),
-                (
-                    "worker_busy_us".to_owned(),
-                    Json::from_u64(self.metrics.worker_busy_us.load(Ordering::Relaxed)),
-                ),
-                (
-                    "cache".to_owned(),
-                    Json::Obj(vec![
-                        ("entries".to_owned(), Json::from_usize(cache.entries)),
-                        ("bytes".to_owned(), Json::from_usize(cache.bytes)),
-                        ("hits".to_owned(), Json::from_u64(cache.hits)),
-                        ("derived".to_owned(), Json::from_u64(cache.derived)),
-                        ("misses".to_owned(), Json::from_u64(cache.misses)),
-                        ("rejected".to_owned(), Json::from_u64(cache.rejected)),
-                        ("evictions".to_owned(), Json::from_u64(cache.evictions)),
-                    ]),
-                ),
-                ("latency".to_owned(), self.metrics.latency_json()),
-            ],
-        )
+        let mut fields = vec![
+            (
+                "queue_depth".to_owned(),
+                Json::from_u64(self.metrics.queue_depth.load(Ordering::Relaxed)),
+            ),
+            (
+                "shed".to_owned(),
+                Json::from_u64(self.metrics.shed.load(Ordering::Relaxed)),
+            ),
+            (
+                "served".to_owned(),
+                Json::from_u64(self.metrics.served.load(Ordering::Relaxed)),
+            ),
+            (
+                "panics".to_owned(),
+                Json::from_u64(self.metrics.panics.load(Ordering::Relaxed)),
+            ),
+            (
+                "conn_reaped".to_owned(),
+                Json::from_u64(self.metrics.conn_reaped.load(Ordering::Relaxed)),
+            ),
+            (
+                "bad_frames".to_owned(),
+                Json::from_u64(self.metrics.bad_frames.load(Ordering::Relaxed)),
+            ),
+            (
+                "accept_errors".to_owned(),
+                Json::from_u64(self.metrics.accept_errors.load(Ordering::Relaxed)),
+            ),
+            ("stores".to_owned(), Json::from_usize(self.registry.len())),
+            (
+                "stores_quarantined".to_owned(),
+                Json::from_usize(self.registry.quarantined_count()),
+            ),
+            (
+                "appends".to_owned(),
+                Json::from_u64(self.metrics.appends.load(Ordering::Relaxed)),
+            ),
+            (
+                "appended_instants".to_owned(),
+                Json::from_u64(self.metrics.appended_instants.load(Ordering::Relaxed)),
+            ),
+            (
+                "append_grow_copies".to_owned(),
+                Json::from_u64(self.metrics.append_grow_copies.load(Ordering::Relaxed)),
+            ),
+            ("live_indexes".to_owned(), Json::from_usize(live_indexes)),
+            ("index_bytes".to_owned(), Json::from_usize(index_bytes)),
+            (
+                "uptime_s".to_owned(),
+                Json::from_u64(self.metrics.uptime_s()),
+            ),
+            (
+                "worker_busy_us".to_owned(),
+                Json::from_u64(self.metrics.worker_busy_us.load(Ordering::Relaxed)),
+            ),
+            (
+                "cache".to_owned(),
+                Json::Obj(vec![
+                    ("entries".to_owned(), Json::from_usize(cache.entries)),
+                    ("bytes".to_owned(), Json::from_usize(cache.bytes)),
+                    ("hits".to_owned(), Json::from_u64(cache.hits)),
+                    ("derived".to_owned(), Json::from_u64(cache.derived)),
+                    ("misses".to_owned(), Json::from_u64(cache.misses)),
+                    ("rejected".to_owned(), Json::from_u64(cache.rejected)),
+                    ("evictions".to_owned(), Json::from_u64(cache.evictions)),
+                ]),
+            ),
+            ("latency".to_owned(), self.metrics.latency_json()),
+        ];
+        // The daemon's own memory, where `/proc` reports it.
+        if let Some((rss, peak)) = metrics::process_memory() {
+            fields.push(("rss_bytes".to_owned(), Json::from_u64(rss)));
+            fields.push(("peak_rss_bytes".to_owned(), Json::from_u64(peak)));
+        }
+        result_response("stats", fields)
     }
 }
 

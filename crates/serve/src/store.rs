@@ -47,12 +47,16 @@
 //! wire op and reverify-detected growth leave the next live-index query
 //! sub-millisecond instead of cold.
 //!
-//! Every live index holds a full bitmap matrix over the whole store, so
-//! the per-store table is a bounded LRU ([`MAX_LIVE_INDEXES`] periods):
-//! a client iterating over many distinct periods recycles index slots
-//! instead of inflating daemon memory without bound. Resident bytes are
-//! exported as the `serve.index.bytes` / `serve.index.live` gauges and
-//! surfaced in `stats` / the Prometheus exposition.
+//! Every live index holds a log of each segment's letters (four bytes
+//! per letter occurrence in the store) plus dense bitmap rows for the
+//! letters that can be frequent at the lowest confidence it was asked,
+//! so the per-store table is a bounded LRU ([`MAX_LIVE_INDEXES`]
+//! periods): a client iterating over many distinct periods recycles
+//! index slots instead of inflating daemon memory without bound.
+//! Everything an index holds
+//! ([`IncrementalVerticalIndex::resident_bytes`]) is exported as the
+//! `serve.index.bytes` / `serve.index.live` gauges and surfaced in
+//! `stats` / the Prometheus exposition.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -62,8 +66,9 @@ use ppm_core::vertical::incremental::IncrementalVerticalIndex;
 use ppm_timeseries::columnar::{ColumnarReader, Growth, Reload};
 
 /// Most live incremental indexes kept per store. Small on purpose: each
-/// index is O(alphabet × instants) bits of resident memory, and a
-/// period that falls out of the table merely re-mines cold once.
+/// index holds four bytes per letter occurrence in the store (its
+/// segment log) plus a bit per live segment for each dense letter, and
+/// a period that falls out of the table merely re-mines cold once.
 pub const MAX_LIVE_INDEXES: usize = 8;
 
 /// The per-store table of live incremental indexes: an LRU bounded at
@@ -97,9 +102,9 @@ impl IndexTable {
                 ppm_observe::mark("serve.index.evicted", || {
                     format!(
                         "live index for period {evicted} evicted (LRU, cap {}); \
-                         freed {} bitmap bytes",
+                         freed {} resident bytes",
                         MAX_LIVE_INDEXES,
-                        idx.bitmap_bytes()
+                        idx.resident_bytes()
                     )
                 });
             }
@@ -124,15 +129,18 @@ impl IndexTable {
         self.entries.is_empty()
     }
 
-    /// Total resident bitmap bytes across every live index.
-    pub fn bitmap_bytes(&self) -> usize {
-        self.entries.iter().map(|(_, idx)| idx.bitmap_bytes()).sum()
+    /// Total resident bytes across every live index.
+    pub fn resident_bytes(&self) -> usize {
+        self.entries
+            .iter()
+            .map(|(_, idx)| idx.resident_bytes())
+            .sum()
     }
 
     /// Publishes the resident-size gauges. Called after any mutation.
     pub fn publish_gauges(&self) {
         ppm_observe::gauge("serve.index.live", self.len() as u64);
-        ppm_observe::gauge("serve.index.bytes", self.bitmap_bytes() as u64);
+        ppm_observe::gauge("serve.index.bytes", self.resident_bytes() as u64);
     }
 }
 
@@ -277,19 +285,10 @@ impl Store {
         self.indexes.lock().expect("index lock poisoned")
     }
 
-    /// Resident live-index footprint: `(count, bitmap_bytes)`.
+    /// Resident live-index footprint: `(count, resident_bytes)`.
     pub fn index_stats(&self) -> (usize, usize) {
         let indexes = self.indexes();
-        (indexes.len(), indexes.bitmap_bytes())
-    }
-
-    /// Feeds `index` every whole segment the reader holds beyond what the
-    /// index has already consumed.
-    pub(crate) fn catch_up(index: &mut IncrementalVerticalIndex, reader: &ColumnarReader) {
-        let m = reader.len() / index.period();
-        while index.appended_segments() < m {
-            index.append_from_view(reader.view(), index.appended_segments());
-        }
+        (indexes.len(), indexes.resident_bytes())
     }
 
     /// Runs `f` on the live incremental index for `period` and the reader
@@ -308,7 +307,7 @@ impl Store {
         // append's grow would have to copy.
         let reader = self.reader();
         let index = indexes.get_or_create(period);
-        Self::catch_up(index, &reader);
+        index.catch_up(reader.view());
         let out = f(index, &reader);
         indexes.publish_gauges();
         out

@@ -813,6 +813,49 @@ fn stats_and_metrics_expose_real_latency_histograms() {
     std::fs::remove_file(access_path).ok();
 }
 
+/// The daemon reports its own memory (`VmRSS` / `VmHWM`) beside the live
+/// indexes' resident bytes, in `stats` and in the exposition.
+#[test]
+fn stats_report_the_daemons_own_memory() {
+    let store = sample_store("memory");
+    let name = store.file_stem().unwrap().to_str().unwrap().to_owned();
+    let (addr, handle, _stop) = start(&store, |_| {});
+    let resp = request(addr, &mine_req(&name, 3, 0.5, "incremental"));
+    assert_eq!(resp.get("type").unwrap().as_str(), Some("result"));
+
+    let stats = request(
+        addr,
+        &obj(vec![
+            ("v", Json::from_u64(VERSION)),
+            ("op", Json::Str("stats".into())),
+        ]),
+    );
+    let field = |k: &str| stats.get(k).and_then(Json::as_u64);
+    assert_eq!(field("live_indexes"), Some(1), "{stats:?}");
+    assert!(field("index_bytes").unwrap() > 0, "{stats:?}");
+    if cfg!(target_os = "linux") {
+        let rss = field("rss_bytes").expect("stats carries rss_bytes");
+        let peak = field("peak_rss_bytes").expect("stats carries peak_rss_bytes");
+        assert!(rss > 0, "{stats:?}");
+        assert!(peak >= rss, "{stats:?}");
+
+        let resp = request(
+            addr,
+            &obj(vec![
+                ("v", Json::from_u64(VERSION)),
+                ("op", Json::Str("metrics".into())),
+            ]),
+        );
+        let text = resp.get("exposition").and_then(Json::as_str).unwrap();
+        assert!(text.contains("\nppm_serve_rss_bytes "), "{text}");
+        assert!(text.contains("\nppm_serve_peak_rss_bytes "), "{text}");
+    }
+
+    request(addr, &shutdown_req());
+    handle.join().unwrap();
+    std::fs::remove_file(store).ok();
+}
+
 #[test]
 fn flight_dumps_are_parseable_json_lines() {
     let store = sample_store("flight");
