@@ -140,115 +140,8 @@ echo "==> experiments smoke: the paper's evaluation at --quick sizes"
 ./target/release/experiments --quick >"$smoke_dir/experiments.log"
 grep -q "E9 — extensions" "$smoke_dir/experiments.log"  # the last experiment ran
 
-echo "==> continuous ingestion smoke: ppm append, mine --follow, serve append op"
-# A dedicated store copy so appends never perturb the other steps' files.
-./target/release/ppm convert --input "$smoke_dir/smoke.ppmc" \
-  --out "$smoke_dir/follow.ppmc"
-# A converted store is .ppmc version 3. The committed version-1 and
-# version-2 fixtures (written before the word-hash checksum and before the
-# commit slots) stay readable: each mines exactly like its converted twin
-# and `info` names its version. Appends need version 3: `ppm append` on a
-# fixture is a usage error (exit 2) that leaves the file byte-identical,
-# and the converted twin takes the same rows in place.
-./target/release/ppm info --input "$smoke_dir/follow.ppmc" >"$smoke_dir/info-v3.log"
-grep -q "^format: *\.ppmc version 3$" "$smoke_dir/info-v3.log"
-for v in 1 2; do
-  fixture="crates/timeseries/testdata/synthetic-p12-v$v.ppmc"
-  cp "$fixture" "$smoke_dir/v$v.ppmc"
-  ./target/release/ppm convert --input "$smoke_dir/v$v.ppmc" \
-    --out "$smoke_dir/v$v-twin.ppmc" >/dev/null
-  for store in "v$v" "v$v-twin"; do
-    ./target/release/ppm mine --input "$smoke_dir/$store.ppmc" --period 12 \
-      --min-conf 0.6 --limit 100000 | grep '^  ' >"$smoke_dir/$store.lines"
-  done
-  test -s "$smoke_dir/v$v.lines"
-  diff "$smoke_dir/v$v.lines" "$smoke_dir/v$v-twin.lines"
-  ./target/release/ppm info --input "$smoke_dir/v$v.ppmc" >"$smoke_dir/info-v$v.log"
-  grep -q "^format: *\.ppmc version $v$" "$smoke_dir/info-v$v.log"
-  append_status=0
-  ./target/release/ppm append --input "$smoke_dir/v$v.ppmc" --rows "pat0;-;pat1" \
-    --repeat 4 >"$smoke_dir/append-v$v.log" 2>&1 || append_status=$?
-  test "$append_status" -eq 2
-  grep -q "version $v" "$smoke_dir/append-v$v.log"
-  grep -q "ppm convert" "$smoke_dir/append-v$v.log"
-  cmp "$fixture" "$smoke_dir/v$v.ppmc"
-  ./target/release/ppm append --input "$smoke_dir/v$v-twin.ppmc" --rows "pat0;-;pat1" \
-    --repeat 4 >"$smoke_dir/append-v$v-twin.log"
-  grep -q "appended 12 instants" "$smoke_dir/append-v$v-twin.log"
-  ./target/release/ppm info --input "$smoke_dir/v$v-twin.ppmc" >"$smoke_dir/info-v$v-twin.log"
-  grep -q "^format: *\.ppmc version 3$" "$smoke_dir/info-v$v-twin.log"
-  grep -q "^instants: *612$" "$smoke_dir/info-v$v-twin.log"
-  ./target/release/ppm mine --input "$smoke_dir/v$v-twin.ppmc" --period 12 \
-    --min-conf 0.6 >"$smoke_dir/mine-v$v-twin.log"
-  grep -q "frequent patterns (period 12, 51 segments" "$smoke_dir/mine-v$v-twin.log"
-done
-# A follow loop tails the store in the background; one whole appended
-# segment must surface as an audited incremental update.
-./target/release/ppm mine --input "$smoke_dir/follow.ppmc" --period 25 \
-  --min-conf 0.6 --follow --follow-poll-ms 50 --follow-max-updates 1 \
-  --audit full >"$smoke_dir/follow.log" &
-follow_pid=$!
-sleep 0.5
-./target/release/ppm append --input "$smoke_dir/follow.ppmc" --rows "-" \
-  --repeat 25 >"$smoke_dir/append.log"
-grep -q "appended 25 instants" "$smoke_dir/append.log"
-# A version-3 append commits in place: no staging file, and the next
-# commit seq (a converted store starts at seq 1).
-test ! -e "$smoke_dir/follow.ppmc.tmp"
-./target/release/ppm info --input "$smoke_dir/follow.ppmc" >"$smoke_dir/info-follow.log"
-grep -q "^instants: *3025$" "$smoke_dir/info-follow.log"
-grep -q "^commit: *seq 2 (slot 0)$" "$smoke_dir/info-follow.log"
-wait "$follow_pid"
-grep -q "update 1: +1 segments" "$smoke_dir/follow.log"
-grep -q "audit: clean" "$smoke_dir/follow.log"
-# The daemon's append op: publishes atomically, feeds the live incremental
-# index, and the next incremental query answers for the grown store
-# byte-identically to a direct cold mine of the file.
-./target/release/ppm serve --stores "$smoke_dir/follow.ppmc" --port 0 \
-  >"$smoke_dir/serve10.log" &
-serve10_pid=$!
-for _ in $(seq 50); do
-  grep -q "listening on tcp" "$smoke_dir/serve10.log" 2>/dev/null && break
-  sleep 0.1
-done
-port10="$(sed -n 's/^listening on tcp .*:\([0-9][0-9]*\) .*/\1/p' "$smoke_dir/serve10.log")"
-test -n "$port10"
-./target/release/ppm query --port "$port10" --store follow --period 25 \
-  --min-conf 0.6 --engine incremental >/dev/null
-rows="-"; for _ in $(seq 24); do rows="$rows;-"; done
-./target/release/ppm query --port "$port10" --op append --store follow \
-  --rows "$rows" >"$smoke_dir/wire-append.log"
-grep -q "appended 25 instants" "$smoke_dir/wire-append.log"
-# No query held the store during that append, so it grew the resident
-# load in place: no copy of the store.
-./target/release/ppm query --port "$port10" --op metrics \
-  >"$smoke_dir/metrics10.log"
-grep -qx "ppm_serve_append_grow_copies_total 0" "$smoke_dir/metrics10.log"
-./target/release/ppm query --port "$port10" --store follow --period 25 \
-  --min-conf 0.6 --engine incremental >"$smoke_dir/q-inc.log"
-./target/release/ppm mine --input "$smoke_dir/follow.ppmc" --period 25 \
-  --min-conf 0.6 --engine vertical >"$smoke_dir/direct-inc.log"
-cmp "$smoke_dir/q-inc.log" "$smoke_dir/direct-inc.log"
-# The cache keys answers, not engines: a hit-set answer serves a vertical
-# query as an exact hit, and Apriori answers bypass the cache.
-./target/release/ppm query --port "$port10" --store follow --period 25 \
-  --min-conf 0.6 --engine hitset >/dev/null
-./target/release/ppm query --port "$port10" --store follow --period 25 \
-  --min-conf 0.6 --engine vertical --show-cached >"$smoke_dir/q-shared.log"
-grep -q "cached: hit" "$smoke_dir/q-shared.log"
-for _ in 1 2; do
-  ./target/release/ppm query --port "$port10" --store follow --period 25 \
-    --min-conf 0.6 --engine apriori --show-cached >"$smoke_dir/q-apriori.log"
-  grep -q "cached: bypass" "$smoke_dir/q-apriori.log"
-done
-# To a file, not a pipe: grep -q exits at first match, and under
-# pipefail the query's EPIPE on its remaining output fails the step.
-./target/release/ppm query --port "$port10" --op health \
-  >"$smoke_dir/health10.log"
-grep -q "ready: true" "$smoke_dir/health10.log"
-kill -TERM "$serve10_pid"
-wait "$serve10_pid"
-grep -q "daemon stopped cleanly" "$smoke_dir/serve10.log"
+# Continuous ingestion end to end (ppm append, mine --follow, the daemon's
+# append op and live index) runs in tier-1: crates/cli/tests/ingestion.rs.
 
 echo "==> daemon smoke: serve/query, metrics scrape, flight dump, guard trip, quarantine, kill -9 recovery, SIGTERM drain"
 # The daemon serves .ppmc stores; its mine answers must be byte-identical

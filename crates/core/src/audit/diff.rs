@@ -30,8 +30,8 @@ use super::{render, AuditReport, Violation};
 
 /// The `incremental-vertical` arm: builds the sliding-window index through
 /// the same append path a live store uses, with a mid-stream re-derive
-/// (discarded) so the final derive genuinely exercises the carry/delta
-/// classification instead of full-counting everything, then re-derives
+/// (discarded) so the final derive genuinely delta-counts the candidates
+/// that one counted instead of full-counting everything, then re-derives
 /// the full window. Bit-identity here proves every incrementally
 /// maintained state equals a cold mine of the same window.
 fn incremental_arm(

@@ -8,14 +8,16 @@
 //! of its *reachable ancestors* in the paper's formulation.
 //!
 //! The level loop here, `derive_frequent_batched`, is shared by every
-//! two-scan derive (the tree strategies and the vertical index). Its
-//! levels are [`LetterSet`]s in level order, joined by
-//! [`join_candidates`] on their words — prefix groups by masked XOR,
-//! candidates as `a | highbit(b)`, the prune as one bit flip and one
-//! table probe per subset — with no letter-index vectors and no
-//! allocation per probe (see [`crate::apriori`] for the join and the
-//! hash-fold pitfall its table avoids). Each level's join runs in one
-//! `derive.join` span, so a trace splits the derive into join and count.
+//! level-wise derive: the tree strategies, the vertical index, and the
+//! live incremental index ([`crate::vertical::incremental`]), which
+//! plugs in its own join memo and its dirty-word recount. Its levels are
+//! [`LetterSet`]s in level order, joined by [`join_candidates`] on their
+//! words — prefix groups by masked XOR, candidates as `a | highbit(b)`,
+//! the prune as one bit flip and one table probe per subset — with no
+//! letter-index vectors and no allocation per probe (see
+//! [`crate::apriori`] for the join and the hash-fold pitfall its table
+//! avoids). Each level's join runs in one `derive.join` span, so a trace
+//! splits the derive into join and count.
 //!
 //! Three counting strategies are exposed for the ablation study (DESIGN.md
 //! experiment E7):
@@ -77,6 +79,7 @@ pub fn derive_frequent(
         CountStrategy::LinearScan => MaxSubpatternTree::count_superpatterns_linear,
     };
     derive_frequent_batched(
+        join_candidates,
         |sets| sets.iter().map(|p| count(tree, p)).collect(),
         scan1,
         frequent,
@@ -91,16 +94,20 @@ fn hit_index(tree: &MaxSubpatternTree) -> VerticalIndex {
 }
 
 /// The level-wise Apriori derivation loop over a *level-batched*
-/// counting oracle — the per-candidate tree strategies and the bitmap
-/// index plug in the same way (Property 3.1 is independent of how
-/// counting is done). Each call of `count_batch` receives every candidate
-/// of one level and returns their counts in order. Batching is what lets
-/// the bitmap index answer a whole level against each cache block of its
-/// rows once, while the per-candidate strategies just map over the slice.
+/// counting oracle — the per-candidate tree strategies, the bitmap index
+/// and the live index's dirty-word recount plug in the same way
+/// (Property 3.1 is independent of how counting is done). Each call of
+/// `count_batch` receives every candidate of one level and returns their
+/// counts in order. Batching is what lets the bitmap index answer a whole
+/// level against each cache block of its rows once, while the
+/// per-candidate strategies just map over the slice.
 ///
-/// Each level is joined by [`join_candidates`] inside one `derive.join`
-/// span, so a trace splits the derive into join and count.
+/// `join` turns one non-empty frequent level into the next level's
+/// candidates: [`join_candidates`] itself, or the live index's memo of
+/// it. Each join runs inside one `derive.join` span, so a trace splits
+/// the derive into join and count.
 pub(crate) fn derive_frequent_batched(
+    mut join: impl FnMut(&[LetterSet]) -> Vec<LetterSet>,
     mut count_batch: impl FnMut(&[LetterSet]) -> Vec<u64>,
     scan1: &Scan1,
     frequent: &mut Vec<FrequentPattern>,
@@ -115,7 +122,7 @@ pub(crate) fn derive_frequent_batched(
     while !level.is_empty() {
         let candidates = {
             let _span = ppm_observe::span("derive.join");
-            join_candidates(&level)
+            join(&level)
         };
         stats.candidates_generated += candidates.len() as u64;
         if candidates.is_empty() {

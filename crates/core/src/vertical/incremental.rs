@@ -12,19 +12,22 @@
 //! * [`evict_oldest`](IncrementalVerticalIndex::evict_oldest) pops the
 //!   retiring segment off the log and decrements its letters' counts;
 //! * [`rederive_dirty`](IncrementalVerticalIndex::rederive_dirty) re-mines
-//!   the window, recounting only what could have changed: candidates
-//!   whose letters are all untouched since the last derive carry their
-//!   previous count forward verbatim; candidates containing a touched
-//!   letter are delta-recounted over just the **dirty word range** (the
-//!   64-segment blocks that actually changed), reusing the wide
-//!   AND+popcount kernel and its prefix cache on that range; only
-//!   candidates never counted before (letters newly crossed over the F1
-//!   threshold, or the threshold itself moved) pay a full-width count.
+//!   the window through the cold engines' own level loop
+//!   (`derive_frequent_batched`), recounting only what could have
+//!   changed: a candidate counted at the previous derive is
+//!   delta-counted over just the **dirty words** (the 64-segment column
+//!   words that actually changed) — its previous count, minus its count
+//!   over those words as of that derive, plus its live count over them —
+//!   on the shared blocked level counter and prefix cache (a lone dirty
+//!   word is ANDed directly); only candidates never counted before
+//!   (letters newly crossed over the F1 threshold, or the threshold
+//!   itself moved) pay a full-width count. A candidate with no dirty
+//!   letter reads equal counts before and after, so it keeps its count.
 //!   The per-level Apriori joins are memoized across derives (exact
-//!   input equality in stable row ids), so in the steady state the
-//!   candidate lattice itself is not re-derived either — a re-mine after
-//!   one appended segment touches one word per dense row and hashes each
-//!   candidate once.
+//!   input equality), so in the steady state the candidate lattice
+//!   itself is not re-derived either — a re-mine after one appended
+//!   segment touches one word per dense row and probes each candidate's
+//!   count once.
 //!
 //! ## Dense rows and the segment log
 //!
@@ -43,7 +46,7 @@
 //! The invariant that keeps this exact: a letter in a derive's alphabet
 //! has a count ≥ `min_count` ≥ floor, so it is dense before the derive
 //! counts anything. A letter densified later was therefore in no earlier
-//! alphabet: no carried or delta-recounted candidate contains it, and
+//! alphabet: no candidate counted at an earlier derive contains it, and
 //! reading 0 for it from a snapshot taken before it had a row is safe.
 //!
 //! Correctness leans on two more invariants. First, AND+popcount is
@@ -64,32 +67,21 @@ use ppm_timeseries::{EncodedSeriesView, FeatureId};
 
 use crate::apriori::join_candidates;
 use crate::error::{Error, Result};
+use crate::hitset::derive::derive_frequent_batched;
 use crate::letters::{Alphabet, LetterSet, WordMap};
-use crate::result::{FrequentPattern, MiningResult};
+use crate::result::MiningResult;
 use crate::scan::{MineConfig, Scan1};
 use crate::stats::MiningStats;
 
-use super::kernel::{count_dispatch_cached, Kernel, LevelBases, PrefixCache, Unit, BLOCK_WORDS};
+use super::kernel::{count_level, Kernel, LevelBases, PrefixCache, Unit};
 
 /// No letter id / no dense row.
 const NONE: u32 = u32::MAX;
 
-/// Counts incremented by one level's worth of candidate classification,
-/// reported as gauges after each re-derive.
-#[derive(Debug, Default, Clone, Copy)]
-struct DeriveTally {
-    /// Candidates whose previous count carried forward unrecounted.
-    carried: u64,
-    /// Candidates delta-recounted over the dirty word range only.
-    delta: u64,
-    /// Candidates counted over the full window width.
-    full: u64,
-}
-
-/// A candidate's count at the derive stamped in `gen`. Carry and delta
-/// reuse are valid only for entries from the immediately preceding
-/// derive — `rederive_dirty` purges everything older, so a candidate
-/// that drops out of the lattice and later returns pays a full count.
+/// A candidate's count at the derive stamped in `gen`. Delta reuse is
+/// valid only for entries from the immediately preceding derive —
+/// `rederive_dirty` purges everything older, so a candidate that drops
+/// out of the lattice and later returns pays a full count.
 #[derive(Debug, Clone, Copy)]
 struct PrevCount {
     count: u64,
@@ -97,11 +89,7 @@ struct PrevCount {
 }
 
 /// One memoized Apriori join: `output = join(input)`, letter sets over
-/// one derive's alphabet. The join is a pure function of its input —
-/// which rows the letters stand for never enters it — so exact input
-/// equality is the whole validity condition: in the steady state the
-/// frequent levels barely move between derives and every level is a
-/// cache hit.
+/// one derive's alphabet.
 #[derive(Debug, Default, Clone)]
 struct JoinLevel {
     input: Vec<LetterSet>,
@@ -198,9 +186,8 @@ pub struct IncrementalVerticalIndex {
     key_rows: Vec<u32>,
     /// Monotonic derive counter stamping `prev_counts` entries.
     derive_gen: u64,
-    /// Memoized joins per level (index `k - 1` holds the join of the
-    /// frequent `k`-sets), keyed by exact input equality in row ids.
-    join_cache: Vec<JoinLevel>,
+    /// Memoized joins per level.
+    joins: JoinMemo,
 }
 
 impl IncrementalVerticalIndex {
@@ -237,7 +224,7 @@ impl IncrementalVerticalIndex {
             prev_counts: WordMap::default(),
             key_rows: Vec::new(),
             derive_gen: 0,
-            join_cache: Vec::new(),
+            joins: JoinMemo::default(),
         }
     }
 
@@ -291,9 +278,9 @@ impl IncrementalVerticalIndex {
     }
 
     /// Bytes the index holds: the segment log and its bounds, the letter
-    /// table and counts, the dense rows, the dirty snapshots, the carried
-    /// candidate counts and the join cache (allocated capacity, plus
-    /// each letter set's heap words).
+    /// table and counts, the dense rows, the dirty snapshots, the
+    /// candidate counts of the last derive and the join memo (allocated
+    /// capacity, plus each letter set's heap words).
     pub fn resident_bytes(&self) -> usize {
         let set_bytes = |s: &LetterSet| size_of::<LetterSet>() + s.heap_bytes();
         let log = (self.log.capacity() + self.segment_lens.capacity()) * size_of::<u32>();
@@ -313,7 +300,7 @@ impl IncrementalVerticalIndex {
             .values()
             .map(|s| size_of::<(usize, Vec<u64>)>() + s.capacity() * size_of::<u64>())
             .sum();
-        let carried = self.prev_counts.capacity() * size_of::<(LetterSet, PrevCount)>()
+        let counted = self.prev_counts.capacity() * size_of::<(LetterSet, PrevCount)>()
             + self
                 .prev_counts
                 .keys()
@@ -321,12 +308,13 @@ impl IncrementalVerticalIndex {
                 .sum::<usize>()
             + self.key_rows.capacity() * size_of::<u32>();
         let joins: usize = self
-            .join_cache
+            .joins
+            .0
             .iter()
             .flat_map(|j| j.input.iter().chain(&j.output))
             .map(set_bytes)
             .sum();
-        log + letters + rows + snapshots + carried + joins
+        log + letters + rows + snapshots + counted + joins
     }
 
     /// The maintained F1 count of one letter (0 if never seen).
@@ -625,8 +613,8 @@ impl IncrementalVerticalIndex {
     /// window at the same `config`.
     ///
     /// The confidence (and hence `min_count`) may differ from the
-    /// previous derive's: carried counts are exact counts, not
-    /// threshold-relative, so classification stays correct — a candidate
+    /// previous derive's: previous counts are exact counts, not
+    /// threshold-relative, so the delta count stays correct — a candidate
     /// generated now but never counted before simply pays a full count.
     /// A `min_count` under the floor lowers it, densifying the letters
     /// between the two.
@@ -641,7 +629,7 @@ impl IncrementalVerticalIndex {
             });
         }
         let min_count = config.min_count(m);
-        ppm_observe::gauge("vertical.dirty_words", self.dirty.len() as u64);
+        ppm_observe::gauge("incremental.dirty_words", self.dirty.len() as u64);
         let floor = self.floor.map_or(min_count, |f| f.min(min_count));
         self.floor = Some(floor);
         self.densify(floor);
@@ -674,90 +662,55 @@ impl IncrementalVerticalIndex {
             min_count,
         };
 
-        // Mirrors `derive_frequent_batched` exactly — candidate order,
-        // stats accounting, threshold test — so the result (including
-        // stats, with the two logical scans amortized into maintenance)
-        // matches the cold vertical mine field for field.
+        // The shared level loop, with this index's join memo and dirty-word
+        // counter plugged in: the result, stats included (the two logical
+        // scans amortized into maintenance), matches the cold vertical mine
+        // field for field.
         let mut stats = MiningStats {
             series_scans: 2,
             max_level: 1,
             ..Default::default()
         };
         let mut frequent = scan1.seed_singletons();
-        let resolved = config.kernel();
-        let mut and_ops = 0u64;
-        let mut tally = DeriveTally::default();
         self.derive_gen += 1;
         let gen = self.derive_gen;
-
-        // Dense row → letter index for this derive's alphabet: re-keys
-        // the carried counts if the alphabet moved, and marks the letters
-        // whose counts changed since the last derive.
-        let mut row_to_letter = vec![u32::MAX; self.dense];
-        for (i, &r) in rowmap.iter().enumerate() {
-            row_to_letter[r as usize] = i as u32;
-        }
         if self.key_rows != rowmap {
-            self.rekey_prev_counts(&row_to_letter, n_letters);
+            self.rekey_prev_counts(&rowmap);
             self.key_rows = rowmap;
         }
-        let mut dirty_letters = LetterSet::new(n_letters);
-        for &id in &self.dirty_letters.list {
-            let r = self.dense_row[id as usize];
-            if r != NONE && row_to_letter[r as usize] != u32::MAX {
-                dirty_letters.insert(row_to_letter[r as usize] as usize);
-            }
-        }
-
-        let mut level: Vec<LetterSet> = (0..n_letters)
-            .map(|i| LetterSet::from_indices(n_letters, [i]))
-            .collect();
-        let mut k = 1;
-        while !level.is_empty() {
-            let candidates = {
-                let _span = ppm_observe::span("derive.join");
-                self.joined_level(&level, k)
-            };
-            stats.candidates_generated += candidates.len() as u64;
-            if candidates.is_empty() {
-                break;
-            }
-            k += 1;
-            stats.max_level = stats.max_level.max(k);
-            stats.subset_tests += candidates.len() as u64;
-            let counts = self.count_level_incremental(
-                &candidates,
-                k,
-                &dirty_letters,
-                resolved,
-                gen,
-                &mut and_ops,
-                &mut tally,
-            );
-            level.clear();
-            for (set, count) in candidates.into_iter().zip(counts) {
-                if count >= min_count {
-                    level.push(set.clone());
-                    frequent.push(FrequentPattern {
-                        letters: set,
-                        count,
-                    });
-                }
-            }
-        }
+        let mut counter = LevelCounter {
+            kernel: config.kernel(),
+            rows: &self.rows,
+            words_per_row: self.words_per_row,
+            row_of: &self.key_rows,
+            dirty: &self.dirty,
+            prev_counts: &mut self.prev_counts,
+            gen,
+            cache: PrefixCache::default(),
+            and_ops: 0,
+            delta: 0,
+            full: 0,
+        };
+        derive_frequent_batched(
+            |level| self.joins.join(level),
+            |candidates| counter.count(candidates),
+            &scan1,
+            &mut frequent,
+            &mut stats,
+        );
+        let (delta, full, and_ops) = (counter.delta, counter.full, counter.and_ops);
 
         // This derive becomes the new baseline: the window is clean and
-        // every candidate just counted is carry- or delta-eligible next
-        // time. Entries not restamped this derive fell out of the
-        // candidate lattice; purging them keeps a later reappearance
-        // from carrying a count that missed intervening mutations.
+        // every candidate just counted is delta-eligible next time.
+        // Entries not restamped this derive fell out of the candidate
+        // lattice; purging them keeps a later reappearance from reusing a
+        // count that missed intervening mutations.
         self.prev_counts.retain(|_, e| e.gen == gen);
         self.dirty.clear();
         self.dirty_letters.clear();
 
-        ppm_observe::gauge("incremental.carried", tally.carried);
-        ppm_observe::gauge("incremental.delta_counts", tally.delta);
-        ppm_observe::gauge("incremental.full_counts", tally.full);
+        ppm_observe::gauge("incremental.delta_counts", delta);
+        ppm_observe::gauge("incremental.full_counts", full);
         ppm_observe::gauge("incremental.and_ops", and_ops);
         ppm_observe::gauge(
             "incremental.rederive_us",
@@ -767,16 +720,20 @@ impl IncrementalVerticalIndex {
         Ok(scan1.into_result(config, frequent, stats))
     }
 
-    /// Moves every carried count onto the keys of this derive's alphabet
-    /// (`row_to_letter`, over `n_letters` letters), dropping those with a
-    /// letter that left the alphabet — no such candidate is generated
-    /// now.
-    fn rekey_prev_counts(&mut self, row_to_letter: &[u32], n_letters: usize) {
+    /// Moves every previous count onto the keys of this derive's
+    /// alphabet, whose letter `l` is dense row `rowmap[l]`, dropping
+    /// those with a letter that left the alphabet — no such candidate is
+    /// generated now.
+    fn rekey_prev_counts(&mut self, rowmap: &[u32]) {
+        let mut row_to_letter = vec![u32::MAX; self.dense];
+        for (i, &r) in rowmap.iter().enumerate() {
+            row_to_letter[r as usize] = i as u32;
+        }
         let old = std::mem::take(&mut self.prev_counts);
         self.prev_counts = old
             .into_iter()
             .filter_map(|(key, e)| {
-                let mut set = LetterSet::new(n_letters);
+                let mut set = LetterSet::new(rowmap.len());
                 for l in key.iter() {
                     match row_to_letter[self.key_rows[l] as usize] {
                         u32::MAX => return None,
@@ -787,172 +744,177 @@ impl IncrementalVerticalIndex {
             })
             .collect();
     }
+}
 
-    /// The Apriori join of one frequent `k`-letter level, memoized
-    /// across derives. A hit — the exact same frequent `k`-sets as some
-    /// earlier derive — returns the cached candidates without re-running
-    /// the join's subset pruning; in the steady state of
-    /// append-then-rederive the frequent set barely moves and every
-    /// level hits.
-    fn joined_level(&mut self, level: &[LetterSet], k: usize) -> Vec<LetterSet> {
-        if let Some(c) = self.join_cache.get(k - 1) {
+/// The Apriori joins of earlier derives, one per level: entry `k - 1`
+/// holds the join of some derive's frequent `k`-sets. The join is a pure
+/// function of its input — which rows the letters stand for never enters
+/// it — so exact input equality is the whole validity condition: in the
+/// steady state of append-then-rederive the frequent levels barely move
+/// and every level is a hit.
+#[derive(Debug, Default, Clone)]
+struct JoinMemo(Vec<JoinLevel>);
+
+impl JoinMemo {
+    /// The Apriori join of one non-empty frequent level: the cached
+    /// candidates when an earlier derive joined exactly this level,
+    /// [`join_candidates`] otherwise.
+    fn join(&mut self, level: &[LetterSet]) -> Vec<LetterSet> {
+        let k = level[0].len();
+        if let Some(c) = self.0.get(k - 1) {
             if c.input.as_slice() == level {
                 return c.output.clone();
             }
         }
         let out = join_candidates(level);
-        if self.join_cache.len() < k {
-            self.join_cache.resize_with(k, JoinLevel::default);
+        if self.0.len() < k {
+            self.0.resize_with(k, JoinLevel::default);
         }
-        let entry = &mut self.join_cache[k - 1];
-        entry.input = level.to_vec();
-        entry.output = out.clone();
+        self.0[k - 1] = JoinLevel {
+            input: level.to_vec(),
+            output: out.clone(),
+        };
         out
     }
+}
 
-    /// Counts one level of `width`-letter candidates, classifying each
-    /// as carried (no letter in `dirty_letters`), delta-recounted (known
-    /// previous count, dirty letters — recount only the dirty words), or
-    /// fully counted (never counted before).
-    #[allow(clippy::too_many_arguments)]
-    fn count_level_incremental(
-        &mut self,
-        candidates: &[LetterSet],
-        width: usize,
-        dirty_letters: &LetterSet,
-        kernel: Kernel,
-        gen: u64,
-        and_ops: &mut u64,
-        tally: &mut DeriveTally,
-    ) -> Vec<u64> {
-        let wpr = self.words_per_row;
-        let row_of = &self.key_rows;
+/// One derive's candidate counter over the dense rows. A candidate
+/// counted at the previous derive is delta-counted: its previous count,
+/// minus its count over the dirty words as of that derive (from the
+/// snapshots), plus its live count over the same words — exact, because
+/// counts over disjoint word ranges sum exactly. Any other candidate is
+/// counted over the full width.
+struct LevelCounter<'a> {
+    kernel: Kernel,
+    rows: &'a [u64],
+    words_per_row: usize,
+    /// Letter → dense row of this derive's alphabet.
+    row_of: &'a [u32],
+    /// Dirty word → its snapshot of every dense row.
+    dirty: &'a BTreeMap<usize, Vec<u64>>,
+    prev_counts: &'a mut WordMap<LetterSet, PrevCount>,
+    /// This derive's generation, stamped on every candidate it counts.
+    gen: u64,
+    cache: PrefixCache,
+    and_ops: u64,
+    /// Candidates delta-counted over the dirty words only.
+    delta: u64,
+    /// Candidates counted over the full width.
+    full: u64,
+}
+
+impl LevelCounter<'_> {
+    /// Counts one level's candidates, in order, and records each count
+    /// for the next derive.
+    fn count(&mut self, candidates: &[LetterSet]) -> Vec<u64> {
         let mut counts = vec![0u64; candidates.len()];
-        let mut pending_delta = Vec::new();
-        let mut pending_full = Vec::new();
+        // Known candidates and their previous counts; new ones.
+        let (mut known, mut was, mut fresh) = (Vec::new(), Vec::new(), Vec::new());
         for (i, cand) in candidates.iter().enumerate() {
+            // Every entry is from the previous derive (older ones were
+            // purged), so one probe classifies and restamps.
             match self.prev_counts.get_mut(cand) {
-                Some(e) if e.gen + 1 == gen && cand.is_disjoint(dirty_letters) => {
-                    e.gen = gen;
-                    counts[i] = e.count;
-                    tally.carried += 1;
-                }
-                Some(e) if e.gen + 1 == gen => {
-                    // Disjoint-range decomposition: the previous count
-                    // minus its dirty-word portion (from the snapshots)
-                    // plus the live dirty-word portion.
+                Some(e) => {
+                    e.gen = self.gen;
                     let snapshot = |snap: &Vec<u64>| {
-                        and_count(cand, row_of, |r| snap.get(r).copied().unwrap_or(0))
+                        and_count(cand, self.row_of, |r| snap.get(r).copied().unwrap_or(0))
                     };
                     counts[i] = e.count - self.dirty.values().map(snapshot).sum::<u64>();
-                    pending_delta.push(i);
-                    tally.delta += 1;
+                    known.push(i);
+                    was.push(e.count);
                 }
-                _ => {
-                    pending_full.push(i);
-                    tally.full += 1;
-                }
+                None => fresh.push(i),
             }
         }
+        self.delta += known.len() as u64;
+        self.full += fresh.len() as u64;
 
         // Live counts over just the dirty words. Single-word runs — the
         // common shape after one appended or evicted segment — AND the
-        // column words directly; longer runs go through the blocked wide
-        // kernel, like the full counts.
-        for (lo, hi) in self.dirty_runs() {
-            if hi - lo > 1 {
-                self.count_blocked(
-                    kernel,
-                    candidates,
-                    &pending_delta,
-                    lo..hi,
-                    &mut counts,
-                    and_ops,
-                );
-                continue;
-            }
-            for &i in &pending_delta {
-                *and_ops += (width - 1) as u64;
-                counts[i] += and_count(&candidates[i], row_of, |r| self.rows[r * wpr + lo]);
-            }
-        }
-        self.count_blocked(
-            kernel,
-            candidates,
-            &pending_full,
-            0..wpr,
-            &mut counts,
-            and_ops,
-        );
-
-        // Recounted candidates restamp in place; only genuinely new keys
-        // allocate.
-        for &i in pending_delta.iter().chain(pending_full.iter()) {
-            let entry = PrevCount {
-                count: counts[i],
-                gen,
-            };
-            match self.prev_counts.get_mut(&candidates[i]) {
-                Some(e) => *e = entry,
-                None => {
-                    self.prev_counts.insert(candidates[i].clone(), entry);
+        // column words directly; longer runs go through the blocked
+        // level counter, like the full counts.
+        let wpr = self.words_per_row;
+        for run in dirty_runs(self.dirty) {
+            if run.len() > 1 {
+                self.count_blocked(candidates, &known, run, &mut counts);
+            } else {
+                for &i in &known {
+                    self.and_ops += (candidates[i].len() - 1) as u64;
+                    counts[i] += and_count(&candidates[i], self.row_of, |r| {
+                        self.rows[r * wpr + run.start]
+                    });
                 }
             }
+        }
+        self.count_blocked(candidates, &fresh, 0..wpr, &mut counts);
+
+        // Only counts that moved are written back; only new keys
+        // allocate.
+        for (&i, &before) in known.iter().zip(&was) {
+            if counts[i] != before {
+                self.prev_counts
+                    .get_mut(&candidates[i])
+                    .expect("probed")
+                    .count = counts[i];
+            }
+        }
+        for &i in &fresh {
+            let entry = PrevCount {
+                count: counts[i],
+                gen: self.gen,
+            };
+            self.prev_counts.insert(candidates[i].clone(), entry);
         }
         counts
     }
 
-    /// Adds the count over `words` of each candidate `pending` names,
-    /// through the blocked wide kernel, so the prefix cache reuses
-    /// sibling candidates' shared ancestry on each block.
+    /// Adds the count over `words` of each candidate `which` names to
+    /// its entry of `counts`, through the blocked level counter.
     fn count_blocked(
-        &self,
-        kernel: Kernel,
+        &mut self,
         candidates: &[LetterSet],
-        pending: &[usize],
+        which: &[usize],
         words: Range<usize>,
         counts: &mut [u64],
-        and_ops: &mut u64,
     ) {
         let wpr = self.words_per_row;
-        let bases = LevelBases::new(pending.iter().map(|&i| {
+        let level = LevelBases::new(which.iter().map(|&i| {
             let rows = candidates[i].iter();
-            rows.map(|l| self.key_rows[l] as usize * wpr)
+            rows.map(|l| self.row_of[l] as usize * wpr)
         }));
-        let mut cache = PrefixCache::default();
-        for block in words.clone().step_by(BLOCK_WORDS) {
-            let block = block..(block + BLOCK_WORDS).min(words.end);
-            for (&i, bases) in pending.iter().zip(bases.iter()) {
-                counts[i] += count_dispatch_cached(
-                    kernel,
-                    &self.rows,
-                    Unit,
-                    bases,
-                    block.clone(),
-                    and_ops,
-                    &mut cache,
-                );
-            }
+        let mut partial = vec![0u64; which.len()];
+        count_level(
+            self.kernel,
+            self.rows,
+            Unit,
+            &level,
+            words,
+            &mut partial,
+            &mut self.and_ops,
+            &mut self.cache,
+        );
+        for (&i, n) in which.iter().zip(partial) {
+            counts[i] += n;
         }
     }
+}
 
-    /// Maximal runs of consecutive dirty words, in ascending order.
-    fn dirty_runs(&self) -> Vec<(usize, usize)> {
-        let mut runs: Vec<(usize, usize)> = Vec::new();
-        for &w in self.dirty.keys() {
-            match runs.last_mut() {
-                Some(run) if run.1 == w => run.1 = w + 1,
-                _ => runs.push((w, w + 1)),
-            }
+/// Maximal runs of consecutive dirty words, in ascending order.
+fn dirty_runs(dirty: &BTreeMap<usize, Vec<u64>>) -> Vec<Range<usize>> {
+    let mut runs: Vec<Range<usize>> = Vec::new();
+    for &w in dirty.keys() {
+        match runs.last_mut() {
+            Some(run) if run.end == w => run.end = w + 1,
+            _ => runs.push(w..w + 1),
         }
-        runs
     }
+    runs
 }
 
 /// The popcount of the AND of one word per letter of `cand`, `word(row)`
 /// giving letter `l`'s word from its row `row_of[l]`. Live words count
 /// the dirty range now; snapshot words count it as of the last derive,
-/// where rows densified since read as 0 (no carried candidate holds
+/// where rows densified since read as 0 (no candidate counted then holds
 /// them).
 fn and_count(cand: &LetterSet, row_of: &[u32], word: impl Fn(usize) -> u64) -> u64 {
     let mut acc = u64::MAX;
@@ -1129,7 +1091,7 @@ mod tests {
 
     #[test]
     fn confidence_changes_between_rederives_stay_exact() {
-        // min_count moves between derives, so carried counts are reused
+        // min_count moves between derives, so previous counts are reused
         // under different thresholds and newly generated candidates pay
         // full counts — all states must still match a cold mine.
         let period = 5;
@@ -1230,18 +1192,54 @@ mod tests {
         }
     }
 
+    /// One re-derive under a collector: its result and gauge maxima.
+    fn observed_rederive(
+        index: &mut IncrementalVerticalIndex,
+        config: &MineConfig,
+    ) -> (MiningResult, BTreeMap<String, u64>) {
+        let collector = std::sync::Arc::new(ppm_observe::Collector::new());
+        let result = {
+            let _guard = ppm_observe::install(collector.clone());
+            index.rederive_dirty(config).unwrap()
+        };
+        (result, collector.gauge_maxima())
+    }
+
     #[test]
     fn rederive_is_idempotent_and_cheap_when_clean() {
         let period = 5;
-        let (width, words) = lcg_words(30 * period, 4, 11);
-        let view = EncodedSeriesView::new(width, 30 * period, &words);
+        let (width, words) = lcg_words(31 * period, 4, 11);
+        let wpi = width.div_ceil(64);
+        let view = EncodedSeriesView::new(width, 31 * period, &words);
+        let first_30 = EncodedSeriesView::new(width, 30 * period, &words[..30 * period * wpi]);
         let config = MineConfig::new(0.4).unwrap();
-        let mut index = IncrementalVerticalIndex::from_view(view, period, None);
+        let mut index = IncrementalVerticalIndex::from_view(first_30, period, None);
         let first = index.rederive_dirty(&config).unwrap();
         assert_eq!(index.dirty_words(), 0);
-        let second = index.rederive_dirty(&config).unwrap();
+        let (second, gauges) = observed_rederive(&mut index, &config);
         assert_eq!(first.frequent, second.frequent);
         assert_eq!(first.stats, second.stats);
+        // A clean re-derive ANDs no word and fully counts no candidate:
+        // each keeps its previous count.
+        assert_eq!(gauges["incremental.dirty_words"], 0);
+        assert_eq!(gauges["incremental.and_ops"], 0);
+        assert_eq!(gauges["incremental.full_counts"], 0);
+        let counted = second.stats.candidates_generated;
+        assert!(counted > 0);
+        assert_eq!(gauges["incremental.delta_counts"], counted);
+
+        // One appended segment that leaves the alphabet as it was: every
+        // candidate is delta-counted over the one dirty word.
+        index.append_from_view(view, 30);
+        let (third, gauges) = observed_rederive(&mut index, &config);
+        assert_eq!(third.alphabet, second.alphabet, "no letter crossed");
+        assert_eq!(gauges["incremental.dirty_words"], 1);
+        assert_eq!(gauges["incremental.full_counts"], 0);
+        let counted = third.stats.candidates_generated;
+        assert_eq!(gauges["incremental.delta_counts"], counted);
+        assert!(gauges["incremental.and_ops"] > 0);
+        let cold = mine_vertical_view(view, period, &config).unwrap();
+        assert_eq!(third.frequent, cold.frequent);
     }
 
     /// Deterministic LCG stream where feature `f` is present with
@@ -1328,7 +1326,7 @@ mod tests {
         assert_eq!(index.floor, Some(low.min_count(60)));
         assert_floor_letters_dense(&index);
         // Appends between derives at either confidence stay exact: the
-        // carried and delta paths read rows densified at both floors.
+        // delta counts read rows densified at both floors.
         let full = EncodedSeriesView::new(width, segments * period, &words);
         for segment in 60..segments {
             index.append_from_view(full, segment);

@@ -25,9 +25,10 @@
 //!   autovectorizer makes of them.
 //!
 //! Both kernels count over an arbitrary word *range*: disjoint ranges sum
-//! exactly, because every weight is a property of its word. The level loop
-//! counts one cache block at a time that way, and the incremental index
-//! recounts only its dirty ranges.
+//! exactly, because every weight is a property of its word. The level
+//! counter (`count_level`) counts one cache block at a time that way —
+//! over the cold index's whole rows, and over the incremental index's
+//! rows or just its dirty ranges.
 //!
 //! A level's candidates resolve their letter rows into one flat buffer
 //! (`LevelBases`), a single candidate's into a fixed inline one
@@ -43,7 +44,7 @@ use crate::letters::LetterSet;
 pub(crate) const LANES: usize = 8;
 
 /// Words per cache block of batched counting
-/// ([`super::VerticalIndex::count_level_cached`]): 128 words is 1 KiB of bitmap
+/// ([`count_level`]): 128 words is 1 KiB of bitmap
 /// per letter row, so a whole alphabet's block (`n_letters` KiB) sits in
 /// L1/L2 while every candidate of the level is answered against it.
 pub(crate) const BLOCK_WORDS: usize = 128;
@@ -452,23 +453,38 @@ pub(crate) fn count_wide_prefixed<W: Weights>(
     weights.tally(pre.iter().zip(row).map(|(&a, &b)| a & b), range.start)
 }
 
-/// [`count_dispatch`] for the level-batched block loops, which walk a
-/// whole candidate level against each cache block and can therefore reuse
-/// prefix ANDs across sibling candidates. The scalar kernel ignores the
-/// cache — it stays the plain per-candidate reference.
-#[inline]
-pub(crate) fn count_dispatch_cached<W: Weights>(
+/// Adds each candidate's count over the word range `range` to `counts`,
+/// in one cache-blocked pass: every [`BLOCK_WORDS`] words of the rows are
+/// touched once and every candidate answers against them before the next
+/// block is loaded, so the block stays hot across the whole level. On the
+/// wide kernel, sibling candidates (sorted runs sharing all but their
+/// last letter) reuse their prefix ANDs through `cache`, which the pass
+/// starts cold and which tallies its reuse across passes; the scalar
+/// kernel stays the plain per-candidate reference. A candidate with no
+/// rows adds nothing: the empty pattern is its caller's. Counts over
+/// disjoint ranges sum exactly.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn count_level<W: Weights>(
     kernel: Kernel,
     words: &[u64],
     weights: W,
-    bases: &[usize],
+    level: &LevelBases,
     range: Range<usize>,
+    counts: &mut [u64],
     and_ops: &mut u64,
     cache: &mut PrefixCache,
-) -> u64 {
-    match kernel {
-        Kernel::Scalar => count_scalar(words, weights, bases, range, and_ops),
-        Kernel::Wide => count_wide_prefixed(words, weights, bases, range, and_ops, cache),
+) {
+    cache.forget();
+    for lo in range.clone().step_by(BLOCK_WORDS) {
+        let block = lo..(lo + BLOCK_WORDS).min(range.end);
+        for (count, bases) in counts.iter_mut().zip(level.iter()) {
+            let block = block.clone();
+            *count += match kernel {
+                _ if bases.is_empty() => 0,
+                Kernel::Scalar => count_scalar(words, weights, bases, block, and_ops),
+                Kernel::Wide => count_wide_prefixed(words, weights, bases, block, and_ops, cache),
+            };
+        }
     }
 }
 

@@ -43,6 +43,7 @@ use std::ops::{ControlFlow, Range};
 
 use ppm_timeseries::{EncodedSeriesView, FeatureSeries};
 
+use crate::apriori::join_candidates;
 use crate::error::Result;
 use crate::guard::ResourceGuard;
 use crate::hitset::derive::derive_frequent_batched;
@@ -53,9 +54,7 @@ use crate::scan::{MineConfig, Scan1};
 use crate::stats::MiningStats;
 
 pub use kernel::Kernel;
-use kernel::{
-    count_dispatch, count_dispatch_cached, LevelBases, PrefixCache, RowBases, BLOCK_WORDS,
-};
+use kernel::{count_dispatch, LevelBases, PrefixCache, RowBases};
 
 /// Folds hits of `stride` words each, laid end to end in `hits`, into
 /// the distinct hits and their multiplicities: `(keys, counts)`, key `i`
@@ -285,11 +284,8 @@ impl VerticalIndex {
     }
 
     /// Counts a whole derivation level's candidates over the word range
-    /// `words` in one cache-blocked pass: every [`BLOCK_WORDS`] words of
-    /// the bitmaps are touched once and all candidates answer against them
-    /// before the next block is loaded, so the block stays hot across the
-    /// whole level. Counts over disjoint ranges sum exactly. The level
-    /// starts `cache` cold, and the cache tallies its reuse across calls.
+    /// `words` in one cache-blocked pass of [`kernel::count_level`].
+    /// Counts over disjoint ranges sum exactly.
     fn count_level_cached(
         &self,
         candidates: &[LetterSet],
@@ -299,32 +295,28 @@ impl VerticalIndex {
         cache: &mut PrefixCache,
     ) -> Vec<u64> {
         let wpr = self.words_per_row;
-        let bases = LevelBases::new(candidates.iter().map(|p| p.iter().map(|l| l * wpr)));
-        let mut totals = vec![0u64; candidates.len()];
-        // Sibling candidates arrive in sorted runs sharing all but their
-        // last letter; the cache folds each run's prefix AND once per
-        // block (see `kernel::PrefixCache`).
-        cache.forget();
-        let mut lo = words.start;
-        while lo < words.end {
-            let hi = (lo + BLOCK_WORDS).min(words.end);
-            for (total, slice) in totals.iter_mut().zip(bases.iter()) {
-                *total += if slice.is_empty() {
-                    self.empty_pattern_weight(lo..hi)
+        let level = LevelBases::new(candidates.iter().map(|p| p.iter().map(|l| l * wpr)));
+        // The empty pattern has no row to AND: it counts every column.
+        let mut totals: Vec<u64> = candidates
+            .iter()
+            .map(|p| {
+                if p.is_empty() {
+                    self.empty_pattern_weight(words.clone())
                 } else {
-                    count_dispatch_cached(
-                        kernel,
-                        &self.words,
-                        &self.weights[..],
-                        slice,
-                        lo..hi,
-                        and_ops,
-                        cache,
-                    )
-                };
-            }
-            lo = hi;
-        }
+                    0
+                }
+            })
+            .collect();
+        kernel::count_level(
+            kernel,
+            &self.words,
+            &self.weights[..],
+            &level,
+            words,
+            &mut totals,
+            and_ops,
+            cache,
+        );
         totals
     }
 
@@ -356,6 +348,7 @@ impl VerticalIndex {
         let mut and_ops = 0u64;
         let mut cache = PrefixCache::default();
         derive_frequent_batched(
+            join_candidates,
             |sets| {
                 let words = 0..self.words_per_row;
                 self.count_level_cached(sets, words, kernel, &mut and_ops, &mut cache)

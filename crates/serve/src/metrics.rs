@@ -332,7 +332,7 @@ pub fn prometheus_text(
     g(
         &mut out,
         "ppm_serve_index_bytes",
-        "Resident bytes held by live incremental indexes (segment logs, dense rows, carried counts)",
+        "Resident bytes held by live incremental indexes (segment logs, dense rows, candidate counts)",
         index_bytes as u64,
     );
     if let Some((rss, peak)) = process_memory() {
